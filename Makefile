@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check build fmt vet lint lint-budget lint-fixtures test race bench fuzz-smoke
+.PHONY: check build fmt vet lint lint-budget lint-fixtures test race bench bench-layers fuzz-smoke
 
 check: build fmt vet lint test race
 
@@ -55,3 +55,11 @@ race:
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .
+
+# One iteration of every layer benchmark under the migration hot path
+# (sealer, EWB/ELDU, FaultIn on a full pool, 8 MiB dump/restore), with
+# allocation counts: a smoke run that they still build and run, and the
+# quick look at a layer before reaching for benchmark/. Raise -benchtime for
+# numbers worth comparing.
+bench-layers:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/tcb ./internal/sgx ./internal/epcman ./internal/enclave

@@ -1,0 +1,335 @@
+package core
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"errors"
+	"runtime"
+	"testing"
+	"time"
+
+	"repro/internal/enclave"
+	"repro/internal/sgx"
+	"repro/internal/tcb"
+	"repro/internal/testapps"
+	"repro/internal/workload"
+)
+
+// kvFilled launches a KV enclave of kvBytes on host, fills it and plants
+// one key whose value must survive every hop.
+func (w *world) kvFilled(t testing.TB, host *enclave.Host, kvBytes int) (*enclave.Runtime, *enclave.App, uint64, uint64) {
+	t.Helper()
+	app := workload.KVApp(kvBytes, 1)
+	rt := w.launchOn(t, host, app)
+	if _, err := rt.ECall(0, workload.KVFill, uint64(kvBytes)); err != nil {
+		t.Fatal(err)
+	}
+	const key = 0xfeedc0de
+	if _, err := rt.ECall(0, workload.KVSet, key); err != nil {
+		t.Fatal(err)
+	}
+	got, err := rt.ECall(0, workload.KVGet, key)
+	if err != nil || got[0] != 1 {
+		t.Fatalf("planted key: %v, found=%d", err, got[0])
+	}
+	n, err := rt.ECall(0, workload.KVLen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rt, app, n[0], got[2]
+}
+
+func checkKV(t testing.TB, rt *enclave.Runtime, slots, word uint64) {
+	t.Helper()
+	n, err := rt.ECall(0, workload.KVLen)
+	if err != nil || n[0] != slots {
+		t.Fatalf("KVLen = %d, %v; want %d", n[0], err, slots)
+	}
+	got, err := rt.ECall(0, workload.KVGet, 0xfeedc0de)
+	if err != nil || got[0] != 1 || got[2] != word {
+		t.Fatalf("planted key: found=%d word=%#x, %v; want word %#x", got[0], got[2], err, word)
+	}
+}
+
+// TestBounceUnderEPCPressure (regression): a KV enclave that does not fit
+// its EPC share bounces between the same two constrained hosts. Each hop
+// destroys an instance that still has pages in swap; ForgetEnclave used to
+// leave their versions in the hardware VA slots while marking the slots
+// free, and the next eviction on that host failed with ErrVASlot — on the
+// third hop, the first that returns to a used host.
+func TestBounceUnderEPCPressure(t *testing.T) {
+	w := newWorld(t)
+	const frames = 160 // for 256 heap pages
+	hosts := []*enclave.Host{enclave.NewConstrainedHost(w.mA, frames), enclave.NewConstrainedHost(w.mB, frames)}
+	rt, app, slots, word := w.kvFilled(t, hosts[0], 1<<20)
+	_, reg := w.deploy(app)
+	for hop := 1; hop <= 10; hop++ {
+		dst := hosts[hop%2]
+		ev0, _ := dst.Mgr.Stats()
+		_, inc := runMigration(t, rt, dst, reg, w.opts())
+		// The host reclaims the self-destroyed source, pages in swap and all.
+		if err := rt.Destroy(); err != nil {
+			t.Fatal(err)
+		}
+		rt = inc.Runtime
+		checkKV(t, rt, slots, word)
+		if ev1, _ := dst.Mgr.Stats(); ev1 == ev0 {
+			t.Fatalf("hop %d: no eviction on the target, the hosts are not under pressure", hop)
+		}
+	}
+	// Ledger: with the last instance gone, each host is back to every frame
+	// but its VA pages, and those did not multiply hop over hop.
+	if err := rt.Destroy(); err != nil {
+		t.Fatal(err)
+	}
+	for i, h := range hosts {
+		if free := h.Mgr.FreeFrames(); free < frames-2 {
+			t.Fatalf("host %d: %d of %d frames free after ten hops", i, free, frames)
+		}
+	}
+}
+
+// TestBigStateOnSmallHost (regression): building, filling and migrating the
+// 8 MiB KV app where fewer than half its pages fit keeps more than a
+// thousand pages in swap — three VA pages' worth. The second VA page used
+// to be asked of a pool that was, by construction, full.
+func TestBigStateOnSmallHost(t *testing.T) {
+	if testing.Short() {
+		t.Skip("8 MiB enclave")
+	}
+	w := newWorld(t)
+	const frames = 1024 // for 2048 heap pages
+	src, dst := enclave.NewConstrainedHost(w.mA, frames), enclave.NewConstrainedHost(w.mB, frames)
+	rt, app, slots, word := w.kvFilled(t, src, 8<<20)
+	_, reg := w.deploy(app)
+	_, inc := runMigration(t, rt, dst, reg, w.opts())
+	checkKV(t, inc.Runtime, slots, word)
+	if ev, _ := dst.Mgr.Stats(); ev <= 2*sgx.VASlotsPerPage {
+		t.Fatalf("target evicted %d pages; the test needs more than two VA pages' worth", ev)
+	}
+}
+
+// TestRecvBulkBoundedByLayout: the bulk announcement precedes any
+// authentication, and the reassembly buffer is sized from it. A peer that
+// announces the largest frame count the old fixed cap allowed (1 GiB worth)
+// for a counter enclave, and then sends nothing, must be refused before a
+// frame is read or a buffer sized — with ErrProtocol, under 1 MiB
+// allocated, and the target's EPC untouched.
+func TestRecvBulkBoundedByLayout(t *testing.T) {
+	w := newWorld(t)
+	app := testapps.CounterApp(1)
+	w.owner.ConfigureApp(app)
+	dep, reg := w.deploy(app)
+	warmHosts(t, w, dep)
+	frames := w.hostB.Mgr.FreeFrames()
+
+	run := func(announce uint32) (error, uint64) {
+		t1, t2 := NewPipe()
+		go func() {
+			_ = t1.Send(Message{Kind: MsgImage, Name: app.Name, Blob: imageBlob(app.Name, dep.Sig.Measurement, app.Workers+1)})
+			_ = t1.Send(Message{Kind: MsgCheckpoint, Frames: announce})
+		}()
+		// A receiver that believes the announcement waits for frames that
+		// never come; hang up on it rather than hang the test.
+		hangUp := time.AfterFunc(5*time.Second, func() { _ = t1.Close() })
+		defer hangUp.Stop()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := MigrateIn(w.hostB, reg, t2, w.opts())
+		runtime.ReadMemStats(&after)
+		_ = t1.Close()
+		return err, after.TotalAlloc - before.TotalAlloc
+	}
+
+	limit := enclave.MaxCheckpointSize(app.Layout())
+	fits := uint32((limit + bulkSegment - 1) / bulkSegment)
+	for _, announce := range []uint32{fits + 1, 4096, 1<<32 - 1} {
+		err, allocated := run(announce)
+		if !errors.Is(err, ErrProtocol) {
+			t.Fatalf("announcing %d frames: %v, want ErrProtocol", announce, err)
+		}
+		if allocated >= 1<<20 {
+			t.Fatalf("announcing %d frames made the receiver allocate %d bytes", announce, allocated)
+		}
+		waitFrames(t, w.hostB.Mgr, frames, "target")
+	}
+
+	// An announcement that fits but overruns it with fat frames is cut off
+	// at the announced size instead of growing the buffer.
+	t1, t2 := NewPipe()
+	go func() {
+		_ = t1.Send(Message{Kind: MsgImage, Name: app.Name, Blob: imageBlob(app.Name, dep.Sig.Measurement, app.Workers+1)})
+		_ = t1.Send(Message{Kind: MsgCheckpoint, Frames: 1})
+		_ = t1.(FrameTransport).SendFrame(&PageFrame{Kind: FrameBlob, Data: make([]byte, bulkSegment+1)})
+	}()
+	if _, err := MigrateIn(w.hostB, reg, t2, w.opts()); !errors.Is(err, ErrProtocol) {
+		t.Fatalf("frame larger than announced: %v, want ErrProtocol", err)
+	}
+	_ = t1.Close()
+	waitFrames(t, w.hostB.Mgr, frames, "target")
+}
+
+// TestTamperedCheckpointRefused flips one bit in each region of the
+// single-buffer checkpoint — header, nonce, encrypted body, tag — and feeds
+// it to a fresh target. Every restore must be refused and the target torn
+// down with its EPC returned, while the source, whose dump was only a
+// snapshot, carries on and the pristine blob still resumes. The owner-keyed
+// path is used because it lets one checkpoint be offered many times; the
+// in-enclave open-verify-restore code is the migration path's.
+func TestTamperedCheckpointRefused(t *testing.T) {
+	w := newWorld(t)
+	app := testapps.CounterApp(1)
+	w.owner.ConfigureApp(app)
+	dep, reg := w.deploy(app)
+	warmHosts(t, w, dep)
+	frames := w.hostB.Mgr.FreeFrames()
+	hdrLen := enclave.HeaderWireSize(app.Workers + 1)
+
+	src := w.launch(t, app)
+	if _, err := src.ECall(0, testapps.CounterAdd, 9); err != nil {
+		t.Fatal(err)
+	}
+	blob, err := OwnerCheckpoint(w.owner, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		at   int
+	}{
+		{"header measurement", 8},
+		{"header flags", 50},
+		{"header migK", hdrLen - 4},
+		{"nonce", hdrLen + 3},
+		{"body", hdrLen + (len(blob)-hdrLen)/2},
+		{"hash", len(blob) - tcb.SealOverhead - 1}, // the encrypted SHA-256
+		{"tag", len(blob) - 1},
+	} {
+		bad := append([]byte(nil), blob...)
+		bad[tc.at] ^= 0x01
+		if _, err := OwnerResume(w.owner, w.hostB, dep, bad); err == nil {
+			t.Fatalf("%s: target resumed from a tampered checkpoint", tc.name)
+		}
+		waitFrames(t, w.hostB.Mgr, frames, "target after "+tc.name)
+	}
+	if _, err := OwnerResume(w.owner, w.hostB, dep, blob[:len(blob)-1]); err == nil {
+		t.Fatal("target resumed from a truncated checkpoint")
+	}
+	waitFrames(t, w.hostB.Mgr, frames, "target after truncation")
+
+	if res, err := src.ECall(0, testapps.CounterGet); err != nil || res[0] != 9 {
+		t.Fatalf("source after the refused resumes: %d, %v", res[0], err)
+	}
+	inc, err := OwnerResume(w.owner, w.hostB, dep, blob)
+	if err != nil {
+		t.Fatalf("pristine checkpoint: %v", err)
+	}
+	if res, err := inc.Runtime.ECall(0, testapps.CounterGet); err != nil || res[0] != 9 {
+		t.Fatalf("resumed counter = %d, %v", res[0], err)
+	}
+
+	// On the migration path a checkpoint the target's host already rejects
+	// never gets as far as the key release: the source cancels and resumes.
+	opts := w.opts()
+	if _, err := Prepare(src, opts); err != nil {
+		t.Fatal(err)
+	}
+	ckpt, _, err := Dump(src, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames = w.hostB.Mgr.FreeFrames()
+	t1, t2 := NewPipe()
+	inErr := make(chan error, 1)
+	go func() {
+		_, err := MigrateIn(w.hostB, reg, t2, opts)
+		inErr <- err
+	}()
+	if _, err := MigrateOutPrepared(src, ckpt[:hdrLen-2], t1, opts); err == nil {
+		t.Fatal("source completed a migration of a truncated checkpoint")
+	}
+	if err := <-inErr; err == nil {
+		t.Fatal("target accepted a truncated checkpoint")
+	}
+	waitFrames(t, w.hostB.Mgr, frames, "target")
+	if res, err := src.ECall(0, testapps.CounterGet); err != nil || res[0] != 9 {
+		t.Fatalf("source after the cancelled migration: %d, %v", res[0], err)
+	}
+}
+
+// TestCheckpointFormatUnchanged decodes a checkpoint produced by the
+// single-buffer ctlDump the way the three-buffer code's counterpart did —
+// header, DecryptCheckpoint into a fresh buffer, then (lin, page) records
+// and a trailing SHA-256 — for every cipher, and resumes from it. The owner
+// path is used because there the test holds the key.
+func TestCheckpointFormatUnchanged(t *testing.T) {
+	for _, cipher := range []tcb.CheckpointCipher{tcb.CipherAESGCM, tcb.CipherRC4, tcb.CipherDES} {
+		t.Run(cipher.String(), func(t *testing.T) {
+			w := newWorld(t)
+			app := testapps.CounterApp(1)
+			rt := w.launch(t, app)
+			dep, _ := w.deploy(app)
+			if _, err := rt.ECall(0, testapps.CounterAdd, 1234); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := rt.CtlCall(enclave.SelCtlSetCipher, uint64(cipher)); err != nil {
+				t.Fatal(err)
+			}
+			blob, err := OwnerCheckpoint(w.owner, rt)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			layout := rt.Layout()
+			hdr, sealed, err := enclave.UnmarshalHeader(blob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if hdr.Cipher != cipher || !hdr.OwnerKeyed || int(hdr.TotalPages) != layout.TotalPages() {
+				t.Fatalf("header: %+v", hdr)
+			}
+			hdrBytes := blob[:enclave.HeaderWireSize(layout.Threads)]
+			if !bytes.Equal(hdrBytes, enclave.MarshalHeader(hdr)) {
+				t.Fatal("header bytes are not the marshalled header")
+			}
+			body, err := tcb.DecryptCheckpoint(cipher, w.owner.kencrypt, sealed, hdrBytes)
+			if err != nil {
+				t.Fatalf("DecryptCheckpoint: %v", err)
+			}
+			const rec = 4 + sgx.PageSize
+			payload, sum := body[:len(body)-sha256.Size], body[len(body)-sha256.Size:]
+			if want := sha256.Sum256(payload); !bytes.Equal(sum, want[:]) {
+				t.Fatal("trailing SHA-256 does not cover the records")
+			}
+			if len(payload) != (layout.TotalPages()-layout.Threads)*rec {
+				t.Fatalf("payload is %d bytes, want a record for each of %d non-TCS pages", len(payload), layout.TotalPages()-layout.Threads)
+			}
+			next := 0
+			for off := 0; off < len(payload); off += rec {
+				for layout.IsTCS(sgx.PageNum(next)) {
+					next++
+				}
+				if lin := binary.LittleEndian.Uint32(payload[off:]); int(lin) != next {
+					t.Fatalf("record %d is page %d, want %d", off/rec, lin, next)
+				}
+				next++
+			}
+			if magic := payload[4:12]; string(magic) != "1VGIMXGS" { // controlMagic, little-endian
+				t.Fatalf("control page does not lead the payload: %q", magic)
+			}
+			if _, size, _ := tcb.CheckpointLayout(cipher, len(body)); size != len(sealed) {
+				t.Fatalf("sealed body is %d bytes, layout says %d", len(sealed), size)
+			}
+
+			inc, err := OwnerResume(w.owner, w.hostB, dep, blob)
+			if err != nil {
+				t.Fatalf("resume: %v", err)
+			}
+			res, err := inc.Runtime.ECall(0, testapps.CounterGet)
+			if err != nil || res[0] != 1234 {
+				t.Fatalf("resumed counter = %d, %v", res[0], err)
+			}
+		})
+	}
+}

@@ -553,10 +553,6 @@ func sourceChannel(src *enclave.Runtime, service *attest.Service, hello []byte) 
 // bulkSegment is the FrameBlob segment size for announced bulk payloads.
 const bulkSegment = 256 << 10
 
-// maxBulkFrames bounds how many frames a bulk announcement may claim
-// before the receiver starts reading them (1 GiB at bulkSegment).
-const maxBulkFrames = 4096
-
 // sendBulk ships m over t. On a FrameTransport a non-empty payload leaves
 // Blob and follows the (now small, gob-encoded) control message as
 // Message.Frames binary FrameBlob segments — the gob-for-control /
@@ -585,8 +581,12 @@ func sendBulk(t Transport, m Message) error {
 }
 
 // recvBulk receives a message sent with sendBulk, reassembling a framed
-// payload when the message announces one.
-func recvBulk(t Transport, want MsgKind) (Message, error) {
+// payload when the message announces one. maxBytes is the largest payload a
+// legitimate peer can send here. The announcement is checked against it
+// before a frame is read, because the reassembly buffer is sized from the
+// announcement: an unauthenticated peer must not be able to buy a large
+// allocation with one small message.
+func recvBulk(t Transport, want MsgKind, maxBytes int) (Message, error) {
 	m, err := recvKind(t, want)
 	if err != nil || m.Frames == 0 {
 		return m, err
@@ -595,10 +595,10 @@ func recvBulk(t Transport, want MsgKind) (Message, error) {
 	if !ok {
 		return Message{}, fmt.Errorf("%w: message %d announces %d bulk frames on a non-frame transport", ErrProtocol, m.Kind, m.Frames)
 	}
-	if m.Frames > maxBulkFrames {
-		return Message{}, fmt.Errorf("%w: message %d announces %d bulk frames, cap is %d", ErrProtocol, m.Kind, m.Frames, maxBulkFrames)
+	if maxFrames := (maxBytes + bulkSegment - 1) / bulkSegment; int64(m.Frames) > int64(maxFrames) {
+		return Message{}, fmt.Errorf("%w: message %d announces %d bulk frames, at most %d fit the %d bytes allowed", ErrProtocol, m.Kind, m.Frames, maxFrames, maxBytes)
 	}
-	blob := make([]byte, 0, bulkSegment)
+	blob := make([]byte, 0, int(m.Frames)*bulkSegment)
 	for i := uint32(0); i < m.Frames; i++ {
 		f, err := ft.RecvFrame()
 		if err != nil {
@@ -607,6 +607,10 @@ func recvBulk(t Transport, want MsgKind) (Message, error) {
 		if f.Kind != FrameBlob {
 			f.Release()
 			return Message{}, fmt.Errorf("%w: %s frame inside a bulk payload", ErrProtocol, f.Kind)
+		}
+		if len(f.Data) > cap(blob)-len(blob) {
+			f.Release()
+			return Message{}, fmt.Errorf("%w: bulk payload overruns the %d frames announced", ErrProtocol, m.Frames)
 		}
 		blob = append(blob, f.Data...)
 		f.Release()
@@ -707,7 +711,9 @@ func MigrateInPrepare(host *enclave.Host, reg *Registry, t Transport, opts *Opti
 		return nil, ErrUnknownImage
 	}
 
-	ckptMsg, err := recvBulk(t, MsgCheckpoint)
+	// The deployment is known, so the largest checkpoint its enclave can
+	// produce bounds what the peer may announce.
+	ckptMsg, err := recvBulk(t, MsgCheckpoint, enclave.MaxCheckpointSize(dep.App.Layout()))
 	if err != nil {
 		return nil, err
 	}

@@ -55,8 +55,14 @@ func newWorld(t testing.TB) *world {
 // launch builds + provisions an app instance on host A.
 func (w *world) launch(t testing.TB, app *enclave.App) *enclave.Runtime {
 	t.Helper()
+	return w.launchOn(t, w.hostA, app)
+}
+
+// launchOn builds + provisions an app instance on host.
+func (w *world) launchOn(t testing.TB, host *enclave.Host, app *enclave.App) *enclave.Runtime {
+	t.Helper()
 	w.owner.ConfigureApp(app)
-	rt, err := enclave.Build(w.hostA, app, w.owner.Signer())
+	rt, err := enclave.Build(host, app, w.owner.Signer())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -203,7 +203,7 @@ func TestSendRecvBulk(t *testing.T) {
 		go func() {
 			errc <- sendBulk(src, Message{Kind: MsgCheckpoint, Name: "app", Blob: blob})
 		}()
-		m, err := recvBulk(dst, MsgCheckpoint)
+		m, err := recvBulk(dst, MsgCheckpoint, len(blob))
 		if err != nil {
 			t.Fatal(err)
 		}

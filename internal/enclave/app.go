@@ -90,7 +90,8 @@ type App struct {
 	DisableMigrationStubs bool
 }
 
-func (a *App) layout() Layout {
+// Layout returns the memory map an SDK build of the app gets.
+func (a *App) Layout() Layout {
 	// A worker interrupted mid-ecall parks in the handler at CSSA 1; the
 	// checkpoint then records a rebuild target of 2, and re-entering the
 	// handler on the target at CSSA 2 needs a third frame.
@@ -122,7 +123,7 @@ func (a *App) validate() error {
 	if need := (len(a.InitData) + sgx.PageSize - 1) / sgx.PageSize; a.DataPages < need {
 		return fmt.Errorf("enclave: app %q: %d data pages cannot hold %d bytes of init data", a.Name, a.DataPages, len(a.InitData))
 	}
-	return a.layout().validate()
+	return a.Layout().validate()
 }
 
 // codeHash computes the code-identity portion of the measurement.

@@ -263,25 +263,11 @@ func (p *program) ctlDump(env *sgx.Env, ctx *sgx.Context, mode dumpMode) sgx.Sta
 		cipher = tcb.CipherAESGCM
 	}
 
-	// Walk the enclave and dump.
+	// Walk the enclave and dump, in one private buffer laid out as the blob
+	// leaves the enclave: header ‖ sealed(records ‖ SHA-256). Every page is
+	// loaded straight into its record, hashed there and sealed in place, so
+	// the plaintext exists once and only in enclave-private memory.
 	total := p.layout.TotalPages()
-	body := make([]byte, 0, total*(4+sgx.PageSize)+sha256.Size)
-	var page [sgx.PageSize]byte
-	var linb [4]byte
-	for lin := 0; lin < total; lin++ {
-		if p.layout.IsTCS(sgx.PageNum(lin)) {
-			continue
-		}
-		if err := env.Load(sgx.Address(sgx.PageNum(lin), 0), page[:]); err != nil {
-			return p.exit(env, ctx, codeErr, errMemory)
-		}
-		binary.LittleEndian.PutUint32(linb[:], uint32(lin))
-		body = append(body, linb[:]...)
-		body = append(body, page[:]...)
-	}
-	sum := sha256.Sum256(body)
-	body = append(body, sum[:]...)
-
 	hdr := MarshalHeader(CheckpointHeader{
 		Measurement: env.Measurement(),
 		TotalPages:  uint32(total),
@@ -291,13 +277,30 @@ func (p *program) ctlDump(env *sgx.Env, ctx *sgx.Context, mode dumpMode) sgx.Sta
 		Flags:       flags,
 		MigK:        migK,
 	})
-	ct, err := tcb.EncryptCheckpoint(cipher, key, body, hdr)
+	bodyLen := (total-threads)*ckptRecord + sha256.Size // every page except the TCSs
+	lead, sealedLen, err := tcb.CheckpointLayout(cipher, bodyLen)
 	if err != nil {
 		return p.exit(env, ctx, codeErr, errMemory)
 	}
-	out := make([]byte, 0, len(hdr)+len(ct))
-	out = append(out, hdr...)
-	out = append(out, ct...)
+	out := make([]byte, len(hdr)+sealedLen)
+	copy(out, hdr)
+	body := out[len(hdr)+lead:][:bodyLen]
+	rec := body
+	for lin := 0; lin < total; lin++ {
+		if p.layout.IsTCS(sgx.PageNum(lin)) {
+			continue
+		}
+		binary.LittleEndian.PutUint32(rec, uint32(lin))
+		if err := env.Load(sgx.Address(sgx.PageNum(lin), 0), rec[4:ckptRecord]); err != nil {
+			return p.exit(env, ctx, codeErr, errMemory)
+		}
+		rec = rec[ckptRecord:]
+	}
+	sum := sha256.Sum256(body[:bodyLen-sha256.Size])
+	copy(rec, sum[:])
+	if err := tcb.SealCheckpointInPlace(cipher, key, out[len(hdr):], bodyLen, out[:len(hdr)]); err != nil {
+		return p.exit(env, ctx, codeErr, errMemory)
+	}
 	if !writeOut(env, ctx, out) {
 		return p.exit(env, ctx, codeErr, errMemory)
 	}
@@ -658,9 +661,11 @@ func (p *program) ctlTgtRestore(env *sgx.Env, ctx *sgx.Context) sgx.Status {
 		key = ldKey(env, offKmigrate)
 	}
 
+	// readIn's copy is the enclave's private one: everything below reads,
+	// authenticates and decrypts that copy, never shared memory, which the
+	// host could rewrite between the check and the use.
 	total := p.layout.TotalPages()
-	maxLen := uint64(total*(4+sgx.PageSize) + 64*1024)
-	in, ok := readIn(env, ctx, maxLen)
+	in, ok := readIn(env, ctx, uint64(MaxCheckpointSize(p.layout)))
 	if !ok {
 		return p.exit(env, ctx, codeErr, errMemory)
 	}
@@ -675,7 +680,7 @@ func (p *program) ctlTgtRestore(env *sgx.Env, ctx *sgx.Context) sgx.Status {
 		return p.exit(env, ctx, codeErr, errBadCheckpoint)
 	}
 	hdrBytes := in[:HeaderWireSize(p.layout.Threads)]
-	body, err := tcb.DecryptCheckpoint(hdr.Cipher, key, ct, hdrBytes)
+	body, err := tcb.OpenCheckpointInPlace(hdr.Cipher, key, ct, hdrBytes)
 	if err != nil {
 		return p.exit(env, ctx, codeErr, errDecryptFailed)
 	}
@@ -692,17 +697,16 @@ func (p *program) ctlTgtRestore(env *sgx.Env, ctx *sgx.Context) sgx.Status {
 	// is applied too — it carries the thread table, migK targets, the
 	// provisioned identity key and application SDK state — and then the
 	// lifecycle fields are re-pinned to the restoring state.
-	const rec = 4 + sgx.PageSize
-	if len(payload)%rec != 0 {
+	if len(payload)%ckptRecord != 0 {
 		return p.exit(env, ctx, codeErr, errBadCheckpoint)
 	}
 	seen := 0
-	for off := 0; off < len(payload); off += rec {
+	for off := 0; off < len(payload); off += ckptRecord {
 		lin := binary.LittleEndian.Uint32(payload[off:])
 		if int(lin) >= total || p.layout.IsTCS(sgx.PageNum(lin)) {
 			return p.exit(env, ctx, codeErr, errBadCheckpoint)
 		}
-		if err := env.Store(sgx.Address(sgx.PageNum(lin), 0), payload[off+4:off+rec]); err != nil {
+		if err := env.Store(sgx.Address(sgx.PageNum(lin), 0), payload[off+4:off+ckptRecord]); err != nil {
 			return p.exit(env, ctx, codeErr, errMemory)
 		}
 		seen++

@@ -19,7 +19,7 @@ type program struct {
 var _ sgx.Program = (*program)(nil)
 
 func newProgram(app *App) *program {
-	return &program{app: app, layout: app.layout(), codeHash: app.codeHash()}
+	return &program{app: app, layout: app.Layout(), codeHash: app.codeHash()}
 }
 
 // CodeHash implements sgx.Program.

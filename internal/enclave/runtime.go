@@ -410,11 +410,23 @@ func (rt *Runtime) Host() *Host { return rt.host }
 // Shared returns the untrusted shared region.
 func (rt *Runtime) Shared() sgx.OutsideMemory { return rt.shared }
 
+// ckptRecord is one page record of a checkpoint body: the linear page
+// number (u32) followed by the page content.
+const ckptRecord = 4 + sgx.PageSize
+
+// MaxCheckpointSize bounds the checkpoint blob of an enclave with layout l:
+// a record per page plus 64 KiB for header, hash and cipher envelope. The
+// restoring enclave refuses anything longer, so a receiver need not accept
+// (or allocate for) more either.
+func MaxCheckpointSize(l Layout) int {
+	return l.TotalPages()*ckptRecord + 64*1024
+}
+
 // SharedSizeFor returns the shared-region size the runtime needs for an
 // enclave layout: the protocol request area plus room for a full
 // checkpoint blob.
 func SharedSizeFor(l Layout) int {
-	return SharedCkptOff + l.TotalPages()*(4+sgx.PageSize) + 64*1024
+	return SharedCkptOff + MaxCheckpointSize(l)
 }
 
 // BuildOption customises enclave construction.

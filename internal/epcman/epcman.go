@@ -13,6 +13,7 @@ package epcman
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -30,9 +31,9 @@ type pageKey struct {
 }
 
 type storedPage struct {
-	ev      *sgx.EvictedPage
-	vaFrame sgx.FrameIndex
-	vaSlot  int
+	ev     *sgx.EvictedPage
+	va     *vaPage
+	vaSlot int
 }
 
 type residentPage struct {
@@ -40,6 +41,26 @@ type residentPage struct {
 	frame sgx.FrameIndex
 	// referenced is the clock algorithm's second-chance bit.
 	referenced bool
+	// pinned copies Manager.pinned[key] so the sweep does not look it up.
+	pinned bool
+	// gone marks an entry that left the clock list (evicted or dropped);
+	// the sweep steps over it and dropResidentLocked's compaction removes
+	// it.
+	gone bool
+}
+
+// vaPage is the manager's view of one Version Array page it allocated.
+type vaPage struct {
+	frame sgx.FrameIndex
+	used  [sgx.VASlotsPerPage]bool
+	// inUse counts the set entries of used. live counts those whose blob
+	// can still be reloaded; the others hold versions of blobs that
+	// ForgetEnclave discarded and stay occupied in hardware until the page
+	// is recycled.
+	inUse, live int
+	// next is a lower bound on the lowest free slot: every slot below it
+	// is used.
+	next int
 }
 
 // Manager manages a pool of EPC frames.
@@ -50,20 +71,24 @@ type Manager struct {
 	frames []sgx.FrameIndex // all frames this manager owns; guarded by mu
 	free   []sgx.FrameIndex // guarded by mu
 
-	// resident is the clock list of evictable pages (REG pages only).
+	// resident is the clock list of evictable pages (REG pages only), in
+	// arrival order, with the entries that left it kept as tombstones so
+	// removing a victim moves nothing. live counts the others; clock is
+	// the hand's position in resident.
 	resident []residentPage // guarded by mu
+	live     int            // guarded by mu
 	clock    int            // guarded by mu
 
 	// evicted holds EWB blobs in "normal memory".
 	evicted map[pageKey]storedPage // guarded by mu
 
-	// vaFrames are VA pages allocated out of the pool for version slots.
-	vaFrames  []sgx.FrameIndex // guarded by mu
-	vaBitmaps [][]bool         // guarded by mu
+	// vaPages are VA pages allocated out of the pool for version slots.
+	vaPages []*vaPage // guarded by mu
 
 	// pinned pages are never chosen as eviction victims (SSA and control
 	// pages on the hot path can still be evicted architecturally, but the
-	// driver avoids it just as the paper's driver avoids thrashing).
+	// driver avoids it just as the paper's driver avoids thrashing). The
+	// map outlives residency; resident entries carry a copy of their bit.
 	pinned map[pageKey]bool // guarded by mu
 
 	// source, if set, is asked for additional frames (a hypervisor grant
@@ -206,22 +231,23 @@ func (g *Manager) publishFramesLocked() {
 
 func (g *Manager) allocLocked() (sgx.FrameIndex, error) {
 	g.ensureVALocked()
-	if f, ok := g.popFreeLocked(); ok {
-		return f, nil
-	}
-	if g.source != nil {
-		if f, err := g.source(); err == nil {
-			g.frames = append(g.frames, f)
+	// An eviction usually frees the victim's frame, but the one that takes
+	// the last version slot donates it to a new VA page (evictAtLocked), so
+	// keep evicting until a frame turns up or nothing is evictable.
+	for {
+		if f, ok := g.popFreeLocked(); ok {
 			return f, nil
 		}
+		if g.source != nil {
+			if f, err := g.source(); err == nil {
+				g.frames = append(g.frames, f)
+				return f, nil
+			}
+		}
+		if err := g.evictOneLocked(); err != nil {
+			return -1, err
+		}
 	}
-	if err := g.evictOneLocked(); err != nil {
-		return -1, err
-	}
-	if f, ok := g.popFreeLocked(); ok {
-		return f, nil
-	}
-	return -1, ErrNoFrames
 }
 
 func (g *Manager) popFreeLocked() (sgx.FrameIndex, bool) {
@@ -241,28 +267,45 @@ func (g *Manager) popFreeLocked() (sgx.FrameIndex, bool) {
 func (g *Manager) NotePage(eid sgx.EnclaveID, lin sgx.PageNum, f sgx.FrameIndex) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	g.resident = append(g.resident, residentPage{key: pageKey{eid, lin}, frame: f, referenced: true})
+	g.addResidentLocked(pageKey{eid, lin}, f)
+}
+
+// addResidentLocked appends a page at the tail of the clock list.
+func (g *Manager) addResidentLocked(key pageKey, f sgx.FrameIndex) {
+	g.resident = append(g.resident, residentPage{key: key, frame: f, referenced: true, pinned: g.pinned[key]})
+	g.live++
 }
 
 // Pin marks a page as non-evictable (e.g. SSA frames, the SDK control page).
 func (g *Manager) Pin(eid sgx.EnclaveID, lin sgx.PageNum) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	g.pinned[pageKey{eid, lin}] = true
+	key := pageKey{eid, lin}
+	g.pinned[key] = true
+	// Builders pin a page right after noting it, so it sits at the tail.
+	for i := len(g.resident) - 1; i >= 0; i-- {
+		if rp := &g.resident[i]; rp.key == key && !rp.gone {
+			rp.pinned = true
+			return
+		}
+	}
 }
 
-// evictOneLocked picks a victim with a clock sweep and EWBs it out.
+// evictOneLocked picks a victim with a clock sweep and EWBs it out. Two
+// revolutions suffice: the first clears every second-chance bit it passes,
+// so the second stops at the first unpinned page.
 func (g *Manager) evictOneLocked() error {
-	if len(g.resident) == 0 {
-		return ErrNoFrames
-	}
-	for sweep := 0; sweep < 2*len(g.resident); sweep++ {
-		if len(g.resident) == 0 {
-			return ErrNoFrames
+	for steps := 2 * g.live; steps > 0; {
+		if g.clock >= len(g.resident) {
+			g.clock = 0
 		}
-		g.clock %= len(g.resident)
 		cand := &g.resident[g.clock]
-		if g.pinned[cand.key] {
+		if cand.gone {
+			g.clock++
+			continue
+		}
+		steps--
+		if cand.pinned {
 			g.clock++
 			continue
 		}
@@ -271,21 +314,16 @@ func (g *Manager) evictOneLocked() error {
 			g.clock++
 			continue
 		}
+		// The hand stays put: what follows the victim is next in line, and
+		// a page appended while the hand rests past the tail is too.
 		return g.evictAtLocked(g.clock)
-	}
-	// Everything is pinned or referenced twice over; force-evict the first
-	// unpinned page.
-	for i := range g.resident {
-		if !g.pinned[g.resident[i].key] {
-			return g.evictAtLocked(i)
-		}
 	}
 	return ErrNoFrames
 }
 
 func (g *Manager) evictAtLocked(idx int) error {
 	victim := g.resident[idx]
-	vaFrame, vaSlot, err := g.vaSlotLocked()
+	va, vaSlot, err := g.vaSlotLocked()
 	if err != nil {
 		return err
 	}
@@ -293,18 +331,21 @@ func (g *Manager) evictAtLocked(idx int) error {
 	if g.evictHist != nil {
 		ewbStart = time.Now()
 	}
-	ev, err := g.m.EWB(victim.frame, vaFrame, vaSlot)
+	ev, err := g.m.EWB(victim.frame, va.frame, vaSlot)
 	if g.evictHist != nil {
 		g.evictHist.Observe(time.Since(ewbStart).Nanoseconds())
 	}
 	if err != nil {
 		// The page may be gone already (enclave destroyed); drop the entry.
-		g.resident = append(g.resident[:idx], g.resident[idx+1:]...)
+		g.releaseVASlotLocked(va, vaSlot)
+		g.dropResidentLocked(idx)
 		return fmt.Errorf("epcman: EWB: %w", err)
 	}
-	g.evicted[victim.key] = storedPage{ev: ev, vaFrame: vaFrame, vaSlot: vaSlot}
-	g.resident = append(g.resident[:idx], g.resident[idx+1:]...)
-	g.free = append(g.free, victim.frame)
+	g.evicted[victim.key] = storedPage{ev: ev, va: va, vaSlot: vaSlot}
+	g.dropResidentLocked(idx)
+	if !g.donateVALocked(victim.frame) {
+		g.free = append(g.free, victim.frame)
+	}
 	g.evictions++
 	g.evictCtr.Inc()
 	g.burstEvictions++
@@ -317,50 +358,135 @@ func (g *Manager) evictAtLocked(idx int) error {
 	return nil
 }
 
+// dropResidentLocked takes entry idx off the clock list by turning it into
+// a tombstone, and compacts the list once tombstones outnumber live
+// entries (so the sweep skips at most one of them per live entry, and a
+// removal costs amortised O(1) instead of shifting the tail).
+func (g *Manager) dropResidentLocked(idx int) {
+	g.resident[idx] = residentPage{gone: true}
+	g.live--
+	if len(g.resident) <= 2*g.live {
+		return
+	}
+	kept := g.resident[:0]
+	clock := -1
+	for i, rp := range g.resident {
+		if i == g.clock {
+			clock = len(kept)
+		}
+		if !rp.gone {
+			kept = append(kept, rp)
+		}
+	}
+	if clock < 0 { // the hand rested past the tail
+		clock = len(kept)
+	}
+	g.resident, g.clock = kept, clock
+}
+
 // ensureVALocked sets up the first VA page while a frame is still free:
 // eviction needs a version slot, and a completely full pool with no VA page
 // would leave the manager unable to evict anything.
 func (g *Manager) ensureVALocked() {
-	if len(g.vaFrames) > 0 || len(g.free) <= 1 {
+	if len(g.vaPages) > 0 || len(g.free) <= 1 {
 		return
 	}
 	f, ok := g.popFreeLocked()
 	if !ok {
 		return
 	}
-	if err := g.m.EPA(f); err != nil {
+	if !g.addVALocked(f) {
 		g.free = append(g.free, f)
-		return
 	}
-	g.vaFrames = append(g.vaFrames, f)
-	g.vaBitmaps = append(g.vaBitmaps, make([]bool, sgx.VASlotsPerPage))
 }
 
-// vaSlotLocked finds (or allocates a VA page to provide) a free version slot.
-func (g *Manager) vaSlotLocked() (sgx.FrameIndex, int, error) {
-	for i, bm := range g.vaBitmaps {
-		for s, used := range bm {
-			if !used {
-				bm[s] = true
-				return g.vaFrames[i], s, nil
-			}
+// addVALocked turns free frame f into a VA page.
+func (g *Manager) addVALocked(f sgx.FrameIndex) bool {
+	if err := g.m.EPA(f); err != nil {
+		return false
+	}
+	g.vaPages = append(g.vaPages, &vaPage{frame: f})
+	return true
+}
+
+// donateVALocked is ensureVALocked for every VA page after the first. The
+// eviction that took the last free version slot calls it with the frame it
+// just vacated, which becomes the next VA page instead of going back to the
+// pool: that is the one moment a full pool is certain to have a frame to
+// spare, and the next eviction would otherwise find neither slot nor frame.
+func (g *Manager) donateVALocked(f sgx.FrameIndex) bool {
+	for _, va := range g.vaPages {
+		if va.inUse < sgx.VASlotsPerPage {
+			return false
+		}
+	}
+	return g.addVALocked(f)
+}
+
+// vaSlotLocked claims the lowest free version slot of the first VA page
+// that has one, allocating a VA page if none does and a frame is free.
+func (g *Manager) vaSlotLocked() (*vaPage, int, error) {
+	for _, va := range g.vaPages {
+		if va.inUse < sgx.VASlotsPerPage {
+			return va, va.claim(), nil
 		}
 	}
 	f, ok := g.popFreeLocked()
 	if !ok {
 		// Deadlock avoidance: we need a frame for a VA page to evict
 		// anything. Reserve-on-demand failed; give up.
-		return -1, -1, ErrNoFrames
+		return nil, -1, ErrNoFrames
 	}
-	if err := g.m.EPA(f); err != nil {
+	if !g.addVALocked(f) {
 		g.free = append(g.free, f)
-		return -1, -1, err
+		return nil, -1, ErrNoFrames
 	}
-	g.vaFrames = append(g.vaFrames, f)
-	g.vaBitmaps = append(g.vaBitmaps, make([]bool, sgx.VASlotsPerPage))
-	bm := g.vaBitmaps[len(g.vaBitmaps)-1]
-	bm[0] = true
-	return f, 0, nil
+	va := g.vaPages[len(g.vaPages)-1]
+	return va, va.claim(), nil
+}
+
+// claim takes the lowest free slot of a page that has one.
+func (va *vaPage) claim() int {
+	for va.used[va.next] {
+		va.next++
+	}
+	slot := va.next
+	va.used[slot] = true
+	va.inUse++
+	va.live++
+	va.next++
+	return slot
+}
+
+// releaseVASlotLocked frees a slot the hardware has emptied (ELDU consumed
+// the version, or EWB never wrote it).
+func (g *Manager) releaseVASlotLocked(va *vaPage, slot int) {
+	va.used[slot] = false
+	va.inUse--
+	va.next = min(va.next, slot)
+	g.retireVASlotLocked(va)
+}
+
+// retireVASlotLocked records that one fewer blob can be reloaded through
+// va. Slots of blobs discarded without an ELDU still hold their version in
+// hardware, where only removing the whole VA page clears them; once no
+// reloadable blob is left on a page that has such slots, the page is
+// recycled in place (EREMOVE forfeits exactly the versions nobody will ask
+// for again, EPA starts it over empty).
+func (g *Manager) retireVASlotLocked(va *vaPage) {
+	va.live--
+	if va.live > 0 || va.inUse == 0 {
+		return
+	}
+	if err := g.m.EREMOVE(va.frame); err != nil {
+		return // still a VA page with those slots occupied, as recorded
+	}
+	if err := g.m.EPA(va.frame); err != nil {
+		g.vaPages = slices.DeleteFunc(g.vaPages, func(p *vaPage) bool { return p == va })
+		g.free = append(g.free, va.frame)
+		return
+	}
+	*va = vaPage{frame: va.frame}
 }
 
 // FaultIn loads an evicted page back into EPC. It implements
@@ -381,7 +507,7 @@ func (g *Manager) FaultIn(eid sgx.EnclaveID, lin sgx.PageNum) error {
 	if g.reloadHist != nil {
 		elduStart = time.Now()
 	}
-	err = g.m.ELDU(f, sp.ev, sp.vaFrame, sp.vaSlot)
+	err = g.m.ELDU(f, sp.ev, sp.va.frame, sp.vaSlot)
 	if g.reloadHist != nil {
 		g.reloadHist.Observe(time.Since(elduStart).Nanoseconds())
 	}
@@ -389,22 +515,13 @@ func (g *Manager) FaultIn(eid sgx.EnclaveID, lin sgx.PageNum) error {
 		g.free = append(g.free, f)
 		return fmt.Errorf("epcman: ELDU: %w", err)
 	}
-	g.releaseVASlotLocked(sp.vaFrame, sp.vaSlot)
+	g.releaseVASlotLocked(sp.va, sp.vaSlot)
 	delete(g.evicted, key)
-	g.resident = append(g.resident, residentPage{key: key, frame: f, referenced: true})
+	g.addResidentLocked(key, f)
 	g.reloads++
 	g.reloadCtr.Inc()
 	g.publishFramesLocked()
 	return nil
-}
-
-func (g *Manager) releaseVASlotLocked(f sgx.FrameIndex, slot int) {
-	for i, vf := range g.vaFrames {
-		if vf == f {
-			g.vaBitmaps[i][slot] = false
-			return
-		}
-	}
 }
 
 // ForgetEnclave drops all bookkeeping for an enclave after it is destroyed
@@ -414,16 +531,20 @@ func (g *Manager) ForgetEnclave(eid sgx.EnclaveID) {
 	defer g.mu.Unlock()
 	kept := g.resident[:0]
 	for _, rp := range g.resident {
-		if rp.key.eid == eid {
+		switch {
+		case rp.gone:
+		case rp.key.eid == eid:
 			g.free = append(g.free, rp.frame)
-			continue
+		default:
+			kept = append(kept, rp)
 		}
-		kept = append(kept, rp)
 	}
-	g.resident = kept
+	g.resident, g.live, g.clock = kept, len(kept), 0
 	for k, sp := range g.evicted {
 		if k.eid == eid {
-			g.releaseVASlotLocked(sp.vaFrame, sp.vaSlot)
+			// The blob is discarded unloaded, so its version stays in the
+			// hardware slot: the slot remains used until its page recycles.
+			g.retireVASlotLocked(sp.va)
 			delete(g.evicted, k)
 		}
 	}
@@ -432,7 +553,6 @@ func (g *Manager) ForgetEnclave(eid sgx.EnclaveID) {
 			delete(g.pinned, k)
 		}
 	}
-	g.clock = 0
 	g.publishFramesLocked()
 }
 

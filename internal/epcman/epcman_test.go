@@ -24,6 +24,14 @@ func newMachine(t testing.TB, frames int) *sgx.Machine {
 // buildEnclave creates an enclave with n REG pages through the manager.
 func buildEnclave(t testing.TB, m *sgx.Machine, mgr *Manager, pages int) sgx.EnclaveID {
 	t.Helper()
+	eid, _ := buildEnclaveSECS(t, m, mgr, pages)
+	return eid
+}
+
+// buildEnclaveSECS is buildEnclave for callers that tear the enclave down
+// again and so need its SECS frame, which the manager does not track.
+func buildEnclaveSECS(t testing.TB, m *sgx.Machine, mgr *Manager, pages int) (sgx.EnclaveID, sgx.FrameIndex) {
+	t.Helper()
 	secs, err := mgr.AllocFrame()
 	if err != nil {
 		t.Fatal(err)
@@ -42,7 +50,7 @@ func buildEnclave(t testing.TB, m *sgx.Machine, mgr *Manager, pages int) sgx.Enc
 		}
 		mgr.NotePage(eid, sgx.PageNum(lin), f)
 	}
-	return eid
+	return eid, secs
 }
 
 func TestAllocWithoutPressure(t *testing.T) {

@@ -172,7 +172,9 @@ func DefaultConfig(modPath string) *Config {
 		TaintSources: []string{
 			modPath + "/internal/tcb.Open",
 			modPath + "/internal/tcb.OpenDeterministic",
+			"(*" + modPath + "/internal/tcb.Sealer).Open",
 			modPath + "/internal/tcb.DecryptCheckpoint",
+			modPath + "/internal/tcb.OpenCheckpointInPlace",
 			"(crypto/cipher.AEAD).Open",
 		},
 		TaintSinks: []string{
@@ -190,7 +192,12 @@ func DefaultConfig(modPath string) *Config {
 		TaintSanitizers: []string{
 			modPath + "/internal/tcb.Seal",
 			modPath + "/internal/tcb.SealDeterministic",
+			"(*" + modPath + "/internal/tcb.Sealer).Seal",
 			modPath + "/internal/tcb.EncryptCheckpoint",
+			// Seals its buffer argument in place and returns only an error;
+			// listed so the in-place twin is not mistaken for a laundering
+			// wrapper should it ever grow a result.
+			modPath + "/internal/tcb.SealCheckpointInPlace",
 			"(crypto/cipher.AEAD).Seal",
 			modPath + "/internal/tcb.Hash",
 			modPath + "/internal/tcb.HashConcat",

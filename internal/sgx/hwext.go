@@ -68,8 +68,13 @@ func (env *Env) EPutKey(key tcb.Key) error {
 	if !m.ctrlEnclaveSet || env.e.mrenclave != m.ctrlEnclave {
 		return ErrNotControl
 	}
-	m.migKey = key
-	m.migKeySet = true
+	sealer, err := tcb.NewSealer(key)
+	if err != nil {
+		return err
+	}
+	// A later EPUTKEY replaces the instance: nothing sealed from here on
+	// uses the previous key.
+	m.migSealer = sealer
 	return nil
 }
 
@@ -77,8 +82,7 @@ func (env *Env) EPutKey(key tcb.Key) error {
 func (m *Machine) ClearMigrationKey() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.migKey = tcb.Key{}
-	m.migKeySet = false
+	m.migSealer = nil
 }
 
 // EMIGRATE freezes the enclave: all EENTER/ERESUME are refused, so its state
@@ -91,7 +95,7 @@ func (m *Machine) EMIGRATE(eid EnclaveID) error {
 	if !m.migExtension {
 		return ErrNotMigratable
 	}
-	if !m.migKeySet {
+	if m.migSealer == nil {
 		return ErrNoMigrationKey
 	}
 	e, ok := m.enclaves[eid]
@@ -186,11 +190,7 @@ func (m *Machine) ESWPOUTSECS(eid EnclaveID) (*MigratedSECS, error) {
 	binary.LittleEndian.PutUint64(buf[8:], uint64(e.nssa))
 	copy(buf[16:48], e.mrenclave[:])
 	copy(buf[48:80], e.migDigest[:])
-	cipher, err := tcb.SealDeterministic(m.migKey, 0, buf, []byte("SECS"))
-	if err != nil {
-		return nil, err
-	}
-	return &MigratedSECS{Cipher: cipher}, nil
+	return &MigratedSECS{Cipher: m.migSealer.Seal(nil, 0, buf, []byte("SECS"))}, nil
 }
 
 // ESWPOUT re-seals one resident page of a frozen enclave under the migration
@@ -218,10 +218,7 @@ func (m *Machine) ESWPOUT(eid EnclaveID, lin PageNum) (*MigratedPage, error) {
 	}
 	seq := m.nextVer
 	m.nextVer++
-	cipher, err := tcb.SealDeterministic(m.migKey, seq, plaintext, migAAD(lin, fr.ptype, fr.perm))
-	if err != nil {
-		return nil, err
-	}
+	cipher := m.migSealer.Seal(nil, seq, plaintext, migAAD(lin, fr.ptype, fr.perm))
 	return &MigratedPage{Lin: lin, Type: fr.ptype, Perm: fr.perm, Seq: seq, Cipher: cipher}, nil
 }
 
@@ -233,7 +230,7 @@ func (m *Machine) ECHANGEOUT(ev *EvictedPage, vaFrame FrameIndex, slot int) (*Mi
 	if !m.migExtension {
 		return nil, ErrNotMigratable
 	}
-	if !m.migKeySet {
+	if m.migSealer == nil {
 		return nil, ErrNoMigrationKey
 	}
 	e, ok := m.enclaves[ev.Enclave]
@@ -250,17 +247,13 @@ func (m *Machine) ECHANGEOUT(ev *EvictedPage, vaFrame FrameIndex, slot int) (*Mi
 	if va.slots[slot] == 0 || va.slots[slot] != ev.Version {
 		return nil, ErrReplay
 	}
-	pageKey := m.keyFor("page-encryption")
-	plaintext, err := tcb.OpenDeterministic(pageKey, ev.Version, ev.Cipher, evictAAD(ev.Enclave, ev.Lin, ev.Type, ev.Perm))
+	plaintext, err := m.pageSealer.Open(nil, ev.Version, ev.Cipher, m.evictAADLocked(ev.Enclave, ev.Lin, ev.Type, ev.Perm))
 	if err != nil {
 		return nil, ErrSealBroken
 	}
 	seq := m.nextVer
 	m.nextVer++
-	cipher, err := tcb.SealDeterministic(m.migKey, seq, plaintext, migAAD(ev.Lin, ev.Type, ev.Perm))
-	if err != nil {
-		return nil, err
-	}
+	cipher := m.migSealer.Seal(nil, seq, plaintext, migAAD(ev.Lin, ev.Type, ev.Perm))
 	va.slots[slot] = 0
 	return &MigratedPage{Lin: ev.Lin, Type: ev.Type, Perm: ev.Perm, Seq: seq, Cipher: cipher}, nil
 }
@@ -269,7 +262,7 @@ func (m *Machine) frozenLocked(eid EnclaveID) (*enclaveControl, error) {
 	if !m.migExtension {
 		return nil, ErrNotMigratable
 	}
-	if !m.migKeySet {
+	if m.migSealer == nil {
 		return nil, ErrNoMigrationKey
 	}
 	e, ok := m.enclaves[eid]
@@ -292,7 +285,7 @@ func (m *Machine) ESWPINSECS(f FrameIndex, ms *MigratedSECS, prog Program) (Encl
 	if !m.migExtension {
 		return 0, ErrNotMigratable
 	}
-	if !m.migKeySet {
+	if m.migSealer == nil {
 		return 0, ErrNoMigrationKey
 	}
 	if ms == nil || prog == nil {
@@ -301,7 +294,7 @@ func (m *Machine) ESWPINSECS(f FrameIndex, ms *MigratedSECS, prog Program) (Encl
 	if !m.frameFreeLocked(f) {
 		return 0, ErrFrameInUse
 	}
-	buf, err := tcb.OpenDeterministic(m.migKey, 0, ms.Cipher, []byte("SECS"))
+	buf, err := m.migSealer.Open(nil, 0, ms.Cipher, []byte("SECS"))
 	if err != nil || len(buf) != 80 {
 		return 0, ErrSealBroken
 	}
@@ -341,26 +334,11 @@ func (m *Machine) ESWPIN(f FrameIndex, eid EnclaveID, mp *MigratedPage) error {
 	if _, dup := e.pageTable[mp.Lin]; dup {
 		return ErrPageConflict
 	}
-	plaintext, err := tcb.OpenDeterministic(m.migKey, mp.Seq, mp.Cipher, migAAD(mp.Lin, mp.Type, mp.Perm))
+	fr, err := openFrame(m.migSealer, mp.Seq, mp.Cipher, migAAD(mp.Lin, mp.Type, mp.Perm), eid, mp.Lin, mp.Type, mp.Perm)
 	if err != nil {
-		return ErrSealBroken
+		return err
 	}
-	switch mp.Type {
-	case PTReg:
-		if len(plaintext) != PageSize {
-			return ErrSealBroken
-		}
-		data := &Page{}
-		copy(data[:], plaintext)
-		m.frames[f] = frame{valid: true, eid: eid, ptype: PTReg, lin: mp.Lin, perm: mp.Perm, data: data}
-	case PTTcs:
-		if len(plaintext) != 20 {
-			return ErrSealBroken
-		}
-		m.frames[f] = frame{valid: true, eid: eid, ptype: PTTcs, lin: mp.Lin, tcs: unmarshalTCS(plaintext)}
-	default:
-		return ErrSealBroken
-	}
+	m.frames[f] = fr
 	e.pageTable[mp.Lin] = f
 	return nil
 }
@@ -388,17 +366,13 @@ func (m *Machine) ECHANGEIN(eid EnclaveID, mp *MigratedPage, vaFrame FrameIndex,
 	if va.slots[slot] != 0 {
 		return nil, ErrVASlot
 	}
-	plaintext, err := tcb.OpenDeterministic(m.migKey, mp.Seq, mp.Cipher, migAAD(mp.Lin, mp.Type, mp.Perm))
+	plaintext, err := m.migSealer.Open(nil, mp.Seq, mp.Cipher, migAAD(mp.Lin, mp.Type, mp.Perm))
 	if err != nil {
 		return nil, ErrSealBroken
 	}
 	version := m.nextVer
 	m.nextVer++
-	pageKey := m.keyFor("page-encryption")
-	cipher, err := tcb.SealDeterministic(pageKey, version, plaintext, evictAAD(eid, mp.Lin, mp.Type, mp.Perm))
-	if err != nil {
-		return nil, err
-	}
+	cipher := m.pageSealer.Seal(nil, version, plaintext, m.evictAADLocked(eid, mp.Lin, mp.Type, mp.Perm))
 	va.slots[slot] = version
 	return &EvictedPage{Enclave: eid, Lin: mp.Lin, Type: mp.Type, Perm: mp.Perm, Version: version, Cipher: cipher}, nil
 }

@@ -17,15 +17,22 @@ func extPair(t *testing.T) (*Machine, *Machine) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mk := func(name string) *Machine {
-		m := newTestMachine(t, Config{Name: name, MigrationExtension: true})
-		m.mu.Lock()
-		m.migKey = key
-		m.migKeySet = true
-		m.mu.Unlock()
-		return m
+	return extMachine(t, "ext-src", key), extMachine(t, "ext-dst", key)
+}
+
+// extMachine boots an extension-enabled machine with key installed as its
+// migration key.
+func extMachine(t *testing.T, name string, key tcb.Key) *Machine {
+	t.Helper()
+	m := newTestMachine(t, Config{Name: name, MigrationExtension: true})
+	sealer, err := tcb.NewSealer(key)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return mk("ext-src"), mk("ext-dst")
+	m.mu.Lock()
+	m.migSealer = sealer
+	m.mu.Unlock()
+	return m
 }
 
 func TestESWPOUTRequiresFreeze(t *testing.T) {
@@ -143,12 +150,8 @@ func TestEMIGRATEDONEDetectsMissingPage(t *testing.T) {
 func TestESWPINRejectsWrongKey(t *testing.T) {
 	src, _ := extPair(t)
 	// A third machine with a DIFFERENT migration key.
-	other := newTestMachine(t, Config{Name: "other", MigrationExtension: true})
 	otherKey, _ := tcb.RandomKey()
-	other.mu.Lock()
-	other.migKey = otherKey
-	other.migKeySet = true
-	other.mu.Unlock()
+	other := extMachine(t, "other", otherKey)
 
 	prog := &testProgram{hash: 0x34}
 	eid, _ := buildTestEnclave(t, src, prog)

@@ -156,6 +156,10 @@ type Machine struct {
 	name    string
 	rootKey tcb.Key // never leaves this package
 	attest  *tcb.SigningIdentity
+	// pageSealer is the EWB/ELDU page-encryption key, derived from rootKey
+	// and expanded once at boot; like rootKey it never leaves this package.
+	// Immutable after NewMachine.
+	pageSealer *tcb.Sealer
 
 	frames   []frame                       // guarded by mu
 	enclaves map[EnclaveID]*enclaveControl // guarded by mu
@@ -164,10 +168,13 @@ type Machine struct {
 	quantum  int
 
 	migExtension   bool
-	migKey         tcb.Key  // installed by EPUTKEY (hwext), zero otherwise; guarded by mu
-	migKeySet      bool     // guarded by mu
-	ctrlEnclave    [32]byte // measurement allowed to execute EPUTKEY
+	migSealer      *tcb.Sealer // migration key installed by EPUTKEY (hwext), nil otherwise; guarded by mu
+	ctrlEnclave    [32]byte    // measurement allowed to execute EPUTKEY
 	ctrlEnclaveSet bool
+
+	// evictAAD is scratch for the EWB/ELDU additional data: a local array
+	// handed to the AEAD would escape and cost one allocation per page.
+	evictAAD [14]byte // guarded by mu
 
 	// faultHandler is installed by the OS/driver to page evicted pages
 	// back in when enclave execution touches them. It is called without
@@ -206,10 +213,15 @@ func NewMachine(cfg Config) (*Machine, error) {
 	if err != nil {
 		return nil, err
 	}
+	pageSealer, err := tcb.NewSealer(tcb.DeriveKey(root, "page-encryption"))
+	if err != nil {
+		return nil, err
+	}
 	return &Machine{
 		name:         cfg.Name,
 		rootKey:      root,
 		attest:       id,
+		pageSealer:   pageSealer,
 		frames:       make([]frame, cfg.EPCFrames),
 		enclaves:     make(map[EnclaveID]*enclaveControl),
 		nextEID:      1,
@@ -554,8 +566,9 @@ func (m *Machine) residentLocked(e *enclaveControl, lin PageNum) (*frame, bool) 
 }
 
 // keyFor derives a machine-private key. The derivations mirror the SGX key
-// hierarchy: seal keys bound to enclave identity, report keys bound to the
-// target measurement, and the EWB page-encryption key.
+// hierarchy: seal keys bound to enclave identity and report keys bound to
+// the target measurement (the EWB page-encryption key is derived the same
+// way, once, in NewMachine).
 func (m *Machine) keyFor(purpose string, context ...[]byte) tcb.Key {
 	return tcb.DeriveKey(m.rootKey, purpose, context...)
 }

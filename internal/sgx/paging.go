@@ -28,7 +28,7 @@ type EvictedPage struct {
 // CSSA for EWB of TCS pages; it stays inside the sealed blob, so CSSA never
 // becomes software-visible.
 func (t *tcs) marshal() []byte {
-	b := make([]byte, 20)
+	b := make([]byte, tcsWireSize)
 	binary.LittleEndian.PutUint32(b[0:], t.params.Entry)
 	binary.LittleEndian.PutUint32(b[4:], t.params.NSSA)
 	binary.LittleEndian.PutUint32(b[8:], uint32(t.params.OSSA))
@@ -47,8 +47,13 @@ func unmarshalTCS(b []byte) *tcs {
 	}
 }
 
-func evictAAD(eid EnclaveID, lin PageNum, pt PageType, perm Perm) []byte {
-	aad := make([]byte, 14)
+// tcsWireSize is the length of a marshalled TCS.
+const tcsWireSize = 20
+
+// evictAADLocked encodes the identity an evicted blob is bound to into the
+// machine's scratch; the result is valid until the next call.
+func (m *Machine) evictAADLocked(eid EnclaveID, lin PageNum, pt PageType, perm Perm) []byte {
+	aad := m.evictAAD[:]
 	binary.LittleEndian.PutUint64(aad[0:], uint64(eid))
 	binary.LittleEndian.PutUint32(aad[8:], uint32(lin))
 	aad[12] = byte(pt)
@@ -90,11 +95,8 @@ func (m *Machine) EWB(f FrameIndex, vaFrame FrameIndex, slot int) (*EvictedPage,
 	}
 	version := m.nextVer
 	m.nextVer++
-	key := m.keyFor("page-encryption")
-	cipher, err := tcb.SealDeterministic(key, version, plaintext, evictAAD(fr.eid, fr.lin, fr.ptype, fr.perm))
-	if err != nil {
-		return nil, err
-	}
+	cipher := m.pageSealer.Seal(make([]byte, 0, len(plaintext)+tcb.SealOverhead), version, plaintext,
+		m.evictAADLocked(fr.eid, fr.lin, fr.ptype, fr.perm))
 	va.slots[slot] = version
 	out := &EvictedPage{
 		Enclave: fr.eid,
@@ -124,6 +126,32 @@ func (m *Machine) vaSlotLocked(vaFrame FrameIndex, slot int) (*vaPage, error) {
 		return nil, ErrVASlot
 	}
 	return vf.va, nil
+}
+
+// openFrame authenticates a sealed REG or TCS page image and returns the
+// frame it becomes. A REG blob opens straight into the Page the frame will
+// own, so its size is checked first; the caller installs the result, and on
+// error there is nothing to undo.
+func openFrame(s *tcb.Sealer, counter uint64, cipher, aad []byte, eid EnclaveID, lin PageNum, pt PageType, perm Perm) (frame, error) {
+	switch pt {
+	case PTReg:
+		if len(cipher) != PageSize+tcb.SealOverhead {
+			return frame{}, ErrSealBroken
+		}
+		data := &Page{}
+		if _, err := s.Open(data[:0], counter, cipher, aad); err != nil {
+			return frame{}, ErrSealBroken
+		}
+		return frame{valid: true, eid: eid, ptype: PTReg, lin: lin, perm: perm, data: data}, nil
+	case PTTcs:
+		plaintext, err := s.Open(nil, counter, cipher, aad)
+		if err != nil || len(plaintext) != tcsWireSize {
+			return frame{}, ErrSealBroken
+		}
+		return frame{valid: true, eid: eid, ptype: PTTcs, lin: lin, tcs: unmarshalTCS(plaintext)}, nil
+	default:
+		return frame{}, ErrSealBroken
+	}
 }
 
 // ELDU loads an evicted page back into free frame f, verifying the blob
@@ -156,27 +184,12 @@ func (m *Machine) ELDU(f FrameIndex, ev *EvictedPage, vaFrame FrameIndex, slot i
 	if va.slots[slot] == 0 || va.slots[slot] != ev.Version {
 		return ErrReplay
 	}
-	key := m.keyFor("page-encryption")
-	plaintext, err := tcb.OpenDeterministic(key, ev.Version, ev.Cipher, evictAAD(ev.Enclave, ev.Lin, ev.Type, ev.Perm))
+	fr, err := openFrame(m.pageSealer, ev.Version, ev.Cipher, m.evictAADLocked(ev.Enclave, ev.Lin, ev.Type, ev.Perm),
+		ev.Enclave, ev.Lin, ev.Type, ev.Perm)
 	if err != nil {
-		return ErrSealBroken
+		return err
 	}
-	switch ev.Type {
-	case PTReg:
-		if len(plaintext) != PageSize {
-			return ErrSealBroken
-		}
-		data := &Page{}
-		copy(data[:], plaintext)
-		m.frames[f] = frame{valid: true, eid: ev.Enclave, ptype: PTReg, lin: ev.Lin, perm: ev.Perm, data: data}
-	case PTTcs:
-		if len(plaintext) != 20 {
-			return ErrSealBroken
-		}
-		m.frames[f] = frame{valid: true, eid: ev.Enclave, ptype: PTTcs, lin: ev.Lin, tcs: unmarshalTCS(plaintext)}
-	default:
-		return ErrSealBroken
-	}
+	m.frames[f] = fr
 	e.pageTable[ev.Lin] = f
 	va.slots[slot] = 0
 	return nil

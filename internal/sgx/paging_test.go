@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-func evictSetup(t *testing.T) (*Machine, EnclaveID, PageNum) {
+func evictSetup(t testing.TB) (*Machine, EnclaveID, PageNum) {
 	t.Helper()
 	m := newTestMachine(t, Config{})
 	eid, tcsLin := buildTestEnclave(t, m, &testProgram{hash: 3})

@@ -40,56 +40,140 @@ func (c CheckpointCipher) String() string {
 
 var errUnknownCipher = errors.New("tcb: unknown checkpoint cipher")
 
+// CheckpointLayout reports where an n-byte plaintext sits inside its sealed
+// envelope under cipher c: the envelope is size bytes and the ciphertext
+// replaces the plaintext at offset lead (AES-GCM puts its nonce in front;
+// every cipher appends its tag, DES its padding too).
+func CheckpointLayout(c CheckpointCipher, n int) (lead, size int, err error) {
+	switch c {
+	case CipherAESGCM:
+		return nonceSize, nonceSize + n + SealOverhead, nil
+	case CipherRC4:
+		return 0, n + sha256.Size, nil
+	case CipherDES:
+		return 0, n + desPad(n) + sha256.Size, nil
+	default:
+		return 0, 0, errUnknownCipher
+	}
+}
+
 // EncryptCheckpoint seals plaintext under key with the selected cipher,
 // binding additional data. All variants provide integrity: AES-GCM natively,
 // RC4/DES via encrypt-then-HMAC.
 func EncryptCheckpoint(c CheckpointCipher, key Key, plaintext, additional []byte) ([]byte, error) {
+	_, size, err := CheckpointLayout(c, len(plaintext))
+	if err != nil {
+		return nil, err
+	}
+	env := make([]byte, size)
+	if err := sealCheckpoint(c, key, env, plaintext, additional); err != nil {
+		return nil, err
+	}
+	return env, nil
+}
+
+// SealCheckpointInPlace is EncryptCheckpoint without a second buffer: env is
+// the whole envelope as sized by CheckpointLayout(c, n), the caller has
+// written the n plaintext bytes at env[lead:], and on return env holds the
+// sealed form. additional may share env's allocation but must not overlap
+// env itself.
+func SealCheckpointInPlace(c CheckpointCipher, key Key, env []byte, n int, additional []byte) error {
+	lead, size, err := CheckpointLayout(c, n)
+	if err != nil {
+		return err
+	}
+	if n < 0 || len(env) != size {
+		return fmt.Errorf("tcb: checkpoint envelope is %d bytes, layout needs %d", len(env), size)
+	}
+	return sealCheckpoint(c, key, env, env[lead:lead+n], additional)
+}
+
+// sealCheckpoint fills env (sized by CheckpointLayout) from plaintext, which
+// either is env[lead:lead+n] itself or does not overlap env at all.
+func sealCheckpoint(c CheckpointCipher, key Key, env, plaintext, additional []byte) error {
+	n := len(plaintext)
 	switch c {
 	case CipherAESGCM:
-		return Seal(key, plaintext, additional)
+		s, err := NewSealer(key)
+		if err != nil {
+			return err
+		}
+		return s.sealEnvelope(env, plaintext, additional)
 	case CipherRC4:
-		ct, err := rc4Apply(DeriveKey(key, "rc4-enc"), plaintext)
-		if err != nil {
-			return nil, err
+		if err := rc4Apply(DeriveKey(key, "rc4-enc"), env[:n], plaintext); err != nil {
+			return err
 		}
-		return appendMAC(DeriveKey(key, "rc4-mac"), ct, additional), nil
+		putMAC(DeriveKey(key, "rc4-mac"), env, n, additional)
+		return nil
 	case CipherDES:
-		ct, err := desEncrypt(DeriveKey(key, "des-enc"), plaintext)
-		if err != nil {
-			return nil, err
+		ct := env[:n+desPad(n)]
+		if err := desEncrypt(DeriveKey(key, "des-enc"), ct, plaintext); err != nil {
+			return err
 		}
-		return appendMAC(DeriveKey(key, "des-mac"), ct, additional), nil
+		putMAC(DeriveKey(key, "des-mac"), env, len(ct), additional)
+		return nil
 	default:
-		return nil, errUnknownCipher
+		return errUnknownCipher
 	}
 }
 
-// DecryptCheckpoint reverses EncryptCheckpoint, returning ErrDecrypt on any
-// integrity failure.
+// DecryptCheckpoint reverses EncryptCheckpoint into fresh storage, returning
+// ErrDecrypt on any integrity failure. sealed is not modified.
 func DecryptCheckpoint(c CheckpointCipher, key Key, sealed, additional []byte) ([]byte, error) {
+	return openCheckpoint(c, key, sealed, additional, false)
+}
+
+// OpenCheckpointInPlace is DecryptCheckpoint without a second buffer: the
+// plaintext overwrites the ciphertext and the result aliases sealed, whose
+// contents are consumed either way. The caller must own sealed exclusively —
+// inside an enclave that means its private copy, never shared memory.
+func OpenCheckpointInPlace(c CheckpointCipher, key Key, sealed, additional []byte) ([]byte, error) {
+	return openCheckpoint(c, key, sealed, additional, true)
+}
+
+func openCheckpoint(c CheckpointCipher, key Key, sealed, additional []byte, inPlace bool) ([]byte, error) {
 	switch c {
 	case CipherAESGCM:
-		return Open(key, sealed, additional)
+		s, err := NewSealer(key)
+		if err != nil {
+			return nil, err
+		}
+		return s.openEnvelope(sealed, additional, inPlace)
 	case CipherRC4:
 		ct, err := splitMAC(DeriveKey(key, "rc4-mac"), sealed, additional)
 		if err != nil {
 			return nil, err
 		}
-		return rc4Apply(DeriveKey(key, "rc4-enc"), ct)
+		pt := openDst(ct, inPlace)
+		if err := rc4Apply(DeriveKey(key, "rc4-enc"), pt, ct); err != nil {
+			return nil, err
+		}
+		return pt, nil
 	case CipherDES:
 		ct, err := splitMAC(DeriveKey(key, "des-mac"), sealed, additional)
 		if err != nil {
 			return nil, err
 		}
-		return desDecrypt(DeriveKey(key, "des-enc"), ct)
+		return desDecrypt(DeriveKey(key, "des-enc"), openDst(ct, inPlace), ct)
 	default:
 		return nil, errUnknownCipher
 	}
 }
 
-func appendMAC(macKey Key, ct, additional []byte) []byte {
-	tag := MAC(macKey, ct, additional)
-	return append(ct, tag[:]...)
+// openDst is where the legacy ciphers decrypt ct to: over itself, or into
+// fresh storage.
+func openDst(ct []byte, inPlace bool) []byte {
+	if inPlace {
+		return ct
+	}
+	return make([]byte, len(ct))
+}
+
+// putMAC writes the encrypt-then-MAC tag over env[:n] and additional right
+// behind the ciphertext.
+func putMAC(macKey Key, env []byte, n int, additional []byte) {
+	tag := MAC(macKey, env[:n], additional)
+	copy(env[n:], tag[:])
 }
 
 func splitMAC(macKey Key, sealed, additional []byte) ([]byte, error) {
@@ -105,72 +189,79 @@ func splitMAC(macKey Key, sealed, additional []byte) ([]byte, error) {
 	return ct, nil
 }
 
-func rc4Apply(key Key, data []byte) ([]byte, error) {
+// rc4Apply XORs the key stream over src into dst (same length; dst may be
+// src).
+func rc4Apply(key Key, dst, src []byte) error {
 	c, err := rc4.NewCipher(key[:])
 	if err != nil {
-		return nil, fmt.Errorf("tcb: rc4: %w", err)
+		return fmt.Errorf("tcb: rc4: %w", err)
 	}
-	out := make([]byte, len(data))
-	c.XORKeyStream(out, data)
-	return out, nil
+	c.XORKeyStream(dst, src)
+	return nil
 }
+
+// desPad is the PKCS#7 padding length for an n-byte plaintext (1..8).
+func desPad(n int) int { return des.BlockSize - n%des.BlockSize }
 
 // desEncrypt implements DES-CBC with PKCS#7 padding and a zero IV derived
 // key-uniquely; the envelope MAC provides integrity. DES is retained only to
-// reproduce the paper's Fig. 9(c) cipher comparison.
-func desEncrypt(key Key, plaintext []byte) ([]byte, error) {
+// reproduce the paper's Fig. 9(c) cipher comparison. dst is
+// len(plaintext)+desPad(len(plaintext)) bytes and may start at plaintext's
+// own storage: each block is read before it is written.
+func desEncrypt(key Key, dst, plaintext []byte) error {
 	block, err := des.NewCipher(key[:8])
 	if err != nil {
-		return nil, fmt.Errorf("tcb: des: %w", err)
+		return fmt.Errorf("tcb: des: %w", err)
 	}
-	bs := block.BlockSize()
-	pad := bs - len(plaintext)%bs
-	padded := make([]byte, len(plaintext)+pad)
-	copy(padded, plaintext)
-	for i := len(plaintext); i < len(padded); i++ {
-		padded[i] = byte(pad)
-	}
+	const bs = des.BlockSize
+	pad := byte(len(dst) - len(plaintext))
 	iv := DeriveKey(key, "iv")
 	prev := iv[:bs]
-	out := make([]byte, len(padded))
-	blockBuf := make([]byte, bs)
-	for i := 0; i < len(padded); i += bs {
-		for j := 0; j < bs; j++ {
-			blockBuf[j] = padded[i+j] ^ prev[j]
+	var in [bs]byte
+	for i := 0; i < len(dst); i += bs {
+		n := copy(in[:], plaintext[min(i, len(plaintext)):])
+		for j := n; j < bs; j++ {
+			in[j] = pad
 		}
-		block.Encrypt(out[i:i+bs], blockBuf)
-		prev = out[i : i+bs]
+		for j := range in {
+			in[j] ^= prev[j]
+		}
+		block.Encrypt(dst[i:i+bs], in[:])
+		prev = dst[i : i+bs]
 	}
-	return out, nil
+	return nil
 }
 
-func desDecrypt(key Key, ciphertext []byte) ([]byte, error) {
+// desDecrypt reverses desEncrypt into dst (len(ciphertext) bytes; may be
+// ciphertext itself) and returns the unpadded plaintext within dst.
+func desDecrypt(key Key, dst, ciphertext []byte) ([]byte, error) {
 	block, err := des.NewCipher(key[:8])
 	if err != nil {
 		return nil, fmt.Errorf("tcb: des: %w", err)
 	}
-	bs := block.BlockSize()
+	const bs = des.BlockSize
 	if len(ciphertext) == 0 || len(ciphertext)%bs != 0 {
 		return nil, ErrDecrypt
 	}
 	iv := DeriveKey(key, "iv")
-	prev := iv[:bs]
-	out := make([]byte, len(ciphertext))
+	var prev, cur [bs]byte
+	copy(prev[:], iv[:bs])
 	for i := 0; i < len(ciphertext); i += bs {
-		block.Decrypt(out[i:i+bs], ciphertext[i:i+bs])
-		for j := 0; j < bs; j++ {
-			out[i+j] ^= prev[j]
+		copy(cur[:], ciphertext[i:i+bs])
+		block.Decrypt(dst[i:i+bs], cur[:])
+		for j := range prev {
+			dst[i+j] ^= prev[j]
 		}
-		prev = ciphertext[i : i+bs]
+		prev = cur
 	}
-	pad := int(out[len(out)-1])
-	if pad == 0 || pad > bs || pad > len(out) {
+	pad := int(dst[len(dst)-1])
+	if pad == 0 || pad > bs || pad > len(dst) {
 		return nil, ErrDecrypt
 	}
-	for _, b := range out[len(out)-pad:] {
+	for _, b := range dst[len(dst)-pad:] {
 		if int(b) != pad {
 			return nil, ErrDecrypt
 		}
 	}
-	return out[:len(out)-pad], nil
+	return dst[:len(dst)-pad], nil
 }

@@ -17,7 +17,7 @@ func TestCounterNonceUniqueness(t *testing.T) {
 		counters = append(counters, i)
 	}
 	for _, c := range counters {
-		n := counterNonce(c, size)
+		n := counterNonce(make([]byte, size), c)
 		if len(n) != size {
 			t.Fatalf("counterNonce(%d, %d) has length %d", c, size, len(n))
 		}
@@ -29,18 +29,18 @@ func TestCounterNonceUniqueness(t *testing.T) {
 }
 
 // TestCounterNonceWidth checks the big-endian placement in the low bytes
-// and that widths shorter than 8 bytes truncate rather than panic.
+// (over scratch that held another nonce) and that widths shorter than 8 bytes truncate rather than panic.
 func TestCounterNonceWidth(t *testing.T) {
-	n := counterNonce(0x0102030405060708, 12)
+	n := counterNonce(bytes.Repeat([]byte{0xff}, 12), 0x0102030405060708)
 	want := []byte{0, 0, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8}
 	if !bytes.Equal(n, want) {
 		t.Fatalf("counterNonce placement: got %x, want %x", n, want)
 	}
-	short := counterNonce(0x0102030405060708, 4)
+	short := counterNonce(make([]byte, 4), 0x0102030405060708)
 	if !bytes.Equal(short, []byte{5, 6, 7, 8}) {
 		t.Fatalf("counterNonce width-4 truncation: got %x", short)
 	}
-	if got := counterNonce(42, 0); len(got) != 0 {
+	if got := counterNonce(nil, 42); len(got) != 0 {
 		t.Fatalf("counterNonce width 0: got %x", got)
 	}
 }

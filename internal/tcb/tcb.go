@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 )
 
 // KeySize is the size in bytes of all symmetric keys used by the TCB.
@@ -99,66 +100,25 @@ func VerifyMAC(key Key, tag [32]byte, data ...[]byte) bool {
 	return hmac.Equal(tag[:], want[:])
 }
 
-// Seal encrypts plaintext with AES-256-GCM under key, binding the additional
-// data. The nonce is random and prepended to the ciphertext.
-func Seal(key Key, plaintext, additional []byte) ([]byte, error) {
-	aead, err := newGCM(key)
-	if err != nil {
-		return nil, err
-	}
-	nonce, err := RandomBytes(aead.NonceSize())
-	if err != nil {
-		return nil, err
-	}
-	out := make([]byte, 0, len(nonce)+len(plaintext)+aead.Overhead())
-	out = append(out, nonce...)
-	return aead.Seal(out, nonce, plaintext, additional), nil
+// Sealer is AES-256-GCM bound to one key. Expanding the AES key schedule and
+// the GHASH tables costs about as much as sealing a page, so a caller that
+// seals many blobs under one key (the EWB/ELDU page key, an installed
+// migration key) builds a Sealer once and keeps it. A Sealer is safe for concurrent
+// use and holds the expanded key: it must be guarded like the key itself.
+type Sealer struct {
+	aead cipher.AEAD
 }
 
-// Open decrypts a Seal envelope. It returns ErrDecrypt on any failure.
-func Open(key Key, sealed, additional []byte) ([]byte, error) {
-	aead, err := newGCM(key)
-	if err != nil {
-		return nil, err
-	}
-	if len(sealed) < aead.NonceSize() {
-		return nil, ErrDecrypt
-	}
-	nonce, ct := sealed[:aead.NonceSize()], sealed[aead.NonceSize():]
-	pt, err := aead.Open(nil, nonce, ct, additional)
-	if err != nil {
-		return nil, ErrDecrypt
-	}
-	return pt, nil
-}
+const (
+	// nonceSize is the GCM nonce width every envelope in this package uses.
+	nonceSize = 12
+	// SealOverhead is the number of bytes sealing adds to a plaintext (the
+	// GCM authentication tag).
+	SealOverhead = 16
+)
 
-// SealDeterministic encrypts with an explicit 96-bit counter nonce. It is
-// used by the EWB path where the nonce is the page version number, giving
-// anti-replay binding between the blob and its VA slot.
-func SealDeterministic(key Key, counter uint64, plaintext, additional []byte) ([]byte, error) {
-	aead, err := newGCM(key)
-	if err != nil {
-		return nil, err
-	}
-	nonce := counterNonce(counter, aead.NonceSize())
-	return aead.Seal(nil, nonce, plaintext, additional), nil
-}
-
-// OpenDeterministic reverses SealDeterministic.
-func OpenDeterministic(key Key, counter uint64, sealed, additional []byte) ([]byte, error) {
-	aead, err := newGCM(key)
-	if err != nil {
-		return nil, err
-	}
-	nonce := counterNonce(counter, aead.NonceSize())
-	pt, err := aead.Open(nil, nonce, sealed, additional)
-	if err != nil {
-		return nil, ErrDecrypt
-	}
-	return pt, nil
-}
-
-func newGCM(key Key) (cipher.AEAD, error) {
+// NewSealer expands key into a reusable AES-256-GCM instance.
+func NewSealer(key Key) (*Sealer, error) {
 	block, err := aes.NewCipher(key[:])
 	if err != nil {
 		return nil, fmt.Errorf("tcb: aes: %w", err)
@@ -167,15 +127,131 @@ func newGCM(key Key) (cipher.AEAD, error) {
 	if err != nil {
 		return nil, fmt.Errorf("tcb: gcm: %w", err)
 	}
-	return aead, nil
+	return &Sealer{aead: aead}, nil
 }
 
-func counterNonce(counter uint64, size int) []byte {
-	nonce := make([]byte, size)
-	for i := 0; i < 8 && i < size; i++ {
-		nonce[size-1-i] = byte(counter >> (8 * i))
+// noncePool lends counter-nonce scratch to Seal and Open: arguments of an
+// interface method call escape, so a nonce array on the caller's stack
+// would be one heap allocation per sealed page.
+var noncePool = sync.Pool{New: func() any { return new([nonceSize]byte) }}
+
+// Seal encrypts plaintext under an explicit 96-bit counter nonce, appends
+// ciphertext and tag to dst and returns the extended slice; with
+// len(plaintext)+SealOverhead spare capacity in dst it allocates nothing.
+// The EWB path uses the page version as the counter, which binds the blob
+// to its VA slot (anti-replay). A counter must never repeat under one key.
+// plaintext and dst's spare capacity must overlap exactly or not at all.
+func (s *Sealer) Seal(dst []byte, counter uint64, plaintext, additional []byte) []byte {
+	buf := noncePool.Get().(*[nonceSize]byte)
+	nonce := counterNonce(buf[:], counter)
+	out := s.aead.Seal(dst, nonce, plaintext, additional)
+	noncePool.Put(buf)
+	return out
+}
+
+// Open reverses Seal, appending the plaintext to dst. It returns ErrDecrypt
+// on any failure; dst's spare capacity may then hold garbage but nothing of
+// the plaintext. sealed[:0] is a valid dst (decrypt in place).
+func (s *Sealer) Open(dst []byte, counter uint64, sealed, additional []byte) ([]byte, error) {
+	buf := noncePool.Get().(*[nonceSize]byte)
+	nonce := counterNonce(buf[:], counter)
+	out, err := s.aead.Open(dst, nonce, sealed, additional)
+	noncePool.Put(buf)
+	if err != nil {
+		return nil, ErrDecrypt
+	}
+	return out, nil
+}
+
+// sealEnvelope fills env with nonce ‖ ciphertext ‖ tag under a fresh random
+// nonce. env must be nonceSize+len(plaintext)+SealOverhead bytes; plaintext
+// may be env[nonceSize:][:len(plaintext)] itself (sealed in place) or
+// separate storage.
+func (s *Sealer) sealEnvelope(env, plaintext, additional []byte) error {
+	nonce, err := RandomNonce(env[:nonceSize])
+	if err != nil {
+		return err
+	}
+	s.aead.Seal(env[:nonceSize], nonce, plaintext, additional)
+	return nil
+}
+
+// openEnvelope reverses sealEnvelope. With inPlace the plaintext overwrites
+// the ciphertext inside sealed and the result aliases it; otherwise sealed
+// is left untouched and the result is fresh storage.
+func (s *Sealer) openEnvelope(sealed, additional []byte, inPlace bool) ([]byte, error) {
+	if len(sealed) < nonceSize {
+		return nil, ErrDecrypt
+	}
+	nonce, ct := sealed[:nonceSize], sealed[nonceSize:]
+	var dst []byte
+	if inPlace {
+		dst = ct[:0]
+	}
+	pt, err := s.aead.Open(dst, nonce, ct, additional)
+	if err != nil {
+		return nil, ErrDecrypt
+	}
+	return pt, nil
+}
+
+// RandomNonce fills nonce from crypto/rand and returns it.
+func RandomNonce(nonce []byte) ([]byte, error) {
+	if _, err := io.ReadFull(rand.Reader, nonce); err != nil {
+		return nil, fmt.Errorf("tcb: read random nonce: %w", err)
+	}
+	return nonce, nil
+}
+
+// counterNonce encodes counter big-endian into the low bytes of nonce,
+// zeroes the rest and returns nonce.
+func counterNonce(nonce []byte, counter uint64) []byte {
+	clear(nonce)
+	for i := 0; i < 8 && i < len(nonce); i++ {
+		nonce[len(nonce)-1-i] = byte(counter >> (8 * i))
 	}
 	return nonce
+}
+
+// Seal encrypts plaintext with AES-256-GCM under key, binding the additional
+// data. The nonce is random and prepended to the ciphertext.
+func Seal(key Key, plaintext, additional []byte) ([]byte, error) {
+	s, err := NewSealer(key)
+	if err != nil {
+		return nil, err
+	}
+	env := make([]byte, nonceSize+len(plaintext)+SealOverhead)
+	if err := s.sealEnvelope(env, plaintext, additional); err != nil {
+		return nil, err
+	}
+	return env, nil
+}
+
+// Open decrypts a Seal envelope. It returns ErrDecrypt on any failure.
+func Open(key Key, sealed, additional []byte) ([]byte, error) {
+	s, err := NewSealer(key)
+	if err != nil {
+		return nil, err
+	}
+	return s.openEnvelope(sealed, additional, false)
+}
+
+// SealDeterministic is Sealer.Seal for a single blob under key.
+func SealDeterministic(key Key, counter uint64, plaintext, additional []byte) ([]byte, error) {
+	s, err := NewSealer(key)
+	if err != nil {
+		return nil, err
+	}
+	return s.Seal(nil, counter, plaintext, additional), nil
+}
+
+// OpenDeterministic reverses SealDeterministic.
+func OpenDeterministic(key Key, counter uint64, sealed, additional []byte) ([]byte, error) {
+	s, err := NewSealer(key)
+	if err != nil {
+		return nil, err
+	}
+	return s.Open(nil, counter, sealed, additional)
 }
 
 // SigningIdentity is an Ed25519 key pair used for enclave-image signing
