@@ -40,8 +40,8 @@ test:
 
 # Short coverage-guided runs of the native fuzz targets over the
 # untrusted-input parsers (traceparent headers, MsgImage blobs, page
-# frames). CI runs this budget on every push; longer local runs just
-# raise -fuzztime. Each target starts from its committed seed corpus in
+# frames) and of the XOR-delta encoder against its reference. CI runs this
+# budget on every push; longer local runs just raise -fuzztime. Each target starts from its committed seed corpus in
 # <pkg>/testdata/fuzz/ (plain `go test` replays those seeds too);
 # regenerate with REGEN_FUZZ_CORPUS=1 go test -run TestRegenFuzzCorpus.
 FUZZTIME ?= 10s
@@ -49,6 +49,7 @@ fuzz-smoke:
 	$(GO) test ./internal/telemetry/ -run='^$$' -fuzz=FuzzExtract -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/core/ -run='^$$' -fuzz=FuzzParseImageBlob -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/core/ -run='^$$' -fuzz=FuzzFrameDecode -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/core/ -run='^$$' -fuzz=FuzzXORDelta -fuzztime=$(FUZZTIME)
 
 race:
 	$(GO) test -race ./...
@@ -57,9 +58,10 @@ bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .
 
 # One iteration of every layer benchmark under the migration hot path
-# (sealer, EWB/ELDU, FaultIn on a full pool, 8 MiB dump/restore), with
+# (sealer, EWB/ELDU, FaultIn on a full pool, 8 MiB dump/restore, XOR-delta
+# and chunk encoding, the shaped pipe, the vmm page stream), with
 # allocation counts: a smoke run that they still build and run, and the
 # quick look at a layer before reaching for benchmark/. Raise -benchtime for
 # numbers worth comparing.
 bench-layers:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/tcb ./internal/sgx ./internal/epcman ./internal/enclave
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/tcb ./internal/sgx ./internal/epcman ./internal/enclave ./internal/core ./internal/vmm

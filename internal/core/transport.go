@@ -87,7 +87,20 @@ type pipe struct {
 	delay     time.Duration // simulated one-way latency
 	byteNanos float64       // simulated nanoseconds per byte (bandwidth)
 	sent      *atomic.Int64
+
+	clockMu   sync.Mutex
+	busyUntil time.Time // guarded by clockMu; link clock: when the bytes accepted so far have crossed
 }
+
+// linkCredit is how late a sender may arrive and still be treated as on
+// time: the link clock never falls further than this behind real time, the
+// way a NIC keeps draining a short transmit queue while the sender
+// prepares the next frame. It is also the most the shaped pipe can beat
+// bytes/bps by over any window, idle gaps included. A constant, not an
+// option: it stands for simulation overhead (one frame's encode time plus
+// timer overshoot — about one 256 KiB chunk at 250 MB/s), not for a
+// property of the link being modelled.
+const linkCredit = time.Millisecond
 
 // NewPipe creates a connected pair of in-process transports.
 func NewPipe() (Transport, Transport) {
@@ -115,12 +128,32 @@ func NewShapedPipe(latency time.Duration, bytesPerSecond float64) (Transport, Tr
 	return a, b
 }
 
-// shape simulates the transfer time of n bytes. It returns
+// reserve books n bytes on the link clock at time now and returns how long
+// from now until they have crossed. An idle link (or a sender running
+// late) starts the transfer at most linkCredit in the past.
+func (p *pipe) reserve(now time.Time, n int) time.Duration {
+	p.clockMu.Lock()
+	defer p.clockMu.Unlock()
+	if floor := now.Add(-linkCredit); p.busyUntil.Before(floor) {
+		p.busyUntil = floor
+	}
+	p.busyUntil = p.busyUntil.Add(time.Duration(p.byteNanos * float64(n)))
+	return p.busyUntil.Sub(now)
+}
+
+// shape simulates the transfer of n bytes: it returns once the link clock
+// says they have crossed (plus the one-way latency). Pacing against the
+// clock rather than sleeping n bytes' worth per call lets a sender's own
+// per-frame work and the timer's overshoot overlap the previous frame's
+// transfer, so a busy link delivers its nominal rate. It returns
 // ErrTransportClosed as soon as either end closes — an abort must not
 // stall behind the simulated transfer of data nobody will receive.
 func (p *pipe) shape(n int) error {
-	d := p.delay + time.Duration(p.byteNanos*float64(n))
-	if d <= 0 {
+	wait := p.delay
+	if p.byteNanos > 0 {
+		wait += p.reserve(time.Now(), n)
+	}
+	if wait <= 0 {
 		select {
 		case <-p.closed:
 			return ErrTransportClosed
@@ -128,7 +161,7 @@ func (p *pipe) shape(n int) error {
 			return nil
 		}
 	}
-	t := time.NewTimer(d)
+	t := time.NewTimer(wait)
 	defer t.Stop()
 	select {
 	case <-t.C:

@@ -86,6 +86,154 @@ func TestPipeCloseDuringShapedSend(t *testing.T) {
 	}
 }
 
+func drainFrames(ft FrameTransport) {
+	for {
+		f, err := ft.RecvFrame()
+		if err != nil {
+			return
+		}
+		f.Release()
+	}
+}
+
+func sendBlobFrames(t testing.TB, ft FrameTransport, sizes []int) {
+	t.Helper()
+	for _, n := range sizes {
+		if err := ft.SendFrame(&PageFrame{Kind: FrameBlob, Data: make([]byte, n)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// nominal is the time bps takes to carry n bytes.
+func nominal(n int64, bps float64) time.Duration {
+	return time.Duration(float64(n) / bps * 1e9)
+}
+
+// mixedSizes returns 200 frame sizes between 1 and 31 KiB, 3.2 MB in all.
+func mixedSizes() []int {
+	sizes := make([]int, 200)
+	for i := range sizes {
+		sizes[i] = (1 + (i*7)%31) << 10
+	}
+	return sizes
+}
+
+// TestShapedPipeNeverFasterThanNominal: however the sender behaves, a
+// transfer beats bytes/bps by at most linkCredit — also right after the
+// link sat idle, which banks nothing beyond that.
+func TestShapedPipeNeverFasterThanNominal(t *testing.T) {
+	const bps = 64e6
+	src, dst := NewShapedPipe(0, bps)
+	defer src.Close()
+	go drainFrames(dst.(FrameTransport))
+	for _, gap := range []time.Duration{0, 20 * linkCredit} {
+		time.Sleep(gap)
+		before := src.(ByteCounter).BytesSent()
+		start := time.Now()
+		sendBlobFrames(t, src.(FrameTransport), mixedSizes())
+		took := time.Since(start)
+		sent := src.(ByteCounter).BytesSent() - before
+		if min := nominal(sent, bps) - linkCredit; took < min {
+			t.Fatalf("after a %v gap %d bytes crossed a %.0f B/s link in %v, nominal minus credit is %v", gap, sent, bps, took, min)
+		}
+	}
+}
+
+// pacedSender replays a sender against the link clock on a synthetic
+// timeline: before each frame it spends `work`, then waits as long as
+// reserve says, and every wait overshoots by `overshoot` (a timer never
+// fires on time). It returns when the last frame has crossed.
+func pacedSender(p *pipe, start time.Time, sizes []int, work, overshoot time.Duration) time.Time {
+	now := start
+	for _, n := range sizes {
+		now = now.Add(work)
+		if wait := p.reserve(now, n); wait > 0 {
+			now = now.Add(wait + overshoot)
+		}
+	}
+	return now
+}
+
+// TestLinkClockAbsorbsSenderOverhead: per-frame work and timer overshoot
+// overlap the previous frame's transfer instead of adding to it. 200
+// frames of 250 µs each, 100 µs of work before and 300 µs of overshoot
+// after every wait: a link that slept each frame's own time would need
+// ≥ 1.4 × nominal for the work alone; against the clock the transfer ends
+// one overshoot after nominal.
+func TestLinkClockAbsorbsSenderOverhead(t *testing.T) {
+	const (
+		bps       = 64e6
+		work      = 100 * time.Microsecond
+		overshoot = 300 * time.Microsecond
+	)
+	sizes := make([]int, 200)
+	var total int64
+	for i := range sizes {
+		sizes[i] = 16000 // 250 µs at bps
+		total += int64(sizes[i])
+	}
+	a, _ := NewShapedPipe(0, bps)
+	start := time.Now()
+	took := pacedSender(a.(*pipe), start, sizes, work, overshoot).Sub(start)
+	nom := nominal(total, bps)
+	if perFrame := nom + time.Duration(len(sizes))*work; float64(perFrame) < 1.4*float64(nom) {
+		t.Fatalf("test shape: a per-frame sleep would take %v, not >= 1.4 x nominal %v", perFrame, nom)
+	}
+	if took < nom-linkCredit {
+		t.Fatalf("transfer took %v, faster than nominal %v minus credit", took, nom)
+	}
+	if max := nom + overshoot; took > max {
+		t.Fatalf("transfer with per-frame work took %v, want nominal %v plus one overshoot", took, nom)
+	}
+}
+
+// TestLinkClockIdleGapBuysAtMostCredit: idle time is not banked. A sender
+// that shows up after a long gap is treated as exactly linkCredit late —
+// its first bytes cross that much sooner, nothing more — and a sender that
+// falls further behind than linkCredit loses the excess for good.
+func TestLinkClockIdleGapBuysAtMostCredit(t *testing.T) {
+	const bps = 64e6
+	a, _ := NewShapedPipe(0, bps)
+	p := a.(*pipe)
+	now := time.Now()
+	const n = 640000 // 10 ms at bps
+	if wait := p.reserve(now, n); wait != nominal(n, bps)-linkCredit {
+		t.Fatalf("first send on an idle link waits %v, want nominal %v minus credit", wait, nominal(n, bps))
+	}
+	now = now.Add(time.Second) // long idle gap
+	if wait := p.reserve(now, n); wait != nominal(n, bps)-linkCredit {
+		t.Fatalf("send after a 1 s gap waits %v, want nominal %v minus credit", wait, nominal(n, bps))
+	}
+	// Back to back: the second send queues behind the first in full.
+	if wait := p.reserve(now, n); wait != 2*nominal(n, bps)-linkCredit {
+		t.Fatalf("back-to-back send waits %v, want %v", wait, 2*nominal(n, bps)-linkCredit)
+	}
+}
+
+// BenchmarkShapedPipeFrames pushes bursts of 64 × 256 KiB frames (one
+// vmm chunk each) through a 250 MB/s shaped pipe and reports how close
+// the pipe comes to its nominal rate (1.0 = link-bound).
+func BenchmarkShapedPipeFrames(b *testing.B) {
+	const bps = 250e6
+	sizes := make([]int, 64)
+	for i := range sizes {
+		sizes[i] = 256 << 10
+	}
+	src, dst := NewShapedPipe(0, bps)
+	defer src.Close()
+	go drainFrames(dst.(FrameTransport))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sendBlobFrames(b, src.(FrameTransport), sizes)
+	}
+	b.StopTimer()
+	sent := src.(ByteCounter).BytesSent()
+	b.SetBytes(sent / int64(b.N))
+	b.ReportMetric(float64(nominal(sent, bps))/float64(b.Elapsed()), "x-nominal")
+}
+
 // TestConnTransportByteAccounting pins the counting-writer fix: BytesSent
 // must equal the bytes that actually reached the wire — not a pre-encode
 // guess with a flat overhead estimate.

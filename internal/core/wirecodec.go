@@ -1,10 +1,12 @@
 package core
 
 import (
+	"crypto/subtle"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"sync"
 )
 
@@ -146,9 +148,10 @@ func NewRawFrame(pages []int) *PageFrame {
 }
 
 // DeltaCache holds the last content this side shipped for each page, the
-// baseline XOR deltas are computed against. A page absent from the cache
-// uses the implicit zero page — target guest memory starts zeroed, so the
-// mostly-zero pages of the bulk round compress too.
+// baseline XOR deltas are computed against. A page without an entry has
+// never been sent with a non-zero byte: the peer's fresh guest memory
+// still holds zeros there, so its baseline is the implicit zero page and
+// the mostly-zero pages of the bulk round compress too.
 type DeltaCache map[int][]byte
 
 // EncodeChunk turns one chunk of captured pages into wire frames: pages
@@ -157,7 +160,9 @@ type DeltaCache map[int][]byte
 // when empty). data holds len(pages)×PageSize captured bytes in page
 // order; EncodeChunk takes ownership and returns it to the pool. The
 // cache is updated to the captured content, so it always mirrors what the
-// peer holds after applying the frames in FIFO order. saved is the
+// peer holds after applying the frames in FIFO order; a page that is still
+// all zero gets no entry (absence already says so), and once a page has an
+// entry it is updated in place, back to zeros included. saved is the
 // logical-minus-wire payload byte reduction the deltas achieved.
 func EncodeChunk(pages []int, data []byte, cache DeltaCache) (raw, delta *PageFrame, saved int64) {
 	n := len(pages)
@@ -166,16 +171,17 @@ func EncodeChunk(pages []int, data []byte, cache DeltaCache) (raw, delta *PageFr
 	rawLen := 0
 	deltaPages := make([]int, 0, n)
 	deltaSizes := make([]int, 0, n)
-	// Two pages of slack: the encoder may append one oversized record past
-	// a page's give-up limit before noticing, and an in-place append that
-	// outgrew the buffer would silently reallocate away from it.
-	deltaData := GetBuf((n + 2) * PageSize)
+	// Every delta is smaller than its page, and the encoder never appends
+	// past that, so the appends below stay inside this buffer.
+	deltaData := GetBuf(n * PageSize)
 	deltaLen := 0
 	for i, p := range pages {
 		cur := data[i*PageSize : (i+1)*PageSize]
 		old := cache[p] // nil = zero baseline
+		stillZero := false
 		if out := XORDeltaEncode(deltaData[:deltaLen], old, cur); out != nil {
 			sz := len(out) - deltaLen
+			stillZero = old == nil && sz == 0 // empty delta against zeros
 			deltaLen = len(out)
 			deltaPages = append(deltaPages, p)
 			deltaSizes = append(deltaSizes, sz)
@@ -185,10 +191,10 @@ func EncodeChunk(pages []int, data []byte, cache DeltaCache) (raw, delta *PageFr
 			rawLen += PageSize
 			rawPages = append(rawPages, p)
 		}
-		if old == nil {
-			cache[p] = append(make([]byte, 0, PageSize), cur...)
-		} else {
+		if old != nil {
 			copy(old, cur)
+		} else if !stillZero {
+			cache[p] = append([]byte(nil), cur...)
 		}
 	}
 	PutBuf(data)
@@ -394,72 +400,103 @@ func ReadFrame(r io.Reader) (*PageFrame, error) {
 // time a page is sent its baseline is all-zero guest memory, so
 // mostly-zero pages compress on the bulk round too. The encoding is a
 // sequence of {uvarint zero-run length, uvarint literal length, literal
-// XOR bytes} covering the page.
+// XOR bytes} covering the page; a trailing equal run is implicit, so an
+// identical page encodes as an empty delta. dst never grows past
+// len(dst)+len(new): the encoder gives up before appending the record
+// that would reach it.
 func XORDeltaEncode(dst, old, new []byte) []byte {
-	base := len(dst)
-	limit := base + len(new) // beyond this, raw is cheaper
+	limit := len(dst) + len(new) // at or beyond this, raw is cheaper
 	i := 0
-	for i < len(new) {
-		run := i
-		if old == nil {
-			for run < len(new) && new[run] == 0 {
-				run++
-			}
-		} else {
-			for run < len(new) && new[run] == old[run] {
-				run++
-			}
-		}
-		if run == len(new) {
-			// Trailing (or whole-page) equal run: implicit, the decoder
-			// stops at the delta's end. An identical page encodes as an
-			// empty delta.
-			break
-		}
-		lit := run
-		// Extend the literal until a zero run long enough to be worth a
-		// new {skip, len} header (3 bytes) appears.
-		for lit < len(new) {
-			z := lit
-			if old == nil {
-				for z < len(new) && new[z] == 0 {
-					z++
-				}
-			} else {
-				for z < len(new) && new[z] == old[z] {
-					z++
-				}
-			}
-			if z-lit >= 4 || z == len(new) {
+	run := equalRun(old, new, 0)
+	for run < len(new) {
+		// new[run] differs. Extend the literal over differing bytes and
+		// over equal runs too short to be worth a new {skip, len} header
+		// (3 bytes): only an equal run of at least 4, or one reaching the
+		// end of the page, ends it.
+		lit, eq := run, 0
+		for {
+			lit += diffRun(old, new, lit)
+			eq = equalRun(old, new, lit)
+			if eq >= 4 || lit+eq == len(new) {
 				break
 			}
-			lit = z + 1
-			for lit < len(new) {
-				if old == nil {
-					if new[lit] == 0 {
-						break
-					}
-				} else if new[lit] == old[lit] {
-					break
-				}
-				lit++
-			}
+			lit += eq
 		}
-		dst = binary.AppendUvarint(dst, uint64(run-i))
-		dst = binary.AppendUvarint(dst, uint64(lit-run))
-		for k := run; k < lit; k++ {
-			if old == nil {
-				dst = append(dst, new[k])
-			} else {
-				dst = append(dst, new[k]^old[k])
-			}
-		}
-		if len(dst) >= limit {
+		skip, n := uint64(run-i), lit-run
+		if len(dst)+uvarintLen(skip)+uvarintLen(uint64(n))+n >= limit {
 			return nil
 		}
-		i = lit
+		dst = binary.AppendUvarint(dst, skip)
+		dst = binary.AppendUvarint(dst, uint64(n))
+		dst = append(dst, new[run:lit]...)
+		if old != nil {
+			subtle.XORBytes(dst[len(dst)-n:], dst[len(dst)-n:], old[run:lit])
+		}
+		i, run = lit, lit+eq
 	}
 	return dst
+}
+
+// Byte-lane constants of the word-at-a-time scans below.
+const (
+	lanesLo = 0x0101010101010101
+	lanesHi = 0x8080808080808080
+)
+
+// deltaWord loads the eight bytes of new^old at k (old == nil: the zero
+// page, so new itself).
+func deltaWord(old, new []byte, k int) uint64 {
+	x := binary.LittleEndian.Uint64(new[k:])
+	if old != nil {
+		x ^= binary.LittleEndian.Uint64(old[k:])
+	}
+	return x
+}
+
+// differs reports whether new[k] differs from the baseline byte.
+func differs(old, new []byte, k int) bool {
+	if old == nil {
+		return new[k] != 0
+	}
+	return new[k] != old[k]
+}
+
+// equalRun returns how many bytes of new, from k on, equal the baseline:
+// the position of the first non-zero byte of new^old, eight bytes a step.
+func equalRun(old, new []byte, k int) int {
+	i := k
+	for ; i+8 <= len(new); i += 8 {
+		if x := deltaWord(old, new, i); x != 0 {
+			return i + bits.TrailingZeros64(x)/8 - k
+		}
+	}
+	for i < len(new) && !differs(old, new, i) {
+		i++
+	}
+	return i - k
+}
+
+// diffRun returns how many bytes of new, from k on, differ from the
+// baseline: the position of the first zero byte of new^old. (x-lanesLo)&^x
+// sets the high bit of every zero lane of x; a borrow can also flag a 0x01
+// lane, but only above a zero one, so the lowest flag is exact.
+func diffRun(old, new []byte, k int) int {
+	i := k
+	for ; i+8 <= len(new); i += 8 {
+		x := deltaWord(old, new, i)
+		if z := (x - lanesLo) &^ x & lanesHi; z != 0 {
+			return i + bits.TrailingZeros64(z)/8 - k
+		}
+	}
+	for i < len(new) && differs(old, new, i) {
+		i++
+	}
+	return i - k
+}
+
+// uvarintLen is the number of bytes binary.AppendUvarint writes for v.
+func uvarintLen(v uint64) int {
+	return (bits.Len64(v|1) + 6) / 7
 }
 
 // ApplyXORDelta applies a delta produced by XORDeltaEncode to page in
@@ -485,9 +522,7 @@ func ApplyXORDelta(page, delta []byte) error {
 		if lit > uint64(len(delta)) {
 			return ErrFrameTruncated
 		}
-		for k := 0; k < int(lit); k++ {
-			page[pos+k] ^= delta[k]
-		}
+		subtle.XORBytes(page[pos:pos+int(lit)], page[pos:pos+int(lit)], delta[:lit])
 		pos += int(lit)
 		delta = delta[lit:]
 	}

@@ -242,6 +242,29 @@ func TestApplyXORDeltaRejects(t *testing.T) {
 	}
 }
 
+// applyChunk installs EncodeChunk's frames into mem (page number → page
+// content) the way the peer does, and releases them.
+func applyChunk(t *testing.T, mem map[int][]byte, raw, delta *PageFrame) {
+	t.Helper()
+	if raw != nil {
+		for i, p := range raw.Pages {
+			copy(mem[p], raw.Data[i*PageSize:(i+1)*PageSize])
+		}
+		raw.Release()
+	}
+	if delta != nil {
+		off := 0
+		for i, p := range delta.Pages {
+			sz := delta.Sizes[i]
+			if err := ApplyXORDelta(mem[p], delta.Data[off:off+sz]); err != nil {
+				t.Fatalf("apply delta page %d: %v", p, err)
+			}
+			off += sz
+		}
+		delta.Release()
+	}
+}
+
 // TestEncodeChunk drives the chunk splitter: compressible pages ride the
 // delta frame, incompressible ones the raw frame, and applying both onto a
 // target that mirrors the cache baseline reproduces the source bit-exactly.
@@ -261,25 +284,7 @@ func TestEncodeChunk(t *testing.T) {
 		}
 		return data
 	}
-	apply := func(raw, delta *PageFrame) {
-		if raw != nil {
-			for i, p := range raw.Pages {
-				copy(mem[p], raw.Data[i*PageSize:(i+1)*PageSize])
-			}
-			raw.Release()
-		}
-		if delta != nil {
-			off := 0
-			for i, p := range delta.Pages {
-				sz := delta.Sizes[i]
-				if err := ApplyXORDelta(mem[p], delta.Data[off:off+sz]); err != nil {
-					t.Fatalf("apply delta page %d: %v", p, err)
-				}
-				off += sz
-			}
-			delta.Release()
-		}
-	}
+	apply := func(raw, delta *PageFrame) { applyChunk(t, mem, raw, delta) }
 
 	// Round 1 vs the zero baseline: a zero page and a sparse page compress,
 	// a random page does not.
@@ -336,6 +341,297 @@ func TestEncodeChunk(t *testing.T) {
 	}
 }
 
+// TestEncodeChunkZeroPages pins the cache rule for zero pages: a page that
+// is still all zero leaves no cache entry (absence means "the peer's fresh
+// memory still holds zeros"), the same page written later deltas against
+// zero, and a page zeroed again after being non-zero keeps its entry and
+// still round-trips.
+func TestEncodeChunkZeroPages(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	cache := make(DeltaCache)
+	pages := []int{4, 5}
+	mem := map[int][]byte{4: make([]byte, PageSize), 5: make([]byte, PageSize)}
+	src := map[int][]byte{4: make([]byte, PageSize), 5: make([]byte, PageSize)}
+	// round encodes src, applies the frames to mem, checks both against
+	// the cache invariant and reports which pages rode which frame.
+	round := func(name string) (rawPages, deltaPages []int) {
+		t.Helper()
+		data := GetBuf(len(pages) * PageSize)
+		for i, p := range pages {
+			copy(data[i*PageSize:], src[p])
+		}
+		raw, delta, _ := EncodeChunk(pages, data, cache)
+		if raw != nil {
+			rawPages = raw.Pages
+		}
+		if delta != nil {
+			deltaPages = delta.Pages
+		}
+		applyChunk(t, mem, raw, delta)
+		for _, p := range pages {
+			if !bytes.Equal(mem[p], src[p]) {
+				t.Fatalf("%s: page %d corrupted on the peer", name, p)
+			}
+			if c, ok := cache[p]; ok && !bytes.Equal(c, src[p]) {
+				t.Fatalf("%s: cache entry of page %d does not mirror the peer", name, p)
+			}
+		}
+		return rawPages, deltaPages
+	}
+
+	// Round 1: page 4 still zero, page 5 random.
+	rng.Read(src[5])
+	rawPages, deltaPages := round("first touch")
+	if _, ok := cache[4]; ok {
+		t.Fatal("a still-zero page got a cache entry")
+	}
+	if cache[5] == nil {
+		t.Fatal("a non-zero page got no cache entry")
+	}
+	if len(deltaPages) != 1 || deltaPages[0] != 4 || len(rawPages) != 1 || rawPages[0] != 5 {
+		t.Fatalf("first touch: raw %v delta %v, want raw [5] delta [4]", rawPages, deltaPages)
+	}
+
+	// Round 2: page 4 written for the first time — a sparse delta against
+	// the zeros the peer still holds.
+	rng.Read(src[4][700:764])
+	rawPages, deltaPages = round("zero then written")
+	if len(rawPages) != 0 || len(deltaPages) != 2 {
+		t.Fatalf("zero then written: raw %v delta %v, want both pages as deltas", rawPages, deltaPages)
+	}
+	if cache[4] == nil {
+		t.Fatal("a page written after being zero got no cache entry")
+	}
+
+	// Round 3: both pages zeroed again. Their entries stay (updated in
+	// place to zeros) and the deltas undo the old content on the peer.
+	entry4, entry5 := &cache[4][0], &cache[5][0]
+	src[4], src[5] = make([]byte, PageSize), make([]byte, PageSize)
+	round("zeroed again")
+	if &cache[4][0] != entry4 || &cache[5][0] != entry5 {
+		t.Fatal("zeroing a cached page replaced its entry instead of updating it in place")
+	}
+
+	// Round 4: written once more, against the all-zero entries.
+	rng.Read(src[4][:32])
+	rng.Read(src[5])
+	round("written after zeroed")
+}
+
+// TestEncodeChunkZeroChunkAllocs: an all-zero chunk against an empty cache
+// pays for its frame bookkeeping only — no page copy, no cache insert.
+func TestEncodeChunkZeroChunkAllocs(t *testing.T) {
+	const n = 64
+	pages := make([]int, n)
+	for i := range pages {
+		pages[i] = i
+	}
+	cache := make(DeltaCache)
+	allocs := testing.AllocsPerRun(20, func() {
+		data := GetBuf(n * PageSize)
+		clear(data)
+		raw, delta, _ := EncodeChunk(pages, data, cache)
+		raw.Release()
+		delta.Release()
+	})
+	if len(cache) != 0 {
+		t.Fatalf("all-zero chunk left %d cache entries", len(cache))
+	}
+	if allocs >= n/4 {
+		t.Fatalf("all-zero %d-page chunk: %.0f allocations, want no per-page allocation", n, allocs)
+	}
+}
+
+// refXORDeltaEncode is the byte-at-a-time encoder XORDeltaEncode replaced,
+// kept as the reference the differential and fuzz tests compare against:
+// the word-at-a-time encoder must produce the same bytes and the same
+// nil-ness for every input.
+func refXORDeltaEncode(dst, old, new []byte) []byte {
+	base := len(dst)
+	limit := base + len(new)
+	i := 0
+	for i < len(new) {
+		run := i
+		if old == nil {
+			for run < len(new) && new[run] == 0 {
+				run++
+			}
+		} else {
+			for run < len(new) && new[run] == old[run] {
+				run++
+			}
+		}
+		if run == len(new) {
+			break
+		}
+		lit := run
+		for lit < len(new) {
+			z := lit
+			if old == nil {
+				for z < len(new) && new[z] == 0 {
+					z++
+				}
+			} else {
+				for z < len(new) && new[z] == old[z] {
+					z++
+				}
+			}
+			if z-lit >= 4 || z == len(new) {
+				break
+			}
+			lit = z + 1
+			for lit < len(new) {
+				if old == nil {
+					if new[lit] == 0 {
+						break
+					}
+				} else if new[lit] == old[lit] {
+					break
+				}
+				lit++
+			}
+		}
+		dst = binary.AppendUvarint(dst, uint64(run-i))
+		dst = binary.AppendUvarint(dst, uint64(lit-run))
+		for k := run; k < lit; k++ {
+			if old == nil {
+				dst = append(dst, new[k])
+			} else {
+				dst = append(dst, new[k]^old[k])
+			}
+		}
+		if len(dst) >= limit {
+			return nil
+		}
+		i = lit
+	}
+	return dst
+}
+
+// deltaCase builds one differential-test input: a page length (whole
+// pages, arbitrary lengths including non-multiples of 8, and tiny ones),
+// a baseline (nil every third case) and a new page derived from it by one
+// of five mutation shapes.
+func deltaCase(rng *rand.Rand, iter int) (old, cur []byte) {
+	n := PageSize
+	switch iter % 4 {
+	case 1:
+		n = rng.Intn(PageSize + 1)
+	case 2:
+		n = rng.Intn(65)
+	}
+	base := make([]byte, n) // what the baseline reads as; zeros when old is nil
+	if iter%3 != 0 {
+		rng.Read(base)
+		old = base
+	}
+	cur = append([]byte(nil), base...)
+	if n == 0 {
+		return old, cur
+	}
+	// differ makes cur[k] differ from the baseline.
+	differ := func(k int) { cur[k] = base[k] ^ byte(1+rng.Intn(255)) }
+	switch rng.Intn(5) {
+	case 0: // random: unrelated content
+		rng.Read(cur)
+	case 1: // sparse flips
+		for f := rng.Intn(9); f > 0; f-- {
+			differ(rng.Intn(n))
+		}
+	case 2: // block overwrites
+		cur = randomDeltaPage(rng, base)
+	case 3: // differing everywhere but for equal runs of 1 to 5 bytes
+		for k := range cur {
+			differ(k)
+		}
+		for k := rng.Intn(24); k < n; k += 1 + rng.Intn(24) {
+			for e := 1 + rng.Intn(5); e > 0 && k < n; e-- {
+				cur[k] = base[k]
+				k++
+			}
+		}
+	case 4: // differing prefix, equal tail (down to a byte or none)
+		for k := n - rng.Intn(min(n, 12)+1) - 1; k >= 0; k-- {
+			if rng.Intn(8) != 0 {
+				differ(k)
+			}
+		}
+	}
+	return old, cur
+}
+
+// TestXORDeltaMatchesReference is the differential test: over seeded
+// inputs of every shape deltaCase makes, with and without bytes already in
+// dst, the encoder's output equals the reference's — same bytes, same
+// nil-ness — and leaves the destination prefix alone.
+func TestXORDeltaMatchesReference(t *testing.T) {
+	cases := 20000
+	if testing.Short() {
+		cases = 2000
+	}
+	rng := rand.New(rand.NewSource(4))
+	for iter := 0; iter < cases; iter++ {
+		old, cur := deltaCase(rng, iter)
+		var prefix []byte
+		if iter%5 == 0 {
+			prefix = make([]byte, 1+rng.Intn(9))
+			rng.Read(prefix)
+		}
+		want := refXORDeltaEncode(append([]byte(nil), prefix...), old, cur)
+		got := XORDeltaEncode(append([]byte(nil), prefix...), old, cur)
+		if (got == nil) != (want == nil) {
+			t.Fatalf("iter %d (len %d, nil baseline %v): got nil = %v, reference nil = %v",
+				iter, len(cur), old == nil, got == nil, want == nil)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("iter %d (len %d, nil baseline %v): %d delta bytes differ from the reference's %d",
+				iter, len(cur), old == nil, len(got), len(want))
+		}
+	}
+}
+
+// FuzzXORDelta: whatever the encoder accepts must be smaller than the page
+// and must apply back to it bit-exactly; and it must agree with the
+// reference encoder. old is cut or zero-padded to new's length; an empty
+// old selects the nil (zero-page) baseline.
+func FuzzXORDelta(f *testing.F) {
+	rng := rand.New(rand.NewSource(5))
+	for iter := 0; iter < 12; iter++ {
+		old, cur := deltaCase(rng, iter)
+		f.Add(old, cur)
+	}
+	f.Add([]byte{}, []byte{})
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9}, []byte{1, 2, 3, 4, 0, 6, 7, 8, 9})
+	f.Fuzz(func(t *testing.T, old, cur []byte) {
+		if len(cur) > PageSize {
+			cur = cur[:PageSize]
+		}
+		page := make([]byte, len(cur)) // the peer's copy: zeros, or old
+		if len(old) > 0 {
+			copy(page, old)
+			old = append([]byte(nil), page...)
+		} else {
+			old = nil
+		}
+		out := XORDeltaEncode(nil, old, cur)
+		if ref := refXORDeltaEncode(nil, old, cur); (out == nil) != (ref == nil) || !bytes.Equal(out, ref) {
+			t.Fatalf("encoder and reference disagree: %d bytes (nil %v) vs %d (nil %v)", len(out), out == nil, len(ref), ref == nil)
+		}
+		if out == nil {
+			return
+		}
+		if len(out) >= len(cur) {
+			t.Fatalf("accepted a delta of %d bytes for a %d-byte page", len(out), len(cur))
+		}
+		if err := ApplyXORDelta(page, out); err != nil {
+			t.Fatalf("ApplyXORDelta: %v", err)
+		}
+		if !bytes.Equal(page, cur) {
+			t.Fatal("delta did not reproduce the page")
+		}
+	})
+}
+
 // FuzzFrameDecode hammers the frame decoder with arbitrary prefixes: it
 // must never panic, and whatever it accepts must survive a canonical
 // re-encode/decode round trip.
@@ -367,5 +663,110 @@ func FuzzFrameDecode(f *testing.F) {
 			t.Fatalf("re-decode consumed %d of %d bytes", n2, len(enc))
 		}
 		frameEq(t, pf, pf2)
+	})
+}
+
+// benchChunk is the 64-page chunk the vmm pipeline frames.
+const benchChunk = 64
+
+// benchPages builds the three page shapes of the core.wirecodec.* probes:
+// random content, and a resend of it with 64 bytes changed.
+func benchPages() (random, resend []byte) {
+	rng := rand.New(rand.NewSource(6))
+	random = make([]byte, PageSize)
+	rng.Read(random)
+	resend = append([]byte(nil), random...)
+	for i := 512; i < 576; i++ {
+		resend[i] ^= 0x55
+	}
+	return random, resend
+}
+
+func BenchmarkXORDeltaEncode(b *testing.B) {
+	random, resend := benchPages()
+	zero := make([]byte, PageSize)
+	for _, bc := range []struct {
+		name     string
+		old, cur []byte
+	}{
+		{"random-nil", nil, random},
+		{"zero-nil", nil, zero},
+		{"sparse", random, resend},
+		{"identical", random, random},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			dst := make([]byte, 0, 2*PageSize)
+			b.ReportAllocs()
+			b.SetBytes(PageSize)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				benchSink = XORDeltaEncode(dst, bc.old, bc.cur)
+			}
+		})
+	}
+}
+
+var benchSink []byte
+
+func BenchmarkApplyXORDelta(b *testing.B) {
+	random, resend := benchPages()
+	delta := XORDeltaEncode(nil, random, resend)
+	page := append([]byte(nil), random...)
+	b.ReportAllocs()
+	b.SetBytes(PageSize)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		// Applying the same XOR delta twice restores the page.
+		if err := ApplyXORDelta(page, delta); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkEncodeChunk encodes 64-page chunks the three ways a pre-copy
+// stream meets them: first-touch random, all zero (both against an empty
+// cache), and a resend with 64 bytes changed per page.
+func BenchmarkEncodeChunk(b *testing.B) {
+	random, resend := benchPages()
+	pages := make([]int, benchChunk)
+	for i := range pages {
+		pages[i] = i
+	}
+	fill := func(page []byte) []byte { return bytes.Repeat(page, benchChunk) }
+	run := func(b *testing.B, src []byte, cache func() DeltaCache) {
+		b.ReportAllocs()
+		b.SetBytes(benchChunk * PageSize)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			data := GetBuf(len(src))
+			copy(data, src)
+			raw, delta, _ := EncodeChunk(pages, data, cache())
+			raw.Release()
+			delta.Release()
+		}
+	}
+	fresh := func() DeltaCache { return DeltaCache{} }
+	b.Run("random", func(b *testing.B) { run(b, fill(random), fresh) })
+	b.Run("zero", func(b *testing.B) { run(b, make([]byte, benchChunk*PageSize), fresh) })
+	b.Run("sparse", func(b *testing.B) {
+		// Alternate between the two contents so every pass is a resend
+		// against what the previous one left in the cache.
+		cache := DeltaCache{}
+		srcs := [2][]byte{fill(random), fill(resend)}
+		data := GetBuf(len(srcs[0]))
+		copy(data, srcs[0])
+		raw, delta, _ := EncodeChunk(pages, data, cache)
+		raw.Release()
+		delta.Release()
+		b.ReportAllocs()
+		b.SetBytes(benchChunk * PageSize)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			data := GetBuf(len(srcs[0]))
+			copy(data, srcs[(i+1)%2])
+			raw, delta, _ := EncodeChunk(pages, data, cache)
+			raw.Release()
+			delta.Release()
+		}
 	})
 }

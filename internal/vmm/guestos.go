@@ -32,6 +32,11 @@ type Process struct {
 	stop    chan struct{}
 	wg      sync.WaitGroup
 	running bool
+
+	// resumed is closed once every call a restore resumed on the target has
+	// completed; nil for a process that was launched, not migrated in.
+	// Until then those calls own their workers and TCSs.
+	resumed chan struct{}
 }
 
 // PlainProcess is a guest process without an enclave: it just dirties guest
@@ -192,17 +197,22 @@ func (p *Process) start() {
 	}
 }
 
-// Stop halts the process's workload loops.
+// Stop halts the process's workload loops and waits for the calls a
+// restore resumed, so that on return no goroutine of this process is
+// inside the enclave: every worker can be entered and the enclave destroyed.
 func (p *Process) Stop() {
 	p.mu.Lock()
-	if !p.running {
+	if p.running {
+		close(p.stop)
+		p.running = false
 		p.mu.Unlock()
-		return
+		p.wg.Wait()
+	} else {
+		p.mu.Unlock()
 	}
-	close(p.stop)
-	p.running = false
-	p.mu.Unlock()
-	p.wg.Wait()
+	if p.resumed != nil {
+		<-p.resumed
+	}
 }
 
 // LaunchPlainProcess starts a non-enclave process that dirties `pages`

@@ -974,8 +974,10 @@ func (ip *IncomingProcess) Restore() (*Process, *core.Incoming, error) {
 		return nil, nil, err
 	}
 	// Drain in-flight ecall completions; the workload loops reclaim the
-	// workers afterwards.
+	// workers afterwards, and Process.Stop waits for the drain to end.
+	resumed := make(chan struct{})
 	go func() {
+		defer close(resumed)
 		for range inc.Results {
 		}
 	}()
@@ -986,6 +988,7 @@ func (ip *IncomingProcess) Restore() (*Process, *core.Incoming, error) {
 		workload:   ip.workload,
 		sharedBase: ip.sharedBase,
 		sharedSize: ip.sharedSize,
+		resumed:    resumed,
 	}
 	ip.os.mu.Lock()
 	ip.os.procs = append(ip.os.procs, p)

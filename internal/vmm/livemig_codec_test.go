@@ -212,6 +212,13 @@ func TestChunkSenderDeltaRounds(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
+			if round == 2 {
+				// A page the target holds non-zero goes back to zeros; the
+				// later rounds' random windows may write it again.
+				if err := srcMem.Write(0, make([]byte, PageSize)); err != nil {
+					t.Fatal(err)
+				}
+			}
 			dirty = srcMem.CollectDirty()
 		}
 		snd.send(srcMem, dirty, 16, &logical, &wire, telemetry.Context{})

@@ -3,33 +3,40 @@ package vmm
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
 	"repro/internal/attest"
 	"repro/internal/core"
 	"repro/internal/enclave"
+	"repro/internal/telemetry"
 	"repro/internal/testapps"
 )
 
 // counterWorkload keeps a worker busy incrementing the enclave counter in
 // batches, tolerating the disruptions a migration causes.
-func counterWorkload(rt *enclave.Runtime, worker int, stop <-chan struct{}) {
-	for {
-		select {
-		case <-stop:
-			return
-		default:
-		}
-		_, err := rt.ECall(worker, testapps.CounterRun, 2000)
-		switch {
-		case err == nil:
-		case errors.Is(err, enclave.ErrDestroyed):
-			return
-		case errors.Is(err, enclave.ErrWorkerBusy):
-			time.Sleep(100 * time.Microsecond)
-		default:
-			return
+var counterWorkload = counterLoop(2000)
+
+// counterLoop is counterWorkload with the given number of steps per ecall.
+func counterLoop(steps uint64) WorkloadFunc {
+	return func(rt *enclave.Runtime, worker int, stop <-chan struct{}) {
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			_, err := rt.ECall(worker, testapps.CounterRun, steps)
+			switch {
+			case err == nil:
+			case errors.Is(err, enclave.ErrDestroyed):
+				return
+			case errors.Is(err, enclave.ErrWorkerBusy):
+				time.Sleep(100 * time.Microsecond)
+			default:
+				return
+			}
 		}
 	}
 }
@@ -201,4 +208,108 @@ func TestLiveMigrateVMWithoutEnclaves(t *testing.T) {
 	if err := tvm.Shutdown(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestStopWaitsForResumedCalls is the regression test for the resumed-call
+// race: a restore resumes the calls that were in flight on the source, and
+// until they complete they own their worker threads and TCSs. StopAll must
+// not return before they have, or the very next ECall fails "worker thread
+// already executing an ecall" and a Shutdown "TCS is active on another
+// logical processor" / "SECS still has child pages". Long calls keep the
+// resumed ones in flight well past the migration's end.
+func TestStopWaitsForResumedCalls(t *testing.T) {
+	_, owner, src, dst := newCloud(t)
+	deployCounter(t, owner, src, dst)
+	vm, err := src.CreateVM(VMConfig{Name: "vm-resumed", MemPages: 1024, VCPUs: 4, EPCQuota: 2048})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		if _, err := vm.OS.LaunchEnclaveProcess(fmt.Sprintf("enc-%d", i), "counter", owner, counterLoop(40000)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	time.Sleep(2 * time.Millisecond)
+	tvm, _, err := LiveMigrate(vm, dst, &LiveMigrationConfig{BandwidthBps: 1e9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tvm.OS.StopAll()
+	for _, p := range tvm.OS.Processes() {
+		for w := 0; w < p.RT.App().Workers; w++ {
+			if _, err := p.RT.ECall(w, testapps.CounterGet); err != nil {
+				t.Fatalf("%s worker %d right after StopAll: %v", p.Name, w, err)
+			}
+		}
+	}
+	if err := tvm.Shutdown(); err != nil {
+		t.Fatalf("Shutdown right after StopAll: %v", err)
+	}
+}
+
+// TestLiveMigrateLinkBound pins the simulated link's cost: a migration
+// whose time is the link's (incompressible memory, no enclaves) cannot
+// finish sooner than its wire bytes take at the configured rate, less the
+// shaped pipe's credit — the link clock must not silently become free.
+func TestLiveMigrateLinkBound(t *testing.T) {
+	// core's unexported linkCredit: how far a shaped pipe may run ahead of
+	// its nominal rate.
+	const linkCredit = time.Millisecond
+	const bps = 250e6
+	_, _, src, dst := newCloud(t)
+	vm, err := src.CreateVM(VMConfig{Name: "vm-link", MemPages: 2048})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fill := make([]byte, vm.Mem.Bytes())
+	rand.New(rand.NewSource(12)).Read(fill)
+	if err := vm.Mem.Write(0, fill); err != nil {
+		t.Fatal(err)
+	}
+	tvm, stats, err := LiveMigrate(vm, dst, &LiveMigrationConfig{BandwidthBps: bps})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.WireBytes < vm.Mem.Bytes() {
+		t.Fatalf("random memory of %d bytes crossed in %d wire bytes", vm.Mem.Bytes(), stats.WireBytes)
+	}
+	if min := time.Duration(float64(stats.WireBytes)/bps*1e9) - linkCredit; stats.TotalTime < min {
+		t.Fatalf("%d wire bytes at %.0f B/s took %v, nominal minus credit is %v", stats.WireBytes, bps, stats.TotalTime, min)
+	}
+	if err := tvm.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// BenchmarkChunkSenderBulk runs a bulk round through the whole page
+// stream — capture, encode, shaped 250 MB/s link, apply — for a 2048-page
+// guest whose upper half is random and lower half zero, and reports the
+// round's time against what the link needs for its wire bytes (1.0 =
+// link-bound).
+func BenchmarkChunkSenderBulk(b *testing.B) {
+	const pages = 2048
+	const bps = 250e6
+	srcMem := NewGuestMemory(pages)
+	fill := make([]byte, pages/2*PageSize)
+	rand.New(rand.NewSource(13)).Read(fill)
+	if err := srcMem.Write(pages/2*PageSize, fill); err != nil {
+		b.Fatal(err)
+	}
+	all := make([]int, pages)
+	for i := range all {
+		all[i] = i
+	}
+	cfg := &LiveMigrationConfig{BandwidthBps: bps}
+	var logical, wire int64
+	b.ReportAllocs()
+	b.SetBytes(pages * PageSize)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		snd := newChunkSender(NewGuestMemory(pages), cfg, nil)
+		snd.send(srcMem, all, cfg.chunkPages(), &logical, &wire, telemetry.Context{})
+		if err := snd.drain(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed())/(float64(wire)/bps*1e9), "x-link")
 }
