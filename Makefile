@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: check build fmt vet lint lint-budget lint-fixtures test race bench bench-layers fuzz-smoke
+.PHONY: check build fmt vet lint lint-budget lint-fixtures test bench-build race bench bench-layers fuzz-smoke
 
-check: build fmt vet lint test race
+check: build fmt vet lint test bench-build race
 
 build:
 	$(GO) build ./...
@@ -37,6 +37,13 @@ lint-fixtures:
 
 test:
 	$(GO) test ./...
+
+# benchmark/ is a Go module of its own (replace repro => ../), so none of
+# the ./... targets above compile it: a change that deletes exported API can
+# break the performance spine and still be green. Vet and test it against
+# this tree; GOPROXY=off because the replace directive is all it needs.
+bench-build:
+	cd benchmark && GOPROXY=off $(GO) vet ./... && GOPROXY=off $(GO) test ./...
 
 # Short coverage-guided runs of the native fuzz targets over the
 # untrusted-input parsers (traceparent headers, MsgImage blobs, page

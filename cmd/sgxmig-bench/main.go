@@ -7,7 +7,7 @@
 // Usage:
 //
 //	sgxmig-bench                     # run everything (takes a few minutes)
-//	sgxmig-bench -fig 9a             # one experiment: 9a 9b 9c 9d 10 11 a1 a2 a3 a4 a5 a6
+//	sgxmig-bench -fig 9a             # one experiment: 9a 9b 9c 9d 10 11 a1 a2 a3 a4 a6
 //	sgxmig-bench -quick              # smaller sweeps
 //	sgxmig-bench -trace out.json     # also write a Chrome trace (see docs/TELEMETRY.md)
 //	sgxmig-bench -prom out.prom      # also write the run's metrics as Prometheus text
@@ -27,7 +27,7 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "all", "experiment to run: 9a 9b 9c 9d 10 11 a1 a2 a3 a4 a5 a6 all")
+	fig := flag.String("fig", "all", "experiment to run: 9a 9b 9c 9d 10 11 a1 a2 a3 a4 a6 all")
 	quick := flag.Bool("quick", false, "smaller parameter sweeps")
 	tracePath := flag.String("trace", "", "write a Chrome trace-event JSON of the run to this file (open in chrome://tracing or ui.perfetto.dev)")
 	promPath := flag.String("prom", "", "write the run's metrics registry as Prometheus text exposition to this file")
@@ -71,9 +71,9 @@ func main() {
 		"9a": fig9a, "9b": fig9b, "9c": fig9c, "9d": fig9d,
 		"10": fig10, "11": fig11,
 		"a1": ablation1, "a2": ablation2, "a3": ablation3, "a4": ablation4,
-		"a5": ablation5, "a6": ablation6,
+		"a6": ablation6,
 	}
-	order := []string{"9a", "9b", "9c", "9d", "10", "11", "a1", "a2", "a3", "a4", "a5", "a6"}
+	order := []string{"9a", "9b", "9c", "9d", "10", "11", "a1", "a2", "a3", "a4", "a6"}
 
 	which := strings.ToLower(*fig)
 	if which == "all" {
@@ -296,32 +296,6 @@ func ablation4(quick bool) error {
 	fmt.Printf("  speedup: total %.2fx, downtime %.2fx\n",
 		float64(row.Serial.TotalTime)/float64(row.Pipelined.TotalTime),
 		float64(row.Serial.Downtime)/float64(row.Pipelined.Downtime))
-	return nil
-}
-
-func ablation5(quick bool) error {
-	header("Ablation A5 — bulk page codec: gob vs binary framing vs framed XOR-delta pages",
-		"same VM, load and link; the logical volume is constant, so the wire column isolates codec overhead and delta savings")
-	enclaves, memPages := 16, 8192
-	if quick {
-		enclaves, memPages = 8, 4096
-	}
-	rows, err := bench.AblationCodec(enclaves, memPages, 250e6)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("  %d enclaves, %d guest pages\n", enclaves, memPages)
-	fmt.Printf("  %-14s %12s %12s %10s %10s %12s %12s\n",
-		"codec", "logical", "wire", "raw", "delta", "saved", "total")
-	for _, r := range rows {
-		fmt.Printf("  %-14s %12d %12d %10d %10d %12d %12v\n",
-			r.Codec, r.TransferredBytes, r.WireBytes, r.RawFrames, r.DeltaFrames,
-			r.DeltaSavedBytes, r.TotalTime.Round(time.Millisecond))
-	}
-	gob, delta := rows[0], rows[len(rows)-1]
-	fmt.Printf("  wire reduction vs gob: %.2fx (%.1f%% fewer bytes)\n",
-		float64(gob.WireBytes)/float64(delta.WireBytes),
-		100*(1-float64(delta.WireBytes)/float64(gob.WireBytes)))
 	return nil
 }
 

@@ -41,71 +41,146 @@ func TwoPhaseDumpWithoutQuiescence(src *enclave.Runtime) error {
 	return err
 }
 
-// Tamperer wraps a transport and flips bits in messages of the chosen kind.
+// Tamperer wraps a transport and flips one bit in the payload of messages
+// of the chosen kind. A payload that rides the wire as FrameBlob segments
+// behind its announcing message (core's bulk path, the checkpoint) is
+// tampered there: BitFlip counts across the segments.
 type Tamperer struct {
 	core.Transport
 	Kind    core.MsgKind
-	BitFlip int // byte index to corrupt (negative = last byte)
+	BitFlip int // payload byte to corrupt (negative = last byte)
+
+	// FrameFlips counts the FrameBlob segments altered so far: proof that
+	// the payload crossed this wrapper as frames and was tampered there.
+	FrameFlips int
+
+	segments uint32 // segments of the announced payload still to come
+	off      int    // payload bytes of it already forwarded
 }
 
-// Send corrupts matching messages in flight.
+// flipped returns a copy of b with byte idx corrupted.
+func flipped(b []byte, idx int) []byte {
+	b = append([]byte(nil), b...)
+	b[idx] ^= 0x40
+	return b
+}
+
+// Send corrupts matching messages in flight and arms SendFrame for the
+// segments a matching message announces.
 func (t *Tamperer) Send(m core.Message) error {
-	if m.Kind == t.Kind && len(m.Blob) > 0 {
-		blob := append([]byte(nil), m.Blob...)
-		idx := t.BitFlip
-		if idx < 0 || idx >= len(blob) {
-			idx = len(blob) - 1
+	if m.Kind == t.Kind {
+		t.segments, t.off = m.Frames, 0
+		if idx := t.take(len(m.Blob), true); idx >= 0 {
+			m.Blob = flipped(m.Blob, idx)
 		}
-		blob[idx] ^= 0x40
-		m.Blob = blob
 	}
 	return t.Transport.Send(m)
 }
 
+// take consumes the next n payload bytes (last: the payload ends with them)
+// and returns BitFlip's index among them, negative when it falls elsewhere.
+func (t *Tamperer) take(n int, last bool) int {
+	idx := t.BitFlip - t.off
+	if t.BitFlip < 0 && last {
+		idx = n - 1
+	}
+	t.off += n
+	if idx >= n {
+		return -1
+	}
+	return idx
+}
+
+// SendFrame corrupts the segment holding payload byte BitFlip.
+func (t *Tamperer) SendFrame(f *core.PageFrame) error {
+	if t.segments > 0 && f.Kind == core.FrameBlob {
+		t.segments--
+		if idx := t.take(len(f.Data), t.segments == 0); idx >= 0 {
+			// A copy: the caller's buffer is the source's own checkpoint.
+			bad := &core.PageFrame{Kind: core.FrameBlob, Data: flipped(f.Data, idx)}
+			f.Release()
+			f = bad
+			t.FrameFlips++
+		}
+	}
+	return t.Transport.SendFrame(f)
+}
+
+// Packet is one captured unit of the wire: a control message, or a bulk
+// frame when Frame is non-nil.
+type Packet struct {
+	Msg   core.Message
+	Frame *core.PageFrame
+}
+
 // Recorder wraps a transport and keeps a copy of everything that crossed it
-// in both directions (attach one to each side to get a full wire capture).
+// in both directions, messages and frames in wire order (attach one to each
+// side to get a full wire capture).
 type Recorder struct {
 	core.Transport
 
-	mu   sync.Mutex
-	Sent []core.Message
-	Rcvd []core.Message
+	mu     sync.Mutex
+	Sent   []Packet
+	Rcvd   []Packet
+	Frames int // bulk frames among them
+}
+
+func (r *Recorder) record(dir *[]Packet, p Packet) {
+	r.mu.Lock()
+	*dir = append(*dir, p)
+	if p.Frame != nil {
+		r.Frames++
+	}
+	r.mu.Unlock()
 }
 
 // Send records and forwards.
 func (r *Recorder) Send(m core.Message) error {
-	r.mu.Lock()
-	r.Sent = append(r.Sent, cloneMsg(m))
-	r.mu.Unlock()
+	r.record(&r.Sent, Packet{Msg: cloneMsg(m)})
 	return r.Transport.Send(m)
+}
+
+// SendFrame records and forwards. The copy is taken first: the transport
+// owns the frame from here on.
+func (r *Recorder) SendFrame(f *core.PageFrame) error {
+	r.record(&r.Sent, Packet{Frame: cloneFrame(f)})
+	return r.Transport.SendFrame(f)
 }
 
 // Recv records and forwards.
 func (r *Recorder) Recv() (core.Message, error) {
 	m, err := r.Transport.Recv()
 	if err == nil {
-		r.mu.Lock()
-		r.Rcvd = append(r.Rcvd, cloneMsg(m))
-		r.mu.Unlock()
+		r.record(&r.Rcvd, Packet{Msg: cloneMsg(m)})
 	}
 	return m, err
 }
 
-// Capture returns every recorded message.
-func (r *Recorder) Capture() []core.Message {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]core.Message, 0, len(r.Sent)+len(r.Rcvd))
-	out = append(out, r.Sent...)
-	out = append(out, r.Rcvd...)
-	return out
+// RecvFrame records and forwards.
+func (r *Recorder) RecvFrame() (*core.PageFrame, error) {
+	f, err := r.Transport.RecvFrame()
+	if err == nil {
+		r.record(&r.Rcvd, Packet{Frame: cloneFrame(f)})
+	}
+	return f, err
 }
 
-// ContainsPlaintext reports whether the needle occurs in any captured
-// message — the passive snooper's test for P-1.
+// ContainsPlaintext reports whether the needle occurs in what crossed the
+// wire — the passive snooper's test for P-1. Each direction is searched as
+// one byte stream (message blobs and frame payloads in wire order), so a
+// secret straddling two checkpoint segments is found too.
 func (r *Recorder) ContainsPlaintext(needle []byte) bool {
-	for _, m := range r.Capture() {
-		if bytes.Contains(m.Blob, needle) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, dir := range [][]Packet{r.Sent, r.Rcvd} {
+		var stream []byte
+		for _, p := range dir {
+			stream = append(stream, p.Msg.Blob...)
+			if p.Frame != nil {
+				stream = append(stream, p.Frame.Data...)
+			}
+		}
+		if bytes.Contains(stream, needle) {
 			return true
 		}
 	}
@@ -113,35 +188,69 @@ func (r *Recorder) ContainsPlaintext(needle []byte) bool {
 }
 
 func cloneMsg(m core.Message) core.Message {
-	return core.Message{Kind: m.Kind, Name: m.Name, Blob: append([]byte(nil), m.Blob...)}
+	m.Blob = append([]byte(nil), m.Blob...)
+	return m
 }
 
-// Replayer replays a previously captured message stream to a new victim
-// (rollback / replay attack): it answers every Recv with the next captured
-// message of the expected direction.
+// cloneFrame deep-copies f; the copy owns no pooled buffer, so Release on
+// it is a no-op.
+func cloneFrame(f *core.PageFrame) *core.PageFrame {
+	return &core.PageFrame{
+		Kind:  f.Kind,
+		Pages: append([]int(nil), f.Pages...),
+		Sizes: append([]int(nil), f.Sizes...),
+		Data:  append([]byte(nil), f.Data...),
+	}
+}
+
+// Replayer replays a previously captured stream to a new victim (rollback /
+// replay attack): it answers every Recv and RecvFrame with the next
+// captured packet, which must be of the kind asked for — the wire is one
+// ordered stream.
 type Replayer struct {
 	mu     sync.Mutex
-	script []core.Message
+	script []Packet
 }
 
-// NewReplayer builds a replayer from the messages the original source sent.
-func NewReplayer(script []core.Message) *Replayer {
+// NewReplayer builds a replayer from what the original source sent.
+func NewReplayer(script []Packet) *Replayer {
 	return &Replayer{script: script}
+}
+
+// next pops the next scripted packet.
+func (r *Replayer) next(frame bool) (Packet, error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if len(r.script) == 0 {
+		return Packet{}, core.ErrTransportClosed
+	}
+	p := r.script[0]
+	if (p.Frame != nil) != frame {
+		return Packet{}, fmt.Errorf("attack: replay out of step: frame=%v next, frame=%v asked", p.Frame != nil, frame)
+	}
+	r.script = r.script[1:]
+	return p, nil
 }
 
 // Send discards the victim's messages (the attacker doesn't need them).
 func (r *Replayer) Send(core.Message) error { return nil }
 
+// SendFrame discards the victim's frames.
+func (r *Replayer) SendFrame(f *core.PageFrame) error {
+	f.Release()
+	return nil
+}
+
 // Recv feeds the next scripted message.
 func (r *Replayer) Recv() (core.Message, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if len(r.script) == 0 {
-		return core.Message{}, core.ErrTransportClosed
-	}
-	m := r.script[0]
-	r.script = r.script[1:]
-	return m, nil
+	p, err := r.next(false)
+	return p.Msg, err
+}
+
+// RecvFrame feeds the next scripted frame.
+func (r *Replayer) RecvFrame() (*core.PageFrame, error) {
+	p, err := r.next(true)
+	return p.Frame, err
 }
 
 // Close implements core.Transport.

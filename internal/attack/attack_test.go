@@ -3,6 +3,7 @@ package attack
 import (
 	"bytes"
 	"errors"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/enclave"
 	"repro/internal/sim"
 	"repro/internal/testapps"
+	"repro/internal/workload"
 )
 
 func launchBank(t *testing.T, w *sim.World) (*core.Deployment, *enclave.Runtime) {
@@ -124,27 +126,14 @@ func TestTwoPhaseMigrationPreservesInvariant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dep, rt := launchBank(t, w)
+	_, rt := launchBank(t, w)
 	done := startTransfers(rt, rounds)
 	time.Sleep(time.Millisecond)
 
 	t1, t2 := core.NewPipe()
-	var inc *core.Incoming
-	var inErr error
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		reg := core.NewRegistry()
-		reg.Add(dep)
-		inc, inErr = core.MigrateIn(w.Hosts[1], reg, t2, w.Opts())
-	}()
-	if _, err := core.MigrateOut(rt, t1, w.Opts()); err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
-	if inErr != nil {
-		t.Fatal(inErr)
+	inc, outErr, inErr := migrateOver(w, rt, t1, t2)
+	if outErr != nil || inErr != nil {
+		t.Fatalf("migration: out %v, in %v", outErr, inErr)
 	}
 	<-done // source caller sees ErrDestroyed
 
@@ -245,80 +234,187 @@ func TestForkAttackSingleChannel(t *testing.T) {
 	}
 }
 
+// wires are the transports the adversary tests run over: the in-process
+// pipe and a loopback TCP connection, the two production carries.
+var wires = []struct {
+	name string
+	pair func(t *testing.T) (core.Transport, core.Transport)
+}{
+	{"pipe", func(*testing.T) (core.Transport, core.Transport) { return core.NewPipe() }},
+	{"tcp", tcpPair},
+}
+
+func tcpPair(t *testing.T) (core.Transport, core.Transport) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		c, _ := ln.Accept()
+		accepted <- c
+	}()
+	cli, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := <-accepted
+	if srv == nil {
+		t.Fatal("accept failed")
+	}
+	t1, t2 := core.NewConnTransport(cli), core.NewConnTransport(srv)
+	t.Cleanup(func() { _ = t1.Close(); _ = t2.Close() })
+	return t1, t2
+}
+
+// migrateOver runs MigrateOut over src against a MigrateIn on host 1 over
+// dst and returns both outcomes.
+func migrateOver(w *sim.World, rt *enclave.Runtime, src, dst core.Transport) (inc *core.Incoming, outErr, inErr error) {
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		inc, inErr = core.MigrateIn(w.Hosts[1], w.Registry, dst, w.Opts())
+	}()
+	_, outErr = core.MigrateOut(rt, src, w.Opts())
+	wg.Wait()
+	return inc, outErr, inErr
+}
+
 // TestReplayAttackBlocked: a full wire capture of a successful migration is
 // useless against a fresh enclave instance — the new instance's DH/nonce
 // differ, so the recorded channel signature and sealed key never verify
 // (P-4: "Resending all the network packets to a target enclave cannot
-// launch a replay attack successfully").
+// launch a replay attack successfully"). The capture holds the checkpoint
+// as the frames production sends, replayed in wire order.
 func TestReplayAttackBlocked(t *testing.T) {
-	w, err := sim.NewWorld(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dep := w.Deploy(testapps.CounterApp(1))
-	src, err := w.Launch(dep, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := core.NewRegistry()
-	reg.Add(dep)
+	for _, wire := range wires {
+		t.Run(wire.name, func(t *testing.T) {
+			w, err := sim.NewWorld(3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dep := w.Deploy(testapps.CounterApp(1))
+			src, err := w.Launch(dep, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t1, t2 := wire.pair(t)
+			rec := &Recorder{Transport: t1}
+			if _, outErr, inErr := migrateOver(w, src, rec, t2); outErr != nil || inErr != nil {
+				t.Fatalf("clean migration: out %v, in %v", outErr, inErr)
+			}
+			if rec.Frames == 0 {
+				t.Fatal("the capture holds no frame: the checkpoint did not cross the recorder")
+			}
 
-	t1, t2 := core.NewPipe()
-	rec := &Recorder{Transport: t1}
-	var wg sync.WaitGroup
-	var inErr error
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		_, inErr = core.MigrateIn(w.Hosts[1], reg, t2, w.Opts())
-	}()
-	if _, err := core.MigrateOut(src, rec, w.Opts()); err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
-	if inErr != nil {
-		t.Fatal(inErr)
-	}
-
-	// Replay the captured source->target stream at a fresh victim.
-	replayer := NewReplayer(rec.Sent)
-	_, err = core.MigrateIn(w.Hosts[2], reg, replayer, w.Opts())
-	if err == nil {
-		t.Fatal("replayed migration was accepted — fork/rollback possible")
+			// Replay the captured source->target stream at a fresh victim.
+			free := freeFramesWarm(t, w, dep, 2)
+			replayer := NewReplayer(rec.Sent)
+			_, err = core.MigrateIn(w.Hosts[2], w.Registry, replayer, w.Opts())
+			if err == nil {
+				t.Fatal("replayed migration was accepted — fork/rollback possible")
+			}
+			// The victim got as far as the replayed channel response: the
+			// checkpoint frames replayed in step and the refusal is the
+			// enclave's, not a desynchronised script.
+			var ee *enclave.EnclaveError
+			if !errors.As(err, &ee) {
+				t.Fatalf("replay refused by %v, want an in-enclave refusal", err)
+			}
+			waitFreeFrames(t, w.Hosts[2], free)
+		})
 	}
 }
 
-// TestTamperedCheckpointRejected: integrity (P-2) — one flipped bit in the
-// checkpoint makes the in-enclave restore fail.
-func TestTamperedCheckpointRejected(t *testing.T) {
-	w, err := sim.NewWorld(2)
+// freeFramesWarm returns host's free-frame baseline, taken after a
+// throwaway enclave made the EPC manager's one-time pool allocations.
+func freeFramesWarm(t *testing.T, w *sim.World, dep *core.Deployment, host int) int {
+	t.Helper()
+	warm, err := w.Launch(dep, host)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dep := w.Deploy(testapps.CounterApp(1))
-	src, err := w.Launch(dep, 0)
-	if err != nil {
+	if err := warm.Destroy(); err != nil {
 		t.Fatal(err)
 	}
-	reg := core.NewRegistry()
-	reg.Add(dep)
+	return w.Hosts[host].Mgr.FreeFrames()
+}
 
-	t1, t2 := core.NewPipe()
-	tam := &Tamperer{Transport: t1, Kind: core.MsgCheckpoint, BitFlip: 4096}
-	var wg sync.WaitGroup
-	var inErr error
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		_, inErr = core.MigrateIn(w.Hosts[1], reg, t2, w.Opts())
-	}()
-	_, outErr := core.MigrateOut(src, tam, w.Opts())
-	wg.Wait()
-	if inErr == nil {
-		t.Fatal("target accepted a tampered checkpoint")
+// waitFreeFrames waits until host's EPC is back at want free frames.
+func waitFreeFrames(t *testing.T, host *enclave.Host, want int) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); host.Mgr.FreeFrames() != want; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("target EPC leak: %d free frames, want %d", host.Mgr.FreeFrames(), want)
+		}
 	}
-	if outErr == nil {
-		t.Fatal("source believed a migration whose target rejected the checkpoint")
+}
+
+// TestTamperedCheckpointRejected: integrity (P-2) — one flipped bit
+// anywhere in the checkpoint, which crosses the wire as FrameBlob segments,
+// fails the migration on both sides and leaves no copy on the target. A
+// flip the target's untrusted host can see (the plaintext header) stops the
+// migration before the key release and the source resumes; one only the
+// enclave can see (ciphertext, tag) is caught after the source has
+// self-destroyed — the instance is lost rather than forked (Sec. V-B).
+func TestTamperedCheckpointRejected(t *testing.T) {
+	small := func() *enclave.App { return testapps.CounterApp(1) }
+	// A checkpoint of at least three 256 KiB segments.
+	big := func() *enclave.App { return workload.KVApp(768<<10, 1) }
+	for _, tc := range []struct {
+		name       string
+		app        func() *enclave.App
+		flip       int
+		segments   int // the checkpoint must cross in at least this many
+		srcResumes bool
+	}{
+		{"header", small, 8, 1, true},
+		{"body", small, 4096, 1, false},
+		{"last segment", big, -1, 3, false},
+		{"second segment", big, 256<<10 + 17, 3, false},
+	} {
+		for _, wire := range wires {
+			t.Run(tc.name+"/"+wire.name, func(t *testing.T) {
+				w, err := sim.NewWorld(2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				dep := w.Deploy(tc.app())
+				free := freeFramesWarm(t, w, dep, 1)
+				src, err := w.Launch(dep, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+
+				t1, t2 := wire.pair(t)
+				rec := &Recorder{Transport: t1}
+				tam := &Tamperer{Transport: rec, Kind: core.MsgCheckpoint, BitFlip: tc.flip}
+				_, outErr, inErr := migrateOver(w, src, tam, t2)
+				if inErr == nil {
+					t.Fatal("target accepted a tampered checkpoint")
+				}
+				if outErr == nil {
+					t.Fatal("source believed a migration whose target rejected the checkpoint")
+				}
+				if tam.FrameFlips != 1 {
+					t.Fatalf("tamperer altered %d FrameBlob segments, want 1: the checkpoint no longer crosses it as frames", tam.FrameFlips)
+				}
+				if rec.Frames < tc.segments {
+					t.Fatalf("checkpoint crossed in %d segments, want >= %d", rec.Frames, tc.segments)
+				}
+				waitFreeFrames(t, w.Hosts[1], free)
+				_, err = src.ECall(0, 0)
+				if tc.srcResumes && err != nil {
+					t.Fatalf("source did not resume after a refusal before the key release: %v", err)
+				}
+				if !tc.srcResumes && !errors.Is(err, enclave.ErrDestroyed) {
+					t.Fatalf("source after a refusal past the key release: %v, want ErrDestroyed", err)
+				}
+			})
+		}
 	}
 }
 
@@ -396,58 +492,81 @@ func TestCSSAForgeryRefused(t *testing.T) {
 // TestSnoopSeesNoSecrets: a passive observer of the wire and of untrusted
 // shared memory never sees enclave state in plaintext (P-1).
 func TestSnoopSeesNoSecrets(t *testing.T) {
-	w, err := sim.NewWorld(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dep := w.Deploy(testapps.CounterApp(1))
-	src, err := w.Launch(dep, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Plant a recognisable secret in enclave memory via the counter: the
-	// counter value itself is the secret pattern.
-	const secret = 0x53454352_45543432 // "SECRET42"
-	if _, err := src.ECall(0, testapps.CounterAdd, secret); err != nil {
-		t.Fatal(err)
-	}
-	needle := []byte{0x42, 0x54, 0x45, 0x52, 0x43, 0x45, 0x53} // LE bytes of the value
+	for _, wire := range wires {
+		t.Run(wire.name, func(t *testing.T) {
+			w, err := sim.NewWorld(2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dep := w.Deploy(testapps.CounterApp(1))
+			src, err := w.Launch(dep, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Plant a recognisable secret in enclave memory via the counter:
+			// the counter value itself is the secret pattern.
+			const secret = 0x53454352_45543432 // "SECRET42"
+			if _, err := src.ECall(0, testapps.CounterAdd, secret); err != nil {
+				t.Fatal(err)
+			}
+			needle := []byte{0x42, 0x54, 0x45, 0x52, 0x43, 0x45, 0x53} // LE bytes of the value
 
-	reg := core.NewRegistry()
-	reg.Add(dep)
+			t1, t2 := wire.pair(t)
+			rec := &Recorder{Transport: t1}
+			inc, outErr, inErr := migrateOver(w, src, rec, t2)
+			if outErr != nil || inErr != nil {
+				t.Fatalf("migration: out %v, in %v", outErr, inErr)
+			}
+			if rec.Frames == 0 {
+				t.Fatal("the snooper saw no frame: the checkpoint did not cross the recorder")
+			}
+			if rec.ContainsPlaintext(needle) {
+				t.Fatal("secret enclave state appeared in plaintext on the wire")
+			}
+			// The state did move (ciphertext was the real thing).
+			res, err := inc.Runtime.ECall(0, testapps.CounterGet)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res[0] != secret {
+				t.Fatalf("migrated counter = %x, want %x", res[0], secret)
+			}
+			// And the shared (untrusted) regions never held it either.
+			for _, sh := range []interface{ Load(uint64, []byte) error }{src.Shared(), inc.Runtime.Shared()} {
+				buf := make([]byte, 256*1024)
+				if err := sh.Load(0, buf); err == nil && bytes.Contains(buf, needle) {
+					t.Fatal("secret appeared in untrusted shared memory")
+				}
+			}
+		})
+	}
+}
+
+// TestRecorderFindsPlaintextAcrossSegments: the snooper's own instrument —
+// a needle split over two frames of the capture is still found, and one
+// that never crossed is not.
+func TestRecorderFindsPlaintextAcrossSegments(t *testing.T) {
 	t1, t2 := core.NewPipe()
 	rec := &Recorder{Transport: t1}
-	var wg sync.WaitGroup
-	var inErr error
-	var inc *core.Incoming
-	wg.Add(1)
 	go func() {
-		defer wg.Done()
-		inc, inErr = core.MigrateIn(w.Hosts[1], reg, t2, w.Opts())
-	}()
-	if _, err := core.MigrateOut(src, rec, w.Opts()); err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
-	if inErr != nil {
-		t.Fatal(inErr)
-	}
-	if rec.ContainsPlaintext(needle) {
-		t.Fatal("secret enclave state appeared in plaintext on the wire")
-	}
-	// The state did move (ciphertext was the real thing).
-	res, err := inc.Runtime.ECall(0, testapps.CounterGet)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res[0] != secret {
-		t.Fatalf("migrated counter = %x, want %x", res[0], secret)
-	}
-	// And the shared (untrusted) regions never held it either.
-	for _, sh := range []interface{ Load(uint64, []byte) error }{src.Shared(), inc.Runtime.Shared()} {
-		buf := make([]byte, 256*1024)
-		if err := sh.Load(0, buf); err == nil && bytes.Contains(buf, needle) {
-			t.Fatal("secret appeared in untrusted shared memory")
+		for {
+			f, err := t2.RecvFrame()
+			if err != nil {
+				return
+			}
+			f.Release()
 		}
+	}()
+	for _, seg := range []string{"....SEC", "RET42...."} {
+		if err := rec.SendFrame(&core.PageFrame{Kind: core.FrameBlob, Data: []byte(seg)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_ = t1.Close()
+	if !rec.ContainsPlaintext([]byte("SECRET42")) {
+		t.Fatal("needle straddling two frames not found")
+	}
+	if rec.ContainsPlaintext([]byte("SECRET43")) {
+		t.Fatal("found a needle that never crossed")
 	}
 }

@@ -421,11 +421,11 @@ func AblationPipeline(enclaves, memPages int, bandwidthBps float64) (PipelineRow
 	}
 	row := PipelineRow{Enclaves: enclaves, MemPages: memPages}
 	for attempt := 0; ; attempt++ {
-		ser, err := pipelineMigrate(enclaves, memPages, bandwidthBps, true, vmm.CodecFramedDelta)
+		ser, err := pipelineMigrate(enclaves, memPages, bandwidthBps, true)
 		if err != nil {
 			return row, err
 		}
-		pip, err := pipelineMigrate(enclaves, memPages, bandwidthBps, false, vmm.CodecFramedDelta)
+		pip, err := pipelineMigrate(enclaves, memPages, bandwidthBps, false)
 		if err != nil {
 			return row, err
 		}
@@ -438,7 +438,7 @@ func AblationPipeline(enclaves, memPages int, bandwidthBps float64) (PipelineRow
 
 // pipelineMigrate builds a two-node world, populates a VM and live-migrates
 // it under either schedule, returning the stats.
-func pipelineMigrate(enclaves, memPages int, bandwidthBps float64, serial bool, codec vmm.PageCodec) (*vmm.LiveMigrationStats, error) {
+func pipelineMigrate(enclaves, memPages int, bandwidthBps float64, serial bool) (*vmm.LiveMigrationStats, error) {
 	runtime.GC()
 	service, err := attest.NewService()
 	if err != nil {
@@ -479,7 +479,6 @@ func pipelineMigrate(enclaves, memPages int, bandwidthBps float64, serial bool, 
 		BandwidthBps:       bandwidthBps,
 		SerialDump:         serial,
 		SerialChannelSetup: serial,
-		PageCodec:          codec,
 		Tracer:             tr,
 		Metrics:            met,
 	})
@@ -488,54 +487,6 @@ func pipelineMigrate(enclaves, memPages int, bandwidthBps float64, serial bool, 
 	}
 	_ = tvm.Shutdown()
 	return stats, nil
-}
-
-// CodecRow is one page codec's migration of the same VM and enclave load.
-type CodecRow struct {
-	Codec            string
-	TransferredBytes int64 // logical: pages × PageSize plus control traffic
-	WireBytes        int64 // actually encoded onto the migration stream
-	RawFrames        int64
-	DeltaFrames      int64
-	DeltaSavedBytes  int64
-	TotalTime        time.Duration
-	Downtime         time.Duration
-}
-
-// AblationCodec (A5) compares the bulk page codecs — gob (the reflection
-// baseline), binary framing, and framing with XOR+RLE delta pages — on the
-// same migration: identical VM size, enclave count, link bandwidth, and
-// pre-copy schedule. The interesting column is bytes on the wire: the
-// logical transfer volume is the same by construction, so any gap is pure
-// codec overhead (gob) or savings (delta).
-func AblationCodec(enclaves, memPages int, bandwidthBps float64) ([]CodecRow, error) {
-	if enclaves <= 0 {
-		enclaves = 16
-	}
-	if memPages <= 0 {
-		memPages = 8192
-	}
-	if bandwidthBps <= 0 {
-		bandwidthBps = 250e6
-	}
-	var rows []CodecRow
-	for _, codec := range []vmm.PageCodec{vmm.CodecGob, vmm.CodecFramed, vmm.CodecFramedDelta} {
-		stats, err := pipelineMigrate(enclaves, memPages, bandwidthBps, false, codec)
-		if err != nil {
-			return nil, fmt.Errorf("codec %s: %w", codec, err)
-		}
-		rows = append(rows, CodecRow{
-			Codec:            codec.String(),
-			TransferredBytes: stats.TransferredBytes,
-			WireBytes:        stats.WireBytes,
-			RawFrames:        stats.RawFrames,
-			DeltaFrames:      stats.DeltaFrames,
-			DeltaSavedBytes:  stats.DeltaSavedBytes,
-			TotalTime:        stats.TotalTime,
-			Downtime:         stats.Downtime,
-		})
-	}
-	return rows, nil
 }
 
 // DrainRow is one point of the A6 sweep: emptying a loaded host through

@@ -77,51 +77,6 @@ func TestAblationPipelineSmoke(t *testing.T) {
 		row.Pipelined.TotalTime, row.Pipelined.Downtime, row.Pipelined.DumpPrecopyOverlap)
 }
 
-// TestAblationCodecSmoke runs the A5 codec comparison at a small scale and
-// checks the ordering the codecs exist to produce: binary framing beats
-// gob's reflection overhead on the wire, and delta pages beat plain
-// framing (every first-time page deltas against the zero baseline, so the
-// win is structural, not workload luck).
-func TestAblationCodecSmoke(t *testing.T) {
-	rows, err := AblationCodec(2, 1024, 1e9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 3 {
-		t.Fatalf("got %d rows, want 3", len(rows))
-	}
-	gob, framed, delta := rows[0], rows[1], rows[2]
-	for _, r := range rows {
-		if r.WireBytes <= 0 || r.TransferredBytes <= 0 {
-			t.Fatalf("row %s missing byte accounting: %+v", r.Codec, r)
-		}
-	}
-	// Each codec migrates its own run, so the dirty-set sizes (and with
-	// them the absolute byte totals) differ by scheduler noise. The
-	// wire/logical overhead ratio is per-chunk-deterministic and ranks the
-	// codecs regardless: gob's reflection framing > binary framing > delta.
-	ratio := func(r CodecRow) float64 { return float64(r.WireBytes) / float64(r.TransferredBytes) }
-	if ratio(gob) <= ratio(framed) {
-		t.Fatalf("gob overhead %.6f not above framed %.6f", ratio(gob), ratio(framed))
-	}
-	if ratio(framed) <= ratio(delta) || ratio(delta) >= 1 {
-		t.Fatalf("delta overhead %.6f not below framed %.6f and 1", ratio(delta), ratio(framed))
-	}
-	// The delta savings dwarf the noise, so the headline claim holds in
-	// absolute bytes too.
-	if delta.WireBytes >= gob.WireBytes {
-		t.Fatalf("delta codec (%d wire bytes) not below gob baseline (%d)", delta.WireBytes, gob.WireBytes)
-	}
-	if delta.DeltaFrames == 0 || delta.DeltaSavedBytes <= 0 {
-		t.Fatalf("delta codec sent no deltas: %+v", delta)
-	}
-	if gob.DeltaFrames != 0 || framed.DeltaFrames != 0 {
-		t.Fatal("non-delta codecs reported delta frames")
-	}
-	t.Logf("wire bytes: gob=%d framed=%d framed+delta=%d (saved %d)",
-		gob.WireBytes, framed.WireBytes, delta.WireBytes, delta.DeltaSavedBytes)
-}
-
 func TestAblationDrainSmoke(t *testing.T) {
 	rows, err := AblationDrain(6, []int{1, 4})
 	if err != nil {

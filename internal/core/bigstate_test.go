@@ -127,7 +127,7 @@ func TestRecvBulkBoundedByLayout(t *testing.T) {
 	run := func(announce uint32) (error, uint64) {
 		t1, t2 := NewPipe()
 		go func() {
-			_ = t1.Send(Message{Kind: MsgImage, Name: app.Name, Blob: imageBlob(app.Name, dep.Sig.Measurement, app.Workers+1)})
+			_ = t1.Send(Message{Kind: MsgImage, Blob: imageBlob(app.Name, dep.Sig.Measurement, app.Workers+1)})
 			_ = t1.Send(Message{Kind: MsgCheckpoint, Frames: announce})
 		}()
 		// A receiver that believes the announcement waits for frames that
@@ -159,9 +159,9 @@ func TestRecvBulkBoundedByLayout(t *testing.T) {
 	// at the announced size instead of growing the buffer.
 	t1, t2 := NewPipe()
 	go func() {
-		_ = t1.Send(Message{Kind: MsgImage, Name: app.Name, Blob: imageBlob(app.Name, dep.Sig.Measurement, app.Workers+1)})
+		_ = t1.Send(Message{Kind: MsgImage, Blob: imageBlob(app.Name, dep.Sig.Measurement, app.Workers+1)})
 		_ = t1.Send(Message{Kind: MsgCheckpoint, Frames: 1})
-		_ = t1.(FrameTransport).SendFrame(&PageFrame{Kind: FrameBlob, Data: make([]byte, bulkSegment+1)})
+		_ = t1.SendFrame(&PageFrame{Kind: FrameBlob, Data: make([]byte, bulkSegment+1)})
 	}()
 	if _, err := MigrateIn(w.hostB, reg, t2, w.opts()); !errors.Is(err, ErrProtocol) {
 		t.Fatalf("frame larger than announced: %v, want ErrProtocol", err)

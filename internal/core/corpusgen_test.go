@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"encoding/binary"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -20,17 +19,7 @@ func TestRegenFuzzCorpus(t *testing.T) {
 		t.Skip("set REGEN_FUZZ_CORPUS=1 to rewrite testdata/fuzz/")
 	}
 
-	var frames [][]byte
-	for _, pf := range testFrames() {
-		frames = append(frames, AppendFrame(nil, pf))
-	}
-	enc := AppendFrame(nil, testFrames()[0])
-	frames = append(frames,
-		enc[:len(enc)-3], // truncated body
-		binary.LittleEndian.AppendUint32(nil, 1<<31),              // hostile length
-		append(binary.LittleEndian.AppendUint32(nil, 2), 0x99, 0), // unknown kind
-	)
-	writeCorpus(t, "FuzzFrameDecode", frames)
+	writeCorpus(t, "FuzzFrameDecode", frameSeeds())
 
 	var mr [32]byte
 	copy(mr[:], bytes.Repeat([]byte{0xab}, 32))

@@ -13,11 +13,11 @@ var ErrInjectedFault = errors.New("core: injected transport fault")
 // sweep FailAt over 1..Ops() of a clean run, and assert that each truncated
 // run leaks neither enclaves nor goroutines.
 //
-// Operations (Send and Recv alike) are counted on this half only. When the
-// counter reaches failAt, that operation returns ErrInjectedFault; with
-// closeOnFail the underlying transport is closed first, so the peer's
-// blocking Recv/Send unblocks with ErrTransportClosed instead of hanging —
-// the behaviour of a torn TCP connection.
+// Operations (messages and frames, Send and Recv alike) are counted on this
+// half only. When the counter reaches failAt, that operation returns
+// ErrInjectedFault; with closeOnFail the underlying transport is closed
+// first, so the peer's blocking Recv/Send unblocks with ErrTransportClosed
+// instead of hanging — the behaviour of a torn TCP connection.
 type FaultyTransport struct {
 	inner       Transport
 	closeOnFail bool
@@ -68,32 +68,22 @@ func (f *FaultyTransport) Recv() (Message, error) {
 	return f.inner.Recv()
 }
 
-// SendFrame implements FrameTransport when the wrapped transport does;
-// frame sends count as operations like any other. On a non-frame inner
-// transport it fails cleanly, which senders treat like a torn link.
+// SendFrame implements Transport; frame sends count as operations like any
+// other.
 func (f *FaultyTransport) SendFrame(pf *PageFrame) error {
 	if f.trip() {
 		pf.Release()
 		return ErrInjectedFault
 	}
-	ft, ok := f.inner.(FrameTransport)
-	if !ok {
-		pf.Release()
-		return errors.New("core: inner transport does not frame")
-	}
-	return ft.SendFrame(pf)
+	return f.inner.SendFrame(pf)
 }
 
-// RecvFrame implements FrameTransport when the wrapped transport does.
+// RecvFrame implements Transport.
 func (f *FaultyTransport) RecvFrame() (*PageFrame, error) {
 	if f.trip() {
 		return nil, ErrInjectedFault
 	}
-	ft, ok := f.inner.(FrameTransport)
-	if !ok {
-		return nil, errors.New("core: inner transport does not frame")
-	}
-	return ft.RecvFrame()
+	return f.inner.RecvFrame()
 }
 
 // Close implements Transport.

@@ -249,7 +249,7 @@ func TestMigrateInFailureFreesEPC(t *testing.T) {
 	t1, t2 := NewPipe()
 	go func() {
 		mr := src.Measurement()
-		_ = t1.Send(Message{Kind: MsgImage, Name: app.Name, Blob: imageBlob(app.Name, mr, src.Layout().Threads)})
+		_ = t1.Send(Message{Kind: MsgImage, Blob: imageBlob(app.Name, mr, src.Layout().Threads)})
 		_ = t1.Send(Message{Kind: MsgCheckpoint, Blob: blob})
 		_, _ = t1.Recv() // the target's hello
 		_ = t1.Close()

@@ -389,7 +389,7 @@ func migrateOutChannel(src *enclave.Runtime, blob []byte, t Transport, opts *Opt
 	// round-trips) went.
 	mr := src.Measurement()
 	wireSp := sp.Child("core.wire", telemetry.Int("checkpoint_bytes", len(blob)))
-	err = t.Send(Message{Kind: MsgImage, Name: src.App().Name, Blob: imageBlob(src.App().Name, mr, src.Layout().Threads)})
+	err = t.Send(Message{Kind: MsgImage, Blob: imageBlob(src.App().Name, mr, src.Layout().Threads)})
 	if err == nil {
 		err = sendBulk(t, Message{Kind: MsgCheckpoint, Blob: blob})
 	}
@@ -553,15 +553,10 @@ func sourceChannel(src *enclave.Runtime, service *attest.Service, hello []byte) 
 // bulkSegment is the FrameBlob segment size for announced bulk payloads.
 const bulkSegment = 256 << 10
 
-// sendBulk ships m over t. On a FrameTransport a non-empty payload leaves
-// Blob and follows the (now small, gob-encoded) control message as
-// Message.Frames binary FrameBlob segments — the gob-for-control /
-// binary-for-bulk split. On plain transports it rides inline as before.
+// sendBulk ships m over t with its payload outside the gob stream: Blob
+// follows the small control message as Message.Frames binary FrameBlob
+// segments — the gob-for-control / binary-for-bulk split.
 func sendBulk(t Transport, m Message) error {
-	ft, ok := t.(FrameTransport)
-	if !ok || len(m.Blob) == 0 {
-		return t.Send(m)
-	}
 	blob := m.Blob
 	m.Blob = nil
 	m.Frames = uint32((len(blob) + bulkSegment - 1) / bulkSegment)
@@ -569,11 +564,8 @@ func sendBulk(t Transport, m Message) error {
 		return err
 	}
 	for off := 0; off < len(blob); off += bulkSegment {
-		end := off + bulkSegment
-		if end > len(blob) {
-			end = len(blob)
-		}
-		if err := ft.SendFrame(&PageFrame{Kind: FrameBlob, Data: blob[off:end]}); err != nil {
+		end := min(off+bulkSegment, len(blob))
+		if err := t.SendFrame(&PageFrame{Kind: FrameBlob, Data: blob[off:end]}); err != nil {
 			return err
 		}
 	}
@@ -591,16 +583,12 @@ func recvBulk(t Transport, want MsgKind, maxBytes int) (Message, error) {
 	if err != nil || m.Frames == 0 {
 		return m, err
 	}
-	ft, ok := t.(FrameTransport)
-	if !ok {
-		return Message{}, fmt.Errorf("%w: message %d announces %d bulk frames on a non-frame transport", ErrProtocol, m.Kind, m.Frames)
-	}
 	if maxFrames := (maxBytes + bulkSegment - 1) / bulkSegment; int64(m.Frames) > int64(maxFrames) {
 		return Message{}, fmt.Errorf("%w: message %d announces %d bulk frames, at most %d fit the %d bytes allowed", ErrProtocol, m.Kind, m.Frames, maxFrames, maxBytes)
 	}
 	blob := make([]byte, 0, int(m.Frames)*bulkSegment)
 	for i := uint32(0); i < m.Frames; i++ {
-		f, err := ft.RecvFrame()
+		f, err := t.RecvFrame()
 		if err != nil {
 			return Message{}, err
 		}

@@ -32,38 +32,33 @@ const (
 //
 // Frames, when nonzero, announces that the message's bulk payload follows
 // as that many binary FrameBlob frames instead of riding inline in Blob —
-// the gob-for-control / binary-for-bulk split. Senders set it only on
-// transports implementing FrameTransport.
+// the gob-for-control / binary-for-bulk split (sendBulk/recvBulk).
 type Message struct {
 	Kind   MsgKind
-	Name   string
 	Blob   []byte
 	Frames uint32
 }
 
-// Transport carries protocol messages between the source and target
-// migration managers. Implementations: in-process pipes (NewPipe), TCP
-// (NewConnTransport/NewConnStream), and the bandwidth-shaped transports
-// used by the VM migration engine.
-type Transport interface {
-	Send(Message) error
-	Recv() (Message, error)
-	Close() error
-}
-
-// FrameTransport is a Transport that additionally speaks the binary bulk
-// codec (wirecodec.go). Control messages stay gob; page chunks and large
-// blobs ride length-prefixed frames on the same ordered stream.
+// Transport carries the migration protocol between the source and target
+// migration managers: control messages and the binary bulk frames of
+// wirecodec.go on one ordered stream. Implementations: in-process pipes
+// (NewPipe, NewShapedPipe) and TCP (NewConnTransport/NewConnStream).
 //
 // SendFrame takes ownership of the frame: the implementation releases its
 // pooled buffer and the caller must not touch the frame (or anything
 // aliasing its Data) afterwards. RecvFrame returns a frame the caller
 // must Release.
-type FrameTransport interface {
-	Transport
+type Transport interface {
+	Send(Message) error
+	Recv() (Message, error)
 	SendFrame(*PageFrame) error
 	RecvFrame() (*PageFrame, error)
+	Close() error
 }
+
+// The old name of Transport, from when only some transports carried
+// frames; kept because the frozen benchmark/probes.go spells it.
+type FrameTransport = Transport
 
 // ErrTransportClosed is returned after Close.
 var ErrTransportClosed = errors.New("core: transport closed")
@@ -110,7 +105,7 @@ func NewPipe() (Transport, Transport) {
 // NewShapedPipe creates an in-process transport pair with a simulated
 // one-way latency and bandwidth (bytes/second; 0 = infinite). It lets the
 // Fig. 10 experiments reproduce network-bound shapes on any host. Both
-// halves implement FrameTransport and ByteCounter.
+// halves implement ByteCounter.
 func NewShapedPipe(latency time.Duration, bytesPerSecond float64) (Transport, Transport) {
 	ab := make(chan pipeItem, 16)
 	ba := make(chan pipeItem, 16)
@@ -187,7 +182,7 @@ func (p *pipe) Send(m Message) error {
 	}
 }
 
-// SendFrame implements FrameTransport. The frame is encoded with the real
+// SendFrame implements Transport. The frame is encoded with the real
 // binary codec, so shaping and byte accounting see exact wire sizes.
 func (p *pipe) SendFrame(f *PageFrame) error {
 	buf := GetBuf(encodedFrameSize(f))[:0]
@@ -221,7 +216,7 @@ func (p *pipe) Recv() (Message, error) {
 	}
 }
 
-// RecvFrame implements FrameTransport.
+// RecvFrame implements Transport.
 func (p *pipe) RecvFrame() (*PageFrame, error) {
 	select {
 	case it := <-p.in:
@@ -284,7 +279,7 @@ type connTransport struct {
 	wmu  sync.Mutex // serializes enc and frame writes
 }
 
-// NewConnStream wraps a network connection as a FrameTransport and
+// NewConnStream wraps a network connection as a Transport and
 // returns the gob encoder/decoder pair that shares its stream. Callers
 // with their own handshake traffic (the sgxhost hostproto.Command +
 // MachineKey exchange, the trailing TraceShipment) must use this pair:
@@ -325,7 +320,7 @@ func (c *connTransport) Send(m Message) error {
 	return nil
 }
 
-// SendFrame implements FrameTransport.
+// SendFrame implements Transport.
 func (c *connTransport) SendFrame(f *PageFrame) error {
 	c.wmu.Lock()
 	err := WriteFrame(c.cw, f)
@@ -349,7 +344,7 @@ func (c *connTransport) Recv() (Message, error) {
 	return m, nil
 }
 
-// RecvFrame implements FrameTransport.
+// RecvFrame implements Transport.
 func (c *connTransport) RecvFrame() (*PageFrame, error) {
 	f, err := ReadFrame(c.br)
 	if err != nil {

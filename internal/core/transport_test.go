@@ -14,15 +14,15 @@ import (
 // every message kind survives an encode/decode cycle.
 func TestMessageRoundTrip(t *testing.T) {
 	msgs := []Message{
-		{Kind: MsgImage, Name: "counter", Blob: []byte{0x01, 0x02, 0x03}},
+		{Kind: MsgImage, Blob: []byte{0x01, 0x02, 0x03}},
 		{Kind: MsgHello, Blob: []byte("quote||dhpub||nonce")},
 		{Kind: MsgChannel, Blob: bytes.Repeat([]byte{0xA5}, 4096)},
 		{Kind: MsgChannelOK},
-		{Kind: MsgCheckpoint, Name: "counter", Blob: make([]byte, 1<<16)},
-		{Kind: MsgCheckpoint, Name: "counter", Frames: 3},
+		{Kind: MsgCheckpoint, Blob: make([]byte, 1<<16)},
+		{Kind: MsgCheckpoint, Frames: 3},
 		{Kind: MsgKey, Blob: []byte{}},
 		{Kind: MsgDone},
-		{Kind: MsgAbort, Name: "cancelled"},
+		{Kind: MsgAbort, Blob: []byte("cancelled")},
 	}
 	for _, in := range msgs {
 		var buf bytes.Buffer
@@ -33,7 +33,7 @@ func TestMessageRoundTrip(t *testing.T) {
 		if err := gob.NewDecoder(&buf).Decode(&out); err != nil {
 			t.Fatalf("decode kind %d: %v", in.Kind, err)
 		}
-		if out.Kind != in.Kind || out.Name != in.Name || !bytes.Equal(out.Blob, in.Blob) || out.Frames != in.Frames {
+		if out.Kind != in.Kind || !bytes.Equal(out.Blob, in.Blob) || out.Frames != in.Frames {
 			t.Errorf("round trip changed message: %+v != %+v", out, in)
 		}
 	}
@@ -43,7 +43,7 @@ func TestMessageRoundTrip(t *testing.T) {
 // the decoder instead of silently yielding a zero message.
 func TestMessageTruncatedFrame(t *testing.T) {
 	var buf bytes.Buffer
-	in := Message{Kind: MsgCheckpoint, Name: "app", Blob: bytes.Repeat([]byte{1}, 1024)}
+	in := Message{Kind: MsgCheckpoint, Blob: bytes.Repeat([]byte{1}, 1024)}
 	if err := gob.NewEncoder(&buf).Encode(in); err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestPipeCloseDuringShapedSend(t *testing.T) {
 	}
 }
 
-func drainFrames(ft FrameTransport) {
+func drainFrames(ft Transport) {
 	for {
 		f, err := ft.RecvFrame()
 		if err != nil {
@@ -96,7 +96,7 @@ func drainFrames(ft FrameTransport) {
 	}
 }
 
-func sendBlobFrames(t testing.TB, ft FrameTransport, sizes []int) {
+func sendBlobFrames(t testing.TB, ft Transport, sizes []int) {
 	t.Helper()
 	for _, n := range sizes {
 		if err := ft.SendFrame(&PageFrame{Kind: FrameBlob, Data: make([]byte, n)}); err != nil {
@@ -126,12 +126,12 @@ func TestShapedPipeNeverFasterThanNominal(t *testing.T) {
 	const bps = 64e6
 	src, dst := NewShapedPipe(0, bps)
 	defer src.Close()
-	go drainFrames(dst.(FrameTransport))
+	go drainFrames(dst)
 	for _, gap := range []time.Duration{0, 20 * linkCredit} {
 		time.Sleep(gap)
 		before := src.(ByteCounter).BytesSent()
 		start := time.Now()
-		sendBlobFrames(t, src.(FrameTransport), mixedSizes())
+		sendBlobFrames(t, src, mixedSizes())
 		took := time.Since(start)
 		sent := src.(ByteCounter).BytesSent() - before
 		if min := nominal(sent, bps) - linkCredit; took < min {
@@ -222,11 +222,11 @@ func BenchmarkShapedPipeFrames(b *testing.B) {
 	}
 	src, dst := NewShapedPipe(0, bps)
 	defer src.Close()
-	go drainFrames(dst.(FrameTransport))
+	go drainFrames(dst)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sendBlobFrames(b, src.(FrameTransport), sizes)
+		sendBlobFrames(b, src, sizes)
 	}
 	b.StopTimer()
 	sent := src.(ByteCounter).BytesSent()
@@ -259,15 +259,14 @@ func TestConnTransportByteAccounting(t *testing.T) {
 	}
 	ts := NewConnTransport(conn)
 	for _, m := range []Message{
-		{Kind: MsgImage, Name: "counter", Blob: []byte("img")},
+		{Kind: MsgImage, Blob: []byte("img")},
 		{Kind: MsgCheckpoint, Blob: make([]byte, 4096)},
 	} {
 		if err := ts.Send(m); err != nil {
 			t.Fatal(err)
 		}
 	}
-	ft := ts.(FrameTransport)
-	if err := ft.SendFrame(&PageFrame{Kind: FrameBlob, Data: make([]byte, 1024)}); err != nil {
+	if err := ts.SendFrame(&PageFrame{Kind: FrameBlob, Data: make([]byte, 1024)}); err != nil {
 		t.Fatal(err)
 	}
 	sent := ts.(ByteCounter).BytesSent()
@@ -278,11 +277,11 @@ func TestConnTransportByteAccounting(t *testing.T) {
 	}
 }
 
-// TestFrameGobInterleaveTCP drives gob control messages and binary frames
-// alternately over one TCP stream in both framings of the migration
-// protocol: the shared bufio reader must hand each decoder exactly its own
-// bytes.
-func TestFrameGobInterleaveTCP(t *testing.T) {
+// TestGobFrameInterleaveTCP drives gob control messages and binary frames
+// of every kind alternately over one TCP stream — the hostproto envelope
+// shares it with the frames the same way: the shared bufio reader must hand
+// each decoder exactly its own bytes.
+func TestGobFrameInterleaveTCP(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -307,15 +306,15 @@ func TestFrameGobInterleaveTCP(t *testing.T) {
 		t.Fatal("accept failed")
 	}
 	defer srvConn.Close()
-	cli := NewConnTransport(cliConn).(FrameTransport)
-	srv := NewConnTransport(srvConn).(FrameTransport)
+	cli := NewConnTransport(cliConn)
+	srv := NewConnTransport(srvConn)
 
 	want := testFrames()
 	go func() {
 		cli.Send(Message{Kind: MsgHello, Blob: []byte("hi")})
 		for _, f := range want {
 			cli.SendFrame(&PageFrame{Kind: f.Kind, Pages: f.Pages, Sizes: f.Sizes, Data: f.Data})
-			cli.Send(Message{Kind: MsgDone, Name: f.Kind.String()})
+			cli.Send(Message{Kind: MsgDone, Blob: []byte(f.Kind.String())})
 		}
 	}()
 	if m, err := srv.Recv(); err != nil || m.Kind != MsgHello {
@@ -329,27 +328,26 @@ func TestFrameGobInterleaveTCP(t *testing.T) {
 		frameEq(t, f, got)
 		got.Release()
 		m, err := srv.Recv()
-		if err != nil || m.Kind != MsgDone || m.Name != f.Kind.String() {
+		if err != nil || m.Kind != MsgDone || string(m.Blob) != f.Kind.String() {
 			t.Fatalf("Recv after %v frame = %+v, %v", f.Kind, m, err)
 		}
 	}
 }
 
-// msgOnlyTransport hides a pipe's frame methods, standing in for a
-// transport that cannot frame (sendBulk must fall back to inline blobs).
-type msgOnlyTransport struct{ Transport }
-
 // TestSendRecvBulk round-trips a large checkpoint blob through the bulk
-// framing on a frame-capable pipe, and inline through a message-only one.
+// framing: one small announcing message, then the payload as FrameBlob
+// segments — also through a wrapper, which sees every one of them.
 func TestSendRecvBulk(t *testing.T) {
 	blob := make([]byte, 3*bulkSegment/2+17)
 	for i := range blob {
 		blob[i] = byte(i)
 	}
-	run := func(t *testing.T, src, dst Transport) {
+	t.Run("framed", func(t *testing.T) {
+		a, dst := NewPipe()
+		src := NewFaultyTransport(a, 0, false) // op counter
 		errc := make(chan error, 1)
 		go func() {
-			errc <- sendBulk(src, Message{Kind: MsgCheckpoint, Name: "app", Blob: blob})
+			errc <- sendBulk(src, Message{Kind: MsgCheckpoint, Blob: blob})
 		}()
 		m, err := recvBulk(dst, MsgCheckpoint, len(blob))
 		if err != nil {
@@ -358,19 +356,14 @@ func TestSendRecvBulk(t *testing.T) {
 		if serr := <-errc; serr != nil {
 			t.Fatal(serr)
 		}
-		if m.Name != "app" || !bytes.Equal(m.Blob, blob) {
-			t.Fatalf("bulk round trip corrupted: name %q, %d bytes", m.Name, len(m.Blob))
+		if !bytes.Equal(m.Blob, blob) {
+			t.Fatalf("bulk round trip corrupted: %d bytes", len(m.Blob))
 		}
 		if m.Frames != 0 {
 			t.Fatalf("reassembled message still announces %d frames", m.Frames)
 		}
-	}
-	t.Run("framed", func(t *testing.T) {
-		src, dst := NewPipe()
-		run(t, src, dst)
-	})
-	t.Run("inline", func(t *testing.T) {
-		src, dst := NewPipe()
-		run(t, msgOnlyTransport{src}, msgOnlyTransport{dst})
+		if want := 1 + 2; src.Ops() != want {
+			t.Fatalf("payload of %d bytes crossed the wrapper in %d operations, want %d (message + 2 segments)", len(blob), src.Ops(), want)
+		}
 	})
 }

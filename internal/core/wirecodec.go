@@ -37,14 +37,14 @@ const PageSize = 4096
 // FrameKind labels bulk wire frames.
 type FrameKind uint8
 
-// Bulk frame kinds.
+// Bulk frame kinds. The values are the wire encoding, so they are spelled
+// out: 3 and 6 belonged to two retired kinds (a gob-encoded page chunk and
+// DEFLATE-compressed raw pages) and decode as unknown.
 const (
-	FrameRaw   FrameKind = iota + 1 // full pages: npages × PageSize bytes
-	FrameDelta                      // XOR+RLE deltas vs the previous round's content
-	FrameGob                        // gob-encoded page chunk (A5 baseline codec)
-	FrameBlob                       // opaque bulk segment (checkpoint, device state)
-	FrameEnd                        // stream terminator, no payload
-	FrameRawZ                       // DEFLATE-compressed full pages (optional, residual raw pages only)
+	FrameRaw   FrameKind = 1 // full pages: npages × PageSize bytes
+	FrameDelta FrameKind = 2 // XOR+RLE deltas vs the previous round's content
+	FrameBlob  FrameKind = 4 // opaque bulk segment (checkpoint, device state)
+	FrameEnd   FrameKind = 5 // stream terminator, no payload
 )
 
 func (k FrameKind) String() string {
@@ -53,14 +53,10 @@ func (k FrameKind) String() string {
 		return "raw"
 	case FrameDelta:
 		return "delta"
-	case FrameGob:
-		return "gob"
 	case FrameBlob:
 		return "blob"
 	case FrameEnd:
 		return "end"
-	case FrameRawZ:
-		return "rawz"
 	default:
 		return fmt.Sprintf("FrameKind(%d)", uint8(k))
 	}
@@ -89,7 +85,6 @@ var ErrFrameTruncated = errors.New("core: truncated frame")
 //
 //	inside Data (deltas are concatenated in page order).
 //
-// FrameGob:   Data is a gob-encoded page chunk; Pages/Sizes are nil.
 // FrameBlob:  Data is an opaque segment; Pages/Sizes are nil.
 // FrameEnd:   everything empty.
 type PageFrame struct {
@@ -254,7 +249,7 @@ func decodeFrameBody(body []byte) (*PageFrame, error) {
 	}
 	f := &PageFrame{Kind: FrameKind(body[0])}
 	switch f.Kind {
-	case FrameRaw, FrameDelta, FrameGob, FrameBlob, FrameEnd, FrameRawZ:
+	case FrameRaw, FrameDelta, FrameBlob, FrameEnd:
 	default:
 		return nil, fmt.Errorf("core: unknown frame kind %d", body[0])
 	}
@@ -268,7 +263,7 @@ func decodeFrameBody(body []byte) (*PageFrame, error) {
 		return nil, fmt.Errorf("core: frame claims %d pages, cap is %d", npages, maxFramePages)
 	}
 	if npages > 0 {
-		if f.Kind != FrameRaw && f.Kind != FrameDelta && f.Kind != FrameRawZ {
+		if f.Kind != FrameRaw && f.Kind != FrameDelta {
 			return nil, fmt.Errorf("core: %s frame carries page numbers", f.Kind)
 		}
 		f.Pages = make([]int, npages)
@@ -320,19 +315,10 @@ func decodeFrameBody(body []byte) (*PageFrame, error) {
 		if len(rest) != total {
 			return nil, fmt.Errorf("core: delta frame has %d data bytes, sizes sum to %d", len(rest), total)
 		}
-	case FrameGob, FrameBlob:
+	case FrameBlob:
 	case FrameEnd:
 		if len(rest) != 0 {
 			return nil, errors.New("core: end frame carries payload")
-		}
-	case FrameRawZ:
-		// Senders only compress when it shrinks the payload, so a valid
-		// body is non-empty and strictly smaller than the raw pages.
-		if len(f.Pages) == 0 {
-			return nil, errors.New("core: rawz frame without pages")
-		}
-		if len(rest) == 0 || len(rest) >= len(f.Pages)*PageSize {
-			return nil, fmt.Errorf("core: rawz frame has %d data bytes for %d pages", len(rest), len(f.Pages))
 		}
 	}
 	f.Data = rest

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -16,11 +18,6 @@ func testFrames() []*PageFrame {
 	return []*PageFrame{
 		raw,
 		{Kind: FrameDelta, Pages: []int{0, 5, 6}, Sizes: []int{3, 0, 2}, Data: []byte{1, 2, 3, 9, 8}},
-		// The codec layer does not care whether a rawz body is a real
-		// DEFLATE stream, only that it is non-empty and smaller than the
-		// pages it claims to carry.
-		{Kind: FrameRawZ, Pages: []int{2, 9}, Data: []byte("compressed page bytes")},
-		{Kind: FrameGob, Data: []byte("gob-encoded chunk payload")},
 		{Kind: FrameBlob, Data: bytes.Repeat([]byte{0xAB}, 1024)},
 		{Kind: FrameEnd},
 	}
@@ -116,15 +113,17 @@ func TestDecodeFrameRejects(t *testing.T) {
 		{"empty body", body()},
 		{"end with payload", AppendFrame(nil, &PageFrame{Kind: FrameEnd, Data: []byte{1}})},
 		{"blob with pages", AppendFrame(nil, &PageFrame{Kind: FrameBlob, Pages: []int{1}, Data: make([]byte, PageSize)})},
-		{"gob with pages", AppendFrame(nil, &PageFrame{Kind: FrameGob, Pages: []int{1}, Data: make([]byte, PageSize)})},
+		// Kind 3, retired: refused as unknown whatever it carries.
+		{"gob with pages", AppendFrame(nil, &PageFrame{Kind: 3, Pages: []int{1}, Data: make([]byte, PageSize)})},
 		{"duplicate page", AppendFrame(nil, &PageFrame{Kind: FrameRaw, Pages: []int{5, 5}, Data: make([]byte, 2*PageSize)})},
 		{"descending pages", AppendFrame(nil, &PageFrame{Kind: FrameRaw, Pages: []int{5, 3}, Data: make([]byte, 2*PageSize)})},
 		{"raw size mismatch", AppendFrame(nil, &PageFrame{Kind: FrameRaw, Pages: []int{1}, Data: make([]byte, 10)})},
 		{"delta size over page", AppendFrame(nil, &PageFrame{Kind: FrameDelta, Pages: []int{1}, Sizes: []int{PageSize + 1}, Data: make([]byte, PageSize+1)})},
 		{"delta sizes sum mismatch", AppendFrame(nil, &PageFrame{Kind: FrameDelta, Pages: []int{1}, Sizes: []int{4}, Data: make([]byte, 7)})},
-		{"rawz without pages", AppendFrame(nil, &PageFrame{Kind: FrameRawZ, Data: []byte{1, 2, 3}})},
-		{"rawz empty body", AppendFrame(nil, &PageFrame{Kind: FrameRawZ, Pages: []int{1}})},
-		{"rawz body not smaller than pages", AppendFrame(nil, &PageFrame{Kind: FrameRawZ, Pages: []int{1}, Data: make([]byte, PageSize)})},
+		// Kind 6, retired likewise.
+		{"rawz without pages", AppendFrame(nil, &PageFrame{Kind: 6, Data: []byte{1, 2, 3}})},
+		{"rawz empty body", AppendFrame(nil, &PageFrame{Kind: 6, Pages: []int{1}})},
+		{"rawz body not smaller than pages", AppendFrame(nil, &PageFrame{Kind: 6, Pages: []int{1}, Data: make([]byte, PageSize)})},
 		{"oversized length prefix", binary.LittleEndian.AppendUint32(nil, maxFrameBody+1)},
 		{"too many pages", body(append([]byte{byte(FrameRaw)}, binary.AppendUvarint(nil, maxFramePages+1)...)...)},
 	}
@@ -135,6 +134,62 @@ func TestDecodeFrameRejects(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestRetiredFrameKindsRefused: wire values 3 (gob page chunk) and 6
+// (DEFLATE raw pages) belonged to kinds this codec no longer speaks. A
+// frame of either — what an old peer would send, bodies that used to be
+// valid — is refused as unknown before anything is sized from it: no page
+// list, no inflate buffer, on either decode path.
+func TestRetiredFrameKindsRefused(t *testing.T) {
+	body := func(b ...byte) []byte {
+		return append(binary.LittleEndian.AppendUint32(nil, uint32(len(b))), b...)
+	}
+	for _, tc := range []struct {
+		name string
+		enc  []byte
+	}{
+		{"gob chunk", AppendFrame(nil, &PageFrame{Kind: 3, Data: []byte("gob-encoded chunk payload")})},
+		{"rawz pages", AppendFrame(nil, &PageFrame{Kind: 6, Pages: []int{2, 9, 4000}, Data: []byte("compressed page bytes")})},
+		// Would cost a live kind a 64 Ki-entry page list before it ran dry.
+		{"rawz claiming the page cap", body(append([]byte{6}, binary.AppendUvarint(nil, maxFramePages)...)...)},
+	} {
+		if _, _, err := DecodeFrame(tc.enc); err == nil || !strings.Contains(err.Error(), "unknown frame kind") {
+			t.Fatalf("%s: DecodeFrame = %v, want unknown frame kind", tc.name, err)
+		}
+		if _, err := ReadFrame(bytes.NewReader(tc.enc)); err == nil || !strings.Contains(err.Error(), "unknown frame kind") {
+			t.Fatalf("%s: ReadFrame = %v, want unknown frame kind", tc.name, err)
+		}
+		// DecodeFrame aliases its input: refusing allocates the frame
+		// header it had started on and the error, nothing sized by the body.
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < 100; i++ {
+			_, _, _ = DecodeFrame(tc.enc)
+		}
+		runtime.ReadMemStats(&after)
+		if per := (after.TotalAlloc - before.TotalAlloc) / 100; per > 512 {
+			t.Fatalf("%s: refusing the frame allocated %d bytes", tc.name, per)
+		}
+	}
+}
+
+// frameSeeds are the FuzzFrameDecode seeds, in code and (corpusgen_test.go)
+// as the committed corpus: every kind, then malformed frames.
+func frameSeeds() [][]byte {
+	var seeds [][]byte
+	for _, pf := range testFrames() {
+		seeds = append(seeds, AppendFrame(nil, pf))
+	}
+	enc := seeds[0]
+	return append(seeds,
+		enc[:len(enc)-3], // truncated body
+		binary.LittleEndian.AppendUint32(nil, 1<<31),              // hostile length
+		append(binary.LittleEndian.AppendUint32(nil, 2), 0x99, 0), // unknown kind
+		// Page gaps of one, two and three uvarint bytes.
+		AppendFrame(nil, &PageFrame{Kind: FrameDelta, Pages: []int{0, 1, 301, 70000}, Sizes: []int{0, 1, 0, 2}, Data: []byte{7, 8, 9}}),
+		AppendFrame(nil, &PageFrame{Kind: FrameBlob, Pages: []int{1}, Data: []byte{1}}), // blob with pages
+	)
 }
 
 // TestWriteReadFrame streams frames through an io.Writer/Reader pair (the
@@ -636,13 +691,9 @@ func FuzzXORDelta(f *testing.F) {
 // must never panic, and whatever it accepts must survive a canonical
 // re-encode/decode round trip.
 func FuzzFrameDecode(f *testing.F) {
-	for _, pf := range testFrames() {
-		f.Add(AppendFrame(nil, pf))
+	for _, seed := range frameSeeds() {
+		f.Add(seed)
 	}
-	enc := AppendFrame(nil, testFrames()[0])
-	f.Add(enc[:len(enc)-3])                                          // truncated body
-	f.Add(binary.LittleEndian.AppendUint32(nil, 1<<31))              // hostile length
-	f.Add(append(binary.LittleEndian.AppendUint32(nil, 2), 0x99, 0)) // unknown kind
 	f.Fuzz(func(t *testing.T, b []byte) {
 		pf, n, err := DecodeFrame(b)
 		if err != nil {

@@ -20,9 +20,6 @@
 //   - lockorder: observed mutex nesting (plus call summaries) must form an
 //     acyclic acquisition order, and every "guarded by" annotation must
 //     name a real sibling mutex.
-//   - spanpair: every locally-owned telemetry span (Begin/Child/Fork) must
-//     be ended with a deferred End/Fail or an End/Fail before each return,
-//     so no migration span leaks open in the tracer.
 //   - immutable: fields annotated "// immutable after construction" may
 //     only be written by the declaring package's constructors (or composite
 //     literals), before the new value escapes the constructing frame.
@@ -108,11 +105,6 @@ type Config struct {
 	// type and calls both codec functions.
 	WireStructs []WireStruct
 
-	// SpanTypes ("importpath.TypeName") are telemetry span types whose
-	// Begin/Child/Fork results must be paired with End/Fail in the creating
-	// function unless the span escapes it (spanpair rule).
-	SpanTypes []string
-
 	// Resources are the acquire/release pairs the leakcheck rule enforces
 	// module-wide. An empty list disables the rule (fixture configs opt in
 	// explicitly).
@@ -179,6 +171,9 @@ func DefaultConfig(modPath string) *Config {
 		},
 		TaintSinks: []string{
 			"(" + modPath + "/internal/core.Transport).Send",
+			// Every bulk byte leaves as a frame; the *PageFrame argument
+			// taints through its Data.
+			"(" + modPath + "/internal/core.Transport).SendFrame",
 			"(*" + modPath + "/internal/sgx.Env).OutsideStore",
 			"(*" + modPath + "/internal/enclave.Call).OutsideStore",
 			"(" + modPath + "/internal/sgx.OutsideMemory).Store",
@@ -267,9 +262,6 @@ func DefaultConfig(modPath string) *Config {
 				Encode: modPath + "/internal/enclave.MarshalHeader",
 				Decode: modPath + "/internal/enclave.UnmarshalHeader",
 			},
-		},
-		SpanTypes: []string{
-			modPath + "/internal/telemetry.Span",
 		},
 		Resources: []Resource{
 			{
@@ -375,7 +367,6 @@ func Checkers(cfg *Config) []Checker {
 		&plainFlow{cfg: cfg},
 		&wireProto{cfg: cfg},
 		&lockOrder{},
-		&spanPair{cfg: cfg},
 		&immutable{},
 		&leakCheck{cfg: cfg},
 	}

@@ -91,10 +91,12 @@ func TestLockDisciplineFixture(t *testing.T) {
 // cases are the dynamic-dispatch contract: an analysis that bails on
 // indirect calls misses both findings (and a blanket "interface calls are
 // tainted" rule flags the all-sanitizing SealedIfaceOK) — neither can pass.
+// The frame.go cases are the bulk-path contract: plaintext leaving inside a
+// *Frame argument, invisible to a config that lists only the message send.
 func TestPlainFlowFixture(t *testing.T) {
 	got := runFixture(t, "taint", &Config{
 		TaintSources:    []string{"fxtaint/crypt.Decrypt"},
-		TaintSinks:      []string{"fxtaint/crypt.SendOut", "log.Printf"},
+		TaintSinks:      []string{"fxtaint/crypt.SendOut", "log.Printf", "(fxtaint/crypt.Wire).SendFrame"},
 		TaintSanitizers: []string{"fxtaint/crypt.Encrypt"},
 	})
 	want := []string{
@@ -103,6 +105,8 @@ func TestPlainFlowFixture(t *testing.T) {
 		"flow.go:26: plainflow",  // LeakLog: through log.Printf
 		"flow.go:36: plainflow",  // LeakWrapped: through the relay wrapper
 		"flow.go:47: plainflow",  // LeakReturned: summary-tainted result
+		"frame.go:12: plainflow", // LeakFrame: plaintext as a frame's Data
+		"frame.go:20: plainflow", // LeakFrameField: Data assigned after construction
 		"iface.go:31: plainflow", // LeakIfaceSource: source behind dispatch
 		"iface.go:48: plainflow", // LeakIfaceSink: sink behind dispatch
 	}
@@ -160,15 +164,27 @@ func TestWireProtoFixture(t *testing.T) {
 	}
 }
 
+// TestSpanPairFixture: leakcheck's span resource does the job of the
+// retired spanpair rule — the same four leaks on the same fixture, none of
+// the eight Good* functions (defer, all-paths, Fail, return/channel/
+// goroutine/field escapes), and the justified suppression honoured.
 func TestSpanPairFixture(t *testing.T) {
 	got := runFixture(t, "spans", &Config{
-		SpanTypes: []string{"fxspan/tel.Span"},
+		Resources: []Resource{{
+			Kind: "span",
+			Acquires: []string{
+				"(*fxspan/tel.Tracer).Begin",
+				"(*fxspan/tel.Span).Child",
+				"(*fxspan/tel.Span).Fork",
+			},
+			Releases: []string{"(*fxspan/tel.Span).End", "(*fxspan/tel.Span).Fail"},
+		}},
 	})
 	want := []string{
-		"app.go:71: spanpair", // BadNeverEnded forgets the span entirely
-		"app.go:78: spanpair", // BadEarlyReturn leaks on the error return
-		"app.go:90: spanpair", // BadChild ends root but not the child
-		"app.go:98: spanpair", // BadFork leaks the forked span
+		"app.go:71: leakcheck", // BadNeverEnded forgets the span entirely
+		"app.go:78: leakcheck", // BadEarlyReturn leaks on the error return
+		"app.go:90: leakcheck", // BadChild ends root but not the child
+		"app.go:98: leakcheck", // BadFork leaks the forked span
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("got %v, want %v", got, want)
@@ -253,6 +269,17 @@ func TestDefaultConfigTrusts(t *testing.T) {
 	for _, p := range []string{"repro", "repro/internal/core", "repro/internal/vmm", "repro/internal/sgxfake"} {
 		if cfg.trusted(p) {
 			t.Errorf("%s should not be trusted", p)
+		}
+	}
+}
+
+// TestDefaultConfigWatchesBothSends: every way out of core.Transport is a
+// plainflow sink. SendFrame was missing while all bulk data left through it.
+func TestDefaultConfigWatchesBothSends(t *testing.T) {
+	sinks := toSet(DefaultConfig("repro").TaintSinks)
+	for _, m := range []string{"Send", "SendFrame"} {
+		if id := "(repro/internal/core.Transport)." + m; !sinks[id] {
+			t.Errorf("%s is not a taint sink", id)
 		}
 	}
 }

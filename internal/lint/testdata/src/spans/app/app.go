@@ -1,4 +1,4 @@
-// Package app exercises the spanpair rule.
+// Package app exercises span pairing (leakcheck's span resource).
 package app
 
 import "fxspan/tel"
@@ -101,7 +101,7 @@ func BadFork(tr *tel.Tracer) {
 
 // SuppressedLeak shows a justified escape hatch for a known-open span.
 func SuppressedLeak(tr *tel.Tracer) {
-	//lint:ignore spanpair deliberately left open to probe the live exporter
+	//lint:ignore leakcheck deliberately left open to probe the live exporter
 	sp := tr.Begin("suppressed.leak")
 	sp.Annotate("k")
 }

@@ -1,6 +1,6 @@
 // Package tel is a miniature of the real telemetry API: just enough
 // surface (Begin/Child/Fork starters, End/Fail enders, benign reads) for
-// the spanpair rule to type-match against.
+// the span-pairing fixture to type-match against.
 package tel
 
 // Tracer hands out spans.

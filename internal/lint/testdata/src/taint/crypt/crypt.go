@@ -19,3 +19,15 @@ func Encrypt(plain []byte) []byte {
 
 // SendOut is the fixture untrusted sink.
 func SendOut(b []byte) { _ = b }
+
+// Frame is the fixture bulk frame: its Data leaves the boundary with it.
+type Frame struct {
+	Pages []int
+	Data  []byte
+}
+
+// Wire is the fixture transport. SendFrame is a sink in its own right: a
+// config that lists only a message-send method never sees bulk data go.
+type Wire interface {
+	SendFrame(f *Frame) error
+}

@@ -1,8 +1,6 @@
 package vmm
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"sync"
@@ -20,36 +18,6 @@ import (
 // to the target guest OS.
 type TransportFactory func(name string, src, dst core.Transport) (core.Transport, core.Transport)
 
-// PageCodec selects how LiveMigrate encodes guest pages onto the
-// migration link (ablation A5 compares the three).
-type PageCodec int
-
-const (
-	// CodecFramedDelta is the default: binary page frames, with pages that
-	// were already sent this migration encoded as XOR+RLE deltas against
-	// the previously sent content whenever the delta is smaller than the
-	// raw page. Pages never sent before are delta'd against the zero page,
-	// so even the bulk round compresses.
-	CodecFramedDelta PageCodec = iota
-	// CodecFramed uses binary raw-page frames only (no delta pass).
-	CodecFramed
-	// CodecGob gob-encodes each chunk and ships it inside a frame — the
-	// reflection-based baseline the binary codec replaces.
-	CodecGob
-)
-
-func (c PageCodec) String() string {
-	switch c {
-	case CodecFramedDelta:
-		return "framed+delta"
-	case CodecFramed:
-		return "framed"
-	case CodecGob:
-		return "gob"
-	}
-	return fmt.Sprintf("PageCodec(%d)", int(c))
-}
-
 // LiveMigrationConfig parameterises a live VM migration.
 type LiveMigrationConfig struct {
 	// BandwidthBps is the simulated migration-link bandwidth in bytes per
@@ -65,14 +33,6 @@ type LiveMigrationConfig struct {
 	// SendQueueChunks bounds the sender queue: at most this many chunks may
 	// be collected ahead of the (bandwidth-shaped) link (default 8).
 	SendQueueChunks int
-	// PageCodec selects the bulk page encoding (default CodecFramedDelta).
-	PageCodec PageCodec
-	// CompressRaw additionally DEFLATEs the residual raw-page frames the
-	// delta codec passes through (first-touch pages and pages whose delta
-	// would not shrink), trading sender CPU for wire bytes — worthwhile on
-	// shaped links, not on fast local ones. Frames that do not shrink are
-	// sent raw, so the knob never costs wire bytes.
-	CompressRaw bool
 	// SerialDump restores the paper's serial Fig. 8 schedule: the enclave
 	// dump completes before the iterative pre-copy rounds start. By default
 	// the dump overlaps pre-copy (the checkpoint pages land in guest memory
@@ -167,8 +127,8 @@ type LiveMigrationStats struct {
 	StopCopyBytes   int64
 	EnclaveCtlBytes int64
 	// Wire accounting: bytes the framed codec actually put on the link per
-	// phase, including frame headers. With CodecFramedDelta, WireBytes is
-	// below TransferredBytes; the gap is what delta encoding saved.
+	// phase, including frame headers. WireBytes is below TransferredBytes;
+	// the gap is what delta encoding saved.
 	WireBytes         int64
 	BulkWireBytes     int64
 	PreCopyWireBytes  int64
@@ -178,42 +138,6 @@ type LiveMigrationStats struct {
 	RawFrames       int64
 	DeltaFrames     int64
 	DeltaSavedBytes int64
-	// RawzFrames counts residual raw frames that went out DEFLATE-
-	// compressed (CompressRaw), and FlateSavedBytes the payload bytes the
-	// compression removed on top of the delta savings.
-	RawzFrames      int64
-	FlateSavedBytes int64
-}
-
-// link simulates the migration network link.
-type link struct {
-	mu    sync.Mutex
-	bps   float64
-	bytes int64 // guarded by mu
-}
-
-func (l *link) transfer(n int64) {
-	l.mu.Lock()
-	l.bytes += n
-	bps := l.bps
-	l.mu.Unlock()
-	if bps > 0 && n > 0 {
-		time.Sleep(time.Duration(float64(n) / bps * 1e9))
-	}
-}
-
-func (l *link) total() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.bytes
-}
-
-// gobChunk is the CodecGob payload: one captured chunk, gob-encoded inside
-// a FrameGob frame. It reproduces the reflection-based encoding the binary
-// codec replaced, as the A5 ablation baseline.
-type gobChunk struct {
-	Pages []int
-	Data  []byte
 }
 
 // sendItem is one frame queued for transmission, with the per-phase
@@ -228,7 +152,7 @@ type sendItem struct {
 
 // chunkSender is the transmit pipeline of the page stream: the collector
 // side captures and encodes chunks into frames and enqueues them, a sender
-// goroutine pushes the frames through a bandwidth-shaped core.FrameTransport,
+// goroutine pushes the frames through a bandwidth-shaped core.Transport,
 // and an applier goroutine on the "target" half of that pipe decodes and
 // installs them into target memory. Collection thus overlaps transmission,
 // and transmission overlaps application. FIFO order end to end guarantees
@@ -236,10 +160,9 @@ type sendItem struct {
 // target — and that the target-side page content always matches the delta
 // baseline the collector recorded in cache when it encoded the frame.
 type chunkSender struct {
-	ft    core.FrameTransport // source half of the shaped page stream
-	bc    core.ByteCounter    // = ft; wire bytes actually enqueued
-	codec PageCodec
-	cache core.DeltaCache // last-sent page content, collector-only
+	ft    core.Transport   // source half of the shaped page stream
+	bc    core.ByteCounter // = ft; wire bytes actually enqueued
+	cache core.DeltaCache  // last-sent page content, collector-only
 
 	ch      chan sendItem
 	wg      sync.WaitGroup // sender goroutine
@@ -250,14 +173,10 @@ type chunkSender struct {
 	applyErr error // written by the applier goroutine; read after <-applied
 	drainErr error // set inside drain's once
 
-	flate bool // DEFLATE residual raw frames (CompressRaw)
-
 	// Frame-mix accounting, collector-only until drain.
 	rawFrames   int64
 	deltaFrames int64
 	deltaSaved  int64
-	rawzFrames  int64
-	flateSaved  int64
 
 	// Instruments, nil when the migration runs without a metrics registry
 	// (their methods are nil-safe, but copyHist gates a time.Now pair so
@@ -270,17 +189,14 @@ type chunkSender struct {
 }
 
 func newChunkSender(dst *GuestMemory, cfg *LiveMigrationConfig, met *telemetry.Metrics) *chunkSender {
-	src, tgt := core.NewShapedPipe(0, cfg.bandwidth())
+	src, rt := core.NewShapedPipe(0, cfg.bandwidth())
 	s := &chunkSender{
-		ft:      src.(core.FrameTransport),
+		ft:      src,
 		bc:      src.(core.ByteCounter),
-		codec:   cfg.PageCodec,
-		flate:   cfg.CompressRaw,
 		cache:   make(core.DeltaCache),
 		ch:      make(chan sendItem, cfg.sendQueue()),
 		applied: make(chan struct{}),
 	}
-	rt := tgt.(core.FrameTransport)
 	if met != nil {
 		s.copyHist = met.Histogram("vmm.pagecopy.ns", pageCopyBounds)
 		s.qGauge = met.Gauge("vmm.sendq.chunks")
@@ -350,34 +266,11 @@ func applyFrame(dst *GuestMemory, f *core.PageFrame, pages *telemetry.Counter) e
 			return err
 		}
 		pages.Add(int64(len(f.Pages)))
-	case core.FrameGob:
-		var c gobChunk
-		if err := gob.NewDecoder(bytes.NewReader(f.Data)).Decode(&c); err != nil {
-			return fmt.Errorf("vmm: decode gob chunk: %w", err)
-		}
-		if len(c.Data) != len(c.Pages)*PageSize {
-			return fmt.Errorf("vmm: gob chunk size mismatch: %d pages, %d bytes", len(c.Pages), len(c.Data))
-		}
-		for _, p := range c.Pages {
-			if p < 0 || p >= dst.Pages() {
-				return fmt.Errorf("vmm: migrated page %d outside guest memory", p)
-			}
-		}
-		dst.ApplyPages(c.Pages, c.Data)
-		pages.Add(int64(len(c.Pages)))
 	case core.FrameBlob:
 		// Opaque device/system state: shipped for its transfer time,
 		// nothing to install in the simulation.
 	case core.FrameEnd:
 		// Stream terminator; the caller stops on it.
-	case core.FrameRawZ:
-		rf, err := core.InflateRawFrame(f)
-		if err != nil {
-			return err
-		}
-		dst.ApplyPages(rf.Pages, rf.Data)
-		pages.Add(int64(len(rf.Pages)))
-		rf.Release()
 	}
 	return nil
 }
@@ -390,60 +283,28 @@ var pageCopyBounds = telemetry.LogBounds(1000, 10_000_000) // 1µs .. 10ms
 // roundBytesBounds buckets the per-round transfer volume (bytes).
 var roundBytesBounds = telemetry.LogBounds(1<<16, 1<<28) // 64KiB .. 256MiB
 
-// send captures the given source pages in chunks, encodes each chunk per
-// the configured codec, and enqueues the resulting frames. It blocks only
-// when the queue is full (the link is the bottleneck). ctx is the sending
-// phase's trace context: each copy latency is recorded with it as a bucket
-// exemplar, so a surprising p99 in vmm.pagecopy.ns points at a concrete
-// bulk/pre-copy/stop-copy span to open.
+// send captures the given source pages in chunks, encodes each into a
+// delta frame for the pages that shrink and a raw frame for the rest, and
+// enqueues them. It blocks only when the queue is full (the link is the
+// bottleneck). ctx is the sending phase's trace context: each copy latency
+// is recorded with it as a bucket exemplar, so a surprising p99 in
+// vmm.pagecopy.ns points at a concrete bulk/pre-copy/stop-copy span to open.
 func (s *chunkSender) send(src *GuestMemory, pages []int, chunk int, logCtr, wireCtr *int64, ctx telemetry.Context) {
 	for off := 0; off < len(pages); off += chunk {
-		end := off + chunk
-		if end > len(pages) {
-			end = len(pages)
-		}
-		part := pages[off:end]
-		logical := int64(len(part)) * PageSize
-		switch s.codec {
-		case CodecFramed:
-			f := core.NewRawFrame(part)
-			s.capture(src, part, f.Data, ctx)
+		part := pages[off:min(off+chunk, len(pages))]
+		data := core.GetBuf(len(part) * PageSize)
+		s.capture(src, part, data, ctx)
+		raw, delta, saved := core.EncodeChunk(part, data, s.cache)
+		s.deltaSaved += saved
+		if raw != nil {
 			s.rawFrames++
-			s.enqueue(f, logical, logCtr, wireCtr)
-		case CodecGob:
-			data := core.GetBuf(len(part) * PageSize)
-			s.capture(src, part, data, ctx)
-			var buf bytes.Buffer
-			// Gob of a plain slice struct into a bytes.Buffer cannot fail.
-			_ = gob.NewEncoder(&buf).Encode(gobChunk{Pages: part, Data: data})
-			core.PutBuf(data)
-			s.enqueue(&core.PageFrame{Kind: core.FrameGob, Data: buf.Bytes()}, logical, logCtr, wireCtr)
-		default: // CodecFramedDelta
-			data := core.GetBuf(len(part) * PageSize)
-			s.capture(src, part, data, ctx)
-			raw, delta, saved := core.EncodeChunk(part, data, s.cache)
-			s.deltaSaved += saved
-			if raw != nil {
-				rawLogical := int64(len(raw.Pages)) * PageSize
-				s.observePages(len(raw.Pages), false)
-				if s.flate {
-					if z := core.DeflateRawFrame(raw); z != nil {
-						s.rawzFrames++
-						s.flateSaved += rawLogical - int64(len(z.Data))
-						s.enqueue(z, rawLogical, logCtr, wireCtr)
-						raw = nil
-					}
-				}
-				if raw != nil {
-					s.rawFrames++
-					s.enqueue(raw, rawLogical, logCtr, wireCtr)
-				}
-			}
-			if delta != nil {
-				s.deltaFrames++
-				s.observePages(len(delta.Pages), true)
-				s.enqueue(delta, int64(len(delta.Pages))*PageSize, logCtr, wireCtr)
-			}
+			s.observePages(len(raw.Pages), false)
+			s.enqueue(raw, int64(len(raw.Pages))*PageSize, logCtr, wireCtr)
+		}
+		if delta != nil {
+			s.deltaFrames++
+			s.observePages(len(delta.Pages), true)
+			s.enqueue(delta, int64(len(delta.Pages))*PageSize, logCtr, wireCtr)
 		}
 	}
 }
@@ -543,9 +404,6 @@ func LiveMigrate(vm *VM, dst *Node, cfg *LiveMigrationConfig) (*VM, *LiveMigrati
 		opts = &core.Options{Service: vm.Node.Service}
 	}
 	stats := &LiveMigrationStats{}
-	// The page stream has its own shaped transport inside the chunk sender;
-	// this link only carries the per-enclave control-protocol traffic.
-	l := &link{bps: cfg.bandwidth()}
 	met := cfg.Metrics
 
 	// The tracer is always on: the phase timings reported in stats are the
@@ -844,8 +702,8 @@ func LiveMigrate(vm *VM, dst *Node, cfg *LiveMigrationConfig) (*VM, *LiveMigrati
 				cSp.End()
 			}
 		}
-		// Control-protocol traffic (quote, verdict, DH, sealed key).
-		l.transfer(1024)
+		// Control-protocol traffic (quote, verdict, DH, sealed key):
+		// counted, not paced — far inside the page stream's linkCredit.
 		stats.EnclaveCtlBytes += 1024
 	}
 	if migErr != nil {
@@ -872,12 +730,10 @@ func LiveMigrate(vm *VM, dst *Node, cfg *LiveMigrationConfig) (*VM, *LiveMigrati
 	// wire total adds the framed stream's real encoded size to the control
 	// traffic (which has no framed encoding — its estimate counts 1:1).
 	stats.TransferredBytes = stats.BulkBytes + stats.PreCopyBytes + stats.StopCopyBytes + stats.EnclaveCtlBytes
-	stats.WireBytes = stats.BulkWireBytes + stats.PreCopyWireBytes + stats.StopCopyWireBytes + l.total()
+	stats.WireBytes = stats.BulkWireBytes + stats.PreCopyWireBytes + stats.StopCopyWireBytes + stats.EnclaveCtlBytes
 	stats.RawFrames = snd.rawFrames
 	stats.DeltaFrames = snd.deltaFrames
 	stats.DeltaSavedBytes = snd.deltaSaved
-	stats.RawzFrames = snd.rawzFrames
-	stats.FlateSavedBytes = snd.flateSaved
 	if met != nil {
 		// Hardware execution counters at migration end; both machines so
 		// AEX storms on either side are visible in /metrics.

@@ -8,113 +8,32 @@ import (
 	"repro/internal/telemetry"
 )
 
-// TestLiveMigrateCodecs migrates the same guest memory image under each
-// page codec and checks bit-exact arrival plus the codec's byte accounting:
-// logical bytes partition TransferredBytes, wire bytes are real, and the
-// delta codec actually saves wire bytes on a guest with zero and sparse
-// pages.
+// TestLiveMigrateCodecs migrates a guest memory image of dense, sparse and
+// zero pages and checks bit-exact arrival plus the page codec's byte
+// accounting: logical bytes partition TransferredBytes, wire bytes are real
+// and partition too, dense pages pass through raw, and delta encoding saves
+// wire bytes on the zero and sparse ones.
 func TestLiveMigrateCodecs(t *testing.T) {
-	for _, codec := range []PageCodec{CodecFramedDelta, CodecFramed, CodecGob} {
-		t.Run(codec.String(), func(t *testing.T) {
-			_, _, src, dst := newCloud(t)
-			vm, err := src.CreateVM(VMConfig{Name: "vm-" + codec.String(), MemPages: 512, VCPUs: 2, EPCQuota: 256})
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Deterministic guest image: dense random pages, sparse pages,
-			// and untouched zero pages — the mix delta encoding targets.
-			rng := rand.New(rand.NewSource(7))
-			page := make([]byte, PageSize)
-			for p := 0; p < vm.Config.MemPages; p += 3 {
-				rng.Read(page)
-				if err := vm.Mem.Write(uint64(p)*PageSize, page); err != nil {
-					t.Fatal(err)
-				}
-			}
-			for p := 1; p < vm.Config.MemPages; p += 7 {
-				if err := vm.Mem.Write(uint64(p)*PageSize+128, []byte("sparse dirty window")); err != nil {
-					t.Fatal(err)
-				}
-			}
-			want := make([]byte, vm.Mem.Bytes())
-			if err := vm.Mem.Read(0, want); err != nil {
-				t.Fatal(err)
-			}
-
-			met := telemetry.NewMetrics()
-			tvm, stats, err := LiveMigrate(vm, dst, &LiveMigrationConfig{
-				BandwidthBps: 1e9,
-				PageCodec:    codec,
-				Metrics:      met,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := make([]byte, tvm.Mem.Bytes())
-			if err := tvm.Mem.Read(0, got); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, want) {
-				for p := 0; p < vm.Config.MemPages; p++ {
-					a, b := want[p*PageSize:(p+1)*PageSize], got[p*PageSize:(p+1)*PageSize]
-					if !bytes.Equal(a, b) {
-						t.Fatalf("page %d differs after %s migration", p, codec)
-					}
-				}
-			}
-
-			if sum := stats.BulkBytes + stats.PreCopyBytes + stats.StopCopyBytes + stats.EnclaveCtlBytes; sum != stats.TransferredBytes {
-				t.Fatalf("phase bytes %d do not partition TransferredBytes %d", sum, stats.TransferredBytes)
-			}
-			if stats.WireBytes <= 0 || stats.BulkWireBytes <= 0 {
-				t.Fatalf("missing wire accounting: %+v", stats)
-			}
-			if wsum := stats.BulkWireBytes + stats.PreCopyWireBytes + stats.StopCopyWireBytes + stats.EnclaveCtlBytes; wsum != stats.WireBytes {
-				t.Fatalf("wire phase bytes %d do not partition WireBytes %d", wsum, stats.WireBytes)
-			}
-			switch codec {
-			case CodecFramedDelta:
-				if stats.DeltaFrames == 0 || stats.DeltaSavedBytes <= 0 {
-					t.Fatalf("delta codec sent no deltas: %+v", stats)
-				}
-				// Zero and sparse pages compress, so the wire total must
-				// beat the logical total.
-				if stats.WireBytes >= stats.TransferredBytes {
-					t.Fatalf("delta codec saved nothing: wire %d vs logical %d", stats.WireBytes, stats.TransferredBytes)
-				}
-				if met.Ratio("vmm.delta.hitrate").Total() == 0 {
-					t.Fatal("delta hit-rate instrument never observed")
-				}
-			case CodecFramed, CodecGob:
-				if stats.DeltaFrames != 0 || stats.DeltaSavedBytes != 0 {
-					t.Fatalf("%s codec reported delta frames: %+v", codec, stats)
-				}
-			}
-			if met.Counter("vmm.wire.bytes").Value() <= 0 {
-				t.Fatal("vmm.wire.bytes counter never incremented")
-			}
-		})
-	}
-}
-
-// TestLiveMigrateCompressRaw migrates the same guest twice — with and
-// without the CompressRaw knob — and checks the compressed run arrives
-// bit-exact, books its rawz frames and flate savings in the ledger, and
-// actually spends fewer wire bytes than the plain run.
-func TestLiveMigrateCompressRaw(t *testing.T) {
-	run := func(t *testing.T, compress bool) (*VM, *LiveMigrationStats, []byte) {
+	// The one codec left; the subtest keeps the name it had beside the
+	// retired gob and framed-only baselines.
+	t.Run("framed+delta", func(t *testing.T) {
 		_, _, src, dst := newCloud(t)
-		vm, err := src.CreateVM(VMConfig{Name: "vm-flate", MemPages: 512, VCPUs: 2, EPCQuota: 256})
+		vm, err := src.CreateVM(VMConfig{Name: "vm-codec", MemPages: 512, VCPUs: 2, EPCQuota: 256})
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Dense-but-redundant pages: every byte non-zero, so the XOR delta
-		// against the zero baseline finds no runs to elide and passes the
-		// pages through raw — while DEFLATE collapses the repetition. This
-		// is exactly the residue the CompressRaw knob targets.
-		page := bytes.Repeat([]byte("redundant-guest-structure.v1####"), PageSize/32)
-		for p := 0; p < vm.Config.MemPages; p += 2 {
-			if err := vm.Mem.Write(uint64(p)*PageSize, page[:PageSize]); err != nil {
+		// Deterministic guest image: dense random pages, sparse pages,
+		// and untouched zero pages — the mix delta encoding targets.
+		rng := rand.New(rand.NewSource(7))
+		page := make([]byte, PageSize)
+		for p := 0; p < vm.Config.MemPages; p += 3 {
+			rng.Read(page)
+			if err := vm.Mem.Write(uint64(p)*PageSize, page); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for p := 1; p < vm.Config.MemPages; p += 7 {
+			if err := vm.Mem.Write(uint64(p)*PageSize+128, []byte("sparse dirty window")); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -122,44 +41,52 @@ func TestLiveMigrateCompressRaw(t *testing.T) {
 		if err := vm.Mem.Read(0, want); err != nil {
 			t.Fatal(err)
 		}
-		tvm, stats, err := LiveMigrate(vm, dst, &LiveMigrationConfig{
-			BandwidthBps: 1e9,
-			CompressRaw:  compress,
-		})
+
+		met := telemetry.NewMetrics()
+		tvm, stats, err := LiveMigrate(vm, dst, &LiveMigrationConfig{BandwidthBps: 1e9, Metrics: met})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return tvm, stats, want
-	}
+		got := make([]byte, tvm.Mem.Bytes())
+		if err := tvm.Mem.Read(0, got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			for p := 0; p < vm.Config.MemPages; p++ {
+				a, b := want[p*PageSize:(p+1)*PageSize], got[p*PageSize:(p+1)*PageSize]
+				if !bytes.Equal(a, b) {
+					t.Fatalf("page %d differs after migration", p)
+				}
+			}
+		}
 
-	tvm, plain, _ := run(t, false)
-	if plain.RawzFrames != 0 || plain.FlateSavedBytes != 0 {
-		t.Fatalf("knob off but rawz ledger populated: %+v", plain)
-	}
-	_ = tvm
-
-	tvm, zstats, want := run(t, true)
-	got := make([]byte, tvm.Mem.Bytes())
-	if err := tvm.Mem.Read(0, got); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatal("compressed migration corrupted guest memory")
-	}
-	if zstats.RawzFrames == 0 || zstats.FlateSavedBytes <= 0 {
-		t.Fatalf("knob on but no rawz frames booked: %+v", zstats)
-	}
-	// Identical logical work, cheaper wire: same pages shipped...
-	if zstats.TransferredBytes != plain.TransferredBytes {
-		t.Fatalf("logical bytes differ: %d vs %d", zstats.TransferredBytes, plain.TransferredBytes)
-	}
-	// ...for measurably fewer encoded bytes.
-	if zstats.WireBytes >= plain.WireBytes {
-		t.Fatalf("compression saved nothing: wire %d vs %d", zstats.WireBytes, plain.WireBytes)
-	}
-	if wsum := zstats.BulkWireBytes + zstats.PreCopyWireBytes + zstats.StopCopyWireBytes + zstats.EnclaveCtlBytes; wsum != zstats.WireBytes {
-		t.Fatalf("wire phase bytes %d do not partition WireBytes %d", wsum, zstats.WireBytes)
-	}
+		if sum := stats.BulkBytes + stats.PreCopyBytes + stats.StopCopyBytes + stats.EnclaveCtlBytes; sum != stats.TransferredBytes {
+			t.Fatalf("phase bytes %d do not partition TransferredBytes %d", sum, stats.TransferredBytes)
+		}
+		if stats.WireBytes <= 0 || stats.BulkWireBytes <= 0 {
+			t.Fatalf("missing wire accounting: %+v", stats)
+		}
+		if wsum := stats.BulkWireBytes + stats.PreCopyWireBytes + stats.StopCopyWireBytes + stats.EnclaveCtlBytes; wsum != stats.WireBytes {
+			t.Fatalf("wire phase bytes %d do not partition WireBytes %d", wsum, stats.WireBytes)
+		}
+		if stats.RawFrames == 0 {
+			t.Fatalf("dense random pages did not pass through raw: %+v", stats)
+		}
+		if stats.DeltaFrames == 0 || stats.DeltaSavedBytes <= 0 {
+			t.Fatalf("no deltas sent: %+v", stats)
+		}
+		// Zero and sparse pages compress, so the wire total must beat the
+		// logical total.
+		if stats.WireBytes >= stats.TransferredBytes {
+			t.Fatalf("delta encoding saved nothing: wire %d vs logical %d", stats.WireBytes, stats.TransferredBytes)
+		}
+		if met.Ratio("vmm.delta.hitrate").Total() == 0 {
+			t.Fatal("delta hit-rate instrument never observed")
+		}
+		if met.Counter("vmm.wire.bytes").Value() <= 0 {
+			t.Fatal("vmm.wire.bytes counter never incremented")
+		}
+	})
 }
 
 // TestApplyPageDeltasBounds: a delta aimed outside guest memory must be
