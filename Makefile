@@ -46,8 +46,9 @@ bench-build:
 	cd benchmark && GOPROXY=off $(GO) vet ./... && GOPROXY=off $(GO) test ./...
 
 # Short coverage-guided runs of the native fuzz targets over the
-# untrusted-input parsers (traceparent headers, MsgImage blobs, page
-# frames) and of the XOR-delta encoder against its reference. CI runs this
+# untrusted-input parsers (traceparent headers, MsgImage blobs, wire
+# frames, hostproto messages) and of the XOR-delta encoder against its
+# reference. CI runs this
 # budget on every push; longer local runs just raise -fuzztime. Each target starts from its committed seed corpus in
 # <pkg>/testdata/fuzz/ (plain `go test` replays those seeds too);
 # regenerate with REGEN_FUZZ_CORPUS=1 go test -run TestRegenFuzzCorpus.
@@ -57,6 +58,7 @@ fuzz-smoke:
 	$(GO) test ./internal/core/ -run='^$$' -fuzz=FuzzParseImageBlob -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/core/ -run='^$$' -fuzz=FuzzFrameDecode -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/core/ -run='^$$' -fuzz=FuzzXORDelta -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/hostproto/ -run='^$$' -fuzz=FuzzRead -fuzztime=$(FUZZTIME)
 
 race:
 	$(GO) test -race ./...
@@ -66,9 +68,10 @@ bench:
 
 # One iteration of every layer benchmark under the migration hot path
 # (sealer, EWB/ELDU, FaultIn on a full pool, 8 MiB dump/restore, XOR-delta
-# and chunk encoding, the shaped pipe, the vmm page stream), with
+# and chunk encoding, the shaped pipe, a control message over loopback, the
+# vmm page stream, a fleet.Request round trip against a daemon), with
 # allocation counts: a smoke run that they still build and run, and the
 # quick look at a layer before reaching for benchmark/. Raise -benchtime for
 # numbers worth comparing.
 bench-layers:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/tcb ./internal/sgx ./internal/epcman ./internal/enclave ./internal/core ./internal/vmm
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/tcb ./internal/sgx ./internal/epcman ./internal/enclave ./internal/core ./internal/vmm ./internal/hostd ./internal/fleet

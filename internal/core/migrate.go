@@ -553,9 +553,9 @@ func sourceChannel(src *enclave.Runtime, service *attest.Service, hello []byte) 
 // bulkSegment is the FrameBlob segment size for announced bulk payloads.
 const bulkSegment = 256 << 10
 
-// sendBulk ships m over t with its payload outside the gob stream: Blob
-// follows the small control message as Message.Frames binary FrameBlob
-// segments — the gob-for-control / binary-for-bulk split.
+// sendBulk ships m over t with its payload outside the control frame: Blob
+// follows the small announcing message as Message.Frames FrameBlob
+// segments, so a control frame stays under maxCtlBlob whatever it announces.
 func sendBulk(t Transport, m Message) error {
 	blob := m.Blob
 	m.Blob = nil

@@ -2,7 +2,6 @@ package core
 
 import (
 	"bufio"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -31,18 +30,39 @@ const (
 // fixed wire codecs from the enclave package inside Blob.
 //
 // Frames, when nonzero, announces that the message's bulk payload follows
-// as that many binary FrameBlob frames instead of riding inline in Blob —
-// the gob-for-control / binary-for-bulk split (sendBulk/recvBulk).
+// as that many FrameBlob frames instead of riding inline in Blob
+// (sendBulk/recvBulk). On the wire a Message is one FrameCtl frame, so
+// Blob is bounded by maxCtlBlob and arrives nil when empty.
 type Message struct {
 	Kind   MsgKind
 	Blob   []byte
 	Frames uint32
 }
 
+// ctlFrame returns m as the FrameCtl frame that carries it (Data aliases
+// Blob), refusing a blob no receiver would accept.
+func ctlFrame(m Message) (PageFrame, error) {
+	if len(m.Blob) > maxCtlBlob {
+		return PageFrame{}, fmt.Errorf("core: send: message %d blob of %d bytes exceeds cap %d", m.Kind, len(m.Blob), maxCtlBlob)
+	}
+	return PageFrame{Kind: FrameCtl, Msg: m.Kind, Frames: m.Frames, Data: m.Blob}, nil
+}
+
+// message returns the Message a FrameCtl frame carries, with a Blob of its
+// own: the frame's buffer goes back to the pool.
+func (f *PageFrame) message() Message {
+	m := Message{Kind: f.Msg, Frames: f.Frames}
+	if len(f.Data) > 0 {
+		m.Blob = append([]byte(nil), f.Data...)
+	}
+	return m
+}
+
 // Transport carries the migration protocol between the source and target
-// migration managers: control messages and the binary bulk frames of
-// wirecodec.go on one ordered stream. Implementations: in-process pipes
-// (NewPipe, NewShapedPipe) and TCP (NewConnTransport/NewConnStream).
+// migration managers: control messages and bulk frames, all in the one
+// frame format of wirecodec.go, on one ordered stream. Implementations:
+// in-process pipes (NewPipe, NewShapedPipe) and TCP
+// (NewConnTransport/NewConnStream).
 //
 // SendFrame takes ownership of the frame: the implementation releases its
 // pooled buffer and the caller must not touch the frame (or anything
@@ -62,6 +82,13 @@ type FrameTransport = Transport
 
 // ErrTransportClosed is returned after Close.
 var ErrTransportClosed = errors.New("core: transport closed")
+
+// The stream is ordered and each side knows which class of frame comes
+// next; the other class means the peers disagree about the protocol state.
+var (
+	errWantMessage = errors.New("core: recv: bulk frame arrived where a message was expected")
+	errWantFrame   = errors.New("core: recv: message arrived where a bulk frame was expected")
+)
 
 // pipeItem is one unit on an in-process pipe: either a control message or
 // an encoded bulk frame. A single channel keeps the two in FIFO order,
@@ -166,10 +193,17 @@ func (p *pipe) shape(n int) error {
 	}
 }
 
-// Send implements Transport with transfer-time shaping. Bytes count only
-// for messages actually enqueued.
+// Send implements Transport with transfer-time shaping. The message
+// crosses the channel as a value — nothing to encode, and abort() never
+// waits on a writer — but is shaped, bounded and counted as the control
+// frame it would be on a socket. Bytes count only for messages actually
+// enqueued.
 func (p *pipe) Send(m Message) error {
-	n := len(m.Blob) + 64 // gob framing estimate for control messages
+	f, err := ctlFrame(m)
+	if err != nil {
+		return err
+	}
+	n := 4 + ctlHeader + len(f.Data)
 	if err := p.shape(n); err != nil {
 		return err
 	}
@@ -208,7 +242,7 @@ func (p *pipe) Recv() (Message, error) {
 	case it := <-p.in:
 		if it.frame != nil {
 			PutBuf(it.frame)
-			return Message{}, errors.New("core: recv: bulk frame arrived where a message was expected")
+			return Message{}, errWantMessage
 		}
 		return it.msg, nil
 	case <-p.closed:
@@ -221,7 +255,7 @@ func (p *pipe) RecvFrame() (*PageFrame, error) {
 	select {
 	case it := <-p.in:
 		if it.frame == nil {
-			return nil, fmt.Errorf("core: recv: message %d arrived where a bulk frame was expected", it.msg.Kind)
+			return nil, errWantFrame
 		}
 		f, n, err := DecodeFrame(it.frame)
 		if err != nil || n != len(it.frame) {
@@ -254,8 +288,7 @@ type ByteCounter interface {
 }
 
 // countingWriter counts the bytes actually written to the connection, so
-// BytesSent reports real framed sizes (gob descriptors included) instead
-// of a per-message overhead guess, and failed sends inflate nothing.
+// BytesSent reports what reached the wire and failed sends inflate nothing.
 type countingWriter struct {
 	w io.Writer
 	n atomic.Int64
@@ -267,39 +300,31 @@ func (cw *countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// connTransport is a Transport over a net.Conn: gob for control messages,
-// the binary bulk codec for frames, both on one ordered stream (used by
-// the sgxhost/sgxmigrate tools).
+// connTransport is a Transport over a net.Conn: every message and frame is
+// one wirecodec frame, written with one Write (used by the sgxhost/sgxmigrate
+// tools).
 type connTransport struct {
 	conn net.Conn
 	cw   *countingWriter
 	br   *bufio.Reader
-	enc  *gob.Encoder
-	dec  *gob.Decoder
-	wmu  sync.Mutex // serializes enc and frame writes
+	wmu  sync.Mutex // serializes frame writes
 }
 
-// NewConnStream wraps a network connection as a Transport and
-// returns the gob encoder/decoder pair that shares its stream. Callers
-// with their own handshake traffic (the sgxhost hostproto.Command +
-// MachineKey exchange, the trailing TraceShipment) must use this pair:
-// gob.NewDecoder buffers reads internally, so layering a second decoder
-// on the same conn would lose whatever bytes the first one read ahead.
-// Here the decoder reads through a shared bufio.Reader (gob consumes
-// exactly its length-prefixed messages from an io.ByteReader), which is
-// also what RecvFrame reads — gob messages and binary bulk frames
-// interleave safely on the one TCP stream.
-func NewConnStream(conn net.Conn) (*gob.Encoder, *gob.Decoder, Transport) {
-	cw := &countingWriter{w: conn}
-	br := bufio.NewReaderSize(conn, 64<<10)
+// NewConnStream wraps a network connection as a Transport and returns the
+// stream's counting writer and buffered reader with it. Callers with their
+// own traffic around the migration (the sgxhost hostproto.Command +
+// MachineKey exchange, the trailing TraceShipment) must use this pair: the
+// reader buffers ahead, so a second reader on the same conn would lose
+// bytes, and BytesSent counts what goes through the writer. Their messages
+// are length-prefixed like the frames, so the two interleave on the one
+// stream as long as each side knows which comes next.
+func NewConnStream(conn net.Conn) (io.Writer, *bufio.Reader, Transport) {
 	t := &connTransport{
 		conn: conn,
-		cw:   cw,
-		br:   br,
-		enc:  gob.NewEncoder(cw),
-		dec:  gob.NewDecoder(br),
+		cw:   &countingWriter{w: conn},
+		br:   bufio.NewReaderSize(conn, 64<<10),
 	}
-	return t.enc, t.dec, t
+	return t.cw, t.br, t
 }
 
 // NewConnTransport wraps a network connection as a Transport.
@@ -308,52 +333,73 @@ func NewConnTransport(conn net.Conn) Transport {
 	return t
 }
 
-// Send implements Transport. Wire bytes are counted by the counting
-// writer as they hit the connection, so a failed encode counts only what
-// was actually written.
+// Send implements Transport.
 func (c *connTransport) Send(m Message) error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	if err := c.enc.Encode(m); err != nil {
-		return fmt.Errorf("core: send: %w", err)
+	f, err := ctlFrame(m)
+	if err != nil {
+		return err
 	}
-	return nil
+	return c.writeFrame(&f)
 }
 
 // SendFrame implements Transport.
 func (c *connTransport) SendFrame(f *PageFrame) error {
+	err := c.writeFrame(f)
+	f.Release()
+	return err
+}
+
+func (c *connTransport) writeFrame(f *PageFrame) error {
 	c.wmu.Lock()
 	err := WriteFrame(c.cw, f)
 	c.wmu.Unlock()
-	f.Release()
 	if err != nil {
-		return fmt.Errorf("core: send frame: %w", err)
+		return fmt.Errorf("core: send %s frame: %w", f.Kind, err)
 	}
 	return nil
 }
 
 // Recv implements Transport.
 func (c *connTransport) Recv() (Message, error) {
-	var m Message
-	if err := c.dec.Decode(&m); err != nil {
-		if errors.Is(err, io.EOF) {
-			return Message{}, ErrTransportClosed
-		}
-		return Message{}, fmt.Errorf("core: recv: %w", err)
+	f, err := c.readFrame(true)
+	if err != nil {
+		return Message{}, err
 	}
+	m := f.message()
+	f.Release()
 	return m, nil
 }
 
 // RecvFrame implements Transport.
 func (c *connTransport) RecvFrame() (*PageFrame, error) {
-	f, err := ReadFrame(c.br)
+	return c.readFrame(false)
+}
+
+// readFrame reads the next frame, which must be a control frame (ctl) or a
+// bulk one (!ctl); the other class is refused from its header, before its
+// body is sized.
+func (c *connTransport) readFrame(ctl bool) (*PageFrame, error) {
+	kind, bodyLen, err := readFrameHeader(c.br)
 	if err != nil {
-		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			return nil, ErrTransportClosed
-		}
-		return nil, fmt.Errorf("core: recv frame: %w", err)
+		return nil, closedOnEOF(err)
 	}
-	return f, nil
+	if ctl && kind != FrameCtl {
+		return nil, errWantMessage
+	}
+	if !ctl && kind == FrameCtl {
+		return nil, errWantFrame
+	}
+	f, err := readFrameBody(c.br, kind, bodyLen)
+	return f, closedOnEOF(err)
+}
+
+// closedOnEOF reports a stream that ended, cleanly or inside a frame, as
+// ErrTransportClosed.
+func closedOnEOF(err error) error {
+	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+		return ErrTransportClosed
+	}
+	return err
 }
 
 // Close implements Transport.

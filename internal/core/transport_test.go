@@ -2,57 +2,267 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"io"
 	"net"
+	"reflect"
+	"runtime"
 	"testing"
 	"time"
 )
 
-// TestMessageRoundTrip pins the gob wire format of Message: every field of
-// every message kind survives an encode/decode cycle.
+// TestMessageRoundTrip pins the wire format of Message — one FrameCtl frame
+// through the codec every frame uses: every field of every message kind
+// survives, an empty Blob arrives nil, and the frame is exactly the ten
+// header bytes plus the blob.
 func TestMessageRoundTrip(t *testing.T) {
 	msgs := []Message{
 		{Kind: MsgImage, Blob: []byte{0x01, 0x02, 0x03}},
 		{Kind: MsgHello, Blob: []byte("quote||dhpub||nonce")},
 		{Kind: MsgChannel, Blob: bytes.Repeat([]byte{0xA5}, 4096)},
 		{Kind: MsgChannelOK},
-		{Kind: MsgCheckpoint, Blob: make([]byte, 1<<16)},
+		{Kind: MsgCheckpoint, Blob: make([]byte, maxCtlBlob)},
 		{Kind: MsgCheckpoint, Frames: 3},
+		{Kind: MsgCheckpoint, Frames: 1<<32 - 1},
 		{Kind: MsgKey, Blob: []byte{}},
 		{Kind: MsgDone},
 		{Kind: MsgAbort, Blob: []byte("cancelled")},
+		{}, // zero message
 	}
 	for _, in := range msgs {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(in); err != nil {
-			t.Fatalf("encode kind %d: %v", in.Kind, err)
+		f, err := ctlFrame(in)
+		if err != nil {
+			t.Fatalf("ctlFrame kind %d: %v", in.Kind, err)
 		}
-		var out Message
-		if err := gob.NewDecoder(&buf).Decode(&out); err != nil {
-			t.Fatalf("decode kind %d: %v", in.Kind, err)
+		enc := AppendFrame(nil, &f)
+		if want := 4 + ctlHeader + len(in.Blob); len(enc) != want {
+			t.Fatalf("kind %d encodes to %d bytes, want %d", in.Kind, len(enc), want)
 		}
-		if out.Kind != in.Kind || !bytes.Equal(out.Blob, in.Blob) || out.Frames != in.Frames {
-			t.Errorf("round trip changed message: %+v != %+v", out, in)
+		got, n, err := DecodeFrame(enc)
+		if err != nil || n != len(enc) {
+			t.Fatalf("decode kind %d: consumed %d of %d, %v", in.Kind, n, len(enc), err)
+		}
+		if got.Kind != FrameCtl {
+			t.Fatalf("kind %d decoded as a %s frame", in.Kind, got.Kind)
+		}
+		want := in
+		if len(want.Blob) == 0 {
+			want.Blob = nil
+		}
+		if out := got.message(); !reflect.DeepEqual(out, want) {
+			t.Errorf("round trip changed message: %+v != %+v", out, want)
+		}
+	}
+	// One byte over the bound is refused by the sender and by both decoders.
+	big := Message{Kind: MsgCheckpoint, Blob: make([]byte, maxCtlBlob+1)}
+	if _, err := ctlFrame(big); err == nil {
+		t.Error("ctlFrame accepted an oversized blob")
+	}
+	enc := AppendFrame(nil, &PageFrame{Kind: FrameCtl, Msg: big.Kind, Data: big.Blob})
+	if _, _, err := DecodeFrame(enc); err == nil {
+		t.Error("DecodeFrame accepted an oversized control blob")
+	}
+	if _, err := ReadFrame(bytes.NewReader(enc)); err == nil {
+		t.Error("ReadFrame accepted an oversized control blob")
+	}
+	for _, tr := range pipeAndConn(t) {
+		if err := tr.src.Send(big); err == nil {
+			t.Errorf("%s: Send accepted an oversized blob", tr.name)
 		}
 	}
 }
 
-// TestMessageTruncatedFrame ensures a partial Message frame is rejected by
-// the decoder instead of silently yielding a zero message.
+// TestMessageTruncatedFrame ensures every strict prefix of a Message's
+// encoding is rejected by both decoders instead of yielding a short or zero
+// message.
 func TestMessageTruncatedFrame(t *testing.T) {
-	var buf bytes.Buffer
-	in := Message{Kind: MsgCheckpoint, Blob: bytes.Repeat([]byte{1}, 1024)}
-	if err := gob.NewEncoder(&buf).Encode(in); err != nil {
+	for _, in := range []Message{
+		{Kind: MsgCheckpoint, Blob: bytes.Repeat([]byte{1}, 1024)},
+		{Kind: MsgDone},
+	} {
+		f, err := ctlFrame(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		full := AppendFrame(nil, &f)
+		for cut := 0; cut < len(full); cut++ {
+			if out, _, err := DecodeFrame(full[:cut]); err == nil {
+				t.Fatalf("DecodeFrame: prefix of %d/%d bytes decoded to %+v", cut, len(full), out)
+			}
+			if out, err := ReadFrame(bytes.NewReader(full[:cut])); err == nil {
+				t.Fatalf("ReadFrame: prefix of %d/%d bytes decoded to %+v", cut, len(full), out)
+			}
+		}
+	}
+	// A body shorter than the control header, with a length prefix that says so.
+	short := append(binary.LittleEndian.AppendUint32(nil, 3), byte(FrameCtl), byte(MsgDone), 0)
+	if _, _, err := DecodeFrame(short); !errors.Is(err, ErrFrameTruncated) {
+		t.Fatalf("3-byte control body: DecodeFrame = %v, want ErrFrameTruncated", err)
+	}
+}
+
+// transportPair is one connected Transport pair under test.
+type transportPair struct {
+	name     string
+	src, dst Transport
+}
+
+// pipeAndConn returns an in-process pipe and a loopback connTransport pair,
+// closed with the test: what must hold on one stream must hold on both.
+func pipeAndConn(t *testing.T) []transportPair {
+	t.Helper()
+	a, b := NewPipe()
+	cli, srv := tcpPair(t)
+	pairs := []transportPair{{"pipe", a, b}, {"conn", NewConnTransport(cli), NewConnTransport(srv)}}
+	t.Cleanup(func() {
+		for _, p := range pairs {
+			p.src.Close()
+			p.dst.Close()
+		}
+	})
+	return pairs
+}
+
+// tcpPair returns the two ends of one loopback TCP connection.
+func tcpPair(t testing.TB) (cli, srv net.Conn) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
 		t.Fatal(err)
 	}
-	full := buf.Bytes()
-	for _, cut := range []int{1, len(full) / 2, len(full) - 1} {
-		var out Message
-		if err := gob.NewDecoder(bytes.NewReader(full[:cut])).Decode(&out); err == nil {
-			t.Errorf("truncated frame of %d/%d bytes decoded to %+v, want error", cut, len(full), out)
+	defer ln.Close()
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		c, err := ln.Accept()
+		if err != nil {
+			close(accepted)
+			return
 		}
+		accepted <- c
+	}()
+	cli, err = net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, ok := <-accepted
+	if !ok {
+		cli.Close()
+		t.Fatal("accept failed")
+	}
+	return cli, srv
+}
+
+// TestPipeCountsWhatConnSends: the pipe hands messages across as values
+// but accounts for them as the frames a socket would carry — the same
+// traffic reads the same BytesSent on both transports, to the byte.
+func TestPipeCountsWhatConnSends(t *testing.T) {
+	sent := map[string]int64{}
+	for _, tr := range pipeAndConn(t) {
+		for _, m := range []Message{{Kind: MsgHello, Blob: make([]byte, 288)}, {Kind: MsgCheckpoint, Frames: 1}} {
+			if err := tr.src.Send(m); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tr.src.SendFrame(&PageFrame{Kind: FrameBlob, Data: make([]byte, 1000)}); err != nil {
+			t.Fatal(err)
+		}
+		sent[tr.name] = tr.src.(ByteCounter).BytesSent()
+	}
+	if want := int64(2*(4+ctlHeader) + 288 + 4 + 2 + 1000); sent["pipe"] != want || sent["conn"] != want {
+		t.Fatalf("BytesSent: pipe %d, conn %d, want %d", sent["pipe"], sent["conn"], want)
+	}
+}
+
+// TestWrongFrameClassRefused: the stream is ordered and each side knows
+// whether a message or a bulk frame comes next. The other class is a
+// protocol error on both transports, never a value of the wrong shape.
+func TestWrongFrameClassRefused(t *testing.T) {
+	for _, tr := range pipeAndConn(t) {
+		go func() {
+			tr.src.SendFrame(&PageFrame{Kind: FrameBlob, Data: make([]byte, 128)})
+		}()
+		if m, err := tr.dst.Recv(); !errors.Is(err, errWantMessage) {
+			t.Errorf("%s: Recv of a bulk frame = %+v, %v", tr.name, m, err)
+		}
+	}
+	for _, tr := range pipeAndConn(t) {
+		go func() {
+			tr.src.Send(Message{Kind: MsgDone, Blob: []byte("x")})
+		}()
+		if f, err := tr.dst.RecvFrame(); !errors.Is(err, errWantFrame) {
+			t.Errorf("%s: RecvFrame of a message = %+v, %v", tr.name, f, err)
+		}
+	}
+}
+
+// allocatedBy returns the bytes f allocates, on this goroutine and any it
+// waits for.
+func allocatedBy(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestRecvHostileLength: the length prefix and kind byte come from an
+// unauthenticated peer. A receiver waiting for a message refuses a length
+// no message can have — and a bulk frame, whatever its length — from the
+// five header bytes, and a peer that announces a body and goes silent has
+// bought nothing when the connection dies. Gob used to size a buffer of up
+// to 1 GiB from such a prefix. The first bytes of a gob stream, what a
+// daemon from before this codec would send, are refused too.
+func TestRecvHostileLength(t *testing.T) {
+	var gobHello bytes.Buffer
+	if err := gob.NewEncoder(&gobHello).Encode(Message{Kind: MsgHello, Blob: []byte("hi")}); err != nil {
+		t.Fatal(err)
+	}
+	u32 := func(n uint32, rest ...byte) []byte {
+		return append(binary.LittleEndian.AppendUint32(nil, n), rest...)
+	}
+	for _, tc := range []struct {
+		name   string
+		prefix []byte
+		silent bool // nothing to refuse yet: Recv waits, and sees the connection die
+	}{
+		{"0xFFFFFFFF", u32(0xFFFFFFFF), false},
+		{"16 MiB then silence", u32(maxFrameBody), true},
+		{"16 MiB control frame", u32(maxFrameBody, byte(FrameCtl)), false},
+		{"16 MiB blob frame", u32(maxFrameBody, byte(FrameBlob)), false},
+		{"control blob one over the cap", u32(ctlHeader+maxCtlBlob+1, byte(FrameCtl)), false},
+		{"zero length", u32(0), false},
+		{"gob stream", gobHello.Bytes(), false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cli, srv := tcpPair(t)
+			defer cli.Close()
+			defer srv.Close()
+			rx := NewConnTransport(srv)
+			errc := make(chan error, 1)
+			got := allocatedBy(func() {
+				go func() {
+					_, err := rx.Recv()
+					errc <- err
+				}()
+				if _, err := cli.Write(tc.prefix); err != nil {
+					t.Fatal(err)
+				}
+				if tc.silent {
+					cli.Close()
+				}
+				// No timer in here: the first one a process arms allocates
+				// more than the bound. A Recv that refuses nothing hangs
+				// the test instead.
+				if err := <-errc; err == nil || tc.silent != errors.Is(err, ErrTransportClosed) {
+					t.Fatalf("Recv = %v", err)
+				}
+			})
+			if got > 4<<10 {
+				t.Fatalf("refusing the prefix allocated %d bytes", got)
+			}
+		})
 	}
 }
 
@@ -234,30 +444,31 @@ func BenchmarkShapedPipeFrames(b *testing.B) {
 	b.ReportMetric(float64(nominal(sent, bps))/float64(b.Elapsed()), "x-nominal")
 }
 
+// writeCountingConn counts the Writes a transport makes on its socket.
+type writeCountingConn struct {
+	net.Conn
+	writes int
+}
+
+func (c *writeCountingConn) Write(p []byte) (int, error) {
+	c.writes++
+	return c.Conn.Write(p)
+}
+
 // TestConnTransportByteAccounting pins the counting-writer fix: BytesSent
 // must equal the bytes that actually reached the wire — not a pre-encode
-// guess with a flat overhead estimate.
+// guess with a flat overhead estimate — and every message and frame is
+// exactly one Write.
 func TestConnTransportByteAccounting(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
+	conn, peer := tcpPair(t)
+	defer peer.Close()
 	received := make(chan int64, 1)
 	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			received <- -1
-			return
-		}
-		n, _ := io.Copy(io.Discard, conn)
+		n, _ := io.Copy(io.Discard, peer)
 		received <- n
 	}()
-	conn, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := NewConnTransport(conn)
+	wc := &writeCountingConn{Conn: conn}
+	ts := NewConnTransport(wc)
 	for _, m := range []Message{
 		{Kind: MsgImage, Blob: []byte("img")},
 		{Kind: MsgCheckpoint, Blob: make([]byte, 4096)},
@@ -275,41 +486,30 @@ func TestConnTransportByteAccounting(t *testing.T) {
 	if got != sent {
 		t.Fatalf("BytesSent = %d, wire saw %d", sent, got)
 	}
+	if want := int64(2*(4+ctlHeader) + 3 + 4096 + len(AppendFrame(nil, &PageFrame{Kind: FrameBlob, Data: make([]byte, 1024)}))); sent != want {
+		t.Fatalf("BytesSent = %d, the two messages and the frame encode to %d", sent, want)
+	}
+	if wc.writes != 3 {
+		t.Fatalf("two messages and a frame took %d writes, want 3", wc.writes)
+	}
 }
 
-// TestGobFrameInterleaveTCP drives gob control messages and binary frames
-// of every kind alternately over one TCP stream — the hostproto envelope
-// shares it with the frames the same way: the shared bufio reader must hand
-// each decoder exactly its own bytes.
-func TestGobFrameInterleaveTCP(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	accepted := make(chan net.Conn, 1)
-	go func() {
-		c, err := ln.Accept()
-		if err != nil {
-			close(accepted)
-			return
-		}
-		accepted <- c
-	}()
-	cliConn, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestCtlFrameInterleaveTCP drives control messages and bulk frames of
+// every kind alternately over one TCP stream: one format, one reader, and
+// each Recv/RecvFrame gets exactly its own bytes.
+func TestCtlFrameInterleaveTCP(t *testing.T) {
+	cliConn, srvConn := tcpPair(t)
 	defer cliConn.Close()
-	srvConn, ok := <-accepted
-	if !ok {
-		t.Fatal("accept failed")
-	}
 	defer srvConn.Close()
 	cli := NewConnTransport(cliConn)
 	srv := NewConnTransport(srvConn)
 
-	want := testFrames()
+	var want []*PageFrame
+	for _, f := range testFrames() {
+		if f.Kind != FrameCtl {
+			want = append(want, f)
+		}
+	}
 	go func() {
 		cli.Send(Message{Kind: MsgHello, Blob: []byte("hi")})
 		for _, f := range want {
@@ -330,6 +530,35 @@ func TestGobFrameInterleaveTCP(t *testing.T) {
 		m, err := srv.Recv()
 		if err != nil || m.Kind != MsgDone || string(m.Blob) != f.Kind.String() {
 			t.Fatalf("Recv after %v frame = %+v, %v", f.Kind, m, err)
+		}
+	}
+}
+
+// BenchmarkConnTransportMsgRTT ping-pongs a 288-byte hello (quote, DH
+// public key, nonce) over a loopback connTransport: the per-message cost of
+// the control path, the benchmark spine's core.transport.tcp_msg_rtt_us.
+func BenchmarkConnTransportMsgRTT(b *testing.B) {
+	cliConn, srvConn := tcpPair(b)
+	cli, srv := NewConnTransport(cliConn), NewConnTransport(srvConn)
+	defer cli.Close()
+	defer srv.Close()
+	go func() {
+		for {
+			m, err := srv.Recv()
+			if err != nil || srv.Send(m) != nil {
+				return
+			}
+		}
+	}()
+	hello := Message{Kind: MsgHello, Blob: make([]byte, 288)}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := cli.Send(hello); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := cli.Recv(); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

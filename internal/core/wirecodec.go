@@ -10,41 +10,40 @@ import (
 	"sync"
 )
 
-// Binary wire codec for the bulk page path.
-//
-// Gob stays on the control plane (MsgImage, MsgHello, the key exchange —
-// anything that is one small struct per migration), but the page stream
-// moves millions of 4 KiB payloads, and gob's per-value reflection plus
-// its type-descriptor preamble is pure overhead there. Bulk data instead
-// rides length-prefixed binary frames:
+// Binary wire codec of the migration stream. Everything a Transport
+// carries is a length-prefixed frame, control messages and bulk data alike,
+// and no frame depends on one sent before it — a connection has no
+// encoder state to set up:
 //
 //	u32 LE body-len | u8 kind | uvarint npages | uvarint page gaps
 //	                | [npages × uvarint delta sizes]   (FrameDelta only)
 //	                | data
+//	u32 LE body-len | u8 kind | u8 MsgKind | u32 LE Frames | blob   (FrameCtl)
 //
 // Page numbers are strictly ascending (CollectDirty order), so after the
 // first absolute number each page is encoded as the gap to its
 // predecessor — one or two bytes for typical dirty clusters. The body
 // length lets a reader skip or bound a frame before parsing it; decode
-// enforces maxFrameBody/maxFramePages so truncated or hostile prefixes
-// fail instead of over-allocating.
+// enforces maxFrameBody/maxFramePages/maxCtlBlob so truncated or hostile
+// prefixes fail instead of over-allocating.
 
 // PageSize is the guest page granularity the bulk codec frames. It must
 // match vmm.PageSize; the codec owns its own constant because core cannot
 // import vmm.
 const PageSize = 4096
 
-// FrameKind labels bulk wire frames.
+// FrameKind labels wire frames.
 type FrameKind uint8
 
-// Bulk frame kinds. The values are the wire encoding, so they are spelled
-// out: 3 and 6 belonged to two retired kinds (a gob-encoded page chunk and
+// Frame kinds. The values are the wire encoding, so they are spelled out:
+// 3 and 6 belonged to two retired kinds (a gob-encoded page chunk and
 // DEFLATE-compressed raw pages) and decode as unknown.
 const (
 	FrameRaw   FrameKind = 1 // full pages: npages × PageSize bytes
 	FrameDelta FrameKind = 2 // XOR+RLE deltas vs the previous round's content
 	FrameBlob  FrameKind = 4 // opaque bulk segment (checkpoint, device state)
 	FrameEnd   FrameKind = 5 // stream terminator, no payload
+	FrameCtl   FrameKind = 7 // one control Message: kind, Frames, blob
 )
 
 func (k FrameKind) String() string {
@@ -57,6 +56,8 @@ func (k FrameKind) String() string {
 		return "blob"
 	case FrameEnd:
 		return "end"
+	case FrameCtl:
+		return "ctl"
 	default:
 		return fmt.Sprintf("FrameKind(%d)", uint8(k))
 	}
@@ -65,11 +66,17 @@ func (k FrameKind) String() string {
 // Decode bounds. A frame body is at most one chunk of pages plus headers
 // (the vmm pipeline frames 64-page chunks; blob segments are 256 KiB), so
 // 16 MiB is generous without letting a hostile length prefix allocate
-// arbitrarily.
+// arbitrarily. A control message carries a quote, a public key or a sealed
+// key — under 1 KiB; anything big is announced in Frames and follows as
+// FrameBlob segments (sendBulk).
 const (
 	maxFrameBody  = 16 << 20
 	maxFramePages = 1 << 16
+	maxCtlBlob    = 64 << 10
 )
+
+// ctlHeader is the FrameCtl body before the blob: kind, MsgKind, Frames.
+const ctlHeader = 1 + 1 + 4
 
 // ErrFrameTruncated is returned when a buffer ends before the frame its
 // length prefix promises.
@@ -87,11 +94,17 @@ var ErrFrameTruncated = errors.New("core: truncated frame")
 //
 // FrameBlob:  Data is an opaque segment; Pages/Sizes are nil.
 // FrameEnd:   everything empty.
+// FrameCtl:   Msg and Frames are the Message's Kind and Frames, Data its
+//
+//	Blob; Pages/Sizes are nil.
 type PageFrame struct {
 	Kind  FrameKind
 	Pages []int
 	Sizes []int
 	Data  []byte
+
+	Msg    MsgKind // FrameCtl only
+	Frames uint32  // FrameCtl only
 
 	buf []byte // pooled backing buffer, returned by Release
 }
@@ -216,11 +229,19 @@ func encodedFrameSize(f *PageFrame) int {
 
 // AppendFrame appends the encoded frame to dst and returns the extended
 // slice. Page numbers must be strictly ascending; FrameDelta frames must
-// carry one size per page summing to len(Data).
+// carry one size per page summing to len(Data); a FrameCtl blob must fit
+// maxCtlBlob (Transport.Send checks).
 func AppendFrame(dst []byte, f *PageFrame) []byte {
 	start := len(dst)
 	dst = append(dst, 0, 0, 0, 0) // length prefix, patched below
 	dst = append(dst, byte(f.Kind))
+	if f.Kind == FrameCtl {
+		dst = append(dst, byte(f.Msg))
+		dst = binary.LittleEndian.AppendUint32(dst, f.Frames)
+		dst = append(dst, f.Data...)
+		binary.LittleEndian.PutUint32(dst[start:], uint32(len(dst)-start-4))
+		return dst
+	}
 	dst = binary.AppendUvarint(dst, uint64(len(f.Pages)))
 	prev := 0
 	for i, p := range f.Pages {
@@ -241,6 +262,21 @@ func AppendFrame(dst []byte, f *PageFrame) []byte {
 	return dst
 }
 
+// checkFrameKind refuses an unknown frame kind and a body longer than the
+// kind allows — all a reader needs to know before it sizes a buffer.
+func checkFrameKind(kind FrameKind, bodyLen int) error {
+	switch kind {
+	case FrameRaw, FrameDelta, FrameBlob, FrameEnd:
+	case FrameCtl:
+		if bodyLen > ctlHeader+maxCtlBlob {
+			return fmt.Errorf("core: control frame body %d exceeds cap %d", bodyLen, ctlHeader+maxCtlBlob)
+		}
+	default:
+		return fmt.Errorf("core: unknown frame kind %d", uint8(kind))
+	}
+	return nil
+}
+
 // decodeFrameBody parses one frame body (everything after the length
 // prefix). Pages, Sizes, and Data alias body.
 func decodeFrameBody(body []byte) (*PageFrame, error) {
@@ -248,10 +284,17 @@ func decodeFrameBody(body []byte) (*PageFrame, error) {
 		return nil, ErrFrameTruncated
 	}
 	f := &PageFrame{Kind: FrameKind(body[0])}
-	switch f.Kind {
-	case FrameRaw, FrameDelta, FrameBlob, FrameEnd:
-	default:
-		return nil, fmt.Errorf("core: unknown frame kind %d", body[0])
+	if err := checkFrameKind(f.Kind, len(body)); err != nil {
+		return nil, err
+	}
+	if f.Kind == FrameCtl {
+		if len(body) < ctlHeader {
+			return nil, ErrFrameTruncated
+		}
+		f.Msg = MsgKind(body[1])
+		f.Frames = binary.LittleEndian.Uint32(body[2:])
+		f.Data = body[ctlHeader:]
+		return f, nil
 	}
 	rest := body[1:]
 	npages, n := binary.Uvarint(rest)
@@ -315,7 +358,7 @@ func decodeFrameBody(body []byte) (*PageFrame, error) {
 		if len(rest) != total {
 			return nil, fmt.Errorf("core: delta frame has %d data bytes, sizes sum to %d", len(rest), total)
 		}
-	case FrameBlob:
+	case FrameBlob, FrameCtl: // any payload; a control frame returned above
 	case FrameEnd:
 		if len(rest) != 0 {
 			return nil, errors.New("core: end frame carries payload")
@@ -355,21 +398,56 @@ func WriteFrame(w io.Writer, f *PageFrame) error {
 	return err
 }
 
-// ReadFrame reads one frame from r. The returned frame's Data aliases a
-// pooled buffer; the caller must Release it when done.
+// ReadFrame reads one frame of any kind from r. The returned frame's Data
+// aliases a pooled buffer; the caller must Release it when done.
 func ReadFrame(r io.Reader) (*PageFrame, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	kind, bodyLen, err := readFrameHeader(r)
+	if err != nil {
 		return nil, err
+	}
+	return readFrameBody(r, kind, bodyLen)
+}
+
+// readFrameHeader reads a frame's length prefix and kind byte and refuses
+// a length its kind cannot have. Nothing has been allocated when it
+// returns, so a reader that expects one class of frame can refuse the
+// other here.
+func readFrameHeader(r io.Reader) (FrameKind, int, error) {
+	var hdr [5]byte
+	if _, err := io.ReadFull(r, hdr[:4]); err != nil {
+		return 0, 0, err
 	}
 	bodyLen := binary.LittleEndian.Uint32(hdr[:])
 	if bodyLen > maxFrameBody {
-		return nil, fmt.Errorf("core: frame body %d exceeds cap %d", bodyLen, maxFrameBody)
+		return 0, 0, fmt.Errorf("core: frame body %d exceeds cap %d", bodyLen, maxFrameBody)
 	}
-	buf := GetBuf(int(bodyLen))
-	if _, err := io.ReadFull(r, buf); err != nil {
+	if bodyLen == 0 {
+		return 0, 0, ErrFrameTruncated
+	}
+	if _, err := io.ReadFull(r, hdr[4:]); err != nil {
+		return 0, 0, fmt.Errorf("core: frame body: %w", noEOF(err))
+	}
+	kind := FrameKind(hdr[4])
+	return kind, int(bodyLen), checkFrameKind(kind, int(bodyLen))
+}
+
+// noEOF turns the io.EOF of a stream that ends inside a frame into
+// io.ErrUnexpectedEOF: a clean EOF is only one at a frame boundary.
+func noEOF(err error) error {
+	if err == io.EOF {
+		return io.ErrUnexpectedEOF
+	}
+	return err
+}
+
+// readFrameBody reads the rest of a frame whose header readFrameHeader
+// returned.
+func readFrameBody(r io.Reader, kind FrameKind, bodyLen int) (*PageFrame, error) {
+	buf := GetBuf(bodyLen)
+	buf[0] = byte(kind)
+	if _, err := io.ReadFull(r, buf[1:]); err != nil {
 		PutBuf(buf)
-		return nil, fmt.Errorf("core: frame body: %w", err)
+		return nil, fmt.Errorf("core: frame body: %w", noEOF(err))
 	}
 	f, err := decodeFrameBody(buf)
 	if err != nil {

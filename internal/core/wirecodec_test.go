@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math/rand"
-	"runtime"
 	"strings"
 	"testing"
 )
@@ -20,6 +19,7 @@ func testFrames() []*PageFrame {
 		{Kind: FrameDelta, Pages: []int{0, 5, 6}, Sizes: []int{3, 0, 2}, Data: []byte{1, 2, 3, 9, 8}},
 		{Kind: FrameBlob, Data: bytes.Repeat([]byte{0xAB}, 1024)},
 		{Kind: FrameEnd},
+		{Kind: FrameCtl, Msg: MsgCheckpoint, Frames: 3, Data: []byte("announcement")},
 	}
 }
 
@@ -27,6 +27,9 @@ func frameEq(t *testing.T, want, got *PageFrame) {
 	t.Helper()
 	if got.Kind != want.Kind {
 		t.Fatalf("kind = %v, want %v", got.Kind, want.Kind)
+	}
+	if got.Msg != want.Msg || got.Frames != want.Frames {
+		t.Fatalf("message %d announcing %d frames, want %d announcing %d", got.Msg, got.Frames, want.Msg, want.Frames)
 	}
 	if len(got.Pages) != len(want.Pages) {
 		t.Fatalf("pages = %v, want %v", got.Pages, want.Pages)
@@ -162,13 +165,12 @@ func TestRetiredFrameKindsRefused(t *testing.T) {
 		}
 		// DecodeFrame aliases its input: refusing allocates the frame
 		// header it had started on and the error, nothing sized by the body.
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < 100; i++ {
-			_, _, _ = DecodeFrame(tc.enc)
-		}
-		runtime.ReadMemStats(&after)
-		if per := (after.TotalAlloc - before.TotalAlloc) / 100; per > 512 {
+		total := allocatedBy(func() {
+			for i := 0; i < 100; i++ {
+				_, _, _ = DecodeFrame(tc.enc)
+			}
+		})
+		if per := total / 100; per > 512 {
 			t.Fatalf("%s: refusing the frame allocated %d bytes", tc.name, per)
 		}
 	}
@@ -189,7 +191,24 @@ func frameSeeds() [][]byte {
 		// Page gaps of one, two and three uvarint bytes.
 		AppendFrame(nil, &PageFrame{Kind: FrameDelta, Pages: []int{0, 1, 301, 70000}, Sizes: []int{0, 1, 0, 2}, Data: []byte{7, 8, 9}}),
 		AppendFrame(nil, &PageFrame{Kind: FrameBlob, Pages: []int{1}, Data: []byte{1}}), // blob with pages
+		// Control frames: empty message, body shorter than its header, the
+		// start of one with a blob over the cap, and each class dressed as
+		// the other — a message's bytes under the blob kind, a delta
+		// frame's under the control kind.
+		AppendFrame(nil, &PageFrame{Kind: FrameCtl, Msg: MsgDone}),
+		append(binary.LittleEndian.AppendUint32(nil, 3), byte(FrameCtl), byte(MsgKey), 0),
+		append(binary.LittleEndian.AppendUint32(nil, ctlHeader+maxCtlBlob+1), byte(FrameCtl), byte(MsgHello)),
+		withKind(seeds[4], FrameBlob),
+		withKind(seeds[1], FrameCtl),
 	)
+}
+
+// withKind returns a copy of the encoded frame enc with its kind byte
+// replaced.
+func withKind(enc []byte, k FrameKind) []byte {
+	enc = append([]byte(nil), enc...)
+	enc[4] = byte(k)
+	return enc
 }
 
 // TestWriteReadFrame streams frames through an io.Writer/Reader pair (the
@@ -702,8 +721,8 @@ func FuzzFrameDecode(f *testing.F) {
 		if n < 5 || n > len(b) {
 			t.Fatalf("consumed %d of %d bytes", n, len(b))
 		}
-		if len(pf.Pages) > maxFramePages || len(pf.Data) > maxFrameBody {
-			t.Fatalf("decoded frame exceeds bounds: %d pages, %d bytes", len(pf.Pages), len(pf.Data))
+		if len(pf.Pages) > maxFramePages || len(pf.Data) > maxFrameBody || pf.Kind == FrameCtl && len(pf.Data) > maxCtlBlob {
+			t.Fatalf("decoded %s frame exceeds bounds: %d pages, %d bytes", pf.Kind, len(pf.Pages), len(pf.Data))
 		}
 		enc := AppendFrame(nil, pf)
 		pf2, n2, err := DecodeFrame(enc)

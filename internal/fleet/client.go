@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"encoding/gob"
 	"errors"
 	"net"
 	"strings"
@@ -37,11 +36,11 @@ func Request(addr string, cmd hostproto.Command, timeout time.Duration) (hostpro
 	if timeout > 0 {
 		_ = conn.SetDeadline(time.Now().Add(timeout))
 	}
-	if err := gob.NewEncoder(conn).Encode(cmd); err != nil {
+	if err := hostproto.Write(conn, cmd); err != nil {
 		return hostproto.Response{}, err
 	}
 	var resp hostproto.Response
-	if err := gob.NewDecoder(conn).Decode(&resp); err != nil {
+	if err := hostproto.Read(conn, &resp); err != nil {
 		return hostproto.Response{}, err
 	}
 	if resp.Err != "" {

@@ -237,3 +237,61 @@ func TestFederationAggregates(t *testing.T) {
 		t.Fatalf("fleet document incomplete: %d hosts, %d rates", len(doc.Hosts), len(doc.Rates))
 	}
 }
+
+// TestFederationSurvivesDaemonRestart: the fleet's per-host cursor outlives
+// the daemon it was taken from. A restarted daemon's journal starts again
+// at Seq 1, so the old cursor points above its head; the next scrape must
+// deliver the post-restart events (and pull the cursor back) rather than
+// drop everything until the new Seq catches up.
+func TestFederationSurvivesDaemonRestart(t *testing.T) {
+	hosts, f, _ := startFleet(t, 2, testhost.Options{})
+	migrate := func(id string) {
+		t.Helper()
+		if _, err := fleet.Request(hosts[0].Addr, hostproto.Command{
+			Op: hostproto.OpMigrateOut, ID: id, Target: hosts[1].Addr,
+		}, 30*time.Second); err != nil {
+			t.Fatalf("migrate %s: %v", id, err)
+		}
+	}
+	keyReleases := func(recs []telemetry.Record) (n int) {
+		for _, r := range recs {
+			if r.Host == hosts[0].Addr && r.Kind == telemetry.EventKeyRelease {
+				n++
+			}
+		}
+		return n
+	}
+
+	// Two migrations before the restart put the source's cursor well above
+	// what one migration after it will reach.
+	for _, id := range launchOn(t, hosts[0].Addr, 2) {
+		migrate(id)
+	}
+	if err := f.Poll(); err != nil {
+		t.Fatalf("poll: %v", err)
+	}
+	before, cursor := f.EventsSince(0)
+	if got := keyReleases(before); got != 2 {
+		t.Fatalf("%d key-release records from the source before the restart, want 2", got)
+	}
+
+	if err := hosts[0].Restart(); err != nil {
+		t.Fatalf("restart: %v", err)
+	}
+	migrate(launchOn(t, hosts[0].Addr, 1)[0])
+	if err := f.Poll(); err != nil {
+		t.Fatalf("poll after restart: %v", err)
+	}
+	after, cursor := f.EventsSince(cursor)
+	if got := keyReleases(after); got != 1 {
+		t.Fatalf("%d key-release records from the restarted source in the next scrape, want 1 (%d records in all)", got, len(after))
+	}
+
+	// The cursor now belongs to the new journal: nothing is delivered twice.
+	if err := f.Poll(); err != nil {
+		t.Fatalf("third poll: %v", err)
+	}
+	if again, _ := f.EventsSince(cursor); len(again) != 0 {
+		t.Fatalf("third scrape re-delivered %d records", len(again))
+	}
+}

@@ -1,6 +1,9 @@
 package fleet_test
 
 import (
+	"io"
+	"log"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -11,7 +14,7 @@ import (
 	"repro/internal/testhost"
 )
 
-func startFleet(t *testing.T, n int, opt testhost.Options) ([]*testhost.Host, *fleet.Fleet, *telemetry.Metrics) {
+func startFleet(t testing.TB, n int, opt testhost.Options) ([]*testhost.Host, *fleet.Fleet, *telemetry.Metrics) {
 	t.Helper()
 	hosts, err := testhost.StartN(n, opt)
 	if err != nil {
@@ -33,7 +36,7 @@ func startFleet(t *testing.T, n int, opt testhost.Options) ([]*testhost.Host, *f
 	return hosts, f, met
 }
 
-func launchOn(t *testing.T, addr string, n int) []string {
+func launchOn(t testing.TB, addr string, n int) []string {
 	t.Helper()
 	ids := make([]string, 0, n)
 	for i := 0; i < n; i++ {
@@ -178,5 +181,24 @@ func TestRebalanceConverges(t *testing.T) {
 	}
 	if len(again.Results) != 0 {
 		t.Fatalf("rebalance of balanced fleet moved %d enclaves", len(again.Results))
+	}
+}
+
+// BenchmarkPoll is one control-loop round over three loopback daemons with
+// eight sessions each: an OpStats and an OpEvents request per host, in
+// parallel — the benchmark spine's fleet.poll_us.
+func BenchmarkPoll(b *testing.B) {
+	log.SetOutput(io.Discard) // the daemons log every launch
+	b.Cleanup(func() { log.SetOutput(os.Stderr) })
+	hosts, f, _ := startFleet(b, 3, testhost.Options{})
+	for _, h := range hosts {
+		launchOn(b, h.Addr, 8)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := f.Poll(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -11,9 +11,10 @@
 package hostd
 
 import (
-	"encoding/gob"
+	"bufio"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"sort"
@@ -184,22 +185,31 @@ func builtinImages(owner *core.Owner) []*enclave.App {
 	return apps
 }
 
+// firstMessageTimeout is how long a fresh connection may take to deliver
+// its command. Clients send it right after connecting; a peer that
+// connects and goes quiet, or announces a length and never sends the
+// bytes, must not hold a goroutine and a socket for good.
+const firstMessageTimeout = 10 * time.Second
+
 func (s *Server) serve(conn net.Conn) {
 	defer conn.Close()
-	// One gob stream per connection, shared with the migration transport:
-	// the transport's binary bulk frames and the handshake's gob messages
-	// interleave on the same buffered reader (see core.NewConnStream).
-	enc, dec, ts := core.NewConnStream(conn)
+	// One stream per connection, shared with the migration transport: its
+	// frames and the hostproto messages around them go through the same
+	// writer and buffered reader (see core.NewConnStream).
+	w, br, ts := core.NewConnStream(conn)
+	_ = conn.SetReadDeadline(time.Now().Add(firstMessageTimeout))
 	var cmd hostproto.Command
-	if err := dec.Decode(&cmd); err != nil {
+	if err := hostproto.Read(br, &cmd); err != nil {
 		return
 	}
+	// Only the first message is on the clock: a migrate-in stream
+	// legitimately runs long.
+	_ = conn.SetReadDeadline(time.Time{})
 	switch cmd.Op {
 	case hostproto.OpMigrateIn:
-		s.handleMigrateIn(ts, dec, enc, cmd)
+		s.handleMigrateIn(ts, br, w, cmd)
 	default:
-		resp := s.handle(cmd)
-		_ = enc.Encode(resp)
+		_ = hostproto.Write(w, s.handle(cmd))
 	}
 }
 
@@ -351,8 +361,8 @@ func (s *Server) migrateOut(cmd hostproto.Command, sp *telemetry.Span) hostproto
 		return hostproto.Response{Err: err.Error()}
 	}
 	defer conn.Close()
-	enc, dec, ts := core.NewConnStream(conn)
-	if err := enc.Encode(hostproto.Command{
+	w, br, ts := core.NewConnStream(conn)
+	if err := hostproto.Write(w, hostproto.Command{
 		Op:          hostproto.OpMigrateIn,
 		ID:          cmd.ID,
 		TraceParent: sp.Context().Inject(),
@@ -361,11 +371,11 @@ func (s *Server) migrateOut(cmd hostproto.Command, sp *telemetry.Span) hostproto
 	}
 	// Exchange machine attestation keys so the attestation plumbing works
 	// across processes.
-	if err := enc.Encode(hostproto.MachineKey{Key: s.machine.AttestationPublic()}); err != nil {
+	if err := hostproto.Write(w, hostproto.MachineKey{Key: s.machine.AttestationPublic()}); err != nil {
 		return hostproto.Response{Err: err.Error()}
 	}
 	var peer hostproto.MachineKey
-	if err := dec.Decode(&peer); err != nil {
+	if err := hostproto.Read(br, &peer); err != nil {
 		return hostproto.Response{Err: err.Error()}
 	}
 	s.service.RegisterMachine(peer.Key)
@@ -375,11 +385,11 @@ func (s *Server) migrateOut(cmd hostproto.Command, sp *telemetry.Span) hostproto
 	}
 	opts := &core.Options{Service: s.service, Trace: sp, Metrics: s.met,
 		Journal: s.journal, EnclaveID: cmd.ID}
-	// The handshake, the migration messages, and the trailing TraceShipment
-	// all ride the one stream NewConnStream owns: a second decoder on the
+	// The handshake, the migration frames, and the trailing TraceShipment
+	// all ride the one stream NewConnStream owns: a second reader on the
 	// same conn would lose buffered bytes.
 	rep, err := core.MigrateOut(rt, ts, opts)
-	s.recvTraceShipment(conn, dec, sp, err)
+	s.recvTraceShipment(conn, br, sp, err)
 	if err != nil {
 		s.met.Counter("host.migrations.failed").Inc()
 		if rt.Dead() {
@@ -426,7 +436,7 @@ func (s *Server) reap(id string, rt *enclave.Runtime) {
 // migration itself failed (migErr non-nil) the stream state is unknown
 // and the client is waiting on the error response, so only a short grace
 // is given for the target's abort-path trailer to arrive.
-func (s *Server) recvTraceShipment(conn net.Conn, dec *gob.Decoder, sp *telemetry.Span, migErr error) {
+func (s *Server) recvTraceShipment(conn net.Conn, br *bufio.Reader, sp *telemetry.Span, migErr error) {
 	if sp == nil {
 		return // telemetry dark: nothing to merge into
 	}
@@ -437,27 +447,28 @@ func (s *Server) recvTraceShipment(conn net.Conn, dec *gob.Decoder, sp *telemetr
 	_ = conn.SetReadDeadline(time.Now().Add(deadline))
 	defer conn.SetReadDeadline(time.Time{})
 	var ship hostproto.TraceShipment
-	if err := dec.Decode(&ship); err != nil {
+	if err := hostproto.Read(br, &ship); err != nil {
 		return
 	}
 	s.tr.Adopt(ship.Trace)
 }
 
-// handleMigrateIn accepts an inbound migration on this connection. ts is
-// the connection's shared-stream transport from core.NewConnStream.
-func (s *Server) handleMigrateIn(ts core.Transport, dec *gob.Decoder, enc *gob.Encoder, cmd hostproto.Command) {
+// handleMigrateIn accepts an inbound migration on this connection. ts, br
+// and w are the connection's transport, reader and writer from
+// core.NewConnStream.
+func (s *Server) handleMigrateIn(ts core.Transport, br *bufio.Reader, w io.Writer, cmd hostproto.Command) {
 	s.met.Counter("host.ops." + string(cmd.Op)).Inc()
 	s.inflightIn.Add(1)
 	defer s.inflightIn.Add(-1)
 	ctx := traceContext(cmd)
 	sp := s.tr.BeginRemote("host.migratein", ctx, telemetry.String("enclave", cmd.ID))
 	var peer hostproto.MachineKey
-	if err := dec.Decode(&peer); err != nil {
+	if err := hostproto.Read(br, &peer); err != nil {
 		sp.Fail(err)
 		return
 	}
 	s.service.RegisterMachine(peer.Key)
-	if err := enc.Encode(hostproto.MachineKey{Key: s.machine.AttestationPublic()}); err != nil {
+	if err := hostproto.Write(w, hostproto.MachineKey{Key: s.machine.AttestationPublic()}); err != nil {
 		sp.Fail(err)
 		return
 	}
@@ -466,7 +477,7 @@ func (s *Server) handleMigrateIn(ts core.Transport, dec *gob.Decoder, enc *gob.E
 	inc, err := core.MigrateIn(s.host, s.registry, ts, opts)
 	if err != nil {
 		sp.Fail(err)
-		s.shipTrace(enc, ctx)
+		s.shipTrace(w, ctx)
 		s.met.Counter("host.migrations.failed").Inc()
 		log.Printf("inbound migration failed: %v", err)
 		return
@@ -487,7 +498,7 @@ func (s *Server) handleMigrateIn(ts core.Transport, dec *gob.Decoder, enc *gob.E
 	s.mu.Unlock()
 	s.sessions.Add(id, inc.Runtime)
 	sp.End()
-	s.shipTrace(enc, ctx)
+	s.shipTrace(w, ctx)
 	log.Printf("accepted migration of %s as %s (restore=%v verify=%v)", cmd.ID, id, inc.RestoreTime, inc.VerifyTime)
 }
 
@@ -496,11 +507,11 @@ func (s *Server) handleMigrateIn(ts core.Transport, dec *gob.Decoder, enc *gob.E
 // dark — so the source reads exactly one trailer message. Send errors are
 // ignored: the migration already committed or aborted, only observability
 // is at stake.
-func (s *Server) shipTrace(enc *gob.Encoder, ctx telemetry.Context) {
+func (s *Server) shipTrace(w io.Writer, ctx telemetry.Context) {
 	var ship hostproto.TraceShipment
 	if s.tr != nil && !ctx.TraceID.IsZero() {
 		ship.Trace = s.tr.ExportTrace(ctx.TraceID)
 		ship.Trace.Proc = "sgxhost " + s.name
 	}
-	_ = enc.Encode(ship)
+	_ = hostproto.Write(w, ship)
 }

@@ -1,11 +1,9 @@
 package hostd_test
 
 import (
-	"encoding/gob"
-	"fmt"
-	"net"
 	"testing"
 
+	"repro/internal/fleet"
 	"repro/internal/hostproto"
 	"repro/internal/telemetry"
 	"repro/internal/testhost"
@@ -21,32 +19,6 @@ func startHost(t *testing.T, name string, seed uint64, sample float64) *testhost
 	return h
 }
 
-// clientRequest mirrors sgxmigrate's traced request: child span, inject,
-// adopt the returned buffer, fail the span on error.
-func clientRequest(t *testing.T, tr *telemetry.Tracer, sp *telemetry.Span, addr string, cmd hostproto.Command) (hostproto.Response, error) {
-	t.Helper()
-	rsp := sp.Child("client." + string(cmd.Op))
-	cmd.TraceParent = rsp.Context().Inject()
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatalf("dial %s: %v", addr, err)
-	}
-	defer conn.Close()
-	if err := gob.NewEncoder(conn).Encode(cmd); err != nil {
-		t.Fatalf("encode: %v", err)
-	}
-	var resp hostproto.Response
-	if err := gob.NewDecoder(conn).Decode(&resp); err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	tr.Adopt(resp.Trace)
-	if resp.Err != "" {
-		err = fmt.Errorf("%s: %s", addr, resp.Err)
-	}
-	rsp.Fail(err)
-	return resp, err
-}
-
 // TestCrossHostTraceMerge drives a real localhost migration between two
 // in-process sgxhost daemons and checks the tentpole property: one
 // migration is one trace — a single TraceID spanning client, source, and
@@ -57,13 +29,13 @@ func TestCrossHostTraceMerge(t *testing.T) {
 	client := telemetry.NewSeeded(3)
 
 	root := client.Begin("client.migrate")
-	launch, err := clientRequest(t, client, root, src.Addr, hostproto.Command{Op: hostproto.OpLaunch, Image: "counter"})
+	launch, err := fleet.TracedRequest(client, root, src.Addr, hostproto.Command{Op: hostproto.OpLaunch, Image: "counter"}, 0)
 	if err != nil {
 		t.Fatalf("launch: %v", err)
 	}
-	if _, err := clientRequest(t, client, root, src.Addr, hostproto.Command{
+	if _, err := fleet.TracedRequest(client, root, src.Addr, hostproto.Command{
 		Op: hostproto.OpMigrateOut, ID: launch.ID, Target: dst.Addr,
-	}); err != nil {
+	}, 0); err != nil {
 		t.Fatalf("migrate-out: %v", err)
 	}
 	root.End()
@@ -105,7 +77,7 @@ func TestCrossHostTraceMerge(t *testing.T) {
 		}
 	}
 	// The migrated enclave really is on the target.
-	list, err := clientRequest(t, client, client.Begin("client.list"), dst.Addr, hostproto.Command{Op: hostproto.OpList})
+	list, err := fleet.TracedRequest(client, client.Begin("client.list"), dst.Addr, hostproto.Command{Op: hostproto.OpList}, 0)
 	if err != nil {
 		t.Fatalf("list: %v", err)
 	}
@@ -138,7 +110,7 @@ func TestSamplingZeroAcrossHosts(t *testing.T) {
 	if root.Context().Sampled {
 		t.Fatalf("p=0 root span is sampled")
 	}
-	if _, err := clientRequest(t, client, root, src.Addr, hostproto.Command{Op: hostproto.OpLaunch, Image: "counter"}); err != nil {
+	if _, err := fleet.TracedRequest(client, root, src.Addr, hostproto.Command{Op: hostproto.OpLaunch, Image: "counter"}, 0); err != nil {
 		t.Fatalf("launch: %v", err)
 	}
 	root.End()
@@ -152,9 +124,9 @@ func TestSamplingZeroAcrossHosts(t *testing.T) {
 	// Failure at p=0: migrating a nonexistent enclave fails on the host;
 	// both sides keep the trace.
 	root2 := client.Begin("client.migrate")
-	if _, err := clientRequest(t, client, root2, src.Addr, hostproto.Command{
+	if _, err := fleet.TracedRequest(client, root2, src.Addr, hostproto.Command{
 		Op: hostproto.OpMigrateOut, ID: "no-such-enclave", Target: "127.0.0.1:1",
-	}); err == nil {
+	}, 0); err == nil {
 		t.Fatalf("migrate-out of unknown enclave succeeded")
 	}
 	root2.End()
@@ -183,7 +155,7 @@ func TestOpStats(t *testing.T) {
 	root := client.Begin("client.stats")
 	defer root.End()
 
-	empty, err := clientRequest(t, client, root, h.Addr, hostproto.Command{Op: hostproto.OpStats})
+	empty, err := fleet.TracedRequest(client, root, h.Addr, hostproto.Command{Op: hostproto.OpStats}, 0)
 	if err != nil {
 		t.Fatalf("stats: %v", err)
 	}
@@ -197,11 +169,11 @@ func TestOpStats(t *testing.T) {
 		t.Fatalf("fresh host EPC accounting: %d free of %d", empty.Stats.FreeEPC, empty.Stats.TotalEPC)
 	}
 
-	launch, err := clientRequest(t, client, root, h.Addr, hostproto.Command{Op: hostproto.OpLaunch, Image: "counter"})
+	launch, err := fleet.TracedRequest(client, root, h.Addr, hostproto.Command{Op: hostproto.OpLaunch, Image: "counter"}, 0)
 	if err != nil {
 		t.Fatalf("launch: %v", err)
 	}
-	got, err := clientRequest(t, client, root, h.Addr, hostproto.Command{Op: hostproto.OpStats})
+	got, err := fleet.TracedRequest(client, root, h.Addr, hostproto.Command{Op: hostproto.OpStats}, 0)
 	if err != nil {
 		t.Fatalf("stats: %v", err)
 	}

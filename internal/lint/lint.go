@@ -209,13 +209,13 @@ func DefaultConfig(modPath string) *Config {
 		WireStructs: []WireStruct{
 			{
 				Type:   modPath + "/internal/core.Message",
-				Encode: "(*encoding/gob.Encoder).Encode",
-				Decode: "(*encoding/gob.Decoder).Decode",
+				Encode: modPath + "/internal/core.AppendFrame",
+				Decode: modPath + "/internal/core.DecodeFrame",
 			},
 			{
 				Type:   modPath + "/internal/telemetry.Record",
-				Encode: "(*encoding/gob.Encoder).Encode",
-				Decode: "(*encoding/gob.Decoder).Decode",
+				Encode: modPath + "/internal/hostproto.Write",
+				Decode: modPath + "/internal/hostproto.Read",
 			},
 			{
 				Type:   modPath + "/internal/core.PageFrame",
@@ -224,23 +224,23 @@ func DefaultConfig(modPath string) *Config {
 			},
 			{
 				Type:   modPath + "/internal/hostproto.Command",
-				Encode: "(*encoding/gob.Encoder).Encode",
-				Decode: "(*encoding/gob.Decoder).Decode",
+				Encode: modPath + "/internal/hostproto.Write",
+				Decode: modPath + "/internal/hostproto.Read",
 			},
 			{
 				Type:   modPath + "/internal/hostproto.Response",
-				Encode: "(*encoding/gob.Encoder).Encode",
-				Decode: "(*encoding/gob.Decoder).Decode",
+				Encode: modPath + "/internal/hostproto.Write",
+				Decode: modPath + "/internal/hostproto.Read",
 			},
 			{
 				Type:   modPath + "/internal/hostproto.TraceShipment",
-				Encode: "(*encoding/gob.Encoder).Encode",
-				Decode: "(*encoding/gob.Decoder).Decode",
+				Encode: modPath + "/internal/hostproto.Write",
+				Decode: modPath + "/internal/hostproto.Read",
 			},
 			{
 				Type:   modPath + "/internal/hostproto.HostStats",
-				Encode: "(*encoding/gob.Encoder).Encode",
-				Decode: "(*encoding/gob.Decoder).Decode",
+				Encode: modPath + "/internal/hostproto.Write",
+				Decode: modPath + "/internal/hostproto.Read",
 			},
 			{
 				Type:   modPath + "/internal/sgx.Report",

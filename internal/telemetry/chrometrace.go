@@ -35,8 +35,8 @@ const chromePID = 1
 // WireTrace is a span buffer in transit between processes: the target
 // host's contribution to a migration trace, shipped back to the source at
 // commit/abort and folded into the local tracer with Adopt. It is part of
-// the hostproto wire surface (gob-encoded inside Response and the
-// TraceShipment message).
+// the hostproto wire surface (JSON inside Response and the TraceShipment
+// message).
 type WireTrace struct {
 	// Proc names the originating process ("sgxhost tokyo"); the merged
 	// Chrome trace renders each Proc as its own process group.

@@ -83,7 +83,7 @@ func (k EventKind) String() string {
 // Record is one journal entry. It carries the distributed trace context of
 // the operation that emitted it, so a journal line joins the Chrome trace
 // of its migration, and it rides the wire verbatim in the OpEvents
-// response (gob; round-trip pinned in tests).
+// response (JSON; round-trip pinned in tests).
 type Record struct {
 	// Seq is the journal-local sequence number, monotonically increasing
 	// from 1. It is the OpEvents cursor: a scraper that saw Seq n asks for
@@ -176,14 +176,22 @@ func (j *Journal) Merge(host string, recs []Record) {
 // first, plus the cursor to pass next time (the newest Seq seen, or the
 // input cursor when nothing is new). Records that fell off the ring are
 // silently skipped — the cursor contract is "at most everything since",
-// bounded by the ring. Since(0) returns the whole retained journal.
+// bounded by the ring. Since(0) returns the whole retained journal. So
+// does a cursor above the journal's head: no Seq that high was ever handed
+// out here, so it was taken from a different journal — the daemon
+// restarted — and holding it would drop every event until the new Seq
+// caught up. The returned cursor is then this journal's head, below the
+// one passed in.
 func (j *Journal) Since(cursor uint64) ([]Record, uint64) {
 	if j == nil {
 		return nil, cursor
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.next <= cursor {
+	if cursor > j.next {
+		cursor = 0
+	}
+	if j.next == cursor {
 		return nil, cursor
 	}
 	oldest := uint64(1)

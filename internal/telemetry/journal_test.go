@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"bytes"
-	"encoding/gob"
 	"encoding/json"
 	"fmt"
 	"reflect"
@@ -24,30 +23,34 @@ func recordFixture() Record {
 	}
 }
 
-// TestRecordRoundTrip pins the gob wire format of Record — the OpEvents
-// payload the fleet federator scrapes — including the empty form and a
-// truncated-frame rejection.
+// TestRecordRoundTrip pins the wire format of Record — the OpEvents
+// payload the fleet federator scrapes, JSON inside a hostproto Response —
+// including the empty form and the rejection of every truncated encoding.
 func TestRecordRoundTrip(t *testing.T) {
+	big := recordFixture()
+	big.Seq, big.WallNs = 1<<64-1, 1<<63-1 // not representable as JSON floats
 	recs := []Record{
 		{}, // zero record
 		recordFixture(),
+		big,
 	}
 	for i, in := range recs {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(in); err != nil {
+		full, err := json.Marshal(in)
+		if err != nil {
 			t.Fatalf("encode #%d: %v", i, err)
 		}
-		full := append([]byte(nil), buf.Bytes()...)
 		var out Record
-		if err := gob.NewDecoder(&buf).Decode(&out); err != nil {
+		if err := json.Unmarshal(full, &out); err != nil {
 			t.Fatalf("decode #%d: %v", i, err)
 		}
 		if !reflect.DeepEqual(out, in) {
 			t.Errorf("round trip changed record: %+v != %+v", out, in)
 		}
-		var trunc Record
-		if err := gob.NewDecoder(bytes.NewReader(full[:len(full)/2])).Decode(&trunc); err == nil {
-			t.Errorf("truncated frame #%d decoded to %+v, want error", i, trunc)
+		for cut := 0; cut < len(full); cut++ {
+			var trunc Record
+			if err := json.Unmarshal(full[:cut], &trunc); err == nil {
+				t.Errorf("truncated encoding #%d (%d/%d bytes) decoded to %+v, want error", i, cut, len(full), trunc)
+			}
 		}
 	}
 }
@@ -109,6 +112,32 @@ func TestJournalCursor(t *testing.T) {
 	}
 	if j.Len() != 6 {
 		t.Fatalf("Len = %d, want 6", j.Len())
+	}
+}
+
+// TestJournalCursorFromOldJournal: a scraper's cursor outlives the daemon
+// it was taken from. Against the restarted daemon's fresh journal it points
+// above the head; Since must hand over everything retained and pull the
+// cursor back, not return nothing until Seq catches up with it.
+func TestJournalCursorFromOldJournal(t *testing.T) {
+	old := NewJournal(16)
+	for i := 0; i < 9; i++ {
+		old.Append(EventQuiesce, "before", Context{})
+	}
+	_, cur := old.Since(0)
+
+	fresh := NewJournal(16)
+	if recs, next := fresh.Since(cur); len(recs) != 0 || next != 0 {
+		t.Fatalf("empty fresh journal Since(%d) = %d recs, cursor %d, want 0, 0", cur, len(recs), next)
+	}
+	fresh.Append(EventChannelUp, "after-1", Context{})
+	fresh.Append(EventKeyRelease, "after-2", Context{})
+	recs, next := fresh.Since(cur)
+	if len(recs) != 2 || recs[0].EnclaveID != "after-1" || recs[1].EnclaveID != "after-2" || next != 2 {
+		t.Fatalf("Since(%d) on a 2-record journal = %+v, cursor %d, want both records, 2", cur, recs, next)
+	}
+	if recs, again := fresh.Since(next); len(recs) != 0 || again != next {
+		t.Fatalf("Since(%d) right after = %d recs, cursor %d", next, len(recs), again)
 	}
 }
 

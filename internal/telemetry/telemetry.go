@@ -74,8 +74,8 @@ type SpanRecord struct {
 	// Links are the contexts of causally-related spans that are not this
 	// span's ancestors (Span.Link): the producer half of a channel
 	// handoff, the remote peer of an in-process transport. Exporters
-	// render them as flow arrows. New field; gob decodes older records
-	// without it to an empty slice, so WireTrace stays wire-compatible.
+	// render them as flow arrows. A record from a peer that predates the
+	// field decodes with none, so WireTrace stays wire-compatible.
 	Links []Context
 }
 

@@ -57,6 +57,10 @@ type Host struct {
 	S    *hostd.Server
 	Addr string
 	ln   net.Listener
+
+	name string
+	seed uint64
+	opt  Options
 }
 
 // Start builds a daemon, gives it a deterministic seeded tracer, binds an
@@ -64,9 +68,28 @@ type Host struct {
 // Seeds must be distinct across the hosts of one test so their span ID
 // streams stay disjoint when traces merge.
 func Start(name string, seed uint64, opt Options) (*Host, error) {
+	h := &Host{name: name, seed: seed, opt: opt}
+	if err := h.serve("127.0.0.1:0"); err != nil {
+		return nil, err
+	}
+	return h, nil
+}
+
+// Restart replaces the daemon with a fresh one on the same address: a new
+// machine, no sessions, a journal that starts again at Seq 1 — what a
+// crashed and restarted sgxhost is to its peers. Not safe concurrently
+// with other uses of h.
+func (h *Host) Restart() error {
+	h.Close()
+	return h.serve(h.Addr)
+}
+
+// serve builds the daemon and starts it on addr.
+func (h *Host) serve(addr string) error {
+	name, seed, opt := h.name, h.seed, h.opt
 	s, err := hostd.New(name, opt.secret(), opt.epc())
 	if err != nil {
-		return nil, err
+		return err
 	}
 	tr := telemetry.NewSeeded(seed)
 	tr.SetSampling(opt.Sample)
@@ -77,12 +100,13 @@ func Start(name string, seed uint64, opt Options) (*Host, error) {
 	if opt.MigrationHook != nil {
 		s.SetMigrationTransportHook(opt.MigrationHook)
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	ln, err := net.Listen("tcp", addr)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	go s.ServeLoop(ln)
-	return &Host{S: s, Addr: ln.Addr().String(), ln: ln}, nil
+	h.S, h.Addr, h.ln = s, ln.Addr().String(), ln
+	return nil
 }
 
 // Close stops accepting connections. In-flight connections finish on

@@ -271,6 +271,9 @@ func applyFrame(dst *GuestMemory, f *core.PageFrame, pages *telemetry.Counter) e
 		// nothing to install in the simulation.
 	case core.FrameEnd:
 		// Stream terminator; the caller stops on it.
+	case core.FrameCtl:
+		// RecvFrame refuses these; a transport that let one through is broken.
+		return fmt.Errorf("vmm: control message %d in the page stream", f.Msg)
 	}
 	return nil
 }
