@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check build fmt vet lint lint-budget lint-fixtures test bench-build race bench bench-layers fuzz-smoke
+.PHONY: check build fmt vet lint lint-budget lint-fixtures test bench-build race bench bench-layers fuzz-smoke loc
 
 check: build fmt vet lint test bench-build race
 
@@ -34,6 +34,17 @@ lint-budget:
 # developing a rule or the dataflow engine.
 lint-fixtures:
 	$(GO) test ./internal/lint/ -run 'Fixture|CFG' -v
+
+# Non-test Go lines outside benchmark/ and testdata/ — the figure ROADMAP's
+# simplicity targets and every deletion PR quote — as a total and per
+# top-level package of internal/.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' ! -path '*/testdata/*' \
+		| xargs cat | wc -l | awk '{printf "%6d  total\n", $$1}'
+	@for d in internal/*/; do \
+		find $$d -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' | xargs cat | wc -l \
+			| awk -v d=$$d '{printf "%6d  %s\n", $$1, d}'; \
+	done
 
 test:
 	$(GO) test ./...

@@ -253,16 +253,16 @@ func TestMigrationOverTCP(t *testing.T) {
 func TestPrepareTimesOutOnHostileWorkload(t *testing.T) {
 	w := newWorld(t)
 	app := testapps.CounterApp(1)
-	// Disable stubs: the workers never maintain flags, so a busy worker
-	// never reads as quiescent... actually stubless flags read free; use a
-	// stubbed app but a stuck worker instead: spin ecall that ignores the
-	// interrupt by being re-entered forever is not constructible from the
-	// untrusted side — quiescence always converges here. Pin the budget
-	// behaviour instead with an absurdly short budget and a busy worker.
+	// A worker that ignores the interrupt forever is not constructible from
+	// the untrusted side — quiescence always converges here. Pin the budget
+	// behaviour instead with an absurdly short budget and a busy worker:
+	// the run only has to outlast the 1 ms head start (≈ 1 s, like
+	// TestMigrateOutPrepareFailureResumesSource's).
 	src := w.launch(t, app)
+	const iterations = 5_000_000
 	done := make(chan error, 1)
 	go func() {
-		_, err := src.ECall(0, testapps.CounterRun, 100_000_000)
+		_, err := src.ECall(0, testapps.CounterRun, iterations)
 		done <- err
 	}()
 	time.Sleep(time.Millisecond)
@@ -274,8 +274,12 @@ func TestPrepareTimesOutOnHostileWorkload(t *testing.T) {
 		t.Fatalf("prepare with zero budget: %v", err)
 	}
 	// A failed Prepare cancels the migration itself; the enclave resumes
-	// without any action from the caller, so the busy ecall completes.
+	// without any action from the caller, so the busy ecall completes —
+	// with every step counted.
 	if err := <-done; err != nil {
 		t.Fatal(err)
+	}
+	if res, err := src.ECall(0, testapps.CounterGet); err != nil || res[0] != iterations {
+		t.Fatalf("counter after the failed Prepare: %v %v, want %d", res, err, iterations)
 	}
 }

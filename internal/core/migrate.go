@@ -36,12 +36,9 @@ func NewDeployment(app *enclave.App, owner *Owner) *Deployment {
 	return &Deployment{App: app, Sig: sgx.SignEnclave(owner.Signer(), enclave.MeasureApp(app))}
 }
 
-// Registry maps image names to deployments on a host. It is sharded over
-// lock stripes keyed by app name (see striped), so lookups during
-// concurrent enclave arrivals on a many-enclave host contend only within
-// a stripe, not on one global RWMutex.
+// Registry maps image names to deployments on a host.
 type Registry struct {
-	apps striped[*Deployment]
+	apps table[*Deployment]
 }
 
 // NewRegistry creates an empty registry.

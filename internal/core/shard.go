@@ -1,110 +1,76 @@
 package core
 
 import (
-	"hash/fnv"
 	"sync"
 
 	"repro/internal/enclave"
 )
 
-// stripeCount is the number of lock stripes in the sharded tables. 16 is
-// far past the point of diminishing returns for the host counts the
-// simulator reaches, yet small enough that Range/Len stay cheap.
-const stripeCount = 16
-
-// stripe is one lock-striped bucket of a sharded string-keyed map.
-type stripe[V any] struct {
+// table is a string-keyed map behind one RWMutex: the registry and the
+// session table of a host daemon. It serves a handful of images and a few
+// dozen sessions, one map operation per multi-hundred-microsecond request;
+// shard it only when a mutex profile shows goroutines waiting here.
+type table[V any] struct {
 	mu sync.RWMutex
 	m  map[string]V // guarded by mu
 }
 
-// striped is a string-keyed map sharded over stripeCount rwmutex-guarded
-// buckets, replacing the single-RWMutex chokepoint on many-enclave hosts:
-// operations on different keys contend only when they hash to the same
-// stripe. Every operation touches exactly one stripe except Len and
-// Range, which visit stripes one at a time and therefore see a sequence
-// of per-stripe snapshots, not one global snapshot.
-type striped[V any] struct {
-	// stripes is immutable after construction: the array itself is never
-	// reassigned — all mutation happens inside a stripe under its mu — so
-	// stripeFor may index it without any table-wide lock.
-	stripes [stripeCount]stripe[V]
-}
-
-func (s *striped[V]) stripeFor(key string) *stripe[V] {
-	h := fnv.New32a()
-	h.Write([]byte(key))
-	return &s.stripes[h.Sum32()%stripeCount]
-}
-
-// get returns the value for key from its stripe.
-func (s *striped[V]) get(key string) (V, bool) {
-	st := s.stripeFor(key)
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	v, ok := st.m[key]
+// get returns the value for key.
+func (t *table[V]) get(key string) (V, bool) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	v, ok := t.m[key]
 	return v, ok
 }
 
-// set stores key atomically within its stripe: a concurrent get returns
-// either the previous value or the new one, never a partial state.
-func (s *striped[V]) set(key string, v V) {
-	st := s.stripeFor(key)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.m == nil {
-		st.m = make(map[string]V)
+// set stores key atomically and returns the value it displaced (the zero
+// value if none): a concurrent get returns either the previous value or
+// the new one, never a partial state.
+func (t *table[V]) set(key string, v V) V {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.m == nil {
+		t.m = make(map[string]V)
 	}
-	st.m[key] = v
+	old := t.m[key]
+	t.m[key] = v
+	return old
 }
 
 // delete removes key, reporting whether it was present.
-func (s *striped[V]) delete(key string) bool {
-	st := s.stripeFor(key)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	_, ok := st.m[key]
-	if ok {
-		delete(st.m, key)
-	}
+func (t *table[V]) delete(key string) bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	_, ok := t.m[key]
+	delete(t.m, key)
 	return ok
 }
 
-// length counts entries across all stripes.
-func (s *striped[V]) length() int {
-	n := 0
-	for i := range s.stripes {
-		st := &s.stripes[i]
-		st.mu.RLock()
-		n += len(st.m)
-		st.mu.RUnlock()
-	}
-	return n
+// length counts entries.
+func (t *table[V]) length() int {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return len(t.m)
 }
 
-// rangeAll calls f for every entry until f returns false. Only one
-// stripe's lock is held at a time, so f may call back into the table for
-// keys on other stripes but must not mutate the table itself.
-func (s *striped[V]) rangeAll(f func(key string, v V) bool) {
-	for i := range s.stripes {
-		st := &s.stripes[i]
-		st.mu.RLock()
-		for k, v := range st.m {
-			if !f(k, v) {
-				st.mu.RUnlock()
-				return
-			}
+// rangeAll calls f for every entry until f returns false. The read lock is
+// held throughout, so f sees one consistent snapshot and must not mutate
+// the table (it would deadlock against itself).
+func (t *table[V]) rangeAll(f func(key string, v V) bool) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	for k, v := range t.m {
+		if !f(k, v) {
+			return
 		}
-		st.mu.RUnlock()
 	}
 }
 
-// SessionTable is the lock-striped table of live enclave sessions a host
-// daemon serves, keyed by session name. It backs cmd/sgxhost's launch /
-// call / migrate handlers, where concurrent calls into different enclaves
-// previously serialized on one mutex.
+// SessionTable is the table of live enclave sessions a host daemon serves,
+// keyed by session name. It backs cmd/sgxhost's launch / call / migrate
+// handlers; the lock covers the map operation only, never the call.
 type SessionTable struct {
-	t striped[*enclave.Runtime]
+	t table[*enclave.Runtime]
 }
 
 // NewSessionTable creates an empty table.
@@ -113,15 +79,7 @@ func NewSessionTable() *SessionTable { return &SessionTable{} }
 // Add installs a session under name, replacing any previous one
 // atomically and returning the displaced runtime (nil if none).
 func (s *SessionTable) Add(name string, rt *enclave.Runtime) *enclave.Runtime {
-	st := s.t.stripeFor(name)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.m == nil {
-		st.m = make(map[string]*enclave.Runtime)
-	}
-	old := st.m[name]
-	st.m[name] = rt
-	return old
+	return s.t.set(name, rt)
 }
 
 // Lookup finds a session by name.
@@ -133,6 +91,6 @@ func (s *SessionTable) Remove(name string) bool { return s.t.delete(name) }
 // Len counts live sessions.
 func (s *SessionTable) Len() int { return s.t.length() }
 
-// Range visits every session until f returns false; see striped.rangeAll
-// for the consistency contract.
+// Range visits every session until f returns false; f must not mutate the
+// table (see table.rangeAll).
 func (s *SessionTable) Range(f func(name string, rt *enclave.Runtime) bool) { s.t.rangeAll(f) }

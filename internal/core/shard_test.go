@@ -10,7 +10,7 @@ import (
 
 // TestRegistryConcurrentSharding hammers Add/Lookup/Remove/Len across many
 // app names from many goroutines; under -race this is the regression test
-// for the lock-striped registry replacing the single RWMutex.
+// for the registry's locking.
 func TestRegistryConcurrentSharding(t *testing.T) {
 	reg := NewRegistry()
 	const workers, names, rounds = 8, 64, 50

@@ -48,8 +48,8 @@ type Server struct {
 	registry *core.Registry
 	next     int // launch/migrate-in ID counter; guarded by mu
 
-	// sessions is the lock-striped table of live enclave sessions, so
-	// concurrent calls into different enclaves don't serialize on s.mu.
+	// sessions is the table of live enclave sessions, under its own lock so
+	// calls into enclaves don't serialize on s.mu.
 	sessions *core.SessionTable
 
 	// inflightIn/inflightOut count migrations currently executing with

@@ -221,16 +221,6 @@ func annotatedFieldSel(pkg *Package, fields map[token.Pos]immutField, e ast.Expr
 	return obj.Pos(), baseVar(pkg, sel.X), true
 }
 
-// staticCallee resolves a call to its declared static callee (generic
-// origin), or nil for indirect calls, conversions, and builtins.
-func staticCallee(pkg *Package, call *ast.CallExpr) *types.Func {
-	fn := calleeFunc(pkg, call)
-	if fn == nil {
-		return nil
-	}
-	return fn.Origin()
-}
-
 // callOperandExprs lists a call's operand expressions receiver-first,
 // matching the summary indexing of paramsOf: for a method call the
 // receiver expression is operand 0 and arguments follow; for a plain call

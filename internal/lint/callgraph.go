@@ -7,8 +7,8 @@ import (
 )
 
 // This file builds the module-wide call graph the interprocedural analyses
-// (summary.go's bottom-up solver, leakcheck, the immutable rule's callee
-// write tracking) run over.
+// (summary.go's bottom-up solver and its clients: leakcheck, immutable,
+// lockorder, plainflow) run over.
 //
 // Nodes are the module's declared functions and methods (*types.Func with a
 // body in the loaded program). Edges are:
@@ -16,10 +16,9 @@ import (
 //   - static calls: `f(x)`, `pkg.F(x)`, and method calls with a concrete
 //     receiver, resolved through go/types;
 //   - interface dispatch: a call through an interface method edges to every
-//     module-defined implementation of that method, via the same
-//     implements-index the taint analysis uses (iface.go) — conservative in
-//     the direction bottom-up analyses need, since any implementation may
-//     be the dynamic callee;
+//     module-defined implementation of that method, via the program's one
+//     implements-index (iface.go) — conservative in the direction bottom-up
+//     analyses need, since any implementation may be the dynamic callee;
 //   - calls made inside function literals are attributed to the literal's
 //     enclosing declared function: the literal runs with (a closure over)
 //     the enclosing frame, and the summary analyses treat its effects as
@@ -61,8 +60,8 @@ type FuncDecl struct {
 }
 
 // CallGraph returns the program's call graph, building it on first use and
-// caching it so the interprocedural rules (leakcheck, immutable) share one
-// graph and one implements-index per run.
+// caching it so the interprocedural rules share one graph and one
+// implements-index per run.
 func (p *Program) CallGraph() *CallGraph {
 	if p.callgraph == nil {
 		p.callgraph = BuildCallGraph(p)
@@ -133,25 +132,42 @@ func (g *CallGraph) Decl(fn *types.Func) *FuncDecl {
 	return g.decls[fn]
 }
 
+// staticCallee resolves a call to its static callee — the declared origin
+// for a generic instantiation (core.table[V] methods), which is what the
+// call graph and every summary map are keyed by — or nil for calls through
+// function values, conversions, and builtins.
+func staticCallee(pkg *Package, call *ast.CallExpr) *types.Func {
+	var obj types.Object
+	switch f := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		obj = pkg.Info.Uses[f]
+	case *ast.SelectorExpr:
+		obj = pkg.Info.Uses[f.Sel]
+	}
+	if fn, ok := obj.(*types.Func); ok {
+		return fn.Origin()
+	}
+	return nil
+}
+
 // Callees resolves one call site to its possible declared callees: the
 // static callee for direct calls, every module implementation for interface
 // dispatch, nil for calls through plain function values. The static callee
 // is returned even when it has no body in the module (callers check Decl).
 func (g *CallGraph) Callees(pkg *Package, call *ast.CallExpr) []*types.Func {
-	fn := calleeFunc(pkg, call)
+	fn := staticCallee(pkg, call)
 	if fn == nil {
 		return nil
 	}
-	// Generic instantiations (striped[V] methods) resolve to the declared
-	// origin, which is what decls is keyed by.
-	fn = fn.Origin()
-	if isIfaceMethod(fn) {
-		if impls := g.impls.implsOf(fn); len(impls) > 0 {
-			return impls
-		}
+	if impls := g.ImplsOf(fn); len(impls) > 0 {
+		return impls
 	}
 	return []*types.Func{fn}
 }
+
+// ImplsOf returns the module methods that can stand behind a call to the
+// interface method fn; nil when fn is not one or nothing implements it.
+func (g *CallGraph) ImplsOf(fn *types.Func) []*types.Func { return g.impls.implsOf(fn) }
 
 // SCCs returns the condensation components bottom-up: callees' components
 // before callers'. Mutually recursive functions share a component.

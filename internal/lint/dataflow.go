@@ -8,12 +8,12 @@ import (
 // lives in cfg.go): a generic forward worklist solver parameterized over a
 // fact lattice. An analyzer supplies the lattice operations through the
 // Analysis interface and gets back the fact at every block entry; it then
-// replays Transfer over a block's nodes to recover facts at interior
-// points (see WalkFacts).
+// replays Transfer over the blocks' nodes to recover facts at interior
+// points (see Replay).
 //
 // The same machinery serves both meet flavors:
 //
-//   - must-analyses (lockflow's held-lock sets) use intersection, so a
+//   - must-analyses (the lock model's held-mutex sets) use intersection, so a
 //     fact survives a join only when every reaching path establishes it;
 //   - may-analyses (immutable's escaped-value sets) use union, so a fact
 //     survives when any path establishes it.
@@ -54,7 +54,10 @@ func Solve[F any](cfg *CFG, an Analysis[F]) map[*Block]F {
 		work = work[1:]
 		queued[blk] = false
 
-		out := BlockOut(an, blk, in[blk])
+		out := an.Clone(in[blk])
+		for _, n := range blk.Nodes {
+			out = an.Transfer(n, out)
+		}
 		for _, e := range blk.Succs {
 			fact := out
 			if blk.Cond != nil && (e.Kind == EdgeTrue || e.Kind == EdgeFalse) {
@@ -79,24 +82,21 @@ func Solve[F any](cfg *CFG, an Analysis[F]) map[*Block]F {
 	return in
 }
 
-// BlockOut applies every node of blk to the entry fact, returning the fact
-// at block exit. The input fact is cloned first, so callers may pass facts
-// owned by the solver's result map.
-func BlockOut[F any](an Analysis[F], blk *Block, entry F) F {
-	f := an.Clone(entry)
-	for _, n := range blk.Nodes {
-		f = an.Transfer(n, f)
-	}
-	return f
-}
-
-// WalkFacts replays a solved analysis through blk, calling visit with the
-// fact in force immediately before each node. It is how checkers recover
-// interior-point facts without the solver storing per-node state.
-func WalkFacts[F any](an Analysis[F], blk *Block, entry F, visit func(n ast.Node, f F)) {
-	f := an.Clone(entry)
-	for _, n := range blk.Nodes {
-		visit(n, f)
-		f = an.Transfer(n, f)
+// Replay walks every reachable block of a solved CFG, calling visit with
+// the fact in force immediately before each node and then applying the
+// node's Transfer. It is how checkers recover interior-point facts (and how
+// analyses whose Transfer reports findings derive them from converged facts
+// only) without the solver storing per-node state.
+func Replay[F any](cfg *CFG, an Analysis[F], in map[*Block]F, visit func(n ast.Node, f F)) {
+	for _, blk := range cfg.Blocks {
+		entry, reachable := in[blk]
+		if !reachable {
+			continue
+		}
+		f := an.Clone(entry)
+		for _, n := range blk.Nodes {
+			visit(n, f)
+			f = an.Transfer(n, f)
+		}
 	}
 }

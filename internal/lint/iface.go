@@ -2,13 +2,13 @@ package lint
 
 import "go/types"
 
-// ifaceIndex resolves dynamic dispatch for the taint analysis: given an
-// interface method, it returns every method of a module-defined concrete
-// type that can stand behind the call. The index is conservative in the
-// direction the analysis needs — it assumes any in-module implementation
-// may be the dynamic callee, so a dispatch site inherits the union of the
-// implementations' behaviors (tainted if ANY implementation taints, clean
-// only if ALL of them are clean or sanitize).
+// ifaceIndex resolves dynamic dispatch for the call graph and its clients:
+// given an interface method, it returns every method of a module-defined
+// concrete type that can stand behind the call. The index is conservative
+// in the direction the analyses need — it assumes any in-module
+// implementation may be the dynamic callee, so a dispatch site inherits the
+// union of the implementations' behaviors (for taint: tainted if ANY
+// implementation taints, clean only if ALL of them are clean or sanitize).
 //
 // Implementations outside the module (stdlib, vendored code) are invisible
 // here; those are covered by configuring the interface method's own
@@ -78,10 +78,4 @@ func (ix *ifaceIndex) implsOf(fn *types.Func) []*types.Func {
 	}
 	ix.cache[fn] = impls
 	return impls
-}
-
-// isIfaceMethod reports whether fn is declared on an interface.
-func isIfaceMethod(fn *types.Func) bool {
-	sig, _ := fn.Type().(*types.Signature)
-	return sig != nil && sig.Recv() != nil && types.IsInterface(sig.Recv().Type())
 }

@@ -161,39 +161,30 @@ func (im *immutable) checkFunc(prog *Program, pkg *Package, fd *ast.FuncDecl) []
 // other literal inherits the escape set at its creation point.
 func (im *immutable) checkEscapeCFG(prog *Program, pkg *Package, cfg *CFG, an *escapeAnalysis, constructs map[*types.TypeName]bool, funcName string) []Diagnostic {
 	var diags []Diagnostic
-	in := Solve[escapeFact](cfg, an)
-
 	type litWork struct {
 		lit   *ast.FuncLit
 		entry escapeFact
 	}
 	var lits []litWork
 
-	for _, blk := range cfg.Blocks {
-		entry, reachable := in[blk]
-		if !reachable {
-			continue
-		}
-		WalkFacts[escapeFact](an, blk, entry, func(n ast.Node, f escapeFact) {
-			work := f.clone()
-			an.scanNode(n, work,
-				func(lhs ast.Expr, escaped escapeFact) {
-					d := im.classifyWrite(prog, pkg, lhs, an, escaped, constructs, funcName)
-					if d != nil {
-						diags = append(diags, *d)
+	Replay(cfg, an, Solve[escapeFact](cfg, an), func(n ast.Node, f escapeFact) {
+		an.scanNode(n, f.clone(),
+			func(lhs ast.Expr, escaped escapeFact) {
+				d := im.classifyWrite(prog, pkg, lhs, an, escaped, constructs, funcName)
+				if d != nil {
+					diags = append(diags, *d)
+				}
+			},
+			func(lit *ast.FuncLit, esc escapeFact, inGo bool) {
+				e := esc.clone()
+				if inGo {
+					for _, obj := range freeVars(pkg, lit) {
+						e[obj] = true
 					}
-				},
-				func(lit *ast.FuncLit, esc escapeFact, inGo bool) {
-					e := esc.clone()
-					if inGo {
-						for _, obj := range freeVars(pkg, lit) {
-							e[obj] = true
-						}
-					}
-					lits = append(lits, litWork{lit, e})
-				})
-		})
-	}
+				}
+				lits = append(lits, litWork{lit, e})
+			})
+	})
 
 	for _, lw := range lits {
 		litAn := &escapeAnalysis{pkg: pkg, entry: lw.entry, litBinds: an.litBinds,
@@ -477,7 +468,7 @@ func (a *escapeAnalysis) callEscapesArgs(call *ast.CallExpr, inGo bool) bool {
 			return false
 		}
 	}
-	fn := calleeFunc(a.pkg, call)
+	fn := staticCallee(a.pkg, call)
 	if fn == nil {
 		return true // indirect call: unknown callee
 	}
@@ -531,11 +522,7 @@ func baseVar(pkg *Package, e ast.Expr) types.Object {
 	for {
 		switch x := e.(type) {
 		case *ast.Ident:
-			obj := pkg.Info.Uses[x]
-			if obj == nil {
-				obj = pkg.Info.Defs[x]
-			}
-			if v, ok := obj.(*types.Var); ok {
+			if v, ok := identObj(pkg, x).(*types.Var); ok {
 				return v
 			}
 			return nil
@@ -606,10 +593,7 @@ func collectLitBinds(pkg *Package, body *ast.BlockStmt) map[token.Pos][]types.Ob
 			if !ok {
 				continue
 			}
-			obj := pkg.Info.Defs[id]
-			if obj == nil {
-				obj = pkg.Info.Uses[id]
-			}
+			obj := identObj(pkg, id)
 			if obj == nil {
 				continue
 			}

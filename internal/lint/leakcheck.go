@@ -213,11 +213,7 @@ func (lc *leakCheck) checkBody(pkg *Package, name string, body *ast.BlockStmt, l
 	// Replay every reachable block against its converged entry fact with
 	// reporting on: overwrite/discard findings come only from final facts.
 	an.reporting = true
-	for _, blk := range cfg.Blocks {
-		if entry, ok := in[blk]; ok {
-			BlockOut[leakFact](an, blk, entry)
-		}
-	}
+	Replay(cfg, an, in, func(ast.Node, leakFact) {})
 	if exit, ok := in[cfg.Exit]; ok {
 		f := exit.clone()
 		an.applyDefers(cfg.Defers, f)
@@ -867,10 +863,7 @@ func (a *leakAnalysis) applyCall(call *ast.CallExpr, f leakFact, mode scanMode, 
 		}
 	}
 
-	fn := calleeFunc(a.pkg, call)
-	if fn != nil {
-		fn = fn.Origin()
-	}
+	fn := staticCallee(a.pkg, call)
 
 	// Collect operands: receiver first (matching summary indexing), then args.
 	type opnd struct {

@@ -9,17 +9,19 @@
 //     (wall clock, math/rand, runtime introspection) because enclave step
 //     functions must replay identically across AEX/ERESUME.
 //   - lockdiscipline: fields annotated "// guarded by <mutex>" may only be
-//     accessed by functions that lock that mutex (or are *Locked helpers).
+//     accessed where that mutex is held on every path (or in *Locked
+//     helpers).
 //   - plainflow: taint analysis — values returned by approved decrypt
 //     functions are plaintext and must be re-encrypted before they reach an
 //     untrusted sink (transport sends, shared/outside memory, logging,
-//     error construction).
+//     error construction), through wrappers of any depth.
 //   - wireproto: every wire-enum constant must be produced and consumed,
 //     defaultless switches over wire enums must be exhaustive, and every
 //     wire struct needs a codec round-trip test.
-//   - lockorder: observed mutex nesting (plus call summaries) must form an
-//     acyclic acquisition order, and every "guarded by" annotation must
-//     name a real sibling mutex.
+//   - lockorder: mutex nesting — a lock taken, directly or anywhere in a
+//     possible callee, while another is held in lockdiscipline's sense —
+//     must form an acyclic acquisition order, and every "guarded by"
+//     annotation must name a real sibling mutex.
 //   - immutable: fields annotated "// immutable after construction" may
 //     only be written by the declaring package's constructors (or composite
 //     literals), before the new value escapes the constructing frame.
@@ -28,6 +30,13 @@
 //     and telemetry span must reach a release or escape to a live owner on
 //     every CFG path, with interprocedural credit for callees whose
 //     bottom-up summary performs the release.
+//
+// The five flow rules (lockdiscipline, lockorder, plainflow, immutable,
+// leakcheck) are clients of one engine: per-function CFGs and a forward
+// dataflow solver (cfg.go, dataflow.go), the module call graph with
+// interface dispatch (callgraph.go), and a bottom-up SCC summary solver
+// (summary.go). The two lock rules are two reports over one lock model
+// (lockmodel.go).
 //
 // The driver is stdlib-only (go/parser + go/types with a recursive source
 // importer) so go.mod stays dependency-free. Individual findings are

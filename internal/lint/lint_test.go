@@ -81,13 +81,16 @@ func TestLockDisciplineFixture(t *testing.T) {
 		"counter.go:71: lockdiscipline",  // TryFail reads on the failed branch
 		"counter.go:128: lockdiscipline", // BadCondUnlock's half-released tail
 		"counter.go:141: lockdiscipline", // GoroutineLit's cross-goroutine write
+		"counter.go:180: lockdiscipline", // Table[V].Peek: generic receiver, looked up by origin
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("got %v, want %v", got, want)
 	}
 }
 
-// TestPlainFlowFixture pins the taint rule's exact findings. The iface.go
+// TestPlainFlowFixture pins the taint rule's exact findings. deep.go is the
+// summary-solver contract: a result that crosses twenty caller-first
+// wrappers arrives only if summaries are solved callee-first. The iface.go
 // cases are the dynamic-dispatch contract: an analysis that bails on
 // indirect calls misses both findings (and a blanket "interface calls are
 // tainted" rule flags the all-sanitizing SealedIfaceOK) — neither can pass.
@@ -100,6 +103,7 @@ func TestPlainFlowFixture(t *testing.T) {
 		TaintSanitizers: []string{"fxtaint/crypt.Encrypt"},
 	})
 	want := []string{
+		"deep.go:10: plainflow",  // LeakDeep: twenty wrappers between Decrypt and the sink
 		"flow.go:13: plainflow",  // LeakDirect: straight to the sink
 		"flow.go:20: plainflow",  // LeakVia: through append and slicing
 		"flow.go:26: plainflow",  // LeakLog: through log.Printf
@@ -191,13 +195,21 @@ func TestSpanPairFixture(t *testing.T) {
 	}
 }
 
+// TestLockOrderFixture pins the order rule's exact findings. The cases after
+// line 98 are the shared-lock-model contract: Backoff's failed TryLock holds
+// nothing (a linear walk reports a false u/t cycle), Evict's second lock is
+// only reachable through interface dispatch (a static-callee summary misses
+// both 154 and 161), and Step's unlock-and-return arm must not hide or
+// invent a hold.
 func TestLockOrderFixture(t *testing.T) {
 	got := runFixture(t, "lockord", &Config{})
 	want := []string{
-		"locks.go:11: lockorder", // m's annotation names no sibling mutex
-		"locks.go:18: lockorder", // AB acquires b after a ...
-		"locks.go:27: lockorder", // ... while BA acquires a after b
-		"locks.go:41: lockorder", // Add re-enters mu through bump
+		"locks.go:11: lockorder",  // m's annotation names no sibling mutex
+		"locks.go:18: lockorder",  // AB acquires b after a ...
+		"locks.go:27: lockorder",  // ... while BA acquires a after b
+		"locks.go:41: lockorder",  // Add re-enters mu through bump
+		"locks.go:154: lockorder", // Evict holds cm across Flusher.Flush, which takes dm ...
+		"locks.go:161: lockorder", // ... while Sync takes cm after dm
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("got %v, want %v", got, want)

@@ -3,42 +3,20 @@ package lint
 import (
 	"fmt"
 	"go/ast"
-	"go/token"
 	"go/types"
-	"regexp"
 	"strings"
 )
 
 // lockDiscipline enforces "// guarded by <mutex>" field annotations
 // flow-sensitively: an access to an annotated field must happen at a
-// program point where the named mutex is held on EVERY path reaching it,
-// or inside a function that declares its caller holds the lock via the
-// repo's "...Locked" name suffix.
-//
-// The rule runs on the package's CFG/dataflow engine (cfg.go,
-// dataflow.go) as a must-analysis whose fact is the set of held lock
-// names, so it models what the old syntactic rule ("a Lock call appears
-// somewhere in the body") could not:
-//
-//   - an access after mu.Unlock() on the same path is a finding, even
-//     though the body contains a Lock call;
-//   - `defer mu.Unlock()` holds the lock to every function exit,
-//     including early returns;
-//   - `if mu.TryLock()` holds the lock on exactly the success branch —
-//     the failed branch does NOT hold it (the old rule assumed
-//     acquisition regardless of the boolean result), including the
-//     negated `if !mu.TryLock() { return }` guard idiom and a boolean
-//     local bound to the TryLock result;
-//   - conditional unlocks meet correctly: after `if p { mu.Unlock() }`
-//     the lock is no longer considered held.
-//
-// Function literals are analyzed as their own CFGs: a literal inside a
-// `go` statement starts with no locks held (it runs on another
-// goroutine); any other literal inherits the held set at its creation
-// point. Mutexes are identified by their annotation name, matching the
-// annotation's own granularity. The race detector only sees
-// interleavings that actually happen in tests; this rule states the
-// invariant for every interleaving.
+// program point where the sibling mutex the annotation names is held on
+// EVERY path reaching it (the shared lock model, lockmodel.go), or inside a
+// function that declares its caller holds the lock via the repo's
+// "...Locked" name suffix. So an access after mu.Unlock() on the same path,
+// on the failed branch of a TryLock, after a conditional unlock, or inside
+// a `go` literal is a finding even though the body contains a Lock call.
+// The race detector only sees interleavings that actually happen in tests;
+// this rule states the invariant for every interleaving.
 type lockDiscipline struct{}
 
 func (*lockDiscipline) Name() string { return "lockdiscipline" }
@@ -47,364 +25,38 @@ func (*lockDiscipline) Doc() string {
 	return `fields annotated "// guarded by <mutex>" may only be accessed while that mutex is held on every path (or from *Locked helpers)`
 }
 
-var guardedRe = regexp.MustCompile(`guarded by (\w+)`)
-
 func (ld *lockDiscipline) Check(prog *Program, pkg *Package) []Diagnostic {
-	guarded := collectGuardedFields(pkg)
-	if len(guarded) == 0 {
+	guards := collectGuards(pkg)
+	if len(guards) == 0 {
 		return nil
 	}
 	var diags []Diagnostic
 	for _, f := range pkg.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
+			if !ok || fd.Body == nil || strings.HasSuffix(fd.Name.Name, "Locked") {
 				continue
 			}
-			if strings.HasSuffix(fd.Name.Name, "Locked") {
-				continue
-			}
-			an := &lockAnalysis{
-				pkg:      pkg,
-				tryBinds: collectTryLockBinds(pkg, fd.Body),
-				entry:    lockFact{},
-			}
-			cfg := BuildCFG(fd, pkg.Info)
-			diags = append(diags, checkLockCFG(prog, pkg, cfg, an, guarded, fd.Name.Name)...)
-		}
-	}
-	return diags
-}
-
-// checkLockCFG solves the held-lock analysis over one CFG and reports
-// guarded-field accesses at points where the guard is not held. Function
-// literals found along the way are checked recursively with their
-// creation-point fact (empty for `go` literals).
-func checkLockCFG(prog *Program, pkg *Package, cfg *CFG, an *lockAnalysis, guarded map[token.Pos]guardedField, funcName string) []Diagnostic {
-	var diags []Diagnostic
-	in := Solve[lockFact](cfg, an)
-
-	type litWork struct {
-		lit   *ast.FuncLit
-		entry lockFact
-	}
-	var lits []litWork
-
-	for _, blk := range cfg.Blocks {
-		entry, reachable := in[blk]
-		if !reachable {
-			continue
-		}
-		WalkFacts[lockFact](an, blk, entry, func(n ast.Node, f lockFact) {
-			// Replay the node with an access callback: the fact evolves
-			// through in-node lock operations in evaluation order.
-			work := f.clone()
-			an.scanNode(n, work,
-				func(sel *ast.SelectorExpr, held lockFact) {
-					obj, ok := pkg.Info.Uses[sel.Sel].(*types.Var)
-					if !ok {
-						return
-					}
-					gf, isGuarded := guarded[obj.Pos()]
-					if !isGuarded || held[gf.mutex] {
-						return
-					}
-					diags = append(diags, Diagnostic{
-						Pos:  prog.Fset.Position(sel.Sel.Pos()),
-						Rule: "lockdiscipline",
-						Message: fmt.Sprintf("field %s is guarded by %s, but %s does not hold %s here (not held on every path to this access)",
-							sel.Sel.Name, gf.mutex, funcName, gf.mutex),
-					})
-				},
-				func(lit *ast.FuncLit, held lockFact, inGo bool) {
-					e := held.clone()
-					if inGo {
-						e = lockFact{}
-					}
-					lits = append(lits, litWork{lit, e})
+			walkLocks(pkg, fd, func(ev lockEvent) {
+				if ev.access == nil {
+					return
+				}
+				field, ok := pkg.Info.Uses[ev.access.Sel].(*types.Var)
+				if !ok {
+					return
+				}
+				g, guarded := guards[field.Origin()]
+				if !guarded || ev.held[g.mu] {
+					return
+				}
+				diags = append(diags, Diagnostic{
+					Pos:  prog.Fset.Position(ev.access.Sel.Pos()),
+					Rule: "lockdiscipline",
+					Message: fmt.Sprintf("field %s is guarded by %s, but %s does not hold %s here (not held on every path to this access)",
+						field.Name(), g.name, fd.Name.Name, g.name),
 				})
-		})
-	}
-
-	for _, lw := range lits {
-		litAn := &lockAnalysis{pkg: pkg, tryBinds: an.tryBinds, entry: lw.entry}
-		litCFG := BuildLitCFG(funcName+".func", lw.lit, pkg.Info)
-		diags = append(diags, checkLockCFG(prog, pkg, litCFG, litAn, guarded, funcName)...)
+			})
+		}
 	}
 	return diags
-}
-
-// guardedField is one annotated struct field.
-type guardedField struct {
-	name  string
-	mutex string
-}
-
-// collectGuardedFields maps each struct field annotated "// guarded by
-// <name>" (line comment or doc comment) to its mutex name, keyed by the
-// field identifier's declaration position — positions survive generic
-// instantiation, where go/types mints fresh *types.Var objects per
-// instance but keeps the origin's Pos.
-func collectGuardedFields(pkg *Package) map[token.Pos]guardedField {
-	guarded := make(map[token.Pos]guardedField)
-	for _, f := range pkg.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			st, ok := n.(*ast.StructType)
-			if !ok {
-				return true
-			}
-			for _, field := range st.Fields.List {
-				mutex := ""
-				for _, cg := range []*ast.CommentGroup{field.Doc, field.Comment} {
-					if cg == nil {
-						continue
-					}
-					if m := guardedRe.FindStringSubmatch(cg.Text()); m != nil {
-						mutex = m[1]
-					}
-				}
-				if mutex == "" {
-					continue
-				}
-				for _, name := range field.Names {
-					guarded[name.Pos()] = guardedField{name: name.Name, mutex: mutex}
-				}
-			}
-			return true
-		})
-	}
-	return guarded
-}
-
-// lockFact is the dataflow fact: the set of lock names held on every path
-// to the current point.
-type lockFact map[string]bool
-
-func (f lockFact) clone() lockFact {
-	c := make(lockFact, len(f))
-	for k := range f {
-		c[k] = true
-	}
-	return c
-}
-
-// lockAnalysis implements Analysis[lockFact]: a must-analysis
-// (intersection meet) with TryLock branch refinement.
-type lockAnalysis struct {
-	pkg *Package
-	// tryBinds maps a boolean local's declaration position to the lock
-	// name whose TryLock result it holds (ok := mu.TryLock()).
-	tryBinds map[token.Pos]string
-	entry    lockFact
-}
-
-func (a *lockAnalysis) Entry() lockFact           { return a.entry.clone() }
-func (a *lockAnalysis) Clone(f lockFact) lockFact { return f.clone() }
-
-func (a *lockAnalysis) Meet(x, y lockFact) lockFact {
-	out := lockFact{}
-	for k := range x {
-		if y[k] {
-			out[k] = true
-		}
-	}
-	return out
-}
-
-func (a *lockAnalysis) Equal(x, y lockFact) bool {
-	if len(x) != len(y) {
-		return false
-	}
-	for k := range x {
-		if !y[k] {
-			return false
-		}
-	}
-	return true
-}
-
-func (a *lockAnalysis) Transfer(n ast.Node, f lockFact) lockFact {
-	a.scanNode(n, f, nil, nil)
-	return f
-}
-
-// TransferCond refines the fact on a conditional edge: a branch taken
-// exactly when TryLock succeeded holds the lock. Recognized shapes:
-// `mu.TryLock()`, `!mu.TryLock()`, a bound boolean `ok` / `!ok` where
-// `ok := mu.TryLock()`.
-func (a *lockAnalysis) TransferCond(cond ast.Expr, branch bool, f lockFact) lockFact {
-	if name, ok := a.tryLockCondLock(cond); ok == branch && name != "" {
-		f[name] = true
-	}
-	return f
-}
-
-// tryLockCondLock resolves cond to a TryLock acquisition: it returns the
-// lock name and the branch polarity on which the lock is held (true for
-// `mu.TryLock()`, false for `!mu.TryLock()`); name "" means cond is not a
-// TryLock condition.
-func (a *lockAnalysis) tryLockCondLock(cond ast.Expr) (string, bool) {
-	polarity := true
-	e := ast.Unparen(cond)
-	for {
-		u, ok := e.(*ast.UnaryExpr)
-		if !ok || u.Op != token.NOT {
-			break
-		}
-		polarity = !polarity
-		e = ast.Unparen(u.X)
-	}
-	switch x := e.(type) {
-	case *ast.CallExpr:
-		if name, op := mutexOpName(x); name != "" && (op == "TryLock" || op == "TryRLock") {
-			return name, polarity
-		}
-	case *ast.Ident:
-		obj := a.pkg.Info.Uses[x]
-		if obj == nil {
-			obj = a.pkg.Info.Defs[x]
-		}
-		if obj != nil {
-			if name, ok := a.tryBinds[obj.Pos()]; ok {
-				return name, polarity
-			}
-		}
-	}
-	return "", true
-}
-
-// scanNode walks one CFG node in evaluation order, applying lock
-// operations to f. Function literal subtrees are not entered (onLit
-// collects them with the fact at creation); a deferred unlock is skipped
-// so the lock stays held to function exit; TryLock acquires nothing here
-// — only TransferCond's branch refinement can add it.
-func (a *lockAnalysis) scanNode(n ast.Node, f lockFact, onAccess func(*ast.SelectorExpr, lockFact), onLit func(*ast.FuncLit, lockFact, bool)) {
-	if n == nil {
-		return
-	}
-	inGo := false
-	if _, ok := n.(*ast.GoStmt); ok {
-		inGo = true
-	}
-	if d, ok := n.(*ast.DeferStmt); ok {
-		if name, op := mutexOpName(d.Call); name != "" && (op == "Unlock" || op == "RUnlock") {
-			return // deferred unlock: the lock stays held to every exit
-		}
-	}
-	var walk func(ast.Node) bool
-	walk = func(n ast.Node) bool {
-		switch x := n.(type) {
-		case *ast.FuncLit:
-			if onLit != nil {
-				onLit(x, f, inGo)
-			}
-			return false
-		case *ast.RangeStmt:
-			// A range header node carries the whole loop as children;
-			// only the operand and iteration vars belong to this block.
-			ast.Inspect(x.X, walk)
-			if x.Key != nil {
-				ast.Inspect(x.Key, walk)
-			}
-			if x.Value != nil {
-				ast.Inspect(x.Value, walk)
-			}
-			return false
-		case *ast.SelectorExpr:
-			if onAccess != nil {
-				onAccess(x, f)
-			}
-			return true
-		case *ast.CallExpr:
-			name, op := mutexOpName(x)
-			if name == "" {
-				return true
-			}
-			// Visit the receiver chain for guarded accesses (mu itself is
-			// never guarded, but x.mu rides on a selector).
-			switch op {
-			case "Lock", "RLock":
-				f[name] = true
-			case "Unlock", "RUnlock":
-				delete(f, name)
-			case "TryLock", "TryRLock":
-				// Acquisition is branch-dependent; TransferCond models it.
-			}
-			return true
-		}
-		return true
-	}
-	ast.Inspect(n, walk)
-}
-
-// mutexOpName recognizes m.Lock() / x.mu.RLock() / ws.mu.TryLock() etc.,
-// returning the lock's annotation-level name ("mu") and the method.
-// Matching is by name, the same granularity as the "guarded by"
-// annotations themselves.
-func mutexOpName(call *ast.CallExpr) (string, string) {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return "", ""
-	}
-	op := sel.Sel.Name
-	switch op {
-	case "Lock", "RLock", "TryLock", "TryRLock", "Unlock", "RUnlock":
-	default:
-		return "", ""
-	}
-	switch recv := ast.Unparen(sel.X).(type) {
-	case *ast.Ident:
-		return recv.Name, op
-	case *ast.SelectorExpr:
-		return recv.Sel.Name, op
-	}
-	return "", ""
-}
-
-// collectTryLockBinds maps boolean locals assigned a TryLock result to
-// the lock name: `ok := mu.TryLock()` lets a later `if ok { ... }` hold
-// mu on the success branch. A local reassigned from anything that is not
-// a TryLock of the same lock is dropped (its truth no longer implies the
-// lock is held).
-func collectTryLockBinds(pkg *Package, body *ast.BlockStmt) map[token.Pos]string {
-	binds := make(map[token.Pos]string)
-	poisoned := make(map[token.Pos]bool)
-	ast.Inspect(body, func(n ast.Node) bool {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok {
-			return true
-		}
-		for i, lhs := range as.Lhs {
-			id, ok := lhs.(*ast.Ident)
-			if !ok || id.Name == "_" {
-				continue
-			}
-			obj := pkg.Info.Defs[id]
-			if obj == nil {
-				obj = pkg.Info.Uses[id]
-			}
-			if obj == nil {
-				continue
-			}
-			lock := ""
-			if i < len(as.Rhs) {
-				if call, isCall := ast.Unparen(as.Rhs[i]).(*ast.CallExpr); isCall {
-					if name, op := mutexOpName(call); op == "TryLock" || op == "TryRLock" {
-						lock = name
-					}
-				}
-			}
-			pos := obj.Pos()
-			if lock == "" || (binds[pos] != "" && binds[pos] != lock) {
-				poisoned[pos] = true
-				delete(binds, pos)
-				continue
-			}
-			if !poisoned[pos] {
-				binds[pos] = lock
-			}
-		}
-		return true
-	})
-	return binds
 }

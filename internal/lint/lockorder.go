@@ -2,30 +2,29 @@ package lint
 
 import (
 	"fmt"
-	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 	"sort"
 )
 
 // lockOrder builds a module-wide lock-acquisition graph and reports cycles
-// (potential deadlocks). Nodes are mutex variables (struct fields or
-// package/local vars of type sync.Mutex / sync.RWMutex, possibly behind a
-// pointer); an edge A→B is recorded whenever B is acquired — directly, or
-// anywhere inside a statically resolved callee — while A is held.
+// (potential deadlocks). Nodes are mutex variables; an edge A→B is recorded
+// whenever B is acquired — directly, or anywhere inside a possible callee —
+// while A is held, with "held" meaning what it means to lockdiscipline: the
+// shared lock model's must-analysis (lockmodel.go), so a failed TryLock
+// holds nothing and a mode-dependent Lock-or-RLock is one acquisition.
 //
-// The per-function walk follows source order with branch awareness:
-// Lock/RLock/TryLock/TryRLock push a lock, Unlock/RUnlock pop it, a
-// deferred unlock holds to the end of the function. If/else arms and
-// switch/select cases each start from the statement's entry held set, and
-// a lock counts as held afterwards only when every arm holds it — so
-// "if write { mu.Lock() } else { mu.RLock() }" is one acquisition, not a
-// nested pair. Function literals are analyzed as separate functions with
-// an empty held set (they usually run on other goroutines); calls through
-// function values and interface methods contribute nothing — both
-// documented limits. Two locks acquired in both orders, or a lock
-// re-acquired while already held (directly or via a callee), are reported
-// at the offending acquisition site.
+// "What does this callee acquire" is a bottom-up summary over the module
+// call graph (SolveSummaries): a function acquires what its own frame locks
+// plus what its callees acquire, interface calls dispatching to every
+// module implementation. Work started with `go` — a launched call or
+// anything inside a `go` literal — belongs to another goroutine and is not
+// part of its creator's summary. Calls through function values have no
+// static callee and contribute nothing — a documented limit. Two locks
+// acquired in both orders, or a lock re-acquired while already held
+// (directly or via a callee), are reported at the offending acquisition
+// site.
 //
 // The checker also validates the "// guarded by <name>" annotations that
 // lockdiscipline consumes: the named guard must be a sibling field of
@@ -53,124 +52,110 @@ func (lo *lockOrder) Check(prog *Program, pkg *Package) []Diagnostic {
 type lockEdge struct {
 	from, to *types.Var
 	pos      token.Pos
+	pkg      *Package
 }
 
-// funcLocks collects the structural facts of one function body.
+// funcLocks is what the lock model observed in one declared function.
 type funcLocks struct {
-	// acquires is every lock locked anywhere in the body.
-	acquires map[*types.Var]bool
-	// edges are direct nestings observed in the body.
+	// acquires is every lock the function's own goroutine locks in its body;
+	// callees the possible callees of the calls it makes there.
+	acquires lockFact
+	callees  []*types.Func
+	// edges are direct nestings; calls are the calls made with a lock held.
 	edges []lockEdge
-	// calls are statically resolved callees with the held set at the call.
 	calls []heldCall
-	// callees is every statically resolved callee (for transitive
-	// acquisition summaries).
-	callees []*types.Func
 }
 
 type heldCall struct {
-	held   []*types.Var
-	callee *types.Func
-	pos    token.Pos
+	held    lockFact
+	callees []*types.Func
+	pos     token.Pos
+}
+
+func observeLocks(g *CallGraph, d *FuncDecl) *funcLocks {
+	fl := &funcLocks{acquires: lockFact{}}
+	walkLocks(d.Pkg, d.Decl, func(ev lockEvent) {
+		switch {
+		case ev.acquired != nil:
+			for h := range ev.held {
+				fl.edges = append(fl.edges, lockEdge{from: h, to: ev.acquired, pos: ev.call.Pos(), pkg: d.Pkg})
+			}
+			if !ev.detached {
+				fl.acquires[ev.acquired] = true
+			}
+		case ev.call != nil:
+			callees := g.Callees(d.Pkg, ev.call)
+			if !ev.detached {
+				fl.callees = append(fl.callees, callees...)
+			}
+			if len(ev.held) > 0 && len(callees) > 0 {
+				fl.calls = append(fl.calls, heldCall{held: maps.Clone(ev.held), callees: callees, pos: ev.call.Pos()})
+			}
+		}
+	})
+	return fl
+}
+
+// acquireAnalysis is the SummaryAnalysis behind "what may this call lock":
+// a function's own acquisitions plus its callees' summaries.
+type acquireAnalysis struct {
+	facts map[*types.Func]*funcLocks
+}
+
+func (acquireAnalysis) Bottom() lockFact         { return nil }
+func (acquireAnalysis) Equal(a, b lockFact) bool { return maps.Equal(a, b) }
+
+func (a acquireAnalysis) Compute(fd *FuncDecl, get func(*types.Func) lockFact) lockFact {
+	fl := a.facts[fd.Fn]
+	out := maps.Clone(fl.acquires)
+	for _, callee := range fl.callees {
+		maps.Copy(out, get(callee))
+	}
+	return out
 }
 
 func (lo *lockOrder) analyzeModule(prog *Program) map[*Package][]Diagnostic {
 	diags := make(map[*Package][]Diagnostic)
-	fileOwner := make(map[string]*Package)
+	emit := func(pkg *Package, pos token.Pos, format string, args ...any) {
+		diags[pkg] = append(diags[pkg], Diagnostic{Pos: prog.Fset.Position(pos), Rule: "lockorder", Message: fmt.Sprintf(format, args...)})
+	}
 	for _, pkg := range prog.Packages {
-		for _, f := range pkg.Files {
-			fileOwner[prog.Fset.Position(f.Pos()).Filename] = pkg
+		for field, g := range collectGuards(pkg) {
+			if g.mu == nil {
+				emit(pkg, field.Pos(), "guarded-by annotation names %q, but the struct has no sibling mutex field with that name", g.name)
+			}
 		}
 	}
-	emit := func(pos token.Pos, msg string) {
-		p := prog.Fset.Position(pos)
-		pkg := fileOwner[p.Filename]
-		if pkg == nil {
-			return
-		}
-		diags[pkg] = append(diags[pkg], Diagnostic{Pos: p, Rule: "lockorder", Message: msg})
-	}
 
-	lockNames := collectLockNames(prog)
-	lo.checkGuardAnnotations(prog, emit)
-
-	// Pass 1: structural facts per function (and per function literal).
+	// Per-function observations, then the callee summaries, then the edges:
+	// direct nestings plus held-across-call acquisitions.
+	g := prog.CallGraph()
 	facts := make(map[*types.Func]*funcLocks)
-	var litFacts []*funcLocks
-	for _, pkg := range prog.Packages {
-		for _, f := range pkg.Files {
-			if pkg.TestFile[f] {
-				continue
-			}
-			for _, decl := range f.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				fn, _ := pkg.Info.Defs[fd.Name].(*types.Func)
-				w := &lockWalker{pkg: pkg, facts: &funcLocks{acquires: make(map[*types.Var]bool)}}
-				w.walk(fd.Body)
-				if fn != nil {
-					facts[fn] = w.facts
-				}
-				for i := 0; i < len(w.lits); i++ {
-					lw := &lockWalker{pkg: pkg, facts: &funcLocks{acquires: make(map[*types.Var]bool)}}
-					lw.walk(w.lits[i])
-					litFacts = append(litFacts, lw.facts)
-					// Nested literals of literals.
-					w.lits = append(w.lits, lw.lits...)
-				}
-			}
+	for _, comp := range g.SCCs() {
+		for _, fn := range comp {
+			facts[fn] = observeLocks(g, g.Decl(fn))
 		}
 	}
-
-	// Pass 2: transitive acquisition summaries to a fixpoint.
-	acquired := make(map[*types.Func]map[*types.Var]bool)
+	acquired := SolveSummaries[lockFact](g, acquireAnalysis{facts: facts})
+	var edges []lockEdge
 	for fn, fl := range facts {
-		set := make(map[*types.Var]bool, len(fl.acquires))
-		for v := range fl.acquires {
-			set[v] = true
-		}
-		acquired[fn] = set
-	}
-	for changed := true; changed; {
-		changed = false
-		for fn, fl := range facts {
-			set := acquired[fn]
-			for _, callee := range fl.callees {
+		pkg := g.Decl(fn).Pkg
+		edges = append(edges, fl.edges...)
+		for _, hc := range fl.calls {
+			for _, callee := range hc.callees {
 				for v := range acquired[callee] {
-					if !set[v] {
-						set[v] = true
-						changed = true
+					for h := range hc.held {
+						edges = append(edges, lockEdge{from: h, to: v, pos: hc.pos, pkg: pkg})
 					}
 				}
 			}
 		}
 	}
-
-	// Pass 3: edges — direct nestings plus held-across-call acquisitions.
-	var edges []lockEdge
-	addFrom := func(fl *funcLocks) {
-		edges = append(edges, fl.edges...)
-		for _, hc := range fl.calls {
-			for _, h := range hc.held {
-				for v := range acquired[hc.callee] {
-					edges = append(edges, lockEdge{from: h, to: v, pos: hc.pos})
-				}
-			}
-		}
-	}
-	for _, fl := range facts {
-		addFrom(fl)
-	}
-	for _, fl := range litFacts {
-		addFrom(fl)
-	}
 	sort.Slice(edges, func(i, j int) bool { return edges[i].pos < edges[j].pos })
 
-	// Pass 4: cycle detection. Self-edges are immediate findings; for the
-	// rest, an edge whose endpoints are mutually reachable is part of a
-	// cycle (inconsistent acquisition order).
+	// Cycle detection. Self-edges are immediate findings; for the rest, an
+	// edge whose endpoints are mutually reachable is part of a cycle
+	// (inconsistent acquisition order).
 	adj := make(map[*types.Var]map[*types.Var]token.Pos)
 	for _, e := range edges {
 		if e.from == e.to {
@@ -183,12 +168,6 @@ func (lo *lockOrder) analyzeModule(prog *Program) map[*Package][]Diagnostic {
 			adj[e.from][e.to] = e.pos
 		}
 	}
-	name := func(v *types.Var) string {
-		if n, ok := lockNames[v]; ok {
-			return n
-		}
-		return v.Name()
-	}
 	seenSelf := make(map[token.Pos]bool)
 	type pair struct{ a, b *types.Var }
 	seenPair := make(map[pair]bool)
@@ -196,7 +175,7 @@ func (lo *lockOrder) analyzeModule(prog *Program) map[*Package][]Diagnostic {
 		if e.from == e.to {
 			if !seenSelf[e.pos] {
 				seenSelf[e.pos] = true
-				emit(e.pos, fmt.Sprintf("lock %s is acquired while already held (self-deadlock)", name(e.from)))
+				emit(e.pkg, e.pos, "lock %s is acquired while already held (self-deadlock)", lockName(e.from))
 			}
 			continue
 		}
@@ -205,25 +184,15 @@ func (lo *lockOrder) analyzeModule(prog *Program) map[*Package][]Diagnostic {
 		}
 		if backPos, cyclic := reaches(adj, e.to, e.from); cyclic {
 			seenPair[pair{e.from, e.to}] = true
-			emit(e.pos, fmt.Sprintf("acquiring %s while holding %s conflicts with the reverse order at %s (lock-order cycle)",
-				name(e.to), name(e.from), prog.Fset.Position(backPos)))
+			emit(e.pkg, e.pos, "acquiring %s while holding %s conflicts with the reverse order at %s (lock-order cycle)",
+				lockName(e.to), lockName(e.from), prog.Fset.Position(backPos))
 		}
-	}
-
-	for _, ds := range diags {
-		sort.Slice(ds, func(i, j int) bool {
-			a, b := ds[i], ds[j]
-			if a.Pos.Filename != b.Pos.Filename {
-				return a.Pos.Filename < b.Pos.Filename
-			}
-			return a.Pos.Line < b.Pos.Line
-		})
 	}
 	return diags
 }
 
 // reaches reports whether from can reach target in adj, returning the
-// position of the first edge on a path.
+// position of the edge leaving from on a path — a real acquisition site.
 func reaches(adj map[*types.Var]map[*types.Var]token.Pos, from, target *types.Var) (token.Pos, bool) {
 	visited := make(map[*types.Var]bool)
 	var dfs func(v *types.Var) (token.Pos, bool)
@@ -236,10 +205,7 @@ func reaches(adj map[*types.Var]map[*types.Var]token.Pos, from, target *types.Va
 			if next == target {
 				return pos, true
 			}
-			if p, ok := dfs(next); ok {
-				// Report the edge leaving v, not a deeper one, so the
-				// message points at a real acquisition site on the path.
-				_ = p
+			if _, ok := dfs(next); ok {
 				return pos, true
 			}
 		}
@@ -248,284 +214,24 @@ func reaches(adj map[*types.Var]map[*types.Var]token.Pos, from, target *types.Va
 	return dfs(from)
 }
 
-// lockWalker performs the linear-order walk of one body.
-type lockWalker struct {
-	pkg   *Package
-	facts *funcLocks
-	held  []*types.Var
-	lits  []*ast.BlockStmt
-}
-
-func (w *lockWalker) walk(body *ast.BlockStmt) {
-	w.stmt(body)
-}
-
-func (w *lockWalker) snapshot() []*types.Var {
-	s := make([]*types.Var, len(w.held))
-	copy(s, w.held)
-	return s
-}
-
-// heldIntersect keeps the locks of a that also appear in b (respecting
-// multiplicity), preserving a's order.
-func heldIntersect(a, b []*types.Var) []*types.Var {
-	count := make(map[*types.Var]int)
-	for _, v := range b {
-		count[v]++
-	}
-	var out []*types.Var
-	for _, v := range a {
-		if count[v] > 0 {
-			count[v]--
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-// stmt walks one statement with branch awareness: if/else arms each start
-// from the statement's entry held set and the held set afterwards is their
-// intersection, so a mode-dependent Lock-or-RLock is one acquisition, not
-// two nested ones. Switch and select cases likewise start from the entry
-// set and restore it afterwards. Loop bodies are walked once, linearly.
-func (w *lockWalker) stmt(s ast.Stmt) {
-	switch x := s.(type) {
-	case nil:
-	case *ast.BlockStmt:
-		for _, st := range x.List {
-			w.stmt(st)
-		}
-	case *ast.IfStmt:
-		w.stmt(x.Init)
-		w.scan(x.Cond)
-		entry := w.snapshot()
-		w.stmt(x.Body)
-		thenHeld := w.held
-		w.held = entry
-		if x.Else != nil {
-			w.held = w.snapshot()
-			w.stmt(x.Else)
-		}
-		w.held = heldIntersect(thenHeld, w.held)
-	case *ast.ForStmt:
-		w.stmt(x.Init)
-		w.scan(x.Cond)
-		w.stmt(x.Body)
-		w.stmt(x.Post)
-	case *ast.RangeStmt:
-		w.scan(x.X)
-		w.stmt(x.Body)
-	case *ast.SwitchStmt:
-		w.stmt(x.Init)
-		w.scan(x.Tag)
-		w.caseClauses(x.Body)
-	case *ast.TypeSwitchStmt:
-		w.stmt(x.Init)
-		w.stmt(x.Assign)
-		w.caseClauses(x.Body)
-	case *ast.SelectStmt:
-		entry := w.snapshot()
-		for _, c := range x.Body.List {
-			cc, ok := c.(*ast.CommClause)
+// lockName renders a mutex for diagnostics: "Struct.field" for a field of a
+// package-level struct type, the bare variable name otherwise.
+func lockName(v *types.Var) string {
+	if v.IsField() && v.Pkg() != nil {
+		scope := v.Pkg().Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
 			if !ok {
 				continue
 			}
-			w.stmt(cc.Comm)
-			for _, st := range cc.Body {
-				w.stmt(st)
-			}
-			w.held = append(w.held[:0:0], entry...)
-		}
-		w.held = entry
-	case *ast.LabeledStmt:
-		w.stmt(x.Stmt)
-	case *ast.DeferStmt:
-		// A deferred unlock keeps the lock held to the end of the
-		// function; skip it so the walk doesn't release early.
-		if v, op := w.mutexOp(x.Call); v != nil && (op == "Unlock" || op == "RUnlock") {
-			return
-		}
-		w.scan(x.Call)
-	default:
-		w.scan(s)
-	}
-}
-
-// caseClauses walks each case of a switch body from the entry held set and
-// restores the entry set afterwards.
-func (w *lockWalker) caseClauses(body *ast.BlockStmt) {
-	entry := w.snapshot()
-	for _, c := range body.List {
-		cc, ok := c.(*ast.CaseClause)
-		if !ok {
-			continue
-		}
-		for _, e := range cc.List {
-			w.scan(e)
-		}
-		for _, st := range cc.Body {
-			w.stmt(st)
-		}
-		w.held = append(w.held[:0:0], entry...)
-	}
-	w.held = entry
-}
-
-// scan handles the expression-level facts of a node: mutex operations,
-// statically resolved calls, and function-literal collection. Statements
-// cannot nest inside expressions except via function literals, which are
-// analyzed separately, so no branch handling is needed here.
-func (w *lockWalker) scan(n ast.Node) {
-	if n == nil {
-		return
-	}
-	ast.Inspect(n, func(n ast.Node) bool {
-		switch x := n.(type) {
-		case *ast.FuncLit:
-			w.lits = append(w.lits, x.Body)
-			return false
-		case *ast.CallExpr:
-			if v, op := w.mutexOp(x); v != nil {
-				switch op {
-				case "Lock", "RLock", "TryLock", "TryRLock":
-					for _, h := range w.held {
-						w.facts.edges = append(w.facts.edges, lockEdge{from: h, to: v, pos: x.Pos()})
+			if st, ok := tn.Type().Underlying().(*types.Struct); ok {
+				for i := 0; i < st.NumFields(); i++ {
+					if st.Field(i) == v {
+						return name + "." + v.Name()
 					}
-					w.held = append(w.held, v)
-					w.facts.acquires[v] = true
-				case "Unlock", "RUnlock":
-					for i := len(w.held) - 1; i >= 0; i-- {
-						if w.held[i] == v {
-							w.held = append(w.held[:i], w.held[i+1:]...)
-							break
-						}
-					}
-				}
-				return true
-			}
-			if fn := calleeFunc(w.pkg, x); fn != nil {
-				w.facts.callees = append(w.facts.callees, fn)
-				if len(w.held) > 0 {
-					held := make([]*types.Var, len(w.held))
-					copy(held, w.held)
-					w.facts.calls = append(w.facts.calls, heldCall{held: held, callee: fn, pos: x.Pos()})
 				}
 			}
 		}
-		return true
-	})
-}
-
-// mutexOp recognizes m.Lock() / x.mu.RLock() / etc., returning the mutex
-// variable and the method name.
-func (w *lockWalker) mutexOp(call *ast.CallExpr) (*types.Var, string) {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return nil, ""
 	}
-	op := sel.Sel.Name
-	switch op {
-	case "Lock", "RLock", "TryLock", "TryRLock", "Unlock", "RUnlock":
-	default:
-		return nil, ""
-	}
-	var id *ast.Ident
-	switch recv := ast.Unparen(sel.X).(type) {
-	case *ast.Ident:
-		id = recv
-	case *ast.SelectorExpr:
-		id = recv.Sel
-	default:
-		return nil, ""
-	}
-	obj, ok := w.pkg.Info.Uses[id].(*types.Var)
-	if !ok {
-		obj, ok = w.pkg.Info.Defs[id].(*types.Var)
-		if !ok {
-			return nil, ""
-		}
-	}
-	if !isMutexType(obj.Type()) {
-		return nil, ""
-	}
-	return obj, op
-}
-
-func isMutexType(t types.Type) bool {
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	n, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := n.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == "sync" &&
-		(obj.Name() == "Mutex" || obj.Name() == "RWMutex")
-}
-
-// collectLockNames maps mutex field vars to "Struct.field" display names.
-func collectLockNames(prog *Program) map[*types.Var]string {
-	names := make(map[*types.Var]string)
-	for _, pkg := range prog.Packages {
-		for _, f := range pkg.Files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				ts, ok := n.(*ast.TypeSpec)
-				if !ok {
-					return true
-				}
-				st, ok := ts.Type.(*ast.StructType)
-				if !ok {
-					return true
-				}
-				for _, field := range st.Fields.List {
-					for _, fname := range field.Names {
-						if v, ok := pkg.Info.Defs[fname].(*types.Var); ok && isMutexType(v.Type()) {
-							names[v] = ts.Name.Name + "." + fname.Name
-						}
-					}
-				}
-				return true
-			})
-		}
-	}
-	return names
-}
-
-// checkGuardAnnotations verifies every "// guarded by <name>" annotation
-// names a sibling struct field of mutex type.
-func (lo *lockOrder) checkGuardAnnotations(prog *Program, emit func(token.Pos, string)) {
-	for _, pkg := range prog.Packages {
-		for _, f := range pkg.Files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				st, ok := n.(*ast.StructType)
-				if !ok {
-					return true
-				}
-				mutexFields := make(map[string]bool)
-				for _, field := range st.Fields.List {
-					if tv, ok := pkg.Info.Types[field.Type]; ok && isMutexType(tv.Type) {
-						for _, name := range field.Names {
-							mutexFields[name.Name] = true
-						}
-					}
-				}
-				for _, field := range st.Fields.List {
-					for _, cg := range []*ast.CommentGroup{field.Doc, field.Comment} {
-						if cg == nil {
-							continue
-						}
-						m := guardedRe.FindStringSubmatch(cg.Text())
-						if m == nil {
-							continue
-						}
-						if !mutexFields[m[1]] {
-							emit(field.Pos(), fmt.Sprintf("guarded-by annotation names %q, but the struct has no sibling mutex field with that name", m[1]))
-						}
-					}
-				}
-				return true
-			})
-		}
-	}
+	return v.Name()
 }

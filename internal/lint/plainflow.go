@@ -13,7 +13,9 @@ import (
 // outside-memory stores, log output, error strings — unless re-protected by
 // an approved sanitizer (TaintSanitizers) first.
 //
-// The analysis is intra-procedural with module-wide call summaries: a
+// Within a function taint is propagated flow-insensitively; across
+// functions, call summaries are solved callee-first over the shared call
+// graph (summary.go), so a wrapper chain of any depth converges: a
 // function whose return value derives from a source is itself a source at
 // its call sites, and a function that passes a parameter into a sink is
 // itself a sink for that parameter (so thin wrappers like writeOut cannot
@@ -28,8 +30,8 @@ import (
 type plainFlow struct {
 	cfg *Config
 
-	prog  *Program
-	diags map[*Package][]Diagnostic
+	prog *Program
+	ctx  flowContext
 }
 
 func (*plainFlow) Name() string { return "plainflow" }
@@ -38,15 +40,55 @@ func (*plainFlow) Doc() string {
 	return `decrypted plaintext (results of approved decrypt calls) must not reach untrusted sinks unless re-encrypted`
 }
 
+// Check solves the module's call summaries once per program, then reports
+// every sink call in pkg whose argument carries source taint.
 func (p *plainFlow) Check(prog *Program, pkg *Package) []Diagnostic {
 	if len(p.cfg.TaintSources) == 0 || len(p.cfg.TaintSinks) == 0 {
 		return nil
 	}
 	if p.prog != prog {
 		p.prog = prog
-		p.diags = p.analyzeModule(prog)
+		p.ctx = flowContext{
+			sources:    toSet(p.cfg.TaintSources),
+			sinks:      toSet(p.cfg.TaintSinks),
+			sanitizers: toSet(p.cfg.TaintSanitizers),
+			graph:      prog.CallGraph(),
+			fset:       prog.Fset,
+		}
+		summaries := SolveSummaries[*flowSummary](p.ctx.graph, flowAnalysis{p.ctx})
+		p.ctx.summary = func(fn *types.Func) *flowSummary { return summaries[fn] }
 	}
-	return p.diags[pkg]
+	var diags []Diagnostic
+	for _, f := range pkg.Files {
+		if pkg.TestFile[f] {
+			continue
+		}
+		for _, decl := range f.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
+				fn, _ := pkg.Info.Defs[fd.Name].(*types.Func)
+				fa := &flowFunc{flowContext: p.ctx, pkg: pkg}
+				fa.analyze(fd, fn, &diags)
+			}
+		}
+	}
+	return diags
+}
+
+// flowAnalysis is the SummaryAnalysis behind the call summaries. Bottom
+// (nil) means "no summary yet" — a callee still at Bottom propagates
+// nothing, like a function value.
+type flowAnalysis struct{ ctx flowContext }
+
+func (flowAnalysis) Bottom() *flowSummary { return nil }
+
+func (flowAnalysis) Equal(a, b *flowSummary) bool {
+	return a == b || (a != nil && b != nil && a.equal(b))
+}
+
+func (an flowAnalysis) Compute(fd *FuncDecl, get func(*types.Func) *flowSummary) *flowSummary {
+	fa := &flowFunc{flowContext: an.ctx, pkg: fd.Pkg}
+	fa.summary = get
+	return fa.analyze(fd.Decl, fd.Fn, nil)
 }
 
 // taintMark is the per-value lattice element: src is the provenance of a
@@ -92,70 +134,6 @@ func (s *flowSummary) equal(o *flowSummary) bool {
 	return true
 }
 
-// analyzeModule computes summaries to a fixpoint over the whole module and
-// then reports every sink call whose argument carries source taint.
-func (p *plainFlow) analyzeModule(prog *Program) map[*Package][]Diagnostic {
-	sources := toSet(p.cfg.TaintSources)
-	sinks := toSet(p.cfg.TaintSinks)
-	sanitizers := toSet(p.cfg.TaintSanitizers)
-	summaries := make(map[*types.Func]*flowSummary)
-	impls := newIfaceIndex(prog)
-
-	for iter := 0; iter < 16; iter++ {
-		changed := false
-		for _, pkg := range prog.Packages {
-			for _, f := range pkg.Files {
-				if pkg.TestFile[f] {
-					continue
-				}
-				for _, decl := range f.Decls {
-					fd, ok := decl.(*ast.FuncDecl)
-					if !ok || fd.Body == nil {
-						continue
-					}
-					fn, ok := pkg.Info.Defs[fd.Name].(*types.Func)
-					if !ok {
-						continue
-					}
-					fa := &flowFunc{pkg: pkg, cfg: p.cfg, sources: sources, sinks: sinks,
-						sanitizers: sanitizers, summaries: summaries, impls: impls}
-					sum := fa.analyze(fd, fn, nil)
-					if prev, ok := summaries[fn]; !ok || !prev.equal(sum) {
-						summaries[fn] = sum
-						changed = true
-					}
-				}
-			}
-		}
-		if !changed {
-			break
-		}
-	}
-
-	// Reporting pass with the converged summaries.
-	diags := make(map[*Package][]Diagnostic)
-	for _, pkg := range prog.Packages {
-		for _, f := range pkg.Files {
-			if pkg.TestFile[f] {
-				continue
-			}
-			for _, decl := range f.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				fn, _ := pkg.Info.Defs[fd.Name].(*types.Func)
-				var found []Diagnostic
-				fa := &flowFunc{pkg: pkg, cfg: p.cfg, sources: sources, sinks: sinks,
-					sanitizers: sanitizers, summaries: summaries, impls: impls, fset: prog.Fset}
-				fa.analyze(fd, fn, &found)
-				diags[pkg] = append(diags[pkg], found...)
-			}
-		}
-	}
-	return diags
-}
-
 func toSet(ss []string) map[string]bool {
 	m := make(map[string]bool, len(ss))
 	for _, s := range ss {
@@ -164,16 +142,23 @@ func toSet(ss []string) map[string]bool {
 	return m
 }
 
-// flowFunc analyzes one function body.
-type flowFunc struct {
-	pkg        *Package
-	cfg        *Config
+// flowContext is what every function's analysis shares: the configured
+// identities, the call graph (for dispatch), and the callee summaries.
+type flowContext struct {
 	sources    map[string]bool
 	sinks      map[string]bool
 	sanitizers map[string]bool
-	summaries  map[*types.Func]*flowSummary
-	impls      *ifaceIndex
+	graph      *CallGraph
 	fset       *token.FileSet
+	// summary returns a declared callee's summary, nil when it has none
+	// (yet): not a module function, or a peer of a recursive SCC in flight.
+	summary func(*types.Func) *flowSummary
+}
+
+// flowFunc analyzes one function body.
+type flowFunc struct {
+	flowContext
+	pkg *Package
 
 	params  map[types.Object]int
 	results map[types.Object]int
@@ -287,7 +272,7 @@ func (fa *flowFunc) taintLHS(lhs ast.Expr, mark taintMark) {
 	if mark.empty() {
 		return
 	}
-	obj := fa.baseObject(lhs)
+	obj := baseVar(fa.pkg, lhs)
 	if obj == nil {
 		return
 	}
@@ -299,39 +284,11 @@ func (fa *flowFunc) taintLHS(lhs ast.Expr, mark taintMark) {
 	}
 }
 
-// baseObject unwraps an lvalue to its leftmost identifier's object.
-func (fa *flowFunc) baseObject(e ast.Expr) types.Object {
-	for {
-		switch x := e.(type) {
-		case *ast.Ident:
-			if obj := fa.pkg.Info.Defs[x]; obj != nil {
-				return obj
-			}
-			return fa.pkg.Info.Uses[x]
-		case *ast.SelectorExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.ParenExpr:
-			e = x.X
-		case *ast.SliceExpr:
-			e = x.X
-		default:
-			return nil
-		}
-	}
-}
-
 // exprTaint computes the mark of an expression.
 func (fa *flowFunc) exprTaint(e ast.Expr) taintMark {
 	switch x := e.(type) {
 	case *ast.Ident:
-		obj := fa.pkg.Info.Uses[x]
-		if obj == nil {
-			obj = fa.pkg.Info.Defs[x]
-		}
+		obj := identObj(fa.pkg, x)
 		if obj == nil {
 			return taintMark{}
 		}
@@ -421,7 +378,7 @@ func (fa *flowFunc) callResultTaints(call *ast.CallExpr, n int) []taintMark {
 		}
 	}
 
-	fn := calleeFunc(fa.pkg, call)
+	fn := staticCallee(fa.pkg, call)
 	if fn == nil {
 		return marks // indirect call: no propagation (documented limit)
 	}
@@ -448,39 +405,37 @@ func (fa *flowFunc) callResultTaints(call *ast.CallExpr, n int) []taintMark {
 		}
 		return marks
 	}
-	if sum, ok := fa.summaries[fn]; ok {
+	if sum := fa.summary(fn); sum != nil {
 		for i := range marks {
 			marks[i] = fa.translateResult(sum, sig, call, i, n)
 		}
 		return marks
 	}
-	if isIfaceMethod(fn) {
-		// Dynamic dispatch: any module implementation may be the callee, so
-		// the result carries the union of every implementation's marks. A
-		// sanitizing implementation contributes nothing, but it only keeps
-		// the site clean if every sibling implementation is clean too.
-		for _, impl := range fa.impls.implsOf(fn) {
-			implName := impl.FullName()
-			if fa.sanitizers[implName] {
-				continue
-			}
-			isig := impl.Type().(*types.Signature)
-			if fa.sources[implName] {
-				for i := range marks {
-					if resultTaintable(isig, i, n) && marks[i].src == "" {
-						marks[i].src = "result of " + implName + " (via " + name + ")"
-					}
+	// Dynamic dispatch: any module implementation may be the callee, so
+	// the result carries the union of every implementation's marks. A
+	// sanitizing implementation contributes nothing, but it only keeps
+	// the site clean if every sibling implementation is clean too.
+	for _, impl := range fa.graph.ImplsOf(fn) {
+		implName := impl.FullName()
+		if fa.sanitizers[implName] {
+			continue
+		}
+		isig := impl.Type().(*types.Signature)
+		if fa.sources[implName] {
+			for i := range marks {
+				if resultTaintable(isig, i, n) && marks[i].src == "" {
+					marks[i].src = "result of " + implName + " (via " + name + ")"
 				}
-				continue
 			}
-			if sum, ok := fa.summaries[impl]; ok {
-				for i := range marks {
-					m := fa.translateResult(sum, isig, call, i, n)
-					if m.src != "" {
-						m.src += " (via " + name + ")"
-					}
-					marks[i] = marks[i].or(m)
+			continue
+		}
+		if sum := fa.summary(impl); sum != nil {
+			for i := range marks {
+				m := fa.translateResult(sum, isig, call, i, n)
+				if m.src != "" {
+					m.src += " (via " + name + ")"
 				}
+				marks[i] = marks[i].or(m)
 			}
 		}
 	}
@@ -585,7 +540,7 @@ func (fa *flowFunc) mergeResult(sum *flowSummary, i int, mark taintMark, t types
 // sink-param summary), tainted arguments are reported and param-derived
 // taint is folded into this function's own sink summary.
 func (fa *flowFunc) checkSink(call *ast.CallExpr, sum *flowSummary, report *[]Diagnostic) {
-	fn := calleeFunc(fa.pkg, call)
+	fn := staticCallee(fa.pkg, call)
 	if fn == nil {
 		return
 	}
@@ -613,7 +568,7 @@ func (fa *flowFunc) checkSink(call *ast.CallExpr, sum *flowSummary, report *[]Di
 		}
 		return
 	}
-	if callee, ok := fa.summaries[fn]; ok {
+	if callee := fa.summary(fn); callee != nil {
 		if callee.sinkParams != 0 {
 			sig := fn.Type().(*types.Signature)
 			for p := 0; p < sig.Params().Len() && p < 64; p++ {
@@ -624,40 +579,38 @@ func (fa *flowFunc) checkSink(call *ast.CallExpr, sum *flowSummary, report *[]Di
 		}
 		return
 	}
-	if isIfaceMethod(fn) {
-		// Dynamic dispatch: a parameter sinks if ANY module implementation
-		// sinks it. Union the implementations' masks first so each argument
-		// reports at most once; the first sinking implementation (in the
-		// index's deterministic order) names the diagnostic.
-		var mask uint64
-		sinkName := make(map[int]string)
-		for _, impl := range fa.impls.implsOf(fn) {
-			implName := impl.FullName()
-			if fa.sinks[implName] {
-				for p := range call.Args {
-					if mask&(1<<p) == 0 {
-						sinkName[p] = implName + " (via " + name + ")"
-					}
-					if p < 64 {
-						mask |= 1 << p
-					}
+	// Dynamic dispatch: a parameter sinks if ANY module implementation
+	// sinks it. Union the implementations' masks first so each argument
+	// reports at most once; the first sinking implementation (in the
+	// index's deterministic order) names the diagnostic.
+	var mask uint64
+	sinkName := make(map[int]string)
+	for _, impl := range fa.graph.ImplsOf(fn) {
+		implName := impl.FullName()
+		if fa.sinks[implName] {
+			for p := range call.Args {
+				if mask&(1<<p) == 0 {
+					sinkName[p] = implName + " (via " + name + ")"
 				}
-				continue
+				if p < 64 {
+					mask |= 1 << p
+				}
 			}
-			if callee, ok := fa.summaries[impl]; ok && callee.sinkParams != 0 {
-				isig := impl.Type().(*types.Signature)
-				for p := 0; p < isig.Params().Len() && p < 64; p++ {
-					if callee.sinkParams&(1<<p) != 0 && mask&(1<<p) == 0 {
-						mask |= 1 << p
-						sinkName[p] = callee.sinkName + " (via " + name + ")"
-					}
+			continue
+		}
+		if callee := fa.summary(impl); callee != nil && callee.sinkParams != 0 {
+			isig := impl.Type().(*types.Signature)
+			for p := 0; p < isig.Params().Len() && p < 64; p++ {
+				if callee.sinkParams&(1<<p) != 0 && mask&(1<<p) == 0 {
+					mask |= 1 << p
+					sinkName[p] = callee.sinkName + " (via " + name + ")"
 				}
 			}
 		}
-		for p := range call.Args {
-			if p < 64 && mask&(1<<p) != 0 {
-				argSink(p, sinkName[p])
-			}
+	}
+	for p := range call.Args {
+		if p < 64 && mask&(1<<p) != 0 {
+			argSink(p, sinkName[p])
 		}
 	}
 }
@@ -671,17 +624,4 @@ var fmtSprintFamily = map[string]bool{
 	"bytes.Clone":  true,
 	"bytes.Join":   true,
 	"strings.Join": true,
-}
-
-// calleeFunc resolves a call's static callee, or nil for indirect calls.
-func calleeFunc(pkg *Package, call *ast.CallExpr) *types.Func {
-	var obj types.Object
-	switch f := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		obj = pkg.Info.Uses[f]
-	case *ast.SelectorExpr:
-		obj = pkg.Info.Uses[f.Sel]
-	}
-	fn, _ := obj.(*types.Func)
-	return fn
 }

@@ -159,3 +159,30 @@ func (c *Counter) SpinAcquire() int {
 	defer c.mu.Unlock()
 	return c.n
 }
+
+// Table is a generic guarded struct: go/types mints fresh field objects
+// per instantiation, so both the guard and the mutex must be looked up
+// through their declared origin.
+type Table[V any] struct {
+	mu sync.Mutex
+	m  map[string]V // guarded by mu
+}
+
+// Put locks the guard of the instantiated receiver.
+func (t *Table[V]) Put(k string, v V) {
+	t.mu.Lock()
+	t.m[k] = v
+	t.mu.Unlock()
+}
+
+// Peek reads m without the lock.
+func (t *Table[V]) Peek(k string) V {
+	return t.m[k] // finding: generic receiver, guard not held
+}
+
+// PutInt goes through a concrete instantiation from outside a method.
+func PutInt(t *Table[int], k string) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.m[k]++
+}

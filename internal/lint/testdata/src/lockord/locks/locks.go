@@ -96,3 +96,91 @@ func (ch *Chain) Fine2() {
 	ch.y.Lock()
 	defer ch.y.Unlock()
 }
+
+// --- cases the shared lock model decides and a linear walk cannot. ---
+
+// Try pairs a u-then-t nesting with a TryLock guard whose failed branch
+// takes u alone.
+type Try struct {
+	t sync.Mutex
+	u sync.Mutex
+}
+
+// UT nests t inside u.
+func (x *Try) UT() {
+	x.u.Lock()
+	x.t.Lock()
+	x.t.Unlock()
+	x.u.Unlock()
+}
+
+// Backoff takes u only where TryLock FAILED, so t is not held there and
+// there is no t-then-u nesting: no finding.
+func (x *Try) Backoff() {
+	if !x.t.TryLock() {
+		x.u.Lock()
+		x.u.Unlock()
+		return
+	}
+	x.t.Unlock()
+}
+
+// Flusher hides the second lock behind dynamic dispatch.
+type Flusher interface {
+	Flush()
+}
+
+// Disk is Flusher's only implementation; Flush takes dm.
+type Disk struct {
+	dm sync.Mutex
+}
+
+func (d *Disk) Flush() {
+	d.dm.Lock()
+	d.dm.Unlock()
+}
+
+// Cache holds cm across the interface call in Evict, and takes the same
+// two locks in the reverse order in Sync.
+type Cache struct {
+	cm   sync.Mutex
+	out  Flusher
+	disk *Disk
+}
+
+// Evict holds cm while Flush (through the interface) takes dm.
+func (c *Cache) Evict() {
+	c.cm.Lock()
+	c.out.Flush()
+	c.cm.Unlock()
+}
+
+// Sync takes dm, then cm: the reverse order.
+func (c *Cache) Sync() {
+	c.disk.dm.Lock()
+	c.cm.Lock()
+	c.cm.Unlock()
+	c.disk.dm.Unlock()
+}
+
+// Stage releases p on an early-return arm; the fallthrough path still holds
+// it, releases it, and only then acquires again.
+type Stage struct {
+	p sync.Mutex
+	q sync.Mutex
+}
+
+// Step re-acquires p after it was released on every path reaching that
+// point (no self-deadlock) and nests q inside p, the only order anywhere.
+func (s *Stage) Step(done bool) {
+	s.p.Lock()
+	if done {
+		s.p.Unlock()
+		return
+	}
+	s.p.Unlock()
+	s.p.Lock()
+	s.q.Lock()
+	s.q.Unlock()
+	s.p.Unlock()
+}

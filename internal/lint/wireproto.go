@@ -367,7 +367,7 @@ func (w *wireProto) hasRoundTripTest(prog *Program, tn *types.TypeName, ws WireS
 							mentions = true
 						}
 					case *ast.CallExpr:
-						if fn := calleeFunc(pkg, x); fn != nil {
+						if fn := staticCallee(pkg, x); fn != nil {
 							switch fn.FullName() {
 							case ws.Encode:
 								callsEnc = true

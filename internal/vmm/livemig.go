@@ -23,16 +23,6 @@ type LiveMigrationConfig struct {
 	// BandwidthBps is the simulated migration-link bandwidth in bytes per
 	// second (default 125 MB/s ≈ 1 Gbps). 0 disables shaping.
 	BandwidthBps float64
-	// MaxRounds bounds the iterative pre-copy rounds (default 4).
-	MaxRounds int
-	// DirtyThresholdPages stops pre-copy early once the dirty set is small.
-	DirtyThresholdPages int
-	// ChunkPages is the transfer granularity: pages are copied, shipped and
-	// applied in chunks of this many pages (default 64).
-	ChunkPages int
-	// SendQueueChunks bounds the sender queue: at most this many chunks may
-	// be collected ahead of the (bandwidth-shaped) link (default 8).
-	SendQueueChunks int
 	// SerialDump restores the paper's serial Fig. 8 schedule: the enclave
 	// dump completes before the iterative pre-copy rounds start. By default
 	// the dump overlaps pre-copy (the checkpoint pages land in guest memory
@@ -70,33 +60,29 @@ func (c *LiveMigrationConfig) bandwidth() float64 {
 	return c.BandwidthBps
 }
 
-func (c *LiveMigrationConfig) maxRounds() int {
-	if c.MaxRounds == 0 {
-		return 4
-	}
-	return c.MaxRounds
-}
-
-func (c *LiveMigrationConfig) threshold() int {
-	if c.DirtyThresholdPages == 0 {
-		return 64
-	}
-	return c.DirtyThresholdPages
-}
-
-func (c *LiveMigrationConfig) chunkPages() int {
-	if c.ChunkPages == 0 {
-		return 64
-	}
-	return c.ChunkPages
-}
-
-func (c *LiveMigrationConfig) sendQueue() int {
-	if c.SendQueueChunks == 0 {
-		return 8
-	}
-	return c.SendQueueChunks
-}
+// The pre-copy schedule. Constants, not LiveMigrationConfig fields: no
+// caller, figure or benchmark needs another value, so these are the only
+// ones that have ever run or been measured. The open ROADMAP item — stop on
+// the measured dirty-rate ÷ bandwidth ratio — replaces the first two.
+const (
+	// maxRounds bounds the iterative pre-copy rounds, so a guest that
+	// dirties pages faster than the link drains them still reaches
+	// stop-and-copy (the benchmark's dirtying VM converges in 2).
+	maxRounds = 4
+	// dirtyThresholdPages ends pre-copy once the dirty set is one chunk's
+	// worth: 256 KiB is ≈ 1 ms of a 250 MB/s link, a downtime stop-and-copy
+	// can afford where another round's scan would not pay for itself.
+	dirtyThresholdPages = 64
+	// chunkPages is the transfer granularity — pages are copied, shipped
+	// and applied in chunks of this many. 64 pages make a 256 KiB frame:
+	// the size of core's bulk segments, and what the link clock's 1 ms
+	// credit covers at 250 MB/s.
+	chunkPages = 64
+	// sendQueueChunks bounds the sender queue: at most this many chunks
+	// (2 MiB) are collected ahead of the bandwidth-shaped link, so the link
+	// does not wait on the dirty scan and memory in flight stays bounded.
+	sendQueueChunks = 8
+)
 
 // LiveMigrationStats are the Fig. 10 metrics plus the pipeline accounting.
 type LiveMigrationStats struct {
@@ -194,7 +180,7 @@ func newChunkSender(dst *GuestMemory, cfg *LiveMigrationConfig, met *telemetry.M
 		ft:      src,
 		bc:      src.(core.ByteCounter),
 		cache:   make(core.DeltaCache),
-		ch:      make(chan sendItem, cfg.sendQueue()),
+		ch:      make(chan sendItem, sendQueueChunks),
 		applied: make(chan struct{}),
 	}
 	if met != nil {
@@ -493,7 +479,7 @@ func LiveMigrate(vm *VM, dst *Node, cfg *LiveMigrationConfig) (*VM, *LiveMigrati
 	round0 := vm.Mem.CollectDirty()
 	stats.RoundDirtyPages = append(stats.RoundDirtyPages, len(round0))
 	bulkSp := root.Child("vmm.bulk", telemetry.Int("pages", len(round0)))
-	snd.send(vm.Mem, round0, cfg.chunkPages(), &stats.BulkBytes, &stats.BulkWireBytes, bulkSp.Context())
+	snd.send(vm.Mem, round0, chunkPages, &stats.BulkBytes, &stats.BulkWireBytes, bulkSp.Context())
 	bulkSp.End()
 	roundHist.Observe(int64(len(round0)) * PageSize)
 
@@ -516,10 +502,10 @@ func LiveMigrate(vm *VM, dst *Node, cfg *LiveMigrationConfig) (*VM, *LiveMigrati
 		}
 		dirty := vm.Mem.CollectDirty()
 		stats.RoundDirtyPages = append(stats.RoundDirtyPages, len(dirty))
-		converged := len(dirty) <= cfg.threshold() || round >= cfg.maxRounds()
+		converged := len(dirty) <= dirtyThresholdPages || round >= maxRounds
 		roundSp := root.Child("vmm.precopy.round",
 			telemetry.Int("round", round), telemetry.Int("pages", len(dirty)))
-		snd.send(vm.Mem, dirty, cfg.chunkPages(), &stats.PreCopyBytes, &stats.PreCopyWireBytes, roundSp.Context())
+		snd.send(vm.Mem, dirty, chunkPages, &stats.PreCopyBytes, &stats.PreCopyWireBytes, roundSp.Context())
 		roundSp.End()
 		opts.Journal.Append(telemetry.EventPrecopyRound, vm.Name, roundSp.Context(),
 			telemetry.Int("round", round), telemetry.Int("pages", len(dirty)))
@@ -564,7 +550,7 @@ func LiveMigrate(vm *VM, dst *Node, cfg *LiveMigrationConfig) (*VM, *LiveMigrati
 	final := vm.Mem.CollectDirty()
 	stats.RoundDirtyPages = append(stats.RoundDirtyPages, len(final))
 	scSp := downSp.Child("vmm.stopcopy", telemetry.Int("pages", len(final)))
-	snd.send(vm.Mem, final, cfg.chunkPages(), &stats.StopCopyBytes, &stats.StopCopyWireBytes, scSp.Context())
+	snd.send(vm.Mem, final, chunkPages, &stats.StopCopyBytes, &stats.StopCopyWireBytes, scSp.Context())
 	snd.sendBlob(64*1024, &stats.StopCopyBytes, &stats.StopCopyWireBytes) // device state
 	if err := snd.drain(); err != nil {
 		err = fmt.Errorf("vmm: page stream: %w", err)

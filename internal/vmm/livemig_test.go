@@ -306,7 +306,7 @@ func BenchmarkChunkSenderBulk(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		snd := newChunkSender(NewGuestMemory(pages), cfg, nil)
-		snd.send(srcMem, all, cfg.chunkPages(), &logical, &wire, telemetry.Context{})
+		snd.send(srcMem, all, chunkPages, &logical, &wire, telemetry.Context{})
 		if err := snd.drain(); err != nil {
 			b.Fatal(err)
 		}
