@@ -12,6 +12,7 @@ import (
 	"repro/internal/enclave"
 	"repro/internal/sgx"
 	"repro/internal/tcb"
+	"repro/internal/telemetry"
 	"repro/internal/testapps"
 	"repro/internal/workload"
 )
@@ -331,5 +332,61 @@ func TestCheckpointFormatUnchanged(t *testing.T) {
 				t.Fatalf("resumed counter = %d, %v", res[0], err)
 			}
 		})
+	}
+}
+
+// holdCheckpoint is a source-side transport that does not let the
+// checkpoint announcement out until release is closed.
+type holdCheckpoint struct {
+	Transport
+	release <-chan struct{}
+}
+
+func (h holdCheckpoint) Send(m Message) error {
+	if m.Kind == MsgCheckpoint {
+		<-h.release
+	}
+	return h.Transport.Send(m)
+}
+
+// TestTargetBuildsBeforeCheckpointArrives: the image announcement leaves
+// before the source quiesces, and restore Step-1 needs nothing else, so the
+// target builds its virgin enclave while the source is still dumping. Here
+// the checkpoint is held back until the target's build span has ended: a
+// target that only builds once the checkpoint is in would wait for ever.
+func TestTargetBuildsBeforeCheckpointArrives(t *testing.T) {
+	w := newWorld(t)
+	app := testapps.CounterApp(1)
+	src := w.launch(t, app)
+	_, reg := w.deploy(app)
+	tr := telemetry.New()
+	root := tr.Begin("hop")
+	opts := w.opts()
+	opts.Trace = root
+
+	t1, t2 := NewPipe()
+	built := make(chan struct{})
+	go func() {
+		defer close(built)
+		for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+			if len(tr.ByName("core.target.build")) == 1 {
+				return
+			}
+		}
+		t.Error("no enclave built on the target while the checkpoint was held back")
+	}()
+	inErr := make(chan error, 1)
+	go func() {
+		inc, err := MigrateIn(w.hostB, reg, t2, opts)
+		if err == nil {
+			destroyQuietly(inc.Runtime)
+		}
+		inErr <- err
+	}()
+	if _, err := MigrateOut(src, holdCheckpoint{t1, built}, opts); err != nil {
+		t.Fatalf("MigrateOut: %v", err)
+	}
+	if err := <-inErr; err != nil {
+		t.Fatalf("MigrateIn: %v", err)
 	}
 }

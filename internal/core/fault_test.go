@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/enclave"
 	"repro/internal/epcman"
+	"repro/internal/telemetry"
 	"repro/internal/testapps"
 )
 
@@ -186,12 +187,27 @@ func sweepMigrationFaults(t *testing.T, sourceSide bool) {
 // TestMigrateOutPrepareFailureResumesSource (regression): a MigrateOut whose
 // Prepare phase fails — here via an impossible poll budget against a busy
 // worker — must leave the enclave running normally, not stranded with the
-// migration flag raised and its workers parked.
-func TestMigrateOutPrepareFailureResumesSource(t *testing.T) {
+// migration flag raised and its workers parked. Nobody reads the other end
+// of the pipe: telling the peer must not block either.
+func TestMigrateOutPrepareFailureResumesSource(t *testing.T) { prepareFailure(t, false) }
+
+// TestMigrateOutPrepareFailureAbortsTarget: the image announcement goes out
+// before the enclave is quiesced, so by the time the poll budget runs out a
+// live target has built its virgin enclave and is waiting for a checkpoint.
+// The source must tell it: the target returns ErrAborted — from the abort
+// message, the transport stays open — with its EPC back at baseline.
+// (Before the reorder nothing had been sent at this point and the target
+// held nothing.)
+func TestMigrateOutPrepareFailureAbortsTarget(t *testing.T) { prepareFailure(t, true) }
+
+func prepareFailure(t *testing.T, liveTarget bool) {
 	w := newWorld(t)
 	app := testapps.CounterApp(1)
+	w.owner.ConfigureApp(app)
+	dep, reg := w.deploy(app)
+	warmHosts(t, w, dep)
+	framesB := w.hostB.Mgr.FreeFrames()
 	src := w.launch(t, app)
-	_, reg := w.deploy(app)
 
 	const iterations = 5_000_000
 	done := make(chan error, 1)
@@ -201,12 +217,25 @@ func TestMigrateOutPrepareFailureResumesSource(t *testing.T) {
 	}()
 	time.Sleep(time.Millisecond)
 
+	t1, t2 := NewPipe()
+	inErr := make(chan error, 1)
+	if liveTarget {
+		go func() {
+			_, err := MigrateIn(w.hostB, reg, t2, w.opts())
+			inErr <- err
+		}()
+	}
 	opts := w.opts()
 	opts.PollBudget = time.Nanosecond
 	opts.PollInterval = time.Microsecond
-	t1, _ := NewPipe()
 	if _, err := MigrateOut(src, t1, opts); !errors.Is(err, ErrNotQuiescent) {
 		t.Fatalf("MigrateOut with zero budget: %v, want ErrNotQuiescent", err)
+	}
+	if liveTarget {
+		if err := <-inErr; !errors.Is(err, ErrAborted) {
+			t.Fatalf("MigrateIn after the source gave up: %v, want ErrAborted", err)
+		}
+		waitFrames(t, w.hostB.Mgr, framesB, "target")
 	}
 	// The busy ecall completes: the workers were resumed.
 	if err := <-done; err != nil {
@@ -265,6 +294,52 @@ func TestMigrateInFailureFreesEPC(t *testing.T) {
 	}
 	if _, err := src.ECall(0, testapps.CounterGet); err != nil {
 		t.Fatalf("source after cancelled migration: %v", err)
+	}
+
+	// The target builds on the image announcement alone, so a checkpoint it
+	// has to refuse now finds an enclave already standing. Each refusal must
+	// come after the build, tell the peer, and free the EPC.
+	hdr, _, err := enclave.UnmarshalHeader(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	foreign := hdr
+	foreign.Measurement[0] ^= 1
+	tooMany := uint32(enclave.MaxCheckpointSize(app.Layout())/bulkSegment + 2)
+	for _, tc := range []struct {
+		name string
+		ckpt Message
+		want error
+	}{
+		{"more frames than the layout allows", Message{Kind: MsgCheckpoint, Frames: tooMany}, ErrProtocol},
+		{"bad header", Message{Kind: MsgCheckpoint, Blob: blob[:20]}, nil},
+		{"header for a different measurement", Message{Kind: MsgCheckpoint, Blob: enclave.MarshalHeader(foreign)}, ErrProtocol},
+	} {
+		tr := telemetry.New()
+		root := tr.Begin("test")
+		opts := w.opts()
+		opts.Trace = root
+		t1, t2 := NewPipe()
+		reply := make(chan Message, 1)
+		go func() {
+			_ = t1.Send(Message{Kind: MsgImage, Blob: imageBlob(app.Name, src.Measurement(), src.Layout().Threads)})
+			_ = t1.Send(tc.ckpt)
+			m, _ := t1.Recv()
+			reply <- m
+		}()
+		_, err := MigrateIn(w.hostB, reg, t2, opts)
+		if err == nil || (tc.want != nil && !errors.Is(err, tc.want)) {
+			t.Fatalf("%s: MigrateIn = %v, want %v", tc.name, err, tc.want)
+		}
+		if m := <-reply; m.Kind != MsgAbort {
+			t.Fatalf("%s: the peer got message %d, want an abort", tc.name, m.Kind)
+		}
+		root.End()
+		if built := tr.ByName("core.target.build"); len(built) != 1 {
+			t.Fatalf("%s: %d build spans; the refusal was meant to follow the build", tc.name, len(built))
+		}
+		waitFrames(t, w.hostB.Mgr, frames, "target")
+		_ = t1.Close()
 	}
 }
 

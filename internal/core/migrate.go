@@ -298,6 +298,11 @@ func Cancel(src *enclave.Runtime) error {
 // MigrateOut runs the complete source side of an enclave migration over t.
 // On success the source enclave has self-destroyed. On failure before key
 // release the migration is cancelled and the enclave resumes.
+//
+// The image announcement goes out before the enclave is quiesced: it names
+// only public data, and it lets the target build its virgin enclave (restore
+// Step-1) while this side is still dumping. The target then holds EPC for a
+// checkpoint that may never come, so a failed Prepare or Dump tells it.
 func MigrateOut(src *enclave.Runtime, t Transport, opts *Options) (rep SourceReport, err error) {
 	start := time.Now()
 	defer func() { rep.TotalTime = time.Since(start) }()
@@ -307,34 +312,44 @@ func MigrateOut(src *enclave.Runtime, t Transport, opts *Options) (rep SourceRep
 			return rep, fmt.Errorf("core: set cipher: %w", err)
 		}
 	}
+	if err = sendImage(src, t); err != nil {
+		return rep, err
+	}
 
 	// Phase 1+2: quiesce and dump.
 	if rep.PrepareTime, err = Prepare(src, opts); err != nil {
+		abort(t, "source never quiesced")
 		return rep, err
 	}
 	var blob []byte
 	if blob, rep.DumpTime, err = Dump(src, opts); err != nil {
+		abort(t, "source dump failed")
 		if cErr := Cancel(src); cErr != nil {
 			err = errors.Join(err, cErr)
 		}
 		return rep, err
 	}
-	return migrateOutPrepared(src, blob, t, opts, rep, start)
+	ps, err := migrateOutChannel(src, blob, t, opts, rep, start, false)
+	if err != nil {
+		rep.CheckpointBytes = len(blob)
+		return rep, err
+	}
+	return ps.Release()
+}
+
+// sendImage tells the target what to build.
+func sendImage(src *enclave.Runtime, t Transport) error {
+	return t.Send(Message{Kind: MsgImage, Blob: imageBlob(src.App().Name, src.Measurement(), src.Layout().Threads)})
 }
 
 // MigrateOutPrepared runs the source side for an enclave whose checkpoint
 // was already produced with Prepare+Dump (the VM live-migration engine dumps
 // early so the blob rides the pre-copy stream).
 func MigrateOutPrepared(src *enclave.Runtime, blob []byte, t Transport, opts *Options) (SourceReport, error) {
-	return migrateOutPrepared(src, blob, t, opts, SourceReport{}, time.Now())
-}
-
-func migrateOutPrepared(src *enclave.Runtime, blob []byte, t Transport, opts *Options, rep SourceReport, start time.Time) (SourceReport, error) {
-	ps, err := migrateOutChannel(src, blob, t, opts, rep, start)
+	start := time.Now()
+	ps, err := migrateOutChannel(src, blob, t, opts, SourceReport{}, start, true)
 	if err != nil {
-		rep.CheckpointBytes = len(blob)
-		rep.TotalTime = time.Since(start)
-		return rep, err
+		return SourceReport{CheckpointBytes: len(blob), TotalTime: time.Since(start)}, err
 	}
 	return ps.Release()
 }
@@ -358,10 +373,14 @@ type PreparedSource struct {
 // (but excluding) key release. On failure the migration is cancelled and the
 // enclave resumes.
 func MigrateOutChannel(src *enclave.Runtime, blob []byte, t Transport, opts *Options) (*PreparedSource, error) {
-	return migrateOutChannel(src, blob, t, opts, SourceReport{}, time.Now())
+	return migrateOutChannel(src, blob, t, opts, SourceReport{}, time.Now(), true)
 }
 
-func migrateOutChannel(src *enclave.Runtime, blob []byte, t Transport, opts *Options, rep SourceReport, start time.Time) (_ *PreparedSource, err error) {
+// migrateOutChannel ships the checkpoint and runs the attested channel.
+// announce says the image message has not gone out yet (MigrateOut sends it
+// ahead of the dump; callers that arrive with a finished checkpoint send the
+// two back to back).
+func migrateOutChannel(src *enclave.Runtime, blob []byte, t Transport, opts *Options, rep SourceReport, start time.Time, announce bool) (_ *PreparedSource, err error) {
 	mode := "remote-attest"
 	if opts.Agent != nil {
 		mode = "agent"
@@ -384,9 +403,10 @@ func migrateOutChannel(src *enclave.Runtime, blob []byte, t Transport, opts *Opt
 	// isolates pure transfer time from the channel crypto that follows, so
 	// a merged cross-host trace shows where bandwidth (vs. attestation
 	// round-trips) went.
-	mr := src.Measurement()
 	wireSp := sp.Child("core.wire", telemetry.Int("checkpoint_bytes", len(blob)))
-	err = t.Send(Message{Kind: MsgImage, Blob: imageBlob(src.App().Name, mr, src.Layout().Threads)})
+	if announce {
+		err = sendImage(src, t)
+	}
 	if err == nil {
 		err = sendBulk(t, Message{Kind: MsgCheckpoint, Blob: blob})
 	}
@@ -669,9 +689,10 @@ type PreparedTarget struct {
 func (pt *PreparedTarget) Runtime() *enclave.Runtime { return pt.rt }
 
 // MigrateInPrepare runs the target side of a migration up to (but excluding)
-// the key delivery and restore: receive image + checkpoint, build the virgin
-// enclave, and run the attested channel. Every error path destroys the
-// enclave it built.
+// the key delivery and restore: receive the image announcement, build the
+// virgin enclave — the source may still be quiescing and dumping, which this
+// overlaps — receive and check the checkpoint, and run the attested channel.
+// Every error path after the build tells the peer and destroys the enclave.
 func MigrateInPrepare(host *enclave.Host, reg *Registry, t Transport, opts *Options) (_ *PreparedTarget, err error) {
 	sp := opts.span().Child("core.target.prepare")
 	defer func() { sp.Fail(err) }()
@@ -696,28 +717,21 @@ func MigrateInPrepare(host *enclave.Host, reg *Registry, t Transport, opts *Opti
 		return nil, ErrUnknownImage
 	}
 
-	// The deployment is known, so the largest checkpoint its enclave can
-	// produce bounds what the peer may announce.
-	ckptMsg, err := recvBulk(t, MsgCheckpoint, enclave.MaxCheckpointSize(dep.App.Layout()))
-	if err != nil {
-		return nil, err
-	}
-	blob := ckptMsg.Blob
-	hdr, _, err := enclave.UnmarshalHeader(blob)
-	if err != nil {
-		abort(t, "bad checkpoint header")
-		return nil, err
-	}
-	if !bytes.Equal(hdr.Measurement[:], wantMR[:]) {
-		abort(t, "checkpoint for a different image")
-		return nil, ErrProtocol
-	}
-
 	// Step-1: create and initialise a virgin enclave from the same image.
-	// From here on, every failure must free the EPC this build consumed.
+	// It needs nothing but the public image, so it does not wait for the
+	// checkpoint. From here on, every failure must free the EPC this build
+	// consumed.
+	buildSp := sp.Child("core.target.build")
 	rt, err := enclave.BuildSigned(host, dep.App, dep.Sig, opts.BuildOptions...)
+	buildSp.Fail(err)
 	if err != nil {
 		abort(t, "build failed")
+		return nil, err
+	}
+
+	hdr, blob, err := recvCheckpoint(t, dep, wantMR)
+	if err != nil {
+		destroyQuietly(rt)
 		return nil, err
 	}
 
@@ -732,6 +746,30 @@ func MigrateInPrepare(host *enclave.Host, reg *Registry, t Transport, opts *Opti
 	opts.journal().Append(telemetry.EventChannelUp, opts.enclaveID(rt), sp.Context(),
 		telemetry.String("side", "target"))
 	return &PreparedTarget{rt: rt, hdr: hdr, blob: blob, t: t, opts: opts}, nil
+}
+
+// recvCheckpoint receives the checkpoint for dep's enclave and checks that
+// its header parses and names the announced measurement. The peer is told
+// of every failure that is not its own abort.
+func recvCheckpoint(t Transport, dep *Deployment, wantMR [32]byte) (hdr enclave.CheckpointHeader, blob []byte, err error) {
+	// The deployment is known, so the largest checkpoint its enclave can
+	// produce bounds what the peer may announce.
+	ckptMsg, err := recvBulk(t, MsgCheckpoint, enclave.MaxCheckpointSize(dep.App.Layout()))
+	if err != nil {
+		if !errors.Is(err, ErrAborted) {
+			abort(t, "checkpoint not received")
+		}
+		return hdr, nil, err
+	}
+	if hdr, _, err = enclave.UnmarshalHeader(ckptMsg.Blob); err != nil {
+		abort(t, "bad checkpoint header")
+		return hdr, nil, err
+	}
+	if !bytes.Equal(hdr.Measurement[:], wantMR[:]) {
+		abort(t, "checkpoint for a different image")
+		return hdr, nil, ErrProtocol
+	}
+	return hdr, ckptMsg.Blob, nil
 }
 
 // Finish receives and installs Kmigrate, performs restore Steps 3-4 (CSSA

@@ -9,6 +9,7 @@ import (
 	"net"
 	"reflect"
 	"runtime"
+	"runtime/debug"
 	"testing"
 	"time"
 )
@@ -205,6 +206,48 @@ func allocatedBy(f func()) uint64 {
 	f()
 	runtime.ReadMemStats(&after)
 	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestBulkSegmentBufferReused: a bulk segment's buffer is asked for at two
+// sizes a few bytes apart — the bound on its encoding when it is written,
+// the exact body length when it is read back — and a pooled buffer of the
+// smaller size used to be dropped by the larger request. With both in one
+// size class, a 16-segment round trip over a pool stocked with buffers of
+// the reader's size allocates its reassembly buffer and nothing
+// segment-sized.
+func TestBulkSegmentBufferReused(t *testing.T) {
+	const segments = 16
+	seg := PageFrame{Kind: FrameBlob, Data: make([]byte, bulkSegment)}
+	body, bound := len(AppendFrame(nil, &seg))-4, encodedFrameSize(&seg)
+	if body >= bound || bufClass(body) != bufClass(bound) {
+		t.Fatalf("a segment's %d-byte body and %d-byte encoding bound fall in classes %d and %d", body, bound, bufClass(body), bufClass(bound))
+	}
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts at random under the race detector")
+	}
+	blob := make([]byte, segments*bulkSegment)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection empties the pool
+	for _, tr := range pipeAndConn(t) {
+		// More buffers than the pipe's queue lets the sender run ahead by.
+		stock := make([][]byte, segments+4)
+		for i := range stock {
+			stock[i] = GetBuf(body)
+		}
+		for _, b := range stock {
+			PutBuf(b)
+		}
+		got := allocatedBy(func() {
+			done := make(chan error, 1)
+			go func() { done <- sendBulk(tr.src, Message{Kind: MsgCheckpoint, Blob: blob}) }()
+			m, err := recvBulk(tr.dst, MsgCheckpoint, len(blob))
+			if sErr := <-done; err != nil || sErr != nil || len(m.Blob) != len(blob) {
+				t.Fatalf("%s: round trip: recv %v, send %v, %d bytes", tr.name, err, sErr, len(m.Blob))
+			}
+		})
+		if got > uint64(len(blob)+bulkSegment/2) {
+			t.Errorf("%s: the round trip allocated %d bytes beyond its %d-byte reassembly buffer", tr.name, got-uint64(len(blob)), len(blob))
+		}
+	}
 }
 
 // TestRecvHostileLength: the length prefix and kind byte come from an

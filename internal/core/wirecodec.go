@@ -133,10 +133,16 @@ var bufPool = sync.Pool{New: func() any { return []byte(nil) }}
 func GetBuf(n int) []byte {
 	b := bufPool.Get().([]byte)
 	if cap(b) < n {
-		return make([]byte, n)
+		return make([]byte, n, bufClass(n))
 	}
 	return b[:n]
 }
+
+// bufClass is the capacity a new n-byte buffer gets: n rounded up to whole
+// pages. The few bytes between a frame's body (what readFrameBody asks for)
+// and the bound on its encoding (what WriteFrame and the pipe ask for) then
+// do not decide whether a pooled segment buffer fits the next request.
+func bufClass(n int) int { return (n + PageSize - 1) &^ (PageSize - 1) }
 
 // PutBuf returns a buffer obtained from GetBuf to the pool.
 func PutBuf(b []byte) {

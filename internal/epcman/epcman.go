@@ -1,9 +1,32 @@
 // Package epcman implements EPC page-frame management — the role the
 // paper's in-guest SGX driver plays (Sec. VI-B "Virtual EPC Management"):
 // allocating frames for enclave construction, and when the pool is
-// exhausted, evicting resident pages to normal (untrusted) memory with EWB
-// using a simplified LRU policy, then faulting them back in with ELDU on
-// demand.
+// exhausted, evicting resident pages to normal (untrusted) memory with EWB,
+// then faulting them back in with ELDU on demand.
+//
+// Victim choice, in full. The resident pages sit on a clock list in arrival
+// order, each with one second-chance bit that is set when the page arrives
+// and cleared when the hand passes it. The driver gets no hit information —
+// an access to a resident page never reaches it — so the bit is never set
+// again and the clock is first-in-first-out with one lap of grace: the
+// paper's "simplified LRU" without the recency. The one signal the driver
+// does get is the fault stream, and it uses it: when an enclave's demand
+// faults climb through its address range (each a step of at most sweepRun
+// pages past the last, for more than sweepRun faults running), the enclave
+// is sweeping, and the victim is the page the sweep has just left — the
+// run's previous fault, at the tail of the list — instead of the clock's
+// choice. A sweep over N pages in F frames then pages in the N − F that
+// were out instead of all N, and leaves the rest of the resident set where
+// it was. Every other fault, every AllocFrame and every pinned page goes
+// through the clock unchanged. This is untrusted-driver policy only: what
+// EWB seals, what ELDU accepts and which version slot guards it are the
+// hardware's business and do not depend on which page is chosen.
+//
+// The runs are worked out here rather than announced by the runtime (a
+// "sweep coming" hint before a dump or restore) because the enclave's own
+// fills and scans sweep just the same and nothing outside this package
+// knows about those; a hint would also be one more thing the untrusted
+// runtime could get wrong.
 //
 // A Manager owns a set of EPC frames of one machine. Several managers can
 // share a machine (one per VM); a Dispatcher routes hardware page-in
@@ -96,6 +119,10 @@ type Manager struct {
 	// paper's on-demand guest-EPC mapping (Sec. VI-A).
 	source FrameSource // guarded by mu
 
+	// runs is the sweep detector's state: per enclave, where its last demand
+	// fault fell and how long the run of short forward steps is.
+	runs map[sgx.EnclaveID]faultRun // guarded by mu
+
 	evictions int // guarded by mu
 	reloads   int // guarded by mu
 
@@ -122,6 +149,28 @@ type Manager struct {
 // pressureWindow is the minimum spacing of EventEPCPressure records.
 const pressureWindow = 100 * time.Millisecond
 
+// faultRun is one enclave's recent demand-fault history: the page of its
+// latest fault and how many faults in a row, that one included, each fell a
+// short step past the previous one.
+type faultRun struct {
+	last sgx.PageNum
+	n    int
+}
+
+// sweepRun is the sweep detector's policy constant. A fault continues its
+// enclave's run when it falls 1 to sweepRun pages past the previous fault —
+// a sweep takes no fault on a page that is resident, and earlier sweeps
+// leave short resident islands behind, the last page of every run among
+// them — and a run longer than sweepRun faults is a sweep. The first
+// sweepRun faults of every run still go through the clock.
+const sweepRun = 4
+
+// sweepScan bounds how far from the tail of the clock list the page behind
+// a sweep is looked for. It arrived with the enclave's previous fault, so
+// only the arrivals (and drop-behind tombstones) of other enclaves faulting
+// in between can sit after it.
+const sweepScan = 16
+
 // FrameSource supplies extra EPC frames on demand; it returns an error when
 // the grant is exhausted (forcing guest-level eviction).
 type FrameSource func() (sgx.FrameIndex, error)
@@ -138,6 +187,7 @@ func New(m *sgx.Machine, frames []sgx.FrameIndex) *Manager {
 		free:    freeList,
 		evicted: make(map[pageKey]storedPage),
 		pinned:  make(map[pageKey]bool),
+		runs:    make(map[sgx.EnclaveID]faultRun),
 	}
 }
 
@@ -171,7 +221,7 @@ func (g *Manager) FreeFrames() int {
 func (g *Manager) AllocFrame() (sgx.FrameIndex, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	f, err := g.allocLocked()
+	f, err := g.allocLocked(-1)
 	g.publishFramesLocked()
 	return f, err
 }
@@ -229,7 +279,11 @@ func (g *Manager) publishFramesLocked() {
 	g.framesUsed.Set(int64(len(g.frames) - len(g.free)))
 }
 
-func (g *Manager) allocLocked() (sgx.FrameIndex, error) {
+// allocLocked returns a free frame, evicting if it has to. behind, when not
+// negative, is the clock-list index of the page a sequential sweep has just
+// left (sweepBehindLocked): it is the first victim, ahead of the clock's
+// choice.
+func (g *Manager) allocLocked(behind int) (sgx.FrameIndex, error) {
 	g.ensureVALocked()
 	// An eviction usually frees the victim's frame, but the one that takes
 	// the last version slot donates it to a new VA page (evictAtLocked), so
@@ -244,7 +298,14 @@ func (g *Manager) allocLocked() (sgx.FrameIndex, error) {
 				return f, nil
 			}
 		}
-		if err := g.evictOneLocked(); err != nil {
+		var err error
+		if behind >= 0 {
+			err = g.evictAtLocked(behind)
+			behind = -1
+		} else {
+			err = g.evictOneLocked()
+		}
+		if err != nil {
 			return -1, err
 		}
 	}
@@ -492,14 +553,23 @@ func (g *Manager) retireVASlotLocked(va *vaPage) {
 // FaultIn loads an evicted page back into EPC. It implements
 // sgx.FaultHandler for the enclaves this manager owns.
 func (g *Manager) FaultIn(eid sgx.EnclaveID, lin sgx.PageNum) error {
+	return g.faultIn(pageKey{eid, lin}, true)
+}
+
+// faultIn is FaultIn; demand says the enclave itself touched the page, which
+// is what the sweep detector watches. EnsureResident's prefetch is not.
+func (g *Manager) faultIn(key pageKey, demand bool) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	key := pageKey{eid, lin}
 	sp, ok := g.evicted[key]
 	if !ok {
-		return fmt.Errorf("epcman: page %d/%d not in swap", eid, lin)
+		return fmt.Errorf("epcman: page %d/%d not in swap", key.eid, key.lin)
 	}
-	f, err := g.allocLocked()
+	behind := -1
+	if demand {
+		behind = g.sweepBehindLocked(key)
+	}
+	f, err := g.allocLocked(behind)
 	if err != nil {
 		return err
 	}
@@ -522,6 +592,42 @@ func (g *Manager) FaultIn(eid sgx.EnclaveID, lin sgx.PageNum) error {
 	g.reloadCtr.Inc()
 	g.publishFramesLocked()
 	return nil
+}
+
+// sweepBehindLocked records a demand fault on key in its enclave's run and,
+// once the run is a sweep, returns the clock-list index of the page the
+// sweep has just left — the run's previous fault — or -1: the run is still
+// short, or that page is pinned, gone, or buried under other enclaves'
+// arrivals.
+//
+// A front-to-back pass over more pages than the pool has frames (a
+// checkpoint dump, a restore, a table fill or scan) misses on every page
+// under the arrival-order clock, because each page it brings in pushes out
+// the one it will need soonest. Dropping the page behind the sweep instead
+// makes the pass cycle through one frame: it pages in only what was out, and
+// what was resident stays resident for the next pass.
+func (g *Manager) sweepBehindLocked(key pageKey) int {
+	run := g.runs[key.eid]
+	behind := pageKey{key.eid, run.last}
+	if run.n > 0 && key.lin > run.last && key.lin <= run.last+sweepRun {
+		run.n++
+	} else {
+		run.n = 1
+	}
+	run.last = key.lin
+	g.runs[key.eid] = run
+	if run.n <= sweepRun {
+		return -1
+	}
+	for i := len(g.resident) - 1; i >= max(0, len(g.resident)-sweepScan); i-- {
+		if rp := &g.resident[i]; rp.key == behind && !rp.gone {
+			if rp.pinned {
+				return -1
+			}
+			return i
+		}
+	}
+	return -1
 }
 
 // ForgetEnclave drops all bookkeeping for an enclave after it is destroyed
@@ -553,6 +659,7 @@ func (g *Manager) ForgetEnclave(eid sgx.EnclaveID) {
 			delete(g.pinned, k)
 		}
 	}
+	delete(g.runs, eid)
 	g.publishFramesLocked()
 }
 
@@ -593,7 +700,7 @@ func (g *Manager) EnsureResident(eid sgx.EnclaveID) error {
 			return fmt.Errorf("%w: enclave %d does not fit residency (%d pages evicted)", ErrNoFrames, eid, remaining)
 		}
 		prev = remaining
-		if err := g.FaultIn(eid, lin); err != nil {
+		if err := g.faultIn(pageKey{eid, lin}, false); err != nil {
 			return err
 		}
 	}

@@ -191,6 +191,14 @@ func builtinImages(owner *core.Owner) []*enclave.App {
 // bytes, must not hold a goroutine and a socket for good.
 const firstMessageTimeout = 10 * time.Second
 
+// migrateInIdle is how long an inbound migration stream may stay silent
+// between two messages. The longest legitimate silence is the source
+// quiescing its enclave (core's 10 s default poll budget) and then dumping
+// it, after it has announced the image; the target builds its enclave on
+// that announcement, so a peer that goes quiet there holds EPC as well as a
+// goroutine and a socket.
+const migrateInIdle = 30 * time.Second
+
 func (s *Server) serve(conn net.Conn) {
 	defer conn.Close()
 	// One stream per connection, shared with the migration transport: its
@@ -202,15 +210,36 @@ func (s *Server) serve(conn net.Conn) {
 	if err := hostproto.Read(br, &cmd); err != nil {
 		return
 	}
-	// Only the first message is on the clock: a migrate-in stream
-	// legitimately runs long.
-	_ = conn.SetReadDeadline(time.Time{})
 	switch cmd.Op {
 	case hostproto.OpMigrateIn:
-		s.handleMigrateIn(ts, br, w, cmd)
+		// Every further message of the stream is on a clock of its own.
+		s.handleMigrateIn(idleTransport{ts, conn}, br, w, cmd)
 	default:
+		// Nothing more is read: the answer may take as long as it takes.
+		_ = conn.SetReadDeadline(time.Time{})
 		_ = hostproto.Write(w, s.handle(cmd))
 	}
+}
+
+// idleTransport is an inbound migration's transport with the per-message
+// idle clock: the connection's read deadline is re-armed before every
+// receive and cleared nowhere, so each message or frame has migrateInIdle
+// to arrive in full, however long the work between two of them takes.
+type idleTransport struct {
+	core.Transport
+	conn net.Conn
+}
+
+func (t idleTransport) arm() { _ = t.conn.SetReadDeadline(time.Now().Add(migrateInIdle)) }
+
+func (t idleTransport) Recv() (core.Message, error) {
+	t.arm()
+	return t.Transport.Recv()
+}
+
+func (t idleTransport) RecvFrame() (*core.PageFrame, error) {
+	t.arm()
+	return t.Transport.RecvFrame()
 }
 
 // traceContext recovers the caller's trace context from a request; a
@@ -454,15 +483,16 @@ func (s *Server) recvTraceShipment(conn net.Conn, br *bufio.Reader, sp *telemetr
 }
 
 // handleMigrateIn accepts an inbound migration on this connection. ts, br
-// and w are the connection's transport, reader and writer from
-// core.NewConnStream.
-func (s *Server) handleMigrateIn(ts core.Transport, br *bufio.Reader, w io.Writer, cmd hostproto.Command) {
+// and w are the connection's transport (on the idle clock), reader and
+// writer from core.NewConnStream.
+func (s *Server) handleMigrateIn(ts idleTransport, br *bufio.Reader, w io.Writer, cmd hostproto.Command) {
 	s.met.Counter("host.ops." + string(cmd.Op)).Inc()
 	s.inflightIn.Add(1)
 	defer s.inflightIn.Add(-1)
 	ctx := traceContext(cmd)
 	sp := s.tr.BeginRemote("host.migratein", ctx, telemetry.String("enclave", cmd.ID))
 	var peer hostproto.MachineKey
+	ts.arm() // the key exchange is on the idle clock too
 	if err := hostproto.Read(br, &peer); err != nil {
 		sp.Fail(err)
 		return

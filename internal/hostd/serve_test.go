@@ -8,14 +8,16 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/hostproto"
 )
 
 // clockedConn stands in for the daemon's accepted socket. It records the
-// read deadlines serve sets and shrinks each real one to 20 ms from now, so
+// read deadlines serve sets and shrinks each real one to tick from now, so
 // a test sees the 10 s first-message timeout fire without waiting for it.
 type clockedConn struct {
 	net.Conn
+	tick      time.Duration
 	mu        sync.Mutex
 	deadlines []time.Duration // as set, relative to the moment of the call; 0 = cleared
 }
@@ -28,7 +30,7 @@ func (c *clockedConn) SetReadDeadline(t time.Time) error {
 		return c.Conn.SetReadDeadline(t)
 	}
 	c.deadlines = append(c.deadlines, time.Until(t))
-	return c.Conn.SetReadDeadline(time.Now().Add(20 * time.Millisecond))
+	return c.Conn.SetReadDeadline(time.Now().Add(c.tick))
 }
 
 func (c *clockedConn) set() []time.Duration {
@@ -37,11 +39,12 @@ func (c *clockedConn) set() []time.Duration {
 	return append([]time.Duration(nil), c.deadlines...)
 }
 
-// servePipe runs s.serve on one end of an in-memory connection and returns
-// the peer's end, the daemon's, and a channel closed when serve returns.
-func servePipe(s *Server) (peer net.Conn, conn *clockedConn, served chan struct{}) {
+// servePipe runs s.serve on one end of an in-memory connection whose read
+// deadlines all fire after tick, and returns the peer's end, the daemon's,
+// and a channel closed when serve returns.
+func servePipe(s *Server, tick time.Duration) (peer net.Conn, conn *clockedConn, served chan struct{}) {
 	peer, accepted := net.Pipe()
-	conn = &clockedConn{Conn: accepted}
+	conn = &clockedConn{Conn: accepted, tick: tick}
 	served = make(chan struct{})
 	go func() {
 		s.serve(conn)
@@ -63,7 +66,7 @@ func TestServeDropsSilentPeer(t *testing.T) {
 		"nothing":                nil,
 		"a 16 MiB length prefix": binary.LittleEndian.AppendUint32(nil, hostproto.MaxMessage),
 	} {
-		peer, conn, served := servePipe(s)
+		peer, conn, served := servePipe(s, 20*time.Millisecond)
 		if len(opening) > 0 {
 			if _, err := peer.Write(opening); err != nil {
 				t.Fatalf("%s: %v", name, err)
@@ -82,15 +85,16 @@ func TestServeDropsSilentPeer(t *testing.T) {
 	}
 }
 
-// TestServeClearsDeadlineAfterCommand: only the first message is on the
-// clock — a migrate-in stream legitimately runs long — so the deadline is
-// lifted as soon as the command is in.
+// TestServeClearsDeadlineAfterCommand: a plain command is the only thing
+// read from its connection, and the answer may take as long as it takes, so
+// the deadline is lifted as soon as the command is in. (A migrate-in stream
+// keeps a clock per message instead: TestMigrateInDropsPeerSilentAfterImage.)
 func TestServeClearsDeadlineAfterCommand(t *testing.T) {
 	s, err := New("alpha", "test-secret", 256)
 	if err != nil {
 		t.Fatal(err)
 	}
-	peer, conn, served := servePipe(s)
+	peer, conn, served := servePipe(s, 20*time.Millisecond)
 	defer peer.Close()
 	if err := hostproto.Write(peer, hostproto.Command{Op: hostproto.OpStats}); err != nil {
 		t.Fatal(err)
@@ -102,5 +106,83 @@ func TestServeClearsDeadlineAfterCommand(t *testing.T) {
 	<-served
 	if set := conn.set(); len(set) != 2 || set[0] <= 0 || set[1] != 0 {
 		t.Fatalf("read deadlines %v, want the first-message deadline, then cleared", set)
+	}
+}
+
+// TestMigrateInDropsPeerSilentAfterImage: a peer opens a migration, trades
+// machine keys, announces a valid image — on which the target builds its
+// virgin enclave — and then sends nothing. Every message of an inbound
+// stream is on the migrateInIdle clock, so the silence ends the migration:
+// the goroutine returns, InflightIn is back to 0 and the enclave's EPC is
+// back in the pool. (The parent held no EPC at this point, it only built
+// once the checkpoint was in; what it did hold, for good, was the goroutine
+// and the socket, because only the first message of a connection was timed.)
+func TestMigrateInDropsPeerSilentAfterImage(t *testing.T) {
+	s, err := New("alpha", "test-secret", 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.EnableTelemetry(1)
+	// A resident enclave first, so the pool's one-time VA page is in place
+	// when the baseline is taken.
+	if resp := s.launch("counter"); resp.Err != "" {
+		t.Fatal(resp.Err)
+	}
+	baseline := s.host.Mgr.FreeFrames()
+	dep, _ := s.registry.Lookup("counter")
+
+	// The honest part of the exchange has to fit the shrunken clock.
+	peer, conn, served := servePipe(s, 250*time.Millisecond)
+	defer peer.Close()
+	_, br, ts := core.NewConnStream(peer)
+	if err := hostproto.Write(peer, hostproto.Command{Op: hostproto.OpMigrateIn, ID: "counter-9"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := hostproto.Write(peer, hostproto.MachineKey{Key: s.machine.AttestationPublic()}); err != nil {
+		t.Fatal(err)
+	}
+	var key hostproto.MachineKey
+	if err := hostproto.Read(br, &key); err != nil {
+		t.Fatal(err)
+	}
+	image := binary.LittleEndian.AppendUint32(nil, uint32(len(dep.App.Name)))
+	image = append(image, dep.App.Name...)
+	image = append(image, dep.Sig.Measurement[:]...)
+	image = binary.LittleEndian.AppendUint32(image, uint32(dep.App.Layout().Threads))
+	if err := ts.Send(core.Message{Kind: core.MsgImage, Blob: image}); err != nil {
+		t.Fatal(err)
+	}
+	// Silence. The daemon's abort and trace trailer are drained unread (an
+	// in-memory pipe has no socket buffer to absorb them).
+	go io.Copy(io.Discard, br)
+
+	select {
+	case <-served:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the silent peer still holds its goroutine")
+	}
+	if built := s.Tracer().ByName("core.target.build"); len(built) != 1 {
+		t.Fatalf("%d build spans: the silence was meant to follow the build", len(built))
+	}
+	if st := s.Stats(); st.InflightIn != 0 {
+		t.Fatalf("InflightIn = %d after the stream ended", st.InflightIn)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for s.host.Mgr.FreeFrames() != baseline {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d free frames, %d before the peer connected", s.host.Mgr.FreeFrames(), baseline)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	// First message, key exchange, image, checkpoint: each on a clock,
+	// none of them lifted.
+	set := conn.set()
+	if len(set) != 4 || set[0] > firstMessageTimeout {
+		t.Fatalf("read deadlines %v, want the first-message one and three idle ones", set)
+	}
+	for _, d := range set[1:] {
+		if d < migrateInIdle-time.Second || d > migrateInIdle {
+			t.Fatalf("read deadlines %v, want %v re-armed before every message", set, migrateInIdle)
+		}
 	}
 }

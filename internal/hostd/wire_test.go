@@ -187,8 +187,9 @@ func TestMigrationStreamIsSingleFormat(t *testing.T) {
 	request(t, src, hostproto.Command{Op: hostproto.OpMigrateOut, ID: id, Target: dst})
 
 	in, out, _ := tap.last()
-	// Source to target: Command and MachineKey, then MsgImage, MsgChannel,
-	// the checkpoint announcement and MsgKey around the checkpoint's segment.
+	// Source to target: Command and MachineKey, then MsgImage (sent before
+	// the source quiesces), the checkpoint announcement and its segment,
+	// MsgChannel and MsgKey.
 	if messages, ctl, bulk := walkStream(t, "source to target", in); messages != 2 || ctl != 4 || bulk < 1 {
 		t.Errorf("source to target: %d hostproto messages, %d control frames, %d bulk frames", messages, ctl, bulk)
 	}
