@@ -206,8 +206,8 @@ func BenchmarkExt_HardwareMigration(b *testing.B) {
 }
 
 // BenchmarkAblation_PipelinedEngine compares the pipelined live-migration
-// engine (dump overlapped with pre-copy, streamed chunk sender, concurrent
-// channel setups) against the paper's serial Fig. 8 schedule.
+// engine (dump and per-enclave channel legs overlapped with pre-copy,
+// streamed chunk sender) against the paper's serial Fig. 8 schedule.
 func BenchmarkAblation_PipelinedEngine(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		row, err := bench.AblationPipeline(8, 4096, 250e6)

@@ -394,8 +394,8 @@ func AblationHardwareExtension(heapPages []int) ([]HWExtRow, error) {
 }
 
 // PipelineRow compares one whole-VM live migration under the pipelined
-// schedule (enclave dump overlapped with pre-copy rounds, chunked streaming
-// sender, concurrent per-enclave channel setups) against the paper's serial
+// schedule (enclave dump and per-enclave channel legs overlapped with
+// pre-copy rounds, chunked streaming sender) against the paper's serial
 // Fig. 8 schedule on identical worlds.
 type PipelineRow struct {
 	Enclaves  int

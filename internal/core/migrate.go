@@ -674,9 +674,9 @@ func MigrateIn(host *enclave.Host, reg *Registry, t Transport, opts *Options) (*
 // PreparedTarget is a target-side enclave that has completed the build and
 // attested-channel phases of MigrateIn but not the key delivery or the
 // serial restore (mirror of PreparedSource). The VM live-migration engine
-// prepares many enclaves concurrently (the Fig. 8 channel setups are
-// independent) and then calls Finish on each in turn, keeping the rebuild
-// serial as in the paper.
+// prepares many enclaves concurrently, during pre-copy (the Fig. 8 channel
+// setups are independent), and then calls Finish on each in turn, keeping
+// the rebuild serial as in the paper.
 type PreparedTarget struct {
 	rt   *enclave.Runtime
 	hdr  enclave.CheckpointHeader

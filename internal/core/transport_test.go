@@ -250,6 +250,38 @@ func TestBulkSegmentBufferReused(t *testing.T) {
 	}
 }
 
+// TestSmallBuffersDoNotStarveSegments: small frames and 256 KiB page chunks
+// share the buffer pool when a live migration's channel legs run beside its
+// page stream. A request the pooled buffer is too small for loses that
+// buffer and allocates, so with one pool every small buffer returned cost a
+// later segment-sized request its reuse. Stock both kinds, small ones last:
+// the segment-sized requests must all be served from the pool.
+func TestSmallBuffersDoNotStarveSegments(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts at random under the race detector")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection empties the pool
+	const n = 8
+	var big, small [n][]byte
+	for i := range big {
+		big[i], small[i] = GetBuf(bulkSegment), GetBuf(bulkSegment/5)
+	}
+	for i := range big {
+		PutBuf(big[i])
+	}
+	for i := range small {
+		PutBuf(small[i])
+	}
+	got := allocatedBy(func() {
+		for i := range big {
+			big[i] = GetBuf(bulkSegment)
+		}
+	})
+	if got >= bulkSegment {
+		t.Errorf("%d segment-sized requests over a pool holding %d such buffers allocated %d bytes", n, n, got)
+	}
+}
+
 // TestRecvHostileLength: the length prefix and kind byte come from an
 // unauthenticated peer. A receiver waiting for a message refuses a length
 // no message can have — and a bulk frame, whatever its length — from the

@@ -121,21 +121,32 @@ func (f *PageFrame) Release() {
 	f.Data = nil
 }
 
-// bufPool recycles bulk-path byte buffers (page chunks, encoded frames,
+// bufPools recycle bulk-path byte buffers (page chunks, encoded frames,
 // delta scratch). Buffers are pooled at whatever capacity they grew to;
 // GetBuf re-slices to the requested length when capacity suffices and
-// allocates otherwise.
-var bufPool = sync.Pool{New: func() any { return []byte(nil) }}
+// allocates otherwise — and then the undersized buffer it drew is lost to
+// the pool. Two pools, split at half a bulk segment, keep that from
+// compounding: a small checkpoint's frames moving while a page stream is
+// running (a live migration's channel legs) no longer hand the stream's
+// next 256 KiB request a 60 KiB buffer to throw away.
+var bufPools [2]sync.Pool
+
+// poolFor picks the pool for a buffer of n bytes (requested or held).
+func poolFor(n int) *sync.Pool {
+	if n < bulkSegment/2 {
+		return &bufPools[0]
+	}
+	return &bufPools[1]
+}
 
 // GetBuf returns a length-n byte buffer from the pool. Pair every GetBuf
 // with a PutBuf (directly or via PageFrame.Release) once the buffer is no
 // longer referenced.
 func GetBuf(n int) []byte {
-	b := bufPool.Get().([]byte)
-	if cap(b) < n {
-		return make([]byte, n, bufClass(n))
+	if b, _ := poolFor(n).Get().([]byte); cap(b) >= n {
+		return b[:n]
 	}
-	return b[:n]
+	return make([]byte, n, bufClass(n))
 }
 
 // bufClass is the capacity a new n-byte buffer gets: n rounded up to whole
@@ -149,7 +160,7 @@ func PutBuf(b []byte) {
 	if cap(b) == 0 {
 		return
 	}
-	bufPool.Put(b[:0:cap(b)]) //nolint:staticcheck // []byte in an any-pool allocates a header; acceptable vs 256 KiB payloads
+	poolFor(cap(b)).Put(b[:0:cap(b)]) //nolint:staticcheck // []byte in an any-pool allocates a header; acceptable vs 256 KiB payloads
 }
 
 // NewRawFrame returns a FrameRaw frame for the given (strictly ascending)

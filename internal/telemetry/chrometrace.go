@@ -62,7 +62,7 @@ func (t *Tracer) ExportTrace(id TraceID) WireTrace {
 	}
 	wt := WireTrace{EpochUnixNano: t.epoch.UnixNano()}
 	t.mu.Lock()
-	for _, r := range t.done {
+	for _, r := range t.doneLocked() {
 		if r.TraceID == id {
 			wt.Spans = append(wt.Spans, r)
 		}
@@ -92,8 +92,9 @@ func (t *Tracer) Adopt(wt WireTrace) {
 	delta := time.Duration(wt.EpochUnixNano - t.epoch.UnixNano())
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	seen := make(map[SpanID]bool, len(t.done))
-	for _, r := range t.done {
+	done := t.doneLocked()
+	seen := make(map[SpanID]bool, len(done))
+	for _, r := range done {
 		seen[r.SpanID] = true
 	}
 	trackMap := make(map[uint64]uint64)

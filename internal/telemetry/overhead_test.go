@@ -20,8 +20,9 @@ func nopOps(n int) {
 }
 
 // enabledOps is the enabled counterpart: one child span per iteration. Past
-// DefaultSpanCap finished spans every End also evicts (a copy of the whole
-// buffer), so a measurement that wants the span cost itself keeps n below.
+// DefaultSpanCap finished spans the buffer also evicts (in blocks, see
+// spanCapSlack), so a measurement that wants the span cost itself keeps n
+// below.
 func enabledOps(n int) {
 	tr := New()
 	root := tr.Begin("bench")
@@ -40,6 +41,71 @@ func BenchmarkNopTracer(b *testing.B) {
 func BenchmarkEnabledSpan(b *testing.B) {
 	b.ReportAllocs()
 	enabledOps(b.N)
+}
+
+// atCapTracer returns a tracer whose finished-span buffer is full, with a
+// root span to hang more spans off: the state of a daemon that has been up
+// for a while.
+func atCapTracer() (*Tracer, *Span) {
+	tr := New()
+	root := tr.Begin("bench")
+	for i := 0; i < DefaultSpanCap; i++ {
+		root.Child("page-copy").End()
+	}
+	return tr, root
+}
+
+// BenchmarkTracerEndAtCap is a span's cost on a tracer past its cap, where
+// every End used to copy the whole 32 768-record buffer.
+func BenchmarkTracerEndAtCap(b *testing.B) {
+	_, root := atCapTracer()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		root.Child("page-copy").End()
+	}
+}
+
+// TestTracerEndAtCapCost pins the long-lived daemon's span cost: 4 × cap
+// spans on a full buffer — a dozen block evictions — may cost at most 3 ×
+// per span what the same spans cost below the cap, measured back to back
+// in the same process (evicting on every End read ≈ 200 ×). The ratio is
+// skipped under the race detector and -short like TestNopTracerOverhead's;
+// that readers still see exactly the newest cap records, in order, is not.
+func TestTracerEndAtCapCost(t *testing.T) {
+	tr, root := atCapTracer()
+	const n = 4 * DefaultSpanCap
+	start := time.Now()
+	for i := 0; i < n; i++ {
+		root.Child("late", Int("i", i)).End()
+	}
+	atCap := float64(time.Since(start)) / n
+
+	recs := tr.ByName("late")
+	if len(recs) != DefaultSpanCap || len(tr.Completed()) != DefaultSpanCap {
+		t.Fatalf("readers see %d late / %d total records, want the newest %d",
+			len(recs), len(tr.Completed()), DefaultSpanCap)
+	}
+	for k, r := range recs {
+		if want := Int("i", n-DefaultSpanCap+k); len(r.Attrs) != 1 || r.Attrs[0] != want {
+			t.Fatalf("record %d is %v, want %v: not the newest cap records in End order", k, r.Attrs, want)
+		}
+	}
+	if wt := tr.ExportTrace(root.Context().TraceID); len(wt.Spans) != DefaultSpanCap {
+		t.Fatalf("ExportTrace ships %d records, want %d", len(wt.Spans), DefaultSpanCap)
+	}
+	if raceEnabled || testing.Short() {
+		return
+	}
+	below := 1e18
+	for i := 0; i < 3; i++ {
+		start := time.Now()
+		enabledOps(DefaultSpanCap / 2)
+		below = min(below, float64(time.Since(start))/(DefaultSpanCap/2))
+	}
+	if atCap > 3*below {
+		t.Errorf("a span on a full buffer costs %.0f ns against %.0f ns below the cap, want at most 3 ×", atCap, below)
+	}
 }
 
 // TestNopTracerOverhead is the acceptance gate for the nil-receiver

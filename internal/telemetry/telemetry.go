@@ -89,7 +89,7 @@ type Tracer struct {
 	sampleP atomic.Uint64 // math.Float64bits of the sampling probability
 
 	mu      sync.Mutex
-	done    []SpanRecord           // guarded by mu; bounded by maxDone
+	done    []SpanRecord           // guarded by mu; read through doneLocked
 	maxDone int                    // guarded by mu; cap on done, 0 = unlimited
 	live    map[uint64]*Span       // guarded by mu
 	traces  map[uint64]*traceState // guarded by mu; unsampled in-flight traces
@@ -101,6 +101,12 @@ type Tracer struct {
 // daemon tracer cannot grow without bound no matter how long it runs or
 // how many failed traces peers send it. SetSpanCap adjusts or lifts it.
 const DefaultSpanCap = 32768
+
+// spanCapSlack is the fraction of the cap (1/spanCapSlack) the buffer may
+// overshoot before the oldest records are dropped in one move. Evicting on
+// every End would copy the whole buffer per span once a long-lived daemon
+// is past the cap; in blocks, a span pays for spanCapSlack record copies.
+const spanCapSlack = 4
 
 // tracerSeeds differentiates tracers created in the same nanosecond.
 var tracerSeeds atomic.Uint64
@@ -133,8 +139,11 @@ func (t *Tracer) SetSpanCap(n int) {
 		return
 	}
 	t.mu.Lock()
+	// Settle the overshoot under the old cap first: what readers could not
+	// see must not reappear under a wider one.
+	t.compactDoneLocked()
 	t.maxDone = n
-	t.trimDoneLocked()
+	t.compactDoneLocked()
 	t.mu.Unlock()
 }
 
@@ -145,13 +154,29 @@ func (t *Tracer) appendDoneLocked(recs ...SpanRecord) {
 	t.trimDoneLocked()
 }
 
-// trimDoneLocked evicts the oldest records beyond the cap, reusing the
-// backing array so a long-lived tracer does not keep reallocating.
-// t.mu must be held.
+// trimDoneLocked evicts the oldest records once the buffer has overshot
+// the cap by its slack, reusing the backing array so a long-lived tracer
+// does not keep reallocating. Readers never see the overshoot: they go
+// through doneLocked. t.mu must be held.
 func (t *Tracer) trimDoneLocked() {
-	if t.maxDone > 0 && len(t.done) > t.maxDone {
-		t.done = append(t.done[:0], t.done[len(t.done)-t.maxDone:]...)
+	if t.maxDone > 0 && len(t.done) > t.maxDone+t.maxDone/spanCapSlack {
+		t.compactDoneLocked()
 	}
+}
+
+// compactDoneLocked drops whatever the buffer holds beyond the cap.
+// t.mu must be held.
+func (t *Tracer) compactDoneLocked() {
+	t.done = append(t.done[:0], t.doneLocked()...)
+}
+
+// doneLocked is the finished-span buffer as every reader sees it: the
+// newest maxDone records, in End order. t.mu must be held.
+func (t *Tracer) doneLocked() []SpanRecord {
+	if t.maxDone > 0 && len(t.done) > t.maxDone {
+		return t.done[len(t.done)-t.maxDone:]
+	}
+	return t.done
 }
 
 // Begin starts a root span on a fresh track, rooting a new trace with a
@@ -251,7 +276,7 @@ func (t *Tracer) Completed() []SpanRecord {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return append([]SpanRecord(nil), t.done...)
+	return append([]SpanRecord(nil), t.doneLocked()...)
 }
 
 // ByName returns the finished spans with the given name, in End order.
@@ -262,7 +287,7 @@ func (t *Tracer) ByName(name string) []SpanRecord {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	var out []SpanRecord
-	for _, r := range t.done {
+	for _, r := range t.doneLocked() {
 		if r.Name == name {
 			out = append(out, r)
 		}
@@ -288,7 +313,7 @@ func (t *Tracer) ActiveCount() int {
 func (t *Tracer) snapshot() (done []SpanRecord, live []*Span) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	done = append([]SpanRecord(nil), t.done...)
+	done = append([]SpanRecord(nil), t.doneLocked()...)
 	live = make([]*Span, 0, len(t.live))
 	for _, s := range t.live {
 		if s.sampled {

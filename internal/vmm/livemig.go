@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -11,12 +12,18 @@ import (
 	"repro/internal/telemetry"
 )
 
-// TransportFactory lets a test interpose on the per-enclave control channels
-// LiveMigrate creates internally (e.g. to wrap them in fault injectors). It
-// receives the enclave process name and the two pipe halves and returns the
-// (possibly wrapped) halves: src goes to the source enclave's MigrateOut, dst
-// to the target guest OS.
+// TransportFactory lets a test interpose on the transports LiveMigrate
+// creates internally (e.g. to wrap them in fault injectors). It receives a
+// name and the two pipe halves and returns the (possibly wrapped) halves.
+// For an enclave's control channel the name is the process name, src goes to
+// the source enclave's MigrateOut and dst to the target guest OS; for the
+// page stream the name is PageStreamName, src is the sending half and dst
+// the half the target applies frames from.
 type TransportFactory func(name string, src, dst core.Transport) (core.Transport, core.Transport)
+
+// PageStreamName is the name a TransportFactory sees for the migration's
+// page stream.
+const PageStreamName = "vmm.pagestream"
 
 // LiveMigrationConfig parameterises a live VM migration.
 type LiveMigrationConfig struct {
@@ -29,13 +36,15 @@ type LiveMigrationConfig struct {
 	// and ride later rounds either way). Fig. 10 runs set this to reproduce
 	// the published serial timings.
 	SerialDump bool
-	// SerialChannelSetup runs the per-enclave target-side channel setups
-	// (attest + DH + key install) one enclave at a time instead of
-	// concurrently. The final in-enclave rebuild is serial either way, as in
-	// the paper.
+	// SerialChannelSetup restores the paper's Fig. 8 schedule for the
+	// per-enclave channel legs (image + checkpoint transfer, target build,
+	// attestation, DH): they run inside the downtime window, one enclave at
+	// a time. By default every leg is launched the moment the dump lands and
+	// overlaps pre-copy. Key release and the in-enclave rebuild are not part
+	// of a leg: they are the serial commit, inside the window either way.
 	SerialChannelSetup bool
 	// TransportFactory, if set, wraps each enclave's internal control pipe
-	// (tests inject transport faults through this).
+	// and the page stream (tests inject transport faults through this).
 	TransportFactory TransportFactory
 	// Opts configures the per-enclave migrations (attestation service,
 	// cipher, ...).
@@ -101,6 +110,11 @@ type LiveMigrationStats struct {
 	// concurrent pre-copy rounds (0 with SerialDump). Only the unhidden
 	// remainder counts toward Downtime.
 	DumpPrecopyOverlap time.Duration
+	// ChannelWait is how long the downtime window waited on the per-enclave
+	// channel legs: the tail pre-copy could not hide on the pipelined
+	// schedule (0 when every leg finished before stop-and-copy), the legs in
+	// full with SerialChannelSetup.
+	ChannelWait time.Duration
 	// RoundDirtyPages is the dirty-set size per round: index 0 is the bulk
 	// round (every page), the rest the iterative rounds including the
 	// residue sent right before stop-and-copy.
@@ -147,7 +161,7 @@ type sendItem struct {
 // baseline the collector recorded in cache when it encoded the frame.
 type chunkSender struct {
 	ft    core.Transport   // source half of the shaped page stream
-	bc    core.ByteCounter // = ft; wire bytes actually enqueued
+	bc    core.ByteCounter // the pipe under ft; wire bytes actually enqueued
 	cache core.DeltaCache  // last-sent page content, collector-only
 
 	ch      chan sendItem
@@ -158,6 +172,11 @@ type chunkSender struct {
 	sendErr  error // written by the sender goroutine; read after wg.Wait
 	applyErr error // written by the applier goroutine; read after <-applied
 	drainErr error // set inside drain's once
+	// broken is raised with sendErr: the collector polls it at round
+	// boundaries, so a dead stream fails the migration before the guest is
+	// paused instead of at the drain. An apply error closes the stream and
+	// surfaces here through the sender's next SendFrame.
+	broken atomic.Bool
 
 	// Frame-mix accounting, collector-only until drain.
 	rawFrames   int64
@@ -176,9 +195,13 @@ type chunkSender struct {
 
 func newChunkSender(dst *GuestMemory, cfg *LiveMigrationConfig, met *telemetry.Metrics) *chunkSender {
 	src, rt := core.NewShapedPipe(0, cfg.bandwidth())
+	bc := src.(core.ByteCounter)
+	if cfg.TransportFactory != nil {
+		src, rt = cfg.TransportFactory(PageStreamName, src, rt)
+	}
 	s := &chunkSender{
 		ft:      src,
-		bc:      src.(core.ByteCounter),
+		bc:      bc,
 		cache:   make(core.DeltaCache),
 		ch:      make(chan sendItem, sendQueueChunks),
 		applied: make(chan struct{}),
@@ -201,6 +224,7 @@ func newChunkSender(dst *GuestMemory, cfg *LiveMigrationConfig, met *telemetry.M
 			before := s.bc.BytesSent()
 			if err := s.ft.SendFrame(it.f); err != nil {
 				s.sendErr = err
+				s.broken.Store(true)
 				continue
 			}
 			wire := s.bc.BytesSent() - before
@@ -357,11 +381,110 @@ func (s *chunkSender) drain() error {
 	return s.drainErr
 }
 
-// dumpResult carries PrepareAllEnclaves' outcome out of its goroutine.
+// dumpResult carries PrepareAllEnclaves' outcome out of its goroutine,
+// together with the channel legs launched the moment the blobs were there.
 type dumpResult struct {
 	blobs map[string][]byte
+	legs  []*channelLeg
 	took  time.Duration
 	err   error
+}
+
+// channelLeg is one enclave's migration up to (but excluding) its commit:
+// the source half runs core.MigrateOutChannel (image + checkpoint transfer,
+// attestation, DH) and the target half the guest OS receive path up to the
+// same point (shared window, build, attested channel). A finished leg holds
+// a PreparedSource and an IncomingProcess, both still fully cancellable: no
+// key has been released.
+type channelLeg struct {
+	p    *Process
+	ts   core.Transport
+	sp   *telemetry.Span // ends when the leg does, on its own track
+	done chan struct{}   // closed once both halves have returned
+
+	// Written by the leg's goroutines, read after done.
+	ps     *core.PreparedSource
+	srcErr error
+	ip     *IncomingProcess
+	tgtErr error
+}
+
+// launchLeg starts p's channel leg over a fresh control pipe. Both halves
+// always terminate: each closes its pipe end on error, which fails the
+// peer's pending Recv instead of parking it forever.
+func launchLeg(p *Process, blob []byte, tvm *VM, cfg *LiveMigrationConfig, opts *core.Options, root *telemetry.Span) *channelLeg {
+	t1, t2 := core.NewPipe()
+	var ts, td core.Transport = t1, t2
+	if cfg.TransportFactory != nil {
+		ts, td = cfg.TransportFactory(p.Name, t1, t2)
+	}
+	// Fork: the legs overlap pre-copy (or, serial, each other's commit
+	// predecessors) on their own trace rows. The core.channel /
+	// core.target.prepare spans of both halves parent here via the
+	// per-enclave Options clone.
+	l := &channelLeg{p: p, ts: ts, done: make(chan struct{}),
+		sp: root.Fork("vmm.enclave.channel", telemetry.String("enclave", p.Name))}
+	encOpts := *opts
+	encOpts.Trace = l.sp
+	go func() {
+		defer close(l.done)
+		tgtDone := make(chan struct{})
+		go func() {
+			defer close(tgtDone)
+			l.ip, l.tgtErr = tvm.OS.ReceiveEnclaveProcessPrepare(p.Name, p.Image, td, &encOpts, p.workload)
+			if l.tgtErr != nil {
+				_ = td.Close()
+			}
+		}()
+		l.ps, l.srcErr = core.MigrateOutChannel(p.RT, blob, ts, &encOpts)
+		if l.srcErr != nil {
+			_ = ts.Close()
+		}
+		<-tgtDone
+		l.sp.Fail(l.err())
+	}()
+	return l
+}
+
+// err is the leg's failure, if any; valid once done is closed.
+func (l *channelLeg) err() error {
+	cause := l.srcErr
+	if cause == nil {
+		cause = l.tgtErr
+	}
+	if cause == nil {
+		return nil
+	}
+	return fmt.Errorf("vmm: migrate enclave %s: %w", l.p.Name, cause)
+}
+
+// unwind awaits the leg and releases whatever half of it came up: the
+// target's built enclave is destroyed, the source's migration cancelled. A
+// half that failed has already cleaned up after itself.
+func (l *channelLeg) unwind(reason string) {
+	<-l.done
+	if l.tgtErr == nil {
+		l.ip.Abort(reason)
+	}
+	if l.srcErr == nil {
+		_ = l.ps.Cancel(reason)
+	}
+}
+
+// pollLegs looks at the legs without blocking: whether any is still running
+// and the first failure among those that are not.
+func pollLegs(legs []*channelLeg) (pending bool, err error) {
+	for _, l := range legs {
+		select {
+		case <-l.done:
+			if err == nil {
+				err = l.err()
+			}
+		default:
+			pending = true
+		}
+	}
+	return pending, err
 }
 
 // LiveMigrate live-migrates a VM (with any enclaves inside) from its node to
@@ -372,13 +495,20 @@ type dumpResult struct {
 //     encrypted checkpoints land in guest memory) — by default concurrently
 //     with the pre-copy rounds, serially with cfg.SerialDump,
 //  3. iterative pre-copy of guest memory while non-enclave work continues,
-//  4. stop-and-copy of the residual dirty set,
-//  5. per-enclave secure migration (attested channel, key release with
-//     self-destroy, restore with in-enclave CSSA verification); channel
-//     setups may run concurrently across enclaves but key release and the
-//     in-enclave rebuild stay serial as in the paper — so a setup failure in
-//     any enclave can still cancel every sibling before commitment,
-//  6. resume on the target.
+//  4. one channel leg per enclave (image and checkpoint transfer, target
+//     build, attestation, DH — everything up to but excluding key release),
+//     launched the moment the dump lands so it overlaps steps 1 and 3; with
+//     cfg.SerialChannelSetup the legs run inside the window, one at a time,
+//  5. stop-and-copy of the residual dirty set, then a wait for whatever a
+//     leg could not hide,
+//  6. the serial commit: per enclave, key release with self-destroy on the
+//     source and restore with in-enclave CSSA verification on the target.
+//     It starts strictly after the drain and after every leg has succeeded,
+//     so a failure anywhere before it can still cancel every enclave,
+//  7. resume on the target.
+//
+// A failed leg or a dead page stream is noticed at the next round boundary
+// and fails the migration before the guest is paused.
 //
 // Per the paper's accounting, the reported downtime includes the enclave
 // checkpointing time even though non-enclave applications keep running
@@ -420,12 +550,35 @@ func LiveMigrate(vm *VM, dst *Node, cfg *LiveMigrationConfig) (*VM, *LiveMigrati
 	root.Annotate(telemetry.Int("enclaves", len(procs)))
 
 	snd := newChunkSender(tvm.Mem, cfg, met)
-	// fail unwinds a partial migration: finish the stream, resume the source
-	// enclaves, and tear down the half-built target VM so its guest memory
-	// and any restored enclaves' EPC are returned. Stream errors don't
-	// matter anymore — the migration is already failing.
+	dumpCh := make(chan dumpResult, 1)
+	dumpPending := false
+	var blobs map[string][]byte
+	// legs holds the launched, not yet committed channel legs.
+	var legs []*channelLeg
+	// dumped files the dump's outcome with the engine: the blobs, and the
+	// legs already running on them.
+	dumped := func(r dumpResult) error {
+		dumpPending = false
+		if r.err != nil {
+			return fmt.Errorf("vmm: prepare enclaves: %w", r.err)
+		}
+		blobs, legs, stats.EnclaveDumpTime = r.blobs, r.legs, r.took
+		return nil
+	}
+	// fail unwinds a partial migration: finish the stream, let a dump still
+	// in flight land (cancelling under it would strand its enclaves parked),
+	// release every leg, resume the source enclaves, and tear down the
+	// half-built target VM so its guest memory and EPC are returned. Stream
+	// and dump errors don't matter anymore — the migration is already
+	// failing.
 	fail := func(err error) (*VM, *LiveMigrationStats, error) {
 		_ = snd.drain()
+		if dumpPending {
+			_ = dumped(<-dumpCh)
+		}
+		for _, l := range legs {
+			l.unwind("VM migration failed")
+		}
 		vm.OS.CancelMigration()
 		_ = tvm.Shutdown()
 		root.Fail(err)
@@ -438,12 +591,13 @@ func LiveMigrate(vm *VM, dst *Node, cfg *LiveMigrationConfig) (*VM, *LiveMigrati
 	// By default the dump runs concurrently with the bulk and iterative
 	// rounds below; SerialDump blocks here first, reproducing the paper's
 	// serial schedule.
-	dumpCh := make(chan dumpResult, 1)
-	dumpPending := false
-	var blobs map[string][]byte
 	if len(procs) > 0 {
 		// The dump span parents the per-enclave core.prepare/core.dump
-		// spans; runDump owns its lifetime on both schedules.
+		// spans; runDump owns its lifetime on both schedules. Unless the
+		// legs are pinned to the window they start right here, the moment
+		// the blobs exist: they are all a leg was waiting for, and on the
+		// pipelined schedule most of the bulk round is still ahead to hide
+		// it behind.
 		runDump := func(sp *telemetry.Span) dumpResult {
 			dumpOpts := *opts
 			dumpOpts.Trace = sp
@@ -451,20 +605,23 @@ func LiveMigrate(vm *VM, dst *Node, cfg *LiveMigrationConfig) (*VM, *LiveMigrati
 			r.blobs, r.took, r.err = vm.OS.PrepareAllEnclaves(&dumpOpts)
 			if r.err != nil {
 				sp.Fail(r.err)
-			} else {
-				sp.Annotate(telemetry.Duration("guest_dump", r.took))
-				sp.End()
+				return r
+			}
+			sp.Annotate(telemetry.Duration("guest_dump", r.took))
+			sp.End()
+			if !cfg.SerialChannelSetup {
+				for _, p := range procs {
+					r.legs = append(r.legs, launchLeg(p, r.blobs[p.Name], tvm, cfg, opts, root))
+				}
 			}
 			return r
 		}
 		if cfg.SerialDump {
 			// Child, not Fork: the serial schedule keeps the dump on the
 			// main track, strictly before the bulk round in the trace.
-			r := runDump(root.Child("vmm.dump", telemetry.String("schedule", "serial")))
-			if r.err != nil {
-				return fail(fmt.Errorf("vmm: prepare enclaves: %w", r.err))
+			if err := dumped(runDump(root.Child("vmm.dump", telemetry.String("schedule", "serial")))); err != nil {
+				return fail(err)
 			}
-			blobs, stats.EnclaveDumpTime = r.blobs, r.took
 		} else {
 			dumpPending = true
 			dumpSp := root.Fork("vmm.dump", telemetry.String("schedule", "pipelined"))
@@ -484,19 +641,18 @@ func LiveMigrate(vm *VM, dst *Node, cfg *LiveMigrationConfig) (*VM, *LiveMigrati
 	roundHist.Observe(int64(len(round0)) * PageSize)
 
 	// Iterative pre-copy of the dirty residue (checkpoint pages plus
-	// whatever the still-running plain processes touch). While the dump is
-	// pending the rounds keep spinning — that transmission time is hidden
-	// dump time; dumpWaited is the part pre-copy could not hide.
+	// whatever the still-running plain processes and the source halves of
+	// the legs touch). While the dump is pending the rounds keep spinning —
+	// that transmission time is hidden dump time; dumpWaited is the part
+	// pre-copy could not hide.
 	var dumpWaited time.Duration
 	for round := 1; ; round++ {
 		if dumpPending {
 			select {
 			case r := <-dumpCh:
-				if r.err != nil {
-					return fail(fmt.Errorf("vmm: prepare enclaves: %w", r.err))
+				if err := dumped(r); err != nil {
+					return fail(err)
 				}
-				blobs, stats.EnclaveDumpTime = r.blobs, r.took
-				dumpPending = false
 			default:
 			}
 		}
@@ -510,6 +666,15 @@ func LiveMigrate(vm *VM, dst *Node, cfg *LiveMigrationConfig) (*VM, *LiveMigrati
 		opts.Journal.Append(telemetry.EventPrecopyRound, vm.Name, roundSp.Context(),
 			telemetry.Int("round", round), telemetry.Int("pages", len(dirty)))
 		roundHist.Observe(int64(len(dirty)) * PageSize)
+		// Round boundary, the guest still running: a dead stream or a failed
+		// leg (a refused attestation, say) ends the migration here, at no
+		// downtime at all.
+		if snd.broken.Load() {
+			return fail(fmt.Errorf("vmm: page stream: %w", snd.drain()))
+		}
+		if _, err := pollLegs(legs); err != nil {
+			return fail(err)
+		}
 		if !converged {
 			continue
 		}
@@ -520,11 +685,9 @@ func LiveMigrate(vm *VM, dst *Node, cfg *LiveMigrationConfig) (*VM, *LiveMigrati
 			r := <-dumpCh
 			waitSp.End()
 			dumpWaited += waitSp.Duration()
-			if r.err != nil {
-				return fail(fmt.Errorf("vmm: prepare enclaves: %w", r.err))
+			if err := dumped(r); err != nil {
+				return fail(err)
 			}
-			blobs, stats.EnclaveDumpTime = r.blobs, r.took
-			dumpPending = false
 			// One more round so the checkpoint pages ride pre-copy rather
 			// than bloating the stop-and-copy window.
 			continue
@@ -562,148 +725,81 @@ func LiveMigrate(vm *VM, dst *Node, cfg *LiveMigrationConfig) (*VM, *LiveMigrati
 		telemetry.Int("pages", len(final)))
 	roundHist.Observe(int64(len(final)) * PageSize)
 
-	// Per-enclave secure migration. Each enclave gets an internal control
-	// pipe; the source half runs MigrateOutChannel in a goroutine (image +
-	// checkpoint transfer, attestation, DH — everything up to but excluding
-	// key release) and the target half runs the guest OS receive path up to
-	// the same point. Channel setups proceed concurrently across enclaves
-	// unless SerialChannelSetup; the commit (key release + in-enclave
-	// rebuild) below is serial either way ("the enclaves are rebuilt one by
-	// one"). Keeping key release out of this phase means a failure in any
-	// enclave's setup can still cancel every sibling: no source has
-	// self-destroyed yet.
-	type encMigration struct {
-		p       *Process
-		ts      core.Transport
-		sp      *telemetry.Span // channel-setup span; owns both goroutines
-		srcDone chan struct{}
-		tgtDone chan struct{}
-		ps      *core.PreparedSource
-		srcErr  error
-		ip      *IncomingProcess
-		tgtErr  error
-	}
-	migs := make([]*encMigration, 0, len(procs))
-	launch := func(p *Process) *encMigration {
-		t1, t2 := core.NewPipe()
-		var ts, td core.Transport = t1, t2
-		if cfg.TransportFactory != nil {
-			ts, td = cfg.TransportFactory(p.Name, t1, t2)
-		}
-		// Fork: concurrent channel setups land on their own trace rows.
-		// The core.channel / core.target.prepare spans of both halves
-		// parent here via the per-enclave Options clone.
-		sp := downSp.Fork("vmm.enclave.channel", telemetry.String("enclave", p.Name))
-		encOpts := *opts
-		encOpts.Trace = sp
-		m := &encMigration{p: p, ts: ts, sp: sp, srcDone: make(chan struct{}), tgtDone: make(chan struct{})}
-		go func() {
-			defer close(m.srcDone)
-			m.ps, m.srcErr = core.MigrateOutChannel(p.RT, blobs[p.Name], ts, &encOpts)
-			if m.srcErr != nil {
-				// Unblock the target side: the pipe halves share a close,
-				// so its pending Recv fails instead of parking forever.
-				_ = ts.Close()
-			}
-		}()
-		go func() {
-			defer close(m.tgtDone)
-			m.ip, m.tgtErr = tvm.OS.ReceiveEnclaveProcessPrepare(p.Name, p.Image, td, &encOpts, p.workload)
-			if m.tgtErr != nil {
-				_ = td.Close()
-			}
-		}()
-		return m
-	}
-	for _, p := range procs {
-		m := launch(p)
-		migs = append(migs, m)
+	// What the legs could not hide. On the pipelined schedule they have
+	// been running since the dump landed and this is at most their tail; on
+	// the paper's serial schedule they start here, one enclave after the
+	// other. Either way nothing below runs until every leg has succeeded:
+	// no source has self-destroyed, so one failure still cancels them all.
+	if pending, _ := pollLegs(legs); pending || (cfg.SerialChannelSetup && len(procs) > 0) {
+		waitSp := downSp.Child("vmm.channelwait")
 		if cfg.SerialChannelSetup {
-			<-m.srcDone
-			<-m.tgtDone
+			for _, p := range procs {
+				l := launchLeg(p, blobs[p.Name], tvm, cfg, opts, root)
+				legs = append(legs, l)
+				if <-l.done; l.err() != nil {
+					break
+				}
+			}
 		}
+		for _, l := range legs {
+			<-l.done
+		}
+		waitSp.End()
+		stats.ChannelWait = waitSp.Duration()
+	}
+	if _, err := pollLegs(legs); err != nil {
+		return fail(err)
 	}
 
-	// Serial commit + rebuild on the target. Past the first successful
-	// release the migration is committed (that source has self-destroyed); a
-	// later failure still unwinds — the paper accepts losing the instance
-	// over forking it.
+	// Serial commit + rebuild on the target ("the enclaves are rebuilt one
+	// by one"). Past the first successful release the migration is
+	// committed (that source has self-destroyed); a later failure still
+	// unwinds — the paper accepts losing the instance over forking it.
 	commitAll := downSp.Child("vmm.commit")
 	defer commitAll.End()
-	var migErr error
-	for _, m := range migs {
-		// Both goroutines always terminate: each closes its pipe half on
-		// error, which unblocks the peer's pending Recv.
-		<-m.srcDone
-		<-m.tgtDone
-		switch {
-		case m.srcErr != nil:
-			m.sp.Fail(m.srcErr)
-		case m.tgtErr != nil:
-			m.sp.Fail(m.tgtErr)
-		default:
-			m.sp.End()
+	for len(legs) > 0 {
+		// Off the list first: Release and Restore clean up after themselves,
+		// fail must only unwind the legs behind this one.
+		l := legs[0]
+		legs = legs[1:]
+		// Commit point (Sec. V-B): the source releases Kmigrate and
+		// self-destroys strictly before the key crosses the channel; the
+		// target installs it and rebuilds. Release blocks on the target's
+		// MsgDone, so the two halves run concurrently.
+		cSp := commitAll.Child("vmm.enclave.commit", telemetry.String("enclave", l.p.Name))
+		// The commit consumes the session the leg built on its own forked
+		// track; the link draws that handoff as a flow arrow in the merged
+		// trace.
+		cSp.Link(l.sp.Context())
+		relDone := make(chan error, 1)
+		go func() {
+			_, err := l.ps.Release()
+			if err != nil {
+				// Unblock a Restore parked on the key receive.
+				_ = l.ts.Close()
+			}
+			relDone <- err
+		}()
+		_, _, err := l.ip.Restore()
+		if relErr := <-relDone; err == nil {
+			err = relErr
 		}
-		switch {
-		case migErr != nil:
-			if m.tgtErr == nil {
-				m.ip.Abort("sibling enclave migration failed")
-			}
-			if m.srcErr == nil {
-				_ = m.ps.Cancel("sibling enclave migration failed")
-			}
-		case m.srcErr != nil:
-			migErr = fmt.Errorf("vmm: migrate enclave %s: %w", m.p.Name, m.srcErr)
-			if m.tgtErr == nil {
-				m.ip.Abort("source channel setup failed")
-			}
-		case m.tgtErr != nil:
-			migErr = fmt.Errorf("vmm: migrate enclave %s: %w", m.p.Name, m.tgtErr)
-			_ = m.ps.Cancel("target prepare failed")
-		default:
-			// Commit point (Sec. V-B): the source releases Kmigrate and
-			// self-destroys strictly before the key crosses the channel;
-			// the target installs it and rebuilds. Release blocks on the
-			// target's MsgDone, so the two halves run concurrently.
-			cSp := commitAll.Child("vmm.enclave.commit", telemetry.String("enclave", m.p.Name))
-			// The commit consumes the session the channel-setup span built
-			// on its own forked track; the link draws that handoff as a
-			// flow arrow in the merged trace.
-			cSp.Link(m.sp.Context())
-			relDone := make(chan error, 1)
-			go func(m *encMigration) {
-				_, err := m.ps.Release()
-				if err != nil {
-					// Unblock a Restore parked on the key receive.
-					_ = m.ts.Close()
-				}
-				relDone <- err
-			}(m)
-			_, _, rerr := m.ip.Restore()
-			relErr := <-relDone
-			if rerr != nil {
-				migErr = fmt.Errorf("vmm: migrate enclave %s: %w", m.p.Name, rerr)
-				cSp.Fail(rerr)
-			} else if relErr != nil {
-				migErr = fmt.Errorf("vmm: migrate enclave %s: %w", m.p.Name, relErr)
-				cSp.Fail(relErr)
-			} else {
-				cSp.End()
-			}
+		cSp.Fail(err)
+		if err != nil {
+			return fail(fmt.Errorf("vmm: migrate enclave %s: %w", l.p.Name, err))
 		}
 		// Control-protocol traffic (quote, verdict, DH, sealed key):
 		// counted, not paced — far inside the page stream's linkCredit.
 		stats.EnclaveCtlBytes += 1024
-	}
-	if migErr != nil {
-		return fail(migErr)
 	}
 	commitAll.End()
 	if len(procs) > 0 {
 		stats.EnclaveRestoreTime = commitAll.Duration()
 	}
 
-	// Resume on the target.
+	// Resume on the target. The stream has drained: the windows the guest
+	// claimed for its incoming enclaves are ordinary memory again.
+	tvm.Mem.ReleaseWindows()
 	for _, tp := range tvm.OS.Processes() {
 		tp.start()
 	}
@@ -775,9 +871,10 @@ type IncomingProcess struct {
 
 // ReceiveEnclaveProcessPrepare is the target guest OS half of one enclave
 // migration up to (but excluding) the key delivery and restore: allocate a
-// shared region in this VM's memory, rebuild the image, and run the attested
-// channel. The returned IncomingProcess must be finished with Restore or
-// released with Abort.
+// shared region in this VM's memory and claim it against the migration
+// stream that may still be landing there (see GuestMemory.ClaimWindow),
+// rebuild the image, and run the attested channel. The returned
+// IncomingProcess must be finished with Restore or released with Abort.
 func (o *OS) ReceiveEnclaveProcessPrepare(name, image string, t core.Transport, opts *core.Options, workload WorkloadFunc) (*IncomingProcess, error) {
 	dep, ok := o.reg.Lookup(image)
 	if !ok {
@@ -786,6 +883,9 @@ func (o *OS) ReceiveEnclaveProcessPrepare(name, image string, t core.Transport, 
 	size := uint64(enclave.SharedSizeFor(appLayout(dep.App)))
 	base, err := o.allocShared(size)
 	if err != nil {
+		return nil, err
+	}
+	if err := o.mem.ClaimWindow(base, size); err != nil {
 		return nil, err
 	}
 	region, err := o.mem.Region(base, size)
@@ -844,14 +944,3 @@ func (ip *IncomingProcess) Restore() (*Process, *core.Incoming, error) {
 // Abort tears the prepared target process down without restoring (the peer
 // is notified and the enclave's EPC returned).
 func (ip *IncomingProcess) Abort(reason string) { ip.pt.Abort(reason) }
-
-// ReceiveEnclaveProcess runs the complete target guest OS half of one
-// enclave migration: prepare (shared region, rebuild, channel, key) followed
-// immediately by the restore.
-func (o *OS) ReceiveEnclaveProcess(name, image string, t core.Transport, opts *core.Options, workload WorkloadFunc) (*Process, *core.Incoming, error) {
-	ip, err := o.ReceiveEnclaveProcessPrepare(name, image, t, opts, workload)
-	if err != nil {
-		return nil, nil, err
-	}
-	return ip.Restore()
-}

@@ -2,118 +2,302 @@ package vmm
 
 import (
 	"fmt"
+	"math/rand"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/sgx"
+	"repro/internal/telemetry"
 	"repro/internal/testapps"
 )
 
-// TestLiveMigrateEnclaveFaultUnwinds (regression for the receive-goroutine
-// leak): a transport fault in one enclave's control channel must unwind the
-// whole VM migration — the source VM keeps running with every enclave
-// resumed, the half-built target VM is torn down, and no goroutine stays
-// parked on the dead channel. failAt indexes the source half's transport
-// operations (1 = first image send, 3 = the checkpoint's bulk frame, 5 =
-// the channel message after the hello receive) — all before key release,
-// so the migration is still fully cancellable.
-func TestLiveMigrateEnclaveFaultUnwinds(t *testing.T) {
-	for _, failAt := range []int{1, 3, 5} {
-		t.Run(fmt.Sprintf("failAt=%d", failAt), func(t *testing.T) {
-			maxGoroutines := runtime.NumGoroutine() + 4
+// faultWorld is a source VM whose pre-copy outlasts its channel legs by a
+// wide margin — 4 MiB of incompressible memory over a 50 MB/s link is an
+// 80 ms bulk round, the two legs take a few — so a fault injected into a
+// leg fires, and must be acted on, while the guest is still running.
+type faultWorld struct {
+	vm    *VM
+	dst   *Node
+	plain *PlainProcess
+	tr    *telemetry.Tracer
+	// epcBase is the target machine's EPC occupancy before the migration.
+	epcBase int
+}
 
-			_, owner, src, dst := newCloud(t)
-			deployCounter(t, owner, src, dst)
-			vm, err := src.CreateVM(VMConfig{Name: "vm-fault", MemPages: 1024, VCPUs: 4, EPCQuota: 2048})
-			if err != nil {
-				t.Fatal(err)
+const faultLinkBps = 50e6
+
+func newFaultWorld(t *testing.T, name string) *faultWorld {
+	t.Helper()
+	_, owner, src, dst := newCloud(t)
+	deployCounter(t, owner, src, dst)
+	vm, err := src.CreateVM(VMConfig{Name: name, MemPages: 1024, VCPUs: 4, EPCQuota: 2048})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fill := make([]byte, vm.Mem.Bytes())
+	rand.New(rand.NewSource(23)).Read(fill)
+	if err := vm.Mem.Write(0, fill); err != nil {
+		t.Fatal(err)
+	}
+	plain, err := vm.OS.LaunchPlainProcess("app", 32, 200*time.Microsecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := vm.OS.LaunchEnclaveProcess(fmt.Sprintf("enc-%d", i), "counter", owner, counterWorkload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	time.Sleep(2 * time.Millisecond)
+	return &faultWorld{vm: vm, dst: dst, plain: plain, tr: telemetry.New(), epcBase: usedFrames(dst.Machine)}
+}
+
+// usedFrames counts the machine's occupied EPC frames.
+func usedFrames(m *sgx.Machine) int {
+	n := 0
+	for f := 0; f < m.NumFrames(); f++ {
+		if !m.FrameFree(sgx.FrameIndex(f)) {
+			n++
+		}
+	}
+	return n
+}
+
+// counts stops the source enclaves' host loops and reads every counter.
+func (w *faultWorld) counts(t *testing.T) map[string]uint64 {
+	t.Helper()
+	out := make(map[string]uint64)
+	for _, p := range w.vm.OS.Processes() {
+		p.Stop()
+		res, err := p.RT.ECall(0, testapps.CounterGet)
+		if err != nil {
+			t.Fatalf("%s after failed migration: %v", p.Name, err)
+		}
+		out[p.Name] = res[0]
+	}
+	return out
+}
+
+// assertUnwound checks what every failed pre-commit migration must leave
+// behind: a live source whose guest was never paused and whose enclaves
+// have resumed and keep counting, a target node with the half-built VM gone
+// and its EPC back where it was, and a closed trace.
+func (w *faultWorld) assertUnwound(t *testing.T, tvm *VM, stats *LiveMigrationStats, err error) {
+	t.Helper()
+	if err == nil {
+		t.Fatal("migration succeeded despite injected fault")
+	}
+	if tvm != nil || stats != nil {
+		t.Fatal("failed migration returned a target VM")
+	}
+	if w.vm.Dead() {
+		t.Fatal("source VM marked dead after failed migration")
+	}
+	select {
+	case <-w.plain.stop:
+		t.Fatalf("guest was paused for a fault that fired during pre-copy: %v", err)
+	default:
+	}
+	if n := w.tr.ActiveCount(); n != 0 {
+		t.Fatalf("%d spans left open after failed migration", n)
+	}
+	if len(w.tr.ByName("vmm.downtime")) != 0 {
+		t.Fatalf("failed migration opened a downtime window: %v", err)
+	}
+	if got := usedFrames(w.dst.Machine); got != w.epcBase {
+		t.Fatalf("target node holds %d EPC frames after failed migration, %d before", got, w.epcBase)
+	}
+	// The half-built target VM was removed from the node: its name and EPC
+	// grant are free again.
+	probe, perr := w.dst.CreateVM(w.vm.Config)
+	if perr != nil {
+		t.Fatalf("target VM not released after failed migration: %v", perr)
+	}
+	if err := probe.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	// Every enclave resumed: its counter answers, and counts on once its
+	// host loops run again.
+	before := w.counts(t)
+	for _, p := range w.vm.OS.Processes() {
+		p.start()
+	}
+	time.Sleep(5 * time.Millisecond)
+	for name, after := range w.counts(t) {
+		if before[name] == 0 || after <= before[name] {
+			t.Fatalf("%s counted %d → %d after the failed migration", name, before[name], after)
+		}
+	}
+}
+
+// awaitGoroutines fails the test if more than max goroutines are still
+// running after a grace period: nothing may stay parked on a dead channel.
+func awaitGoroutines(t *testing.T, max int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > max {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("goroutine leak: %d running, want <= %d\n%s",
+				runtime.NumGoroutine(), max, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestLiveMigrateEnclaveFaultUnwinds (regression for the receive-goroutine
+// leak): a transport fault in one enclave's channel leg must unwind the
+// whole VM migration — the source VM keeps running with every enclave
+// resumed, the sibling leg is released, the half-built target VM is torn
+// down, and no goroutine stays parked on the dead channel. failAt sweeps
+// every transport operation of a leg on either half (source: image send,
+// checkpoint announcement, its bulk frame, hello receive, channel send,
+// channel-ok receive; the target mirrors them) — all before key release,
+// so the migration is still fully cancellable, and all of them now during
+// pre-copy, so the guest must not have been paused for it.
+func TestLiveMigrateEnclaveFaultUnwinds(t *testing.T) {
+	for _, half := range []string{"source", "target"} {
+		for failAt := 1; failAt <= 6; failAt++ {
+			half, failAt := half, failAt
+			name := fmt.Sprintf("failAt=%d", failAt)
+			if half == "target" {
+				name = "target/" + name
 			}
-			for i := 0; i < 2; i++ {
-				if _, err := vm.OS.LaunchEnclaveProcess(fmt.Sprintf("enc-%d", i), "counter", owner, counterWorkload); err != nil {
+			t.Run(name, func(t *testing.T) {
+				maxGoroutines := runtime.NumGoroutine() + 4
+				w := newFaultWorld(t, "vm-fault")
+				// The page stream stalls mid-bulk until the fault has fired:
+				// however long the leg takes to get there on a loaded machine,
+				// the collector is still in the bulk round, the guest running.
+				var faulty atomic.Pointer[core.FaultyTransport]
+				tripped := func() bool {
+					ft := faulty.Load()
+					return ft != nil && ft.Ops() >= failAt
+				}
+				cfg := &LiveMigrationConfig{
+					BandwidthBps: faultLinkBps,
+					Tracer:       w.tr,
+					TransportFactory: func(name string, s, d core.Transport) (core.Transport, core.Transport) {
+						switch {
+						case name == PageStreamName:
+							return &stalledStream{Transport: s, ready: tripped}, d
+						case name != "enc-0":
+							return s, d
+						case half == "source":
+							ft := core.NewFaultyTransport(s, failAt, true)
+							faulty.Store(ft)
+							return ft, d
+						default:
+							ft := core.NewFaultyTransport(d, failAt, true)
+							faulty.Store(ft)
+							return s, ft
+						}
+					},
+				}
+				tvm, stats, err := LiveMigrate(w.vm, w.dst, cfg)
+				w.assertUnwound(t, tvm, stats, err)
+
+				// A second migration attempt from the same source succeeds.
+				for _, p := range w.vm.OS.Processes() {
+					p.start()
+				}
+				// As before the first attempt: every worker entering its enclave
+				// for the first time at the instant the dump starts is the worst
+				// case of the dump-vs-entering-worker race (benchmark/README.md),
+				// which is not what this test is about.
+				time.Sleep(2 * time.Millisecond)
+				tvm2, _, err := LiveMigrate(w.vm, w.dst, &LiveMigrationConfig{BandwidthBps: 1e9})
+				if err != nil {
+					t.Fatalf("retry migration after fault: %v", err)
+				}
+				tvm2.OS.StopAll()
+				for _, p := range tvm2.OS.Processes() {
+					if res, err := p.RT.ECall(0, testapps.CounterGet); err != nil || res[0] == 0 {
+						t.Fatalf("%s after retry migration: %v %v", p.Name, res, err)
+					}
+				}
+				if err := tvm2.Shutdown(); err != nil {
 					t.Fatal(err)
 				}
-			}
-			time.Sleep(2 * time.Millisecond)
-
-			cfg := &LiveMigrationConfig{
-				BandwidthBps: 1e9,
-				TransportFactory: func(name string, s, d core.Transport) (core.Transport, core.Transport) {
-					if name == "enc-0" {
-						return core.NewFaultyTransport(s, failAt, true), d
-					}
-					return s, d
-				},
-			}
-			tvm, stats, err := LiveMigrate(vm, dst, cfg)
-			if err == nil {
-				t.Fatal("migration succeeded despite injected fault")
-			}
-			if tvm != nil || stats != nil {
-				t.Fatal("failed migration returned a target VM")
-			}
-
-			// The source VM is intact: still registered, not dead, and every
-			// enclave resumed — their counters answer and keep counting.
-			if vm.Dead() {
-				t.Fatal("source VM marked dead after failed migration")
-			}
-			vm.OS.StopAll()
-			for _, p := range vm.OS.Processes() {
-				res, err := p.RT.ECall(0, testapps.CounterGet)
-				if err != nil {
-					t.Fatalf("%s after failed migration: %v", p.Name, err)
-				}
-				if res[0] == 0 {
-					t.Fatalf("%s: no progress before the failed migration", p.Name)
-				}
-			}
-
-			// The half-built target VM was removed from the node: its name
-			// and EPC grant are free again.
-			probe, err := dst.CreateVM(vm.Config)
-			if err != nil {
-				t.Fatalf("target VM not released after failed migration: %v", err)
-			}
-			if err := probe.Shutdown(); err != nil {
-				t.Fatal(err)
-			}
-
-			// A second migration attempt from the same source succeeds.
-			for _, p := range vm.OS.Processes() {
-				p.start()
-			}
-			// As before the first attempt: every worker entering its enclave
-			// for the first time at the instant the dump starts is the worst
-			// case of the dump-vs-entering-worker race (benchmark/README.md),
-			// which is not what this test is about.
-			time.Sleep(2 * time.Millisecond)
-			tvm2, _, err := LiveMigrate(vm, dst, &LiveMigrationConfig{BandwidthBps: 1e9})
-			if err != nil {
-				t.Fatalf("retry migration after fault: %v", err)
-			}
-			tvm2.OS.StopAll()
-			for _, p := range tvm2.OS.Processes() {
-				if res, err := p.RT.ECall(0, testapps.CounterGet); err != nil || res[0] == 0 {
-					t.Fatalf("%s after retry migration: %v %v", p.Name, res, err)
-				}
-			}
-			if err := tvm2.Shutdown(); err != nil {
-				t.Fatal(err)
-			}
-
-			// Nothing is left parked on the dead control channels.
-			deadline := time.Now().Add(5 * time.Second)
-			for runtime.NumGoroutine() > maxGoroutines {
-				if time.Now().After(deadline) {
-					buf := make([]byte, 1<<20)
-					t.Fatalf("goroutine leak: %d running, want <= %d\n%s",
-						runtime.NumGoroutine(), maxGoroutines, buf[:runtime.Stack(buf, true)])
-				}
-				time.Sleep(10 * time.Millisecond)
-			}
-		})
+				awaitGoroutines(t, maxGoroutines)
+			})
+		}
 	}
+}
+
+// stalledStream is a page stream that carries its first frames and then
+// stalls, the collector parked mid-bulk behind it, until ready reports
+// true; with cut set the link is then severed under the sender.
+type stalledStream struct {
+	core.Transport
+	frames atomic.Int32
+	ready  func() bool
+	cut    bool
+}
+
+func (s *stalledStream) SendFrame(f *core.PageFrame) error {
+	if s.frames.Add(1) > 4 {
+		for !s.ready() {
+			time.Sleep(100 * time.Microsecond)
+		}
+		if s.cut {
+			_ = s.Transport.Close()
+		}
+	}
+	return s.Transport.SendFrame(f)
+}
+
+// legWatch counts down as each leg's target half sends its last pre-commit
+// message: at zero the legs are up.
+type legWatch struct {
+	core.Transport
+	left *atomic.Int32
+}
+
+func (l *legWatch) Send(m core.Message) error {
+	err := l.Transport.Send(m)
+	if m.Kind == core.MsgChannelOK {
+		l.left.Add(-1)
+	}
+	return err
+}
+
+// TestLiveMigratePageStreamFaultUnwinds: the page stream dies after every
+// channel leg is up — built target enclaves, attested channels, prepared
+// sources, all waiting for a commit that can no longer come. The legs were
+// launched before the bulk round (SerialDump hands them their blobs there),
+// and the stream stalls mid-bulk until the last of them reports, so the
+// order of events is fixed. The migration must notice at the round boundary
+// and release every leg without ever pausing the guest.
+func TestLiveMigratePageStreamFaultUnwinds(t *testing.T) {
+	maxGoroutines := runtime.NumGoroutine() + 4
+	w := newFaultWorld(t, "vm-stream-fault")
+	var left atomic.Int32
+	left.Store(int32(len(w.vm.OS.Processes())))
+	cfg := &LiveMigrationConfig{
+		BandwidthBps: faultLinkBps,
+		SerialDump:   true,
+		Tracer:       w.tr,
+		TransportFactory: func(name string, s, d core.Transport) (core.Transport, core.Transport) {
+			if name == PageStreamName {
+				return &stalledStream{Transport: s, ready: func() bool { return left.Load() == 0 }, cut: true}, d
+			}
+			return s, &legWatch{Transport: d, left: &left}
+		},
+	}
+	tvm, stats, err := LiveMigrate(w.vm, w.dst, cfg)
+	w.assertUnwound(t, tvm, stats, err)
+	if legs := w.tr.ByName("vmm.enclave.channel"); len(legs) != 2 {
+		t.Fatalf("want both channel legs in the trace, got %d", len(legs))
+	}
+	w.vm.OS.StopAll()
+	if err := w.vm.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	awaitGoroutines(t, maxGoroutines)
 }
 
 // TestLiveMigrateTargetCollision: the earliest error path — the target node

@@ -313,3 +313,59 @@ func BenchmarkChunkSenderBulk(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed())/(float64(wire)/bps*1e9), "x-link")
 }
+
+// BenchmarkLiveMigrateDowntime is the vm_live shape without the benchmark
+// spine — 16 counter enclaves in a 32 MiB guest, upper half incompressible,
+// a dirtying plain process, a 250 MB/s link — and reports what the downtime
+// window is made of: the whole window, the serial commit inside it, and the
+// wait for channel legs pre-copy did not hide (0 on a healthy pipeline).
+// The enclaves carry state but run no workers, so the dump is not exposed
+// to the dump-vs-entering-worker race (benchmark/README.md defect 5).
+func BenchmarkLiveMigrateDowntime(b *testing.B) {
+	const pages = 8192
+	const enclaves = 16
+	fill := make([]byte, pages/2*PageSize)
+	rand.New(rand.NewSource(17)).Read(fill)
+	var downtime, commit, channelWait time.Duration
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		_, owner, src, dst := newCloud(b)
+		deployCounter(b, owner, src, dst)
+		vm, err := src.CreateVM(VMConfig{Name: "vm-bench", MemPages: pages, VCPUs: 2, EPCQuota: 4096})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := vm.Mem.Write(pages/2*PageSize, fill); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := vm.OS.LaunchPlainProcess("app", 256, 200*time.Microsecond); err != nil {
+			b.Fatal(err)
+		}
+		for e := 0; e < enclaves; e++ {
+			p, err := vm.OS.LaunchEnclaveProcess(fmt.Sprintf("e%d", e), "counter", owner, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := p.RT.ECall(0, testapps.CounterAdd, uint64(e+1)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StartTimer()
+		tvm, stats, err := LiveMigrate(vm, dst, &LiveMigrationConfig{BandwidthBps: 250e6})
+		b.StopTimer()
+		if err != nil {
+			b.Fatal(err)
+		}
+		downtime += stats.Downtime
+		commit += stats.EnclaveRestoreTime
+		channelWait += stats.ChannelWait
+		if err := tvm.Shutdown(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+	perOp := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) / float64(b.N) }
+	b.ReportMetric(perOp(downtime), "downtime-ms/op")
+	b.ReportMetric(perOp(commit), "commit-ms/op")
+	b.ReportMetric(perOp(channelWait), "channelwait-ms/op")
+}

@@ -2,6 +2,7 @@ package vmm
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -18,6 +19,14 @@ func traceVM(t *testing.T, serial bool) (*telemetry.Tracer, *LiveMigrationStats)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Incompressible memory over a slow link: an 80 ms bulk round, so the
+	// dump/pre-copy interleaving is visible and the channel legs (a few ms
+	// for two enclaves) have pre-copy to hide behind.
+	fill := make([]byte, vm.Mem.Bytes())
+	rand.New(rand.NewSource(29)).Read(fill)
+	if err := vm.Mem.Write(0, fill); err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 2; i++ {
 		if _, err := vm.OS.LaunchEnclaveProcess(fmt.Sprintf("enc-%d", i), "counter", owner, counterWorkload); err != nil {
 			t.Fatal(err)
@@ -27,7 +36,7 @@ func traceVM(t *testing.T, serial bool) (*telemetry.Tracer, *LiveMigrationStats)
 
 	tr := telemetry.New()
 	tvm, stats, err := LiveMigrate(vm, dst, &LiveMigrationConfig{
-		BandwidthBps:       250e6, // slow link so the dump/pre-copy interleaving is visible
+		BandwidthBps:       100e6,
 		SerialDump:         serial,
 		SerialChannelSetup: serial,
 		Tracer:             tr,
@@ -57,16 +66,18 @@ func interval(t *testing.T, tr *telemetry.Tracer, name string) (time.Duration, t
 
 // TestLiveMigrateTraceShape checks that the pipelined engine's trace tells
 // the pipelining story: the enclave dump span runs on its own track and
-// overlaps the memory transfer, every expected phase span is present, and
-// no span leaks open.
+// overlaps the memory transfer, every channel leg has ended before the
+// guest is paused, every expected phase span is present, and no span leaks
+// open.
 func TestLiveMigrateTraceShape(t *testing.T) {
 	tr, stats := traceVM(t, false)
 
 	if n := tr.ActiveCount(); n != 0 {
 		t.Fatalf("%d spans still open after migration", n)
 	}
-	// vmm.dumpwait is deliberately absent: it only appears when the dump
-	// outlasts pre-copy convergence, which a healthy pipeline avoids.
+	// vmm.dumpwait and vmm.channelwait are deliberately absent: they only
+	// appear when the dump or a channel leg outlasts pre-copy convergence,
+	// which a healthy pipeline avoids.
 	for _, name := range []string{
 		"vmm.livemigrate", "vmm.dump", "vmm.bulk", "vmm.precopy.round",
 		"vmm.downtime", "vmm.stopcopy", "vmm.commit",
@@ -112,12 +123,38 @@ func TestLiveMigrateTraceShape(t *testing.T) {
 	if stats.Downtime < down.Dur {
 		t.Fatalf("Downtime %v below the downtime span %v", stats.Downtime, down.Dur)
 	}
+
+	// Only the commit stays in the window: the legs fork from the root,
+	// start when the dump lands and are over before stop-and-copy begins.
+	scStart, _ := interval(t, tr, "vmm.stopcopy")
+	legs := tr.ByName("vmm.enclave.channel")
+	if len(legs) != 2 {
+		t.Fatalf("want 2 vmm.enclave.channel spans, got %d", len(legs))
+	}
+	for _, leg := range legs {
+		if leg.Parent != root.ID || leg.Track == root.Track {
+			t.Fatalf("vmm.enclave.channel should fork from the root: parent=%d track=%d", leg.Parent, leg.Track)
+		}
+		if leg.Start < dump.Start+dump.Dur {
+			t.Fatalf("channel leg starts at %v, before the dump has landed at %v", leg.Start, dump.Start+dump.Dur)
+		}
+		if end := leg.Start + leg.Dur; end > scStart {
+			t.Fatalf("channel leg ends at %v, after stop-and-copy starts at %v", end, scStart)
+		}
+	}
+	if n := len(tr.ByName("vmm.channelwait")); n != 0 || stats.ChannelWait != 0 {
+		t.Fatalf("legs were hidden, yet %d vmm.channelwait spans and ChannelWait = %v", n, stats.ChannelWait)
+	}
+	commitStart, _ := interval(t, tr, "vmm.commit")
+	if commitStart < down.Start || stats.EnclaveRestoreTime <= 0 {
+		t.Fatalf("vmm.commit starts at %v, outside the window opened at %v", commitStart, down.Start)
+	}
 }
 
 // TestLiveMigrateTraceSerial pins the serial Fig. 8 schedule's trace: the
 // dump is a same-track child that fully precedes the bulk transfer.
 func TestLiveMigrateTraceSerial(t *testing.T) {
-	tr, _ := traceVM(t, true)
+	tr, stats := traceVM(t, true)
 
 	if n := tr.ActiveCount(); n != 0 {
 		t.Fatalf("%d spans still open after migration", n)
@@ -130,5 +167,27 @@ func TestLiveMigrateTraceSerial(t *testing.T) {
 	bulkStart, _ := interval(t, tr, "vmm.bulk")
 	if dumpEnd := dump.Start + dump.Dur; dumpEnd > bulkStart {
 		t.Fatalf("serial schedule: dump ends at %v, after bulk transfer starts at %v", dumpEnd, bulkStart)
+	}
+
+	// The paper's Fig. 8: the channel legs run inside the downtime window,
+	// after stop-and-copy, one after the other, and the window accounts
+	// for them as its channel wait.
+	downStart, downEnd := interval(t, tr, "vmm.downtime")
+	_, scEnd := interval(t, tr, "vmm.stopcopy")
+	waitStart, waitEnd := interval(t, tr, "vmm.channelwait")
+	if stats.ChannelWait != waitEnd-waitStart {
+		t.Fatalf("ChannelWait %v is not derived from the vmm.channelwait span (%v)", stats.ChannelWait, waitEnd-waitStart)
+	}
+	prevEnd := scEnd
+	for _, leg := range tr.ByName("vmm.enclave.channel") {
+		end := leg.Start + leg.Dur
+		if leg.Start < downStart || end > downEnd || leg.Start < waitStart || end > waitEnd {
+			t.Fatalf("serial channel leg [%v,%v] outside the window [%v,%v] / its wait [%v,%v]",
+				leg.Start, end, downStart, downEnd, waitStart, waitEnd)
+		}
+		if leg.Start < prevEnd {
+			t.Fatalf("serial channel leg starts at %v, before its predecessor ended at %v", leg.Start, prevEnd)
+		}
+		prevEnd = end
 	}
 }

@@ -25,6 +25,11 @@ type GuestMemory struct {
 	data  []byte // guarded by mu
 	pages int
 	dirty []bool // guarded by mu
+	// owned marks the pages of windows the local guest has handed to an
+	// incoming enclave while a migration stream is still landing in this
+	// memory. What the guest and the enclave write there wins: ApplyPages
+	// and ApplyPageDeltas drop migrated content for these pages.
+	owned []bool // guarded by mu
 }
 
 // NewGuestMemory allocates guest memory of the given page count.
@@ -33,6 +38,7 @@ func NewGuestMemory(pages int) *GuestMemory {
 		data:  make([]byte, pages*PageSize),
 		pages: pages,
 		dirty: make([]bool, pages),
+		owned: make([]bool, pages),
 	}
 }
 
@@ -50,10 +56,18 @@ func (g *GuestMemory) Write(addr uint64, b []byte) error {
 		return fmt.Errorf("vmm: guest write out of range")
 	}
 	copy(g.data[addr:], b)
-	for p := int(addr / PageSize); p <= int((addr+uint64(len(b))-1)/PageSize) && len(b) > 0; p++ {
-		g.dirty[p] = true
-	}
+	markRange(g.dirty, addr, uint64(len(b)))
 	return nil
+}
+
+// markRange sets the bit of every page [addr, addr+n) touches.
+func markRange(bits []bool, addr, n uint64) {
+	if n == 0 {
+		return
+	}
+	for p := addr / PageSize; p <= (addr+n-1)/PageSize; p++ {
+		bits[p] = true
+	}
 }
 
 // Read loads guest memory.
@@ -93,12 +107,40 @@ func (g *GuestMemory) CopyPages(pages []int, dst []byte) {
 	}
 }
 
+// ClaimWindow hands [base, base+size) to the local guest for the rest of the
+// incoming migration: from here on migrated content for its pages is
+// dropped, so a source page that happens to live at the same offsets cannot
+// land between a local write and the read that follows it. The target guest
+// claims an incoming enclave's shared region before building the enclave;
+// ReleaseWindows ends every claim when the VM resumes.
+func (g *GuestMemory) ClaimWindow(base, size uint64) error {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if base+size > uint64(len(g.data)) {
+		return fmt.Errorf("vmm: claimed window out of range")
+	}
+	markRange(g.owned, base, size)
+	return nil
+}
+
+// ReleaseWindows drops every claim: the stream has drained, nothing migrated
+// can land here anymore.
+func (g *GuestMemory) ReleaseWindows() {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	clear(g.owned)
+}
+
 // ApplyPages installs a batch of migrated pages (the chunk layout CopyPages
-// produces) without marking them dirty.
+// produces) without marking them dirty. Pages of a claimed window keep
+// their local content.
 func (g *GuestMemory) ApplyPages(pages []int, src []byte) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	for i, p := range pages {
+		if g.owned[p] {
+			continue
+		}
 		copy(g.data[p*PageSize:(p+1)*PageSize], src[i*PageSize:(i+1)*PageSize])
 	}
 }
@@ -108,7 +150,9 @@ func (g *GuestMemory) ApplyPages(pages []int, src []byte) {
 // page order) under one lock, XORing each onto the page's current content
 // without marking it dirty. Correct only when this memory holds exactly
 // the content the sender's delta baseline assumed — FIFO application of
-// the migration stream guarantees that.
+// the migration stream guarantees that. A claimed window's pages are skipped
+// (their delta bytes still consumed): they no longer hold the baseline, and
+// every later frame for them is dropped the same way.
 func (g *GuestMemory) ApplyPageDeltas(pages, sizes []int, src []byte) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -118,6 +162,10 @@ func (g *GuestMemory) ApplyPageDeltas(pages, sizes []int, src []byte) error {
 			return fmt.Errorf("vmm: delta for page %d outside guest memory", p)
 		}
 		sz := sizes[i]
+		if g.owned[p] {
+			off += sz
+			continue
+		}
 		if err := core.ApplyXORDelta(g.data[p*PageSize:(p+1)*PageSize], src[off:off+sz]); err != nil {
 			return fmt.Errorf("vmm: apply delta to page %d: %w", p, err)
 		}

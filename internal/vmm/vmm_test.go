@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/attest"
+	"repro/internal/core"
 	"repro/internal/sgx"
 )
 
@@ -47,6 +48,81 @@ func TestGuestMemoryDirtyTracking(t *testing.T) {
 	g.ApplyPage(7, make([]byte, PageSize))
 	if got := g.CollectDirty(); len(got) != 0 {
 		t.Fatalf("ApplyPage dirtied: %v", got)
+	}
+}
+
+// TestGuestMemoryClaimedWindow pins the owned-window rule of the pipelined
+// engine: once the local guest has claimed a window, a migration frame that
+// carries one of its pages leaves that page byte-identical and still
+// installs its neighbours — raw or delta, where the skipped page's delta
+// bytes must be consumed or every later page in the frame decodes garbage.
+func TestGuestMemoryClaimedWindow(t *testing.T) {
+	g := NewGuestMemory(8)
+	if err := g.ClaimWindow(8*PageSize-1, 2); err == nil {
+		t.Fatal("out-of-range claim accepted")
+	}
+	// Claim pages 3 and 4 with a window that starts and ends mid-page.
+	if err := g.ClaimWindow(3*PageSize+100, PageSize); err != nil {
+		t.Fatal(err)
+	}
+	local := bytes.Repeat([]byte("local"), PageSize/5+1)[:PageSize]
+	for _, p := range []int{2, 3, 4, 5} {
+		if err := g.Write(uint64(p)*PageSize, local); err != nil {
+			t.Fatal(err)
+		}
+	}
+	page := func(p int) []byte {
+		b := make([]byte, PageSize)
+		g.CopyPage(p, b)
+		return b
+	}
+
+	pages := []int{2, 3, 4, 5}
+	migrated := bytes.Repeat([]byte{0xAB}, len(pages)*PageSize)
+	g.ApplyPages(pages, migrated)
+	for _, p := range []int{3, 4} {
+		if !bytes.Equal(page(p), local) {
+			t.Fatalf("ApplyPages overwrote claimed page %d", p)
+		}
+	}
+	for _, p := range []int{2, 5} {
+		if !bytes.Equal(page(p), migrated[:PageSize]) {
+			t.Fatalf("ApplyPages skipped unclaimed page %d of the same frame", p)
+		}
+	}
+
+	// Deltas of different sizes against the 0xAB baseline, so a skipped
+	// page that did not advance the offset misdecodes page 5.
+	var src []byte
+	var sizes []int
+	want := make(map[int][]byte)
+	for i, p := range pages {
+		next := bytes.Repeat([]byte{0xAB}, PageSize)
+		copy(next[64*i:], bytes.Repeat([]byte{byte(p)}, 16*(i+1)))
+		want[p] = next
+		d := core.XORDeltaEncode(nil, migrated[:PageSize], next)
+		src = append(src, d...)
+		sizes = append(sizes, len(d))
+	}
+	if err := g.ApplyPageDeltas(pages, sizes, src); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []int{3, 4} {
+		if !bytes.Equal(page(p), local) {
+			t.Fatalf("ApplyPageDeltas touched claimed page %d", p)
+		}
+	}
+	for _, p := range []int{2, 5} {
+		if !bytes.Equal(page(p), want[p]) {
+			t.Fatalf("ApplyPageDeltas misapplied unclaimed page %d of the same frame", p)
+		}
+	}
+
+	// Released, the window takes migrated content again.
+	g.ReleaseWindows()
+	g.ApplyPages(pages, migrated)
+	if !bytes.Equal(page(3), migrated[:PageSize]) {
+		t.Fatal("released window still refuses migrated content")
 	}
 }
 
