@@ -189,11 +189,11 @@ func fig10(quick bool) error {
 	fmt.Printf("  %-9s | %12s %12s | %12s %12s | %9s %9s | %12s\n",
 		"enclaves", "total w/", "total w/o", "down w/", "down w/o", "MB w/", "MB w/o", "restore(a)")
 	for _, r := range rows {
-		fmt.Printf("  %-9d | %12v %12v | %12v %12v | %9d %9d | %12v\n",
+		fmt.Printf("  %-9d | %12v %12v | %12v %12v | %9.1f %9.1f | %12v\n",
 			r.Enclaves,
 			r.With.TotalTime.Round(time.Millisecond), r.Without.TotalTime.Round(time.Millisecond),
 			r.With.Downtime.Round(time.Millisecond), r.Without.Downtime.Round(time.Millisecond),
-			r.With.TransferredBytes>>20, r.Without.TransferredBytes>>20,
+			float64(r.With.TransferredBytes)/(1<<20), float64(r.Without.TransferredBytes)/(1<<20),
 			r.With.EnclaveRestoreTime.Round(time.Millisecond))
 	}
 	return nil
@@ -284,7 +284,9 @@ func ablation4(quick bool) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("  %d enclaves, %d guest pages\n", row.Enclaves, row.MemPages)
+	// Resident: what the bulk round carried — the pages of extents somebody
+	// wrote. The rest of the guest is zero on both sides and never sent.
+	fmt.Printf("  %d enclaves, %d of %d guest pages resident\n", row.Enclaves, row.Pipelined.RoundDirtyPages[0], row.MemPages)
 	// channel wait: what the window spent on channel legs — all of them on
 	// the serial schedule, the tail pre-copy could not hide on the pipelined.
 	fmt.Printf("  %-10s %12s %12s %12s %14s %14s %12s\n", "schedule", "total", "downtime", "dump", "overlap hidden", "channel wait", "commit")

@@ -10,6 +10,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math/rand"
 	"os"
 	"time"
 
@@ -83,6 +84,14 @@ func run(enclaves, memMB int, bwMBps float64, serial bool, tracePath string) err
 		EPCQuota: 4096,
 	})
 	if err != nil {
+		return err
+	}
+	// The tenant's data: incompressible pages over the upper half of guest
+	// memory. Only pages somebody wrote are migrated; without them there
+	// would be next to nothing for the link to carry.
+	data := make([]byte, vm.Mem.Bytes()/2)
+	rand.New(rand.NewSource(1)).Read(data)
+	if err := vm.Mem.Write(uint64(len(data)), data); err != nil {
 		return err
 	}
 	if _, err := vm.OS.LaunchPlainProcess("webserver", 256, 100*time.Microsecond); err != nil {

@@ -465,6 +465,9 @@ func pipelineMigrate(enclaves, memPages int, bandwidthBps float64, serial bool) 
 	if err != nil {
 		return nil, err
 	}
+	if err := fillGuest(vm, 4); err != nil {
+		return nil, err
+	}
 	if _, err := vm.OS.LaunchPlainProcess("app", 256, 200*time.Microsecond); err != nil {
 		return nil, err
 	}

@@ -39,7 +39,7 @@ const (
 	// EventAbort: a migration phase failed; attrs carry phase and cause.
 	EventAbort
 	// EventPrecopyRound: one VMM pre-copy round finished (attrs: round,
-	// pages).
+	// pages; round 0, the bulk round, also resident and guest_pages).
 	EventPrecopyRound
 	// EventStopCopy: the VMM stop-and-copy pass finished (attrs: pages).
 	EventStopCopy

@@ -83,9 +83,11 @@ const (
 	// can afford where another round's scan would not pay for itself.
 	dirtyThresholdPages = 64
 	// chunkPages is the transfer granularity — pages are copied, shipped
-	// and applied in chunks of this many. 64 pages make a 256 KiB frame:
-	// the size of core's bulk segments, and what the link clock's 1 ms
-	// credit covers at 250 MB/s.
+	// and applied in chunks of this many — and the granularity at which
+	// GuestMemory backs its extents. 64 pages make a 256 KiB frame: the size
+	// of core's bulk segments, and what the link clock's 1 ms credit covers
+	// at 250 MB/s; as an extent it costs a sparse guest at most 63 zero pages
+	// sent per page written, and a dense one 128 allocations per 32 MiB.
 	chunkPages = 64
 	// sendQueueChunks bounds the sender queue: at most this many chunks
 	// (2 MiB) are collected ahead of the bandwidth-shaped link, so the link
@@ -116,8 +118,8 @@ type LiveMigrationStats struct {
 	// full with SerialChannelSetup.
 	ChannelWait time.Duration
 	// RoundDirtyPages is the dirty-set size per round: index 0 is the bulk
-	// round (every page), the rest the iterative rounds including the
-	// residue sent right before stop-and-copy.
+	// round (the resident pages: GuestMemory.MarkResidentDirty), the rest the
+	// iterative rounds including the residue sent right before stop-and-copy.
 	RoundDirtyPages []int
 	// Per-phase logical bytes: pages (or device-state payload) × their full
 	// size, regardless of how the codec encoded them. BulkBytes +
@@ -142,12 +144,14 @@ type LiveMigrationStats struct {
 
 // sendItem is one frame queued for transmission, with the per-phase
 // accounting it belongs to (the counters are touched only by the sender
-// goroutine, then read after drain).
+// goroutine, then read after drain) — or, with only flushed set, a barrier
+// the sender closes when it gets there (see flush).
 type sendItem struct {
 	f       *core.PageFrame
 	logical int64  // page payload bytes this frame represents
 	logCtr  *int64 // per-phase logical byte counter
 	wireCtr *int64 // per-phase wire byte counter
+	flushed chan struct{}
 }
 
 // chunkSender is the transmit pipeline of the page stream: the collector
@@ -217,6 +221,10 @@ func newChunkSender(dst *GuestMemory, cfg *LiveMigrationConfig, met *telemetry.M
 	go func() { // sender: frames through the shaped link
 		defer s.wg.Done()
 		for it := range s.ch {
+			if it.flushed != nil {
+				close(it.flushed)
+				continue
+			}
 			if s.sendErr != nil {
 				it.f.Release()
 				continue
@@ -351,6 +359,15 @@ func (s *chunkSender) observePages(n int, hit bool) {
 // accounting with the page frames.
 func (s *chunkSender) sendBlob(n int, logCtr, wireCtr *int64) {
 	s.enqueue(&core.PageFrame{Kind: core.FrameBlob, Data: make([]byte, n)}, int64(n), logCtr, wireCtr)
+}
+
+// flush waits until every frame enqueued so far has left through the
+// shaped link (or been dropped behind a send error): the queue is empty and
+// the link idle when it returns.
+func (s *chunkSender) flush() {
+	done := make(chan struct{})
+	s.ch <- sendItem{flushed: done}
+	<-done
 }
 
 // drain closes the queue, terminates the stream with a FrameEnd, and waits
@@ -490,7 +507,8 @@ func pollLegs(legs []*channelLeg) (pending bool, err error) {
 // LiveMigrate live-migrates a VM (with any enclaves inside) from its node to
 // dst, implementing the pipeline of Fig. 8:
 //
-//  1. bulk round of every guest page, streamed through a bounded sender,
+//  1. bulk round of the resident guest pages — the extents somebody wrote;
+//     the rest is zero on both sides — streamed through a bounded sender,
 //  2. the guest OS prepares every enclave (two-phase checkpointing; the
 //     encrypted checkpoints land in guest memory) — by default concurrently
 //     with the pre-copy rounds, serially with cfg.SerialDump,
@@ -499,16 +517,19 @@ func pollLegs(legs []*channelLeg) (pending bool, err error) {
 //     build, attestation, DH — everything up to but excluding key release),
 //     launched the moment the dump lands so it overlaps steps 1 and 3; with
 //     cfg.SerialChannelSetup the legs run inside the window, one at a time,
-//  5. stop-and-copy of the residual dirty set, then a wait for whatever a
+//  5. once pre-copy has converged and the dump has landed, a flush: the
+//     guest keeps running until the sender's queue is empty and the link
+//     idle, so the window below pays for no round's leftovers,
+//  6. stop-and-copy of the residual dirty set, then a wait for whatever a
 //     leg could not hide,
-//  6. the serial commit: per enclave, key release with self-destroy on the
+//  7. the serial commit: per enclave, key release with self-destroy on the
 //     source and restore with in-enclave CSSA verification on the target.
 //     It starts strictly after the drain and after every leg has succeeded,
 //     so a failure anywhere before it can still cancel every enclave,
-//  7. resume on the target.
+//  8. resume on the target.
 //
-// A failed leg or a dead page stream is noticed at the next round boundary
-// and fails the migration before the guest is paused.
+// A failed leg or a dead page stream is noticed at the next round boundary,
+// or after the flush, and fails the migration before the guest is paused.
 //
 // Per the paper's accounting, the reported downtime includes the enclave
 // checkpointing time even though non-enclave applications keep running
@@ -631,13 +652,31 @@ func LiveMigrate(vm *VM, dst *Node, cfg *LiveMigrationConfig) (*VM, *LiveMigrati
 
 	roundHist := met.Histogram("vmm.round.bytes", roundBytesBounds)
 
-	// Bulk round (round 0) of every guest page, overlapped with the dump.
-	vm.Mem.MarkAllDirty()
+	// healthy is the look every boundary takes while the guest is still
+	// running: a dead stream or a failed leg (a refused attestation, say)
+	// ends the migration there, at no downtime at all.
+	healthy := func() error {
+		if snd.broken.Load() {
+			return fmt.Errorf("vmm: page stream: %w", snd.drain())
+		}
+		_, err := pollLegs(legs)
+		return err
+	}
+
+	// Bulk round (round 0), overlapped with the dump: the resident pages
+	// only. tvm was created above and nothing but this stream and the
+	// target's own claimed windows writes it, so a page never sent is zero on
+	// both sides; a write that backs a new extent from here on dirties its
+	// pages under the same lock and rides a later round.
+	vm.Mem.MarkResidentDirty()
 	round0 := vm.Mem.CollectDirty()
 	stats.RoundDirtyPages = append(stats.RoundDirtyPages, len(round0))
-	bulkSp := root.Child("vmm.bulk", telemetry.Int("pages", len(round0)))
+	bulkAttrs := []telemetry.Attr{telemetry.Int("round", 0), telemetry.Int("pages", len(round0)),
+		telemetry.Int("resident", len(round0)), telemetry.Int("guest_pages", vm.Mem.Pages())}
+	bulkSp := root.Child("vmm.bulk", bulkAttrs...)
 	snd.send(vm.Mem, round0, chunkPages, &stats.BulkBytes, &stats.BulkWireBytes, bulkSp.Context())
 	bulkSp.End()
+	opts.Journal.Append(telemetry.EventPrecopyRound, vm.Name, bulkSp.Context(), bulkAttrs...)
 	roundHist.Observe(int64(len(round0)) * PageSize)
 
 	// Iterative pre-copy of the dirty residue (checkpoint pages plus
@@ -666,13 +705,7 @@ func LiveMigrate(vm *VM, dst *Node, cfg *LiveMigrationConfig) (*VM, *LiveMigrati
 		opts.Journal.Append(telemetry.EventPrecopyRound, vm.Name, roundSp.Context(),
 			telemetry.Int("round", round), telemetry.Int("pages", len(dirty)))
 		roundHist.Observe(int64(len(dirty)) * PageSize)
-		// Round boundary, the guest still running: a dead stream or a failed
-		// leg (a refused attestation, say) ends the migration here, at no
-		// downtime at all.
-		if snd.broken.Load() {
-			return fail(fmt.Errorf("vmm: page stream: %w", snd.drain()))
-		}
-		if _, err := pollLegs(legs); err != nil {
+		if err := healthy(); err != nil {
 			return fail(err)
 		}
 		if !converged {
@@ -700,6 +733,18 @@ func LiveMigrate(vm *VM, dst *Node, cfg *LiveMigrationConfig) (*VM, *LiveMigrati
 	}
 	if cfg.SerialDump {
 		stats.DumpPrecopyOverlap = 0
+	}
+
+	// Pause on an idle link: the last round is collected but up to
+	// sendQueueChunks of it are still queued behind the shaped link, and the
+	// guest would sit paused while they cross. Let them out first — the guest
+	// runs on, what it dirties meanwhile is a few pages of the final set.
+	flushSp := root.Child("vmm.flush")
+	snd.flush()
+	err = healthy()
+	flushSp.Fail(err)
+	if err != nil {
+		return fail(err)
 	}
 
 	// Stop-and-copy (downtime window begins). Enclave workers are already

@@ -129,7 +129,7 @@ func TestChunkSenderDeltaRounds(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			srcMem.MarkAllDirty()
+			srcMem.MarkResidentDirty()
 			dirty = srcMem.CollectDirty()
 		} else {
 			for i := 0; i < 10; i++ {

@@ -1,6 +1,7 @@
 package vmm
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -265,39 +266,84 @@ func (l *legWatch) Send(m core.Message) error {
 	return err
 }
 
+// flushCut severs the page stream while the collector waits in flush. It
+// holds the first frame past the bulk round's pages — what else the
+// iterative rounds queue fits behind it — until the trace shows vmm.flush
+// open, then cuts the link under it.
+type flushCut struct {
+	core.Transport
+	tr   *telemetry.Tracer
+	bulk int // pages of the bulk round
+	sent int // pages carried so far; the sender goroutine's only
+}
+
+func (c *flushCut) SendFrame(f *core.PageFrame) error {
+	if c.sent += len(f.Pages); c.sent > c.bulk {
+		for !spanOpen(c.tr, "vmm.flush") {
+			time.Sleep(100 * time.Microsecond)
+		}
+		_ = c.Transport.Close()
+	}
+	return c.Transport.SendFrame(f)
+}
+
+// spanOpen reports whether the trace holds a span of that name, running or
+// finished: the Chrome export is the one view that lists running spans.
+func spanOpen(tr *telemetry.Tracer, name string) bool {
+	var buf bytes.Buffer
+	_ = tr.WriteChromeTrace(&buf)
+	return bytes.Contains(buf.Bytes(), []byte(`"`+name+`"`))
+}
+
 // TestLiveMigratePageStreamFaultUnwinds: the page stream dies after every
 // channel leg is up — built target enclaves, attested channels, prepared
 // sources, all waiting for a commit that can no longer come. The legs were
 // launched before the bulk round (SerialDump hands them their blobs there),
 // and the stream stalls mid-bulk until the last of them reports, so the
-// order of events is fixed. The migration must notice at the round boundary
-// and release every leg without ever pausing the guest.
+// order of events is fixed. Cut right there, the migration must notice at
+// the round boundary; cut while the collector waits for the queue to empty
+// before pausing the guest, at the look it takes after the flush. Either way
+// every leg is released and the guest never paused.
 func TestLiveMigratePageStreamFaultUnwinds(t *testing.T) {
-	maxGoroutines := runtime.NumGoroutine() + 4
-	w := newFaultWorld(t, "vm-stream-fault")
-	var left atomic.Int32
-	left.Store(int32(len(w.vm.OS.Processes())))
-	cfg := &LiveMigrationConfig{
-		BandwidthBps: faultLinkBps,
-		SerialDump:   true,
-		Tracer:       w.tr,
-		TransportFactory: func(name string, s, d core.Transport) (core.Transport, core.Transport) {
-			if name == PageStreamName {
-				return &stalledStream{Transport: s, ready: func() bool { return left.Load() == 0 }, cut: true}, d
+	for _, during := range []string{"bulk", "flush"} {
+		during := during
+		t.Run(during, func(t *testing.T) {
+			maxGoroutines := runtime.NumGoroutine() + 4
+			w := newFaultWorld(t, "vm-stream-fault")
+			var left atomic.Int32
+			left.Store(int32(len(w.vm.OS.Processes())))
+			cfg := &LiveMigrationConfig{
+				BandwidthBps: faultLinkBps,
+				SerialDump:   true,
+				Tracer:       w.tr,
+				TransportFactory: func(name string, s, d core.Transport) (core.Transport, core.Transport) {
+					if name != PageStreamName {
+						return s, &legWatch{Transport: d, left: &left}
+					}
+					stalled := &stalledStream{Transport: s, ready: func() bool { return left.Load() == 0 }, cut: during == "bulk"}
+					if during == "flush" {
+						return &flushCut{Transport: stalled, tr: w.tr, bulk: residentPages(w.vm.Mem)}, d
+					}
+					return stalled, d
+				},
 			}
-			return s, &legWatch{Transport: d, left: &left}
-		},
+			tvm, stats, err := LiveMigrate(w.vm, w.dst, cfg)
+			w.assertUnwound(t, tvm, stats, err)
+			if legs := w.tr.ByName("vmm.enclave.channel"); len(legs) != 2 {
+				t.Fatalf("want both channel legs in the trace, got %d", len(legs))
+			}
+			// The flush is reached only by a stream that was healthy at every
+			// round boundary.
+			if n := len(w.tr.ByName("vmm.flush")); (n == 1) != (during == "flush") {
+				t.Fatalf("stream cut during %s: %d vmm.flush spans in the trace", during, n)
+			}
+			w.vm.OS.StopAll()
+			if err := w.vm.Shutdown(); err != nil {
+				t.Fatal(err)
+			}
+			awaitGoroutines(t, maxGoroutines)
+		})
 	}
-	tvm, stats, err := LiveMigrate(w.vm, w.dst, cfg)
-	w.assertUnwound(t, tvm, stats, err)
-	if legs := w.tr.ByName("vmm.enclave.channel"); len(legs) != 2 {
-		t.Fatalf("want both channel legs in the trace, got %d", len(legs))
-	}
-	w.vm.OS.StopAll()
-	if err := w.vm.Shutdown(); err != nil {
-		t.Fatal(err)
-	}
-	awaitGoroutines(t, maxGoroutines)
 }
 
 // TestLiveMigrateTargetCollision: the earliest error path — the target node

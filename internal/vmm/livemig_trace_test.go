@@ -6,12 +6,35 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/telemetry"
 )
 
+// linkLog is a page stream's sending half that notes, per frame, how many
+// pages it carried and when it was off the link, on the tracer's clock.
+// Frames are sent one at a time, the last of them by drain: no lock.
+type linkLog struct {
+	core.Transport
+	epoch time.Time
+	sent  []linkFrame
+}
+
+type linkFrame struct {
+	pages int
+	off   time.Duration // SendFrame returned: the frame has crossed the link
+}
+
+func (l *linkLog) SendFrame(f *core.PageFrame) error {
+	pages := len(f.Pages)
+	err := l.Transport.SendFrame(f)
+	l.sent = append(l.sent, linkFrame{pages, time.Since(l.epoch)})
+	return err
+}
+
 // traceVM builds a small enclave-carrying VM and migrates it with a live
-// tracer attached, returning the tracer for shape assertions.
-func traceVM(t *testing.T, serial bool) (*telemetry.Tracer, *LiveMigrationStats) {
+// tracer attached, returning the tracer for shape assertions and the page
+// stream's link log.
+func traceVM(t *testing.T, serial bool) (*telemetry.Tracer, *LiveMigrationStats, []linkFrame) {
 	t.Helper()
 	_, owner, src, dst := newCloud(t)
 	deployCounter(t, owner, src, dst)
@@ -35,12 +58,23 @@ func traceVM(t *testing.T, serial bool) (*telemetry.Tracer, *LiveMigrationStats)
 	time.Sleep(2 * time.Millisecond)
 
 	tr := telemetry.New()
+	// Taken after the tracer's own epoch, so the log reads a hair early
+	// against span times: it can excuse a frame by microseconds, never
+	// accuse one.
+	link := &linkLog{epoch: time.Now()}
 	tvm, stats, err := LiveMigrate(vm, dst, &LiveMigrationConfig{
 		BandwidthBps:       100e6,
 		SerialDump:         serial,
 		SerialChannelSetup: serial,
 		Tracer:             tr,
 		Metrics:            telemetry.NewMetrics(),
+		TransportFactory: func(name string, s, d core.Transport) (core.Transport, core.Transport) {
+			if name == PageStreamName {
+				link.Transport = s
+				return link, d
+			}
+			return s, d
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -51,7 +85,7 @@ func traceVM(t *testing.T, serial bool) (*telemetry.Tracer, *LiveMigrationStats)
 			t.Fatal(err)
 		}
 	})
-	return tr, stats
+	return tr, stats, link.sent
 }
 
 // interval returns the [start, end] of the single span with this name.
@@ -70,7 +104,7 @@ func interval(t *testing.T, tr *telemetry.Tracer, name string) (time.Duration, t
 // guest is paused, every expected phase span is present, and no span leaks
 // open.
 func TestLiveMigrateTraceShape(t *testing.T) {
-	tr, stats := traceVM(t, false)
+	tr, stats, link := traceVM(t, false)
 
 	if n := tr.ActiveCount(); n != 0 {
 		t.Fatalf("%d spans still open after migration", n)
@@ -80,7 +114,7 @@ func TestLiveMigrateTraceShape(t *testing.T) {
 	// which a healthy pipeline avoids.
 	for _, name := range []string{
 		"vmm.livemigrate", "vmm.dump", "vmm.bulk", "vmm.precopy.round",
-		"vmm.downtime", "vmm.stopcopy", "vmm.commit",
+		"vmm.flush", "vmm.downtime", "vmm.stopcopy", "vmm.commit",
 		"vmm.enclave.channel", "vmm.enclave.commit",
 		"core.prepare", "core.dump", "core.channel", "core.keyrelease",
 		"core.restore", "core.target.prepare", "core.target.finish",
@@ -124,6 +158,36 @@ func TestLiveMigrateTraceShape(t *testing.T) {
 		t.Fatalf("Downtime %v below the downtime span %v", stats.Downtime, down.Dur)
 	}
 
+	// The guest is paused on an idle link: the flush sits on the root's own
+	// track between the last round and the window, and by the time the
+	// window opens every page of the bulk and pre-copy rounds is off the
+	// link — only the final dirty set crosses it with the guest stopped.
+	flush := tr.ByName("vmm.flush")[0]
+	_, flushEnd := interval(t, tr, "vmm.flush")
+	if flush.Parent != root.ID || flush.Track != root.Track {
+		t.Fatalf("vmm.flush should be a child of the root on its track: parent=%d track=%d", flush.Parent, flush.Track)
+	}
+	if flush.Start < xferEnd || flushEnd > down.Start {
+		t.Fatalf("vmm.flush [%v,%v] is not between the last round (ends %v) and the window (opens %v)",
+			flush.Start, flushEnd, xferEnd, down.Start)
+	}
+	before, sent := 0, 0
+	for _, f := range link {
+		sent += f.pages
+		if f.off <= down.Start {
+			before += f.pages
+		}
+	}
+	rounds := stats.RoundDirtyPages[:len(stats.RoundDirtyPages)-1]
+	precopied := 0
+	for _, n := range rounds {
+		precopied += n
+	}
+	if before != precopied || sent != precopied+stats.RoundDirtyPages[len(rounds)] {
+		t.Fatalf("%d pages were off the link when the window opened, %d in all; the rounds before it carry %d (%v)",
+			before, sent, precopied, stats.RoundDirtyPages)
+	}
+
 	// Only the commit stays in the window: the legs fork from the root,
 	// start when the dump lands and are over before stop-and-copy begins.
 	scStart, _ := interval(t, tr, "vmm.stopcopy")
@@ -154,7 +218,7 @@ func TestLiveMigrateTraceShape(t *testing.T) {
 // TestLiveMigrateTraceSerial pins the serial Fig. 8 schedule's trace: the
 // dump is a same-track child that fully precedes the bulk transfer.
 func TestLiveMigrateTraceSerial(t *testing.T) {
-	tr, stats := traceVM(t, true)
+	tr, stats, _ := traceVM(t, true)
 
 	if n := tr.ActiveCount(); n != 0 {
 		t.Fatalf("%d spans still open after migration", n)

@@ -29,7 +29,7 @@ import (
 // therefore indistinguishable from the round that carries those pages
 // anyway — the harness only takes the timing luck out of when it lands.
 type windowRace struct {
-	bulkPages int64                  // pages in the guest: what the bulk round carries
+	bulkPages int64                  // the guest's resident pages: at least what the bulk round carries
 	dirty     func()                 // rewrites the source's copy of the window pages
 	frame     func() *core.PageFrame // those pages as the stream carries them
 	legs      atomic.Int32           // target halves that have not finished attesting
@@ -54,8 +54,12 @@ func (h *heldLeg) Recv() (core.Message, error) {
 }
 
 // roundWatch is the page stream's sending half: once it has carried more
-// pages than the guest has, the bulk round is over and round 1 under way.
-// Dirtying the range behind every frame puts it in that round for certain.
+// pages than the guest had resident when the migration started, the bulk
+// round is over and round 1 under way (if the concurrent dump backs an
+// extent before the bulk round is collected, the round is a chunk longer
+// than counted and round1 closes during its last chunk: the stream is live
+// either way). Dirtying the range behind every frame puts it
+// in that round for certain.
 type roundWatch struct {
 	core.Transport
 	race *windowRace
@@ -133,7 +137,7 @@ func TestLiveMigrateClaimedWindows(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		race := &windowRace{bulkPages: int64(vm.Config.MemPages), round1: make(chan struct{})}
+		race := &windowRace{round1: make(chan struct{})}
 		race.legs.Store(enclaves)
 		var firstPages []int
 		for e := uint64(0); e < enclaves; e++ {
@@ -162,6 +166,7 @@ func TestLiveMigrateClaimedWindows(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		race.bulkPages = int64(residentPages(vm.Mem))
 		tvm, _, err := LiveMigrate(vm, dst, &LiveMigrationConfig{
 			BandwidthBps: 250e6,
 			TransportFactory: func(name string, s, d core.Transport) (core.Transport, core.Transport) {

@@ -1,5 +1,6 @@
 // Package vmm provides the virtualization substrate of the reproduction:
-// guest physical memory with dirty-page tracking, a hypervisor that manages
+// demand-zero guest physical memory with dirty-page tracking (extents nobody
+// wrote hold no memory and are never migrated), a hypervisor that manages
 // physical EPC and grants it to guests on demand (paper Sec. VI-A), a guest
 // OS with the SGX driver and enclave-hosting processes (Sec. VI-B), and the
 // pre-copy live VM migration engine that the paper extends with enclave
@@ -18,11 +19,22 @@ import (
 // wire codec's framing granularity).
 const PageSize = core.PageSize
 
+// extentBytes is the granularity at which guest memory is backed: one
+// transfer chunk (chunkPages, see its comment for the size), so a chunk of
+// the bulk round reads from one extent and lands in one.
+const extentBytes = chunkPages * PageSize
+
 // GuestMemory is a VM's guest-physical memory with per-page dirty tracking,
-// the substrate of iterative pre-copy migration.
+// the substrate of iterative pre-copy migration. Like the anonymous mapping
+// behind a real guest it is demand-zero: an extent nobody has written holds
+// no memory and reads as zero.
 type GuestMemory struct {
-	mu    sync.RWMutex
-	data  []byte // guarded by mu
+	mu sync.RWMutex
+	// data is the extent table: extent e covers bytes [e*extentBytes,
+	// (e+1)*extentBytes) of the guest (the last one may be shorter). nil =
+	// never written = reads as zero; the first store that touches an extent
+	// backs it, and it stays backed.
+	data  [][]byte // guarded by mu
 	pages int
 	dirty []bool // guarded by mu
 	// owned marks the pages of windows the local guest has handed to an
@@ -32,10 +44,11 @@ type GuestMemory struct {
 	owned []bool // guarded by mu
 }
 
-// NewGuestMemory allocates guest memory of the given page count.
+// NewGuestMemory returns guest memory of the given page count, all of it
+// unbacked: only the extent table and the two page bitmaps are allocated.
 func NewGuestMemory(pages int) *GuestMemory {
 	return &GuestMemory{
-		data:  make([]byte, pages*PageSize),
+		data:  make([][]byte, (pages+chunkPages-1)/chunkPages),
 		pages: pages,
 		dirty: make([]bool, pages),
 		owned: make([]bool, pages),
@@ -48,15 +61,51 @@ func (g *GuestMemory) Pages() int { return g.pages }
 // Bytes returns the memory size in bytes.
 func (g *GuestMemory) Bytes() int64 { return int64(g.pages) * PageSize }
 
-// Write stores guest memory and marks the touched pages dirty.
+// inRange reports whether [addr, addr+n) lies inside a window of the given
+// size. addr comes from whatever a host put in a register: addr+n may wrap,
+// size-n cannot.
+func inRange(addr, n, size uint64) bool {
+	return n <= size && addr <= size-n
+}
+
+// backLocked returns extent e, backing it first if nobody has written it.
+func (g *GuestMemory) backLocked(e int) []byte {
+	if g.data[e] == nil {
+		g.data[e] = make([]byte, min(extentBytes, int(g.Bytes())-e*extentBytes))
+	}
+	return g.data[e]
+}
+
+// pageLocked returns page p's bytes for a store, backing its extent.
+func (g *GuestMemory) pageLocked(p int) []byte {
+	off := p % chunkPages * PageSize
+	return g.backLocked(p / chunkPages)[off : off+PageSize]
+}
+
+// loadPageLocked copies page p into dst; an unbacked page reads as zero.
+func (g *GuestMemory) loadPageLocked(p int, dst []byte) {
+	ext := g.data[p/chunkPages]
+	if ext == nil {
+		clear(dst[:PageSize])
+		return
+	}
+	copy(dst[:PageSize], ext[p%chunkPages*PageSize:])
+}
+
+// Write stores guest memory and marks the touched pages dirty, backing the
+// extents it touches under the same lock: a page is never dirty in an
+// unbacked extent.
 func (g *GuestMemory) Write(addr uint64, b []byte) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if addr+uint64(len(b)) > uint64(len(g.data)) {
+	if !inRange(addr, uint64(len(b)), uint64(g.Bytes())) {
 		return fmt.Errorf("vmm: guest write out of range")
 	}
-	copy(g.data[addr:], b)
 	markRange(g.dirty, addr, uint64(len(b)))
+	for len(b) > 0 {
+		n := copy(g.backLocked(int(addr / extentBytes))[addr%extentBytes:], b)
+		b, addr = b[n:], addr+uint64(n)
+	}
 	return nil
 }
 
@@ -74,10 +123,19 @@ func markRange(bits []bool, addr, n uint64) {
 func (g *GuestMemory) Read(addr uint64, b []byte) error {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	if addr+uint64(len(b)) > uint64(len(g.data)) {
+	if !inRange(addr, uint64(len(b)), uint64(g.Bytes())) {
 		return fmt.Errorf("vmm: guest read out of range")
 	}
-	copy(b, g.data[addr:])
+	for len(b) > 0 {
+		off := addr % extentBytes
+		n := min(len(b), extentBytes-int(off))
+		if ext := g.data[addr/extentBytes]; ext != nil {
+			copy(b[:n], ext[off:])
+		} else {
+			clear(b[:n])
+		}
+		b, addr = b[n:], addr+uint64(n)
+	}
 	return nil
 }
 
@@ -85,7 +143,7 @@ func (g *GuestMemory) Read(addr uint64, b []byte) error {
 func (g *GuestMemory) CopyPage(p int, dst []byte) {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	copy(dst, g.data[p*PageSize:(p+1)*PageSize])
+	g.loadPageLocked(p, dst)
 }
 
 // ApplyPage installs migrated page content without marking it dirty (used on
@@ -93,7 +151,7 @@ func (g *GuestMemory) CopyPage(p int, dst []byte) {
 func (g *GuestMemory) ApplyPage(p int, src []byte) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	copy(g.data[p*PageSize:(p+1)*PageSize], src)
+	copy(g.pageLocked(p), src)
 }
 
 // CopyPages reads the given pages into dst (len(pages)*PageSize bytes) under
@@ -103,7 +161,7 @@ func (g *GuestMemory) CopyPages(pages []int, dst []byte) {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
 	for i, p := range pages {
-		copy(dst[i*PageSize:(i+1)*PageSize], g.data[p*PageSize:(p+1)*PageSize])
+		g.loadPageLocked(p, dst[i*PageSize:])
 	}
 }
 
@@ -116,7 +174,7 @@ func (g *GuestMemory) CopyPages(pages []int, dst []byte) {
 func (g *GuestMemory) ClaimWindow(base, size uint64) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if base+size > uint64(len(g.data)) {
+	if !inRange(base, size, uint64(g.Bytes())) {
 		return fmt.Errorf("vmm: claimed window out of range")
 	}
 	markRange(g.owned, base, size)
@@ -141,7 +199,7 @@ func (g *GuestMemory) ApplyPages(pages []int, src []byte) {
 		if g.owned[p] {
 			continue
 		}
-		copy(g.data[p*PageSize:(p+1)*PageSize], src[i*PageSize:(i+1)*PageSize])
+		copy(g.pageLocked(p), src[i*PageSize:(i+1)*PageSize])
 	}
 }
 
@@ -150,9 +208,11 @@ func (g *GuestMemory) ApplyPages(pages []int, src []byte) {
 // page order) under one lock, XORing each onto the page's current content
 // without marking it dirty. Correct only when this memory holds exactly
 // the content the sender's delta baseline assumed — FIFO application of
-// the migration stream guarantees that. A claimed window's pages are skipped
-// (their delta bytes still consumed): they no longer hold the baseline, and
-// every later frame for them is dropped the same way.
+// the migration stream guarantees that, and a page the stream has not
+// carried yet is zero here as it is in the sender's cache. A claimed
+// window's pages are skipped (their delta bytes still consumed): they no
+// longer hold the baseline, and every later frame for them is dropped the
+// same way.
 func (g *GuestMemory) ApplyPageDeltas(pages, sizes []int, src []byte) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -166,7 +226,7 @@ func (g *GuestMemory) ApplyPageDeltas(pages, sizes []int, src []byte) error {
 			off += sz
 			continue
 		}
-		if err := core.ApplyXORDelta(g.data[p*PageSize:(p+1)*PageSize], src[off:off+sz]); err != nil {
+		if err := core.ApplyXORDelta(g.pageLocked(p), src[off:off+sz]); err != nil {
 			return fmt.Errorf("vmm: apply delta to page %d: %w", p, err)
 		}
 		off += sz
@@ -201,12 +261,13 @@ func (g *GuestMemory) DirtyCount() int {
 	return n
 }
 
-// MarkAllDirty flags every page (migration round 0).
-func (g *GuestMemory) MarkAllDirty() {
+// MarkResidentDirty flags every page of every backed extent: migration
+// round 0. The rest of the guest has never been written and is not sent.
+func (g *GuestMemory) MarkResidentDirty() {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	for p := range g.dirty {
-		g.dirty[p] = true
+	for e, ext := range g.data {
+		markRange(g.dirty, uint64(e)*extentBytes, uint64(len(ext)))
 	}
 }
 
@@ -223,9 +284,7 @@ var _ sgx.OutsideMemory = (*Region)(nil)
 
 // Region returns a window [base, base+size).
 func (g *GuestMemory) Region(base, size uint64) (*Region, error) {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	if base+size > uint64(len(g.data)) {
+	if !inRange(base, size, uint64(g.Bytes())) {
 		return nil, fmt.Errorf("vmm: region out of range")
 	}
 	return &Region{mem: g, base: base, size: size}, nil
@@ -233,7 +292,7 @@ func (g *GuestMemory) Region(base, size uint64) (*Region, error) {
 
 // Load implements sgx.OutsideMemory.
 func (r *Region) Load(off uint64, b []byte) error {
-	if off+uint64(len(b)) > r.size {
+	if !inRange(off, uint64(len(b)), r.size) {
 		return fmt.Errorf("vmm: region read out of range")
 	}
 	return r.mem.Read(r.base+off, b)
@@ -241,7 +300,7 @@ func (r *Region) Load(off uint64, b []byte) error {
 
 // Store implements sgx.OutsideMemory.
 func (r *Region) Store(off uint64, b []byte) error {
-	if off+uint64(len(b)) > r.size {
+	if !inRange(off, uint64(len(b)), r.size) {
 		return fmt.Errorf("vmm: region write out of range")
 	}
 	return r.mem.Write(r.base+off, b)
