@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: check build fmt vet lint lint-budget lint-fixtures test bench-build race bench bench-layers fuzz-smoke loc
+.PHONY: check build fmt vet lint lint-budget lint-fixtures test test-cpus bench-build race bench bench-layers fuzz-smoke loc
 
-check: build fmt vet lint test bench-build race
+check: build fmt vet lint test test-cpus bench-build race
 
 build:
 	$(GO) build ./...
@@ -49,6 +49,12 @@ loc:
 test:
 	$(GO) test ./...
 
+# The checkpoint, tamper and big-state tests again under GOMAXPROCS 1 and 2.
+# The checkpoint's state digest hashes its leaves on GOMAXPROCS goroutines,
+# so the one-worker path is otherwise only exercised on a one-CPU machine.
+test-cpus:
+	$(GO) test -cpu 1,2 -run 'Checkpoint|Tamper|BigState|GOMAXPROCS|Bounce' ./internal/enclave ./internal/core
+
 # benchmark/ is a Go module of its own (replace repro => ../), so none of
 # the ./... targets above compile it: a change that deletes exported API can
 # break the performance spine and still be green. Vet and test it against
@@ -78,9 +84,10 @@ bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .
 
 # One iteration of every layer benchmark under the migration hot path
-# (sealer, EWB/ELDU, FaultIn on a full pool, 8 MiB dump/restore, XOR-delta
-# and chunk encoding, the shaped pipe, a control message over loopback, the
-# vmm page stream, a fleet.Request round trip against a daemon), with
+# (sealer, EWB/ELDU, enclave teardown on a daemon-sized EPC, FaultIn on a
+# full pool, 8 MiB build and dump/restore, XOR-delta and chunk encoding, the
+# shaped pipe, a control message over loopback, the vmm page stream, a
+# fleet.Request round trip against a daemon), with
 # allocation counts: a smoke run that they still build and run, and the
 # quick look at a layer before reaching for benchmark/. Raise -benchtime for
 # numbers worth comparing.

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -111,12 +112,14 @@ func TestBigStateOnSmallHost(t *testing.T) {
 	}
 }
 
-// TestRecvBulkBoundedByLayout: the bulk announcement precedes any
-// authentication, and the reassembly buffer is sized from it. A peer that
-// announces the largest frame count the old fixed cap allowed (1 GiB worth)
-// for a counter enclave, and then sends nothing, must be refused before a
-// frame is read or a buffer sized — with ErrProtocol, under 1 MiB
-// allocated, and the target's EPC untouched.
+// TestRecvBulkBoundedByLayout: the checkpoint announcement precedes any
+// authentication, and the target stages each segment in the enclave it has
+// already built. A peer that announces more frames than a counter enclave's
+// largest checkpoint fills — up to the 1 GiB the old fixed cap allowed —
+// and then sends nothing must be refused before a frame is read, with
+// ErrProtocol and under 1 MiB allocated. So must a checkpoint announced with
+// no frames, a frame of another kind, and a payload running past
+// MaxCheckpointSize. Every refusal frees the EPC of the target's build.
 func TestRecvBulkBoundedByLayout(t *testing.T) {
 	w := newWorld(t)
 	app := testapps.CounterApp(1)
@@ -125,11 +128,12 @@ func TestRecvBulkBoundedByLayout(t *testing.T) {
 	warmHosts(t, w, dep)
 	frames := w.hostB.Mgr.FreeFrames()
 
-	run := func(announce uint32) (error, uint64) {
+	// run plays a peer that announces the image and then sends ckpt.
+	run := func(ckpt func(Transport)) (error, uint64) {
 		t1, t2 := NewPipe()
 		go func() {
 			_ = t1.Send(Message{Kind: MsgImage, Blob: imageBlob(app.Name, dep.Sig.Measurement, app.Workers+1)})
-			_ = t1.Send(Message{Kind: MsgCheckpoint, Frames: announce})
+			ckpt(t1)
 		}()
 		// A receiver that believes the announcement waits for frames that
 		// never come; hang up on it rather than hang the test.
@@ -142,33 +146,51 @@ func TestRecvBulkBoundedByLayout(t *testing.T) {
 		_ = t1.Close()
 		return err, after.TotalAlloc - before.TotalAlloc
 	}
+	announce := func(n uint32) func(Transport) {
+		return func(p Transport) { _ = p.Send(Message{Kind: MsgCheckpoint, Frames: n}) }
+	}
 
 	limit := enclave.MaxCheckpointSize(app.Layout())
 	fits := uint32((limit + bulkSegment - 1) / bulkSegment)
-	for _, announce := range []uint32{fits + 1, 4096, 1<<32 - 1} {
-		err, allocated := run(announce)
+	for _, n := range []uint32{fits + 1, 4096, 1<<32 - 1} {
+		err, allocated := run(announce(n))
 		if !errors.Is(err, ErrProtocol) {
-			t.Fatalf("announcing %d frames: %v, want ErrProtocol", announce, err)
+			t.Fatalf("announcing %d frames: %v, want ErrProtocol", n, err)
 		}
 		if allocated >= 1<<20 {
-			t.Fatalf("announcing %d frames made the receiver allocate %d bytes", announce, allocated)
+			t.Fatalf("announcing %d frames made the receiver allocate %d bytes", n, allocated)
 		}
 		waitFrames(t, w.hostB.Mgr, frames, "target")
 	}
 
-	// An announcement that fits but overruns it with fat frames is cut off
-	// at the announced size instead of growing the buffer.
-	t1, t2 := NewPipe()
-	go func() {
-		_ = t1.Send(Message{Kind: MsgImage, Blob: imageBlob(app.Name, dep.Sig.Measurement, app.Workers+1)})
-		_ = t1.Send(Message{Kind: MsgCheckpoint, Frames: 1})
-		_ = t1.SendFrame(&PageFrame{Kind: FrameBlob, Data: make([]byte, bulkSegment+1)})
-	}()
-	if _, err := MigrateIn(w.hostB, reg, t2, w.opts()); !errors.Is(err, ErrProtocol) {
-		t.Fatalf("frame larger than announced: %v, want ErrProtocol", err)
+	for _, tc := range []struct {
+		name string
+		ckpt func(Transport)
+	}{
+		{"no frames", func(p Transport) {
+			_ = p.Send(Message{Kind: MsgCheckpoint, Blob: []byte("an inline checkpoint")})
+		}},
+		{"a page frame", func(p Transport) {
+			_ = p.Send(Message{Kind: MsgCheckpoint, Frames: 1})
+			_ = p.SendFrame(&PageFrame{Kind: FrameRaw, Pages: []int{0}, Data: make([]byte, PageSize)})
+		}},
+		// As many frames as the limit fills, one byte more than it.
+		{"past MaxCheckpointSize", func(p Transport) {
+			_ = p.Send(Message{Kind: MsgCheckpoint, Frames: fits})
+			for left := limit + 1; left > 0; left -= bulkSegment {
+				if left <= bulkSegment+1 {
+					_ = p.SendFrame(&PageFrame{Kind: FrameBlob, Data: make([]byte, left)})
+					return
+				}
+				_ = p.SendFrame(&PageFrame{Kind: FrameBlob, Data: make([]byte, bulkSegment)})
+			}
+		}},
+	} {
+		if err, _ := run(tc.ckpt); !errors.Is(err, ErrProtocol) {
+			t.Fatalf("%s: %v, want ErrProtocol", tc.name, err)
+		}
+		waitFrames(t, w.hostB.Mgr, frames, "target after "+tc.name)
 	}
-	_ = t1.Close()
-	waitFrames(t, w.hostB.Mgr, frames, "target")
 }
 
 // TestTamperedCheckpointRefused flips one bit in each region of the
@@ -259,16 +281,44 @@ func TestTamperedCheckpointRefused(t *testing.T) {
 	}
 }
 
+// ckptRecord and digestLeaf are the checkpoint body's geometry, restated
+// here rather than taken from the enclave package so that a change to the
+// format fails these tests: a (lin u32, page) record per non-TCS page, and
+// a state digest over leaves of 256 records.
+const (
+	ckptRecord = 4 + sgx.PageSize
+	digestLeaf = 256 * ckptRecord
+)
+
+// stateDigest re-derives the digest that closes a checkpoint body: SHA-256
+// over the SHA-256 of each digestLeaf-byte leaf of the records, in order.
+func stateDigest(records []byte) [32]byte {
+	var sums []byte
+	for off := 0; off < len(records); off += digestLeaf {
+		s := sha256.Sum256(records[off:min(off+digestLeaf, len(records))])
+		sums = append(sums, s[:]...)
+	}
+	return sha256.Sum256(sums)
+}
+
+// bigCounter is the counter app with a heap of 600 pages, so that its
+// checkpoint body spans three digest leaves, the last one short.
+func bigCounter() *enclave.App {
+	app := testapps.CounterApp(1)
+	app.HeapPages = 600
+	return app
+}
+
 // TestCheckpointFormatUnchanged decodes a checkpoint produced by the
-// single-buffer ctlDump the way the three-buffer code's counterpart did —
-// header, DecryptCheckpoint into a fresh buffer, then (lin, page) records
-// and a trailing SHA-256 — for every cipher, and resumes from it. The owner
-// path is used because there the test holds the key.
+// single-buffer ctlDump from the outside — header, DecryptCheckpoint into a
+// fresh buffer, then (lin, page) records and the two-level state digest over
+// them — for every cipher, and resumes from it. The owner path is used
+// because there the test holds the key.
 func TestCheckpointFormatUnchanged(t *testing.T) {
 	for _, cipher := range []tcb.CheckpointCipher{tcb.CipherAESGCM, tcb.CipherRC4, tcb.CipherDES} {
 		t.Run(cipher.String(), func(t *testing.T) {
 			w := newWorld(t)
-			app := testapps.CounterApp(1)
+			app := bigCounter()
 			rt := w.launch(t, app)
 			dep, _ := w.deploy(app)
 			if _, err := rt.ECall(0, testapps.CounterAdd, 1234); err != nil {
@@ -298,21 +348,23 @@ func TestCheckpointFormatUnchanged(t *testing.T) {
 			if err != nil {
 				t.Fatalf("DecryptCheckpoint: %v", err)
 			}
-			const rec = 4 + sgx.PageSize
 			payload, sum := body[:len(body)-sha256.Size], body[len(body)-sha256.Size:]
-			if want := sha256.Sum256(payload); !bytes.Equal(sum, want[:]) {
-				t.Fatal("trailing SHA-256 does not cover the records")
+			if len(payload) <= 2*digestLeaf {
+				t.Fatalf("a %d-byte body does not reach a third digest leaf", len(payload))
 			}
-			if len(payload) != (layout.TotalPages()-layout.Threads)*rec {
+			if want := stateDigest(payload); !bytes.Equal(sum, want[:]) {
+				t.Fatal("trailing digest is not SHA-256 over the SHA-256 of each 256-record leaf")
+			}
+			if len(payload) != (layout.TotalPages()-layout.Threads)*ckptRecord {
 				t.Fatalf("payload is %d bytes, want a record for each of %d non-TCS pages", len(payload), layout.TotalPages()-layout.Threads)
 			}
 			next := 0
-			for off := 0; off < len(payload); off += rec {
+			for off := 0; off < len(payload); off += ckptRecord {
 				for layout.IsTCS(sgx.PageNum(next)) {
 					next++
 				}
 				if lin := binary.LittleEndian.Uint32(payload[off:]); int(lin) != next {
-					t.Fatalf("record %d is page %d, want %d", off/rec, lin, next)
+					t.Fatalf("record %d is page %d, want %d", off/ckptRecord, lin, next)
 				}
 				next++
 			}
@@ -332,6 +384,128 @@ func TestCheckpointFormatUnchanged(t *testing.T) {
 				t.Fatalf("resumed counter = %d, %v", res[0], err)
 			}
 		})
+	}
+}
+
+// TestStateDigestIndependentOfGOMAXPROCS: the digest's leaves are hashed on
+// as many goroutines as GOMAXPROCS allows, but the leaf is a format constant,
+// so a checkpoint dumped with one of them restores with two and the reverse
+// — what a migration between hosts of different core counts does.
+func TestStateDigestIndependentOfGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	w := newWorld(t)
+	app := bigCounter()
+	rt := w.launch(t, app)
+	dep, _ := w.deploy(app)
+	if _, err := rt.ECall(0, testapps.CounterAdd, 77); err != nil {
+		t.Fatal(err)
+	}
+	for i, procs := range [][2]int{{1, 2}, {2, 1}} {
+		runtime.GOMAXPROCS(procs[0])
+		blob, err := OwnerCheckpoint(w.owner, rt)
+		if err != nil {
+			t.Fatalf("dump with GOMAXPROCS %d: %v", procs[0], err)
+		}
+		runtime.GOMAXPROCS(procs[1])
+		inc, err := OwnerResume(w.owner, []*enclave.Host{w.hostB, w.hostA}[i], dep, blob)
+		if err != nil {
+			t.Fatalf("dump with GOMAXPROCS %d, restore with %d: %v", procs[0], procs[1], err)
+		}
+		if res, err := inc.Runtime.ECall(0, testapps.CounterGet); err != nil || res[0] != 77 {
+			t.Fatalf("dump with GOMAXPROCS %d, restore with %d: counter = %d, %v", procs[0], procs[1], res[0], err)
+		}
+		rt = inc.Runtime
+	}
+}
+
+// TestResealedTamperRefused: an owner-keyed checkpoint is opened with the
+// owner's key, altered, and sealed again under the same key and header, so
+// the AEAD verifies and only the in-enclave state digest stands between the
+// altered state and the enclave. Two alterations: one byte of a record in
+// the second digest leaf, and the first two leaves swapped — every record
+// still names a valid page, so the record walk alone would take it. Each
+// must be refused as a bad checkpoint before any page is written back: the
+// control page, the first record, still reads as the target's own
+// (restoring, never audited, never restored) rather than the source's. The
+// same target then restores the body re-sealed unaltered.
+func TestResealedTamperRefused(t *testing.T) {
+	w := newWorld(t)
+	app := bigCounter()
+	src := w.launch(t, app)
+	dep, _ := w.deploy(app)
+	if _, err := src.ECall(0, testapps.CounterAdd, 5); err != nil {
+		t.Fatal(err)
+	}
+	blob, err := OwnerCheckpoint(w.owner, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hdr, sealed, err := enclave.UnmarshalHeader(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hdrBytes := blob[:len(blob)-len(sealed)]
+	body, err := tcb.DecryptCheckpoint(hdr.Cipher, w.owner.kencrypt, sealed, hdrBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(body) <= 2*digestLeaf {
+		t.Fatalf("a %d-byte body has no second full digest leaf", len(body))
+	}
+	reseal := func(alter func(records []byte)) []byte {
+		b := append([]byte(nil), body...)
+		alter(b[:len(b)-sha256.Size])
+		env, err := tcb.EncryptCheckpoint(hdr.Cipher, w.owner.kencrypt, b, hdrBytes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return append(append([]byte(nil), hdrBytes...), env...)
+	}
+
+	tgt, err := ownerTarget(w.owner, w.hostB, dep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer destroyQuietly(tgt)
+	for _, tc := range []struct {
+		name  string
+		alter func(records []byte)
+	}{
+		{"a byte of the second leaf", func(r []byte) { r[digestLeaf+10*ckptRecord+100] ^= 1 }},
+		{"the first two leaves swapped", func(r []byte) {
+			first := append([]byte(nil), r[:digestLeaf]...)
+			copy(r, r[digestLeaf:2*digestLeaf])
+			copy(r[digestLeaf:], first)
+		}},
+	} {
+		bad := reseal(tc.alter)
+		if err := tgt.WriteShared(enclave.SharedCkptOff, bad); err != nil {
+			t.Fatal(err)
+		}
+		_, err := restore(tgt, hdr, len(bad), true, nil)
+		var ee *enclave.EnclaveError
+		if !errors.As(err, &ee) || !strings.Contains(ee.Error(), "bad checkpoint") {
+			t.Fatalf("%s: restore = %v, want the enclave's bad-checkpoint refusal", tc.name, err)
+		}
+		st, err := tgt.CtlCall(enclave.SelCtlStatus)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if state, audits, restored := st[0], st[3], st[5]; state != 3 || audits != 0 || restored != 0 {
+			t.Fatalf("%s: control page after the refusal reads state %d, %d audits, restored %d; want the target's own 3, 0, 0", tc.name, state, audits, restored)
+		}
+	}
+
+	good := reseal(func([]byte) {})
+	if err := tgt.WriteShared(enclave.SharedCkptOff, good); err != nil {
+		t.Fatal(err)
+	}
+	inc, err := restore(tgt, hdr, len(good), true, nil)
+	if err != nil {
+		t.Fatalf("the unaltered body, re-sealed: %v", err)
+	}
+	if res, err := inc.Runtime.ECall(0, testapps.CounterGet); err != nil || res[0] != 5 {
+		t.Fatalf("restored counter = %d, %v", res[0], err)
 	}
 }
 

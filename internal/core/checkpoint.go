@@ -77,13 +77,37 @@ func OwnerResume(o *Owner, host *enclave.Host, dep *Deployment, blob []byte) (*I
 	if !hdr.OwnerKeyed {
 		return nil, fmt.Errorf("core: checkpoint is not owner-keyed")
 	}
-	rt, err := enclave.BuildSigned(host, dep.App, dep.Sig)
+	rt, err := ownerTarget(o, host, dep)
 	if err != nil {
 		return nil, err
 	}
 	// Any failure between the build and a successful restore must free the
 	// fresh instance's EPC (the same leak class MigrateIn had).
 	fail := func(err error) (*Incoming, error) {
+		destroyQuietly(rt)
+		return nil, err
+	}
+	if err := rt.WriteShared(enclave.SharedCkptOff, blob); err != nil {
+		return fail(err)
+	}
+	inc, err := restore(rt, hdr, len(blob), true, &Options{Service: o.service})
+	if err != nil {
+		return fail(err)
+	}
+	o.logOp("resume", rt.Measurement(), rt.Machine().AttestationPublic())
+	return inc, nil
+}
+
+// ownerTarget builds a fresh instance of dep's image on host; the owner
+// attests it and delivers Kencrypt bound to its exchange. The result is a
+// virgin enclave ready to restore an owner-keyed checkpoint staged in its
+// checkpoint window. On failure nothing is left built.
+func ownerTarget(o *Owner, host *enclave.Host, dep *Deployment) (*enclave.Runtime, error) {
+	rt, err := enclave.BuildSigned(host, dep.App, dep.Sig)
+	if err != nil {
+		return nil, err
+	}
+	fail := func(err error) (*enclave.Runtime, error) {
 		destroyQuietly(rt)
 		return nil, err
 	}
@@ -119,10 +143,5 @@ func OwnerResume(o *Owner, host *enclave.Host, dep *Deployment, blob []byte) (*I
 	if err := o.deliverKencryptForResume(rt, enclaveDH, nonce); err != nil {
 		return fail(err)
 	}
-	inc, err := RestoreOwnerKeyed(rt, hdr, blob, &Options{Service: o.service})
-	if err != nil {
-		return fail(err)
-	}
-	o.logOp("resume", rt.Measurement(), rt.Machine().AttestationPublic())
-	return inc, nil
+	return rt, nil
 }

@@ -279,7 +279,7 @@ func TestMigrateInFailureFreesEPC(t *testing.T) {
 	go func() {
 		mr := src.Measurement()
 		_ = t1.Send(Message{Kind: MsgImage, Blob: imageBlob(app.Name, mr, src.Layout().Threads)})
-		_ = t1.Send(Message{Kind: MsgCheckpoint, Blob: blob})
+		_ = sendBulk(t1, Message{Kind: MsgCheckpoint, Blob: blob})
 		_, _ = t1.Recv() // the target's hello
 		_ = t1.Close()
 	}()
@@ -306,14 +306,17 @@ func TestMigrateInFailureFreesEPC(t *testing.T) {
 	foreign := hdr
 	foreign.Measurement[0] ^= 1
 	tooMany := uint32(enclave.MaxCheckpointSize(app.Layout())/bulkSegment + 2)
+	bulk := func(b []byte) func(Transport) {
+		return func(p Transport) { _ = sendBulk(p, Message{Kind: MsgCheckpoint, Blob: b}) }
+	}
 	for _, tc := range []struct {
 		name string
-		ckpt Message
+		send func(Transport)
 		want error
 	}{
-		{"more frames than the layout allows", Message{Kind: MsgCheckpoint, Frames: tooMany}, ErrProtocol},
-		{"bad header", Message{Kind: MsgCheckpoint, Blob: blob[:20]}, nil},
-		{"header for a different measurement", Message{Kind: MsgCheckpoint, Blob: enclave.MarshalHeader(foreign)}, ErrProtocol},
+		{"more frames than the layout allows", func(p Transport) { _ = p.Send(Message{Kind: MsgCheckpoint, Frames: tooMany}) }, ErrProtocol},
+		{"bad header", bulk(blob[:20]), nil},
+		{"header for a different measurement", bulk(enclave.MarshalHeader(foreign)), ErrProtocol},
 	} {
 		tr := telemetry.New()
 		root := tr.Begin("test")
@@ -323,7 +326,7 @@ func TestMigrateInFailureFreesEPC(t *testing.T) {
 		reply := make(chan Message, 1)
 		go func() {
 			_ = t1.Send(Message{Kind: MsgImage, Blob: imageBlob(app.Name, src.Measurement(), src.Layout().Threads)})
-			_ = t1.Send(tc.ckpt)
+			tc.send(t1)
 			m, _ := t1.Recv()
 			reply <- m
 		}()
@@ -437,8 +440,11 @@ func TestRestoreHonorsPollBudget(t *testing.T) {
 	}
 	budget := 250 * time.Millisecond
 	restOpts := &Options{PollBudget: budget, PollInterval: time.Millisecond}
+	if err := tgt.WriteShared(enclave.SharedCkptOff, blob); err != nil {
+		t.Fatal(err)
+	}
 	start := time.Now()
-	_, err = Restore(tgt, hdr, blob, restOpts)
+	_, err = Restore(tgt, hdr, len(blob), restOpts)
 	elapsed := time.Since(start)
 	if !errors.Is(err, enclave.ErrVerifyFailed) {
 		t.Fatalf("restore with forged CSSA: %v, want ErrVerifyFailed", err)

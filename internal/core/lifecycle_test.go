@@ -55,7 +55,10 @@ func TestTargetRefusesSecondRestore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Restore(inc.Runtime, hdr, blob, opts); err == nil {
+	if err := inc.Runtime.WriteShared(enclave.SharedCkptOff, blob); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Restore(inc.Runtime, hdr, len(blob), opts); err == nil {
 		t.Fatal("live instance accepted a second restore (rollback)")
 	}
 	// And it cannot become a migration target again either.

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -589,40 +588,44 @@ func sendBulk(t Transport, m Message) error {
 	return nil
 }
 
-// recvBulk receives a message sent with sendBulk, reassembling a framed
-// payload when the message announces one. maxBytes is the largest payload a
-// legitimate peer can send here. The announcement is checked against it
-// before a frame is read, because the reassembly buffer is sized from the
-// announcement: an unauthenticated peer must not be able to buy a large
-// allocation with one small message.
-func recvBulk(t Transport, want MsgKind, maxBytes int) (Message, error) {
-	m, err := recvKind(t, want)
-	if err != nil || m.Frames == 0 {
-		return m, err
+// recvStaged receives a MsgCheckpoint sent with sendBulk and writes its
+// FrameBlob segments, in order, into window at enclave.SharedCkptOff — the
+// target enclave's checkpoint window, where the restore reads it — and
+// returns the payload length. There is no reassembly buffer: each segment
+// goes from its frame to where the enclave will read it. maxBytes is the
+// largest payload a legitimate peer can send; an announcement of more
+// frames than that fills is refused before any frame is read, and so is a
+// checkpoint announced with no frames, a frame of another kind and a
+// payload that runs past maxBytes.
+func recvStaged(t Transport, window sgx.OutsideMemory, maxBytes int) (int, error) {
+	m, err := recvKind(t, MsgCheckpoint)
+	if err != nil {
+		return 0, err
 	}
-	if maxFrames := (maxBytes + bulkSegment - 1) / bulkSegment; int64(m.Frames) > int64(maxFrames) {
-		return Message{}, fmt.Errorf("%w: message %d announces %d bulk frames, at most %d fit the %d bytes allowed", ErrProtocol, m.Kind, m.Frames, maxFrames, maxBytes)
+	if maxFrames := (maxBytes + bulkSegment - 1) / bulkSegment; m.Frames == 0 || int64(m.Frames) > int64(maxFrames) {
+		return 0, fmt.Errorf("%w: checkpoint announces %d bulk frames, want 1 to %d for the %d bytes allowed", ErrProtocol, m.Frames, maxFrames, maxBytes)
 	}
-	blob := make([]byte, 0, int(m.Frames)*bulkSegment)
+	n := 0
 	for i := uint32(0); i < m.Frames; i++ {
 		f, err := t.RecvFrame()
 		if err != nil {
-			return Message{}, err
+			return 0, err
 		}
-		if f.Kind != FrameBlob {
-			f.Release()
-			return Message{}, fmt.Errorf("%w: %s frame inside a bulk payload", ErrProtocol, f.Kind)
+		switch {
+		case f.Kind != FrameBlob:
+			err = fmt.Errorf("%w: %s frame inside a checkpoint", ErrProtocol, f.Kind)
+		case len(f.Data) > maxBytes-n:
+			err = fmt.Errorf("%w: checkpoint payload overruns the %d bytes allowed", ErrProtocol, maxBytes)
+		default:
+			err = window.Store(enclave.SharedCkptOff+uint64(n), f.Data)
+			n += len(f.Data)
 		}
-		if len(f.Data) > cap(blob)-len(blob) {
-			f.Release()
-			return Message{}, fmt.Errorf("%w: bulk payload overruns the %d frames announced", ErrProtocol, m.Frames)
-		}
-		blob = append(blob, f.Data...)
 		f.Release()
+		if err != nil {
+			return 0, err
+		}
 	}
-	m.Blob = blob
-	m.Frames = 0
-	return m, nil
+	return n, nil
 }
 
 func recvKind(t Transport, want MsgKind) (Message, error) {
@@ -680,7 +683,7 @@ func MigrateIn(host *enclave.Host, reg *Registry, t Transport, opts *Options) (*
 type PreparedTarget struct {
 	rt   *enclave.Runtime
 	hdr  enclave.CheckpointHeader
-	blob []byte
+	n    int // checkpoint bytes staged in rt's checkpoint window
 	t    Transport
 	opts *Options
 }
@@ -729,7 +732,7 @@ func MigrateInPrepare(host *enclave.Host, reg *Registry, t Transport, opts *Opti
 		return nil, err
 	}
 
-	hdr, blob, err := recvCheckpoint(t, dep, wantMR)
+	hdr, n, err := recvCheckpoint(t, rt, wantMR)
 	if err != nil {
 		destroyQuietly(rt)
 		return nil, err
@@ -745,31 +748,37 @@ func MigrateInPrepare(host *enclave.Host, reg *Registry, t Transport, opts *Opti
 	}
 	opts.journal().Append(telemetry.EventChannelUp, opts.enclaveID(rt), sp.Context(),
 		telemetry.String("side", "target"))
-	return &PreparedTarget{rt: rt, hdr: hdr, blob: blob, t: t, opts: opts}, nil
+	return &PreparedTarget{rt: rt, hdr: hdr, n: n, t: t, opts: opts}, nil
 }
 
-// recvCheckpoint receives the checkpoint for dep's enclave and checks that
-// its header parses and names the announced measurement. The peer is told
-// of every failure that is not its own abort.
-func recvCheckpoint(t Transport, dep *Deployment, wantMR [32]byte) (hdr enclave.CheckpointHeader, blob []byte, err error) {
-	// The deployment is known, so the largest checkpoint its enclave can
-	// produce bounds what the peer may announce.
-	ckptMsg, err := recvBulk(t, MsgCheckpoint, enclave.MaxCheckpointSize(dep.App.Layout()))
-	if err != nil {
+// recvCheckpoint receives the checkpoint for rt, the virgin enclave built
+// from the announced image, into rt's checkpoint window, and checks that its
+// header parses and names the announced measurement. It returns the header
+// and the staged length. The peer is told of every failure that is not its
+// own abort.
+func recvCheckpoint(t Transport, rt *enclave.Runtime, wantMR [32]byte) (hdr enclave.CheckpointHeader, n int, err error) {
+	// The image is known, so the largest checkpoint its enclave can produce
+	// bounds what the peer may announce.
+	layout := rt.Layout()
+	if n, err = recvStaged(t, rt.Shared(), enclave.MaxCheckpointSize(layout)); err != nil {
 		if !errors.Is(err, ErrAborted) {
 			abort(t, "checkpoint not received")
 		}
-		return hdr, nil, err
+		return hdr, 0, err
 	}
-	if hdr, _, err = enclave.UnmarshalHeader(ckptMsg.Blob); err != nil {
+	head, err := rt.ReadShared(enclave.SharedCkptOff, uint64(min(n, enclave.HeaderWireSize(layout.Threads))))
+	if err == nil {
+		hdr, _, err = enclave.UnmarshalHeader(head)
+	}
+	if err != nil {
 		abort(t, "bad checkpoint header")
-		return hdr, nil, err
+		return hdr, 0, err
 	}
-	if !bytes.Equal(hdr.Measurement[:], wantMR[:]) {
+	if hdr.Measurement != wantMR {
 		abort(t, "checkpoint for a different image")
-		return hdr, nil, ErrProtocol
+		return hdr, 0, ErrProtocol
 	}
-	return hdr, ckptMsg.Blob, nil
+	return hdr, n, nil
 }
 
 // Finish receives and installs Kmigrate, performs restore Steps 3-4 (CSSA
@@ -810,7 +819,7 @@ func (pt *PreparedTarget) Finish() (_ *Incoming, err error) {
 	// Kmigrate is installed on the target — the receive-side twin of the
 	// source's key-release audit record.
 	pt.opts.journal().Append(telemetry.EventKeyReceive, pt.opts.enclaveID(pt.rt), sp.Context())
-	inc, err := Restore(pt.rt, pt.hdr, pt.blob, pt.opts)
+	inc, err := Restore(pt.rt, pt.hdr, pt.n, pt.opts)
 	if err != nil {
 		abort(pt.t, "restore failed")
 		return fail(err)
@@ -887,27 +896,26 @@ func writeAndCall(rt *enclave.Runtime, sel uint64, blob []byte, extra ...uint64)
 }
 
 // Restore performs restore Steps 3-4 on a target enclave that already holds
-// the checkpoint key: rebuild CSSA, restore memory, re-enter handlers, and
-// have the enclave verify the rebuilt CSSA values before going live. The
-// verification wait honors opts.PollBudget/PollInterval (nil opts = the
-// defaults). Restore leaves teardown to its caller: a refused restore on a
-// freshly built target must be followed by Destroy (MigrateIn does this),
-// while a refused rollback attempt on a live enclave must leave it running.
-func Restore(rt *enclave.Runtime, hdr enclave.CheckpointHeader, blob []byte, opts *Options) (*Incoming, error) {
-	return restore(rt, hdr, blob, false, opts)
+// the checkpoint key and has the n-byte checkpoint staged in its checkpoint
+// window at enclave.SharedCkptOff (MigrateIn receives it there): rebuild
+// CSSA, restore memory, re-enter handlers, and have the enclave verify the
+// rebuilt CSSA values before going live. The verification wait honors
+// opts.PollBudget/PollInterval (nil opts = the defaults). Restore leaves
+// teardown to its caller: a refused restore on a freshly built target must
+// be followed by Destroy (MigrateIn does this), while a refused rollback
+// attempt on a live enclave must leave it running.
+func Restore(rt *enclave.Runtime, hdr enclave.CheckpointHeader, n int, opts *Options) (*Incoming, error) {
+	return restore(rt, hdr, n, false, opts)
 }
 
-// RestoreOwnerKeyed is Restore for Sec. V-C owner-keyed checkpoints.
-func RestoreOwnerKeyed(rt *enclave.Runtime, hdr enclave.CheckpointHeader, blob []byte, opts *Options) (*Incoming, error) {
-	return restore(rt, hdr, blob, true, opts)
-}
-
-func restore(rt *enclave.Runtime, hdr enclave.CheckpointHeader, blob []byte, ownerKeyed bool, opts *Options) (_ *Incoming, err error) {
+// restore is Restore; ownerKeyed selects the Sec. V-C checkpoint, opened
+// under the owner's Kencrypt instead of Kmigrate.
+func restore(rt *enclave.Runtime, hdr enclave.CheckpointHeader, n int, ownerKeyed bool, opts *Options) (_ *Incoming, err error) {
 	if opts == nil {
 		opts = &Options{}
 	}
 	sp := opts.span().Child("core.restore",
-		telemetry.String("enclave", rt.App().Name), telemetry.Int("checkpoint_bytes", len(blob)))
+		telemetry.String("enclave", rt.App().Name), telemetry.Int("checkpoint_bytes", n))
 	defer func() { sp.Fail(err) }()
 	defer func() { journalAbort(opts, opts.enclaveID(rt), "restore", sp.Context(), err) }()
 	restoreStart := time.Now()
@@ -915,15 +923,13 @@ func restore(rt *enclave.Runtime, hdr enclave.CheckpointHeader, blob []byte, own
 	if err := rt.RebuildCSSA(hdr.MigK); err != nil {
 		return nil, err
 	}
-	// Step-3b: the control thread restores all memory from the checkpoint.
+	// Step-3b: the control thread restores all memory from the checkpoint,
+	// reading the window in place (it takes its own copy before checking).
 	ownerFlag := uint64(0)
 	if ownerKeyed {
 		ownerFlag = 1
 	}
-	if err := rt.WriteShared(enclave.SharedCkptOff, blob); err != nil {
-		return nil, err
-	}
-	if _, err := rt.CtlCall(enclave.SelCtlTgtRestore, enclave.SharedCkptOff, uint64(len(blob)), ownerFlag); err != nil {
+	if _, err := rt.CtlCall(enclave.SelCtlTgtRestore, enclave.SharedCkptOff, uint64(n), ownerFlag); err != nil {
 		return nil, fmt.Errorf("core: restore: %w", err)
 	}
 	restoreTime := time.Since(restoreStart)

@@ -12,6 +12,8 @@ import (
 	"runtime/debug"
 	"testing"
 	"time"
+
+	"repro/internal/enclave"
 )
 
 // TestMessageRoundTrip pins the wire format of Message — one FrameCtl frame
@@ -213,8 +215,8 @@ func allocatedBy(f func()) uint64 {
 // the exact body length when it is read back — and a pooled buffer of the
 // smaller size used to be dropped by the larger request. With both in one
 // size class, a 16-segment round trip over a pool stocked with buffers of
-// the reader's size allocates its reassembly buffer and nothing
-// segment-sized.
+// the reader's size allocates nothing segment-sized: each segment is
+// written into the checkpoint window the receiver already holds.
 func TestBulkSegmentBufferReused(t *testing.T) {
 	const segments = 16
 	seg := PageFrame{Kind: FrameBlob, Data: make([]byte, bulkSegment)}
@@ -226,6 +228,7 @@ func TestBulkSegmentBufferReused(t *testing.T) {
 		t.Skip("sync.Pool drops Puts at random under the race detector")
 	}
 	blob := make([]byte, segments*bulkSegment)
+	window := enclave.NewSharedRegion(enclave.SharedCkptOff + len(blob))
 	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection empties the pool
 	for _, tr := range pipeAndConn(t) {
 		// More buffers than the pipe's queue lets the sender run ahead by.
@@ -239,13 +242,13 @@ func TestBulkSegmentBufferReused(t *testing.T) {
 		got := allocatedBy(func() {
 			done := make(chan error, 1)
 			go func() { done <- sendBulk(tr.src, Message{Kind: MsgCheckpoint, Blob: blob}) }()
-			m, err := recvBulk(tr.dst, MsgCheckpoint, len(blob))
-			if sErr := <-done; err != nil || sErr != nil || len(m.Blob) != len(blob) {
-				t.Fatalf("%s: round trip: recv %v, send %v, %d bytes", tr.name, err, sErr, len(m.Blob))
+			n, err := recvStaged(tr.dst, window, len(blob))
+			if sErr := <-done; err != nil || sErr != nil || n != len(blob) {
+				t.Fatalf("%s: round trip: recv %v, send %v, %d bytes", tr.name, err, sErr, n)
 			}
 		})
-		if got > uint64(len(blob)+bulkSegment/2) {
-			t.Errorf("%s: the round trip allocated %d bytes beyond its %d-byte reassembly buffer", tr.name, got-uint64(len(blob)), len(blob))
+		if got > bulkSegment/2 {
+			t.Errorf("%s: the round trip of %d bytes allocated %d bytes", tr.name, len(blob), got)
 		}
 	}
 }
@@ -640,7 +643,8 @@ func BenchmarkConnTransportMsgRTT(b *testing.B) {
 
 // TestSendRecvBulk round-trips a large checkpoint blob through the bulk
 // framing: one small announcing message, then the payload as FrameBlob
-// segments — also through a wrapper, which sees every one of them.
+// segments — also through a wrapper, which sees every one of them — staged
+// by the receiver in a checkpoint window, in order and nowhere else.
 func TestSendRecvBulk(t *testing.T) {
 	blob := make([]byte, 3*bulkSegment/2+17)
 	for i := range blob {
@@ -653,18 +657,24 @@ func TestSendRecvBulk(t *testing.T) {
 		go func() {
 			errc <- sendBulk(src, Message{Kind: MsgCheckpoint, Blob: blob})
 		}()
-		m, err := recvBulk(dst, MsgCheckpoint, len(blob))
+		window := enclave.NewSharedRegion(enclave.SharedCkptOff + len(blob) + 1)
+		n, err := recvStaged(dst, window, len(blob))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if serr := <-errc; serr != nil {
 			t.Fatal(serr)
 		}
-		if !bytes.Equal(m.Blob, blob) {
-			t.Fatalf("bulk round trip corrupted: %d bytes", len(m.Blob))
+		got := make([]byte, window.Size())
+		if err := window.Load(0, got); err != nil {
+			t.Fatal(err)
 		}
-		if m.Frames != 0 {
-			t.Fatalf("reassembled message still announces %d frames", m.Frames)
+		staged := got[enclave.SharedCkptOff:][:n]
+		if n != len(blob) || !bytes.Equal(staged, blob) {
+			t.Fatalf("bulk round trip corrupted: %d bytes", n)
+		}
+		if !bytes.Equal(got[:enclave.SharedCkptOff], make([]byte, enclave.SharedCkptOff)) || got[len(got)-1] != 0 {
+			t.Fatal("the receive wrote outside the checkpoint it staged")
 		}
 		if want := 1 + 2; src.Ops() != want {
 			t.Fatalf("payload of %d bytes crossed the wrapper in %d operations, want %d (message + 2 segments)", len(blob), src.Ops(), want)

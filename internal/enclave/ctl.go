@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/attest"
 	"repro/internal/sgx"
@@ -174,6 +177,44 @@ func (p *program) quiescent(env *sgx.Env) bool {
 	return true
 }
 
+// ckptLeafRecords is the leaf of the state digest: 256 page records, just
+// over 1 MiB. It is part of the checkpoint format — a dump and its restore
+// must agree on it whatever CPUs either side has — so it is a constant, not
+// derived from the machine.
+const ckptLeafRecords = 256
+
+// stateDigest is the in-enclave integrity hash of a checkpoint's page
+// records: SHA-256 over the concatenated SHA-256 of each ckptLeafRecords
+// leaf, in order (the last leaf may be short). The leaves are hashed on up
+// to GOMAXPROCS goroutines, the caller's among them, so a body of one leaf —
+// every small enclave's — is hashed inline; the result depends on the
+// records alone. records must be enclave-private memory: the goroutines read
+// it unlocked, which is sound only because nothing outside the enclave can
+// write it.
+func stateDigest(records []byte) [32]byte {
+	const leaf = ckptLeafRecords * ckptRecord
+	n := (len(records) + leaf - 1) / leaf
+	sums := make([]byte, n*sha256.Size)
+	var next atomic.Int64
+	work := func() {
+		for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+			s := sha256.Sum256(records[i*leaf : min((i+1)*leaf, len(records))])
+			copy(sums[i*sha256.Size:], s[:])
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < min(n, runtime.GOMAXPROCS(0)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+	return sha256.Sum256(sums)
+}
+
 type dumpMode int
 
 const (
@@ -264,7 +305,7 @@ func (p *program) ctlDump(env *sgx.Env, ctx *sgx.Context, mode dumpMode) sgx.Sta
 	}
 
 	// Walk the enclave and dump, in one private buffer laid out as the blob
-	// leaves the enclave: header ‖ sealed(records ‖ SHA-256). Every page is
+	// leaves the enclave: header ‖ sealed(records ‖ digest). Every page is
 	// loaded straight into its record, hashed there and sealed in place, so
 	// the plaintext exists once and only in enclave-private memory.
 	total := p.layout.TotalPages()
@@ -296,7 +337,7 @@ func (p *program) ctlDump(env *sgx.Env, ctx *sgx.Context, mode dumpMode) sgx.Sta
 		}
 		rec = rec[ckptRecord:]
 	}
-	sum := sha256.Sum256(body[:bodyLen-sha256.Size])
+	sum := stateDigest(body[:bodyLen-sha256.Size])
 	copy(rec, sum[:])
 	if err := tcb.SealCheckpointInPlace(cipher, key, out[len(hdr):], bodyLen, out[:len(hdr)]); err != nil {
 		return p.exit(env, ctx, codeErr, errMemory)
@@ -688,7 +729,7 @@ func (p *program) ctlTgtRestore(env *sgx.Env, ctx *sgx.Context) sgx.Status {
 		return p.exit(env, ctx, codeErr, errBadCheckpoint)
 	}
 	payload, sum := body[:len(body)-sha256.Size], body[len(body)-sha256.Size:]
-	want := sha256.Sum256(payload)
+	want := stateDigest(payload)
 	if !bytes.Equal(sum, want[:]) {
 		return p.exit(env, ctx, codeErr, errBadCheckpoint)
 	}

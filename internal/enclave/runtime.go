@@ -330,11 +330,10 @@ func MeasureApp(app *App) [32]byte {
 	h.Write(ch[:])
 
 	extendReg := func(lin sgx.PageNum, content *sgx.Page) {
-		var page sgx.Page
+		pageHash := sgx.ZeroPageHash()
 		if content != nil {
-			page = *content
+			pageHash = sha256.Sum256(content[:])
 		}
-		pageHash := sha256.Sum256(page[:])
 		var meta [12]byte
 		binary.LittleEndian.PutUint32(meta[0:], uint32(lin))
 		meta[4] = byte(sgx.PTReg)

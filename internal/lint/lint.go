@@ -214,7 +214,7 @@ func DefaultConfig(modPath string) *Config {
 			modPath + "/internal/hostproto.Op",
 			modPath + "/internal/telemetry.EventKind",
 		},
-		WireRecvFns: []string{"recvKind", "recvBulk"},
+		WireRecvFns: []string{"recvKind"},
 		WireStructs: []WireStruct{
 			{
 				Type:   modPath + "/internal/core.Message",

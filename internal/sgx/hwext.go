@@ -306,6 +306,7 @@ func (m *Machine) ESWPINSECS(f FrameIndex, ms *MigratedSECS, prog Program) (Encl
 		nssa:      uint32(binary.LittleEndian.Uint64(buf[8:])),
 		prog:      prog,
 		measure:   sha256.New(),
+		secs:      f,
 		pageTable: make(map[PageNum]FrameIndex),
 		inited:    true,
 		migFrozen: true,

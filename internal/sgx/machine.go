@@ -121,6 +121,9 @@ type enclaveControl struct {
 	mrenclave [32]byte
 	mrsigner  [32]byte
 	inited    bool
+	// secs is the frame holding this SECS; with pageTable it names every
+	// frame the enclave occupies, so teardown never scans the EPC.
+	secs FrameIndex
 	// pageTable maps resident linear pages to their EPC frames. On real
 	// hardware this translation lives in OS page tables and the EPCM check
 	// rejects mismatches; keeping the authoritative map in "hardware" is
@@ -347,6 +350,7 @@ func (m *Machine) ECREATE(f FrameIndex, prog Program, sizePages int, nssa uint32
 		nssa:      nssa,
 		prog:      prog,
 		measure:   sha256.New(),
+		secs:      f,
 		pageTable: make(map[PageNum]FrameIndex),
 	}
 	ch := prog.CodeHash()
@@ -361,9 +365,18 @@ func (m *Machine) ECREATE(f FrameIndex, prog Program, sizePages int, nssa uint32
 	return eid, nil
 }
 
+// zeroPageHash is the SHA-256 of an all-zero page, computed once.
+var zeroPageHash = sha256.Sum256(make([]byte, PageSize))
+
+// ZeroPageHash returns the SHA-256 of an all-zero page: what EADD folds into
+// the measurement for a page added without content. An SDK that computes
+// MRENCLAVE offline uses the same value, so the two cannot drift apart.
+func ZeroPageHash() [32]byte { return zeroPageHash }
+
 // EADD adds a regular page with the given content and permissions at linear
 // page lin, and extends the measurement with its content (folding in what
-// real hardware does via EEXTEND over 256-byte chunks).
+// real hardware does via EEXTEND over 256-byte chunks). A nil content is a
+// zero page, whose hash is not recomputed.
 func (m *Machine) EADD(f FrameIndex, eid EnclaveID, lin PageNum, perm Perm, content *Page) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -372,12 +385,13 @@ func (m *Machine) EADD(f FrameIndex, eid EnclaveID, lin PageNum, perm Perm, cont
 		return err
 	}
 	data := &Page{}
+	pageHash := zeroPageHash
 	if content != nil {
 		*data = *content
+		pageHash = sha256.Sum256(data[:])
 	}
 	m.frames[f] = frame{valid: true, eid: eid, ptype: PTReg, lin: lin, perm: perm, data: data}
 	e.pageTable[lin] = f
-	pageHash := sha256.Sum256(data[:])
 	var meta [12]byte
 	binary.LittleEndian.PutUint32(meta[0:], uint32(lin))
 	meta[4] = byte(PTReg)
@@ -520,7 +534,9 @@ func (m *Machine) EREMOVE(f FrameIndex) error {
 }
 
 // DestroyEnclave is a convenience that EREMOVEs every frame of an enclave,
-// SECS last. It fails if any thread is still active.
+// SECS last. It fails, freeing nothing, if any thread is still active. The
+// page table names every frame but the SECS (evicted pages hold none), so
+// teardown costs the enclave's resident pages, not the EPC's size.
 func (m *Machine) DestroyEnclave(eid EnclaveID) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -528,30 +544,16 @@ func (m *Machine) DestroyEnclave(eid EnclaveID) error {
 	if !ok {
 		return ErrNoSuchEnclave
 	}
-	var secs FrameIndex = -1
-	for i := range m.frames {
-		fr := &m.frames[i]
-		if !fr.valid || fr.eid != eid {
-			continue
-		}
-		if fr.ptype == PTSecs {
-			secs = FrameIndex(i)
-			continue
-		}
-		if fr.ptype == PTTcs && fr.tcs.active {
+	for _, f := range e.pageTable {
+		if fr := &m.frames[f]; fr.ptype == PTTcs && fr.tcs.active {
 			return ErrTCSActive
 		}
 	}
-	for i := range m.frames {
-		fr := &m.frames[i]
-		if fr.valid && fr.eid == eid && fr.ptype != PTSecs {
-			delete(e.pageTable, fr.lin)
-			*fr = frame{}
-		}
+	for lin, f := range e.pageTable {
+		m.frames[f] = frame{}
+		delete(e.pageTable, lin)
 	}
-	if secs >= 0 {
-		m.frames[secs] = frame{}
-	}
+	m.frames[e.secs] = frame{}
 	delete(m.enclaves, eid)
 	return nil
 }

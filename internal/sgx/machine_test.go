@@ -88,25 +88,32 @@ func (p *testProgram) Step(env *Env, ctx *Context) Status {
 	}
 }
 
-// buildTestEnclave assembles a minimal enclave: pages 0..3 REG, page 4 TCS
-// (entry 0, 2 SSA frames at pages 5-6).
+// buildTestEnclave assembles a minimal enclave in frames 0..7: pages 0..3
+// REG, page 4 TCS (entry 0, 2 SSA frames at pages 5-6).
 func buildTestEnclave(t testing.TB, m *Machine, prog Program) (EnclaveID, PageNum) {
 	t.Helper()
-	eid, err := m.ECREATE(0, prog, 8, 2)
+	return buildTestEnclaveAt(t, m, prog, 0)
+}
+
+// buildTestEnclaveAt is buildTestEnclave in frames base..base+7, SECS
+// first, then frame base+1+lin for page lin.
+func buildTestEnclaveAt(t testing.TB, m *Machine, prog Program, base FrameIndex) (EnclaveID, PageNum) {
+	t.Helper()
+	eid, err := m.ECREATE(base, prog, 8, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for lin := PageNum(0); lin < 4; lin++ {
-		if err := m.EADD(FrameIndex(1+lin), eid, lin, PermR|PermW, nil); err != nil {
+		if err := m.EADD(base+FrameIndex(1+lin), eid, lin, PermR|PermW, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
 	tcsLin := PageNum(4)
-	if err := m.EADDTCS(5, eid, tcsLin, TCSParams{Entry: 0, NSSA: 2, OSSA: 5}); err != nil {
+	if err := m.EADDTCS(base+5, eid, tcsLin, TCSParams{Entry: 0, NSSA: 2, OSSA: 5}); err != nil {
 		t.Fatal(err)
 	}
 	for lin := PageNum(5); lin < 7; lin++ {
-		if err := m.EADD(FrameIndex(1+lin), eid, lin, PermR|PermW, nil); err != nil {
+		if err := m.EADD(base+FrameIndex(1+lin), eid, lin, PermR|PermW, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -393,6 +400,138 @@ func TestEREMOVERules(t *testing.T) {
 	}
 	if _, err := m.EnclaveMeasurement(eid); !errors.Is(err, ErrNoSuchEnclave) {
 		t.Fatal("enclave survived SECS removal")
+	}
+}
+
+// freeFrames counts the machine's unused EPC frames.
+func freeFrames(m *Machine) int {
+	n := 0
+	for f := 0; f < m.NumFrames(); f++ {
+		if m.FrameFree(FrameIndex(f)) {
+			n++
+		}
+	}
+	return n
+}
+
+// framesOf counts the EPC frames that belong to eid (white-box).
+func framesOf(m *Machine, eid EnclaveID) int {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	n := 0
+	for i := range m.frames {
+		if m.frames[i].valid && m.frames[i].eid == eid {
+			n++
+		}
+	}
+	return n
+}
+
+// TestDestroyEnclaveFreesItsFramesOnly: DestroyEnclave walks the enclave's
+// own page table, not the EPC. With two of its pages evicted and a second
+// enclave and a VA page beside it, destroy must free exactly its SECS and
+// resident frames — every frame back to the pre-build count, none left with
+// its id — and leave the neighbours alone. While one of its threads runs,
+// it must refuse and free nothing.
+func TestDestroyEnclaveFreesItsFramesOnly(t *testing.T) {
+	m := newTestMachine(t, Config{EPCFrames: 64})
+	prog := &testProgram{hash: 1}
+	other, otherTCS := buildTestEnclaveAt(t, m, prog, 0)
+	const va = 10
+	if err := m.EPA(va); err != nil {
+		t.Fatal(err)
+	}
+	before := freeFrames(m)
+
+	eid, tcsLin := buildTestEnclaveAt(t, m, prog, 20)
+	for slot, f := range []FrameIndex{22, 23} { // pages 1 and 2
+		if _, err := m.EWB(f, va, slot); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := framesOf(m, eid); got != 6 {
+		t.Fatalf("built enclave holds %d frames, want 6 (SECS, 4 resident REG, TCS)", got)
+	}
+
+	lp, probe := m.NewLP(), m.NewLP()
+	spun := make(chan error, 1)
+	go func() {
+		for {
+			// The probe below may hold the TCS for a moment: retry.
+			_, err := m.EENTER(lp, eid, tcsLin, []uint64{tpSpin}, nil)
+			if !errors.Is(err, ErrTCSActive) {
+				spun <- err
+				return
+			}
+		}
+	}()
+	for {
+		_, err := m.EENTER(probe, eid, tcsLin, []uint64{tpExit}, nil)
+		if errors.Is(err, ErrTCSActive) {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := m.DestroyEnclave(eid); !errors.Is(err, ErrTCSActive) {
+		t.Fatalf("destroy with a running thread: %v, want ErrTCSActive", err)
+	}
+	if got, free := framesOf(m, eid), freeFrames(m); got != 6 || free != before-6 {
+		t.Fatalf("refused destroy left %d frames and %d free, want 6 and %d", got, free, before-6)
+	}
+	lp.Interrupt()
+	if err := <-spun; err != nil {
+		t.Fatal(err)
+	}
+
+	if err := m.DestroyEnclave(eid); err != nil {
+		t.Fatal(err)
+	}
+	if got := framesOf(m, eid); got != 0 {
+		t.Fatalf("%d frames still carry the destroyed enclave's id", got)
+	}
+	if free := freeFrames(m); free != before {
+		t.Fatalf("%d frames free after destroy, want the pre-build %d", free, before)
+	}
+	if _, err := m.EnclaveMeasurement(eid); !errors.Is(err, ErrNoSuchEnclave) {
+		t.Fatalf("destroyed enclave still known: %v", err)
+	}
+	if m.FrameFree(va) {
+		t.Fatal("destroy freed the VA page")
+	}
+	if got := framesOf(m, other); got != 8 {
+		t.Fatalf("neighbour holds %d frames after the destroy, want 8", got)
+	}
+	if _, err := m.EENTER(probe, other, otherTCS, []uint64{tpExit}, nil); err != nil {
+		t.Fatalf("neighbour after the destroy: %v", err)
+	}
+}
+
+// BenchmarkDestroyEnclave tears down a counter-sized enclave (21 pages) on
+// a 16 384-frame machine, the EPC of a hostd daemon.
+func BenchmarkDestroyEnclave(b *testing.B) {
+	m := newTestMachine(b, Config{EPCFrames: 16384})
+	prog := &testProgram{hash: 1}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		eid, err := m.ECREATE(0, prog, 32, 2)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for lin := PageNum(0); lin < 20; lin++ {
+			if err := m.EADD(FrameIndex(1+lin), eid, lin, PermR|PermW, nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := m.EADDTCS(21, eid, 20, TCSParams{Entry: 0, NSSA: 2, OSSA: 0}); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if err := m.DestroyEnclave(eid); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -13,16 +13,17 @@ import (
 )
 
 // windowRace is the test harness around one migration that drives the
-// interleaving the pipelined legs made possible: the target guest builds and
-// attests its incoming enclaves in shared windows of target memory while the
-// page stream is still writing source pages to the very same offsets.
+// interleaving the pipelined legs made possible: the target guest builds its
+// incoming enclaves and stages their checkpoints in shared windows of target
+// memory while the page stream is still writing source pages to the very
+// same offsets, and the enclaves read those checkpoints only at the commit.
 //
 // Three interposers share it. heldLeg keeps every leg's target half from
 // starting until round 1 is on the wire; the source side of the page stream
 // (roundWatch) reports that moment; and its target side (restream) re-sends,
 // between any two frames of the real stream and for as long as a leg is
-// still attesting, the frame that hurts: the page every window starts in
-// (its request area), with the content the source holds there. That content
+// still attesting, the frame that hurts: the first page of every window's
+// checkpoint area, with the content the source holds there. That content
 // never changes: the stand-in for a plain process that owns the range
 // rewrites the same bytes behind every frame the stream sends, which keeps
 // the pages in every round without changing them. A re-sent frame is
@@ -116,10 +117,10 @@ func (r *restream) RecvFrame() (*core.PageFrame, error) {
 
 // TestLiveMigrateClaimedWindows: 50 migrations through the windowRace
 // harness, every one of which must land with every enclave answering its
-// count. On a build without GuestMemory's claim the re-sent source page
-// lands between the target's WriteShared and the in-enclave read (or
-// between the enclave's hello and the host's ReadShared) and the first
-// attestation fails.
+// count. On a build without GuestMemory's claim the source page lands
+// between the staged checkpoint and the in-enclave read — re-sent while the
+// legs attest, and carried by every later round since the source keeps
+// dirtying it — and the first restore refuses the checkpoint.
 func TestLiveMigrateClaimedWindows(t *testing.T) {
 	const enclaves = 2
 	window := uint64(enclave.SharedSizeFor(appLayout(testapps.CounterApp(2))))
@@ -139,15 +140,15 @@ func TestLiveMigrateClaimedWindows(t *testing.T) {
 		}
 		race := &windowRace{round1: make(chan struct{})}
 		race.legs.Store(enclaves)
-		var firstPages []int
+		var ckptPages []int
 		for e := uint64(0); e < enclaves; e++ {
-			firstPages = append(firstPages, int((base+e*window)/PageSize))
+			ckptPages = append(ckptPages, int((base+e*window+enclave.SharedCkptOff)/PageSize))
 		}
 		race.frame = func() *core.PageFrame {
-			return &core.PageFrame{Kind: core.FrameRaw, Pages: firstPages, Data: bytes.Repeat(pattern, enclaves)}
+			return &core.PageFrame{Kind: core.FrameRaw, Pages: ckptPages, Data: bytes.Repeat(pattern, enclaves)}
 		}
 		race.dirty = func() {
-			for _, p := range firstPages {
+			for _, p := range ckptPages {
 				if err := vm.Mem.Write(uint64(p)*PageSize, pattern); err != nil {
 					t.Error(err)
 				}
