@@ -80,8 +80,9 @@ fuzz-smoke:
 race:
 	$(GO) test -race ./...
 
+# The paper's figures and the A1-A4 ablations at their -quick sweeps.
 bench:
-	$(GO) test -bench=. -benchtime=1x -run=^$$ .
+	$(GO) run ./cmd/sgxmig-bench -quick
 
 # One iteration of every layer benchmark under the migration hot path
 # (sealer, EWB/ELDU, enclave teardown on a daemon-sized EPC, FaultIn on a

@@ -7,7 +7,7 @@
 // Usage:
 //
 //	sgxmig-bench                     # run everything (takes a few minutes)
-//	sgxmig-bench -fig 9a             # one experiment: 9a 9b 9c 9d 10 11 a1 a2 a3 a4 a6
+//	sgxmig-bench -fig 9a             # one experiment: 9a 9b 9c 9d 10 11 a1 a2 a3 a4
 //	sgxmig-bench -quick              # smaller sweeps
 //	sgxmig-bench -trace out.json     # also write a Chrome trace (see docs/TELEMETRY.md)
 //	sgxmig-bench -prom out.prom      # also write the run's metrics as Prometheus text
@@ -27,7 +27,7 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "all", "experiment to run: 9a 9b 9c 9d 10 11 a1 a2 a3 a4 a6 all")
+	fig := flag.String("fig", "all", "experiment to run: 9a 9b 9c 9d 10 11 a1 a2 a3 a4 all")
 	quick := flag.Bool("quick", false, "smaller parameter sweeps")
 	tracePath := flag.String("trace", "", "write a Chrome trace-event JSON of the run to this file (open in chrome://tracing or ui.perfetto.dev)")
 	promPath := flag.String("prom", "", "write the run's metrics registry as Prometheus text exposition to this file")
@@ -71,9 +71,8 @@ func main() {
 		"9a": fig9a, "9b": fig9b, "9c": fig9c, "9d": fig9d,
 		"10": fig10, "11": fig11,
 		"a1": ablation1, "a2": ablation2, "a3": ablation3, "a4": ablation4,
-		"a6": ablation6,
 	}
-	order := []string{"9a", "9b", "9c", "9d", "10", "11", "a1", "a2", "a3", "a4", "a6"}
+	order := []string{"9a", "9b", "9c", "9d", "10", "11", "a1", "a2", "a3", "a4"}
 
 	which := strings.ToLower(*fig)
 	if which == "all" {
@@ -103,8 +102,7 @@ func header(title, paper string) {
 func fig9a(quick bool) error {
 	header("Fig. 9(a) — nbench overhead (native vs SDKs)",
 		"overhead small for compute-bound kernels; String Sort ~5-12x once the working set exceeds EPC")
-	passes := 1
-	rows, err := bench.Fig9a(passes, 0)
+	rows, err := bench.Fig9a()
 	if err != nil {
 		return err
 	}
@@ -119,7 +117,7 @@ func fig9a(quick bool) error {
 func fig9b(quick bool) error {
 	header("Fig. 9(b) — migration-support overhead per application",
 		"\"migration support brings almost no overhead\" (ratio ≈ 1.0)")
-	rows, err := bench.Fig9b(2)
+	rows, err := bench.Fig9b()
 	if err != nil {
 		return err
 	}
@@ -182,7 +180,7 @@ func fig10(quick bool) error {
 	if quick {
 		counts = []int{4, 8}
 	}
-	rows, err := bench.Fig10(counts, 4096, 250e6)
+	rows, err := bench.Fig10(counts)
 	if err != nil {
 		return err
 	}
@@ -276,55 +274,31 @@ func ablation3(quick bool) error {
 func ablation4(quick bool) error {
 	header("Ablation A4 — pipelined pre-copy engine vs the paper's serial schedule",
 		"overlapping the enclave dump and the per-enclave channel legs with pre-copy rounds hides them; only stop-and-copy and the serial commit stay in the window")
-	enclaves, memPages := 16, 8192
+	enclaves := 16
 	if quick {
-		enclaves, memPages = 8, 4096
+		enclaves = 8
 	}
-	row, err := bench.AblationPipeline(enclaves, memPages, 250e6)
+	row, err := bench.AblationPipeline(enclaves)
 	if err != nil {
 		return err
 	}
 	// Resident: what the bulk round carried — the pages of extents somebody
 	// wrote. The rest of the guest is zero on both sides and never sent.
-	fmt.Printf("  %d enclaves, %d of %d guest pages resident\n", row.Enclaves, row.Pipelined.RoundDirtyPages[0], row.MemPages)
+	fmt.Printf("  %d enclaves, %d of %d guest pages resident; medians of %d runs per schedule\n", row.Enclaves, row.Resident, row.GuestPages, bench.PipelineRuns)
 	// channel wait: what the window spent on channel legs — all of them on
 	// the serial schedule, the tail pre-copy could not hide on the pipelined.
 	fmt.Printf("  %-10s %12s %12s %12s %14s %14s %12s\n", "schedule", "total", "downtime", "dump", "overlap hidden", "channel wait", "commit")
-	fmt.Printf("  %-10s %12v %12v %12v %14s %14v %12v\n", "serial",
-		row.Serial.TotalTime.Round(time.Millisecond), row.Serial.Downtime.Round(time.Millisecond),
-		row.Serial.EnclaveDumpTime.Round(time.Microsecond), "-",
-		row.Serial.ChannelWait.Round(time.Microsecond), row.Serial.EnclaveRestoreTime.Round(time.Microsecond))
-	fmt.Printf("  %-10s %12v %12v %12v %14v %14v %12v\n", "pipelined",
-		row.Pipelined.TotalTime.Round(time.Millisecond), row.Pipelined.Downtime.Round(time.Millisecond),
-		row.Pipelined.EnclaveDumpTime.Round(time.Microsecond),
-		row.Pipelined.DumpPrecopyOverlap.Round(time.Microsecond),
-		row.Pipelined.ChannelWait.Round(time.Microsecond), row.Pipelined.EnclaveRestoreTime.Round(time.Microsecond))
+	for _, s := range []struct {
+		name string
+		bench.ScheduleStats
+	}{{"serial", row.Serial}, {"pipelined", row.Pipelined}} {
+		fmt.Printf("  %-10s %12v %12v %12v %14v %14v %12v\n", s.name,
+			s.Total.Round(time.Millisecond), s.Downtime.Round(time.Millisecond),
+			s.Dump.Round(time.Microsecond), s.Overlap.Round(time.Microsecond),
+			s.ChannelWait.Round(time.Microsecond), s.Commit.Round(time.Microsecond))
+	}
 	fmt.Printf("  speedup: total %.2fx, downtime %.2fx\n",
-		float64(row.Serial.TotalTime)/float64(row.Pipelined.TotalTime),
+		float64(row.Serial.Total)/float64(row.Pipelined.Total),
 		float64(row.Serial.Downtime)/float64(row.Pipelined.Downtime))
-	return nil
-}
-
-func ablation6(quick bool) error {
-	header("Ablation A6 — fleet drain time-to-empty vs per-host concurrency",
-		"draining a loaded host through sgxfleet parallelizes across targets until the source's semaphore and EPC accounting serialize it")
-	enclaves := 24
-	concurrency := []int{1, 2, 4, 8}
-	if quick {
-		enclaves = 8
-		concurrency = []int{1, 4}
-	}
-	rows, err := bench.AblationDrain(enclaves, concurrency)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("  3 hosts, %d enclaves on the drained host\n", enclaves)
-	fmt.Printf("  %-12s %14s %10s %8s\n", "concurrency", "time-to-empty", "migrated", "passes")
-	base := rows[0].Elapsed
-	for _, r := range rows {
-		fmt.Printf("  %-12d %14v %10d %7d  (%.2fx)\n",
-			r.Concurrency, r.Elapsed.Round(time.Millisecond), r.Moved, r.Passes,
-			float64(base)/float64(r.Elapsed))
-	}
 	return nil
 }

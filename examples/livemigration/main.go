@@ -114,11 +114,10 @@ func run(enclaves, memMB int, bwMBps float64, serial bool, tracePath string) err
 		met = telemetry.NewMetrics()
 	}
 	tvm, stats, err := vmm.LiveMigrate(vm, nodeB, &vmm.LiveMigrationConfig{
-		BandwidthBps:       bwMBps * 1e6,
-		SerialDump:         serial,
-		SerialChannelSetup: serial,
-		Tracer:             tr,
-		Metrics:            met,
+		BandwidthBps:  bwMBps * 1e6,
+		PaperSchedule: serial,
+		Tracer:        tr,
+		Metrics:       met,
 	})
 	if err != nil {
 		return err

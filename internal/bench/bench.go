@@ -1,14 +1,20 @@
 // Package bench implements the experiment harness: one runner per table/
 // figure of the paper's evaluation (Sec. VIII), each regenerating the same
 // rows/series the paper reports, plus the ablations called out in DESIGN.md.
-// The top-level bench_test.go and cmd/sgxmig-bench drive these runners.
+// cmd/sgxmig-bench drives these runners and prints their tables.
+//
+// Every parameter a runner takes is a sweep the command sets differently
+// under -quick; everything else is a constant. Where a runner repeats a
+// measurement it reports the median of a fixed number of runs.
 package bench
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -36,30 +42,30 @@ type Fig9aRow struct {
 	Evictions  int
 }
 
+// Fig. 9(a)'s setup: one pass of each kernel, under a ~1.2 MiB driver pool
+// that String Sort (1.5 MiB) thrashes.
+const (
+	nbenchPasses = 1
+	nbenchFrames = 300
+)
+
 // Fig9a runs the nbench suite natively and inside enclaves under an EPC
 // budget that fits every kernel except String Sort (the paper's shape).
-// passes scales runtime.
-func Fig9a(passes int, epcFrames int) ([]Fig9aRow, error) {
-	if passes <= 0 {
-		passes = 1
-	}
-	if epcFrames <= 0 {
-		epcFrames = 300 // ~1.2 MiB driver pool: String Sort (1.5 MiB) thrashes
-	}
+func Fig9a() ([]Fig9aRow, error) {
 	var rows []Fig9aRow
 	for _, k := range workload.NbenchKernels() {
 		row := Fig9aRow{Kernel: k.Name}
 		start := time.Now()
-		nativeSum := k.Native(passes)
+		nativeSum := k.Native(nbenchPasses)
 		row.NativeTime = time.Since(start)
 
 		for i, mode := range []workload.AccessMode{workload.AccessBulk, workload.AccessWord} {
-			rt, host, err := buildKernelEnclave(k, epcFrames)
+			rt, host, err := buildKernelEnclave(k, nbenchFrames)
 			if err != nil {
 				return nil, fmt.Errorf("%s: %w", k.Name, err)
 			}
 			start = time.Now()
-			res, err := rt.ECall(0, workload.RunSelector, uint64(passes), uint64(mode))
+			res, err := rt.ECall(0, workload.RunSelector, nbenchPasses, uint64(mode))
 			elapsed := time.Since(start)
 			if err != nil {
 				return nil, fmt.Errorf("%s (mode %d): %w", k.Name, mode, err)
@@ -107,45 +113,47 @@ type Fig9bRow struct {
 	Norm         float64 // with / without (≈ 1.0 expected)
 }
 
+// Fig. 9(b)'s setup: two passes of each application, timed stubRuns times
+// with and without the stubs. The stub cost is near zero and one run's
+// scheduler noise on a small host is not, so each side reports its median.
+const (
+	appPasses = 2
+	stubRuns  = 3
+)
+
 // Fig9b measures the per-workload cost of the SDK's migration machinery by
 // comparing each Fig. 9(b) application with and without the entry/exit
 // stubs (flag maintenance + CSSA recording).
-func Fig9b(passes int) ([]Fig9bRow, error) {
-	if passes <= 0 {
-		passes = 2
-	}
+func Fig9b() ([]Fig9bRow, error) {
 	var rows []Fig9bRow
 	for _, k := range workload.AppKernels() {
-		row := Fig9bRow{App: k.Name}
+		var med [2]time.Duration
 		for i, mk := range []func(int) *enclave.App{k.App, k.AppNoStubs} {
-			// Best of three runs: single-run scheduler noise on small
-			// hosts otherwise dwarfs the (near-zero) stub cost.
-			best := time.Duration(0)
-			for rep := 0; rep < 3; rep++ {
+			runs := make([]time.Duration, stubRuns)
+			for rep := range runs {
 				rt, _, err := buildAppEnclave(mk(1))
 				if err != nil {
 					return nil, err
 				}
 				start := time.Now()
-				if _, err := rt.ECall(0, workload.RunSelector, uint64(passes), uint64(workload.AccessBulk)); err != nil {
+				if _, err := rt.ECall(0, workload.RunSelector, appPasses, uint64(workload.AccessBulk)); err != nil {
 					return nil, fmt.Errorf("%s: %w", k.Name, err)
 				}
-				elapsed := time.Since(start)
-				if best == 0 || elapsed < best {
-					best = elapsed
-				}
+				runs[rep] = time.Since(start)
 				_ = rt.Destroy()
 			}
-			if i == 0 {
-				row.WithStubs = best
-			} else {
-				row.WithoutStubs = best
-			}
+			med[i] = median(runs)
 		}
-		row.Norm = float64(row.WithStubs) / float64(row.WithoutStubs)
-		rows = append(rows, row)
+		rows = append(rows, Fig9bRow{App: k.Name, WithStubs: med[0], WithoutStubs: med[1], Norm: float64(med[0]) / float64(med[1])})
 	}
 	return rows, nil
+}
+
+// median returns the middle value of xs (the upper middle for an even
+// count), leaving xs in sorted order.
+func median[T cmp.Ordered](xs []T) T {
+	slices.Sort(xs)
+	return xs[len(xs)/2]
 }
 
 func buildAppEnclave(app *enclave.App) (*enclave.Runtime, *enclave.Host, error) {
@@ -168,12 +176,6 @@ type Fig9cRow struct {
 // Fig9c measures two-phase checkpoint time with 1..N enclaves (two busy
 // workers each) checkpointing concurrently under a 4-VCPU-style budget.
 func Fig9c(counts []int, cipher tcb.CheckpointCipher) ([]Fig9cRow, error) {
-	if len(counts) == 0 {
-		counts = []int{1, 2, 4, 8}
-	}
-	if cipher == 0 {
-		cipher = tcb.CipherRC4 // the paper's reported configuration
-	}
 	var rows []Fig9cRow
 	for _, n := range counts {
 		w, err := sim.NewWorldConfig(sim.Config{Machines: 1, EPCFrames: 16384})
@@ -203,7 +205,7 @@ func Fig9c(counts []int, cipher tcb.CheckpointCipher) ([]Fig9cRow, error) {
 		var mu sync.Mutex
 		var total time.Duration
 		var wg sync.WaitGroup
-		var firstErr error
+		var errs error
 		opts := w.Opts()
 		for _, rt := range rts {
 			wg.Add(1)
@@ -211,26 +213,15 @@ func Fig9c(counts []int, cipher tcb.CheckpointCipher) ([]Fig9cRow, error) {
 				defer wg.Done()
 				start := time.Now()
 				//lint:ignore leakcheck the launcher cancels and destroys every runtime after wg.Wait
-				if _, err := core.Prepare(rt, opts); err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-					return
-				}
-				if _, _, err := core.Dump(rt, opts); err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-					return
+				_, err := core.Prepare(rt, opts)
+				if err == nil {
+					_, _, err = core.Dump(rt, opts)
 				}
 				elapsed := time.Since(start)
 				mu.Lock()
+				defer mu.Unlock()
+				errs = errors.Join(errs, err)
 				total += elapsed
-				mu.Unlock()
 			}(rt)
 		}
 		wg.Wait()
@@ -239,8 +230,8 @@ func Fig9c(counts []int, cipher tcb.CheckpointCipher) ([]Fig9cRow, error) {
 			_ = core.Cancel(rt)
 			_ = rt.Destroy()
 		}
-		if firstErr != nil {
-			return nil, firstErr
+		if errs != nil {
+			return nil, errs
 		}
 		rows = append(rows, Fig9cRow{Enclaves: n, Cipher: cipher, MeanPerEnc: total / time.Duration(n)})
 	}
@@ -274,74 +265,109 @@ type Fig9dRow struct {
 // Fig9d measures the time from the guest OS receiving the migration
 // notification until every enclave has produced its checkpoint.
 func Fig9d(counts []int) ([]Fig9dRow, error) {
-	if len(counts) == 0 {
-		counts = []int{1, 2, 4, 8, 16, 32, 64}
-	}
 	var rows []Fig9dRow
 	for _, n := range counts {
-		vmEnv, owner, err := newVMWorld(n)
+		w, err := newVMWorld(n)
 		if err != nil {
 			return nil, err
 		}
-		_ = owner
-		time.Sleep(2 * time.Millisecond)
 		tr, met := telemetryHandles()
 		sp := tr.Begin("bench.fig9d.dump", telemetry.Int("enclaves", n))
-		opts := &core.Options{Service: vmEnv.Node.Service, Trace: sp, Metrics: met}
-		_, dumpTime, err := vmEnv.OS.PrepareAllEnclaves(opts)
+		opts := &core.Options{Service: w.vm.Node.Service, Trace: sp, Metrics: met}
+		_, dumpTime, err := w.vm.OS.PrepareAllEnclaves(opts)
 		sp.Fail(err)
 		if err != nil {
 			return nil, err
 		}
 		rows = append(rows, Fig9dRow{Enclaves: n, TotalDump: dumpTime})
-		vmEnv.OS.CancelMigration()
-		_ = vmEnv.Shutdown()
+		w.vm.OS.CancelMigration()
+		_ = w.vm.Shutdown()
 	}
 	return rows, nil
 }
 
-// newVMWorld builds a node + VM hosting n busy counter enclaves.
-func newVMWorld(n int) (*vmm.VM, *core.Owner, error) {
+// The guest and link of every VM-level figure: a 16 MiB guest over a
+// 250 MB/s link.
+const (
+	guestPages = 4096
+	linkBps    = 250e6
+)
+
+// vmWorld is a VM on a source node and an empty target node, both trusting
+// one attestation service and both deploying the counter app.
+type vmWorld struct {
+	vm  *vmm.VM
+	dst *vmm.Node
+}
+
+// newVMWorld builds a vmWorld whose VM runs a plain dirtying process and n
+// counter enclaves with two busy workers each. Before anything is launched
+// its upper half is filled with seeded incompressible pages, the shape
+// benchmark/'s vm_live has: a bulk round carries the resident pages only,
+// so a guest nobody wrote migrates in about a millisecond and leaves the
+// enclaves' cost nothing to be compared with.
+func newVMWorld(n int) (*vmWorld, error) {
 	service, err := attest.NewService()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	owner, err := core.NewOwner(service)
 	if err != nil {
-		return nil, nil, err
-	}
-	node, err := vmm.NewNode(vmm.NodeConfig{Name: "bench-src", EPCFrames: 32768}, service)
-	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	app := testapps.CounterApp(2)
 	owner.ConfigureApp(app)
-	node.Registry.Add(core.NewDeployment(app, owner))
-	vm, err := node.CreateVM(vmm.VMConfig{Name: "bench-vm", MemPages: 4096, VCPUs: 4, EPCQuota: 24576})
+	dep := core.NewDeployment(app, owner)
+	var nodes [2]*vmm.Node
+	for i, name := range []string{"bench-src", "bench-dst"} {
+		if nodes[i], err = vmm.NewNode(vmm.NodeConfig{Name: name, EPCFrames: 32768}, service); err != nil {
+			return nil, err
+		}
+		nodes[i].Registry.Add(dep)
+	}
+	vm, err := nodes[0].CreateVM(vmm.VMConfig{Name: "bench-vm", MemPages: guestPages, VCPUs: 4, EPCQuota: 24576})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
+	}
+	fill := make([]byte, vm.Mem.Bytes()/2)
+	rand.New(rand.NewSource(10)).Read(fill)
+	if err := vm.Mem.Write(uint64(len(fill)), fill); err != nil {
+		return nil, err
+	}
+	if _, err := vm.OS.LaunchPlainProcess("app", 256, 200*time.Microsecond); err != nil {
+		return nil, err
 	}
 	for i := 0; i < n; i++ {
-		if _, err := vm.OS.LaunchEnclaveProcess(fmt.Sprintf("e%d", i), "counter", owner, vmWorkload); err != nil {
-			return nil, nil, err
+		if _, err := vm.OS.LaunchEnclaveProcess(fmt.Sprintf("e%d", i), "counter", owner, busyWorker); err != nil {
+			return nil, err
 		}
 	}
-	return vm, owner, nil
+	time.Sleep(2 * time.Millisecond)
+	return &vmWorld{vm: vm, dst: nodes[1]}, nil
 }
 
-func vmWorkload(rt *enclave.Runtime, worker int, stop <-chan struct{}) {
-	busyWorker(rt, worker, stop)
-}
-
-// fillGuest gives a figure's VM memory worth migrating: seeded
-// incompressible pages over its upper half, the shape benchmark/'s vm_live
-// has, written before any process is launched. A bulk round carries the
-// resident pages only, so a guest nobody wrote migrates in about a
-// millisecond and leaves the enclaves' cost nothing to be compared with.
-func fillGuest(vm *vmm.VM, seed int64) error {
-	fill := make([]byte, vm.Mem.Bytes()/2)
-	rand.New(rand.NewSource(seed)).Read(fill)
-	return vm.Mem.Write(uint64(len(fill)), fill)
+// migrateVM live-migrates a fresh vmWorld's VM with n enclaves, on the
+// paper's Fig. 8 schedule or the pipelined one.
+func migrateVM(n int, paper bool) (vmm.LiveMigrationStats, error) {
+	// Large worlds from the previous run otherwise put GC pauses into this
+	// one's measured window.
+	runtime.GC()
+	w, err := newVMWorld(n)
+	if err != nil {
+		return vmm.LiveMigrationStats{}, err
+	}
+	tr, met := telemetryHandles()
+	tvm, stats, err := vmm.LiveMigrate(w.vm, w.dst, &vmm.LiveMigrationConfig{
+		BandwidthBps:  linkBps,
+		PaperSchedule: paper,
+		Tracer:        tr,
+		Metrics:       met,
+	})
+	if err != nil {
+		return vmm.LiveMigrationStats{}, err
+	}
+	_ = tvm.Shutdown()
+	return *stats, nil
 }
 
 // Fig10Row carries the live-migration metrics for one enclave count, with
@@ -353,82 +379,21 @@ type Fig10Row struct {
 }
 
 // Fig10 runs whole-VM live migrations for each enclave count, and the same
-// VM without enclaves as the baseline.
-func Fig10(counts []int, memPages int, bandwidthBps float64) ([]Fig10Row, error) {
-	if len(counts) == 0 {
-		counts = []int{8, 16, 32, 64}
-	}
-	if memPages <= 0 {
-		memPages = 4096 // 16 MiB guest
-	}
-	if bandwidthBps <= 0 {
-		bandwidthBps = 250e6
-	}
+// VM without enclaves as the baseline, on the paper's serial Fig. 8
+// schedule so the published timings stay reproducible (A4 measures the
+// pipelined engine).
+func Fig10(counts []int) ([]Fig10Row, error) {
 	var rows []Fig10Row
 	for _, n := range counts {
-		runtime.GC()
-		row := Fig10Row{Enclaves: n}
-		for _, withEnclaves := range []bool{true, false} {
-			service, err := attest.NewService()
-			if err != nil {
-				return nil, err
-			}
-			owner, err := core.NewOwner(service)
-			if err != nil {
-				return nil, err
-			}
-			src, err := vmm.NewNode(vmm.NodeConfig{Name: "src", EPCFrames: 32768}, service)
-			if err != nil {
-				return nil, err
-			}
-			dst, err := vmm.NewNode(vmm.NodeConfig{Name: "dst", EPCFrames: 32768}, service)
-			if err != nil {
-				return nil, err
-			}
-			app := testapps.CounterApp(2)
-			owner.ConfigureApp(app)
-			dep := core.NewDeployment(app, owner)
-			src.Registry.Add(dep)
-			dst.Registry.Add(dep)
-			vm, err := src.CreateVM(vmm.VMConfig{Name: "vm", MemPages: memPages, VCPUs: 4, EPCQuota: 24576})
-			if err != nil {
-				return nil, err
-			}
-			if err := fillGuest(vm, 10); err != nil {
-				return nil, err
-			}
-			if _, err := vm.OS.LaunchPlainProcess("app", 256, 200*time.Microsecond); err != nil {
-				return nil, err
-			}
-			if withEnclaves {
-				for i := 0; i < n; i++ {
-					if _, err := vm.OS.LaunchEnclaveProcess(fmt.Sprintf("e%d", i), "counter", owner, vmWorkload); err != nil {
-						return nil, err
-					}
-				}
-			}
-			time.Sleep(2 * time.Millisecond)
-			// Pin the paper's serial Fig. 8 schedule so the published
-			// timings stay reproducible; A4 measures the pipelined engine.
-			tr, met := telemetryHandles()
-			tvm, stats, err := vmm.LiveMigrate(vm, dst, &vmm.LiveMigrationConfig{
-				BandwidthBps:       bandwidthBps,
-				SerialDump:         true,
-				SerialChannelSetup: true,
-				Tracer:             tr,
-				Metrics:            met,
-			})
-			if err != nil {
-				return nil, err
-			}
-			if withEnclaves {
-				row.With = *stats
-			} else {
-				row.Without = *stats
-			}
-			_ = tvm.Shutdown()
+		with, err := migrateVM(n, true)
+		if err != nil {
+			return nil, err
 		}
-		rows = append(rows, row)
+		without, err := migrateVM(0, true)
+		if err != nil {
+			return nil, err
+		}
+		rows = append(rows, Fig10Row{Enclaves: n, With: with, Without: without})
 	}
 	return rows, nil
 }
@@ -443,9 +408,6 @@ type Fig11Row struct {
 // Fig11 measures two-phase checkpoint time of the memcached-analogue KV
 // store as its occupied state grows (AES-GCM, the AES-NI-style cipher).
 func Fig11(sizesMB []int) ([]Fig11Row, error) {
-	if len(sizesMB) == 0 {
-		sizesMB = []int{1, 2, 4, 8, 16, 32}
-	}
 	var rows []Fig11Row
 	for _, mb := range sizesMB {
 		// Large transient worlds from previous points otherwise inflate GC
@@ -465,32 +427,18 @@ func Fig11(sizesMB []int) ([]Fig11Row, error) {
 			return nil, err
 		}
 		opts := w.Opts()
-		rt.RequestMigration()
 		start := time.Now()
-		if _, err := rt.CtlCall(enclave.SelCtlMigrateBegin); err != nil {
+		if _, err := core.Prepare(rt, opts); err != nil {
 			return nil, err
 		}
-		for {
-			res, err := rt.CtlCall(enclave.SelCtlMigratePoll)
-			if err != nil {
-				return nil, err
-			}
-			if res[0] == 1 {
-				break
-			}
-			time.Sleep(opts.PollInterval)
-		}
 		blob, _, err := core.Dump(rt, opts)
+		took := time.Since(start)
+		_ = core.Cancel(rt)
+		_ = rt.Destroy()
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, Fig11Row{
-			StateBytes: bytes,
-			Checkpoint: time.Since(start),
-			BlobBytes:  len(blob),
-		})
-		_ = core.Cancel(rt)
-		_ = rt.Destroy()
+		rows = append(rows, Fig11Row{StateBytes: bytes, Checkpoint: took, BlobBytes: len(blob)})
 	}
 	return rows, nil
 }

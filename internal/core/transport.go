@@ -60,9 +60,10 @@ func (f *PageFrame) message() Message {
 
 // Transport carries the migration protocol between the source and target
 // migration managers: control messages and bulk frames, all in the one
-// frame format of wirecodec.go, on one ordered stream. Implementations:
-// in-process pipes (NewPipe, NewShapedPipe) and TCP
-// (NewConnTransport/NewConnStream).
+// frame format of wirecodec.go, on one ordered stream. In-process pipes
+// (NewPipe, NewShapedPipe) and TCP (NewConnTransport/NewConnStream) are one
+// implementation, stream; it is an interface so that fault injectors and
+// recorders can wrap a transport.
 //
 // SendFrame takes ownership of the frame: the implementation releases its
 // pooled buffer and the caller must not touch the frame (or anything
@@ -90,18 +91,79 @@ var (
 	errWantFrame   = errors.New("core: recv: message arrived where a bulk frame was expected")
 )
 
-// pipeItem is one unit on an in-process pipe: either a control message or
-// an encoded bulk frame. A single channel keeps the two in FIFO order,
-// exactly like the byte stream of a real socket.
-type pipeItem struct {
-	msg   Message
-	frame []byte // encoded bulk frame; nil for control messages
+// stream is the one Transport implementation: control messages become
+// FrameCtl frames and both classes travel as encoded frames over a link, so
+// the in-process pipe and TCP share the message codec, the maxCtlBlob
+// bound and the frame-class refusal. Close and BytesSent (ByteCounter) are
+// the link's.
+type stream struct{ link }
+
+// link carries encoded frames, in order, between two peers.
+type link interface {
+	// writeFrame sends f; the caller keeps ownership of f.
+	writeFrame(f *PageFrame) error
+	// readFrame returns the next frame, which must be a control frame (ctl)
+	// or a bulk one (!ctl); the other class is refused from its header,
+	// before its body is sized.
+	readFrame(ctl bool) (*PageFrame, error)
+	// Close tears down both directions, like closing a socket.
+	Close() error
+	// BytesSent reports the wire bytes this half has sent.
+	BytesSent() int64
 }
 
-// pipe is an in-process transport half.
+// Send implements Transport.
+func (s *stream) Send(m Message) error {
+	f, err := ctlFrame(m)
+	if err != nil {
+		return err
+	}
+	return s.writeFrame(&f)
+}
+
+// SendFrame implements Transport.
+func (s *stream) SendFrame(f *PageFrame) error {
+	err := s.writeFrame(f)
+	f.Release()
+	return err
+}
+
+// Recv implements Transport.
+func (s *stream) Recv() (Message, error) {
+	f, err := s.readFrame(true)
+	if err != nil {
+		return Message{}, err
+	}
+	m := f.message()
+	f.Release()
+	return m, nil
+}
+
+// RecvFrame implements Transport.
+func (s *stream) RecvFrame() (*PageFrame, error) { return s.readFrame(false) }
+
+// ByteCounter is implemented by transports that track transferred bytes.
+type ByteCounter interface {
+	BytesSent() int64
+}
+
+// wrongClass refuses a frame of the class the reader does not expect.
+func wrongClass(kind FrameKind, ctl bool) error {
+	switch {
+	case ctl && kind != FrameCtl:
+		return errWantMessage
+	case !ctl && kind == FrameCtl:
+		return errWantFrame
+	}
+	return nil
+}
+
+// pipe is an in-process link half. An encoded frame crosses the channel as
+// its pooled buffer and the receiver decodes it in place, so nothing is
+// copied on the way.
 type pipe struct {
-	out chan<- pipeItem
-	in  <-chan pipeItem
+	out chan<- []byte
+	in  <-chan []byte
 
 	closeOnce *sync.Once
 	closed    chan struct{}
@@ -134,8 +196,8 @@ func NewPipe() (Transport, Transport) {
 // Fig. 10 experiments reproduce network-bound shapes on any host. Both
 // halves implement ByteCounter.
 func NewShapedPipe(latency time.Duration, bytesPerSecond float64) (Transport, Transport) {
-	ab := make(chan pipeItem, 16)
-	ba := make(chan pipeItem, 16)
+	ab := make(chan []byte, 16)
+	ba := make(chan []byte, 16)
 	var sentA, sentB atomic.Int64
 	var byteNanos float64
 	if bytesPerSecond > 0 {
@@ -147,7 +209,7 @@ func NewShapedPipe(latency time.Duration, bytesPerSecond float64) (Transport, Tr
 	var once sync.Once
 	a := &pipe{out: ab, in: ba, closeOnce: &once, closed: closed, delay: latency, byteNanos: byteNanos, sent: &sentA}
 	b := &pipe{out: ba, in: ab, closeOnce: &once, closed: closed, delay: latency, byteNanos: byteNanos, sent: &sentB}
-	return a, b
+	return &stream{a}, &stream{b}
 }
 
 // reserve books n bytes on the link clock at time now and returns how long
@@ -193,41 +255,18 @@ func (p *pipe) shape(n int) error {
 	}
 }
 
-// Send implements Transport with transfer-time shaping. The message
-// crosses the channel as a value — nothing to encode, and abort() never
-// waits on a writer — but is shaped, bounded and counted as the control
-// frame it would be on a socket. Bytes count only for messages actually
-// enqueued.
-func (p *pipe) Send(m Message) error {
-	f, err := ctlFrame(m)
-	if err != nil {
-		return err
-	}
-	n := 4 + ctlHeader + len(f.Data)
-	if err := p.shape(n); err != nil {
-		return err
-	}
-	select {
-	case p.out <- pipeItem{msg: m}:
-		p.sent.Add(int64(n))
-		return nil
-	case <-p.closed:
-		return ErrTransportClosed
-	}
-}
-
-// SendFrame implements Transport. The frame is encoded with the real
-// binary codec, so shaping and byte accounting see exact wire sizes.
-func (p *pipe) SendFrame(f *PageFrame) error {
+// writeFrame encodes f with the binary codec, so shaping and byte
+// accounting see exact wire sizes, and hands the buffer over. Bytes count
+// only for frames actually enqueued.
+func (p *pipe) writeFrame(f *PageFrame) error {
 	buf := GetBuf(encodedFrameSize(f))[:0]
 	buf = AppendFrame(buf, f)
-	f.Release()
 	if err := p.shape(len(buf)); err != nil {
 		PutBuf(buf)
 		return err
 	}
 	select {
-	case p.out <- pipeItem{frame: buf}:
+	case p.out <- buf:
 		p.sent.Add(int64(len(buf)))
 		return nil
 	case <-p.closed:
@@ -236,56 +275,32 @@ func (p *pipe) SendFrame(f *PageFrame) error {
 	}
 }
 
-// Recv implements Transport.
-func (p *pipe) Recv() (Message, error) {
+// readFrame decodes the next buffer in place; the frame owns it.
+func (p *pipe) readFrame(ctl bool) (*PageFrame, error) {
 	select {
-	case it := <-p.in:
-		if it.frame != nil {
-			PutBuf(it.frame)
-			return Message{}, errWantMessage
-		}
-		return it.msg, nil
-	case <-p.closed:
-		return Message{}, ErrTransportClosed
-	}
-}
-
-// RecvFrame implements Transport.
-func (p *pipe) RecvFrame() (*PageFrame, error) {
-	select {
-	case it := <-p.in:
-		if it.frame == nil {
-			return nil, errWantFrame
-		}
-		f, n, err := DecodeFrame(it.frame)
-		if err != nil || n != len(it.frame) {
-			PutBuf(it.frame)
-			if err == nil {
-				err = errors.New("core: trailing bytes after bulk frame")
-			}
+	case buf := <-p.in:
+		if err := wrongClass(FrameKind(buf[4]), ctl); err != nil {
+			PutBuf(buf)
 			return nil, err
 		}
-		f.buf = it.frame
+		f, _, err := DecodeFrame(buf)
+		if err != nil {
+			PutBuf(buf)
+			return nil, err
+		}
+		f.buf = buf
 		return f, nil
 	case <-p.closed:
 		return nil, ErrTransportClosed
 	}
 }
 
-// Close implements Transport: it tears down both directions, like closing
-// a socket.
 func (p *pipe) Close() error {
 	p.closeOnce.Do(func() { close(p.closed) })
 	return nil
 }
 
-// BytesSent reports how many wire bytes this half has sent.
 func (p *pipe) BytesSent() int64 { return p.sent.Load() }
-
-// ByteCounter is implemented by transports that track transferred bytes.
-type ByteCounter interface {
-	BytesSent() int64
-}
 
 // countingWriter counts the bytes actually written to the connection, so
 // BytesSent reports what reached the wire and failed sends inflate nothing.
@@ -300,14 +315,13 @@ func (cw *countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// connTransport is a Transport over a net.Conn: every message and frame is
-// one wirecodec frame, written with one Write (used by the sgxhost/sgxmigrate
-// tools).
-type connTransport struct {
-	conn net.Conn
-	cw   *countingWriter
-	br   *bufio.Reader
-	wmu  sync.Mutex // serializes frame writes
+// conn is a link over a net.Conn: every frame is written with one Write
+// (used by the sgxhost/sgxmigrate tools).
+type conn struct {
+	nc  net.Conn
+	cw  *countingWriter
+	br  *bufio.Reader
+	wmu sync.Mutex // serializes frame writes
 }
 
 // NewConnStream wraps a network connection as a Transport and returns the
@@ -318,38 +332,22 @@ type connTransport struct {
 // bytes, and BytesSent counts what goes through the writer. Their messages
 // are length-prefixed like the frames, so the two interleave on the one
 // stream as long as each side knows which comes next.
-func NewConnStream(conn net.Conn) (io.Writer, *bufio.Reader, Transport) {
-	t := &connTransport{
-		conn: conn,
-		cw:   &countingWriter{w: conn},
-		br:   bufio.NewReaderSize(conn, 64<<10),
+func NewConnStream(nc net.Conn) (io.Writer, *bufio.Reader, Transport) {
+	c := &conn{
+		nc: nc,
+		cw: &countingWriter{w: nc},
+		br: bufio.NewReaderSize(nc, 64<<10),
 	}
-	return t.cw, t.br, t
+	return c.cw, c.br, &stream{c}
 }
 
 // NewConnTransport wraps a network connection as a Transport.
-func NewConnTransport(conn net.Conn) Transport {
-	_, _, t := NewConnStream(conn)
+func NewConnTransport(nc net.Conn) Transport {
+	_, _, t := NewConnStream(nc)
 	return t
 }
 
-// Send implements Transport.
-func (c *connTransport) Send(m Message) error {
-	f, err := ctlFrame(m)
-	if err != nil {
-		return err
-	}
-	return c.writeFrame(&f)
-}
-
-// SendFrame implements Transport.
-func (c *connTransport) SendFrame(f *PageFrame) error {
-	err := c.writeFrame(f)
-	f.Release()
-	return err
-}
-
-func (c *connTransport) writeFrame(f *PageFrame) error {
+func (c *conn) writeFrame(f *PageFrame) error {
 	c.wmu.Lock()
 	err := WriteFrame(c.cw, f)
 	c.wmu.Unlock()
@@ -359,35 +357,13 @@ func (c *connTransport) writeFrame(f *PageFrame) error {
 	return nil
 }
 
-// Recv implements Transport.
-func (c *connTransport) Recv() (Message, error) {
-	f, err := c.readFrame(true)
-	if err != nil {
-		return Message{}, err
-	}
-	m := f.message()
-	f.Release()
-	return m, nil
-}
-
-// RecvFrame implements Transport.
-func (c *connTransport) RecvFrame() (*PageFrame, error) {
-	return c.readFrame(false)
-}
-
-// readFrame reads the next frame, which must be a control frame (ctl) or a
-// bulk one (!ctl); the other class is refused from its header, before its
-// body is sized.
-func (c *connTransport) readFrame(ctl bool) (*PageFrame, error) {
+func (c *conn) readFrame(ctl bool) (*PageFrame, error) {
 	kind, bodyLen, err := readFrameHeader(c.br)
 	if err != nil {
 		return nil, closedOnEOF(err)
 	}
-	if ctl && kind != FrameCtl {
-		return nil, errWantMessage
-	}
-	if !ctl && kind == FrameCtl {
-		return nil, errWantFrame
+	if err := wrongClass(kind, ctl); err != nil {
+		return nil, err
 	}
 	f, err := readFrameBody(c.br, kind, bodyLen)
 	return f, closedOnEOF(err)
@@ -402,8 +378,6 @@ func closedOnEOF(err error) error {
 	return err
 }
 
-// Close implements Transport.
-func (c *connTransport) Close() error { return c.conn.Close() }
+func (c *conn) Close() error { return c.nc.Close() }
 
-// BytesSent implements ByteCounter.
-func (c *connTransport) BytesSent() int64 { return c.cw.n.Load() }
+func (c *conn) BytesSent() int64 { return c.cw.n.Load() }

@@ -112,7 +112,7 @@ type transportPair struct {
 	src, dst Transport
 }
 
-// pipeAndConn returns an in-process pipe and a loopback connTransport pair,
+// pipeAndConn returns an in-process pipe and a loopback TCP transport pair,
 // closed with the test: what must hold on one stream must hold on both.
 func pipeAndConn(t *testing.T) []transportPair {
 	t.Helper()
@@ -428,6 +428,9 @@ func TestShapedPipeNeverFasterThanNominal(t *testing.T) {
 	}
 }
 
+// pipeOf returns the link under an in-process transport half.
+func pipeOf(t Transport) *pipe { return t.(*stream).link.(*pipe) }
+
 // pacedSender replays a sender against the link clock on a synthetic
 // timeline: before each frame it spends `work`, then waits as long as
 // reserve says, and every wait overshoots by `overshoot` (a timer never
@@ -463,7 +466,7 @@ func TestLinkClockAbsorbsSenderOverhead(t *testing.T) {
 	}
 	a, _ := NewShapedPipe(0, bps)
 	start := time.Now()
-	took := pacedSender(a.(*pipe), start, sizes, work, overshoot).Sub(start)
+	took := pacedSender(pipeOf(a), start, sizes, work, overshoot).Sub(start)
 	nom := nominal(total, bps)
 	if perFrame := nom + time.Duration(len(sizes))*work; float64(perFrame) < 1.4*float64(nom) {
 		t.Fatalf("test shape: a per-frame sleep would take %v, not >= 1.4 x nominal %v", perFrame, nom)
@@ -483,7 +486,7 @@ func TestLinkClockAbsorbsSenderOverhead(t *testing.T) {
 func TestLinkClockIdleGapBuysAtMostCredit(t *testing.T) {
 	const bps = 64e6
 	a, _ := NewShapedPipe(0, bps)
-	p := a.(*pipe)
+	p := pipeOf(a)
 	now := time.Now()
 	const n = 640000 // 10 ms at bps
 	if wait := p.reserve(now, n); wait != nominal(n, bps)-linkCredit {
@@ -613,7 +616,7 @@ func TestCtlFrameInterleaveTCP(t *testing.T) {
 }
 
 // BenchmarkConnTransportMsgRTT ping-pongs a 288-byte hello (quote, DH
-// public key, nonce) over a loopback connTransport: the per-message cost of
+// public key, nonce) over a loopback TCP transport: the per-message cost of
 // the control path, the benchmark spine's core.transport.tcp_msg_rtt_us.
 func BenchmarkConnTransportMsgRTT(b *testing.B) {
 	cliConn, srvConn := tcpPair(b)

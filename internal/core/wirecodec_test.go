@@ -212,7 +212,7 @@ func withKind(enc []byte, k FrameKind) []byte {
 }
 
 // TestWriteReadFrame streams frames through an io.Writer/Reader pair (the
-// connTransport path) and checks the pooled-buffer contract.
+// TCP transport's path) and checks the pooled-buffer contract.
 func TestWriteReadFrame(t *testing.T) {
 	var stream bytes.Buffer
 	for _, f := range testFrames() {

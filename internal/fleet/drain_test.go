@@ -1,6 +1,7 @@
 package fleet_test
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"strings"
@@ -23,9 +24,24 @@ import (
 // protocol's accepted loss window between the source's key-release
 // commit point and the target's restore), the drained host holds no
 // sessions and no EPC frames beyond the manager's VA page, the targets'
-// EPC usage is exactly accounted by their live enclaves, and no
-// goroutine outlives the sweep.
+// EPC usage is exactly accounted by their live enclaves, the inflight
+// gauges are back at 0, and no goroutine outlives the sweep. The same fleet
+// also drains clean at one and at four migrations per host, where every
+// enclave must move.
 func TestDrainConvergesUnderFaults(t *testing.T) {
+	for _, c := range []struct {
+		inflight int
+		faulted  bool
+	}{{2, true}, {1, false}, {4, false}} {
+		name := fmt.Sprintf("inflight=%d", c.inflight)
+		if c.faulted {
+			name += ",faults"
+		}
+		t.Run(name, func(t *testing.T) { drainConverges(t, c.inflight, c.faulted) })
+	}
+}
+
+func drainConverges(t *testing.T, inflight int, faulted bool) {
 	const enclaves = 24
 	maxGoroutines := runtime.NumGoroutine() + 8
 
@@ -58,12 +74,13 @@ func TestDrainConvergesUnderFaults(t *testing.T) {
 	defer testhost.CloseAll(hosts)
 	met := telemetry.NewMetrics()
 	f, err := fleet.New(fleet.Config{
-		Hosts:          testhost.Addrs(hosts),
-		RequestTimeout: 30 * time.Second,
-		BackoffBase:    time.Millisecond,
-		BackoffMax:     20 * time.Millisecond,
-		Seed:           7,
-		Metrics:        met,
+		Hosts:           testhost.Addrs(hosts),
+		RequestTimeout:  30 * time.Second,
+		BackoffBase:     time.Millisecond,
+		BackoffMax:      20 * time.Millisecond,
+		Seed:            7,
+		Metrics:         met,
+		PerHostInflight: inflight,
 	})
 	if err != nil {
 		t.Fatalf("fleet.New: %v", err)
@@ -100,18 +117,23 @@ func TestDrainConvergesUnderFaults(t *testing.T) {
 	}
 
 	ids := launchOn(t, hosts[0].Addr, enclaves)
-	rng := rand.New(rand.NewSource(99))
-	mu.Lock()
-	for _, id := range ids {
-		faults[id] = 1 + rng.Intn(ops)
+	if faulted {
+		rng := rand.New(rand.NewSource(99))
+		mu.Lock()
+		for _, id := range ids {
+			faults[id] = 1 + rng.Intn(ops)
+		}
+		mu.Unlock()
 	}
-	mu.Unlock()
 
 	rep, err := fleet.Drain(f, hosts[0].Addr)
 	if err != nil {
 		t.Fatalf("drain: %v (%s)", err, rep.Summary())
 	}
-	t.Logf("drain under faults: %s", rep.Summary())
+	t.Logf("drain: %s", rep.Summary())
+	if moved := rep.Moved + rep.MovedAfterError; !faulted && moved != enclaves {
+		t.Fatalf("clean drain moved %d of %d enclaves: %s", moved, enclaves, rep.Summary())
+	}
 	if got := rep.Moved + rep.MovedAfterError + rep.Lost; got != enclaves || rep.Failed != 0 {
 		for _, res := range rep.Results {
 			if res.Outcome == fleet.Failed {
@@ -174,7 +196,7 @@ func TestDrainConvergesUnderFaults(t *testing.T) {
 		default:
 			t.Fatalf("%s: unexpected outcome %s (%v)", res.ID, res.Outcome, res.Err)
 		}
-		if res.Outcome == fleet.Moved && res.Attempts < 2 {
+		if faulted && res.Outcome == fleet.Moved && res.Attempts < 2 {
 			t.Fatalf("%s moved on attempt %d despite an injected first-attempt fault", res.ID, res.Attempts)
 		}
 	}
@@ -206,7 +228,7 @@ func TestDrainConvergesUnderFaults(t *testing.T) {
 			t.Fatalf("inflight gauge for %s is %d after drain, want 0", h.Addr, v)
 		}
 	}
-	if rep.Moved > 0 && met.Counter("fleet.retries").Value() == 0 {
+	if faulted && rep.Moved > 0 && met.Counter("fleet.retries").Value() == 0 {
 		t.Fatalf("enclaves moved after faults but the retry counter never incremented")
 	}
 

@@ -320,45 +320,27 @@ func (m *Metrics) WriteText(w io.Writer) error {
 		_, err := fmt.Fprintln(w, "# telemetry disabled")
 		return err
 	}
-	m.mu.Lock()
-	counters := make(map[string]*Counter, len(m.counters))
-	for k, v := range m.counters {
-		counters[k] = v
-	}
-	gauges := make(map[string]*Gauge, len(m.gauges))
-	for k, v := range m.gauges {
-		gauges[k] = v
-	}
-	hists := make(map[string]*Histogram, len(m.hists))
-	for k, v := range m.hists {
-		hists[k] = v
-	}
-	ratios := make(map[string]*Ratio, len(m.ratios))
-	for k, v := range m.ratios {
-		ratios[k] = v
-	}
-	m.mu.Unlock()
+	snap := m.snapshot()
 
-	for _, name := range sortedKeys(counters) {
-		if _, err := fmt.Fprintf(w, "counter %s %d\n", name, counters[name].Value()); err != nil {
+	for _, c := range snap.counters {
+		if _, err := fmt.Fprintf(w, "counter %s %d\n", c.name, c.v.Value()); err != nil {
 			return err
 		}
 	}
-	for _, name := range sortedKeys(gauges) {
-		if _, err := fmt.Fprintf(w, "gauge %s %d\n", name, gauges[name].Value()); err != nil {
+	for _, g := range snap.gauges {
+		if _, err := fmt.Fprintf(w, "gauge %s %d\n", g.name, g.v.Value()); err != nil {
 			return err
 		}
 	}
-	for _, name := range sortedKeys(ratios) {
-		r := ratios[name]
-		if _, err := fmt.Fprintf(w, "ratio %s %d/%d = %.4f\n", name, r.Hits(), r.Total(), r.Value()); err != nil {
+	for _, r := range snap.ratios {
+		if _, err := fmt.Fprintf(w, "ratio %s %d/%d = %.4f\n", r.name, r.v.Hits(), r.v.Total(), r.v.Value()); err != nil {
 			return err
 		}
 	}
-	for _, name := range sortedKeys(hists) {
-		s := hists[name].Snapshot()
+	for _, h := range snap.hists {
+		s := h.v.Snapshot()
 		if _, err := fmt.Fprintf(w, "histogram %s count=%d sum=%d p50=%d p90=%d p99=%d\n",
-			name, s.Count, s.Sum, int64(s.Quantile(0.50)), int64(s.Quantile(0.90)), int64(s.Quantile(0.99))); err != nil {
+			h.name, s.Count, s.Sum, int64(s.Quantile(0.50)), int64(s.Quantile(0.90)), int64(s.Quantile(0.99))); err != nil {
 			return err
 		}
 		for i, b := range s.Bounds {
@@ -384,11 +366,34 @@ func exemplarSuffix(ex *Exemplar) string {
 	return fmt.Sprintf(" # exemplar trace=%s span=%s value=%d", ex.TraceID, ex.SpanID, ex.Value)
 }
 
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
+// registry is the registry's instruments at one instant, each kind sorted
+// by name: what every exporter walks.
+type registry struct {
+	counters []named[*Counter]
+	gauges   []named[*Gauge]
+	hists    []named[*Histogram]
+	ratios   []named[*Ratio]
+}
+
+// named is one instrument with its name.
+type named[T any] struct {
+	name string
+	v    T
+}
+
+// snapshot copies the instrument maps under m.mu; the instruments
+// themselves are read afterwards, lock-free.
+func (m *Metrics) snapshot() registry {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return registry{sortedByName(m.counters), sortedByName(m.gauges), sortedByName(m.hists), sortedByName(m.ratios)}
+}
+
+func sortedByName[T any](m map[string]T) []named[T] {
+	out := make([]named[T], 0, len(m))
+	for k, v := range m {
+		out = append(out, named[T]{k, v})
 	}
-	sort.Strings(keys)
-	return keys
+	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
+	return out
 }

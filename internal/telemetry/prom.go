@@ -41,56 +41,38 @@ func (m *Metrics) WriteProm(w io.Writer) error {
 		_, err := fmt.Fprintln(w, "# telemetry disabled")
 		return err
 	}
-	m.mu.Lock()
-	counters := make(map[string]*Counter, len(m.counters))
-	for k, v := range m.counters {
-		counters[k] = v
-	}
-	gauges := make(map[string]*Gauge, len(m.gauges))
-	for k, v := range m.gauges {
-		gauges[k] = v
-	}
-	hists := make(map[string]*Histogram, len(m.hists))
-	for k, v := range m.hists {
-		hists[k] = v
-	}
-	ratios := make(map[string]*Ratio, len(m.ratios))
-	for k, v := range m.ratios {
-		ratios[k] = v
-	}
-	m.mu.Unlock()
+	snap := m.snapshot()
 
-	for _, name := range sortedKeys(counters) {
-		pn := promName(name) + "_total"
+	for _, c := range snap.counters {
+		pn := promName(c.name) + "_total"
 		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n",
-			pn, name, pn, pn, counters[name].Value()); err != nil {
+			pn, c.name, pn, pn, c.v.Value()); err != nil {
 			return err
 		}
 	}
-	for _, name := range sortedKeys(gauges) {
-		pn := promName(name)
+	for _, g := range snap.gauges {
+		pn := promName(g.name)
 		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n",
-			pn, name, pn, pn, gauges[name].Value()); err != nil {
+			pn, g.name, pn, pn, g.v.Value()); err != nil {
 			return err
 		}
 	}
-	for _, name := range sortedKeys(ratios) {
-		r := ratios[name]
-		hitName := promName(name) + "_hits_total"
-		obsName := promName(name) + "_observations_total"
+	for _, r := range snap.ratios {
+		hitName := promName(r.name) + "_hits_total"
+		obsName := promName(r.name) + "_observations_total"
 		if _, err := fmt.Fprintf(w, "# HELP %s hits of ratio %s\n# TYPE %s counter\n%s %d\n",
-			hitName, name, hitName, hitName, r.Hits()); err != nil {
+			hitName, r.name, hitName, hitName, r.v.Hits()); err != nil {
 			return err
 		}
 		if _, err := fmt.Fprintf(w, "# HELP %s observations of ratio %s\n# TYPE %s counter\n%s %d\n",
-			obsName, name, obsName, obsName, r.Total()); err != nil {
+			obsName, r.name, obsName, obsName, r.v.Total()); err != nil {
 			return err
 		}
 	}
-	for _, name := range sortedKeys(hists) {
-		s := hists[name].Snapshot()
-		pn := promName(name)
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", pn, name, pn); err != nil {
+	for _, h := range snap.hists {
+		s := h.v.Snapshot()
+		pn := promName(h.name)
+		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", pn, h.name, pn); err != nil {
 			return err
 		}
 		// Prometheus buckets are cumulative; the homegrown snapshot's are
@@ -118,11 +100,10 @@ func (m *Metrics) CounterValues() map[string]int64 {
 	if m == nil {
 		return nil
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make(map[string]int64, len(m.counters))
-	for k, c := range m.counters {
-		out[k] = c.Value()
+	snap := m.snapshot()
+	out := make(map[string]int64, len(snap.counters))
+	for _, c := range snap.counters {
+		out[c.name] = c.v.Value()
 	}
 	return out
 }

@@ -30,19 +30,17 @@ type LiveMigrationConfig struct {
 	// BandwidthBps is the simulated migration-link bandwidth in bytes per
 	// second (default 125 MB/s ≈ 1 Gbps). 0 disables shaping.
 	BandwidthBps float64
-	// SerialDump restores the paper's serial Fig. 8 schedule: the enclave
-	// dump completes before the iterative pre-copy rounds start. By default
-	// the dump overlaps pre-copy (the checkpoint pages land in guest memory
-	// and ride later rounds either way). Fig. 10 runs set this to reproduce
-	// the published serial timings.
-	SerialDump bool
-	// SerialChannelSetup restores the paper's Fig. 8 schedule for the
+	// PaperSchedule restores the paper's serial Fig. 8 schedule: the
+	// enclave dump completes before the bulk round starts, and the
 	// per-enclave channel legs (image + checkpoint transfer, target build,
-	// attestation, DH): they run inside the downtime window, one enclave at
-	// a time. By default every leg is launched the moment the dump lands and
-	// overlaps pre-copy. Key release and the in-enclave rebuild are not part
-	// of a leg: they are the serial commit, inside the window either way.
-	SerialChannelSetup bool
+	// attestation, DH) run inside the downtime window, one enclave at a
+	// time. By default the dump overlaps pre-copy and every leg is launched
+	// the moment the dump lands (the checkpoint pages land in guest memory
+	// and ride later rounds either way). Key release and the in-enclave
+	// rebuild are not part of a leg: they are the serial commit, inside the
+	// window on both schedules. Fig. 10 sets this to reproduce the
+	// published serial timings.
+	PaperSchedule bool
 	// TransportFactory, if set, wraps each enclave's internal control pipe
 	// and the page stream (tests inject transport faults through this).
 	TransportFactory TransportFactory
@@ -109,13 +107,13 @@ type LiveMigrationStats struct {
 	// target.
 	EnclaveRestoreTime time.Duration
 	// DumpPrecopyOverlap is how much of EnclaveDumpTime was hidden behind
-	// concurrent pre-copy rounds (0 with SerialDump). Only the unhidden
+	// concurrent pre-copy rounds (0 with PaperSchedule). Only the unhidden
 	// remainder counts toward Downtime.
 	DumpPrecopyOverlap time.Duration
 	// ChannelWait is how long the downtime window waited on the per-enclave
 	// channel legs: the tail pre-copy could not hide on the pipelined
 	// schedule (0 when every leg finished before stop-and-copy), the legs in
-	// full with SerialChannelSetup.
+	// full with PaperSchedule.
 	ChannelWait time.Duration
 	// RoundDirtyPages is the dirty-set size per round: index 0 is the bulk
 	// round (the resident pages: GuestMemory.MarkResidentDirty), the rest the
@@ -511,12 +509,12 @@ func pollLegs(legs []*channelLeg) (pending bool, err error) {
 //     the rest is zero on both sides — streamed through a bounded sender,
 //  2. the guest OS prepares every enclave (two-phase checkpointing; the
 //     encrypted checkpoints land in guest memory) — by default concurrently
-//     with the pre-copy rounds, serially with cfg.SerialDump,
+//     with the pre-copy rounds, serially with cfg.PaperSchedule,
 //  3. iterative pre-copy of guest memory while non-enclave work continues,
 //  4. one channel leg per enclave (image and checkpoint transfer, target
 //     build, attestation, DH — everything up to but excluding key release),
 //     launched the moment the dump lands so it overlaps steps 1 and 3; with
-//     cfg.SerialChannelSetup the legs run inside the window, one at a time,
+//     cfg.PaperSchedule the legs run inside the window, one at a time,
 //  5. once pre-copy has converged and the dump has landed, a flush: the
 //     guest keeps running until the sender's queue is empty and the link
 //     idle, so the window below pays for no round's leftovers,
@@ -610,15 +608,14 @@ func LiveMigrate(vm *VM, dst *Node, cfg *LiveMigrationConfig) (*VM, *LiveMigrati
 	// checkpoints land in guest memory and dirty it, so they ride later
 	// pre-copy rounds — this is the extra transferred data of Fig. 10(d).
 	// By default the dump runs concurrently with the bulk and iterative
-	// rounds below; SerialDump blocks here first, reproducing the paper's
+	// rounds below; PaperSchedule blocks here first, reproducing the paper's
 	// serial schedule.
 	if len(procs) > 0 {
 		// The dump span parents the per-enclave core.prepare/core.dump
-		// spans; runDump owns its lifetime on both schedules. Unless the
-		// legs are pinned to the window they start right here, the moment
-		// the blobs exist: they are all a leg was waiting for, and on the
-		// pipelined schedule most of the bulk round is still ahead to hide
-		// it behind.
+		// spans; runDump owns its lifetime on both schedules. On the
+		// pipelined schedule the legs start right here, the moment the
+		// blobs exist: they are all a leg was waiting for, and most of the
+		// bulk round is still ahead to hide them behind.
 		runDump := func(sp *telemetry.Span) dumpResult {
 			dumpOpts := *opts
 			dumpOpts.Trace = sp
@@ -630,14 +627,14 @@ func LiveMigrate(vm *VM, dst *Node, cfg *LiveMigrationConfig) (*VM, *LiveMigrati
 			}
 			sp.Annotate(telemetry.Duration("guest_dump", r.took))
 			sp.End()
-			if !cfg.SerialChannelSetup {
+			if !cfg.PaperSchedule {
 				for _, p := range procs {
 					r.legs = append(r.legs, launchLeg(p, r.blobs[p.Name], tvm, cfg, opts, root))
 				}
 			}
 			return r
 		}
-		if cfg.SerialDump {
+		if cfg.PaperSchedule {
 			// Child, not Fork: the serial schedule keeps the dump on the
 			// main track, strictly before the bulk round in the trace.
 			if err := dumped(runDump(root.Child("vmm.dump", telemetry.String("schedule", "serial")))); err != nil {
@@ -731,7 +728,7 @@ func LiveMigrate(vm *VM, dst *Node, cfg *LiveMigrationConfig) (*VM, *LiveMigrati
 	if stats.EnclaveDumpTime > dumpWaited {
 		stats.DumpPrecopyOverlap = stats.EnclaveDumpTime - dumpWaited
 	}
-	if cfg.SerialDump {
+	if cfg.PaperSchedule {
 		stats.DumpPrecopyOverlap = 0
 	}
 
@@ -775,9 +772,9 @@ func LiveMigrate(vm *VM, dst *Node, cfg *LiveMigrationConfig) (*VM, *LiveMigrati
 	// the paper's serial schedule they start here, one enclave after the
 	// other. Either way nothing below runs until every leg has succeeded:
 	// no source has self-destroyed, so one failure still cancels them all.
-	if pending, _ := pollLegs(legs); pending || (cfg.SerialChannelSetup && len(procs) > 0) {
+	if pending, _ := pollLegs(legs); pending || (cfg.PaperSchedule && len(procs) > 0) {
 		waitSp := downSp.Child("vmm.channelwait")
-		if cfg.SerialChannelSetup {
+		if cfg.PaperSchedule {
 			for _, p := range procs {
 				l := launchLeg(p, blobs[p.Name], tvm, cfg, opts, root)
 				legs = append(legs, l)

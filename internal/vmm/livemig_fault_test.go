@@ -297,10 +297,10 @@ func spanOpen(tr *telemetry.Tracer, name string) bool {
 
 // TestLiveMigratePageStreamFaultUnwinds: the page stream dies after every
 // channel leg is up — built target enclaves, attested channels, prepared
-// sources, all waiting for a commit that can no longer come. The legs were
-// launched before the bulk round (SerialDump hands them their blobs there),
-// and the stream stalls mid-bulk until the last of them reports, so the
-// order of events is fixed. Cut right there, the migration must notice at
+// sources, all waiting for a commit that can no longer come. The legs are
+// launched the moment the dump lands, beside the bulk round, and the stream
+// stalls mid-bulk until the last of them reports, so the order of events is
+// fixed. Cut right there, the migration must notice at
 // the round boundary; cut while the collector waits for the queue to empty
 // before pausing the guest, at the look it takes after the flush. Either way
 // every leg is released and the guest never paused.
@@ -314,7 +314,6 @@ func TestLiveMigratePageStreamFaultUnwinds(t *testing.T) {
 			left.Store(int32(len(w.vm.OS.Processes())))
 			cfg := &LiveMigrationConfig{
 				BandwidthBps: faultLinkBps,
-				SerialDump:   true,
 				Tracer:       w.tr,
 				TransportFactory: func(name string, s, d core.Transport) (core.Transport, core.Transport) {
 					if name != PageStreamName {

@@ -153,7 +153,7 @@ func TestLiveMigrateVMWithEnclaves(t *testing.T) {
 }
 
 // TestLiveMigrateSerialConfig pins the paper's serial Fig. 8 schedule behind
-// the config knobs: no dump/pre-copy overlap is reported and the migration
+// PaperSchedule: no dump/pre-copy overlap is reported and the migration
 // still lands intact.
 func TestLiveMigrateSerialConfig(t *testing.T) {
 	_, owner, src, dst := newCloud(t)
@@ -171,9 +171,8 @@ func TestLiveMigrateSerialConfig(t *testing.T) {
 	time.Sleep(2 * time.Millisecond)
 
 	tvm, stats, err := LiveMigrate(vm, dst, &LiveMigrationConfig{
-		BandwidthBps:       1e9,
-		SerialDump:         true,
-		SerialChannelSetup: true,
+		BandwidthBps:  1e9,
+		PaperSchedule: true,
 	})
 	if err != nil {
 		t.Fatal(err)

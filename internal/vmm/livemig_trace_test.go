@@ -63,11 +63,10 @@ func traceVM(t *testing.T, serial bool) (*telemetry.Tracer, *LiveMigrationStats,
 	// accuse one.
 	link := &linkLog{epoch: time.Now()}
 	tvm, stats, err := LiveMigrate(vm, dst, &LiveMigrationConfig{
-		BandwidthBps:       100e6,
-		SerialDump:         serial,
-		SerialChannelSetup: serial,
-		Tracer:             tr,
-		Metrics:            telemetry.NewMetrics(),
+		BandwidthBps:  100e6,
+		PaperSchedule: serial,
+		Tracer:        tr,
+		Metrics:       telemetry.NewMetrics(),
 		TransportFactory: func(name string, s, d core.Transport) (core.Transport, core.Transport) {
 			if name == PageStreamName {
 				link.Transport = s
