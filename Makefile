@@ -49,11 +49,12 @@ loc:
 test:
 	$(GO) test ./...
 
-# The checkpoint, tamper and big-state tests again under GOMAXPROCS 1 and 2.
-# The checkpoint's state digest hashes its leaves on GOMAXPROCS goroutines,
-# so the one-worker path is otherwise only exercised on a one-CPU machine.
+# The checkpoint, leaf, tamper and big-state tests again under GOMAXPROCS 1
+# and 2. A checkpoint's leaves are hashed and sealed, and opened and hashed,
+# on GOMAXPROCS goroutines, so the one-worker path is otherwise only
+# exercised on a one-CPU machine.
 test-cpus:
-	$(GO) test -cpu 1,2 -run 'Checkpoint|Tamper|BigState|GOMAXPROCS|Bounce' ./internal/enclave ./internal/core
+	$(GO) test -cpu 1,2 -run 'Checkpoint|Leaf|Leaves|Nonce|Tamper|BigState|GOMAXPROCS|Bounce' ./internal/enclave ./internal/core ./internal/attack ./internal/tcb
 
 # benchmark/ is a Go module of its own (replace repro => ../), so none of
 # the ./... targets above compile it: a change that deletes exported API can
@@ -64,8 +65,8 @@ bench-build:
 
 # Short coverage-guided runs of the native fuzz targets over the
 # untrusted-input parsers (traceparent headers, MsgImage blobs, wire
-# frames, hostproto messages) and of the XOR-delta encoder against its
-# reference. CI runs this
+# frames, hostproto messages, the restoring enclave's checkpoint leaves)
+# and of the XOR-delta encoder against its reference. CI runs this
 # budget on every push; longer local runs just raise -fuzztime. Each target starts from its committed seed corpus in
 # <pkg>/testdata/fuzz/ (plain `go test` replays those seeds too);
 # regenerate with REGEN_FUZZ_CORPUS=1 go test -run TestRegenFuzzCorpus.
@@ -76,6 +77,7 @@ fuzz-smoke:
 	$(GO) test ./internal/core/ -run='^$$' -fuzz=FuzzFrameDecode -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/core/ -run='^$$' -fuzz=FuzzXORDelta -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/hostproto/ -run='^$$' -fuzz=FuzzRead -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/enclave/ -run='^$$' -fuzz=FuzzCheckpointLeaves -fuzztime=$(FUZZTIME)
 
 race:
 	$(GO) test -race ./...

@@ -194,7 +194,7 @@ func TestRecvBulkBoundedByLayout(t *testing.T) {
 }
 
 // TestTamperedCheckpointRefused flips one bit in each region of the
-// single-buffer checkpoint — header, nonce, encrypted body, tag — and feeds
+// checkpoint — header, salt, sealed leaf, final record, tag — and feeds
 // it to a fresh target. Every restore must be refused and the target torn
 // down with its EPC returned, while the source, whose dump was only a
 // snapshot, carries on and the pristine blob still resumes. The owner-keyed
@@ -222,11 +222,12 @@ func TestTamperedCheckpointRefused(t *testing.T) {
 		at   int
 	}{
 		{"header measurement", 8},
-		{"header flags", 50},
+		{"header salt", 60},
+		{"header flags", hdrLen - 10},
 		{"header migK", hdrLen - 4},
-		{"nonce", hdrLen + 3},
+		{"leaf", hdrLen + 3},
 		{"body", hdrLen + (len(blob)-hdrLen)/2},
-		{"hash", len(blob) - tcb.SealOverhead - 1}, // the encrypted SHA-256
+		{"final record", len(blob) - tcb.SealOverhead - 1}, // the sealed leaf count
 		{"tag", len(blob) - 1},
 	} {
 		bad := append([]byte(nil), blob...)
@@ -281,14 +282,96 @@ func TestTamperedCheckpointRefused(t *testing.T) {
 	}
 }
 
-// ckptRecord and digestLeaf are the checkpoint body's geometry, restated
-// here rather than taken from the enclave package so that a change to the
-// format fails these tests: a (lin u32, page) record per non-TCS page, and
-// a state digest over leaves of 256 records.
+// ckptRecord, digestLeaf and finalRecord are the checkpoint's geometry,
+// restated here rather than taken from the enclave package so that a change
+// to the format fails these tests: a (lin u32, page) record per non-TCS
+// page, sealed 256 records to a leaf, and a final record holding the state
+// digest's root and the leaf count.
 const (
-	ckptRecord = 4 + sgx.PageSize
-	digestLeaf = 256 * ckptRecord
+	ckptRecord  = 4 + sgx.PageSize
+	digestLeaf  = 256 * ckptRecord
+	finalRecord = sha256.Size + 4
 )
+
+// openedCheckpoint is a checkpoint taken apart with the key.
+type openedCheckpoint struct {
+	hdr    enclave.CheckpointHeader
+	head   []byte   // the header's bytes
+	leaves [][]byte // each leaf's records, opened
+	sealed [][]byte // each leaf as sealed
+	final  []byte   // the final record, opened
+}
+
+// openLeaves opens every record of blob under key and fails the test unless
+// they tile it exactly: the header, then one record per digestLeaf of page
+// records sealed under its index and the leaf count, each
+// tcb.LeafSize(cipher, plaintext) bytes, then the final record under index
+// count.
+func openLeaves(t *testing.T, blob []byte, key tcb.Key) openedCheckpoint {
+	t.Helper()
+	var o openedCheckpoint
+	var err error
+	if o.hdr, _, err = enclave.UnmarshalHeader(blob); err != nil {
+		t.Fatal(err)
+	}
+	o.head = blob[:enclave.HeaderWireSize(int(o.hdr.Threads))]
+	records := (int(o.hdr.TotalPages) - int(o.hdr.Threads)) * ckptRecord
+	count := (records + digestLeaf - 1) / digestLeaf
+	s, err := tcb.NewLeafSealer(o.hdr.Cipher, key, o.hdr.Salt[:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	off := len(o.head)
+	open := func(n, index int) ([]byte, []byte) {
+		size, err := tcb.LeafSize(o.hdr.Cipher, n)
+		if err != nil || off+size > len(blob) {
+			t.Fatalf("record %d of %d bytes runs past the %d-byte checkpoint (%v)", index, size, len(blob), err)
+		}
+		rec := blob[off : off+size]
+		off += size
+		pt, err := s.Open(append([]byte(nil), rec...), o.head, uint32(index), uint32(count))
+		if err != nil || len(pt) != n {
+			t.Fatalf("record %d opens to %d bytes, %v; want %d", index, len(pt), err, n)
+		}
+		return rec, pt
+	}
+	for i := 0; i < count; i++ {
+		rec, pt := open(min(digestLeaf, records-i*digestLeaf), i)
+		o.sealed = append(o.sealed, rec)
+		o.leaves = append(o.leaves, pt)
+	}
+	_, o.final = open(finalRecord, count)
+	if off != len(blob) {
+		t.Fatalf("the records end at %d of %d bytes", off, len(blob))
+	}
+	return o
+}
+
+// reseal seals leaves and the final record again under key and o's header
+// and salt — what a holder of the key can do.
+func (o openedCheckpoint) reseal(t *testing.T, key tcb.Key, leaves [][]byte) []byte {
+	t.Helper()
+	s, err := tcb.NewLeafSealer(o.hdr.Cipher, key, o.hdr.Salt[:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := append([]byte(nil), o.head...)
+	count := uint32(len(leaves))
+	seal := func(pt []byte, index uint32) {
+		size, _ := tcb.LeafSize(o.hdr.Cipher, len(pt))
+		env := make([]byte, size)
+		copy(env, pt)
+		if err := s.Seal(env, len(pt), o.head, index, count); err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, env...)
+	}
+	for i, leaf := range leaves {
+		seal(leaf, uint32(i))
+	}
+	seal(o.final, count)
+	return out
+}
 
 // stateDigest re-derives the digest that closes a checkpoint body: SHA-256
 // over the SHA-256 of each digestLeaf-byte leaf of the records, in order.
@@ -309,11 +392,11 @@ func bigCounter() *enclave.App {
 	return app
 }
 
-// TestCheckpointFormatUnchanged decodes a checkpoint produced by the
-// single-buffer ctlDump from the outside — header, DecryptCheckpoint into a
-// fresh buffer, then (lin, page) records and the two-level state digest over
-// them — for every cipher, and resumes from it. The owner path is used
-// because there the test holds the key.
+// TestCheckpointFormatUnchanged decodes a checkpoint from the outside —
+// header, each leaf opened as its own record under the header's salt, the
+// (lin, page) records, and the final record's two-level state digest and
+// leaf count — for every cipher, and resumes from it. The owner path is
+// used because there the test holds the key.
 func TestCheckpointFormatUnchanged(t *testing.T) {
 	for _, cipher := range []tcb.CheckpointCipher{tcb.CipherAESGCM, tcb.CipherRC4, tcb.CipherDES} {
 		t.Run(cipher.String(), func(t *testing.T) {
@@ -333,27 +416,23 @@ func TestCheckpointFormatUnchanged(t *testing.T) {
 			}
 
 			layout := rt.Layout()
-			hdr, sealed, err := enclave.UnmarshalHeader(blob)
-			if err != nil {
-				t.Fatal(err)
-			}
+			o := openLeaves(t, blob, w.owner.kencrypt)
+			hdr := o.hdr
 			if hdr.Cipher != cipher || !hdr.OwnerKeyed || int(hdr.TotalPages) != layout.TotalPages() {
 				t.Fatalf("header: %+v", hdr)
 			}
-			hdrBytes := blob[:enclave.HeaderWireSize(layout.Threads)]
-			if !bytes.Equal(hdrBytes, enclave.MarshalHeader(hdr)) {
+			if !bytes.Equal(o.head, enclave.MarshalHeader(hdr)) {
 				t.Fatal("header bytes are not the marshalled header")
 			}
-			body, err := tcb.DecryptCheckpoint(cipher, w.owner.kencrypt, sealed, hdrBytes)
-			if err != nil {
-				t.Fatalf("DecryptCheckpoint: %v", err)
+			if len(o.leaves) != 3 {
+				t.Fatalf("%d leaves, want 3", len(o.leaves))
 			}
-			payload, sum := body[:len(body)-sha256.Size], body[len(body)-sha256.Size:]
-			if len(payload) <= 2*digestLeaf {
-				t.Fatalf("a %d-byte body does not reach a third digest leaf", len(payload))
+			payload := bytes.Join(o.leaves, nil)
+			if want := stateDigest(payload); !bytes.Equal(o.final[:sha256.Size], want[:]) {
+				t.Fatal("the final record's root is not SHA-256 over the SHA-256 of each 256-record leaf")
 			}
-			if want := stateDigest(payload); !bytes.Equal(sum, want[:]) {
-				t.Fatal("trailing digest is not SHA-256 over the SHA-256 of each 256-record leaf")
+			if n := binary.LittleEndian.Uint32(o.final[sha256.Size:]); n != 3 {
+				t.Fatalf("the final record counts %d leaves, want 3", n)
 			}
 			if len(payload) != (layout.TotalPages()-layout.Threads)*ckptRecord {
 				t.Fatalf("payload is %d bytes, want a record for each of %d non-TCS pages", len(payload), layout.TotalPages()-layout.Threads)
@@ -370,9 +449,6 @@ func TestCheckpointFormatUnchanged(t *testing.T) {
 			}
 			if magic := payload[4:12]; string(magic) != "1VGIMXGS" { // controlMagic, little-endian
 				t.Fatalf("control page does not lead the payload: %q", magic)
-			}
-			if _, size, _ := tcb.CheckpointLayout(cipher, len(body)); size != len(sealed) {
-				t.Fatalf("sealed body is %d bytes, layout says %d", len(sealed), size)
 			}
 
 			inc, err := OwnerResume(w.owner, w.hostB, dep, blob)
@@ -419,15 +495,16 @@ func TestStateDigestIndependentOfGOMAXPROCS(t *testing.T) {
 }
 
 // TestResealedTamperRefused: an owner-keyed checkpoint is opened with the
-// owner's key, altered, and sealed again under the same key and header, so
-// the AEAD verifies and only the in-enclave state digest stands between the
-// altered state and the enclave. Two alterations: one byte of a record in
-// the second digest leaf, and the first two leaves swapped — every record
-// still names a valid page, so the record walk alone would take it. Each
-// must be refused as a bad checkpoint before any page is written back: the
-// control page, the first record, still reads as the target's own
-// (restoring, never audited, never restored) rather than the source's. The
-// same target then restores the body re-sealed unaltered.
+// owner's key, altered, and every record sealed again under the same key,
+// header and salt, so each opens under its index and only the in-enclave
+// state digest stands between the altered state and the enclave. Two
+// alterations: one byte of a record in the second leaf, and the first two
+// leaves swapped — every record still names a valid page, so the record walk
+// alone would take it. Each must be refused as a bad checkpoint before any
+// page is written back: the control page, the first record, still reads as
+// the target's own (restoring, never audited, never restored) rather than
+// the source's. The same target then restores the records re-sealed
+// unaltered.
 func TestResealedTamperRefused(t *testing.T) {
 	w := newWorld(t)
 	app := bigCounter()
@@ -440,26 +517,18 @@ func TestResealedTamperRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hdr, sealed, err := enclave.UnmarshalHeader(blob)
-	if err != nil {
-		t.Fatal(err)
+	o := openLeaves(t, blob, w.owner.kencrypt)
+	hdr := o.hdr
+	if len(o.leaves) < 3 {
+		t.Fatalf("%d leaves: the test needs a second full one", len(o.leaves))
 	}
-	hdrBytes := blob[:len(blob)-len(sealed)]
-	body, err := tcb.DecryptCheckpoint(hdr.Cipher, w.owner.kencrypt, sealed, hdrBytes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(body) <= 2*digestLeaf {
-		t.Fatalf("a %d-byte body has no second full digest leaf", len(body))
-	}
-	reseal := func(alter func(records []byte)) []byte {
-		b := append([]byte(nil), body...)
-		alter(b[:len(b)-sha256.Size])
-		env, err := tcb.EncryptCheckpoint(hdr.Cipher, w.owner.kencrypt, b, hdrBytes)
-		if err != nil {
-			t.Fatal(err)
+	reseal := func(alter func(leaves [][]byte)) []byte {
+		leaves := make([][]byte, len(o.leaves))
+		for i, leaf := range o.leaves {
+			leaves[i] = append([]byte(nil), leaf...)
 		}
-		return append(append([]byte(nil), hdrBytes...), env...)
+		alter(leaves)
+		return o.reseal(t, w.owner.kencrypt, leaves)
 	}
 
 	tgt, err := ownerTarget(w.owner, w.hostB, dep)
@@ -469,14 +538,10 @@ func TestResealedTamperRefused(t *testing.T) {
 	defer destroyQuietly(tgt)
 	for _, tc := range []struct {
 		name  string
-		alter func(records []byte)
+		alter func(leaves [][]byte)
 	}{
-		{"a byte of the second leaf", func(r []byte) { r[digestLeaf+10*ckptRecord+100] ^= 1 }},
-		{"the first two leaves swapped", func(r []byte) {
-			first := append([]byte(nil), r[:digestLeaf]...)
-			copy(r, r[digestLeaf:2*digestLeaf])
-			copy(r[digestLeaf:], first)
-		}},
+		{"a byte of the second leaf", func(l [][]byte) { l[1][10*ckptRecord+100] ^= 1 }},
+		{"the first two leaves swapped", func(l [][]byte) { l[0], l[1] = l[1], l[0] }},
 	} {
 		bad := reseal(tc.alter)
 		if err := tgt.WriteShared(enclave.SharedCkptOff, bad); err != nil {
@@ -496,7 +561,7 @@ func TestResealedTamperRefused(t *testing.T) {
 		}
 	}
 
-	good := reseal(func([]byte) {})
+	good := reseal(func([][]byte) {})
 	if err := tgt.WriteShared(enclave.SharedCkptOff, good); err != nil {
 		t.Fatal(err)
 	}
@@ -506,6 +571,38 @@ func TestResealedTamperRefused(t *testing.T) {
 	}
 	if res, err := inc.Runtime.ECall(0, testapps.CounterGet); err != nil || res[0] != 5 {
 		t.Fatalf("restored counter = %d, %v", res[0], err)
+	}
+}
+
+// TestOwnerCheckpointsNeverReuseNonce: the owner's Kencrypt seals every
+// owner checkpoint of an enclave, so no two may seal under the same (key,
+// nonce) pair. Two checkpoints dumped back to back carry different salts,
+// and their second leaves — heap pages nothing wrote in between, the same
+// plaintext at the same index — differ in every 16-byte block of
+// ciphertext: the two key streams never coincide.
+func TestOwnerCheckpointsNeverReuseNonce(t *testing.T) {
+	w := newWorld(t)
+	rt := w.launch(t, bigCounter())
+	a, err := OwnerCheckpoint(w.owner, rt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := OwnerCheckpoint(w.owner, rt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oa, ob := openLeaves(t, a, w.owner.kencrypt), openLeaves(t, b, w.owner.kencrypt)
+	if oa.hdr.Salt == ob.hdr.Salt {
+		t.Fatal("two owner checkpoints carry the same salt")
+	}
+	if !bytes.Equal(oa.leaves[1], ob.leaves[1]) {
+		t.Fatal("the second leaves differ in plaintext; the test needs them equal")
+	}
+	ca, cb := oa.sealed[1], ob.sealed[1]
+	for off := 0; off+16 <= len(ca); off += 16 {
+		if bytes.Equal(ca[off:off+16], cb[off:off+16]) {
+			t.Fatalf("the same plaintext sealed to the same block at offset %d of the second leaf in both checkpoints", off)
+		}
 	}
 }
 

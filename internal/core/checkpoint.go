@@ -48,15 +48,15 @@ func OwnerCheckpoint(o *Owner, rt *enclave.Runtime) ([]byte, error) {
 		rt.InterruptWorkers()
 		time.Sleep(opts.pollInterval())
 	}
-	res, err := rt.CtlCall(enclave.SelCtlOwnerDump, enclave.SharedCkptOff)
-	if err != nil {
+	var blob []byte
+	if _, err := streamDump(rt, enclave.SelCtlOwnerDump, func(total int) error {
+		blob = make([]byte, total)
+		return nil
+	}, func(off, end int) error {
+		return rt.Shared().Load(enclave.SharedCkptOff+uint64(off), blob[off:end])
+	}); err != nil {
 		_ = Cancel(rt)
 		return nil, fmt.Errorf("core: owner dump: %w", err)
-	}
-	blob, err := rt.ReadShared(enclave.SharedCkptOff, res[0])
-	if err != nil {
-		_ = Cancel(rt)
-		return nil, err
 	}
 	o.logOp("checkpoint", rt.Measurement(), rt.Machine().AttestationPublic())
 	// Snapshot done; let the enclave continue running.

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/attest"
@@ -266,22 +267,131 @@ func Prepare(src *enclave.Runtime, opts *Options) (_ time.Duration, err error) {
 }
 
 // Dump produces the encrypted checkpoint blob from a prepared source
-// enclave (two-phase checkpointing phase 2).
+// enclave (two-phase checkpointing phase 2), collecting it from the shared
+// window while the enclave is still sealing it.
 func Dump(src *enclave.Runtime, opts *Options) (_ []byte, _ time.Duration, err error) {
-	sp := opts.span().Child("core.dump", telemetry.String("enclave", src.App().Name))
-	defer func() { sp.Fail(err) }()
-	start := time.Now()
-	res, err := src.CtlCall(enclave.SelCtlMigrateDump, enclave.SharedCkptOff)
-	if err != nil {
-		return nil, 0, fmt.Errorf("core: migrate dump: %w", err)
-	}
-	blob, err := src.ReadShared(enclave.SharedCkptOff, res[0])
+	var blob []byte
+	_, took, err := dump(src, opts, func(total int) error {
+		blob = make([]byte, total)
+		return nil
+	}, func(off, end int) error {
+		return src.Shared().Load(enclave.SharedCkptOff+uint64(off), blob[off:end])
+	})
 	if err != nil {
 		return nil, 0, err
 	}
-	sp.Annotate(telemetry.Int("checkpoint_bytes", len(blob)))
-	opts.metrics().Counter("core.checkpoint.bytes").Add(int64(len(blob)))
-	return blob, time.Since(start), nil
+	return blob, took, nil
+}
+
+// dumpTo is Dump streamed into t: MsgCheckpoint announces the checkpoint's
+// FrameBlob segments as soon as the enclave has published its length, and
+// each segment leaves as soon as the leaves under it are sealed, so the
+// transfer runs under the dump: core.wire spans core.dump. It returns the
+// checkpoint's length.
+func dumpTo(src *enclave.Runtime, t Transport, opts *Options) (n int, took time.Duration, err error) {
+	wire := opts.span().Child("core.wire")
+	defer func() {
+		wire.Annotate(telemetry.Int("checkpoint_bytes", n))
+		wire.Fail(err)
+	}()
+	return dump(src, opts, func(total int) error {
+		return t.Send(Message{Kind: MsgCheckpoint, Frames: bulkFrames(total)})
+	}, func(off, end int) error {
+		f := newBlobFrame(end - off)
+		if err := src.Shared().Load(enclave.SharedCkptOff+uint64(off), f.Data); err != nil {
+			f.Release()
+			return err
+		}
+		return t.SendFrame(f)
+	})
+}
+
+// dump runs the migration dump under a core.dump span, passing the
+// checkpoint on as streamDump does, and counts its bytes.
+func dump(src *enclave.Runtime, opts *Options, begin func(total int) error, chunk func(off, end int) error) (n int, _ time.Duration, err error) {
+	sp := opts.span().Child("core.dump", telemetry.String("enclave", src.App().Name))
+	defer func() { sp.Fail(err) }()
+	start := time.Now()
+	n, err = streamDump(src, enclave.SelCtlMigrateDump, begin, chunk)
+	if err != nil {
+		return 0, 0, fmt.Errorf("core: migrate dump: %w", err)
+	}
+	sp.Annotate(telemetry.Int("checkpoint_bytes", n))
+	opts.metrics().Counter("core.checkpoint.bytes").Add(int64(n))
+	return n, time.Since(start), nil
+}
+
+// streamDump runs dump selector sel on src and passes the checkpoint on
+// while the enclave is still producing it. The enclave publishes the
+// checkpoint's length first (enclave.SharedDumpLen) and then, as each leaf
+// is sealed and copied out, how much of the window is final
+// (enclave.SharedDumpReady). begin receives the length; chunk receives each
+// bulkSegment stretch [off, end) of the window once it is final, in order,
+// the last one possibly short. A failing begin or chunk stops the passing
+// on, not the dump, which runs to its end first. It returns the length.
+func streamDump(src *enclave.Runtime, sel uint64, begin func(total int) error, chunk func(off, end int) error) (int, error) {
+	var ready atomic.Uint64
+	wake := make(chan struct{}, 1)
+	type result struct {
+		n   uint64
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		res, err := src.CtlCallWatch(enclave.SharedDumpReady, func(v uint64) {
+			ready.Store(v)
+			select {
+			case wake <- struct{}{}:
+			default:
+			}
+		}, sel, enclave.SharedCkptOff)
+		done <- result{res[0], err}
+	}()
+	total, sent := 0, 0
+	pass := func(upTo int) error {
+		if total == 0 {
+			var b [8]byte
+			if err := src.Shared().Load(enclave.SharedDumpLen, b[:]); err != nil {
+				return err
+			}
+			n := binary.LittleEndian.Uint64(b[:])
+			if n == 0 || n > uint64(enclave.MaxCheckpointSize(src.Layout())) {
+				return fmt.Errorf("%w: dump announced a %d-byte checkpoint", ErrProtocol, n)
+			}
+			total = int(n)
+			if err := begin(total); err != nil {
+				return err
+			}
+		}
+		for sent < total && (sent+bulkSegment <= upTo || upTo >= total) {
+			end := min(sent+bulkSegment, total)
+			if err := chunk(sent, end); err != nil {
+				return err
+			}
+			sent = end
+		}
+		return nil
+	}
+	var passErr error
+	for {
+		select {
+		case <-wake:
+			if up := ready.Load(); passErr == nil && up > 0 {
+				passErr = pass(int(up))
+			}
+		case r := <-done:
+			if r.err != nil {
+				return 0, r.err
+			}
+			if passErr == nil {
+				passErr = pass(int(r.n))
+			}
+			if passErr == nil && (sent != total || r.n != uint64(total)) {
+				passErr = fmt.Errorf("%w: dump of %d bytes announced %d", ErrProtocol, r.n, total)
+			}
+			return total, passErr
+		}
+	}
 }
 
 // Cancel aborts a started migration on the source: Kmigrate is wiped inside
@@ -315,22 +425,20 @@ func MigrateOut(src *enclave.Runtime, t Transport, opts *Options) (rep SourceRep
 		return rep, err
 	}
 
-	// Phase 1+2: quiesce and dump.
+	// Phase 1+2: quiesce, and dump straight onto the wire.
 	if rep.PrepareTime, err = Prepare(src, opts); err != nil {
 		abort(t, "source never quiesced")
 		return rep, err
 	}
-	var blob []byte
-	if blob, rep.DumpTime, err = Dump(src, opts); err != nil {
+	if rep.CheckpointBytes, rep.DumpTime, err = dumpTo(src, t, opts); err != nil {
 		abort(t, "source dump failed")
 		if cErr := Cancel(src); cErr != nil {
 			err = errors.Join(err, cErr)
 		}
 		return rep, err
 	}
-	ps, err := migrateOutChannel(src, blob, t, opts, rep, start, false)
+	ps, err := migrateOutChannel(src, t, opts, rep, start, nil)
 	if err != nil {
-		rep.CheckpointBytes = len(blob)
 		return rep, err
 	}
 	return ps.Release()
@@ -346,7 +454,7 @@ func sendImage(src *enclave.Runtime, t Transport) error {
 // early so the blob rides the pre-copy stream).
 func MigrateOutPrepared(src *enclave.Runtime, blob []byte, t Transport, opts *Options) (SourceReport, error) {
 	start := time.Now()
-	ps, err := migrateOutChannel(src, blob, t, opts, SourceReport{}, start, true)
+	ps, err := MigrateOutChannel(src, blob, t, opts)
 	if err != nil {
 		return SourceReport{CheckpointBytes: len(blob), TotalTime: time.Since(start)}, err
 	}
@@ -372,14 +480,22 @@ type PreparedSource struct {
 // (but excluding) key release. On failure the migration is cancelled and the
 // enclave resumes.
 func MigrateOutChannel(src *enclave.Runtime, blob []byte, t Transport, opts *Options) (*PreparedSource, error) {
-	return migrateOutChannel(src, blob, t, opts, SourceReport{}, time.Now(), true)
+	return migrateOutChannel(src, t, opts, SourceReport{CheckpointBytes: len(blob)}, time.Now(), func(sp *telemetry.Span) error {
+		// The image announcement and the checkpoint go out back to back.
+		wireSp := sp.Child("core.wire", telemetry.Int("checkpoint_bytes", len(blob)))
+		err := sendImage(src, t)
+		if err == nil {
+			err = sendBulk(t, Message{Kind: MsgCheckpoint, Blob: blob})
+		}
+		wireSp.Fail(err)
+		return err
+	})
 }
 
-// migrateOutChannel ships the checkpoint and runs the attested channel.
-// announce says the image message has not gone out yet (MigrateOut sends it
-// ahead of the dump; callers that arrive with a finished checkpoint send the
-// two back to back).
-func migrateOutChannel(src *enclave.Runtime, blob []byte, t Transport, opts *Options, rep SourceReport, start time.Time, announce bool) (_ *PreparedSource, err error) {
+// migrateOutChannel runs the attested channel, after ship, if set, has sent
+// the image and the held checkpoint (MigrateOut streams its checkpoint from
+// the dump instead).
+func migrateOutChannel(src *enclave.Runtime, t Transport, opts *Options, rep SourceReport, start time.Time, ship func(*telemetry.Span) error) (_ *PreparedSource, err error) {
 	mode := "remote-attest"
 	if opts.Agent != nil {
 		mode = "agent"
@@ -396,22 +512,10 @@ func migrateOutChannel(src *enclave.Runtime, blob []byte, t Transport, opts *Opt
 		}
 	}()
 	ps := &PreparedSource{src: src, t: t, opts: opts, rep: rep, start: start}
-	ps.rep.CheckpointBytes = len(blob)
-
-	// Tell the target what to build and ship the bulk data. The wire span
-	// isolates pure transfer time from the channel crypto that follows, so
-	// a merged cross-host trace shows where bandwidth (vs. attestation
-	// round-trips) went.
-	wireSp := sp.Child("core.wire", telemetry.Int("checkpoint_bytes", len(blob)))
-	if announce {
-		err = sendImage(src, t)
-	}
-	if err == nil {
-		err = sendBulk(t, Message{Kind: MsgCheckpoint, Blob: blob})
-	}
-	wireSp.Fail(err)
-	if err != nil {
-		return nil, err
+	if ship != nil {
+		if err = ship(sp); err != nil {
+			return nil, err
+		}
 	}
 
 	ps.chanStart = time.Now()
@@ -569,13 +673,16 @@ func sourceChannel(src *enclave.Runtime, service *attest.Service, hello []byte) 
 // bulkSegment is the FrameBlob segment size for announced bulk payloads.
 const bulkSegment = 256 << 10
 
+// bulkFrames is how many FrameBlob segments carry an n-byte payload.
+func bulkFrames(n int) uint32 { return uint32((n + bulkSegment - 1) / bulkSegment) }
+
 // sendBulk ships m over t with its payload outside the control frame: Blob
 // follows the small announcing message as Message.Frames FrameBlob
 // segments, so a control frame stays under maxCtlBlob whatever it announces.
 func sendBulk(t Transport, m Message) error {
 	blob := m.Blob
 	m.Blob = nil
-	m.Frames = uint32((len(blob) + bulkSegment - 1) / bulkSegment)
+	m.Frames = bulkFrames(len(blob))
 	if err := t.Send(m); err != nil {
 		return err
 	}

@@ -1,12 +1,8 @@
 package enclave
 
 import (
-	"bytes"
-	"crypto/sha256"
 	"encoding/binary"
-	"runtime"
-	"sync"
-	"sync/atomic"
+	"errors"
 
 	"repro/internal/attest"
 	"repro/internal/sgx"
@@ -177,44 +173,6 @@ func (p *program) quiescent(env *sgx.Env) bool {
 	return true
 }
 
-// ckptLeafRecords is the leaf of the state digest: 256 page records, just
-// over 1 MiB. It is part of the checkpoint format — a dump and its restore
-// must agree on it whatever CPUs either side has — so it is a constant, not
-// derived from the machine.
-const ckptLeafRecords = 256
-
-// stateDigest is the in-enclave integrity hash of a checkpoint's page
-// records: SHA-256 over the concatenated SHA-256 of each ckptLeafRecords
-// leaf, in order (the last leaf may be short). The leaves are hashed on up
-// to GOMAXPROCS goroutines, the caller's among them, so a body of one leaf —
-// every small enclave's — is hashed inline; the result depends on the
-// records alone. records must be enclave-private memory: the goroutines read
-// it unlocked, which is sound only because nothing outside the enclave can
-// write it.
-func stateDigest(records []byte) [32]byte {
-	const leaf = ckptLeafRecords * ckptRecord
-	n := (len(records) + leaf - 1) / leaf
-	sums := make([]byte, n*sha256.Size)
-	var next atomic.Int64
-	work := func() {
-		for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
-			s := sha256.Sum256(records[i*leaf : min((i+1)*leaf, len(records))])
-			copy(sums[i*sha256.Size:], s[:])
-		}
-	}
-	var wg sync.WaitGroup
-	for w := 1; w < min(n, runtime.GOMAXPROCS(0)); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			work()
-		}()
-	}
-	work()
-	wg.Wait()
-	return sha256.Sum256(sums)
-}
-
 type dumpMode int
 
 const (
@@ -304,47 +262,64 @@ func (p *program) ctlDump(env *sgx.Env, ctx *sgx.Context, mode dumpMode) sgx.Sta
 		cipher = tcb.CipherAESGCM
 	}
 
-	// Walk the enclave and dump, in one private buffer laid out as the blob
-	// leaves the enclave: header ‖ sealed(records ‖ digest). Every page is
-	// loaded straight into its record, hashed there and sealed in place, so
-	// the plaintext exists once and only in enclave-private memory.
-	total := p.layout.TotalPages()
+	// Walk the enclave into one private buffer laid out as the checkpoint
+	// leaves the enclave (checkpoint.go). Every page is loaded straight into
+	// its record and sealed there with its leaf, so the plaintext exists once
+	// and only in enclave-private memory. The host learns the checkpoint's
+	// length first and then each stretch of the output window as the leaves
+	// under it are sealed and copied out, so it can send them while the walk
+	// goes on.
+	var salt [tcb.SaltSize]byte
+	if err := env.ReadRandom(salt[:]); err != nil {
+		return p.exit(env, ctx, codeErr, errMemory)
+	}
 	hdr := MarshalHeader(CheckpointHeader{
 		Measurement: env.Measurement(),
-		TotalPages:  uint32(total),
+		TotalPages:  uint32(p.layout.TotalPages()),
 		Threads:     uint32(threads),
 		Cipher:      cipher,
 		OwnerKeyed:  ownerKeyed,
+		Salt:        salt,
 		Flags:       flags,
 		MigK:        migK,
 	})
-	bodyLen := (total-threads)*ckptRecord + sha256.Size // every page except the TCSs
-	lead, sealedLen, err := tcb.CheckpointLayout(cipher, bodyLen)
+	g, err := newCkptGeometry(p.layout, cipher, ckptLeafRecords)
 	if err != nil {
 		return p.exit(env, ctx, codeErr, errMemory)
 	}
-	out := make([]byte, len(hdr)+sealedLen)
-	copy(out, hdr)
-	body := out[len(hdr)+lead:][:bodyLen]
-	rec := body
-	for lin := 0; lin < total; lin++ {
-		if p.layout.IsTCS(sgx.PageNum(lin)) {
-			continue
-		}
-		binary.LittleEndian.PutUint32(rec, uint32(lin))
-		if err := env.Load(sgx.Address(sgx.PageNum(lin), 0), rec[4:ckptRecord]); err != nil {
-			return p.exit(env, ctx, codeErr, errMemory)
-		}
-		rec = rec[ckptRecord:]
-	}
-	sum := stateDigest(body[:bodyLen-sha256.Size])
-	copy(rec, sum[:])
-	if err := tcb.SealCheckpointInPlace(cipher, key, out[len(hdr):], bodyLen, out[:len(hdr)]); err != nil {
+	sealer, err := tcb.NewLeafSealer(cipher, key, salt[:])
+	if err != nil {
 		return p.exit(env, ctx, codeErr, errMemory)
 	}
-	if !writeOut(env, ctx, out) {
+	buf := make([]byte, g.size())
+	copy(buf, hdr)
+	if err := env.OutsideStore(SharedDumpLen, binary.LittleEndian.AppendUint64(nil, uint64(g.size()))); err != nil {
 		return p.exit(env, ctx, codeErr, errMemory)
 	}
+	lin := 0
+	fill := func(leaf int) error {
+		rec := g.record(buf, leaf)[:g.plain(leaf)]
+		for ; len(rec) > 0; lin++ {
+			if p.layout.IsTCS(sgx.PageNum(lin)) {
+				continue
+			}
+			binary.LittleEndian.PutUint32(rec, uint32(lin))
+			if err := env.Load(sgx.Address(sgx.PageNum(lin), 0), rec[4:ckptRecord]); err != nil {
+				return err
+			}
+			rec = rec[ckptRecord:]
+		}
+		return nil
+	}
+	out := ctx.R[1]
+	emit := func(off int, b []byte) error { return env.OutsideStore(out+uint64(off), b) }
+	publish := func(n int) error {
+		return env.OutsideStore(SharedDumpReady, binary.LittleEndian.AppendUint64(nil, uint64(n)))
+	}
+	if err := sealLeaves(g, buf, sealer, fill, emit, publish); err != nil {
+		return p.exit(env, ctx, codeErr, errMemory)
+	}
+	ctx.R[0] = uint64(g.size())
 	st64(env, offDumpDone, 1)
 	return p.exit(env, ctx, codeDone, 0)
 }
@@ -702,58 +677,37 @@ func (p *program) ctlTgtRestore(env *sgx.Env, ctx *sgx.Context) sgx.Status {
 		key = ldKey(env, offKmigrate)
 	}
 
-	// readIn's copy is the enclave's private one: everything below reads,
-	// authenticates and decrypts that copy, never shared memory, which the
-	// host could rewrite between the check and the use.
-	total := p.layout.TotalPages()
-	in, ok := readIn(env, ctx, uint64(MaxCheckpointSize(p.layout)))
-	if !ok {
+	// The staged checkpoint is read once, leaf by leaf, into
+	// enclave-private memory and authenticated, decrypted and hashed there
+	// (openCheckpoint), never over shared memory, which the host could
+	// rewrite between the check and the use. No page is written back until
+	// every record has checked out.
+	base, n := ctx.R[1], ctx.R[2]
+	if n == 0 || n > uint64(MaxCheckpointSize(p.layout)) {
 		return p.exit(env, ctx, codeErr, errMemory)
 	}
-	hdr, ct, err := UnmarshalHeader(in)
-	if err != nil {
+	_, leaves, err := openCheckpoint(p.layout, ckptLeafRecords, env.Measurement(), ownerKeyed, key, int(n),
+		func(off int, dst []byte) error { return env.OutsideLoad(base+uint64(off), dst) })
+	switch {
+	case errors.Is(err, errCkptBad):
 		return p.exit(env, ctx, codeErr, errBadCheckpoint)
-	}
-	if hdr.Measurement != env.Measurement() ||
-		int(hdr.TotalPages) != total ||
-		int(hdr.Threads) != p.layout.Threads ||
-		hdr.OwnerKeyed != ownerKeyed {
-		return p.exit(env, ctx, codeErr, errBadCheckpoint)
-	}
-	hdrBytes := in[:HeaderWireSize(p.layout.Threads)]
-	body, err := tcb.OpenCheckpointInPlace(hdr.Cipher, key, ct, hdrBytes)
-	if err != nil {
+	case errors.Is(err, errCkptAuth):
 		return p.exit(env, ctx, codeErr, errDecryptFailed)
-	}
-	if len(body) < sha256.Size {
-		return p.exit(env, ctx, codeErr, errBadCheckpoint)
-	}
-	payload, sum := body[:len(body)-sha256.Size], body[len(body)-sha256.Size:]
-	want := stateDigest(payload)
-	if !bytes.Equal(sum, want[:]) {
-		return p.exit(env, ctx, codeErr, errBadCheckpoint)
+	case err != nil:
+		return p.exit(env, ctx, codeErr, errMemory)
 	}
 
 	// Write pages back. Page 0 (the control page we are executing against)
 	// is applied too — it carries the thread table, migK targets, the
 	// provisioned identity key and application SDK state — and then the
 	// lifecycle fields are re-pinned to the restoring state.
-	if len(payload)%ckptRecord != 0 {
-		return p.exit(env, ctx, codeErr, errBadCheckpoint)
-	}
-	seen := 0
-	for off := 0; off < len(payload); off += ckptRecord {
-		lin := binary.LittleEndian.Uint32(payload[off:])
-		if int(lin) >= total || p.layout.IsTCS(sgx.PageNum(lin)) {
-			return p.exit(env, ctx, codeErr, errBadCheckpoint)
+	for _, leaf := range leaves {
+		for off := 0; off < len(leaf); off += ckptRecord {
+			lin := binary.LittleEndian.Uint32(leaf[off:])
+			if err := env.Store(sgx.Address(sgx.PageNum(lin), 0), leaf[off+4:off+ckptRecord]); err != nil {
+				return p.exit(env, ctx, codeErr, errMemory)
+			}
 		}
-		if err := env.Store(sgx.Address(sgx.PageNum(lin), 0), payload[off+4:off+ckptRecord]); err != nil {
-			return p.exit(env, ctx, codeErr, errMemory)
-		}
-		seen++
-	}
-	if seen != total-p.layout.Threads { // every page except the TCSs
-		return p.exit(env, ctx, codeErr, errBadCheckpoint)
 	}
 
 	// Fix up lifecycle state on the restored control page.

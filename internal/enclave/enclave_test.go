@@ -1,7 +1,9 @@
 package enclave
 
 import (
+	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"testing"
 	"testing/quick"
@@ -375,25 +377,47 @@ func TestHeaderCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCheckpointDigestLeaves holds stateDigest to its definition — SHA-256
-// over the SHA-256 of each 256-record leaf — at every body shape the leaf
-// split has an edge for: empty, short of one leaf, exactly one, and several
-// with and without a short last leaf. Run under -cpu 1,2 it covers the
-// inline path and the fanned-out one.
+// TestCheckpointDigestLeaves seals checkpoints of every body shape the leaf
+// split has an edge for — short of one leaf, exactly one, and several with
+// and without a short last leaf — and holds the final record to its
+// definition: SHA-256 over the SHA-256 of each 256-record leaf, then the
+// leaf count. Each opens back to its records. Run under -cpu 1,2 it covers
+// the inline path and the fanned-out one, on both sides.
 func TestCheckpointDigestLeaves(t *testing.T) {
 	const leaf = 256 * (4 + sgx.PageSize)
-	for _, n := range []int{0, 100, leaf, 3 * leaf, 3*leaf + 4100} {
-		records := make([]byte, n)
-		for i := range records {
-			records[i] = byte(i * 7 / 5)
-		}
+	key, _ := tcb.RandomKey()
+	mr := [32]byte{9}
+	for _, heap := range []int{0, 249, 761, 762} { // 7, 256, 768 and 769 records
+		l := Layout{Threads: 2, NSSA: 2, HeapPages: heap}
+		records, blob := sealTestCheckpoint(t, l, ckptLeafRecords, tcb.CipherAESGCM, key, mr)
 		var sums []byte
-		for off := 0; off < n; off += leaf {
-			s := sha256.Sum256(records[off:min(off+leaf, n)])
+		for off := 0; off < len(records); off += leaf {
+			s := sha256.Sum256(records[off:min(off+leaf, len(records))])
 			sums = append(sums, s[:]...)
 		}
-		if got, want := stateDigest(records), sha256.Sum256(sums); got != want {
-			t.Errorf("%d-byte body: digest %x, want %x", n, got[:8], want[:8])
+		g, err := newCkptGeometry(l, tcb.CipherAESGCM, ckptLeafRecords)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hdr, _, err := UnmarshalHeader(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := tcb.NewLeafSealer(tcb.CipherAESGCM, key, hdr.Salt[:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		count := uint32(len(sums) / sha256.Size)
+		final, err := s.Open(append([]byte(nil), g.record(blob, g.leaves)...), blob[:g.offs[0]], count, count)
+		if err != nil {
+			t.Fatalf("%d records: final record: %v", len(records)/ckptRecord, err)
+		}
+		if root := sha256.Sum256(sums); !bytes.Equal(final[:sha256.Size], root[:]) || binary.LittleEndian.Uint32(final[sha256.Size:]) != count {
+			t.Errorf("%d records: final record %x, want root %x and %d leaves", len(records)/ckptRecord, final, root[:8], count)
+		}
+		_, leaves, err := openCheckpoint(l, ckptLeafRecords, mr, false, key, len(blob), loadFrom(blob))
+		if err != nil || !bytes.Equal(bytes.Join(leaves, nil), records) {
+			t.Errorf("%d records: openCheckpoint: %v", len(records)/ckptRecord, err)
 		}
 	}
 }

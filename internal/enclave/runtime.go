@@ -57,6 +57,14 @@ const (
 	SharedReqOff  = 0
 	SharedReqSize = 64 * 1024
 	SharedCkptOff = SharedReqSize
+
+	// SharedDumpLen and SharedDumpReady are where a running dump reports
+	// its progress, in the request area: the checkpoint's length, then how
+	// many of its leading bytes in the output window are final (u64 LE
+	// each). The dump stores the length first and advances the ready count
+	// as each leaf is sealed and copied out (Runtime.CtlCallWatch).
+	SharedDumpLen   = SharedReqOff
+	SharedDumpReady = SharedReqOff + 8
 )
 
 // SharedRegion is untrusted host memory shared with one enclave.
@@ -642,19 +650,50 @@ func (rt *Runtime) dispatchOCallLocked(ws *workerState, tcsLin sgx.PageNum, regs
 
 // CtlCall executes a control-thread selector synchronously.
 func (rt *Runtime) CtlCall(sel uint64, args ...uint64) ([sgx.NumRegs]uint64, error) {
+	return rt.ctlCall(rt.shared, sel, args)
+}
+
+// CtlCallWatch is CtlCall with every enclave store to the 8-byte shared
+// word at off handed to watch as it happens, on the storing thread: the
+// untrusted runtime observing its own memory, as a host thread polling a
+// word the enclave writes would. A dump reports its progress this way
+// (SharedDumpReady) while it runs. watch must not block.
+func (rt *Runtime) CtlCallWatch(off uint64, watch func(uint64), sel uint64, args ...uint64) ([sgx.NumRegs]uint64, error) {
+	return rt.ctlCall(watchedMemory{OutsideMemory: rt.shared, off: off, watch: watch}, sel, args)
+}
+
+// watchedMemory reports the stores to one word of an outside region.
+type watchedMemory struct {
+	sgx.OutsideMemory
+	off   uint64
+	watch func(uint64)
+}
+
+// Store implements sgx.OutsideMemory.
+func (w watchedMemory) Store(off uint64, b []byte) error {
+	if err := w.OutsideMemory.Store(off, b); err != nil {
+		return err
+	}
+	if off == w.off && len(b) == 8 {
+		w.watch(binary.LittleEndian.Uint64(b))
+	}
+	return nil
+}
+
+func (rt *Runtime) ctlCall(shared sgx.OutsideMemory, sel uint64, args []uint64) ([sgx.NumRegs]uint64, error) {
 	var zero [sgx.NumRegs]uint64
 	rt.ctlMu.Lock()
 	defer rt.ctlMu.Unlock()
 	tcsLin := rt.layout.TCSPage(0)
 	enterArgs := append([]uint64{sel}, args...)
-	res, err := rt.m.EENTER(rt.ctlLP, rt.eid, tcsLin, enterArgs, rt.shared)
+	res, err := rt.m.EENTER(rt.ctlLP, rt.eid, tcsLin, enterArgs, shared)
 	for {
 		if err != nil {
 			return zero, err
 		}
 		switch res.Kind {
 		case sgx.ExitAEX:
-			res, err = rt.m.ERESUME(rt.ctlLP, rt.eid, tcsLin, rt.shared)
+			res, err = rt.m.ERESUME(rt.ctlLP, rt.eid, tcsLin, shared)
 		case sgx.ExitEExit:
 			switch res.Regs[7] {
 			case codeDone:

@@ -92,7 +92,7 @@ func UnmarshalVerdict(b []byte) (attest.Verdict, error) {
 }
 
 // CheckpointHeader is the plaintext header of an enclave checkpoint. It is
-// integrity protected as the AEAD additional data of the encrypted body, and
+// integrity protected as part of every record's AEAD additional data, and
 // the security-critical fields (flags, CSSA rebuild targets) are *also*
 // re-verified in-enclave against the restored control page, so a forged
 // header cannot survive to resume (P-2, P-3).
@@ -102,15 +102,21 @@ type CheckpointHeader struct {
 	Threads     uint32
 	Cipher      tcb.CheckpointCipher
 	OwnerKeyed  bool // Sec. V-C checkpoint (Kencrypt) vs migration (Kmigrate)
-	Flags       []uint8
-	MigK        []uint32
+	// Salt is fresh per checkpoint; the records' keys derive from it and the
+	// checkpoint key (tcb.LeafSealer).
+	Salt  [tcb.SaltSize]byte
+	Flags []uint8
+	MigK  []uint32
 }
 
-const ckptMagic = 0x434b505431 // "CKPT1"
+const ckptMagic = 0x434b505432 // "CKPT2"
+
+// ckptFixedWire is the header's size before its per-thread entries.
+const ckptFixedWire = 8 + 32 + 4 + 4 + 1 + 1 + tcb.SaltSize
 
 // MarshalHeader encodes a checkpoint header.
 func MarshalHeader(h CheckpointHeader) []byte {
-	out := make([]byte, 0, 8+32+4+4+2+int(h.Threads)*5)
+	out := make([]byte, 0, HeaderWireSize(int(h.Threads)))
 	var u64 [8]byte
 	binary.LittleEndian.PutUint64(u64[:], ckptMagic)
 	out = append(out, u64[:]...)
@@ -126,6 +132,7 @@ func MarshalHeader(h CheckpointHeader) []byte {
 	} else {
 		out = append(out, 0)
 	}
+	out = append(out, h.Salt[:]...)
 	for i := 0; i < int(h.Threads); i++ {
 		out = append(out, h.Flags[i])
 		binary.LittleEndian.PutUint32(u32[:], h.MigK[i])
@@ -135,10 +142,10 @@ func MarshalHeader(h CheckpointHeader) []byte {
 }
 
 // UnmarshalHeader decodes a checkpoint header, returning the remaining bytes
-// (the ciphertext body).
+// (the sealed records).
 func UnmarshalHeader(b []byte) (CheckpointHeader, []byte, error) {
 	var h CheckpointHeader
-	if len(b) < 50 {
+	if len(b) < ckptFixedWire {
 		return h, nil, errShortWire
 	}
 	if binary.LittleEndian.Uint64(b[0:8]) != ckptMagic {
@@ -149,10 +156,11 @@ func UnmarshalHeader(b []byte) (CheckpointHeader, []byte, error) {
 	h.Threads = binary.LittleEndian.Uint32(b[44:48])
 	h.Cipher = tcb.CheckpointCipher(b[48])
 	h.OwnerKeyed = b[49] == 1
+	copy(h.Salt[:], b[50:ckptFixedWire])
 	if h.Threads > maxThreads {
 		return h, nil, fmt.Errorf("enclave: absurd thread count %d", h.Threads)
 	}
-	rest := b[50:]
+	rest := b[ckptFixedWire:]
 	if len(rest) < int(h.Threads)*5 {
 		return h, nil, errShortWire
 	}
@@ -167,4 +175,4 @@ func UnmarshalHeader(b []byte) (CheckpointHeader, []byte, error) {
 }
 
 // HeaderWireSize returns the encoded header size for a thread count.
-func HeaderWireSize(threads int) int { return 50 + threads*5 }
+func HeaderWireSize(threads int) int { return ckptFixedWire + threads*5 }

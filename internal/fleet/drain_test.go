@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -167,35 +166,16 @@ func drainConverges(t *testing.T, inflight int, faulted bool) {
 		t.Fatalf("drained host leaked EPC: %d frames still used (1 VA page allowed)", used)
 	}
 
-	// Every enclave lives on exactly the hosts its outcome says: moved →
-	// one target holds "<id>@<n>", lost → nowhere.
-	where := map[string][]string{}
-	for _, st := range snap {
-		for _, live := range st.Stats.Live {
-			orig := live
-			if i := strings.Index(live, "@"); i >= 0 {
-				orig = live[:i]
-			}
-			where[orig] = append(where[orig], st.Addr)
-		}
+	// The single-instance guarantee, checked by machine over the merged
+	// journal, the hosts' listings and the drain's results: never two live
+	// copies, a key release and a restore for every move, destroy before
+	// release, nothing restored for a lost enclave, and every enclave live
+	// on as many hosts as the journal says.
+	recs, _ := f.Journal().Since(0)
+	if v := fleet.CheckInvariants(recs, snap, rep.Results); len(v) != 0 {
+		t.Fatalf("single-instance violations: %v", v)
 	}
 	for _, res := range rep.Results {
-		hostsWith := where[res.ID]
-		switch res.Outcome {
-		case fleet.Moved, fleet.MovedAfterError:
-			if len(hostsWith) != 1 {
-				t.Fatalf("%s reported %s but lives on %v", res.ID, res.Outcome, hostsWith)
-			}
-			if hostsWith[0] == hosts[0].Addr {
-				t.Fatalf("%s reported %s but is still on the drained host", res.ID, res.Outcome)
-			}
-		case fleet.Lost:
-			if len(hostsWith) != 0 {
-				t.Fatalf("%s reported lost but lives on %v", res.ID, hostsWith)
-			}
-		default:
-			t.Fatalf("%s: unexpected outcome %s (%v)", res.ID, res.Outcome, res.Err)
-		}
 		if faulted && res.Outcome == fleet.Moved && res.Attempts < 2 {
 			t.Fatalf("%s moved on attempt %d despite an injected first-attempt fault", res.ID, res.Attempts)
 		}

@@ -191,13 +191,15 @@ func builtinImages(owner *core.Owner) []*enclave.App {
 // bytes, must not hold a goroutine and a socket for good.
 const firstMessageTimeout = 10 * time.Second
 
-// migrateInIdle is how long an inbound migration stream may stay silent
-// between two messages. The longest legitimate silence is the source
-// quiescing its enclave (core's 10 s default poll budget) and then dumping
-// it, after it has announced the image; the target builds its enclave on
-// that announcement, so a peer that goes quiet there holds EPC as well as a
-// goroutine and a socket.
-const migrateInIdle = 30 * time.Second
+// migrateIdle is how long a migration stream may stay silent between two
+// messages, in either direction. The longest legitimate silence on an
+// inbound stream is the source quiescing its enclave (core's 10 s default
+// poll budget) and then dumping it, after it has announced the image; the
+// target builds its enclave on that announcement, so a peer that goes quiet
+// there holds EPC as well as a goroutine and a socket. On an outbound
+// stream it is the target building and restoring; a target that goes quiet
+// holds the source's enclave quiesced.
+const migrateIdle = 30 * time.Second
 
 func (s *Server) serve(conn net.Conn) {
 	defer conn.Close()
@@ -221,16 +223,16 @@ func (s *Server) serve(conn net.Conn) {
 	}
 }
 
-// idleTransport is an inbound migration's transport with the per-message
-// idle clock: the connection's read deadline is re-armed before every
-// receive and cleared nowhere, so each message or frame has migrateInIdle
-// to arrive in full, however long the work between two of them takes.
+// idleTransport is a migration's transport with the per-message idle clock:
+// the connection's read deadline is re-armed before every receive and
+// cleared nowhere, so each message or frame has migrateIdle to arrive in
+// full, however long the work between two of them takes.
 type idleTransport struct {
 	core.Transport
 	conn net.Conn
 }
 
-func (t idleTransport) arm() { _ = t.conn.SetReadDeadline(time.Now().Add(migrateInIdle)) }
+func (t idleTransport) arm() { _ = t.conn.SetReadDeadline(time.Now().Add(migrateIdle)) }
 
 func (t idleTransport) Recv() (core.Message, error) {
 	t.arm()
@@ -390,7 +392,18 @@ func (s *Server) migrateOut(cmd hostproto.Command, sp *telemetry.Span) hostproto
 		return hostproto.Response{Err: err.Error()}
 	}
 	defer conn.Close()
-	w, br, ts := core.NewConnStream(conn)
+	return s.migrateOutOn(conn, rt, cmd, sp)
+}
+
+// migrateOutOn runs the outbound migration of rt over conn. Every read of
+// the stream is on the migrateIdle clock, as an inbound stream's are: a
+// target that goes silent — after the checkpoint, say, with the enclave
+// quiesced — fails the migration within migrateIdle, and the enclave
+// resumes, instead of being held until TCP gives up.
+func (s *Server) migrateOutOn(conn net.Conn, rt *enclave.Runtime, cmd hostproto.Command, sp *telemetry.Span) hostproto.Response {
+	w, br, stream := core.NewConnStream(conn)
+	idle := idleTransport{stream, conn}
+	var ts core.Transport = idle
 	if err := hostproto.Write(w, hostproto.Command{
 		Op:          hostproto.OpMigrateIn,
 		ID:          cmd.ID,
@@ -404,6 +417,7 @@ func (s *Server) migrateOut(cmd hostproto.Command, sp *telemetry.Span) hostproto
 		return hostproto.Response{Err: err.Error()}
 	}
 	var peer hostproto.MachineKey
+	idle.arm()
 	if err := hostproto.Read(br, &peer); err != nil {
 		return hostproto.Response{Err: err.Error()}
 	}

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/hostproto"
+	"repro/internal/testapps"
 )
 
 // clockedConn stands in for the daemon's accepted socket. It records the
@@ -112,7 +113,7 @@ func TestServeClearsDeadlineAfterCommand(t *testing.T) {
 // TestMigrateInDropsPeerSilentAfterImage: a peer opens a migration, trades
 // machine keys, announces a valid image — on which the target builds its
 // virgin enclave — and then sends nothing. Every message of an inbound
-// stream is on the migrateInIdle clock, so the silence ends the migration:
+// stream is on the migrateIdle clock, so the silence ends the migration:
 // the goroutine returns, InflightIn is back to 0 and the enclave's EPC is
 // back in the pool. (The parent held no EPC at this point, it only built
 // once the checkpoint was in; what it did hold, for good, was the goroutine
@@ -181,8 +182,94 @@ func TestMigrateInDropsPeerSilentAfterImage(t *testing.T) {
 		t.Fatalf("read deadlines %v, want the first-message one and three idle ones", set)
 	}
 	for _, d := range set[1:] {
-		if d < migrateInIdle-time.Second || d > migrateInIdle {
-			t.Fatalf("read deadlines %v, want %v re-armed before every message", set, migrateInIdle)
+		if d < migrateIdle-time.Second || d > migrateIdle {
+			t.Fatalf("read deadlines %v, want %v re-armed before every message", set, migrateIdle)
 		}
+	}
+}
+
+// TestMigrateOutDropsSilentTarget: a target that takes the image and the
+// checkpoint and then never answers used to hold the source's enclave
+// quiesced until TCP gave up. The outbound stream is on the migrateIdle
+// clock too, so the silence fails the migration, the source cancels, and
+// the enclave resumes — still listed, still serving calls.
+func TestMigrateOutDropsSilentTarget(t *testing.T) {
+	s, err := New("alpha", "test-secret", 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	launched := s.launch("counter")
+	if launched.Err != "" {
+		t.Fatal(launched.Err)
+	}
+	rt, ok := s.sessions.Lookup(launched.ID)
+	if !ok {
+		t.Fatal("launched enclave not listed")
+	}
+
+	// The honest part of the exchange has to fit the shrunken clock.
+	src, tgt := net.Pipe()
+	defer tgt.Close()
+	conn := &clockedConn{Conn: src, tick: 250 * time.Millisecond}
+	checkpointed := make(chan error, 1)
+	go func() {
+		_, br, ts := core.NewConnStream(tgt)
+		var cmd hostproto.Command
+		var key hostproto.MachineKey
+		err := hostproto.Read(br, &cmd)
+		if err == nil {
+			err = hostproto.Read(br, &key)
+		}
+		if err == nil {
+			err = hostproto.Write(tgt, hostproto.MachineKey{Key: s.machine.AttestationPublic()})
+		}
+		var m core.Message
+		if err == nil {
+			_, err = ts.Recv() // the image
+		}
+		if err == nil {
+			m, err = ts.Recv() // the checkpoint's announcement
+		}
+		for i := uint32(0); err == nil && i < m.Frames; i++ {
+			var f *core.PageFrame
+			if f, err = ts.RecvFrame(); err == nil {
+				f.Release()
+			}
+		}
+		checkpointed <- err
+		// Silence. Whatever the source still writes is drained unread (an
+		// in-memory pipe has no socket buffer to absorb it).
+		_, _ = io.Copy(io.Discard, br)
+	}()
+	resp := s.migrateOutOn(conn, rt, hostproto.Command{Op: hostproto.OpMigrateOut, ID: launched.ID, Target: "silent"}, nil)
+	if err := <-checkpointed; err != nil {
+		t.Fatalf("the target never got the checkpoint: %v", err)
+	}
+	if resp.Err == "" {
+		t.Fatal("a migration to a silent target succeeded")
+	}
+	if rt.Dead() {
+		t.Fatal("the source self-destroyed for a target that never answered")
+	}
+	if _, err := rt.ECall(0, testapps.CounterGet); err != nil {
+		t.Fatalf("enclave after the cancelled migration: %v", err)
+	}
+	if _, ok := s.sessions.Lookup(launched.ID); !ok {
+		t.Fatal("the source dropped the session of an enclave it still runs")
+	}
+	// The key exchange and every message after it on a clock, none lifted.
+	set := conn.set()
+	timed := 0
+	for _, d := range set {
+		if d == 0 {
+			continue
+		}
+		if d < migrateIdle-time.Second || d > migrateIdle {
+			t.Fatalf("read deadlines %v, want %v re-armed before every read", set, migrateIdle)
+		}
+		timed++
+	}
+	if timed < 2 {
+		t.Fatalf("read deadlines %v: the key exchange and the wait for the target's hello should each be timed", set)
 	}
 }

@@ -175,7 +175,8 @@ func DefaultConfig(modPath string) *Config {
 			modPath + "/internal/tcb.OpenDeterministic",
 			"(*" + modPath + "/internal/tcb.Sealer).Open",
 			modPath + "/internal/tcb.DecryptCheckpoint",
-			modPath + "/internal/tcb.OpenCheckpointInPlace",
+			// Opens a checkpoint record in place; its result is the plaintext.
+			"(*" + modPath + "/internal/tcb.LeafSealer).Open",
 			"(crypto/cipher.AEAD).Open",
 		},
 		TaintSinks: []string{
@@ -198,10 +199,10 @@ func DefaultConfig(modPath string) *Config {
 			modPath + "/internal/tcb.SealDeterministic",
 			"(*" + modPath + "/internal/tcb.Sealer).Seal",
 			modPath + "/internal/tcb.EncryptCheckpoint",
-			// Seals its buffer argument in place and returns only an error;
-			// listed so the in-place twin is not mistaken for a laundering
-			// wrapper should it ever grow a result.
-			modPath + "/internal/tcb.SealCheckpointInPlace",
+			// Seals a checkpoint record in its buffer and returns only an
+			// error; listed so it is not mistaken for a laundering wrapper
+			// should it ever grow a result.
+			"(*" + modPath + "/internal/tcb.LeafSealer).Seal",
 			"(crypto/cipher.AEAD).Seal",
 			modPath + "/internal/tcb.Hash",
 			modPath + "/internal/tcb.HashConcat",

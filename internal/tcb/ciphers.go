@@ -4,6 +4,7 @@ import (
 	"crypto/des"
 	"crypto/rc4"
 	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
 )
@@ -40,133 +41,174 @@ func (c CheckpointCipher) String() string {
 
 var errUnknownCipher = errors.New("tcb: unknown checkpoint cipher")
 
-// CheckpointLayout reports where an n-byte plaintext sits inside its sealed
-// envelope under cipher c: the envelope is size bytes and the ciphertext
-// replaces the plaintext at offset lead (AES-GCM puts its nonce in front;
-// every cipher appends its tag, DES its padding too).
-func CheckpointLayout(c CheckpointCipher, n int) (lead, size int, err error) {
+// SaltSize is the width of a checkpoint's salt: fresh random bytes, carried
+// in the plaintext header, from which the checkpoint's record keys derive.
+const SaltSize = 32
+
+// LeafSealer seals and opens the records of one checkpoint. A checkpoint is
+// a sequence of records, each sealed on its own so that many cores can seal
+// and open them at once, and each bound to its place by its additional
+// data: header ‖ index ‖ count. The checkpoint key may be long-lived — the
+// owner's Kencrypt seals every owner checkpoint of an enclave (Sec. V-C) —
+// so no record is sealed under it directly. Everything derives from a
+// subkey of (key, salt), and the salt is fresh per checkpoint: under AES-GCM
+// the record index is the nonce counter of a key no other checkpoint uses;
+// RC4 and DES-CBC derive an encryption and a MAC key per record from it
+// (encrypt-then-MAC). A LeafSealer is safe for concurrent use and holds key
+// material: it must be guarded like the key itself.
+type LeafSealer struct {
+	c    CheckpointCipher
+	sub  Key
+	aead *Sealer // AES-GCM only
+}
+
+// NewLeafSealer derives the record keys of the checkpoint salted with salt.
+func NewLeafSealer(c CheckpointCipher, key Key, salt []byte) (*LeafSealer, error) {
+	if _, err := LeafSize(c, 0); err != nil {
+		return nil, err
+	}
+	s := &LeafSealer{c: c, sub: DeriveKey(key, "checkpoint-records", salt)}
+	if c == CipherAESGCM {
+		aead, err := NewSealer(s.sub)
+		if err != nil {
+			return nil, err
+		}
+		s.aead = aead
+	}
+	return s, nil
+}
+
+// LeafSize is the sealed size of an n-byte record under c. A record is
+// sealed in place: the ciphertext replaces the plaintext at the front and
+// the tag (for DES, the padding and then the tag) follows.
+func LeafSize(c CheckpointCipher, n int) (int, error) {
 	switch c {
 	case CipherAESGCM:
-		return nonceSize, nonceSize + n + SealOverhead, nil
+		return n + SealOverhead, nil
 	case CipherRC4:
-		return 0, n + sha256.Size, nil
+		return n + sha256.Size, nil
 	case CipherDES:
-		return 0, n + desPad(n) + sha256.Size, nil
+		return n + desPad(n) + sha256.Size, nil
 	default:
-		return 0, 0, errUnknownCipher
+		return 0, errUnknownCipher
 	}
 }
 
-// EncryptCheckpoint seals plaintext under key with the selected cipher,
-// binding additional data. All variants provide integrity: AES-GCM natively,
-// RC4/DES via encrypt-then-HMAC.
-func EncryptCheckpoint(c CheckpointCipher, key Key, plaintext, additional []byte) ([]byte, error) {
-	_, size, err := CheckpointLayout(c, len(plaintext))
-	if err != nil {
-		return nil, err
-	}
-	env := make([]byte, size)
-	if err := sealCheckpoint(c, key, env, plaintext, additional); err != nil {
-		return nil, err
-	}
-	return env, nil
+// leafAAD is a record's additional data: the checkpoint header, then the
+// record's index and the checkpoint's record count, both u32 LE.
+func leafAAD(header []byte, index, count uint32) []byte {
+	aad := make([]byte, 0, len(header)+8)
+	aad = append(aad, header...)
+	aad = binary.LittleEndian.AppendUint32(aad, index)
+	return binary.LittleEndian.AppendUint32(aad, count)
 }
 
-// SealCheckpointInPlace is EncryptCheckpoint without a second buffer: env is
-// the whole envelope as sized by CheckpointLayout(c, n), the caller has
-// written the n plaintext bytes at env[lead:], and on return env holds the
-// sealed form. additional may share env's allocation but must not overlap
-// env itself.
-func SealCheckpointInPlace(c CheckpointCipher, key Key, env []byte, n int, additional []byte) error {
-	lead, size, err := CheckpointLayout(c, n)
+// leafKeys derives record index's encryption and MAC keys for the legacy
+// ciphers.
+func (s *LeafSealer) leafKeys(label string, index uint32) (enc, mac Key) {
+	idx := binary.LittleEndian.AppendUint32(nil, index)
+	return DeriveKey(s.sub, label+"-enc", idx), DeriveKey(s.sub, label+"-mac", idx)
+}
+
+// Seal seals record index of count in place: env is LeafSize(c, n) bytes
+// with the n plaintext bytes at its front, and holds the sealed record on
+// return. header is the checkpoint's plaintext header.
+func (s *LeafSealer) Seal(env []byte, n int, header []byte, index, count uint32) error {
+	size, err := LeafSize(s.c, n)
 	if err != nil {
 		return err
 	}
 	if n < 0 || len(env) != size {
-		return fmt.Errorf("tcb: checkpoint envelope is %d bytes, layout needs %d", len(env), size)
+		return fmt.Errorf("tcb: checkpoint record is %d bytes, %d-byte plaintext needs %d", len(env), n, size)
 	}
-	return sealCheckpoint(c, key, env, env[lead:lead+n], additional)
+	aad := leafAAD(header, index, count)
+	switch s.c {
+	case CipherAESGCM:
+		s.aead.Seal(env[:0], uint64(index), env[:n], aad)
+	case CipherRC4:
+		enc, mac := s.leafKeys("rc4", index)
+		if err := rc4Apply(enc, env[:n], env[:n]); err != nil {
+			return err
+		}
+		putMAC(mac, env, n, aad)
+	case CipherDES:
+		enc, mac := s.leafKeys("des", index)
+		ct := env[:n+desPad(n)]
+		if err := desEncrypt(enc, ct, env[:n]); err != nil {
+			return err
+		}
+		putMAC(mac, env, len(ct), aad)
+	}
+	return nil
 }
 
-// sealCheckpoint fills env (sized by CheckpointLayout) from plaintext, which
-// either is env[lead:lead+n] itself or does not overlap env at all.
-func sealCheckpoint(c CheckpointCipher, key Key, env, plaintext, additional []byte) error {
-	n := len(plaintext)
-	switch c {
+// Open reverses Seal in place: the plaintext overwrites the ciphertext and
+// the result aliases env, whose contents are consumed either way. It returns
+// ErrDecrypt for a record that is not record index of count of the
+// checkpoint with this header, key and salt. The caller must own env
+// exclusively — inside an enclave that means its private copy, never
+// shared memory.
+func (s *LeafSealer) Open(env []byte, header []byte, index, count uint32) ([]byte, error) {
+	aad := leafAAD(header, index, count)
+	switch s.c {
 	case CipherAESGCM:
-		s, err := NewSealer(key)
-		if err != nil {
-			return err
-		}
-		return s.sealEnvelope(env, plaintext, additional)
+		return s.aead.Open(env[:0], uint64(index), env, aad)
 	case CipherRC4:
-		if err := rc4Apply(DeriveKey(key, "rc4-enc"), env[:n], plaintext); err != nil {
-			return err
+		enc, mac := s.leafKeys("rc4", index)
+		ct, err := splitMAC(mac, env, aad)
+		if err != nil {
+			return nil, err
 		}
-		putMAC(DeriveKey(key, "rc4-mac"), env, n, additional)
-		return nil
-	case CipherDES:
-		ct := env[:n+desPad(n)]
-		if err := desEncrypt(DeriveKey(key, "des-enc"), ct, plaintext); err != nil {
-			return err
+		if err := rc4Apply(enc, ct, ct); err != nil {
+			return nil, err
 		}
-		putMAC(DeriveKey(key, "des-mac"), env, len(ct), additional)
-		return nil
-	default:
-		return errUnknownCipher
+		return ct, nil
+	default: // CipherDES; NewLeafSealer refused anything else
+		enc, mac := s.leafKeys("des", index)
+		ct, err := splitMAC(mac, env, aad)
+		if err != nil {
+			return nil, err
+		}
+		return desDecrypt(enc, ct, ct)
 	}
+}
+
+// EncryptCheckpoint seals plaintext as a one-record checkpoint under key,
+// binding additional data as the header: salt ‖ sealed record, under a
+// fresh salt. All variants provide integrity: AES-GCM natively, RC4/DES via
+// encrypt-then-HMAC.
+func EncryptCheckpoint(c CheckpointCipher, key Key, plaintext, additional []byte) ([]byte, error) {
+	size, err := LeafSize(c, len(plaintext))
+	if err != nil {
+		return nil, err
+	}
+	out := make([]byte, SaltSize+size)
+	if _, err := RandomNonce(out[:SaltSize]); err != nil {
+		return nil, err
+	}
+	s, err := NewLeafSealer(c, key, out[:SaltSize])
+	if err != nil {
+		return nil, err
+	}
+	env := out[SaltSize:]
+	copy(env, plaintext)
+	if err := s.Seal(env, len(plaintext), additional, 0, 1); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // DecryptCheckpoint reverses EncryptCheckpoint into fresh storage, returning
 // ErrDecrypt on any integrity failure. sealed is not modified.
 func DecryptCheckpoint(c CheckpointCipher, key Key, sealed, additional []byte) ([]byte, error) {
-	return openCheckpoint(c, key, sealed, additional, false)
-}
-
-// OpenCheckpointInPlace is DecryptCheckpoint without a second buffer: the
-// plaintext overwrites the ciphertext and the result aliases sealed, whose
-// contents are consumed either way. The caller must own sealed exclusively —
-// inside an enclave that means its private copy, never shared memory.
-func OpenCheckpointInPlace(c CheckpointCipher, key Key, sealed, additional []byte) ([]byte, error) {
-	return openCheckpoint(c, key, sealed, additional, true)
-}
-
-func openCheckpoint(c CheckpointCipher, key Key, sealed, additional []byte, inPlace bool) ([]byte, error) {
-	switch c {
-	case CipherAESGCM:
-		s, err := NewSealer(key)
-		if err != nil {
-			return nil, err
-		}
-		return s.openEnvelope(sealed, additional, inPlace)
-	case CipherRC4:
-		ct, err := splitMAC(DeriveKey(key, "rc4-mac"), sealed, additional)
-		if err != nil {
-			return nil, err
-		}
-		pt := openDst(ct, inPlace)
-		if err := rc4Apply(DeriveKey(key, "rc4-enc"), pt, ct); err != nil {
-			return nil, err
-		}
-		return pt, nil
-	case CipherDES:
-		ct, err := splitMAC(DeriveKey(key, "des-mac"), sealed, additional)
-		if err != nil {
-			return nil, err
-		}
-		return desDecrypt(DeriveKey(key, "des-enc"), openDst(ct, inPlace), ct)
-	default:
-		return nil, errUnknownCipher
+	if len(sealed) < SaltSize {
+		return nil, ErrDecrypt
 	}
-}
-
-// openDst is where the legacy ciphers decrypt ct to: over itself, or into
-// fresh storage.
-func openDst(ct []byte, inPlace bool) []byte {
-	if inPlace {
-		return ct
+	s, err := NewLeafSealer(c, key, sealed[:SaltSize])
+	if err != nil {
+		return nil, err
 	}
-	return make([]byte, len(ct))
+	return s.Open(append([]byte(nil), sealed[SaltSize:]...), additional, 0, 1)
 }
 
 // putMAC writes the encrypt-then-MAC tag over env[:n] and additional right

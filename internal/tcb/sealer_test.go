@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"crypto/aes"
 	"crypto/cipher"
-	"crypto/des"
-	"crypto/rc4"
 	"encoding/binary"
 	"errors"
 	"testing"
@@ -107,102 +105,116 @@ func TestSealerAllocatesNothing(t *testing.T) {
 	}
 }
 
-// oldCheckpoint is the checkpoint envelope as the allocate-per-stage code
-// built it: RC4 or DES-CBC/PKCS#7 under derived keys, then HMAC over
-// ciphertext and header. It is the format reference for the in-place path.
-func oldCheckpoint(t *testing.T, c CheckpointCipher, key Key, pt, aad []byte) []byte {
-	t.Helper()
-	var ct []byte
-	var macKey Key
-	switch c {
-	case CipherRC4:
-		enc := DeriveKey(key, "rc4-enc")
-		rc, err := rc4.NewCipher(enc[:])
-		if err != nil {
-			t.Fatal(err)
-		}
-		ct = make([]byte, len(pt))
-		rc.XORKeyStream(ct, pt)
-		macKey = DeriveKey(key, "rc4-mac")
-	case CipherDES:
-		enc := DeriveKey(key, "des-enc")
-		block, err := des.NewCipher(enc[:8])
-		if err != nil {
-			t.Fatal(err)
-		}
-		pad := 8 - len(pt)%8
-		ct = append(append([]byte(nil), pt...), bytes.Repeat([]byte{byte(pad)}, pad)...)
-		iv := DeriveKey(enc, "iv")
-		cipher.NewCBCEncrypter(block, iv[:8]).CryptBlocks(ct, ct)
-		macKey = DeriveKey(key, "des-mac")
-	}
-	tag := MAC(macKey, ct, aad)
-	return append(ct, tag[:]...)
-}
-
-// TestCheckpointInPlaceEquivalence seals the same plaintext through the
-// allocating and the in-place entry points, for every cipher and for
-// lengths around the DES block boundary, and checks that sizes follow
-// CheckpointLayout, either form opens through either opener, the legacy
-// ciphers still produce the old bytes, and tampering is caught in place.
+// TestCheckpointInPlaceEquivalence seals checkpoint records in place, for
+// every cipher and for lengths around the DES block boundary, and checks
+// that sizes follow LeafSize, that a record opens in place only as itself —
+// the same header, index, count, key and salt — and that EncryptCheckpoint
+// and DecryptCheckpoint are the one-record checkpoint.
 func TestCheckpointInPlaceEquivalence(t *testing.T) {
 	key, _ := RandomKey()
-	aad := []byte("marshalled-header")
+	other, _ := RandomKey()
+	salt := bytes.Repeat([]byte{7}, SaltSize)
+	hdr := []byte("marshalled-header")
 	for _, c := range []CheckpointCipher{CipherAESGCM, CipherRC4, CipherDES} {
+		s, err := NewLeafSealer(c, key, salt)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, n := range []int{0, 1, 7, 8, 9, 4100, 4104} {
 			pt := make([]byte, n)
 			for i := range pt {
 				pt[i] = byte(i*7 + n)
 			}
-			lead, size, err := CheckpointLayout(c, n)
+			size, err := LeafSize(c, n)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sealed, err := EncryptCheckpoint(c, key, pt, aad)
-			if err != nil || len(sealed) != size {
-				t.Fatalf("%v/%d: EncryptCheckpoint: %d bytes, %v; layout says %d", c, n, len(sealed), err, size)
+			env := make([]byte, size)
+			copy(env, pt)
+			if err := s.Seal(env, n, hdr, 2, 5); err != nil {
+				t.Fatalf("%v/%d: Seal: %v", c, n, err)
 			}
-			if c != CipherAESGCM && !bytes.Equal(sealed, oldCheckpoint(t, c, key, pt, aad)) {
-				t.Fatalf("%v/%d: envelope differs from the old format", c, n)
+			if n > 0 && bytes.Equal(env[:n], pt) {
+				t.Fatalf("%v/%d: the sealed record still holds the plaintext", c, n)
 			}
-
-			// One allocation holding header ‖ envelope, as ctlDump lays it out.
-			buf := make([]byte, len(aad)+size)
-			copy(buf, aad)
-			env := buf[len(aad):]
-			copy(env[lead:], pt)
-			if err := SealCheckpointInPlace(c, key, env, n, buf[:len(aad)]); err != nil {
-				t.Fatalf("%v/%d: SealCheckpointInPlace: %v", c, n, err)
+			wrongSalt, _ := NewLeafSealer(c, key, bytes.Repeat([]byte{8}, SaltSize))
+			wrongKey, _ := NewLeafSealer(c, other, salt)
+			for _, bad := range []struct {
+				name         string
+				s            *LeafSealer
+				hdr          []byte
+				index, count uint32
+				flip         int
+			}{
+				{"header", s, []byte("other-header"), 2, 5, -1},
+				{"index", s, hdr, 3, 5, -1},
+				{"count", s, hdr, 2, 4, -1},
+				{"salt", wrongSalt, hdr, 2, 5, -1},
+				{"key", wrongKey, hdr, 2, 5, -1},
+				{"body", s, hdr, 2, 5, size / 2},
+				{"tag", s, hdr, 2, 5, size - 1},
+			} {
+				e := append([]byte(nil), env...)
+				if bad.flip >= 0 {
+					e[bad.flip] ^= 0x40
+				}
+				if _, err := bad.s.Open(e, bad.hdr, bad.index, bad.count); !errors.Is(err, ErrDecrypt) {
+					t.Fatalf("%v/%d: open under another %s: %v, want ErrDecrypt", c, n, bad.name, err)
+				}
 			}
-			if c != CipherAESGCM && !bytes.Equal(env, sealed) {
-				t.Fatalf("%v/%d: in-place envelope differs from EncryptCheckpoint's", c, n)
-			}
-			if got, err := DecryptCheckpoint(c, key, env, aad); err != nil || !bytes.Equal(got, pt) {
-				t.Fatalf("%v/%d: DecryptCheckpoint of the in-place envelope: %v", c, n, err)
-			}
-
-			tampered := append([]byte(nil), sealed...)
-			tampered[len(tampered)/2] ^= 0x40
-			if _, err := OpenCheckpointInPlace(c, key, tampered, aad); !errors.Is(err, ErrDecrypt) {
-				t.Fatalf("%v/%d: in-place open of a tampered envelope: %v", c, n, err)
-			}
-			if _, err := OpenCheckpointInPlace(c, key, append([]byte(nil), sealed...), []byte("other-header")); !errors.Is(err, ErrDecrypt) {
-				t.Fatalf("%v/%d: in-place open under another header: %v", c, n, err)
-			}
-			got, err := OpenCheckpointInPlace(c, key, sealed, aad)
+			got, err := s.Open(env, hdr, 2, 5)
 			if err != nil || !bytes.Equal(got, pt) {
-				t.Fatalf("%v/%d: OpenCheckpointInPlace: %v", c, n, err)
+				t.Fatalf("%v/%d: Open: %v", c, n, err)
 			}
-			if n > 0 && &got[0] != &sealed[lead] {
+			if n > 0 && &got[0] != &env[0] {
 				t.Fatalf("%v/%d: in-place open returned fresh storage", c, n)
+			}
+
+			sealed, err := EncryptCheckpoint(c, key, pt, hdr)
+			if err != nil || len(sealed) != SaltSize+size {
+				t.Fatalf("%v/%d: EncryptCheckpoint: %d bytes, %v; want %d", c, n, len(sealed), err, SaltSize+size)
+			}
+			if got, err := DecryptCheckpoint(c, key, sealed, hdr); err != nil || !bytes.Equal(got, pt) {
+				t.Fatalf("%v/%d: DecryptCheckpoint: %v", c, n, err)
 			}
 		}
 	}
-	if err := SealCheckpointInPlace(CipherAESGCM, key, make([]byte, 10), 4, nil); err == nil {
-		t.Fatal("SealCheckpointInPlace accepted a mis-sized envelope")
+	s, _ := NewLeafSealer(CipherAESGCM, key, salt)
+	if err := s.Seal(make([]byte, 10), 4, nil, 0, 1); err == nil {
+		t.Fatal("Seal accepted a mis-sized record")
 	}
-	if _, _, err := CheckpointLayout(0, 4); err == nil {
-		t.Fatal("CheckpointLayout accepted an unknown cipher")
+	if _, err := NewLeafSealer(0, key, salt); err == nil {
+		t.Fatal("NewLeafSealer accepted an unknown cipher")
+	}
+}
+
+// TestLeafSealerSaltSeparatesCheckpoints: under one long-lived key, the same
+// plaintext sealed at the same index of two checkpoints with different
+// salts shares no ciphertext — for AES-GCM not one 16-byte block, so the
+// two never used the same key stream.
+func TestLeafSealerSaltSeparatesCheckpoints(t *testing.T) {
+	key, _ := RandomKey()
+	pt := bytes.Repeat([]byte{0x11}, 4100)
+	hdr := []byte("header")
+	for _, c := range []CheckpointCipher{CipherAESGCM, CipherRC4, CipherDES} {
+		var sealed [2][]byte
+		for i := range sealed {
+			s, err := NewLeafSealer(c, key, bytes.Repeat([]byte{byte(i)}, SaltSize))
+			if err != nil {
+				t.Fatal(err)
+			}
+			size, _ := LeafSize(c, len(pt))
+			sealed[i] = make([]byte, size)
+			copy(sealed[i], pt)
+			if err := s.Seal(sealed[i], len(pt), hdr, 1, 3); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for off := 0; off+16 <= len(pt); off += 16 {
+			if bytes.Equal(sealed[0][off:off+16], sealed[1][off:off+16]) {
+				t.Fatalf("%v: block at %d sealed alike under two salts", c, off)
+			}
+		}
 	}
 }
 
@@ -237,20 +249,21 @@ func BenchmarkSealerOpen4K(b *testing.B) {
 	}
 }
 
-// The checkpoint benchmarks seal and open 1 MiB in place under AES-GCM, the
-// way ctlDump and ctlTgtRestore do. Opening consumes its input, so each
-// iteration re-seals off the clock.
+// The checkpoint benchmarks seal and open one 1 MiB record in place under
+// AES-GCM, the way ctlDump and ctlTgtRestore do each leaf. Opening consumes
+// its input, so each iteration re-seals off the clock.
 func BenchmarkCheckpointSealInPlace1M(b *testing.B) {
 	key, _ := RandomKey()
 	const n = 1 << 20
-	aad := make([]byte, 65)
-	_, size, _ := CheckpointLayout(CipherAESGCM, n)
+	hdr := make([]byte, 120)
+	s, _ := NewLeafSealer(CipherAESGCM, key, make([]byte, SaltSize))
+	size, _ := LeafSize(CipherAESGCM, n)
 	env := make([]byte, size)
 	b.ReportAllocs()
 	b.SetBytes(n)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := SealCheckpointInPlace(CipherAESGCM, key, env, n, aad); err != nil {
+		if err := s.Seal(env, n, hdr, uint32(i), 8); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -259,19 +272,20 @@ func BenchmarkCheckpointSealInPlace1M(b *testing.B) {
 func BenchmarkCheckpointOpenInPlace1M(b *testing.B) {
 	key, _ := RandomKey()
 	const n = 1 << 20
-	aad := make([]byte, 65)
-	_, size, _ := CheckpointLayout(CipherAESGCM, n)
+	hdr := make([]byte, 120)
+	s, _ := NewLeafSealer(CipherAESGCM, key, make([]byte, SaltSize))
+	size, _ := LeafSize(CipherAESGCM, n)
 	env := make([]byte, size)
 	b.ReportAllocs()
 	b.SetBytes(n)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		if err := SealCheckpointInPlace(CipherAESGCM, key, env, n, aad); err != nil {
+		if err := s.Seal(env[:size], n, hdr, 0, 8); err != nil {
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		if _, err := OpenCheckpointInPlace(CipherAESGCM, key, env, aad); err != nil {
+		if _, err := s.Open(env[:size], hdr, 0, 8); err != nil {
 			b.Fatal(err)
 		}
 	}
