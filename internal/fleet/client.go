@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"bufio"
 	"errors"
 	"net"
 	"strings"
@@ -21,26 +22,48 @@ type HostError struct {
 
 func (e *HostError) Error() string { return e.Addr + ": " + e.Msg }
 
-// Request dials addr, sends one command, and decodes the response,
-// holding the whole exchange (dial, write, read) to the given timeout;
-// 0 means no deadline. A non-empty Response.Err comes back as a
-// *HostError alongside the response. This is the one request helper the
-// repo's clients share: sgxfleet's control loops and sgxmigrate both use
-// it, so a wedged daemon can never hang either CLI.
+// conns keeps Request's connections open between requests, per daemon
+// address, each with the buffered reader every response on it is read
+// through.
+var conns hostproto.Pool[*bufio.Reader]
+
+// Request sends one command to the daemon at addr and decodes the
+// response, holding the exchange to the given timeout (the dial, then the
+// write and the read together); 0 means no deadline. It reuses an idle
+// connection to addr when one is still open (hostproto.Pool: at most
+// hostproto.MaxIdlePerAddr per address, each for at most
+// hostproto.KeepAlive) and dials otherwise. A connection goes back only
+// after a complete response with nothing after it; any error closes it. A
+// non-empty Response.Err comes back as a *HostError alongside the
+// response. This is the one request helper the repo's clients share:
+// sgxfleet's control loops and sgxmigrate both use it, so a wedged daemon
+// can never hang either CLI.
 func Request(addr string, cmd hostproto.Command, timeout time.Duration) (hostproto.Response, error) {
-	conn, err := net.DialTimeout("tcp", addr, timeout)
-	if err != nil {
-		return hostproto.Response{}, err
+	conn, br, ok := conns.Get(addr)
+	if !ok {
+		c, err := net.DialTimeout("tcp", addr, timeout)
+		if err != nil {
+			return hostproto.Response{}, err
+		}
+		conn, br = c, bufio.NewReader(c)
 	}
-	defer conn.Close()
+	var deadline time.Time
 	if timeout > 0 {
-		_ = conn.SetDeadline(time.Now().Add(timeout))
+		deadline = time.Now().Add(timeout)
 	}
-	if err := hostproto.Write(conn, cmd); err != nil {
-		return hostproto.Response{}, err
-	}
+	_ = conn.SetDeadline(deadline)
 	var resp hostproto.Response
-	if err := hostproto.Read(conn, &resp); err != nil {
+	err := hostproto.Write(conn, cmd)
+	if err == nil {
+		err = hostproto.Read(br, &resp)
+	}
+	if err != nil || br.Buffered() > 0 {
+		_ = conn.Close()
+	} else {
+		_ = conn.SetDeadline(time.Time{}) // a stale deadline would fail the liveness check
+		conns.Put(addr, conn, br)
+	}
+	if err != nil {
 		return hostproto.Response{}, err
 	}
 	if resp.Err != "" {

@@ -197,9 +197,13 @@ const (
 // assumes the instance is still there (the conservative answer: it
 // retries rather than declaring loss on stale evidence).
 //
-// The target registers an inbound session only after the restore
-// completes — an instant after it sends the final acknowledgment that
-// the source's failed Recv never saw. Its InflightIn counter stays up
+// After a successful OpMigrateOut no re-poll is needed: the target
+// registers the session before it sends the trailer the source reads
+// before answering. The re-poll is for the failures that land after the
+// target committed: the source's Recv of the final acknowledgment failed
+// (a torn or faulted connection, the migrateIdle clock), or the client's
+// own request timed out, while the target goes on to register the session
+// an instant after that acknowledgment. Its InflightIn counter stays up
 // until that registration lands, so "absent and InflightIn > 0" means
 // "still completing, ask again", and only "absent and idle" is Lost.
 func (f *Fleet) locate(m Migration) (location, string) {

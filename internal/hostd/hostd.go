@@ -11,10 +11,8 @@
 package hostd
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
-	"io"
 	"log"
 	"net"
 	"sort"
@@ -70,6 +68,11 @@ type Server struct {
 	// appends are allocation-free): it is the daemon's audit trail, served
 	// incrementally through OpEvents and /events. SetJournal resizes it.
 	journal *telemetry.Journal
+
+	// in tracks the accepted connections; peers keeps connections to
+	// other daemons open from one outbound migration to the next.
+	in    inbound
+	peers hostproto.Pool[*stream]
 }
 
 // New builds a daemon without binding any sockets.
@@ -149,14 +152,26 @@ func (s *Server) SetMigrationTransportHook(h func(id string, ts core.Transport) 
 	s.migrationHook = h
 }
 
-// ServeLoop accepts connections until the listener closes.
+// ServeLoop accepts connections until the listener closes. It then closes
+// the connections waiting for a command and its idle connections to other
+// daemons, lets the commands still running finish, and returns once every
+// connection it accepted is closed: a peer's next request to a replaced
+// daemon finds its kept-open connection closed, never half-way there.
 func (s *Server) ServeLoop(ln net.Listener) error {
+	var serving sync.WaitGroup
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
+			s.in.close()
+			s.peers.Close()
+			serving.Wait()
 			return err
 		}
-		go s.serve(conn)
+		serving.Add(1)
+		go func() {
+			defer serving.Done()
+			s.serve(conn)
+		}()
 	}
 }
 
@@ -185,63 +200,36 @@ func builtinImages(owner *core.Owner) []*enclave.App {
 	return apps
 }
 
-// firstMessageTimeout is how long a fresh connection may take to deliver
-// its command. Clients send it right after connecting; a peer that
-// connects and goes quiet, or announces a length and never sends the
-// bytes, must not hold a goroutine and a socket for good.
-const firstMessageTimeout = 10 * time.Second
-
-// migrateIdle is how long a migration stream may stay silent between two
-// messages, in either direction. The longest legitimate silence on an
-// inbound stream is the source quiescing its enclave (core's 10 s default
-// poll budget) and then dumping it, after it has announced the image; the
-// target builds its enclave on that announcement, so a peer that goes quiet
-// there holds EPC as well as a goroutine and a socket. On an outbound
-// stream it is the target building and restoring; a target that goes quiet
-// holds the source's enclave quiesced.
-const migrateIdle = 30 * time.Second
-
 func (s *Server) serve(conn net.Conn) {
 	defer conn.Close()
+	defer s.in.done(conn)
 	// One stream per connection, shared with the migration transport: its
 	// frames and the hostproto messages around them go through the same
-	// writer and buffered reader (see core.NewConnStream).
-	w, br, ts := core.NewConnStream(conn)
-	_ = conn.SetReadDeadline(time.Now().Add(firstMessageTimeout))
-	var cmd hostproto.Command
-	if err := hostproto.Read(br, &cmd); err != nil {
-		return
+	// writer and buffered reader (see core.NewConnStream). The connection
+	// carries one command after another, each on the IdleTimeout clock.
+	st := newStream(conn)
+	for s.in.idle(conn) {
+		var cmd hostproto.Command
+		err := hostproto.Read(st.br, &cmd)
+		if !s.in.busy(conn) || err != nil {
+			return
+		}
+		if cmd.Op == hostproto.OpMigrateIn {
+			// Every further message of the migration is on a clock of
+			// its own; one that fails or aborts ends the connection.
+			if !s.handleMigrateIn(st, cmd) {
+				return
+			}
+			continue
+		}
+		// Nothing is read until the answer is out, and the answer may
+		// take as long as it takes to write: lift a migration's write
+		// clock if one ran on this connection.
+		_ = conn.SetWriteDeadline(time.Time{})
+		if hostproto.Write(st.w, s.handle(cmd)) != nil {
+			return
+		}
 	}
-	switch cmd.Op {
-	case hostproto.OpMigrateIn:
-		// Every further message of the stream is on a clock of its own.
-		s.handleMigrateIn(idleTransport{ts, conn}, br, w, cmd)
-	default:
-		// Nothing more is read: the answer may take as long as it takes.
-		_ = conn.SetReadDeadline(time.Time{})
-		_ = hostproto.Write(w, s.handle(cmd))
-	}
-}
-
-// idleTransport is a migration's transport with the per-message idle clock:
-// the connection's read deadline is re-armed before every receive and
-// cleared nowhere, so each message or frame has migrateIdle to arrive in
-// full, however long the work between two of them takes.
-type idleTransport struct {
-	core.Transport
-	conn net.Conn
-}
-
-func (t idleTransport) arm() { _ = t.conn.SetReadDeadline(time.Now().Add(migrateIdle)) }
-
-func (t idleTransport) Recv() (core.Message, error) {
-	t.arm()
-	return t.Transport.Recv()
-}
-
-func (t idleTransport) RecvFrame() (*core.PageFrame, error) {
-	t.arm()
-	return t.Transport.RecvFrame()
 }
 
 // traceContext recovers the caller's trace context from a request; a
@@ -379,7 +367,9 @@ func (s *Server) events(cmd hostproto.Command) hostproto.Response {
 // migrateOut ships one of our enclaves to another sgxhost. The op span sp
 // (may be nil) parents the core migration phases and its context is
 // forwarded to the target host, whose spans come back in a TraceShipment
-// after the core protocol finishes.
+// after the core protocol finishes. The connection to the target comes
+// from the server's pool, and goes back to it only after a clean migration
+// with nothing unread behind it.
 func (s *Server) migrateOut(cmd hostproto.Command, sp *telemetry.Span) hostproto.Response {
 	rt, ok := s.sessions.Lookup(cmd.ID)
 	if !ok {
@@ -387,42 +377,49 @@ func (s *Server) migrateOut(cmd hostproto.Command, sp *telemetry.Span) hostproto
 	}
 	s.inflightOut.Add(1)
 	defer s.inflightOut.Add(-1)
-	conn, err := net.Dial("tcp", cmd.Target)
+	st, err := s.peer(cmd.Target)
 	if err != nil {
 		return hostproto.Response{Err: err.Error()}
 	}
-	defer conn.Close()
-	return s.migrateOutOn(conn, rt, cmd, sp)
+	resp, clean := s.migrateOutOn(st, rt, cmd, sp)
+	if clean && st.br.Buffered() == 0 {
+		s.peers.Put(cmd.Target, st.conn, st)
+	} else {
+		_ = st.conn.Close()
+	}
+	return resp
 }
 
-// migrateOutOn runs the outbound migration of rt over conn. Every read of
-// the stream is on the migrateIdle clock, as an inbound stream's are: a
-// target that goes silent — after the checkpoint, say, with the enclave
-// quiesced — fails the migration within migrateIdle, and the enclave
-// resumes, instead of being held until TCP gives up.
-func (s *Server) migrateOutOn(conn net.Conn, rt *enclave.Runtime, cmd hostproto.Command, sp *telemetry.Span) hostproto.Response {
-	w, br, stream := core.NewConnStream(conn)
-	idle := idleTransport{stream, conn}
-	var ts core.Transport = idle
-	if err := hostproto.Write(w, hostproto.Command{
+// migrateOutOn runs the outbound migration of rt over st. Every read and
+// write of the stream is on the migrateIdle clock, as an inbound stream's
+// are: a target that goes silent, or stops reading, fails the migration
+// within migrateIdle, and the enclave resumes, instead of being held until
+// TCP gives up. clean reports that the migration succeeded and the
+// target's trailer arrived: only then is the stream aligned for the next
+// migration.
+func (s *Server) migrateOutOn(st *stream, rt *enclave.Runtime, cmd hostproto.Command, sp *telemetry.Span) (resp hostproto.Response, clean bool) {
+	if err := st.write(hostproto.Command{
 		Op:          hostproto.OpMigrateIn,
 		ID:          cmd.ID,
 		TraceParent: sp.Context().Inject(),
 	}); err != nil {
-		return hostproto.Response{Err: err.Error()}
+		return hostproto.Response{Err: err.Error()}, false
 	}
-	// Exchange machine attestation keys so the attestation plumbing works
-	// across processes.
-	if err := hostproto.Write(w, hostproto.MachineKey{Key: s.machine.AttestationPublic()}); err != nil {
-		return hostproto.Response{Err: err.Error()}
+	// The first migration on a connection trades machine attestation keys
+	// so the attestation plumbing works across processes.
+	if !st.keyed {
+		if err := st.write(hostproto.MachineKey{Key: s.machine.AttestationPublic()}); err != nil {
+			return hostproto.Response{Err: err.Error()}, false
+		}
+		var peer hostproto.MachineKey
+		if err := st.read(&peer); err != nil {
+			return hostproto.Response{Err: err.Error()}, false
+		}
+		s.service.RegisterMachine(peer.Key)
+		st.keyed = true
 	}
-	var peer hostproto.MachineKey
-	idle.arm()
-	if err := hostproto.Read(br, &peer); err != nil {
-		return hostproto.Response{Err: err.Error()}
-	}
-	s.service.RegisterMachine(peer.Key)
 
+	var ts core.Transport = st
 	if s.migrationHook != nil {
 		ts = s.migrationHook(cmd.ID, ts)
 	}
@@ -432,7 +429,7 @@ func (s *Server) migrateOutOn(conn net.Conn, rt *enclave.Runtime, cmd hostproto.
 	// all ride the one stream NewConnStream owns: a second reader on the
 	// same conn would lose buffered bytes.
 	rep, err := core.MigrateOut(rt, ts, opts)
-	s.recvTraceShipment(conn, br, sp, err)
+	trailer := s.recvTraceShipment(st, sp, err)
 	if err != nil {
 		s.met.Counter("host.migrations.failed").Inc()
 		if rt.Dead() {
@@ -443,7 +440,7 @@ func (s *Server) migrateOutOn(conn net.Conn, rt *enclave.Runtime, cmd hostproto.
 			// to "this enclave is not here" either way.
 			s.reap(cmd.ID, rt)
 		}
-		return hostproto.Response{Err: err.Error()}
+		return hostproto.Response{Err: err.Error()}, false
 	}
 	s.met.Counter("host.migrations.out").Inc()
 	// The enclave now runs on the target; remove the self-destroyed
@@ -453,7 +450,7 @@ func (s *Server) migrateOutOn(conn net.Conn, rt *enclave.Runtime, cmd hostproto.
 	s.reap(cmd.ID, rt)
 	log.Printf("migrated %s to %s: prepare=%v dump=%v channel=%v total=%v (%d checkpoint bytes)",
 		cmd.ID, cmd.Target, rep.PrepareTime, rep.DumpTime, rep.ChannelTime, rep.TotalTime, rep.CheckpointBytes)
-	return hostproto.Response{Report: fmt.Sprintf("total=%v checkpoint=%dB", rep.TotalTime, rep.CheckpointBytes)}
+	return hostproto.Response{Report: fmt.Sprintf("total=%v checkpoint=%dB", rep.TotalTime, rep.CheckpointBytes)}, trailer == nil
 }
 
 // reap removes a migrated-away session and frees its EPC. The runtime has
@@ -471,60 +468,63 @@ func (s *Server) reap(id string, rt *enclave.Runtime) {
 	log.Printf("sgxhost %s: reap %s: %v", s.name, id, err)
 }
 
-// recvTraceShipment reads the target's span buffer off the migration
-// connection and folds it into the local tracer. The target always sends
-// one (empty when untraced), but if it died mid-protocol nothing may
-// come — a read deadline keeps a broken migration from hanging the
-// source, at worst losing the target's half of the trace. When the
-// migration itself failed (migErr non-nil) the stream state is unknown
-// and the client is waiting on the error response, so only a short grace
-// is given for the target's abort-path trailer to arrive.
-func (s *Server) recvTraceShipment(conn net.Conn, br *bufio.Reader, sp *telemetry.Span, migErr error) {
-	if sp == nil {
-		return // telemetry dark: nothing to merge into
-	}
-	deadline := 3 * time.Second
+// recvTraceShipment reads the target's trailer — its span buffer for the
+// migration's trace, empty when untraced — and folds it into the local
+// tracer. After a clean migration it is always read, on the idle clock: it
+// is the last message of the migration, sent after the target registered
+// the new session, and only a stream that delivered it is aligned for the
+// next migration. After a failed one (migErr non-nil) the stream state is
+// unknown and the connection is closed anyway, so the trailer is read only
+// when traced, with a short grace for the target's abort-path trailer: the
+// client is waiting on the error response.
+func (s *Server) recvTraceShipment(st *stream, sp *telemetry.Span, migErr error) error {
 	if migErr != nil {
-		deadline = 250 * time.Millisecond
+		if sp == nil {
+			return migErr // telemetry dark: nothing to merge into
+		}
+		_ = st.conn.SetReadDeadline(time.Now().Add(250 * time.Millisecond))
+	} else {
+		st.armRead()
 	}
-	_ = conn.SetReadDeadline(time.Now().Add(deadline))
-	defer conn.SetReadDeadline(time.Time{})
 	var ship hostproto.TraceShipment
-	if err := hostproto.Read(br, &ship); err != nil {
-		return
+	if err := hostproto.Read(st.br, &ship); err != nil {
+		return err
 	}
 	s.tr.Adopt(ship.Trace)
+	return nil
 }
 
-// handleMigrateIn accepts an inbound migration on this connection. ts, br
-// and w are the connection's transport (on the idle clock), reader and
-// writer from core.NewConnStream.
-func (s *Server) handleMigrateIn(ts idleTransport, br *bufio.Reader, w io.Writer, cmd hostproto.Command) {
+// handleMigrateIn accepts an inbound migration on st. It reports whether
+// the connection may carry the next command: only a migration that
+// committed and shipped its trailer leaves the stream aligned.
+func (s *Server) handleMigrateIn(st *stream, cmd hostproto.Command) bool {
 	s.met.Counter("host.ops." + string(cmd.Op)).Inc()
 	s.inflightIn.Add(1)
 	defer s.inflightIn.Add(-1)
 	ctx := traceContext(cmd)
 	sp := s.tr.BeginRemote("host.migratein", ctx, telemetry.String("enclave", cmd.ID))
-	var peer hostproto.MachineKey
-	ts.arm() // the key exchange is on the idle clock too
-	if err := hostproto.Read(br, &peer); err != nil {
-		sp.Fail(err)
-		return
-	}
-	s.service.RegisterMachine(peer.Key)
-	if err := hostproto.Write(w, hostproto.MachineKey{Key: s.machine.AttestationPublic()}); err != nil {
-		sp.Fail(err)
-		return
+	if !st.keyed {
+		var peer hostproto.MachineKey
+		if err := st.read(&peer); err != nil {
+			sp.Fail(err)
+			return false
+		}
+		s.service.RegisterMachine(peer.Key)
+		if err := st.write(hostproto.MachineKey{Key: s.machine.AttestationPublic()}); err != nil {
+			sp.Fail(err)
+			return false
+		}
+		st.keyed = true
 	}
 	opts := &core.Options{Service: s.service, Trace: sp, Metrics: s.met,
 		Journal: s.journal, EnclaveID: cmd.ID}
-	inc, err := core.MigrateIn(s.host, s.registry, ts, opts)
+	inc, err := core.MigrateIn(s.host, s.registry, st, opts)
 	if err != nil {
 		sp.Fail(err)
-		s.shipTrace(w, ctx)
+		_ = s.shipTrace(st, ctx)
 		s.met.Counter("host.migrations.failed").Inc()
 		log.Printf("inbound migration failed: %v", err)
-		return
+		return false
 	}
 	s.met.Counter("host.migrations.in").Inc()
 	go func() {
@@ -540,22 +540,25 @@ func (s *Server) handleMigrateIn(ts idleTransport, br *bufio.Reader, w io.Writer
 	s.next++
 	id := fmt.Sprintf("%s@%d", cmd.ID, s.next)
 	s.mu.Unlock()
+	// Registered before the trailer goes out: the source reads the trailer
+	// before it answers its client, so a successful OpMigrateOut is never
+	// followed by an OpStats that misses the new session.
 	s.sessions.Add(id, inc.Runtime)
 	sp.End()
-	s.shipTrace(w, ctx)
+	shipped := s.shipTrace(st, ctx)
 	log.Printf("accepted migration of %s as %s (restore=%v verify=%v)", cmd.ID, id, inc.RestoreTime, inc.VerifyTime)
+	return shipped == nil
 }
 
 // shipTrace sends this host's finished spans for the migration's trace
 // back to the source. Always sent — empty when untraced or telemetry is
-// dark — so the source reads exactly one trailer message. Send errors are
-// ignored: the migration already committed or aborted, only observability
-// is at stake.
-func (s *Server) shipTrace(w io.Writer, ctx telemetry.Context) {
+// dark — so the source reads exactly one trailer message. A send error
+// only ends the connection: the migration already committed or aborted.
+func (s *Server) shipTrace(st *stream, ctx telemetry.Context) error {
 	var ship hostproto.TraceShipment
 	if s.tr != nil && !ctx.TraceID.IsZero() {
 		ship.Trace = s.tr.ExportTrace(ctx.TraceID)
 		ship.Trace.Proc = "sgxhost " + s.name
 	}
-	_ = hostproto.Write(w, ship)
+	return st.write(ship)
 }

@@ -13,31 +13,58 @@ import (
 	"repro/internal/testapps"
 )
 
-// clockedConn stands in for the daemon's accepted socket. It records the
-// read deadlines serve sets and shrinks each real one to tick from now, so
-// a test sees the 10 s first-message timeout fire without waiting for it.
+// clockedConn stands in for a daemon's socket. It records the read and
+// write deadlines set on it and shrinks each real one to tick from now, so a
+// test sees a 10 s or 30 s clock fire without waiting for it.
 type clockedConn struct {
 	net.Conn
-	tick      time.Duration
-	mu        sync.Mutex
-	deadlines []time.Duration // as set, relative to the moment of the call; 0 = cleared
+	tick   time.Duration
+	mu     sync.Mutex
+	reads  []time.Duration // as set, relative to the moment of the call; 0 = cleared
+	writes []time.Duration
 }
 
-func (c *clockedConn) SetReadDeadline(t time.Time) error {
+func (c *clockedConn) clock(t time.Time, set *[]time.Duration, apply func(time.Time) error) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if t.IsZero() {
-		c.deadlines = append(c.deadlines, 0)
-		return c.Conn.SetReadDeadline(t)
+		*set = append(*set, 0)
+		return apply(t)
 	}
-	c.deadlines = append(c.deadlines, time.Until(t))
-	return c.Conn.SetReadDeadline(time.Now().Add(c.tick))
+	*set = append(*set, time.Until(t))
+	return apply(time.Now().Add(c.tick))
 }
 
+func (c *clockedConn) SetReadDeadline(t time.Time) error {
+	return c.clock(t, &c.reads, c.Conn.SetReadDeadline)
+}
+
+func (c *clockedConn) SetWriteDeadline(t time.Time) error {
+	return c.clock(t, &c.writes, c.Conn.SetWriteDeadline)
+}
+
+// set returns the read deadlines set so far.
 func (c *clockedConn) set() []time.Duration {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return append([]time.Duration(nil), c.deadlines...)
+	return append([]time.Duration(nil), c.reads...)
+}
+
+// writeSet returns the write deadlines set so far.
+func (c *clockedConn) writeSet() []time.Duration {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return append([]time.Duration(nil), c.writes...)
+}
+
+// onClock fails unless every deadline in set is within a second under want.
+func onClock(t *testing.T, what string, set []time.Duration, want time.Duration) {
+	t.Helper()
+	for _, d := range set {
+		if d < want-time.Second || d > want {
+			t.Fatalf("%s %v, want %v on every one", what, set, want)
+		}
+	}
 }
 
 // servePipe runs s.serve on one end of an in-memory connection whose read
@@ -79,34 +106,55 @@ func TestServeDropsSilentPeer(t *testing.T) {
 		}
 		<-served
 		set := conn.set()
-		if len(set) != 1 || set[0] < firstMessageTimeout-time.Second || set[0] > firstMessageTimeout {
-			t.Fatalf("peer that sent %s: read deadlines %v, want one of %v", name, set, firstMessageTimeout)
+		if len(set) != 1 || set[0] < hostproto.IdleTimeout-time.Second || set[0] > hostproto.IdleTimeout {
+			t.Fatalf("peer that sent %s: read deadlines %v, want one of %v", name, set, hostproto.IdleTimeout)
 		}
 		peer.Close()
 	}
 }
 
-// TestServeClearsDeadlineAfterCommand: a plain command is the only thing
-// read from its connection, and the answer may take as long as it takes, so
-// the deadline is lifted as soon as the command is in. (A migrate-in stream
-// keeps a clock per message instead: TestMigrateInDropsPeerSilentAfterImage.)
+// TestServeClearsDeadlineAfterCommand: a connection carries one command
+// after another. Each wait for the next command is on the IdleTimeout
+// clock, re-armed after every answer, and each answer may take as long as
+// it takes to write, so the write deadline is lifted before it goes out. A
+// connection left idle past the clock is closed and its goroutine returns.
+// (A migrate-in keeps a clock per message instead:
+// TestMigrateInDropsPeerSilentAfterImage.)
 func TestServeClearsDeadlineAfterCommand(t *testing.T) {
 	s, err := New("alpha", "test-secret", 256)
 	if err != nil {
 		t.Fatal(err)
 	}
-	peer, conn, served := servePipe(s, 20*time.Millisecond)
+	peer, conn, served := servePipe(s, 200*time.Millisecond)
 	defer peer.Close()
-	if err := hostproto.Write(peer, hostproto.Command{Op: hostproto.OpStats}); err != nil {
-		t.Fatal(err)
+	const commands = 3
+	for i := 0; i < commands; i++ {
+		if err := hostproto.Write(peer, hostproto.Command{Op: hostproto.OpStats}); err != nil {
+			t.Fatal(err)
+		}
+		var resp hostproto.Response
+		if err := hostproto.Read(peer, &resp); err != nil || resp.Stats.Name != "alpha" {
+			t.Fatalf("stats #%d over the pipe: %+v, %v", i+1, resp.Stats, err)
+		}
 	}
-	var resp hostproto.Response
-	if err := hostproto.Read(peer, &resp); err != nil || resp.Stats.Name != "alpha" {
-		t.Fatalf("stats over the pipe: %+v, %v", resp.Stats, err)
+	// Idle past the (shrunken) clock: the daemon hangs up.
+	if n, err := peer.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("idle connection read %d bytes, %v; want it closed", n, err)
 	}
 	<-served
-	if set := conn.set(); len(set) != 2 || set[0] <= 0 || set[1] != 0 {
-		t.Fatalf("read deadlines %v, want the first-message deadline, then cleared", set)
+	reads := conn.set()
+	if len(reads) != commands+1 {
+		t.Fatalf("read deadlines %v, want one per wait for a command (%d)", reads, commands+1)
+	}
+	onClock(t, "read deadlines", reads, hostproto.IdleTimeout)
+	writes := conn.writeSet()
+	if len(writes) != commands {
+		t.Fatalf("write deadlines %v, want one lifted before each of the %d answers", writes, commands)
+	}
+	for _, d := range writes {
+		if d != 0 {
+			t.Fatalf("write deadlines %v, want every one lifted", writes)
+		}
 	}
 }
 
@@ -176,15 +224,18 @@ func TestMigrateInDropsPeerSilentAfterImage(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	// First message, key exchange, image, checkpoint: each on a clock,
-	// none of them lifted.
+	// none of them lifted; the failed migration ends the connection, so
+	// there is no wait for a next command.
 	set := conn.set()
-	if len(set) != 4 || set[0] > firstMessageTimeout {
+	if len(set) != 4 || set[0] > hostproto.IdleTimeout {
 		t.Fatalf("read deadlines %v, want the first-message one and three idle ones", set)
 	}
-	for _, d := range set[1:] {
-		if d < migrateIdle-time.Second || d > migrateIdle {
-			t.Fatalf("read deadlines %v, want %v re-armed before every message", set, migrateIdle)
-		}
+	onClock(t, "read deadlines", set[1:], migrateIdle)
+	// The key, the abort and the trace trailer went out on the write clock.
+	if writes := conn.writeSet(); len(writes) == 0 {
+		t.Fatal("no write deadline: the daemon's writes are not timed")
+	} else {
+		onClock(t, "write deadlines", writes, migrateIdle)
 	}
 }
 
@@ -241,12 +292,12 @@ func TestMigrateOutDropsSilentTarget(t *testing.T) {
 		// in-memory pipe has no socket buffer to absorb it).
 		_, _ = io.Copy(io.Discard, br)
 	}()
-	resp := s.migrateOutOn(conn, rt, hostproto.Command{Op: hostproto.OpMigrateOut, ID: launched.ID, Target: "silent"}, nil)
+	resp, clean := s.migrateOutOn(newStream(conn), rt, hostproto.Command{Op: hostproto.OpMigrateOut, ID: launched.ID, Target: "silent"}, nil)
 	if err := <-checkpointed; err != nil {
 		t.Fatalf("the target never got the checkpoint: %v", err)
 	}
-	if resp.Err == "" {
-		t.Fatal("a migration to a silent target succeeded")
+	if resp.Err == "" || clean {
+		t.Fatalf("a migration to a silent target succeeded (%q, clean %v)", resp.Report, clean)
 	}
 	if rt.Dead() {
 		t.Fatal("the source self-destroyed for a target that never answered")

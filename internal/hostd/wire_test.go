@@ -8,6 +8,7 @@ import (
 	"log"
 	"net"
 	"os"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -28,12 +29,20 @@ type tapConn struct {
 	in, out bytes.Buffer
 	writes  int
 	done    chan struct{}
+	once    sync.Once
 }
 
 func (c *tapConn) Close() error {
 	err := c.Conn.Close()
-	close(c.done) // serve closes its connection exactly once
+	c.once.Do(func() { close(c.done) })
 	return err
+}
+
+// counts reports the bytes each way and the daemon's Writes so far.
+func (c *tapConn) counts() (in, out, writes int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.in.Len(), c.out.Len(), c.writes
 }
 
 func (c *tapConn) Read(p []byte) (int, error) {
@@ -71,19 +80,32 @@ func (l *tapListener) Accept() (net.Conn, error) {
 	return tc, nil
 }
 
+// accepted returns the connections accepted so far.
+func (l *tapListener) accepted() []*tapConn {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return append([]*tapConn(nil), l.conns...)
+}
+
 // last returns the most recently accepted connection's traffic, once the
-// daemon is done with it.
-func (l *tapListener) last() (in, out []byte, writes int) {
+// daemon has closed it, which must happen within a few seconds.
+func (l *tapListener) last(t *testing.T) (in, out []byte, writes int) {
+	t.Helper()
 	l.mu.Lock()
 	c := l.conns[len(l.conns)-1]
 	l.mu.Unlock()
-	<-c.done
+	select {
+	case <-c.done:
+	case <-time.After(3 * time.Second):
+		t.Fatal("the daemon still holds the connection open")
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return append([]byte(nil), c.in.Bytes()...), append([]byte(nil), c.out.Bytes()...), c.writes
 }
 
-// startTapped serves a daemon behind a tapListener on loopback.
+// startTapped serves a daemon behind a tapListener on loopback until the
+// test ends or the listener is closed.
 func startTapped(t testing.TB, name string) (*tapListener, string) {
 	t.Helper()
 	s, err := hostd.New(name, "test-secret", 4096)
@@ -110,10 +132,11 @@ func request(t testing.TB, addr string, cmd hostproto.Command) hostproto.Respons
 }
 
 // TestRequestCostIsStateless pins what the control codec is for: a request
-// carries no per-connection set-up. One OpCall round trip is a few hundred
-// bytes (gob re-sent ≈1.1 KB of type descriptors on every connection, one
-// write(2) per descriptor), the reply leaves in a single Write, and the
-// tenth request to a daemon costs exactly the bytes of the first.
+// carries no per-connection set-up, and a client's requests share one
+// kept-open connection. One OpCall round trip is a few hundred bytes (gob
+// re-sent ≈1.1 KB of type descriptors on every connection, one write(2) per
+// descriptor), the reply leaves in a single Write, and the tenth request on
+// the connection costs exactly the bytes of the first.
 func TestRequestCostIsStateless(t *testing.T) {
 	tap, addr := startTapped(t, "alpha")
 	id := request(t, addr, hostproto.Command{Op: hostproto.OpLaunch, Image: "counter"}).ID
@@ -121,87 +144,120 @@ func TestRequestCostIsStateless(t *testing.T) {
 	call := hostproto.Command{Op: hostproto.OpCall, ID: id, Worker: 0, Selector: testapps.CounterGet}
 	var firstIn, firstOut int
 	for i := 1; i <= 10; i++ {
+		conns := tap.accepted()
+		if len(conns) != 1 {
+			t.Fatalf("call #%d: the daemon accepted %d connections, want the launch's one reused", i, len(conns))
+		}
+		in0, out0, writes0 := conns[0].counts()
 		if resp := request(t, addr, call); len(resp.Regs) == 0 {
 			t.Fatalf("call #%d returned no registers", i)
 		}
-		in, out, writes := tap.last()
-		if writes != 1 {
+		in1, out1, writes1 := conns[0].counts()
+		in, out := in1-in0, out1-out0
+		if writes := writes1 - writes0; writes != 1 {
 			t.Errorf("call #%d: the daemon's reply took %d writes, want 1", i, writes)
 		}
-		if total := len(in) + len(out); total > 768 {
-			t.Errorf("call #%d put %d bytes on the wire (%d + %d), want at most 768", i, total, len(in), len(out))
+		if total := in + out; total > 768 {
+			t.Errorf("call #%d put %d bytes on the wire (%d + %d), want at most 768", i, total, in, out)
 		}
 		if i == 1 {
-			firstIn, firstOut = len(in), len(out)
-		} else if len(in) != firstIn || len(out) != firstOut {
-			t.Errorf("call #%d cost %d + %d bytes, the first %d + %d", i, len(in), len(out), firstIn, firstOut)
+			firstIn, firstOut = in, out
+		} else if in != firstIn || out != firstOut {
+			t.Errorf("call #%d cost %d + %d bytes, the first %d + %d", i, in, out, firstIn, firstOut)
 		}
 	}
 	t.Logf("OpCall round trip: %d bytes out, %d back", firstIn, firstOut)
 }
 
 // walkStream reads one direction of a daemon-to-daemon connection to its
-// end and counts what it is made of. Every byte must belong to a
-// length-prefixed hostproto message (a JSON body) or to a wirecodec frame;
-// anything else — a gob descriptor, a stray byte, a cut-off record — fails.
-func walkStream(t *testing.T, dir string, stream []byte) (messages, ctl, bulk int) {
+// end and returns what it is made of, in order: "cmd", "key" and "trace"
+// for the hostproto Command, MachineKey and TraceShipment messages, "ctl"
+// for a control frame and "bulk" for a run of bulk frames. Every byte must
+// belong to a length-prefixed hostproto message (a JSON body) or to a
+// wirecodec frame; anything else — a gob descriptor, a stray byte, a
+// cut-off record — fails.
+func walkStream(t *testing.T, dir string, stream []byte) []string {
 	t.Helper()
+	var records []string
 	br := bufio.NewReader(bytes.NewReader(stream))
 	for {
 		head, err := br.Peek(5)
 		if err == io.EOF && len(head) == 0 {
-			return messages, ctl, bulk
+			return records
 		}
 		if err != nil {
 			t.Fatalf("%s: %d stray bytes at the end of the stream", dir, len(head))
 		}
 		if head[4] == '{' {
-			var body json.RawMessage
+			var body map[string]json.RawMessage
 			if err := hostproto.Read(br, &body); err != nil {
-				t.Fatalf("%s: record %d: %v", dir, messages+ctl+bulk, err)
+				t.Fatalf("%s: record %d: %v", dir, len(records), err)
 			}
-			messages++
+			switch {
+			case body["Op"] != nil:
+				records = append(records, "cmd")
+			case body["Key"] != nil:
+				records = append(records, "key")
+			case body["Trace"] != nil:
+				records = append(records, "trace")
+			default:
+				t.Fatalf("%s: record %d: unknown message %v", dir, len(records), body)
+			}
 			continue
 		}
 		f, err := core.ReadFrame(br)
 		if err != nil {
-			t.Fatalf("%s: record %d: %v", dir, messages+ctl+bulk, err)
+			t.Fatalf("%s: record %d: %v", dir, len(records), err)
 		}
-		if f.Kind == core.FrameCtl {
-			ctl++
-		} else {
-			bulk++
+		switch {
+		case f.Kind == core.FrameCtl:
+			records = append(records, "ctl")
+		case len(records) == 0 || records[len(records)-1] != "bulk":
+			records = append(records, "bulk")
 		}
 		f.Release()
 	}
 }
 
-// TestMigrationStreamIsSingleFormat migrates a counter enclave between two
-// daemons and walks both directions of the connection they used: the
-// hostproto envelope, the control messages and the checkpoint segments are
-// all length-prefixed records of the two stateless encodings, end to end.
+// TestMigrationStreamIsSingleFormat migrates two counter enclaves from one
+// daemon to another and walks both directions of the connection they
+// used: both migrations share it, the machine keys are traded once, on the
+// first, and the hostproto envelope, the control messages and the
+// checkpoint segments are all length-prefixed records of the two
+// stateless encodings, end to end.
 func TestMigrationStreamIsSingleFormat(t *testing.T) {
-	_, src := startTapped(t, "alpha")
+	srcTap, src := startTapped(t, "alpha")
 	tap, dst := startTapped(t, "beta")
-	id := request(t, src, hostproto.Command{Op: hostproto.OpLaunch, Image: "counter"}).ID
-	request(t, src, hostproto.Command{Op: hostproto.OpMigrateOut, ID: id, Target: dst})
-
-	in, out, _ := tap.last()
-	// Source to target: Command and MachineKey, then MsgImage (sent before
-	// the source quiesces), the checkpoint announcement and its segment,
-	// MsgChannel and MsgKey.
-	if messages, ctl, bulk := walkStream(t, "source to target", in); messages != 2 || ctl != 4 || bulk < 1 {
-		t.Errorf("source to target: %d hostproto messages, %d control frames, %d bulk frames", messages, ctl, bulk)
+	for i := 0; i < 2; i++ {
+		id := request(t, src, hostproto.Command{Op: hostproto.OpLaunch, Image: "counter"}).ID
+		request(t, src, hostproto.Command{Op: hostproto.OpMigrateOut, ID: id, Target: dst})
 	}
-	// Target to source: MachineKey, then MsgHello, MsgChannelOK and MsgDone,
-	// then the TraceShipment trailer.
-	if messages, ctl, bulk := walkStream(t, "target to source", out); messages != 2 || ctl != 3 || bulk != 0 {
-		t.Errorf("target to source: %d hostproto messages, %d control frames, %d bulk frames", messages, ctl, bulk)
+	if n := len(tap.accepted()); n != 1 {
+		t.Fatalf("the target accepted %d connections for two migrations, want 1", n)
+	}
+	// The source closes its idle connection when it shuts down.
+	srcTap.Close()
+	in, out, _ := tap.last(t)
+	// Source to target, per migration: the Command (the first followed by
+	// the MachineKey), then MsgImage (sent before the source quiesces),
+	// the checkpoint announcement and its segments, MsgChannel and MsgKey.
+	migration := []string{"cmd", "ctl", "ctl", "bulk", "ctl", "ctl"}
+	want := append(append([]string{"cmd", "key"}, migration[1:]...), migration...)
+	if got := walkStream(t, "source to target", in); !reflect.DeepEqual(got, want) {
+		t.Errorf("source to target:\n got %v\nwant %v", got, want)
+	}
+	// Target to source, per migration: MsgHello, MsgChannelOK and MsgDone,
+	// then the TraceShipment trailer; the first starts with the MachineKey.
+	migration = []string{"ctl", "ctl", "ctl", "trace"}
+	want = append(append([]string{"key"}, migration...), migration...)
+	if got := walkStream(t, "target to source", out); !reflect.DeepEqual(got, want) {
+		t.Errorf("target to source:\n got %v\nwant %v", got, want)
 	}
 }
 
 // BenchmarkRequestRoundTrip is the cost of one fleet.Request against a
-// loopback daemon holding 32 live sessions: dial, one command, one reply.
+// loopback daemon holding 32 live sessions: one command and one reply on a
+// kept-open connection.
 // OpCall is the smallest exchange; OpStats carries the 32 session ids the
 // fleet's poll reads.
 func BenchmarkRequestRoundTrip(b *testing.B) {

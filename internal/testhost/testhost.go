@@ -57,6 +57,7 @@ type Host struct {
 	S    *hostd.Server
 	Addr string
 	ln   net.Listener
+	done chan struct{} // closed when ServeLoop has returned
 
 	name string
 	seed uint64
@@ -104,14 +105,23 @@ func (h *Host) serve(addr string) error {
 	if err != nil {
 		return err
 	}
-	go s.ServeLoop(ln)
-	h.S, h.Addr, h.ln = s, ln.Addr().String(), ln
+	done := make(chan struct{})
+	go func() {
+		_ = s.ServeLoop(ln)
+		close(done)
+	}()
+	h.S, h.Addr, h.ln, h.done = s, ln.Addr().String(), ln, done
 	return nil
 }
 
-// Close stops accepting connections. In-flight connections finish on
-// their own; the serve loop goroutine exits with the listener.
-func (h *Host) Close() { _ = h.ln.Close() }
+// Close stops accepting connections and returns once ServeLoop has: every
+// connection the daemon accepted is closed (a command still running
+// finishes first) and so are its idle ones to other daemons, so a peer's
+// next request finds its kept-open connection closed.
+func (h *Host) Close() {
+	_ = h.ln.Close()
+	<-h.done
+}
 
 // StartN starts n hosts named h0..h(n-1) with tracer seeds 1..n.
 // On error the already-started hosts are closed.
