@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
+	"math/bits"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -100,6 +101,60 @@ func (g ckptGeometry) workers(first func(), work func()) {
 	wg.Wait()
 }
 
+// ckptBufs recycles the enclave-private buffers a dump seals its checkpoint
+// in and a restore opens one into, one pool per size class (ckptClass).
+// Every buffer is wiped before it goes back (putCkptBuf), so a pool holds
+// only zeros: the plaintext a restore opened, and the leaves a dump that
+// failed part-way left unsealed, do not outlive the call that made them.
+var ckptBufs [4 * bits.UintSize]sync.Pool
+
+// ckptBufPut, if set, sees every buffer as it goes back to its pool, wiped.
+// Tests use it; it is nil otherwise.
+var ckptBufPut func(b []byte)
+
+// ckptClass returns the size class of an n-byte buffer and the capacity its
+// buffers have. The capacities are 5, 6, 7 and 8 times a power of two, at
+// least 4 KiB, so a buffer is at most a quarter larger than asked for, and a
+// capacity is its own class's.
+func ckptClass(n int) (class, size int) {
+	n = max(n, 4<<10)
+	shift := bits.Len(uint(n-1)) - 3
+	m := (n-1)>>shift + 1
+	return 4*shift + m - 5, m << shift
+}
+
+// getCkptBuf returns an all-zero n-byte buffer. Pair every getCkptBuf with
+// a putCkptBuf once nothing refers to the buffer any more.
+func getCkptBuf(n int) []byte {
+	class, size := ckptClass(n)
+	if b, ok := ckptBufs[class].Get().([]byte); ok {
+		return b[:n]
+	}
+	return make([]byte, n, size)
+}
+
+// putCkptBuf wipes a buffer from getCkptBuf and returns it to its pool.
+func putCkptBuf(b []byte) {
+	b = b[:cap(b)]
+	clear(b)
+	if ckptBufPut != nil {
+		ckptBufPut(b)
+	}
+	class, _ := ckptClass(cap(b))
+	ckptBufs[class].Put(b[:0]) //nolint:staticcheck // the slice header a []byte in an any-pool allocates is nothing beside the buffer
+}
+
+// sealCheckpoint is sealLeaves over a buffer from the checkpoint pool: hdr,
+// the marshalled header, is written first, and fill is handed each leaf's
+// span of page records in turn to write. The buffer goes back wiped however
+// the dump ends.
+func sealCheckpoint(g ckptGeometry, hdr []byte, s *tcb.LeafSealer, fill func(records []byte) error, emit func(off int, b []byte) error, publish func(n int) error) error {
+	buf := getCkptBuf(g.size())
+	defer putCkptBuf(buf)
+	copy(buf, hdr)
+	return sealLeaves(g, buf, s, func(leaf int) error { return fill(g.record(buf, leaf)[:g.plain(leaf)]) }, emit, publish)
+}
+
 // sealLeaves seals the checkpoint in buf — laid out by g, its header written
 // — while the page walk fills it. fill(i) writes leaf i's page records into
 // place; it runs on the calling goroutine, in leaf order. Each filled leaf
@@ -179,18 +234,20 @@ func sealLeaves(g ckptGeometry, buf []byte, s *tcb.LeafSealer, fill func(leaf in
 	return publish(g.size())
 }
 
-// openCheckpoint authenticates and decrypts the n-byte checkpoint of an
-// enclave with layout l and measurement mr into enclave-private memory, and
-// returns its header and each leaf's page records. load(off, dst) copies
-// the checkpoint's bytes [off, off+len(dst)) out of untrusted memory. Each
-// byte is loaded once and every check reads the private copy, so a host
-// rewriting the window meanwhile changes nothing a check saw. Nothing is
-// returned unless the header names this enclave and key kind, n is the
-// size the layout and cipher give, every leaf opens under its index and the
-// leaf count, the final record holds the root of the leaves' digest and that
-// count, and every record names a page the enclave may restore. The leaves
-// are loaded, opened and hashed on up to GOMAXPROCS goroutines.
-func openCheckpoint(l Layout, per int, mr [32]byte, ownerKeyed bool, key tcb.Key, n int, load func(off int, dst []byte) error) (CheckpointHeader, [][]byte, error) {
+// openCheckpoint authenticates and decrypts the checkpoint of an enclave
+// with layout l and measurement mr into buf, enclave-private memory whose
+// length is the checkpoint's, and returns its header and each leaf's page
+// records, which alias buf. load(off, dst) copies the checkpoint's bytes
+// [off, off+len(dst)) out of untrusted memory. Each byte is loaded once and
+// every check reads the private copy, so a host rewriting the window
+// meanwhile changes nothing a check saw. Nothing is returned unless the
+// header names this enclave and key kind, the length is the size the layout
+// and cipher give, every leaf opens under its index and the leaf count, the
+// final record holds the root of the leaves' digest and that count, and
+// every record names a page the enclave may restore. The leaves are loaded,
+// opened and hashed on up to GOMAXPROCS goroutines.
+func openCheckpoint(l Layout, per int, mr [32]byte, ownerKeyed bool, key tcb.Key, buf []byte, load func(off int, dst []byte) error) (CheckpointHeader, [][]byte, error) {
+	n := len(buf)
 	var hdr CheckpointHeader
 	head := make([]byte, HeaderWireSize(l.Threads))
 	if n < len(head) {
@@ -212,7 +269,6 @@ func openCheckpoint(l Layout, per int, mr [32]byte, ownerKeyed bool, key tcb.Key
 	if err != nil {
 		return hdr, nil, errCkptBad
 	}
-	buf := make([]byte, n)
 	count := uint32(g.leaves)
 	leaves := make([][]byte, g.leaves)
 	sums := make([]byte, g.leaves*sha256.Size)
@@ -263,4 +319,27 @@ func openCheckpoint(l Layout, per int, mr [32]byte, ownerKeyed bool, key tcb.Key
 		}
 	}
 	return hdr, leaves, nil
+}
+
+// restoreCheckpoint opens the n-byte checkpoint with openCheckpoint into a
+// buffer from the checkpoint pool and, once every check has passed, hands
+// apply each page record in checkpoint order. The buffer goes back wiped
+// whether the checkpoint is restored or refused. n is the caller's to bound
+// (MaxCheckpointSize): the buffer is taken before the header is read.
+func restoreCheckpoint(l Layout, per int, mr [32]byte, ownerKeyed bool, key tcb.Key, n int, load func(off int, dst []byte) error, apply func(lin sgx.PageNum, page []byte) error) error {
+	buf := getCkptBuf(n)
+	defer putCkptBuf(buf)
+	_, leaves, err := openCheckpoint(l, per, mr, ownerKeyed, key, buf, load)
+	if err != nil {
+		return err
+	}
+	for _, leaf := range leaves {
+		for off := 0; off < len(leaf); off += ckptRecord {
+			lin := sgx.PageNum(binary.LittleEndian.Uint32(leaf[off:]))
+			if err := apply(lin, leaf[off+4:off+ckptRecord]); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }

@@ -263,9 +263,10 @@ func (p *program) ctlDump(env *sgx.Env, ctx *sgx.Context, mode dumpMode) sgx.Sta
 	}
 
 	// Walk the enclave into one private buffer laid out as the checkpoint
-	// leaves the enclave (checkpoint.go). Every page is loaded straight into
+	// leaves the enclave (sealCheckpoint). Every page is loaded straight into
 	// its record and sealed there with its leaf, so the plaintext exists once
-	// and only in enclave-private memory. The host learns the checkpoint's
+	// and only in enclave-private memory; the buffer is wiped when the dump
+	// ends, however it ends. The host learns the checkpoint's
 	// length first and then each stretch of the output window as the leaves
 	// under it are sealed and copied out, so it can send them while the walk
 	// goes on.
@@ -291,14 +292,11 @@ func (p *program) ctlDump(env *sgx.Env, ctx *sgx.Context, mode dumpMode) sgx.Sta
 	if err != nil {
 		return p.exit(env, ctx, codeErr, errMemory)
 	}
-	buf := make([]byte, g.size())
-	copy(buf, hdr)
 	if err := env.OutsideStore(SharedDumpLen, binary.LittleEndian.AppendUint64(nil, uint64(g.size()))); err != nil {
 		return p.exit(env, ctx, codeErr, errMemory)
 	}
 	lin := 0
-	fill := func(leaf int) error {
-		rec := g.record(buf, leaf)[:g.plain(leaf)]
+	fill := func(rec []byte) error {
 		for ; len(rec) > 0; lin++ {
 			if p.layout.IsTCS(sgx.PageNum(lin)) {
 				continue
@@ -316,7 +314,7 @@ func (p *program) ctlDump(env *sgx.Env, ctx *sgx.Context, mode dumpMode) sgx.Sta
 	publish := func(n int) error {
 		return env.OutsideStore(SharedDumpReady, binary.LittleEndian.AppendUint64(nil, uint64(n)))
 	}
-	if err := sealLeaves(g, buf, sealer, fill, emit, publish); err != nil {
+	if err := sealCheckpoint(g, hdr, sealer, fill, emit, publish); err != nil {
 		return p.exit(env, ctx, codeErr, errMemory)
 	}
 	ctx.R[0] = uint64(g.size())
@@ -679,15 +677,19 @@ func (p *program) ctlTgtRestore(env *sgx.Env, ctx *sgx.Context) sgx.Status {
 
 	// The staged checkpoint is read once, leaf by leaf, into
 	// enclave-private memory and authenticated, decrypted and hashed there
-	// (openCheckpoint), never over shared memory, which the host could
+	// (restoreCheckpoint), never over shared memory, which the host could
 	// rewrite between the check and the use. No page is written back until
-	// every record has checked out.
+	// every record has checked out. Page 0 (the control page we are
+	// executing against) is applied too — it carries the thread table, migK
+	// targets, the provisioned identity key and application SDK state — and
+	// then the lifecycle fields are re-pinned to the restoring state.
 	base, n := ctx.R[1], ctx.R[2]
 	if n == 0 || n > uint64(MaxCheckpointSize(p.layout)) {
 		return p.exit(env, ctx, codeErr, errMemory)
 	}
-	_, leaves, err := openCheckpoint(p.layout, ckptLeafRecords, env.Measurement(), ownerKeyed, key, int(n),
-		func(off int, dst []byte) error { return env.OutsideLoad(base+uint64(off), dst) })
+	err := restoreCheckpoint(p.layout, ckptLeafRecords, env.Measurement(), ownerKeyed, key, int(n),
+		func(off int, dst []byte) error { return env.OutsideLoad(base+uint64(off), dst) },
+		func(lin sgx.PageNum, page []byte) error { return env.Store(sgx.Address(lin, 0), page) })
 	switch {
 	case errors.Is(err, errCkptBad):
 		return p.exit(env, ctx, codeErr, errBadCheckpoint)
@@ -695,19 +697,6 @@ func (p *program) ctlTgtRestore(env *sgx.Env, ctx *sgx.Context) sgx.Status {
 		return p.exit(env, ctx, codeErr, errDecryptFailed)
 	case err != nil:
 		return p.exit(env, ctx, codeErr, errMemory)
-	}
-
-	// Write pages back. Page 0 (the control page we are executing against)
-	// is applied too — it carries the thread table, migK targets, the
-	// provisioned identity key and application SDK state — and then the
-	// lifecycle fields are re-pinned to the restoring state.
-	for _, leaf := range leaves {
-		for off := 0; off < len(leaf); off += ckptRecord {
-			lin := binary.LittleEndian.Uint32(leaf[off:])
-			if err := env.Store(sgx.Address(sgx.PageNum(lin), 0), leaf[off+4:off+ckptRecord]); err != nil {
-				return p.exit(env, ctx, codeErr, errMemory)
-			}
-		}
 	}
 
 	// Fix up lifecycle state on the restored control page.

@@ -415,7 +415,7 @@ func TestCheckpointDigestLeaves(t *testing.T) {
 		if root := sha256.Sum256(sums); !bytes.Equal(final[:sha256.Size], root[:]) || binary.LittleEndian.Uint32(final[sha256.Size:]) != count {
 			t.Errorf("%d records: final record %x, want root %x and %d leaves", len(records)/ckptRecord, final, root[:8], count)
 		}
-		_, leaves, err := openCheckpoint(l, ckptLeafRecords, mr, false, key, len(blob), loadFrom(blob))
+		_, leaves, err := openCheckpoint(l, ckptLeafRecords, mr, false, key, make([]byte, len(blob)), loadFrom(blob))
 		if err != nil || !bytes.Equal(bytes.Join(leaves, nil), records) {
 			t.Errorf("%d records: openCheckpoint: %v", len(records)/ckptRecord, err)
 		}

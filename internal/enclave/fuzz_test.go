@@ -96,7 +96,7 @@ func FuzzCheckpointLeaves(f *testing.F) {
 		f.Add(blob)
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
-		hdr, leaves, err := openCheckpoint(fuzzLayout, fuzzLeafRecords, fuzzMR, false, fuzzKey, len(b), loadFrom(b))
+		hdr, leaves, err := openCheckpoint(fuzzLayout, fuzzLeafRecords, fuzzMR, false, fuzzKey, make([]byte, len(b)), loadFrom(b))
 		if err != nil {
 			return
 		}

@@ -222,11 +222,13 @@ func (s *Server) serve(conn net.Conn) {
 			}
 			continue
 		}
-		// Nothing is read until the answer is out, and the answer may
-		// take as long as it takes to write: lift a migration's write
-		// clock if one ran on this connection.
-		_ = conn.SetWriteDeadline(time.Time{})
-		if hostproto.Write(st.w, s.handle(cmd)) != nil {
+		// Nothing is read until the answer is out, and the answer is on
+		// the IdleTimeout clock: a peer that stops reading it (an OpEvents
+		// tail, say) is dropped as one that stops sending would be, rather
+		// than holding this goroutine until TCP gives up.
+		resp := s.handle(cmd)
+		_ = conn.SetWriteDeadline(time.Now().Add(hostproto.IdleTimeout))
+		if hostproto.Write(st.w, resp) != nil {
 			return
 		}
 	}

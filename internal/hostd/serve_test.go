@@ -115,8 +115,8 @@ func TestServeDropsSilentPeer(t *testing.T) {
 
 // TestServeClearsDeadlineAfterCommand: a connection carries one command
 // after another. Each wait for the next command is on the IdleTimeout
-// clock, re-armed after every answer, and each answer may take as long as
-// it takes to write, so the write deadline is lifted before it goes out. A
+// clock, re-armed after every answer, and each answer is written on a fresh
+// IdleTimeout clock of its own, never on what was left of an earlier one. A
 // connection left idle past the clock is closed and its goroutine returns.
 // (A migrate-in keeps a clock per message instead:
 // TestMigrateInDropsPeerSilentAfterImage.)
@@ -149,13 +149,38 @@ func TestServeClearsDeadlineAfterCommand(t *testing.T) {
 	onClock(t, "read deadlines", reads, hostproto.IdleTimeout)
 	writes := conn.writeSet()
 	if len(writes) != commands {
-		t.Fatalf("write deadlines %v, want one lifted before each of the %d answers", writes, commands)
+		t.Fatalf("write deadlines %v, want one armed before each of the %d answers", writes, commands)
 	}
-	for _, d := range writes {
-		if d != 0 {
-			t.Fatalf("write deadlines %v, want every one lifted", writes)
-		}
+	onClock(t, "write deadlines", writes, hostproto.IdleTimeout)
+}
+
+// TestServeDropsPeerThatStopsReading: a peer that sends a command and never
+// reads the answer used to hold its serve goroutine until TCP gave up, the
+// write clock lifted. The answer is on the IdleTimeout write clock, so the
+// write fails when it runs out, the connection is closed and the goroutine
+// returns.
+func TestServeDropsPeerThatStopsReading(t *testing.T) {
+	s, err := New("alpha", "test-secret", 256)
+	if err != nil {
+		t.Fatal(err)
 	}
+	peer, conn, served := servePipe(s, 250*time.Millisecond)
+	defer peer.Close()
+	if err := hostproto.Write(peer, hostproto.Command{Op: hostproto.OpEvents}); err != nil {
+		t.Fatal(err)
+	}
+	// Reads nothing: an in-memory pipe has no buffer, so the answer's
+	// write blocks at once.
+	select {
+	case <-served:
+	case <-time.After(10 * time.Second):
+		t.Fatal("a peer that stopped reading still holds its goroutine")
+	}
+	writes := conn.writeSet()
+	if len(writes) != 1 {
+		t.Fatalf("write deadlines %v, want the answer's", writes)
+	}
+	onClock(t, "write deadlines", writes, hostproto.IdleTimeout)
 }
 
 // TestMigrateInDropsPeerSilentAfterImage: a peer opens a migration, trades

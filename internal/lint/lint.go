@@ -336,6 +336,15 @@ func DefaultConfig(modPath string) *Config {
 				Releases: []string{modPath + "/internal/core.PutBuf"},
 			},
 			{
+				Kind: "ckpt-buf",
+				// The enclave's checkpoint buffers hold plaintext and are
+				// wiped on the way back to their pool; one that is dropped
+				// instead keeps its contents until the collector reuses
+				// the memory.
+				Acquires: []string{modPath + "/internal/enclave.getCkptBuf"},
+				Releases: []string{modPath + "/internal/enclave.putCkptBuf"},
+			},
+			{
 				Kind: "swap-batch",
 				// hwext's ESWPOUT→ESWPIN stream recycles page-batch slices.
 				Acquires: []string{modPath + "/internal/hwext.getSwapBatch"},

@@ -239,6 +239,11 @@ func TestLeakCheckFixture(t *testing.T) {
 				Acquires: []string{"fxleak/mgr.Quiesce@arg0"},
 				Releases: []string{"fxleak/mgr.Unquiesce"},
 			},
+			{
+				Kind:     "buf",
+				Acquires: []string{"fxleak/mgr.GetBuf"},
+				Releases: []string{"fxleak/mgr.PutBuf"},
+			},
 		},
 	})
 	want := []string{
@@ -249,6 +254,7 @@ func TestLeakCheckFixture(t *testing.T) {
 		"app.go:180: leakcheck", // BadSession: early return skips Close
 		"app.go:202: leakcheck", // BadQuiesce: busy path skips Unquiesce
 		"app.go:227: leakcheck", // BadInLit: leak inside a function literal
+		"app.go:252: leakcheck", // BadBuf: refusal path drops the pooled buffer
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("got %v, want %v", got, want)

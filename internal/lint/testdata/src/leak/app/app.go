@@ -235,3 +235,27 @@ func BadInLit(m *mgr.Mgr, bad bool) func() error {
 		return nil
 	}
 }
+
+// GoodBuf mirrors the checkpoint paths: the pooled buffer goes back by a
+// defer on every exit.
+func GoodBuf(n int) error {
+	buf := mgr.GetBuf(n)
+	defer mgr.PutBuf(buf)
+	if !checkBuf(buf) {
+		return errors.New("app: refused")
+	}
+	return nil
+}
+
+// BadBuf drops the pooled buffer on the refusal path.
+func BadBuf(n int) error {
+	buf := mgr.GetBuf(n) // want: refusal path drops the buffer
+	if !checkBuf(buf) {
+		return errors.New("app: refused")
+	}
+	mgr.PutBuf(buf)
+	return nil
+}
+
+// checkBuf reads a buffer and keeps no reference to it.
+func checkBuf(b []byte) bool { return len(b) > 0 && b[0] == 0 }

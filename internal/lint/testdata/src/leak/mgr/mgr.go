@@ -59,3 +59,10 @@ func Quiesce(s *Session) error {
 
 // Unquiesce releases the quiesced state.
 func Unquiesce(s *Session) { s.quiesced = false }
+
+// GetBuf takes a buffer from a pool (like enclave.getCkptBuf); the caller
+// must PutBuf it.
+func GetBuf(n int) []byte { return make([]byte, n) }
+
+// PutBuf returns a buffer to the pool.
+func PutBuf(b []byte) { clear(b) }

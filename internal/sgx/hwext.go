@@ -313,7 +313,7 @@ func (m *Machine) ESWPINSECS(f FrameIndex, ms *MigratedSECS, prog Program) (Encl
 	}
 	copy(e.mrenclave[:], buf[16:48])
 	copy(e.migDigest[:], buf[48:80])
-	m.frames[f] = frame{valid: true, eid: eid, ptype: PTSecs}
+	m.frames[f].set(frame{valid: true, eid: eid, ptype: PTSecs})
 	m.enclaves[eid] = e
 	return eid, nil
 }
@@ -335,11 +335,9 @@ func (m *Machine) ESWPIN(f FrameIndex, eid EnclaveID, mp *MigratedPage) error {
 	if _, dup := e.pageTable[mp.Lin]; dup {
 		return ErrPageConflict
 	}
-	fr, err := openFrame(m.migSealer, mp.Seq, mp.Cipher, migAAD(mp.Lin, mp.Type, mp.Perm), eid, mp.Lin, mp.Type, mp.Perm)
-	if err != nil {
+	if err := openFrame(&m.frames[f], m.migSealer, mp.Seq, mp.Cipher, migAAD(mp.Lin, mp.Type, mp.Perm), eid, mp.Lin, mp.Type, mp.Perm); err != nil {
 		return err
 	}
-	m.frames[f] = fr
 	e.pageTable[mp.Lin] = f
 	return nil
 }

@@ -99,6 +99,12 @@ type vaPage struct {
 	slots [VASlotsPerPage]uint64 // 0 = empty
 }
 
+// frame is one EPC page frame: its EPCM entry (valid, owner, type, linear
+// page, permissions) and what it holds. A frame owns its page: data is
+// allocated the first time the frame holds a regular page and stays with the
+// frame when the frame is freed or holds a TCS, VA or SECS page, because EPC
+// is fixed physical memory. Whatever installs a regular page overwrites all
+// of data (EADD, ELDU, ESWPIN), so a freed frame's old content is never read.
 type frame struct {
 	valid bool
 	eid   EnclaveID
@@ -108,6 +114,21 @@ type frame struct {
 	data  *Page
 	tcs   *tcs
 	va    *vaPage
+}
+
+// set replaces the frame's EPCM entry and contents with next's, keeping the
+// frame's page.
+func (fr *frame) set(next frame) {
+	next.data = fr.data
+	*fr = next
+}
+
+// page returns the frame's page, allocating it the first time.
+func (fr *frame) page() *Page {
+	if fr.data == nil {
+		fr.data = new(Page)
+	}
+	return fr.data
 }
 
 // enclaveControl is the SECS plus the hardware-side runtime state of one
@@ -169,6 +190,10 @@ type Machine struct {
 	nextEID  EnclaveID                     // guarded by mu
 	nextVer  uint64                        // EWB version counter; guarded by mu
 	quantum  int
+
+	// spareBlobs are sealed-page buffers that ELDU took back from the blobs
+	// it consumed, for EWB to seal into.
+	spareBlobs [][]byte // guarded by mu
 
 	migExtension   bool
 	migSealer      *tcb.Sealer // migration key installed by EPUTKEY (hwext), nil otherwise; guarded by mu
@@ -360,7 +385,7 @@ func (m *Machine) ECREATE(f FrameIndex, prog Program, sizePages int, nssa uint32
 	e.measure.Write([]byte("ECREATE"))
 	e.measure.Write(hdr[:16])
 	e.measure.Write(ch[:])
-	m.frames[f] = frame{valid: true, eid: eid, ptype: PTSecs}
+	m.frames[f].set(frame{valid: true, eid: eid, ptype: PTSecs})
 	m.enclaves[eid] = e
 	return eid, nil
 }
@@ -375,8 +400,9 @@ func ZeroPageHash() [32]byte { return zeroPageHash }
 
 // EADD adds a regular page with the given content and permissions at linear
 // page lin, and extends the measurement with its content (folding in what
-// real hardware does via EEXTEND over 256-byte chunks). A nil content is a
-// zero page, whose hash is not recomputed.
+// real hardware does via EEXTEND over 256-byte chunks). The content is
+// copied into the frame's own page; a nil content zeroes it, and its hash is
+// not recomputed.
 func (m *Machine) EADD(f FrameIndex, eid EnclaveID, lin PageNum, perm Perm, content *Page) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -384,13 +410,16 @@ func (m *Machine) EADD(f FrameIndex, eid EnclaveID, lin PageNum, perm Perm, cont
 	if err != nil {
 		return err
 	}
-	data := &Page{}
+	fr := &m.frames[f]
+	data := fr.page()
 	pageHash := zeroPageHash
 	if content != nil {
 		*data = *content
 		pageHash = sha256.Sum256(data[:])
+	} else {
+		clear(data[:])
 	}
-	m.frames[f] = frame{valid: true, eid: eid, ptype: PTReg, lin: lin, perm: perm, data: data}
+	fr.set(frame{valid: true, eid: eid, ptype: PTReg, lin: lin, perm: perm})
 	e.pageTable[lin] = f
 	var meta [12]byte
 	binary.LittleEndian.PutUint32(meta[0:], uint32(lin))
@@ -418,7 +447,7 @@ func (m *Machine) EADDTCS(f FrameIndex, eid EnclaveID, lin PageNum, params TCSPa
 	if int(params.OSSA)+int(params.NSSA) > e.sizePages {
 		return ErrOutOfRange
 	}
-	m.frames[f] = frame{valid: true, eid: eid, ptype: PTTcs, lin: lin, tcs: &tcs{params: params}}
+	m.frames[f].set(frame{valid: true, eid: eid, ptype: PTTcs, lin: lin, tcs: &tcs{params: params}})
 	e.pageTable[lin] = f
 	var meta [24]byte
 	binary.LittleEndian.PutUint32(meta[0:], uint32(lin))
@@ -465,7 +494,7 @@ func (m *Machine) EPA(f FrameIndex) error {
 	if m.frames[f].valid {
 		return ErrFrameInUse
 	}
-	m.frames[f] = frame{valid: true, ptype: PTVa, va: &vaPage{}}
+	m.frames[f].set(frame{valid: true, ptype: PTVa, va: &vaPage{}})
 	return nil
 }
 
@@ -529,7 +558,7 @@ func (m *Machine) EREMOVE(f FrameIndex) error {
 		// VA pages can always be removed; doing so forfeits the ability to
 		// reload the blobs whose versions lived there (as on hardware).
 	}
-	*fr = frame{}
+	fr.set(frame{})
 	return nil
 }
 
@@ -550,10 +579,10 @@ func (m *Machine) DestroyEnclave(eid EnclaveID) error {
 		}
 	}
 	for lin, f := range e.pageTable {
-		m.frames[f] = frame{}
+		m.frames[f].set(frame{})
 		delete(e.pageTable, lin)
 	}
-	m.frames[e.secs] = frame{}
+	m.frames[e.secs].set(frame{})
 	delete(m.enclaves, eid)
 	return nil
 }

@@ -81,22 +81,22 @@ func (m *Machine) EWB(f FrameIndex, vaFrame FrameIndex, slot int) (*EvictedPage,
 	if va.slots[slot] != 0 {
 		return nil, ErrVASlot
 	}
-	var plaintext []byte
+	var plaintext, cipher []byte
 	switch fr.ptype {
 	case PTReg:
-		plaintext = fr.data[:]
+		plaintext, cipher = fr.data[:], m.spareBlobLocked()
 	case PTTcs:
 		if fr.tcs.active {
 			return nil, ErrTCSActive
 		}
 		plaintext = fr.tcs.marshal()
+		cipher = make([]byte, 0, tcsWireSize+tcb.SealOverhead)
 	default:
 		return nil, ErrPermission
 	}
 	version := m.nextVer
 	m.nextVer++
-	cipher := m.pageSealer.Seal(make([]byte, 0, len(plaintext)+tcb.SealOverhead), version, plaintext,
-		m.evictAADLocked(fr.eid, fr.lin, fr.ptype, fr.perm))
+	cipher = m.pageSealer.Seal(cipher, version, plaintext, m.evictAADLocked(fr.eid, fr.lin, fr.ptype, fr.perm))
 	va.slots[slot] = version
 	out := &EvictedPage{
 		Enclave: fr.eid,
@@ -109,8 +109,41 @@ func (m *Machine) EWB(f FrameIndex, vaFrame FrameIndex, slot int) (*EvictedPage,
 	if e, ok := m.enclaves[fr.eid]; ok {
 		delete(e.pageTable, fr.lin)
 	}
-	*fr = frame{}
+	fr.set(frame{})
 	return out, nil
+}
+
+// regBlobSize is the length of a sealed regular page.
+const regBlobSize = PageSize + tcb.SealOverhead
+
+// maxSpareBlobs bounds the sealed-page buffers a machine keeps for EWB.
+// Paging in steady state gives one back and takes one per fault; a burst of
+// reloads into free frames leaves the rest to the garbage collector.
+const maxSpareBlobs = 64
+
+// spareBlobLocked returns an empty buffer with room for a sealed regular
+// page: one a successful ELDU gave back, or a new one.
+func (m *Machine) spareBlobLocked() []byte {
+	n := len(m.spareBlobs)
+	if n == 0 {
+		return make([]byte, 0, regBlobSize)
+	}
+	b := m.spareBlobs[n-1]
+	m.spareBlobs[n-1] = nil
+	m.spareBlobs = m.spareBlobs[:n-1]
+	return b
+}
+
+// recycleBlobLocked takes back the buffer of a regular-page blob that ELDU
+// has just consumed: the cleared VA slot makes the blob useless, so the
+// machine keeps its buffer for the next EWB and drops the descriptor's
+// reference to it.
+func (m *Machine) recycleBlobLocked(ev *EvictedPage) {
+	if ev.Type != PTReg || len(m.spareBlobs) >= maxSpareBlobs {
+		return
+	}
+	m.spareBlobs = append(m.spareBlobs, ev.Cipher[:0:regBlobSize])
+	ev.Cipher = nil
 }
 
 // vaSlotLocked validates a VA frame/slot pair.
@@ -128,36 +161,38 @@ func (m *Machine) vaSlotLocked(vaFrame FrameIndex, slot int) (*vaPage, error) {
 	return vf.va, nil
 }
 
-// openFrame authenticates a sealed REG or TCS page image and returns the
-// frame it becomes. A REG blob opens straight into the Page the frame will
-// own, so its size is checked first; the caller installs the result, and on
-// error there is nothing to undo.
-func openFrame(s *tcb.Sealer, counter uint64, cipher, aad []byte, eid EnclaveID, lin PageNum, pt PageType, perm Perm) (frame, error) {
+// openFrame authenticates a sealed REG or TCS page image and installs it in
+// the free frame fr. A REG blob opens straight into the frame's own page, so
+// its size is checked first; on error the frame stays free.
+func openFrame(fr *frame, s *tcb.Sealer, counter uint64, cipher, aad []byte, eid EnclaveID, lin PageNum, pt PageType, perm Perm) error {
 	switch pt {
 	case PTReg:
-		if len(cipher) != PageSize+tcb.SealOverhead {
-			return frame{}, ErrSealBroken
+		if len(cipher) != regBlobSize {
+			return ErrSealBroken
 		}
-		data := &Page{}
-		if _, err := s.Open(data[:0], counter, cipher, aad); err != nil {
-			return frame{}, ErrSealBroken
+		if _, err := s.Open(fr.page()[:0], counter, cipher, aad); err != nil {
+			return ErrSealBroken
 		}
-		return frame{valid: true, eid: eid, ptype: PTReg, lin: lin, perm: perm, data: data}, nil
+		fr.set(frame{valid: true, eid: eid, ptype: PTReg, lin: lin, perm: perm})
+		return nil
 	case PTTcs:
 		plaintext, err := s.Open(nil, counter, cipher, aad)
 		if err != nil || len(plaintext) != tcsWireSize {
-			return frame{}, ErrSealBroken
+			return ErrSealBroken
 		}
-		return frame{valid: true, eid: eid, ptype: PTTcs, lin: lin, tcs: unmarshalTCS(plaintext)}, nil
+		fr.set(frame{valid: true, eid: eid, ptype: PTTcs, lin: lin, tcs: unmarshalTCS(plaintext)})
+		return nil
 	default:
-		return frame{}, ErrSealBroken
+		return ErrSealBroken
 	}
 }
 
 // ELDU loads an evicted page back into free frame f, verifying the blob
 // against the version stored in the VA slot; on success the slot is cleared,
 // so the same blob can never be loaded twice (anti-replay / anti-rollback at
-// page granularity).
+// page granularity), and the machine takes a regular page's blob buffer back
+// for the next EWB (ev.Cipher is nil afterwards). A failed ELDU consumes
+// nothing.
 func (m *Machine) ELDU(f FrameIndex, ev *EvictedPage, vaFrame FrameIndex, slot int) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -184,13 +219,12 @@ func (m *Machine) ELDU(f FrameIndex, ev *EvictedPage, vaFrame FrameIndex, slot i
 	if va.slots[slot] == 0 || va.slots[slot] != ev.Version {
 		return ErrReplay
 	}
-	fr, err := openFrame(m.pageSealer, ev.Version, ev.Cipher, m.evictAADLocked(ev.Enclave, ev.Lin, ev.Type, ev.Perm),
-		ev.Enclave, ev.Lin, ev.Type, ev.Perm)
-	if err != nil {
+	if err := openFrame(&m.frames[f], m.pageSealer, ev.Version, ev.Cipher, m.evictAADLocked(ev.Enclave, ev.Lin, ev.Type, ev.Perm),
+		ev.Enclave, ev.Lin, ev.Type, ev.Perm); err != nil {
 		return err
 	}
-	m.frames[f] = fr
 	e.pageTable[ev.Lin] = f
 	va.slots[slot] = 0
+	m.recycleBlobLocked(ev)
 	return nil
 }
