@@ -49,12 +49,12 @@ loc:
 test:
 	$(GO) test ./...
 
-# The checkpoint, leaf, tamper, big-state and recycling tests again under
-# GOMAXPROCS 1 and 2. A checkpoint's leaves are hashed and sealed, and opened
-# and hashed, on GOMAXPROCS goroutines, so the one-worker path is otherwise
-# only exercised on a one-CPU machine.
+# The checkpoint, leaf, tamper, big-state and recycling tests, the entry
+# gate and the dump's quiescence re-check, again under GOMAXPROCS 1 and 2. A
+# checkpoint's leaves are sealed, and opened, on GOMAXPROCS goroutines, so
+# the one-worker path is otherwise only exercised on a one-CPU machine.
 test-cpus:
-	$(GO) test -cpu 1,2 -run 'Checkpoint|Leaf|Leaves|Nonce|Tamper|BigState|GOMAXPROCS|Bounce|Recycl' ./internal/enclave ./internal/core ./internal/attack ./internal/tcb ./internal/sgx
+	$(GO) test -cpu 1,2 -run 'Checkpoint|Leaf|Leaves|Nonce|Tamper|BigState|GOMAXPROCS|Bounce|Recycl|Migrating|Quiesc' ./internal/enclave ./internal/core ./internal/attack ./internal/tcb ./internal/sgx
 
 # benchmark/ is a Go module of its own (replace repro => ../), so none of
 # the ./... targets above compile it: a change that deletes exported API can

@@ -46,7 +46,7 @@ func counterWorkload(rt *enclave.Runtime, worker int, stop <-chan struct{}) {
 		case err == nil:
 		case errors.Is(err, enclave.ErrDestroyed):
 			return
-		case errors.Is(err, enclave.ErrWorkerBusy):
+		case errors.Is(err, enclave.ErrWorkerBusy), errors.Is(err, enclave.ErrMigrating):
 			time.Sleep(100 * time.Microsecond)
 		default:
 			return

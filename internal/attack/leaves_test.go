@@ -21,12 +21,11 @@ func bigCounter() *enclave.App {
 }
 
 // Under AES-GCM a leaf of 256 (lin, page) records seals to its plaintext
-// plus a 16-byte tag, and the final record — the state digest's root and
-// the leaf count — to 36 + 16 bytes. Restated here so that a change to the
-// format fails these tests.
+// plus a 16-byte tag, and the final record — the leaf count — to 4 + 16
+// bytes. Restated here so that a change to the format fails these tests.
 const (
 	sealedFullLeaf = 256*(4+sgx.PageSize) + 16
-	sealedFinal    = 32 + 4 + 16
+	sealedFinal    = 4 + 16
 )
 
 // splitLeaves cuts an AES-GCM checkpoint into its header, its sealed leaves

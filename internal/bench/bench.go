@@ -246,7 +246,7 @@ func busyWorker(rt *enclave.Runtime, worker int, stop <-chan struct{}) {
 		default:
 		}
 		if _, err := rt.ECall(worker, testapps.CounterRun, 2000); err != nil {
-			if errors.Is(err, enclave.ErrWorkerBusy) {
+			if errors.Is(err, enclave.ErrWorkerBusy) || errors.Is(err, enclave.ErrMigrating) {
 				time.Sleep(50 * time.Microsecond)
 				continue
 			}

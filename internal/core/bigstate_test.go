@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"runtime"
@@ -282,15 +281,15 @@ func TestTamperedCheckpointRefused(t *testing.T) {
 	}
 }
 
-// ckptRecord, digestLeaf and finalRecord are the checkpoint's geometry,
+// ckptRecord, ckptLeaf and finalRecord are the checkpoint's geometry,
 // restated here rather than taken from the enclave package so that a change
 // to the format fails these tests: a (lin u32, page) record per non-TCS
-// page, sealed 256 records to a leaf, and a final record holding the state
-// digest's root and the leaf count.
+// page, sealed 256 records to a leaf, and a final record holding the leaf
+// count.
 const (
 	ckptRecord  = 4 + sgx.PageSize
-	digestLeaf  = 256 * ckptRecord
-	finalRecord = sha256.Size + 4
+	ckptLeaf    = 256 * ckptRecord
+	finalRecord = 4
 )
 
 // openedCheckpoint is a checkpoint taken apart with the key.
@@ -303,7 +302,7 @@ type openedCheckpoint struct {
 }
 
 // openLeaves opens every record of blob under key and fails the test unless
-// they tile it exactly: the header, then one record per digestLeaf of page
+// they tile it exactly: the header, then one record per ckptLeaf of page
 // records sealed under its index and the leaf count, each
 // tcb.LeafSize(cipher, plaintext) bytes, then the final record under index
 // count.
@@ -316,7 +315,7 @@ func openLeaves(t *testing.T, blob []byte, key tcb.Key) openedCheckpoint {
 	}
 	o.head = blob[:enclave.HeaderWireSize(int(o.hdr.Threads))]
 	records := (int(o.hdr.TotalPages) - int(o.hdr.Threads)) * ckptRecord
-	count := (records + digestLeaf - 1) / digestLeaf
+	count := (records + ckptLeaf - 1) / ckptLeaf
 	s, err := tcb.NewLeafSealer(o.hdr.Cipher, key, o.hdr.Salt[:])
 	if err != nil {
 		t.Fatal(err)
@@ -336,7 +335,7 @@ func openLeaves(t *testing.T, blob []byte, key tcb.Key) openedCheckpoint {
 		return rec, pt
 	}
 	for i := 0; i < count; i++ {
-		rec, pt := open(min(digestLeaf, records-i*digestLeaf), i)
+		rec, pt := open(min(ckptLeaf, records-i*ckptLeaf), i)
 		o.sealed = append(o.sealed, rec)
 		o.leaves = append(o.leaves, pt)
 	}
@@ -373,19 +372,8 @@ func (o openedCheckpoint) reseal(t *testing.T, key tcb.Key, leaves [][]byte) []b
 	return out
 }
 
-// stateDigest re-derives the digest that closes a checkpoint body: SHA-256
-// over the SHA-256 of each digestLeaf-byte leaf of the records, in order.
-func stateDigest(records []byte) [32]byte {
-	var sums []byte
-	for off := 0; off < len(records); off += digestLeaf {
-		s := sha256.Sum256(records[off:min(off+digestLeaf, len(records))])
-		sums = append(sums, s[:]...)
-	}
-	return sha256.Sum256(sums)
-}
-
 // bigCounter is the counter app with a heap of 600 pages, so that its
-// checkpoint body spans three digest leaves, the last one short.
+// checkpoint body spans three leaves, the last one short.
 func bigCounter() *enclave.App {
 	app := testapps.CounterApp(1)
 	app.HeapPages = 600
@@ -394,9 +382,9 @@ func bigCounter() *enclave.App {
 
 // TestCheckpointFormatUnchanged decodes a checkpoint from the outside —
 // header, each leaf opened as its own record under the header's salt, the
-// (lin, page) records, and the final record's two-level state digest and
-// leaf count — for every cipher, and resumes from it. The owner path is
-// used because there the test holds the key.
+// (lin, page) records, and the final record's leaf count — for every
+// cipher, and resumes from it. The owner path is used because there the
+// test holds the key.
 func TestCheckpointFormatUnchanged(t *testing.T) {
 	for _, cipher := range []tcb.CheckpointCipher{tcb.CipherAESGCM, tcb.CipherRC4, tcb.CipherDES} {
 		t.Run(cipher.String(), func(t *testing.T) {
@@ -428,10 +416,7 @@ func TestCheckpointFormatUnchanged(t *testing.T) {
 				t.Fatalf("%d leaves, want 3", len(o.leaves))
 			}
 			payload := bytes.Join(o.leaves, nil)
-			if want := stateDigest(payload); !bytes.Equal(o.final[:sha256.Size], want[:]) {
-				t.Fatal("the final record's root is not SHA-256 over the SHA-256 of each 256-record leaf")
-			}
-			if n := binary.LittleEndian.Uint32(o.final[sha256.Size:]); n != 3 {
+			if n := binary.LittleEndian.Uint32(o.final); n != 3 {
 				t.Fatalf("the final record counts %d leaves, want 3", n)
 			}
 			if len(payload) != (layout.TotalPages()-layout.Threads)*ckptRecord {
@@ -463,11 +448,12 @@ func TestCheckpointFormatUnchanged(t *testing.T) {
 	}
 }
 
-// TestStateDigestIndependentOfGOMAXPROCS: the digest's leaves are hashed on
-// as many goroutines as GOMAXPROCS allows, but the leaf is a format constant,
-// so a checkpoint dumped with one of them restores with two and the reverse
-// — what a migration between hosts of different core counts does.
-func TestStateDigestIndependentOfGOMAXPROCS(t *testing.T) {
+// TestCheckpointIndependentOfGOMAXPROCS: a checkpoint's leaves are sealed
+// and opened on as many goroutines as GOMAXPROCS allows, but the leaf is a
+// format constant, so a checkpoint dumped with one of them restores with two
+// and the reverse — what a migration between hosts of different core counts
+// does.
+func TestCheckpointIndependentOfGOMAXPROCS(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	w := newWorld(t)
 	app := bigCounter()
@@ -494,17 +480,16 @@ func TestStateDigestIndependentOfGOMAXPROCS(t *testing.T) {
 	}
 }
 
-// TestResealedTamperRefused: an owner-keyed checkpoint is opened with the
-// owner's key, altered, and every record sealed again under the same key,
-// header and salt, so each opens under its index and only the in-enclave
-// state digest stands between the altered state and the enclave. Two
-// alterations: one byte of a record in the second leaf, and the first two
-// leaves swapped — every record still names a valid page, so the record walk
-// alone would take it. Each must be refused as a bad checkpoint before any
-// page is written back: the control page, the first record, still reads as
-// the target's own (restoring, never audited, never restored) rather than
-// the source's. The same target then restores the records re-sealed
-// unaltered.
+// TestResealedTamperRefused pins what re-sealing a checkpoint can and cannot
+// do. The records' tags are the checkpoint's only integrity check, so a
+// holder of the key — here the owner, under Kencrypt — can produce any
+// checkpoint it likes: the counter's heap word altered and every record
+// sealed again restores, counter and all. What the enclave refuses whoever
+// sealed it is a record naming a page it may not restore — a TCS page, or
+// one past the enclave's end. The record is the last of the last leaf, and
+// the checkpoint is refused as bad before any page is written back: the
+// control page, the first record, still reads as the target's own
+// (restoring, never audited, never restored) rather than the source's.
 func TestResealedTamperRefused(t *testing.T) {
 	w := newWorld(t)
 	app := bigCounter()
@@ -518,10 +503,7 @@ func TestResealedTamperRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	o := openLeaves(t, blob, w.owner.kencrypt)
-	hdr := o.hdr
-	if len(o.leaves) < 3 {
-		t.Fatalf("%d leaves: the test needs a second full one", len(o.leaves))
-	}
+	hdr, layout := o.hdr, src.Layout()
 	reseal := func(alter func(leaves [][]byte)) []byte {
 		leaves := make([][]byte, len(o.leaves))
 		for i, leaf := range o.leaves {
@@ -530,6 +512,8 @@ func TestResealedTamperRefused(t *testing.T) {
 		alter(leaves)
 		return o.reseal(t, w.owner.kencrypt, leaves)
 	}
+	last := len(o.leaves) - 1
+	lastRecord := len(o.leaves[last]) - ckptRecord
 
 	tgt, err := ownerTarget(w.owner, w.hostB, dep)
 	if err != nil {
@@ -537,40 +521,50 @@ func TestResealedTamperRefused(t *testing.T) {
 	}
 	defer destroyQuietly(tgt)
 	for _, tc := range []struct {
-		name  string
-		alter func(leaves [][]byte)
+		name string
+		lin  uint32
 	}{
-		{"a byte of the second leaf", func(l [][]byte) { l[1][10*ckptRecord+100] ^= 1 }},
-		{"the first two leaves swapped", func(l [][]byte) { l[0], l[1] = l[1], l[0] }},
+		{"a TCS page", uint32(layout.TCSPage(1))},
+		{"a page past the enclave", uint32(layout.TotalPages())},
 	} {
-		bad := reseal(tc.alter)
+		bad := reseal(func(l [][]byte) { binary.LittleEndian.PutUint32(l[last][lastRecord:], tc.lin) })
 		if err := tgt.WriteShared(enclave.SharedCkptOff, bad); err != nil {
 			t.Fatal(err)
 		}
 		_, err := restore(tgt, hdr, len(bad), true, nil)
 		var ee *enclave.EnclaveError
 		if !errors.As(err, &ee) || !strings.Contains(ee.Error(), "bad checkpoint") {
-			t.Fatalf("%s: restore = %v, want the enclave's bad-checkpoint refusal", tc.name, err)
+			t.Fatalf("a record naming %s: restore = %v, want the enclave's bad-checkpoint refusal", tc.name, err)
 		}
 		st, err := tgt.CtlCall(enclave.SelCtlStatus)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if state, audits, restored := st[0], st[3], st[5]; state != 3 || audits != 0 || restored != 0 {
-			t.Fatalf("%s: control page after the refusal reads state %d, %d audits, restored %d; want the target's own 3, 0, 0", tc.name, state, audits, restored)
+			t.Fatalf("a record naming %s: control page after the refusal reads state %d, %d audits, restored %d; want the target's own 3, 0, 0", tc.name, state, audits, restored)
 		}
 	}
 
-	good := reseal(func([][]byte) {})
-	if err := tgt.WriteShared(enclave.SharedCkptOff, good); err != nil {
+	forged := reseal(func(l [][]byte) {
+		for i, leaf := range l {
+			for off := 0; off < len(leaf); off += ckptRecord {
+				if sgx.PageNum(binary.LittleEndian.Uint32(leaf[off:])) == layout.HeapBase() {
+					binary.LittleEndian.PutUint64(l[i][off+4:], 1_000_000)
+					return
+				}
+			}
+		}
+		t.Fatal("no record of the counter's heap page")
+	})
+	if err := tgt.WriteShared(enclave.SharedCkptOff, forged); err != nil {
 		t.Fatal(err)
 	}
-	inc, err := restore(tgt, hdr, len(good), true, nil)
+	inc, err := restore(tgt, hdr, len(forged), true, nil)
 	if err != nil {
-		t.Fatalf("the unaltered body, re-sealed: %v", err)
+		t.Fatalf("a checkpoint the key holder altered and re-sealed: %v", err)
 	}
-	if res, err := inc.Runtime.ECall(0, testapps.CounterGet); err != nil || res[0] != 5 {
-		t.Fatalf("restored counter = %d, %v", res[0], err)
+	if res, err := inc.Runtime.ECall(0, testapps.CounterGet); err != nil || res[0] != 1_000_000 {
+		t.Fatalf("restored counter = %d, %v; want the key holder's 1000000", res[0], err)
 	}
 }
 

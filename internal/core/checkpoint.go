@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/enclave"
 	"repro/internal/sgx"
@@ -30,23 +29,12 @@ func OwnerCheckpoint(o *Owner, rt *enclave.Runtime) ([]byte, error) {
 	opts := &Options{Service: o.service}
 	rt.RequestMigration()
 	if _, err := rt.CtlCall(enclave.SelCtlMigrateBegin); err != nil {
+		rt.EndMigration()
 		return nil, fmt.Errorf("core: checkpoint begin: %w", err)
 	}
-	deadline := time.Now().Add(opts.pollBudget())
-	for {
-		res, err := rt.CtlCall(enclave.SelCtlMigratePoll)
-		if err != nil {
-			return nil, err
-		}
-		if res[0] == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			_ = Cancel(rt)
-			return nil, ErrNotQuiescent
-		}
-		rt.InterruptWorkers()
-		time.Sleep(opts.pollInterval())
+	if err := awaitQuiescence(rt, opts); err != nil {
+		_ = Cancel(rt)
+		return nil, err
 	}
 	var blob []byte
 	if _, err := streamDump(rt, enclave.SelCtlOwnerDump, func(total int) error {

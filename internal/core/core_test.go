@@ -252,20 +252,17 @@ func TestMigrationOverTCP(t *testing.T) {
 
 func TestPrepareTimesOutOnHostileWorkload(t *testing.T) {
 	w := newWorld(t)
-	app := testapps.CounterApp(1)
+	app := testapps.CounterApp(2)
 	// A worker that ignores the interrupt forever is not constructible from
 	// the untrusted side — quiescence always converges here. Pin the budget
-	// behaviour instead with an absurdly short budget and a busy worker:
-	// the run only has to outlast the 1 ms head start (≈ 1 s, like
-	// TestMigrateOutPrepareFailureResumesSource's).
+	// behaviour instead with an absurdly short budget, a counting worker
+	// and one held inside a single step, which cannot park before the
+	// budget is gone.
+	hold, release := withHold(t, app)
 	src := w.launch(t, app)
 	const iterations = 5_000_000
-	done := make(chan error, 1)
-	go func() {
-		_, err := src.ECall(0, testapps.CounterRun, iterations)
-		done <- err
-	}()
-	time.Sleep(time.Millisecond)
+	done := countInside(t, src, iterations)
+	held := hold(src)
 	opts := w.opts()
 	opts.PollBudget = time.Nanosecond
 	opts.PollInterval = time.Microsecond
@@ -276,8 +273,12 @@ func TestPrepareTimesOutOnHostileWorkload(t *testing.T) {
 	// A failed Prepare cancels the migration itself; the enclave resumes
 	// without any action from the caller, so the busy ecall completes —
 	// with every step counted.
-	if err := <-done; err != nil {
+	release()
+	if err := <-held; err != nil {
 		t.Fatal(err)
+	}
+	if r := <-done; r.err != nil {
+		t.Fatal(r.err)
 	}
 	if res, err := src.ECall(0, testapps.CounterGet); err != nil || res[0] != iterations {
 		t.Fatalf("counter after the failed Prepare: %v %v, want %d", res, err, iterations)

@@ -214,18 +214,11 @@ func TestMigrateMidComputation(t *testing.T) {
 
 func TestMigrationCancelResumesWorkers(t *testing.T) {
 	w := newWorld(t)
-	app := testapps.CounterApp(1)
+	app := testapps.CounterApp(2)
 	src := w.launch(t, app)
 
 	const iterations = 200000
-	done := make(chan error, 1)
-	var final uint64
-	go func() {
-		res, err := src.ECall(0, testapps.CounterRun, iterations)
-		final = res[0]
-		done <- err
-	}()
-	time.Sleep(2 * time.Millisecond)
+	done := countInside(t, src, iterations)
 
 	opts := w.opts()
 	if _, err := Prepare(src, opts); err != nil {
@@ -238,10 +231,11 @@ func TestMigrationCancelResumesWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if err := <-done; err != nil {
-		t.Fatalf("ecall after cancelled migration: %v", err)
+	r := <-done
+	if r.err != nil {
+		t.Fatalf("ecall after cancelled migration: %v", r.err)
 	}
-	if final != iterations {
-		t.Fatalf("counter after cancel = %d, want %d", final, iterations)
+	if r.regs[0] != iterations {
+		t.Fatalf("counter after cancel = %d, want %d", r.regs[0], iterations)
 	}
 }

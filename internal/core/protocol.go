@@ -41,12 +41,14 @@ func SourceChannel(src *enclave.Runtime, service *attest.Service, hello []byte) 
 }
 
 // ReleaseKey triggers self-destroy + Kmigrate release on the source,
-// returning the sealed key blob.
+// returning the sealed key blob. The source is marked dead, as Release
+// marks it.
 func ReleaseKey(src *enclave.Runtime) ([]byte, error) {
 	res, err := src.CtlCall(enclave.SelCtlSrcRelease, enclave.SharedReqOff)
 	if err != nil {
 		return nil, fmt.Errorf("core: key release: %w", err)
 	}
+	src.MarkDead()
 	return src.ReadShared(enclave.SharedReqOff, res[0])
 }
 

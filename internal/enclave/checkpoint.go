@@ -1,8 +1,6 @@
 package enclave
 
 import (
-	"bytes"
-	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"math/bits"
@@ -14,8 +12,8 @@ import (
 	"repro/internal/tcb"
 )
 
-// The checkpoint format. The control thread hashes and encrypts the
-// enclave's pages inside the enclave (paper Sec. IV) into
+// The checkpoint format. The control thread encrypts the enclave's pages
+// inside the enclave (paper Sec. IV) into
 //
 //	header ‖ leaf 0 ‖ … ‖ leaf n-1 ‖ final
 //
@@ -23,23 +21,23 @@ import (
 // leaf is up to ckptLeafRecords page records — (lin u32 LE, 4 KiB page), one
 // per non-TCS page in linear order, the last leaf possibly short — sealed in
 // place as one tcb.LeafSealer record under its index. The final record,
-// sealed under index n, holds the root of the state digest (SHA-256 over
-// the SHA-256 of each leaf's records) and n. Every record's additional data
-// is header ‖ index ‖ n, so a leaf that is dropped, repeated, moved or taken
-// from another checkpoint does not open, and the root refuses what a holder
-// of the key could re-seal. Every size follows from the enclave's layout and
-// the header's cipher (ckptGeometry): neither side reads a length off the
-// wire.
+// sealed under index n, holds n. Every record's additional data is header ‖
+// index ‖ n, so its tag (AEAD, or encrypt-then-MAC for RC4 and DES) refuses
+// a record that is altered, dropped, repeated, moved or taken from another
+// checkpoint, and the final record refuses a truncated one. The tags are the
+// whole integrity check: only the holders of the checkpoint key — the two
+// enclaves (Kmigrate) or the owner (Kencrypt) — can seal a record, and the
+// paper trusts them. Every size follows from the enclave's layout and the
+// header's cipher (ckptGeometry): neither side reads a length off the wire.
 
 // ckptLeafRecords is a checkpoint's leaf: 256 page records, just over 1 MiB,
-// sealed as one record and hashed as one leaf of the state digest. It is
-// part of the format — a dump and its restore must agree on it whatever
-// CPUs either side has — so it is a constant, not derived from the machine.
+// sealed as one record. It is part of the format — a dump and its restore
+// must agree on it whatever CPUs either side has — so it is a constant, not
+// derived from the machine.
 const ckptLeafRecords = 256
 
-// ckptFinal is the plaintext of the final record: the state digest's root,
-// then the leaf count (u32 LE).
-const ckptFinal = sha256.Size + 4
+// ckptFinal is the plaintext of the final record: the leaf count (u32 LE).
+const ckptFinal = 4
 
 // Checkpoint refusals; restore maps them to its in-enclave error details.
 var (
@@ -157,14 +155,15 @@ func sealCheckpoint(g ckptGeometry, hdr []byte, s *tcb.LeafSealer, fill func(rec
 
 // sealLeaves seals the checkpoint in buf — laid out by g, its header written
 // — while the page walk fills it. fill(i) writes leaf i's page records into
-// place; it runs on the calling goroutine, in leaf order. Each filled leaf
-// is hashed and sealed in place by whichever worker takes it and handed to
-// emit with its offset; publish(n) reports that the first n bytes are all
-// emitted: the header first, then leaf by leaf in order, then the final
-// record. publish runs under a lock so that its reports stay in order, so
-// neither it nor emit may block. buf must be enclave-private: the workers
-// share it unlocked, which is sound only because nothing outside the
-// enclave can write it.
+// place; it runs on the calling goroutine, in leaf order, and an error it
+// returns ends the dump before the final record is sealed. Each filled leaf
+// is sealed in place by whichever worker takes it and handed to emit with
+// its offset; publish(n) reports that the first n bytes are all emitted:
+// the header first, then leaf by leaf in order, then the final record.
+// publish runs under a lock so that its reports stay in order, so neither
+// it nor emit may block. buf must be enclave-private: the workers share it
+// unlocked, which is sound only because nothing outside the enclave can
+// write it.
 func sealLeaves(g ckptGeometry, buf []byte, s *tcb.LeafSealer, fill func(leaf int) error, emit func(off int, b []byte) error, publish func(n int) error) error {
 	hdr := buf[:g.offs[0]]
 	if err := emit(0, hdr); err != nil {
@@ -174,7 +173,6 @@ func sealLeaves(g ckptGeometry, buf []byte, s *tcb.LeafSealer, fill func(leaf in
 		return err
 	}
 	count := uint32(g.leaves)
-	sums := make([]byte, g.leaves*sha256.Size)
 	ready := make(chan int, g.leaves)
 	var (
 		mu     sync.Mutex
@@ -184,10 +182,8 @@ func sealLeaves(g ckptGeometry, buf []byte, s *tcb.LeafSealer, fill func(leaf in
 	)
 	work := func() {
 		for i := range ready {
-			rec, n := g.record(buf, i), g.plain(i)
-			sum := sha256.Sum256(rec[:n])
-			copy(sums[i*sha256.Size:], sum[:])
-			err := s.Seal(rec, n, hdr, uint32(i), count)
+			rec := g.record(buf, i)
+			err := s.Seal(rec, g.plain(i), hdr, uint32(i), count)
 			if err == nil {
 				err = emit(g.offs[i], rec)
 			}
@@ -222,9 +218,7 @@ func sealLeaves(g ckptGeometry, buf []byte, s *tcb.LeafSealer, fill func(leaf in
 		return failed
 	}
 	final := g.record(buf, g.leaves)
-	root := sha256.Sum256(sums)
-	copy(final, root[:])
-	binary.LittleEndian.PutUint32(final[sha256.Size:], count)
+	binary.LittleEndian.PutUint32(final, count)
 	if err := s.Seal(final, ckptFinal, hdr, count, count); err != nil {
 		return err
 	}
@@ -243,9 +237,9 @@ func sealLeaves(g ckptGeometry, buf []byte, s *tcb.LeafSealer, fill func(leaf in
 // meanwhile changes nothing a check saw. Nothing is returned unless the
 // header names this enclave and key kind, the length is the size the layout
 // and cipher give, every leaf opens under its index and the leaf count, the
-// final record holds the root of the leaves' digest and that count, and
-// every record names a page the enclave may restore. The leaves are loaded,
-// opened and hashed on up to GOMAXPROCS goroutines.
+// final record holds that count, and every record names a page the enclave
+// may restore. The leaves are loaded and opened on up to GOMAXPROCS
+// goroutines.
 func openCheckpoint(l Layout, per int, mr [32]byte, ownerKeyed bool, key tcb.Key, buf []byte, load func(off int, dst []byte) error) (CheckpointHeader, [][]byte, error) {
 	n := len(buf)
 	var hdr CheckpointHeader
@@ -271,7 +265,6 @@ func openCheckpoint(l Layout, per int, mr [32]byte, ownerKeyed bool, key tcb.Key
 	}
 	count := uint32(g.leaves)
 	leaves := make([][]byte, g.leaves)
-	sums := make([]byte, g.leaves*sha256.Size)
 	errs := make([]error, g.leaves)
 	var next atomic.Int64
 	g.workers(func() {}, func() {
@@ -287,8 +280,6 @@ func openCheckpoint(l Layout, per int, mr [32]byte, ownerKeyed bool, key tcb.Key
 			case len(pt) != g.plain(i):
 				errs[i] = errCkptBad
 			default:
-				sum := sha256.Sum256(pt)
-				copy(sums[i*sha256.Size:], sum[:])
 				leaves[i] = pt
 			}
 		}
@@ -306,8 +297,7 @@ func openCheckpoint(l Layout, per int, mr [32]byte, ownerKeyed bool, key tcb.Key
 	if err != nil {
 		return hdr, nil, errCkptAuth
 	}
-	root := sha256.Sum256(sums)
-	if len(pt) != ckptFinal || !bytes.Equal(pt[:sha256.Size], root[:]) || binary.LittleEndian.Uint32(pt[sha256.Size:]) != count {
+	if len(pt) != ckptFinal || binary.LittleEndian.Uint32(pt) != count {
 		return hdr, nil, errCkptBad
 	}
 	for _, leaf := range leaves {

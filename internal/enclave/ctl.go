@@ -14,7 +14,7 @@ import (
 // thread (tid 0). It implements the paper's core mechanisms:
 //
 //   - two-phase checkpointing (Sec. IV-B)
-//   - checkpoint generation with in-enclave encryption + hashing (Sec. IV)
+//   - checkpoint generation with in-enclave authenticated encryption (Sec. IV)
 //   - the secure migration channel with mutual authentication (Sec. V-B)
 //   - self-destroy and the single-channel rule (Sec. V-B)
 //   - restore with in-enclave CSSA verification (Sec. III step 3-4, IV-C)
@@ -173,6 +173,28 @@ func (p *program) quiescent(env *sgx.Env) bool {
 	return true
 }
 
+// errEntered is a dump's page walk finding that a worker entered the
+// enclave after the quiescent point; the dump refuses with errNotQuiescent.
+var errEntered = errors.New("enclave: a worker entered during the dump")
+
+// dumpQuiescent, if set, runs at a dump's quiescent point, once the thread
+// table is recorded and before the page walk. Tests use it to enter a
+// worker there; it is nil otherwise.
+var dumpQuiescent func()
+
+// entered reports whether any worker has entered the enclave since the
+// dump recorded its thread table: its flag is no longer the recorded one or
+// its entry epoch has moved past the snapshot.
+func (p *program) entered(env *sgx.Env, flags []uint8) bool {
+	for tid := 1; tid < p.layout.Threads; tid++ {
+		slot := threadSlot(tid)
+		if ld64(env, slot+thrLocalFlag) != uint64(flags[tid]) || ld64(env, slot+thrEpoch) != ld64(env, slot+thrMigEpoch) {
+			return true
+		}
+	}
+	return false
+}
+
 type dumpMode int
 
 const (
@@ -182,7 +204,7 @@ const (
 )
 
 // ctlDump is phase 2: at the quiescent point, walk the entire enclave
-// address range, dump every readable page, hash it, encrypt it, and emit
+// address range, dump every readable page, encrypt it, and emit
 // the ciphertext to untrusted memory (R1 = output offset; R0 returns the
 // total length). TCS pages are skipped — they are recreated by enclave
 // construction on the target, and their one live field (CSSA) is carried via
@@ -236,6 +258,9 @@ func (p *program) ctlDump(env *sgx.Env, ctx *sgx.Context, mode dumpMode) sgx.Sta
 		// FRESH stub recording (epoch advanced past this snapshot), so a
 		// host replaying the restored (stale) values cannot pass Step-4.
 		st64(env, slot+thrMigEpoch, ld64(env, slot+thrEpoch))
+	}
+	if dumpQuiescent != nil {
+		dumpQuiescent()
 	}
 
 	// Select the checkpoint key.
@@ -295,7 +320,12 @@ func (p *program) ctlDump(env *sgx.Env, ctx *sgx.Context, mode dumpMode) sgx.Sta
 	if err := env.OutsideStore(SharedDumpLen, binary.LittleEndian.AppendUint64(nil, uint64(g.size()))); err != nil {
 		return p.exit(env, ctx, codeErr, errMemory)
 	}
-	lin := 0
+	// Nothing stops a hostile host from entering a worker while the walk
+	// runs, so once the last leaf is filled — the walk over, the final
+	// record not yet sealed — the thread table is read again: a worker that
+	// entered meanwhile fails the dump here, at the source, rather than the
+	// target's CSSA verification.
+	lin, leaf := 0, 0
 	fill := func(rec []byte) error {
 		for ; len(rec) > 0; lin++ {
 			if p.layout.IsTCS(sgx.PageNum(lin)) {
@@ -307,6 +337,9 @@ func (p *program) ctlDump(env *sgx.Env, ctx *sgx.Context, mode dumpMode) sgx.Sta
 			}
 			rec = rec[ckptRecord:]
 		}
+		if leaf++; leaf == g.leaves && mode != dumpModeNaive && p.entered(env, flags) {
+			return errEntered
+		}
 		return nil
 	}
 	out := ctx.R[1]
@@ -314,7 +347,10 @@ func (p *program) ctlDump(env *sgx.Env, ctx *sgx.Context, mode dumpMode) sgx.Sta
 	publish := func(n int) error {
 		return env.OutsideStore(SharedDumpReady, binary.LittleEndian.AppendUint64(nil, uint64(n)))
 	}
-	if err := sealCheckpoint(g, hdr, sealer, fill, emit, publish); err != nil {
+	switch err := sealCheckpoint(g, hdr, sealer, fill, emit, publish); {
+	case errors.Is(err, errEntered):
+		return p.exit(env, ctx, codeErr, errNotQuiescent)
+	case err != nil:
 		return p.exit(env, ctx, codeErr, errMemory)
 	}
 	ctx.R[0] = uint64(g.size())
@@ -676,7 +712,7 @@ func (p *program) ctlTgtRestore(env *sgx.Env, ctx *sgx.Context) sgx.Status {
 	}
 
 	// The staged checkpoint is read once, leaf by leaf, into
-	// enclave-private memory and authenticated, decrypted and hashed there
+	// enclave-private memory and authenticated and decrypted there
 	// (restoreCheckpoint), never over shared memory, which the host could
 	// rewrite between the check and the use. No page is written back until
 	// every record has checked out. Page 0 (the control page we are

@@ -1,6 +1,7 @@
 package enclave
 
 import (
+	"encoding/binary"
 	"errors"
 	"sync"
 	"testing"
@@ -90,8 +91,8 @@ func wipedPuts(t *testing.T) func() (puts int, dirty bool) {
 // TestRecycledCkptBufWiped: the buffer a restore opens a checkpoint into
 // holds plaintext, and the one a dump seals in holds unsealed leaves when
 // the walk fails part-way. Each goes back to the pool all zero — after a
-// restore, after a re-sealed altered checkpoint is refused as bad, and after
-// a dump whose page walk fails.
+// restore, after a re-sealed checkpoint is refused as bad before any record
+// is applied, and after a dump whose page walk fails.
 func TestRecycledCkptBufWiped(t *testing.T) {
 	l, per := fuzzLayout, fuzzLeafRecords
 	records, blob := sealTestCheckpoint(t, l, per, tcb.CipherAESGCM, fuzzKey, fuzzMR)
@@ -114,8 +115,8 @@ func TestRecycledCkptBufWiped(t *testing.T) {
 	})
 
 	t.Run("refused", func(t *testing.T) {
-		// One byte of the second leaf altered and the leaf sealed again
-		// under its own index: it opens, and only the state digest's root
+		// The second leaf's first record renamed to a TCS page and the leaf
+		// sealed again under its own index: it opens, and the record walk
 		// refuses it.
 		g, err := newCkptGeometry(l, tcb.CipherAESGCM, per)
 		if err != nil {
@@ -136,13 +137,13 @@ func TestRecycledCkptBufWiped(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pt[100] ^= 1
+		binary.LittleEndian.PutUint32(pt, uint32(l.TCSPage(1)))
 		if err := s.Seal(rec, len(pt), head, 1, count); err != nil {
 			t.Fatal(err)
 		}
 		wiped := wipedPuts(t)
 		if applied, err := restore(bad); !errors.Is(err, errCkptBad) || applied != 0 {
-			t.Fatalf("re-sealed altered checkpoint: %v after %d records applied, want errCkptBad before any", err, applied)
+			t.Fatalf("re-sealed record naming a TCS page: %v after %d records applied, want errCkptBad before any", err, applied)
 		}
 		if puts, dirty := wiped(); puts != 1 || dirty {
 			t.Fatalf("%d buffers went back (want 1), one not wiped: %v", puts, dirty)

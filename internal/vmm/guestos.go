@@ -15,7 +15,7 @@ import (
 
 // WorkloadFunc drives one enclave worker thread from the untrusted guest
 // process; it must loop issuing ecalls until stop is closed, tolerating
-// ErrDestroyed/ErrWorkerBusy (which occur around migrations).
+// ErrDestroyed/ErrWorkerBusy/ErrMigrating (which occur around migrations).
 type WorkloadFunc func(rt *enclave.Runtime, worker int, stop <-chan struct{})
 
 // Process is a guest process hosting one enclave.

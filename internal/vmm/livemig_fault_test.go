@@ -52,7 +52,7 @@ func newFaultWorld(t *testing.T, name string) *faultWorld {
 			t.Fatal(err)
 		}
 	}
-	time.Sleep(2 * time.Millisecond)
+	awaitCounting(t, vm)
 	return &faultWorld{vm: vm, dst: dst, plain: plain, tr: telemetry.New(), epcBase: usedFrames(dst.Machine)}
 }
 

@@ -34,7 +34,7 @@ func counterLoop(steps uint64) WorkloadFunc {
 			case err == nil:
 			case errors.Is(err, enclave.ErrDestroyed):
 				return
-			case errors.Is(err, enclave.ErrWorkerBusy):
+			case errors.Is(err, enclave.ErrWorkerBusy), errors.Is(err, enclave.ErrMigrating):
 				time.Sleep(100 * time.Microsecond)
 			default:
 				return
@@ -62,6 +62,30 @@ func newCloud(t testing.TB) (*attest.Service, *core.Owner, *Node, *Node) {
 		t.Fatal(err)
 	}
 	return service, owner, src, dst
+}
+
+// awaitCounting waits until every enclave of vm has counted: one of its
+// host loops has been inside the enclave. A loop that has not entered when
+// a migration is requested is refused by the entry gate, not migrated
+// mid-call, and a counter nobody moved says nothing about migrated state.
+// The loops are stopped to read the counter (a running loop re-enters its
+// worker at once) and started again.
+func awaitCounting(t *testing.T, vm *VM) {
+	t.Helper()
+	for _, p := range vm.OS.Processes() {
+		for wait := 100 * time.Microsecond; ; wait *= 2 {
+			time.Sleep(wait)
+			p.Stop()
+			res, err := p.RT.ECall(0, testapps.CounterGet)
+			p.start()
+			if err != nil {
+				t.Fatalf("%s before migrating: %v", p.Name, err)
+			}
+			if res[0] > 0 {
+				break
+			}
+		}
+	}
 }
 
 func deployCounter(t testing.TB, owner *core.Owner, nodes ...*Node) {
@@ -92,8 +116,7 @@ func TestLiveMigrateVMWithEnclaves(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Let the workloads make progress.
-	time.Sleep(5 * time.Millisecond)
+	awaitCounting(t, vm)
 
 	resident := residentPages(vm.Mem)
 	tvm, stats, err := LiveMigrate(vm, dst, &LiveMigrationConfig{BandwidthBps: 1e9})
@@ -168,7 +191,7 @@ func TestLiveMigrateSerialConfig(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	time.Sleep(2 * time.Millisecond)
+	awaitCounting(t, vm)
 
 	tvm, stats, err := LiveMigrate(vm, dst, &LiveMigrationConfig{
 		BandwidthBps:  1e9,
@@ -324,7 +347,7 @@ func TestStopWaitsForResumedCalls(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	time.Sleep(2 * time.Millisecond)
+	awaitCounting(t, vm)
 	tvm, _, err := LiveMigrate(vm, dst, &LiveMigrationConfig{BandwidthBps: 1e9})
 	if err != nil {
 		t.Fatal(err)

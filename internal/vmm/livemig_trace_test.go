@@ -55,7 +55,7 @@ func traceVM(t *testing.T, serial bool) (*telemetry.Tracer, *LiveMigrationStats,
 			t.Fatal(err)
 		}
 	}
-	time.Sleep(2 * time.Millisecond)
+	awaitCounting(t, vm)
 
 	tr := telemetry.New()
 	// Taken after the tracer's own epoch, so the log reads a hair early
