@@ -12,7 +12,6 @@ import (
 	"errors"
 	"fmt"
 	"log"
-	"time"
 
 	"repro/internal/attack"
 	"repro/internal/core"
@@ -67,14 +66,8 @@ func naiveAttack() error {
 			done <- err
 		}()
 		// Wait until transfers are demonstrably in flight.
-		for {
-			res, err := rt.ECall(1, testapps.BankSum)
-			if err != nil {
-				return err
-			}
-			if res[1] != initBalance {
-				break
-			}
+		if err := testapps.AwaitDebit(rt, initBalance); err != nil {
+			return err
 		}
 		// The "OS" lies that the threads are stopped and dumps immediately.
 		blob, err := attack.NaiveDump(rt)
@@ -116,7 +109,11 @@ func defendedMigration() error {
 		_, err := rt.ECall(0, testapps.BankTransfer, 1, rounds)
 		done <- err
 	}()
-	time.Sleep(time.Millisecond)
+	// Wait until the transfer is inside the enclave: one that has not
+	// entered when the migration is requested is refused, not migrated.
+	if err := testapps.AwaitDebit(rt, initBalance); err != nil {
+		return err
+	}
 
 	// First, show the control thread refusing a non-quiescent dump.
 	if err := attack.TwoPhaseDumpWithoutQuiescence(rt); err != nil {

@@ -64,7 +64,11 @@ func run() error {
 		_, err := rt.ECall(0, testapps.CounterRun, iterations)
 		done <- err
 	}()
-	time.Sleep(2 * time.Millisecond)
+	// Migrate once the call is inside the enclave: one that has not entered
+	// when the migration is requested is refused, not migrated.
+	if err := testapps.AwaitCount(rt); err != nil {
+		return err
+	}
 	mid, err := rt.ECall(1, testapps.CounterGet)
 	if err != nil {
 		return err

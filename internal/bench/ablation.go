@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -140,14 +141,8 @@ func AblationNaiveVsTwoPhase(attempts int) (NaiveRow, error) {
 		if err != nil {
 			return row, err
 		}
-		for {
-			res, err := rt.ECall(1, testapps.BankSum)
-			if err != nil {
-				return row, err
-			}
-			if res[1] != bankBalance {
-				break
-			}
+		if err := testapps.AwaitDebit(rt, bankBalance); err != nil {
+			return row, err
 		}
 		start := time.Now()
 		blob, err := attack.NaiveDump(rt)
@@ -173,7 +168,9 @@ func AblationNaiveVsTwoPhase(attempts int) (NaiveRow, error) {
 		if w, rt, done, err = busyBank(200_000); err != nil {
 			return row, err
 		}
-		time.Sleep(500 * time.Microsecond)
+		if err := testapps.AwaitDebit(rt, bankBalance); err != nil {
+			return row, err
+		}
 		opts := w.Opts()
 		start = time.Now()
 		if _, err := core.Prepare(rt, opts); err != nil {
@@ -198,7 +195,11 @@ func AblationNaiveVsTwoPhase(attempts int) (NaiveRow, error) {
 		} else if res[0] != 2*bankBalance {
 			row.TwoPhaseViolations++
 		}
-		<-done
+		// The transfer was migrated mid-flight, so its source caller lost
+		// the enclave; any other error (a refused entry) is not a run.
+		if err := <-done; err != nil && !errors.Is(err, enclave.ErrDestroyed) {
+			return row, fmt.Errorf("bench: two-phase source transfer: %w", err)
+		}
 	}
 	row.NaiveDumpTime /= time.Duration(attempts)
 	row.TwoPhaseTime /= time.Duration(attempts)

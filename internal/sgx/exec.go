@@ -51,6 +51,11 @@ type EnterResult struct {
 	// Regs carries the enclave's EEXIT register values; on AEX it is
 	// zeroed (the hardware scrubs state).
 	Regs [NumRegs]uint64
+	// Stepped reports whether the entry ran at least one trusted step; an
+	// interrupt pending at entry makes it AEX before any. A simulator
+	// observation: the runtime uses it to tell when an entry shows in the
+	// enclave's own state.
+	Stepped bool
 }
 
 // OutsideMemory is untrusted application memory the enclave may access
@@ -179,7 +184,7 @@ func (m *Machine) run(lp *LP, e *enclaveControl, t *tcs, tcsLin PageNum, ctx *Co
 				m.deactivate(t)
 				return EnterResult{}, err
 			}
-			return EnterResult{Kind: ExitAEX}, nil
+			return EnterResult{Kind: ExitAEX, Stepped: steps > 0}, nil
 		}
 		status := stepSafely(e.prog, env, ctx)
 		steps++
@@ -188,7 +193,7 @@ func (m *Machine) run(lp *LP, e *enclaveControl, t *tcs, tcsLin PageNum, ctx *Co
 			// keep stepping
 		case StatusExit:
 			m.deactivate(t)
-			return EnterResult{Kind: ExitEExit, Regs: ctx.R}, nil
+			return EnterResult{Kind: ExitEExit, Regs: ctx.R, Stepped: true}, nil
 		case StatusAbort:
 			m.deactivate(t)
 			return EnterResult{}, ErrEnclaveCrashed

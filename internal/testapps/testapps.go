@@ -78,6 +78,19 @@ func counterAdd(c *enclave.Call) enclave.AppStatus {
 	return enclave.AppDone
 }
 
+// AwaitCount returns once worker 1 of rt, a counter enclave, reads a
+// nonzero count: a CounterRun started on another worker is inside the
+// enclave, past the runtime's entry gate, so a migration requested from here
+// on meets a busy worker instead of refusing the call.
+func AwaitCount(rt *enclave.Runtime) error {
+	for {
+		res, err := rt.ECall(1, CounterGet)
+		if err != nil || res[0] > 0 {
+			return err
+		}
+	}
+}
+
 // Bank selectors (the Fig. 3 money-transfer example: the invariant is that
 // account A + account B is constant).
 const (
@@ -167,6 +180,18 @@ func bankSum(c *enclave.Call) enclave.AppStatus {
 	c.Regs[1] = a
 	c.Regs[2] = b
 	return enclave.AppDone
+}
+
+// AwaitDebit returns once worker 1 of rt, a bank enclave whose accounts
+// started at balance, reads account A debited: a BankTransfer started on
+// another worker is inside the enclave, past the runtime's entry gate.
+func AwaitDebit(rt *enclave.Runtime, balance uint64) error {
+	for {
+		res, err := rt.ECall(1, BankSum)
+		if err != nil || res[1] != balance {
+			return err
+		}
+	}
 }
 
 // Echo selectors.
