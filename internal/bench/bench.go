@@ -200,7 +200,11 @@ func Fig9c(counts []int, cipher tcb.CheckpointCipher) ([]Fig9cRow, error) {
 			rts = append(rts, rt)
 			stops = append(stops, stop)
 		}
-		time.Sleep(2 * time.Millisecond)
+		for _, rt := range rts {
+			if err := testapps.AwaitCount(rt); err != nil {
+				return nil, err
+			}
+		}
 
 		var mu sync.Mutex
 		var total time.Duration
@@ -338,11 +342,14 @@ func newVMWorld(n int) (*vmWorld, error) {
 		return nil, err
 	}
 	for i := 0; i < n; i++ {
-		if _, err := vm.OS.LaunchEnclaveProcess(fmt.Sprintf("e%d", i), "counter", owner, busyWorker); err != nil {
+		p, err := vm.OS.LaunchEnclaveProcess(fmt.Sprintf("e%d", i), "counter", owner, busyWorker)
+		if err != nil {
+			return nil, err
+		}
+		if err := testapps.AwaitCount(p.RT); err != nil {
 			return nil, err
 		}
 	}
-	time.Sleep(2 * time.Millisecond)
 	return &vmWorld{vm: vm, dst: nodes[1]}, nil
 }
 

@@ -531,7 +531,7 @@ func TestResealedTamperRefused(t *testing.T) {
 		if err := tgt.WriteShared(enclave.SharedCkptOff, bad); err != nil {
 			t.Fatal(err)
 		}
-		_, err := restore(tgt, hdr, len(bad), true, nil)
+		_, err := restore(tgt, tgt.Shared(), hdr, len(bad), true, nil)
 		var ee *enclave.EnclaveError
 		if !errors.As(err, &ee) || !strings.Contains(ee.Error(), "bad checkpoint") {
 			t.Fatalf("a record naming %s: restore = %v, want the enclave's bad-checkpoint refusal", tc.name, err)
@@ -559,7 +559,7 @@ func TestResealedTamperRefused(t *testing.T) {
 	if err := tgt.WriteShared(enclave.SharedCkptOff, forged); err != nil {
 		t.Fatal(err)
 	}
-	inc, err := restore(tgt, hdr, len(forged), true, nil)
+	inc, err := restore(tgt, tgt.Shared(), hdr, len(forged), true, nil)
 	if err != nil {
 		t.Fatalf("a checkpoint the key holder altered and re-sealed: %v", err)
 	}

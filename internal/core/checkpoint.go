@@ -37,7 +37,7 @@ func OwnerCheckpoint(o *Owner, rt *enclave.Runtime) ([]byte, error) {
 		return nil, err
 	}
 	var blob []byte
-	if _, err := streamDump(rt, enclave.SelCtlOwnerDump, func(total int) error {
+	if _, err := streamDump(rt, rt.Shared(), enclave.SelCtlOwnerDump, func(total int) error {
 		blob = make([]byte, total)
 		return nil
 	}, func(off, end int) error {
@@ -78,7 +78,7 @@ func OwnerResume(o *Owner, host *enclave.Host, dep *Deployment, blob []byte) (*I
 	if err := rt.WriteShared(enclave.SharedCkptOff, blob); err != nil {
 		return fail(err)
 	}
-	inc, err := restore(rt, hdr, len(blob), true, &Options{Service: o.service})
+	inc, err := restore(rt, rt.Shared(), hdr, len(blob), true, &Options{Service: o.service})
 	if err != nil {
 		return fail(err)
 	}

@@ -2,8 +2,11 @@ package core
 
 import (
 	"errors"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/enclave"
 	"repro/internal/sgx"
@@ -331,5 +334,61 @@ func TestSelfDestroyOrdering(t *testing.T) {
 	// And a second release (replayed request) is refused.
 	if _, err := ReleaseKey(src); err == nil {
 		t.Fatal("key released twice")
+	}
+}
+
+// TestResumedCallIsNotQuiescent: a call migrated mid-way is resumed on the
+// target under a fresh handler entry, whose exit hands the call back the
+// local flag that entry found. The restored thread table says spin there
+// (what the source's parked worker read), so a restore that left it would
+// have the resumed call run reading as parked, and the next migration's
+// quiescence poll pass while it still wrote memory: its dump then carried a
+// stale context, and the call ran twice or lost steps. Here the resumed
+// call is held inside one step on the target; a Prepare there must find
+// the enclave busy.
+func TestResumedCallIsNotQuiescent(t *testing.T) {
+	w := newWorld(t)
+	app := testapps.CounterApp(2)
+	var steps atomic.Int64
+	var armed atomic.Bool
+	entered, released := make(chan struct{}, 1), make(chan struct{})
+	defer func() {
+		select {
+		case <-released:
+		default:
+			close(released)
+		}
+	}()
+	app.ECalls = append(app.ECalls, func(*enclave.Call) enclave.AppStatus {
+		if !armed.Load() {
+			steps.Add(1)
+			return enclave.AppRunning
+		}
+		entered <- struct{}{}
+		<-released
+		return enclave.AppDone
+	})
+	sel := uint64(len(app.ECalls) - 1)
+	src := w.launch(t, app)
+	_, reg := w.deploy(app)
+	go func() { _, _ = src.ECall(0, sel) }()
+	for steps.Load() == 0 {
+		runtime.Gosched()
+	}
+	_, inc := runMigration(t, src, w.hostB, reg, w.opts())
+	defer destroyQuietly(inc.Runtime)
+	armed.Store(true)
+	<-entered // the resumed call is inside a step on the target
+
+	opts := w.opts()
+	opts.PollBudget = 5 * time.Millisecond
+	if _, err := Prepare(inc.Runtime, opts); !errors.Is(err, ErrNotQuiescent) {
+		t.Fatalf("Prepare with the resumed call held inside = %v, want ErrNotQuiescent", err)
+	}
+	close(released)
+	for r := range inc.Results {
+		if r.Err != nil {
+			t.Fatalf("resumed call on worker %d: %v", r.Worker, r.Err)
+		}
 	}
 }

@@ -283,7 +283,7 @@ func awaitQuiescence(src *enclave.Runtime, opts *Options) error {
 // record (DESIGN.md §3); the caller cancels, as after any failed dump.
 func Dump(src *enclave.Runtime, opts *Options) (_ []byte, _ time.Duration, err error) {
 	var blob []byte
-	_, took, err := dump(src, opts, func(total int) error {
+	_, took, err := dump(src, src.Shared(), opts, func(total int) error {
 		blob = make([]byte, total)
 		return nil
 	}, func(off, end int) error {
@@ -295,36 +295,34 @@ func Dump(src *enclave.Runtime, opts *Options) (_ []byte, _ time.Duration, err e
 	return blob, took, nil
 }
 
-// dumpTo is Dump streamed into t: MsgCheckpoint announces the checkpoint's
-// FrameBlob segments as soon as the enclave has published its length, and
-// each segment leaves as soon as the leaves under it are sealed, so the
-// transfer runs under the dump: core.wire spans core.dump. It returns the
-// checkpoint's length.
+// dumpTo is Dump streamed into t: the enclave seals its checkpoint into the
+// frames of a frameWindow, MsgCheckpoint announces them as soon as the
+// enclave has published the checkpoint's length, and each frame leaves,
+// uncopied, as soon as the leaves under it are sealed, so the transfer runs
+// under the dump: core.wire spans core.dump. It returns the checkpoint's
+// length.
 func dumpTo(src *enclave.Runtime, t Transport, opts *Options) (n int, took time.Duration, err error) {
 	wire := opts.span().Child("core.wire")
 	defer func() {
 		wire.Annotate(telemetry.Int("checkpoint_bytes", n))
 		wire.Fail(err)
 	}()
-	return dump(src, opts, func(total int) error {
+	win := newFrameWindow(src.Shared(), enclave.MaxCheckpointSize(src.Layout()))
+	defer win.release()
+	return dump(src, win, opts, func(total int) error {
 		return t.Send(Message{Kind: MsgCheckpoint, Frames: bulkFrames(total)})
 	}, func(off, end int) error {
-		f := newBlobFrame(end - off)
-		if err := src.Shared().Load(enclave.SharedCkptOff+uint64(off), f.Data); err != nil {
-			f.Release()
-			return err
-		}
-		return t.SendFrame(f)
+		return win.send(t, off, end)
 	})
 }
 
-// dump runs the migration dump under a core.dump span, passing the
+// dump runs the migration dump into mem under a core.dump span, passing the
 // checkpoint on as streamDump does, and counts its bytes.
-func dump(src *enclave.Runtime, opts *Options, begin func(total int) error, chunk func(off, end int) error) (n int, _ time.Duration, err error) {
+func dump(src *enclave.Runtime, mem sgx.OutsideMemory, opts *Options, begin func(total int) error, chunk func(off, end int) error) (n int, _ time.Duration, err error) {
 	sp := opts.span().Child("core.dump", telemetry.String("enclave", src.App().Name))
 	defer func() { sp.Fail(err) }()
 	start := time.Now()
-	n, err = streamDump(src, enclave.SelCtlMigrateDump, begin, chunk)
+	n, err = streamDump(src, mem, enclave.SelCtlMigrateDump, begin, chunk)
 	if err != nil {
 		return 0, 0, fmt.Errorf("core: migrate dump: %w", err)
 	}
@@ -333,15 +331,17 @@ func dump(src *enclave.Runtime, opts *Options, begin func(total int) error, chun
 	return n, time.Since(start), nil
 }
 
-// streamDump runs dump selector sel on src and passes the checkpoint on
-// while the enclave is still producing it. The enclave publishes the
-// checkpoint's length first (enclave.SharedDumpLen) and then, as each leaf
-// is sealed and copied out, how much of the window is final
-// (enclave.SharedDumpReady). begin receives the length; chunk receives each
-// bulkSegment stretch [off, end) of the window once it is final, in order,
-// the last one possibly short. A failing begin or chunk stops the passing
-// on, not the dump, which runs to its end first. It returns the length.
-func streamDump(src *enclave.Runtime, sel uint64, begin func(total int) error, chunk func(off, end int) error) (int, error) {
+// streamDump runs dump selector sel on src with mem as its untrusted memory
+// and passes the checkpoint on while the enclave is still producing it. The
+// enclave publishes the checkpoint's length first (enclave.SharedDumpLen)
+// and then, as each leaf is sealed and copied out, how much of the window is
+// final (enclave.SharedDumpReady); the runtime sees each store to that word
+// as it happens, as a host thread polling the word would. begin receives the
+// length; chunk receives each bulkSegment stretch [off, end) of the window
+// once it is final, in order, the last one possibly short. A failing begin
+// or chunk stops the passing on, not the dump, which runs to its end first.
+// It returns the length.
+func streamDump(src *enclave.Runtime, mem sgx.OutsideMemory, sel uint64, begin func(total int) error, chunk func(off, end int) error) (int, error) {
 	var ready atomic.Uint64
 	wake := make(chan struct{}, 1)
 	type result struct {
@@ -349,21 +349,22 @@ func streamDump(src *enclave.Runtime, sel uint64, begin func(total int) error, c
 		err error
 	}
 	done := make(chan result, 1)
+	watched := watchedMemory{OutsideMemory: mem, off: enclave.SharedDumpReady, watch: func(v uint64) {
+		ready.Store(v)
+		select {
+		case wake <- struct{}{}:
+		default:
+		}
+	}}
 	go func() {
-		res, err := src.CtlCallWatch(enclave.SharedDumpReady, func(v uint64) {
-			ready.Store(v)
-			select {
-			case wake <- struct{}{}:
-			default:
-			}
-		}, sel, enclave.SharedCkptOff)
+		res, err := src.CtlCallOn(watched, sel, enclave.SharedCkptOff)
 		done <- result{res[0], err}
 	}()
 	total, sent := 0, 0
 	pass := func(upTo int) error {
 		if total == 0 {
 			var b [8]byte
-			if err := src.Shared().Load(enclave.SharedDumpLen, b[:]); err != nil {
+			if err := mem.Load(enclave.SharedDumpLen, b[:]); err != nil {
 				return err
 			}
 			n := binary.LittleEndian.Uint64(b[:])
@@ -707,46 +708,6 @@ func sendBulk(t Transport, m Message) error {
 	return nil
 }
 
-// recvStaged receives a MsgCheckpoint sent with sendBulk and writes its
-// FrameBlob segments, in order, into window at enclave.SharedCkptOff — the
-// target enclave's checkpoint window, where the restore reads it — and
-// returns the payload length. There is no reassembly buffer: each segment
-// goes from its frame to where the enclave will read it. maxBytes is the
-// largest payload a legitimate peer can send; an announcement of more
-// frames than that fills is refused before any frame is read, and so is a
-// checkpoint announced with no frames, a frame of another kind and a
-// payload that runs past maxBytes.
-func recvStaged(t Transport, window sgx.OutsideMemory, maxBytes int) (int, error) {
-	m, err := recvKind(t, MsgCheckpoint)
-	if err != nil {
-		return 0, err
-	}
-	if maxFrames := (maxBytes + bulkSegment - 1) / bulkSegment; m.Frames == 0 || int64(m.Frames) > int64(maxFrames) {
-		return 0, fmt.Errorf("%w: checkpoint announces %d bulk frames, want 1 to %d for the %d bytes allowed", ErrProtocol, m.Frames, maxFrames, maxBytes)
-	}
-	n := 0
-	for i := uint32(0); i < m.Frames; i++ {
-		f, err := t.RecvFrame()
-		if err != nil {
-			return 0, err
-		}
-		switch {
-		case f.Kind != FrameBlob:
-			err = fmt.Errorf("%w: %s frame inside a checkpoint", ErrProtocol, f.Kind)
-		case len(f.Data) > maxBytes-n:
-			err = fmt.Errorf("%w: checkpoint payload overruns the %d bytes allowed", ErrProtocol, maxBytes)
-		default:
-			err = window.Store(enclave.SharedCkptOff+uint64(n), f.Data)
-			n += len(f.Data)
-		}
-		f.Release()
-		if err != nil {
-			return 0, err
-		}
-	}
-	return n, nil
-}
-
 func recvKind(t Transport, want MsgKind) (Message, error) {
 	m, err := t.Recv()
 	if err != nil {
@@ -801,8 +762,9 @@ func MigrateIn(host *enclave.Host, reg *Registry, t Transport, opts *Options) (*
 // the rebuild serial as in the paper.
 type PreparedTarget struct {
 	rt   *enclave.Runtime
+	win  *frameWindow // the received checkpoint's frames, released by Finish or Abort
 	hdr  enclave.CheckpointHeader
-	n    int // checkpoint bytes staged in rt's checkpoint window
+	n    int // checkpoint bytes in win
 	t    Transport
 	opts *Options
 }
@@ -851,7 +813,7 @@ func MigrateInPrepare(host *enclave.Host, reg *Registry, t Transport, opts *Opti
 		return nil, err
 	}
 
-	hdr, n, err := recvCheckpoint(t, rt, wantMR)
+	win, hdr, n, err := recvCheckpoint(t, rt, wantMR)
 	if err != nil {
 		destroyQuietly(rt)
 		return nil, err
@@ -861,43 +823,48 @@ func MigrateInPrepare(host *enclave.Host, reg *Registry, t Transport, opts *Opti
 		// Step-2: be attested by the source (the key arrives in Finish).
 		if err := targetChannel(rt, t); err != nil {
 			abort(t, "channel failed")
+			win.release()
 			destroyQuietly(rt)
 			return nil, err
 		}
 	}
 	opts.journal().Append(telemetry.EventChannelUp, opts.enclaveID(rt), sp.Context(),
 		telemetry.String("side", "target"))
-	return &PreparedTarget{rt: rt, hdr: hdr, n: n, t: t, opts: opts}, nil
+	return &PreparedTarget{rt: rt, win: win, hdr: hdr, n: n, t: t, opts: opts}, nil
 }
 
 // recvCheckpoint receives the checkpoint for rt, the virgin enclave built
-// from the announced image, into rt's checkpoint window, and checks that its
-// header parses and names the announced measurement. It returns the header
-// and the staged length. The peer is told of every failure that is not its
-// own abort.
-func recvCheckpoint(t Transport, rt *enclave.Runtime, wantMR [32]byte) (hdr enclave.CheckpointHeader, n int, err error) {
+// from the announced image, as the frames of a window over rt's shared
+// region (recvWindow), and checks that its header parses and names the
+// announced measurement. It returns the window, the header and the
+// checkpoint's length; on failure it has released the window. The peer is
+// told of every failure that is not its own abort.
+func recvCheckpoint(t Transport, rt *enclave.Runtime, wantMR [32]byte) (win *frameWindow, hdr enclave.CheckpointHeader, n int, err error) {
 	// The image is known, so the largest checkpoint its enclave can produce
 	// bounds what the peer may announce.
 	layout := rt.Layout()
-	if n, err = recvStaged(t, rt.Shared(), enclave.MaxCheckpointSize(layout)); err != nil {
+	if win, n, err = recvWindow(t, rt.Shared(), enclave.MaxCheckpointSize(layout)); err != nil {
 		if !errors.Is(err, ErrAborted) {
 			abort(t, "checkpoint not received")
 		}
-		return hdr, 0, err
+		return nil, hdr, 0, err
 	}
-	head, err := rt.ReadShared(enclave.SharedCkptOff, uint64(min(n, enclave.HeaderWireSize(layout.Threads))))
+	head := make([]byte, min(n, enclave.HeaderWireSize(layout.Threads)))
+	err = win.Load(enclave.SharedCkptOff, head)
 	if err == nil {
 		hdr, _, err = enclave.UnmarshalHeader(head)
 	}
+	if err == nil && hdr.Measurement != wantMR {
+		abort(t, "checkpoint for a different image")
+		win.release()
+		return nil, hdr, 0, ErrProtocol
+	}
 	if err != nil {
 		abort(t, "bad checkpoint header")
-		return hdr, 0, err
+		win.release()
+		return nil, hdr, 0, err
 	}
-	if hdr.Measurement != wantMR {
-		abort(t, "checkpoint for a different image")
-		return hdr, 0, ErrProtocol
-	}
-	return hdr, n, nil
+	return win, hdr, n, nil
 }
 
 // Finish receives and installs Kmigrate, performs restore Steps 3-4 (CSSA
@@ -908,6 +875,7 @@ func (pt *PreparedTarget) Finish() (_ *Incoming, err error) {
 	sp := pt.opts.span().Child("core.target.finish",
 		telemetry.String("enclave", pt.rt.App().Name))
 	defer func() { sp.Fail(err) }()
+	defer pt.win.release()
 	defer func() { journalAbort(pt.opts, pt.opts.enclaveID(pt.rt), "target-finish", sp.Context(), err) }()
 	fail := func(err error) (*Incoming, error) {
 		// Destroying also unblocks any ResumeWorker goroutines parked in the
@@ -938,7 +906,7 @@ func (pt *PreparedTarget) Finish() (_ *Incoming, err error) {
 	// Kmigrate is installed on the target — the receive-side twin of the
 	// source's key-release audit record.
 	pt.opts.journal().Append(telemetry.EventKeyReceive, pt.opts.enclaveID(pt.rt), sp.Context())
-	inc, err := Restore(pt.rt, pt.hdr, pt.n, pt.opts)
+	inc, err := restore(pt.rt, pt.win, pt.hdr, pt.n, false, pt.opts)
 	if err != nil {
 		abort(pt.t, "restore failed")
 		return fail(err)
@@ -954,6 +922,7 @@ func (pt *PreparedTarget) Finish() (_ *Incoming, err error) {
 // same VM migration fails and the whole migration is rolled back.
 func (pt *PreparedTarget) Abort(reason string) {
 	abort(pt.t, reason)
+	pt.win.release()
 	destroyQuietly(pt.rt)
 }
 
@@ -1015,21 +984,22 @@ func writeAndCall(rt *enclave.Runtime, sel uint64, blob []byte, extra ...uint64)
 }
 
 // Restore performs restore Steps 3-4 on a target enclave that already holds
-// the checkpoint key and has the n-byte checkpoint staged in its checkpoint
-// window at enclave.SharedCkptOff (MigrateIn receives it there): rebuild
-// CSSA, restore memory, re-enter handlers, and have the enclave verify the
+// the checkpoint key and has the n-byte checkpoint staged in its shared
+// region's checkpoint window at enclave.SharedCkptOff: rebuild CSSA,
+// restore memory, re-enter handlers, and have the enclave verify the
 // rebuilt CSSA values before going live. The verification wait honors
 // opts.PollBudget/PollInterval (nil opts = the defaults). Restore leaves
 // teardown to its caller: a refused restore on a freshly built target must
 // be followed by Destroy (MigrateIn does this), while a refused rollback
 // attempt on a live enclave must leave it running.
 func Restore(rt *enclave.Runtime, hdr enclave.CheckpointHeader, n int, opts *Options) (*Incoming, error) {
-	return restore(rt, hdr, n, false, opts)
+	return restore(rt, rt.Shared(), hdr, n, false, opts)
 }
 
-// restore is Restore; ownerKeyed selects the Sec. V-C checkpoint, opened
-// under the owner's Kencrypt instead of Kmigrate.
-func restore(rt *enclave.Runtime, hdr enclave.CheckpointHeader, n int, ownerKeyed bool, opts *Options) (_ *Incoming, err error) {
+// restore is Restore with the checkpoint read from mem — rt's shared region,
+// or the frames a migration received it in; ownerKeyed selects the Sec. V-C
+// checkpoint, opened under the owner's Kencrypt instead of Kmigrate.
+func restore(rt *enclave.Runtime, mem sgx.OutsideMemory, hdr enclave.CheckpointHeader, n int, ownerKeyed bool, opts *Options) (_ *Incoming, err error) {
 	if opts == nil {
 		opts = &Options{}
 	}
@@ -1043,12 +1013,12 @@ func restore(rt *enclave.Runtime, hdr enclave.CheckpointHeader, n int, ownerKeye
 		return nil, err
 	}
 	// Step-3b: the control thread restores all memory from the checkpoint,
-	// reading the window in place (it takes its own copy before checking).
+	// reading mem in place (it takes its own copy before checking).
 	ownerFlag := uint64(0)
 	if ownerKeyed {
 		ownerFlag = 1
 	}
-	if _, err := rt.CtlCall(enclave.SelCtlTgtRestore, enclave.SharedCkptOff, uint64(n), ownerFlag); err != nil {
+	if _, err := rt.CtlCallOn(mem, enclave.SelCtlTgtRestore, enclave.SharedCkptOff, uint64(n), ownerFlag); err != nil {
 		return nil, fmt.Errorf("core: restore: %w", err)
 	}
 	restoreTime := time.Since(restoreStart)

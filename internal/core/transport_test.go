@@ -215,8 +215,9 @@ func allocatedBy(f func()) uint64 {
 // the exact body length when it is read back — and a pooled buffer of the
 // smaller size used to be dropped by the larger request. With both in one
 // size class, a 16-segment round trip over a pool stocked with buffers of
-// the reader's size allocates nothing segment-sized: each segment is
-// written into the checkpoint window the receiver already holds.
+// the reader's size allocates nothing segment-sized. The receiver keeps
+// every segment it reads as its checkpoint window until the restore, so the
+// stock covers all of them at once, plus what the sender holds in flight.
 func TestBulkSegmentBufferReused(t *testing.T) {
 	const segments = 16
 	seg := PageFrame{Kind: FrameBlob, Data: make([]byte, bulkSegment)}
@@ -228,10 +229,11 @@ func TestBulkSegmentBufferReused(t *testing.T) {
 		t.Skip("sync.Pool drops Puts at random under the race detector")
 	}
 	blob := make([]byte, segments*bulkSegment)
-	window := enclave.NewSharedRegion(enclave.SharedCkptOff + len(blob))
+	req := enclave.NewSharedRegion(enclave.SharedCkptOff)
 	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection empties the pool
 	for _, tr := range pipeAndConn(t) {
-		// More buffers than the pipe's queue lets the sender run ahead by.
+		// Every segment the receiver holds, and more than the pipe's queue
+		// lets the sender run ahead by.
 		stock := make([][]byte, segments+4)
 		for i := range stock {
 			stock[i] = GetBuf(body)
@@ -242,10 +244,11 @@ func TestBulkSegmentBufferReused(t *testing.T) {
 		got := allocatedBy(func() {
 			done := make(chan error, 1)
 			go func() { done <- sendBulk(tr.src, Message{Kind: MsgCheckpoint, Blob: blob}) }()
-			n, err := recvStaged(tr.dst, window, len(blob))
+			win, n, err := recvWindow(tr.dst, req, len(blob))
 			if sErr := <-done; err != nil || sErr != nil || n != len(blob) {
 				t.Fatalf("%s: round trip: recv %v, send %v, %d bytes", tr.name, err, sErr, n)
 			}
+			win.release()
 		})
 		if got > bulkSegment/2 {
 			t.Errorf("%s: the round trip of %d bytes allocated %d bytes", tr.name, len(blob), got)
@@ -646,8 +649,9 @@ func BenchmarkConnTransportMsgRTT(b *testing.B) {
 
 // TestSendRecvBulk round-trips a large checkpoint blob through the bulk
 // framing: one small announcing message, then the payload as FrameBlob
-// segments — also through a wrapper, which sees every one of them — staged
-// by the receiver in a checkpoint window, in order and nowhere else.
+// segments — also through a wrapper, which sees every one of them — kept by
+// the receiver as the frames of its checkpoint window, in order, with the
+// request area left to the shared region.
 func TestSendRecvBulk(t *testing.T) {
 	blob := make([]byte, 3*bulkSegment/2+17)
 	for i := range blob {
@@ -660,24 +664,31 @@ func TestSendRecvBulk(t *testing.T) {
 		go func() {
 			errc <- sendBulk(src, Message{Kind: MsgCheckpoint, Blob: blob})
 		}()
-		window := enclave.NewSharedRegion(enclave.SharedCkptOff + len(blob) + 1)
-		n, err := recvStaged(dst, window, len(blob))
+		req := enclave.NewSharedRegion(enclave.SharedCkptOff)
+		win, n, err := recvWindow(dst, req, len(blob)+1)
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer win.release()
 		if serr := <-errc; serr != nil {
 			t.Fatal(serr)
 		}
-		got := make([]byte, window.Size())
-		if err := window.Load(0, got); err != nil {
+		got := make([]byte, n)
+		if err := win.Load(enclave.SharedCkptOff, got); err != nil {
 			t.Fatal(err)
 		}
-		staged := got[enclave.SharedCkptOff:][:n]
-		if n != len(blob) || !bytes.Equal(staged, blob) {
+		if n != len(blob) || !bytes.Equal(got, blob) {
 			t.Fatalf("bulk round trip corrupted: %d bytes", n)
 		}
-		if !bytes.Equal(got[:enclave.SharedCkptOff], make([]byte, enclave.SharedCkptOff)) || got[len(got)-1] != 0 {
-			t.Fatal("the receive wrote outside the checkpoint it staged")
+		if err := win.Load(enclave.SharedCkptOff+uint64(n), make([]byte, 1)); err == nil {
+			t.Fatal("the window reads past the checkpoint it received")
+		}
+		if err := win.Store(enclave.SharedReqOff, []byte("req")); err != nil {
+			t.Fatal(err)
+		}
+		b := make([]byte, 3)
+		if err := req.Load(enclave.SharedReqOff, b); err != nil || string(b) != "req" {
+			t.Fatalf("a store to the request area reached %q in the shared region, want %q", b, "req")
 		}
 		if want := 1 + 2; src.Ops() != want {
 			t.Fatalf("payload of %d bytes crossed the wrapper in %d operations, want %d (message + 2 segments)", len(blob), src.Ops(), want)

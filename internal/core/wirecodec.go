@@ -172,13 +172,6 @@ func NewRawFrame(pages []int) *PageFrame {
 	return &PageFrame{Kind: FrameRaw, Pages: pages, Data: data, buf: data}
 }
 
-// newBlobFrame returns a FrameBlob frame with a pooled n-byte Data buffer
-// for the caller to fill; SendFrame releases it.
-func newBlobFrame(n int) *PageFrame {
-	data := GetBuf(n)
-	return &PageFrame{Kind: FrameBlob, Data: data, buf: data}
-}
-
 // DeltaCache holds the last content this side shipped for each page, the
 // baseline XOR deltas are computed against. A page without an entry has
 // never been sent with a non-zero byte: the peer's fresh guest memory

@@ -183,6 +183,10 @@ func (c *Call) AppSigner() [32]byte { return c.env.Signer() }
 // Tid returns the worker thread id (1-based; 0 is the control thread).
 func (c *Call) Tid() int { return c.tid }
 
+// Workers returns how many worker threads the enclave has (thread ids 1 to
+// Workers).
+func (c *Call) Workers() int { return c.app.Workers }
+
 // DataBase returns the byte address of the application data region.
 func (c *Call) DataBase() uint64 { return sgx.Address(c.layout.DataBase(), 0) }
 

@@ -735,7 +735,20 @@ func (p *program) ctlTgtRestore(env *sgx.Env, ctx *sgx.Context) sgx.Status {
 		return p.exit(env, ctx, codeErr, errMemory)
 	}
 
-	// Fix up lifecycle state on the restored control page.
+	// Fix up lifecycle state on the restored control page. A worker parked
+	// at the dump reads as spinning in the restored thread table. The
+	// target's handler entry saves the flag it finds and its exit restores
+	// it to the context it resumes, so the flag goes back to what the
+	// source's spinning entry found (thrSpinPrev): busy under a call that
+	// was running, free under one interrupted before its entry stub ran.
+	// Left at spin, the resumed call would run reading as parked, and the
+	// next migration's quiescence poll would pass while it still writes
+	// memory.
+	for tid := 1; tid < p.layout.Threads; tid++ {
+		if slot := threadSlot(tid); ld64(env, slot+thrMigK) != 0 {
+			st64(env, slot+thrLocalFlag, ld64(env, slot+thrSpinPrev))
+		}
+	}
 	st64(env, offState, stRestoring)
 	st64(env, offGlobalFlag, 1)
 	st64(env, offChanState, chIdle)

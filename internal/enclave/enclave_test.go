@@ -572,3 +572,56 @@ func TestStublessEnclaveCannotMigrate(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSharedRegionReadsZerosBeforeFirstStore: a shared region holds its
+// request area from the start and allocates its checkpoint window only when
+// a store first reaches it. Until then the window reads as zeros; afterwards
+// it reads what was stored, and the request area keeps its bytes across the
+// allocation.
+func TestSharedRegionReadsZerosBeforeFirstStore(t *testing.T) {
+	const window = 1 << 20
+	s := NewSharedRegion(SharedCkptOff + window)
+	held := func() int {
+		s.mu.RLock()
+		defer s.mu.RUnlock()
+		return cap(s.buf)
+	}
+	if got := held(); got > SharedCkptOff {
+		t.Fatalf("a new region holds %d bytes, want at most its %d-byte request area", got, SharedCkptOff)
+	}
+	if err := s.Store(SharedReqOff, []byte("request")); err != nil {
+		t.Fatal(err)
+	}
+	// A read straddling the two areas, and one of the window alone.
+	got := make([]byte, 16)
+	got[15] = 0xff
+	if err := s.Load(SharedCkptOff-8, got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, make([]byte, 16)) {
+		t.Fatalf("the unstored window reads %x, want zeros", got)
+	}
+	if held() > SharedCkptOff {
+		t.Fatal("a load allocated the checkpoint window")
+	}
+	if err := s.Store(SharedCkptOff+window-4, []byte{1, 2, 3, 4}); err != nil {
+		t.Fatal(err)
+	}
+	tail := make([]byte, 8)
+	if err := s.Load(SharedCkptOff+window-8, tail); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(tail, []byte{0, 0, 0, 0, 1, 2, 3, 4}) {
+		t.Fatalf("the window reads %x after a store", tail)
+	}
+	req := make([]byte, 7)
+	if err := s.Load(SharedReqOff, req); err != nil || string(req) != "request" {
+		t.Fatalf("the request area reads %q, %v after the window was allocated", req, err)
+	}
+	if err := s.Store(SharedCkptOff+window-3, []byte{1, 2, 3, 4}); err == nil {
+		t.Fatal("a store past the region's end was accepted")
+	}
+	if err := s.Load(1<<63, make([]byte, 1)); err == nil {
+		t.Fatal("a load far past the region's end was accepted")
+	}
+}

@@ -105,6 +105,7 @@ const (
 	thrMigK        = 16 // CSSA rebuild target recorded in the checkpoint
 	thrEpoch       = 24 // increments on every enclave entry
 	thrMigEpoch    = 32 // epoch snapshot at dump time (fresh-recording proof)
+	thrSpinPrev    = 40 // the flag the entry that went to spin found (what its exit restores)
 
 	// Key material (inside enclave memory; leaves only inside encrypted
 	// checkpoints).

@@ -105,6 +105,7 @@ func (p *program) stepEntry(env *sgx.Env, ctx *sgx.Context) sgx.Status {
 		return p.exit(env, ctx, codeDead, 0)
 	}
 	if tid != 0 && ld64(env, offGlobalFlag) == 1 {
+		st64(env, slot+thrSpinPrev, prev)
 		st64(env, slot+thrLocalFlag, flagSpin)
 		ctx.PC = pcSpin
 		return sgx.StatusRunning

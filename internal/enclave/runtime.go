@@ -66,32 +66,46 @@ const (
 	// its progress, in the request area: the checkpoint's length, then how
 	// many of its leading bytes in the output window are final (u64 LE
 	// each). The dump stores the length first and advances the ready count
-	// as each leaf is sealed and copied out (Runtime.CtlCallWatch).
+	// as each leaf is sealed and copied out.
 	SharedDumpLen   = SharedReqOff
 	SharedDumpReady = SharedReqOff + 8
 )
 
-// SharedRegion is untrusted host memory shared with one enclave.
+// SharedRegion is untrusted host memory shared with one enclave. It holds
+// its request area [0, SharedCkptOff) from the start; the checkpoint window
+// after it is allocated by the first store that reaches it and reads as
+// zeros until then. A runtime whose checkpoints cross the host in frames
+// instead (core's frameWindow) never stores there, so never pays for it.
 type SharedRegion struct {
-	mu  sync.RWMutex
-	buf []byte
+	mu   sync.RWMutex
+	size uint64
+	buf  []byte // guarded by mu; the request area, or all size bytes once a store went past it
 }
 
 var _ sgx.OutsideMemory = (*SharedRegion)(nil)
 
-// NewSharedRegion allocates an n-byte shared region.
+// NewSharedRegion returns an n-byte shared region.
 func NewSharedRegion(n int) *SharedRegion {
-	return &SharedRegion{buf: make([]byte, n)}
+	return &SharedRegion{size: uint64(n), buf: make([]byte, min(n, SharedCkptOff))}
+}
+
+// inRange reports whether [off, off+n) lies inside the region.
+func (s *SharedRegion) inRange(off uint64, n int) bool {
+	return off <= s.size && uint64(n) <= s.size-off
 }
 
 // Load implements sgx.OutsideMemory.
 func (s *SharedRegion) Load(off uint64, b []byte) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if off+uint64(len(b)) > uint64(len(s.buf)) {
+	if !s.inRange(off, len(b)) {
 		return fmt.Errorf("enclave: shared read out of range")
 	}
-	copy(b, s.buf[off:])
+	n := 0
+	if off < uint64(len(s.buf)) {
+		n = copy(b, s.buf[off:])
+	}
+	clear(b[n:])
 	return nil
 }
 
@@ -99,15 +113,20 @@ func (s *SharedRegion) Load(off uint64, b []byte) error {
 func (s *SharedRegion) Store(off uint64, b []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if off+uint64(len(b)) > uint64(len(s.buf)) {
+	if !s.inRange(off, len(b)) {
 		return fmt.Errorf("enclave: shared write out of range")
+	}
+	if off+uint64(len(b)) > uint64(len(s.buf)) {
+		all := make([]byte, s.size)
+		copy(all, s.buf)
+		s.buf = all
 	}
 	copy(s.buf[off:], b)
 	return nil
 }
 
 // Size implements sgx.OutsideMemory.
-func (s *SharedRegion) Size() uint64 { return uint64(len(s.buf)) }
+func (s *SharedRegion) Size() uint64 { return s.size }
 
 // Host bundles the platform pieces the runtime builds enclaves on: the
 // machine, the EPC manager (the SGX driver's paging half) and the fault
@@ -622,6 +641,12 @@ func (rt *Runtime) driveLocked(ws *workerState, tcsLin sgx.PageNum, res sgx.Ente
 		}
 		if err != nil {
 			ws.inHandler = false
+			if rt.dead.Load() {
+				// The enclave self-destroyed and its host tore it down
+				// while this thread was outside it, between two entries:
+				// the caller sees what a thread inside would have seen.
+				return zero, ErrDestroyed
+			}
 			return zero, err
 		}
 		switch res.Kind {
@@ -689,50 +714,26 @@ func (rt *Runtime) dispatchOCallLocked(ws *workerState, tcsLin sgx.PageNum, regs
 
 // CtlCall executes a control-thread selector synchronously.
 func (rt *Runtime) CtlCall(sel uint64, args ...uint64) ([sgx.NumRegs]uint64, error) {
-	return rt.ctlCall(rt.shared, sel, args)
+	return rt.CtlCallOn(rt.shared, sel, args...)
 }
 
-// CtlCallWatch is CtlCall with every enclave store to the 8-byte shared
-// word at off handed to watch as it happens, on the storing thread: the
-// untrusted runtime observing its own memory, as a host thread polling a
-// word the enclave writes would. A dump reports its progress this way
-// (SharedDumpReady) while it runs. watch must not block.
-func (rt *Runtime) CtlCallWatch(off uint64, watch func(uint64), sel uint64, args ...uint64) ([sgx.NumRegs]uint64, error) {
-	return rt.ctlCall(watchedMemory{OutsideMemory: rt.shared, off: off, watch: watch}, sel, args)
-}
-
-// watchedMemory reports the stores to one word of an outside region.
-type watchedMemory struct {
-	sgx.OutsideMemory
-	off   uint64
-	watch func(uint64)
-}
-
-// Store implements sgx.OutsideMemory.
-func (w watchedMemory) Store(off uint64, b []byte) error {
-	if err := w.OutsideMemory.Store(off, b); err != nil {
-		return err
-	}
-	if off == w.off && len(b) == 8 {
-		w.watch(binary.LittleEndian.Uint64(b))
-	}
-	return nil
-}
-
-func (rt *Runtime) ctlCall(shared sgx.OutsideMemory, sel uint64, args []uint64) ([sgx.NumRegs]uint64, error) {
+// CtlCallOn is CtlCall with mem, not the runtime's shared region, as the
+// untrusted memory the enclave sees during the call. The migration manager
+// hands a dump or a restore the memory its checkpoint crosses the host in.
+func (rt *Runtime) CtlCallOn(mem sgx.OutsideMemory, sel uint64, args ...uint64) ([sgx.NumRegs]uint64, error) {
 	var zero [sgx.NumRegs]uint64
 	rt.ctlMu.Lock()
 	defer rt.ctlMu.Unlock()
 	tcsLin := rt.layout.TCSPage(0)
 	enterArgs := append([]uint64{sel}, args...)
-	res, err := rt.m.EENTER(rt.ctlLP, rt.eid, tcsLin, enterArgs, shared)
+	res, err := rt.m.EENTER(rt.ctlLP, rt.eid, tcsLin, enterArgs, mem)
 	for {
 		if err != nil {
 			return zero, err
 		}
 		switch res.Kind {
 		case sgx.ExitAEX:
-			res, err = rt.m.ERESUME(rt.ctlLP, rt.eid, tcsLin, shared)
+			res, err = rt.m.ERESUME(rt.ctlLP, rt.eid, tcsLin, mem)
 		case sgx.ExitEExit:
 			switch res.Regs[7] {
 			case codeDone:

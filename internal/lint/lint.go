@@ -345,6 +345,21 @@ func DefaultConfig(modPath string) *Config {
 				Releases: []string{modPath + "/internal/enclave.putCkptBuf"},
 			},
 			{
+				Kind: "frame-window",
+				// A migration's checkpoint window holds pooled frames —
+				// the checkpoint itself, up to ~8 MiB — until it is
+				// released; a path that drops the window leaks them to
+				// the collector instead of the next hop.
+				// A function that returns a window it acquired is listed
+				// too: its callers hold what it returns.
+				Acquires: []string{
+					modPath + "/internal/core.newFrameWindow",
+					modPath + "/internal/core.recvWindow",
+					modPath + "/internal/core.recvCheckpoint",
+				},
+				Releases: []string{"(*" + modPath + "/internal/core.frameWindow).release"},
+			},
+			{
 				Kind: "swap-batch",
 				// hwext's ESWPOUT→ESWPIN stream recycles page-batch slices.
 				Acquires: []string{modPath + "/internal/hwext.getSwapBatch"},

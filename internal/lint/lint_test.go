@@ -244,6 +244,11 @@ func TestLeakCheckFixture(t *testing.T) {
 				Acquires: []string{"fxleak/mgr.GetBuf"},
 				Releases: []string{"fxleak/mgr.PutBuf"},
 			},
+			{
+				Kind:     "window",
+				Acquires: []string{"fxleak/mgr.NewWindow", "fxleak/app.recvWindow"},
+				Releases: []string{"(*fxleak/mgr.Window).Release"},
+			},
 		},
 	})
 	want := []string{
@@ -255,6 +260,7 @@ func TestLeakCheckFixture(t *testing.T) {
 		"app.go:202: leakcheck", // BadQuiesce: busy path skips Unquiesce
 		"app.go:227: leakcheck", // BadInLit: leak inside a function literal
 		"app.go:252: leakcheck", // BadBuf: refusal path drops the pooled buffer
+		"app.go:296: leakcheck", // BadWindow: channel failure drops the received window
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("got %v, want %v", got, want)

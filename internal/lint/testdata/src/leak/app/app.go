@@ -259,3 +259,46 @@ func BadBuf(n int) error {
 
 // checkBuf reads a buffer and keeps no reference to it.
 func checkBuf(b []byte) bool { return len(b) > 0 && b[0] == 0 }
+
+// prepared keeps a received window until it is finished or aborted.
+type prepared struct{ w *mgr.Window }
+
+// recvWindow mirrors core's receive: every refusal releases the window,
+// and the accepted one goes back to the caller.
+func recvWindow(frames [][]byte) (*mgr.Window, error) {
+	w := mgr.NewWindow()
+	for _, f := range frames {
+		w.Hold(f)
+		if len(f) == 0 {
+			w.Release()
+			return nil, errors.New("app: empty frame")
+		}
+	}
+	return w, nil
+}
+
+// GoodWindow hands the received window to the prepared value, and
+// releases it on the refusal after the receive.
+func GoodWindow(frames [][]byte, ok bool) (*prepared, error) {
+	w, err := recvWindow(frames)
+	if err != nil {
+		return nil, err
+	}
+	if !ok {
+		w.Release()
+		return nil, errors.New("app: channel failed")
+	}
+	return &prepared{w: w}, nil
+}
+
+// BadWindow drops the received window when the channel fails.
+func BadWindow(frames [][]byte, ok bool) (*prepared, error) {
+	w, err := recvWindow(frames) // want: channel failure drops the window
+	if err != nil {
+		return nil, err
+	}
+	if !ok {
+		return nil, errors.New("app: channel failed")
+	}
+	return &prepared{w: w}, nil
+}

@@ -66,3 +66,16 @@ func GetBuf(n int) []byte { return make([]byte, n) }
 
 // PutBuf returns a buffer to the pool.
 func PutBuf(b []byte) { clear(b) }
+
+// Window holds pooled frames (like core's frameWindow); the caller must
+// Release it.
+type Window struct{ frames [][]byte }
+
+// NewWindow acquires an empty window.
+func NewWindow() *Window { return &Window{} }
+
+// Hold keeps a frame in the window.
+func (w *Window) Hold(f []byte) { w.frames = append(w.frames, f) }
+
+// Release hands every held frame back.
+func (w *Window) Release() { w.frames = nil }

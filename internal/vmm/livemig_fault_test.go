@@ -123,13 +123,27 @@ func (w *faultWorld) assertUnwound(t *testing.T, tvm *VM, stats *LiveMigrationSt
 	// Every enclave resumed: its counter answers, and counts on once its
 	// host loops run again.
 	before := w.counts(t)
-	for _, p := range w.vm.OS.Processes() {
-		p.start()
+	for name, n := range before {
+		if n == 0 {
+			t.Fatalf("%s never counted before the failed migration", name)
+		}
 	}
-	time.Sleep(5 * time.Millisecond)
-	for name, after := range w.counts(t) {
-		if before[name] == 0 || after <= before[name] {
-			t.Fatalf("%s counted %d → %d after the failed migration", name, before[name], after)
+	for wait := time.Millisecond; ; wait *= 2 {
+		for _, p := range w.vm.OS.Processes() {
+			p.start()
+		}
+		time.Sleep(wait)
+		stuck := ""
+		for name, after := range w.counts(t) {
+			if after <= before[name] {
+				stuck = fmt.Sprintf("%s counted %d → %d", name, before[name], after)
+			}
+		}
+		if stuck == "" {
+			return
+		}
+		if wait > 2*time.Second {
+			t.Fatalf("%s in %v after the failed migration", stuck, 2*wait)
 		}
 	}
 }
@@ -178,13 +192,15 @@ func TestLiveMigrateEnclaveFaultUnwinds(t *testing.T) {
 					ft := faulty.Load()
 					return ft != nil && ft.Ops() >= failAt
 				}
+				stalled := &stalledStream{ready: tripped}
 				cfg := &LiveMigrationConfig{
 					BandwidthBps: faultLinkBps,
 					Tracer:       w.tr,
 					TransportFactory: func(name string, s, d core.Transport) (core.Transport, core.Transport) {
 						switch {
 						case name == PageStreamName:
-							return &stalledStream{Transport: s, ready: tripped}, d
+							stalled.Transport = s
+							return stalled, d
 						case name != "enc-0":
 							return s, d
 						case half == "source":
@@ -199,17 +215,18 @@ func TestLiveMigrateEnclaveFaultUnwinds(t *testing.T) {
 					},
 				}
 				tvm, stats, err := LiveMigrate(w.vm, w.dst, cfg)
+				if stalled.gaveUp.Load() {
+					t.Fatalf("enc-0's leg never reached operation %d (the migration ended with %v)", failAt, err)
+				}
 				w.assertUnwound(t, tvm, stats, err)
 
 				// A second migration attempt from the same source succeeds.
+				// Its workers need no head start: one that has not entered
+				// when the migration is requested is refused at the gate and
+				// calls again afterwards.
 				for _, p := range w.vm.OS.Processes() {
 					p.start()
 				}
-				// As before the first attempt: every worker entering its enclave
-				// for the first time at the instant the dump starts is the worst
-				// case of the dump-vs-entering-worker race (benchmark/README.md),
-				// which is not what this test is about.
-				time.Sleep(2 * time.Millisecond)
 				tvm2, _, err := LiveMigrate(w.vm, w.dst, &LiveMigrationConfig{BandwidthBps: 1e9})
 				if err != nil {
 					t.Fatalf("retry migration after fault: %v", err)
@@ -231,18 +248,28 @@ func TestLiveMigrateEnclaveFaultUnwinds(t *testing.T) {
 
 // stalledStream is a page stream that carries its first frames and then
 // stalls, the collector parked mid-bulk behind it, until ready reports
-// true; with cut set the link is then severed under the sender.
+// true; with cut set the link is then severed under the sender. It waits
+// at most stallBound: a ready that never comes (a leg that failed before
+// the point the test waits for) sets gaveUp and lets the migration run
+// on, so the test fails instead of hanging.
 type stalledStream struct {
 	core.Transport
 	frames atomic.Int32
 	ready  func() bool
 	cut    bool
+	gaveUp atomic.Bool
 }
+
+// stallBound is the longest a stalledStream holds the page stream.
+const stallBound = 10 * time.Second
 
 func (s *stalledStream) SendFrame(f *core.PageFrame) error {
 	if s.frames.Add(1) > 4 {
-		for !s.ready() {
-			time.Sleep(100 * time.Microsecond)
+		for deadline := time.Now().Add(stallBound); !s.ready(); time.Sleep(100 * time.Microsecond) {
+			if time.Now().After(deadline) {
+				s.gaveUp.Store(true)
+				break
+			}
 		}
 		if s.cut {
 			_ = s.Transport.Close()
