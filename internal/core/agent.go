@@ -244,19 +244,11 @@ func StartAgent(host *enclave.Host, owner *Owner) (*AgentSession, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: agent begin: %w", err)
 	}
-	out, err := rt.ReadShared(enclave.SharedReqOff, res[0])
+	quote, dhNonce, err := QuoteExchange(rt, res[0])
 	if err != nil {
 		return nil, err
 	}
-	report, err := enclave.UnmarshalReport(out[:enclave.ReportWireSize])
-	if err != nil {
-		return nil, err
-	}
-	quote, err := rt.Machine().QuoteReport(report)
-	if err != nil {
-		return nil, fmt.Errorf("core: quote agent report: %w", err)
-	}
-	hello := append(enclave.MarshalQuote(quote), out[enclave.ReportWireSize:]...)
+	hello := append(enclave.MarshalQuote(quote), dhNonce...)
 	return &AgentSession{rt: rt, measurement: rt.Measurement(), hello: hello}, nil
 }
 
@@ -280,24 +272,6 @@ func (a *AgentSession) PreEstablish(src *enclave.Runtime, opts *Options) error {
 	}
 	a.channelOut = out
 	return nil
-}
-
-// ReleaseFromSource completes the source side against the agent: establish
-// the channel if not pre-established, then trigger self-destroy + key
-// release. Returns the blob agentReceive consumes.
-func (a *AgentSession) ReleaseFromSource(src *enclave.Runtime, opts *Options) ([]byte, error) {
-	if err := a.PreEstablish(src, opts); err != nil {
-		return nil, err
-	}
-	res, err := src.CtlCall(enclave.SelCtlSrcRelease, enclave.SharedReqOff)
-	if err != nil {
-		return nil, fmt.Errorf("core: key release: %w", err)
-	}
-	sealed, err := src.ReadShared(enclave.SharedReqOff, res[0])
-	if err != nil {
-		return nil, err
-	}
-	return append(append([]byte{}, a.channelOut...), sealed...), nil
 }
 
 // InstallKey hands the released key blob to the agent enclave.

@@ -519,7 +519,7 @@ func TestResealedTamperRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer destroyQuietly(tgt)
+	defer func() { _ = tgt.Destroy() }()
 	for _, tc := range []struct {
 		name string
 		lin  uint32
@@ -644,7 +644,9 @@ func TestTargetBuildsBeforeCheckpointArrives(t *testing.T) {
 	go func() {
 		inc, err := MigrateIn(w.hostB, reg, t2, opts)
 		if err == nil {
-			destroyQuietly(inc.Runtime)
+			if dErr := inc.Runtime.Destroy(); dErr != nil {
+				t.Error(dErr)
+			}
 		}
 		inErr <- err
 	}()

@@ -4,14 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/enclave"
-	"repro/internal/sgx"
-	"repro/internal/tcb"
 )
-
-// quoteBinding is the report-data value that ties a quote to a DH exchange.
-func quoteBinding(dh tcb.DHPublic, nonce [32]byte) sgx.ReportData {
-	return sgx.HashToReportData(tcb.HashConcat(dh[:], nonce[:]))
-}
 
 // Owner-keyed checkpoint/resume (paper Sec. V-C): unlike migration, these
 // operations involve the enclave owner — the checkpoint is encrypted under
@@ -27,24 +20,13 @@ func OwnerCheckpoint(o *Owner, rt *enclave.Runtime) ([]byte, error) {
 		return nil, fmt.Errorf("core: deliver kencrypt: %w", err)
 	}
 	opts := &Options{Service: o.service}
-	rt.RequestMigration()
-	if _, err := rt.CtlCall(enclave.SelCtlMigrateBegin); err != nil {
-		rt.EndMigration()
-		return nil, fmt.Errorf("core: checkpoint begin: %w", err)
-	}
-	if err := awaitQuiescence(rt, opts); err != nil {
-		_ = Cancel(rt)
+	if _, err := Prepare(rt, opts); err != nil {
 		return nil, err
 	}
-	var blob []byte
-	if _, err := streamDump(rt, rt.Shared(), enclave.SelCtlOwnerDump, func(total int) error {
-		blob = make([]byte, total)
-		return nil
-	}, func(off, end int) error {
-		return rt.Shared().Load(enclave.SharedCkptOff+uint64(off), blob[off:end])
-	}); err != nil {
+	blob, _, err := dumpBytes(rt, enclave.SelCtlOwnerDump, opts)
+	if err != nil {
 		_ = Cancel(rt)
-		return nil, fmt.Errorf("core: owner dump: %w", err)
+		return nil, err
 	}
 	o.logOp("checkpoint", rt.Measurement(), rt.Machine().AttestationPublic())
 	// Snapshot done; let the enclave continue running.
@@ -72,7 +54,7 @@ func OwnerResume(o *Owner, host *enclave.Host, dep *Deployment, blob []byte) (*I
 	// Any failure between the build and a successful restore must free the
 	// fresh instance's EPC (the same leak class MigrateIn had).
 	fail := func(err error) (*Incoming, error) {
-		destroyQuietly(rt)
+		_ = rt.Destroy()
 		return nil, err
 	}
 	if err := rt.WriteShared(enclave.SharedCkptOff, blob); err != nil {
@@ -87,49 +69,18 @@ func OwnerResume(o *Owner, host *enclave.Host, dep *Deployment, blob []byte) (*I
 }
 
 // ownerTarget builds a fresh instance of dep's image on host; the owner
-// attests it and delivers Kencrypt bound to its exchange. The result is a
-// virgin enclave ready to restore an owner-keyed checkpoint staged in its
-// checkpoint window. On failure nothing is left built.
+// attests it and delivers Kencrypt bound to the exchange its ctlTgtBegin
+// starts. The result is a virgin enclave ready to restore an owner-keyed
+// checkpoint staged in its checkpoint window. On failure nothing is left
+// built.
 func ownerTarget(o *Owner, host *enclave.Host, dep *Deployment) (*enclave.Runtime, error) {
 	rt, err := enclave.BuildSigned(host, dep.App, dep.Sig)
 	if err != nil {
 		return nil, err
 	}
-	fail := func(err error) (*enclave.Runtime, error) {
-		destroyQuietly(rt)
+	if err := o.exchange(rt, enclave.SelCtlTgtBegin, enclave.SelCtlOwnerKey, [32]byte(o.kencrypt), "kencrypt"); err != nil {
+		_ = rt.Destroy()
 		return nil, err
-	}
-	// Begin the target exchange; the owner attests the fresh instance and
-	// delivers Kencrypt bound to that exchange.
-	res, err := rt.CtlCall(enclave.SelCtlTgtBegin, enclave.SharedReqOff)
-	if err != nil {
-		return fail(fmt.Errorf("core: resume begin: %w", err))
-	}
-	out, err := rt.ReadShared(enclave.SharedReqOff, res[0])
-	if err != nil {
-		return fail(err)
-	}
-	report, err := enclave.UnmarshalReport(out[:enclave.ReportWireSize])
-	if err != nil {
-		return fail(err)
-	}
-	var enclaveDH tcb.DHPublic
-	var nonce [32]byte
-	copy(enclaveDH[:], out[enclave.ReportWireSize:])
-	copy(nonce[:], out[enclave.ReportWireSize+32:])
-
-	quote, err := rt.Machine().QuoteReport(report)
-	if err != nil {
-		return fail(err)
-	}
-	if err := o.attestQuote(quote, rt.Measurement()); err != nil {
-		return fail(err)
-	}
-	if quote.Data != quoteBinding(enclaveDH, nonce) {
-		return fail(fmt.Errorf("core: resume quote does not bind the exchange"))
-	}
-	if err := o.deliverKencryptForResume(rt, enclaveDH, nonce); err != nil {
-		return fail(err)
 	}
 	return rt, nil
 }

@@ -152,7 +152,9 @@ func measureMigrationOps(t *testing.T) (srcOps, tgtOps int) {
 	}
 	for range inc.Results {
 	}
-	destroyQuietly(inc.Runtime)
+	if err := inc.Runtime.Destroy(); err != nil {
+		t.Fatal(err)
+	}
 	return fs.Ops(), ft.Ops()
 }
 
@@ -216,7 +218,9 @@ func sweepMigrationFaults(t *testing.T, sourceSide bool) {
 			if inErr == nil {
 				for range inc.Results {
 				}
-				destroyQuietly(inc.Runtime)
+				if err := inc.Runtime.Destroy(); err != nil {
+					t.Fatal(err)
+				}
 			}
 			waitFrames(t, w.hostB.Mgr, framesB, "target")
 
@@ -234,7 +238,9 @@ func sweepMigrationFaults(t *testing.T, sourceSide bool) {
 			default:
 				t.Fatalf("source in broken state after fault: %v", err)
 			}
-			destroyQuietly(src)
+			if err := src.Destroy(); err != nil {
+				t.Fatal(err)
+			}
 			waitFrames(t, w.hostA.Mgr, framesA, "source")
 			waitGoroutines(t, maxGoroutines)
 		})
@@ -482,7 +488,7 @@ func TestRestoreHonorsPollBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer destroyQuietly(tgt)
+	defer func() { _ = tgt.Destroy() }()
 	if err := EstablishChannel(src, tgt, w.service); err != nil {
 		t.Fatal(err)
 	}

@@ -346,7 +346,7 @@ func TestFrameWindowReleasedOnEveryPath(t *testing.T) {
 		src := w.launch(t, app)
 		_, reg := w.deploy(app)
 		_, inc := runMigration(t, src, w.hostB, reg, w.opts())
-		defer destroyQuietly(inc.Runtime)
+		defer func() { _ = inc.Runtime.Destroy() }()
 		noFramesHeld(t, "a committed migration")
 	})
 }

@@ -313,7 +313,7 @@ func TestSelfDestroyOrdering(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Release the key... and "lose" it.
-	if _, err := ReleaseKey(src); err != nil {
+	if _, _, err := ReleaseKey(src); err != nil {
 		t.Fatal(err)
 	}
 	// The source is dead regardless: nobody gets two instances, even at
@@ -332,7 +332,7 @@ func TestSelfDestroyOrdering(t *testing.T) {
 		t.Fatalf("fresh entry into the released source: %+v, %v; want an EEXIT with the dead code", res, err)
 	}
 	// And a second release (replayed request) is refused.
-	if _, err := ReleaseKey(src); err == nil {
+	if _, _, err := ReleaseKey(src); err == nil {
 		t.Fatal("key released twice")
 	}
 }
@@ -376,7 +376,8 @@ func TestResumedCallIsNotQuiescent(t *testing.T) {
 		runtime.Gosched()
 	}
 	_, inc := runMigration(t, src, w.hostB, reg, w.opts())
-	defer destroyQuietly(inc.Runtime)
+	// After the deferred release: Destroy waits for the held call to end.
+	t.Cleanup(func() { _ = inc.Runtime.Destroy() })
 	armed.Store(true)
 	<-entered // the resumed call is inside a step on the target
 

@@ -169,7 +169,9 @@ func TestLongRunMigrationsUnderHammering(t *testing.T) {
 			}
 		}()
 		cur.Store(inc.Runtime)
-		destroyQuietly(src)
+		if err := src.Destroy(); err != nil {
+			t.Fatal(err)
+		}
 		hop++
 	}
 	stop.Store(true)
@@ -181,7 +183,7 @@ func TestLongRunMigrationsUnderHammering(t *testing.T) {
 		t.Error(err)
 	}
 	final := cur.Load()
-	defer destroyQuietly(final)
+	defer func() { _ = final.Destroy() }()
 	res, err := final.ECall(0, testapps.CounterGet)
 	if err != nil {
 		t.Fatal(err)

@@ -131,6 +131,15 @@ func (o *Options) journal() *telemetry.Journal {
 	return o.Journal
 }
 
+// channelMode names how the source delivers Kmigrate in spans and journal
+// records: to the target enclave over an attested channel, or to the agent.
+func (o *Options) channelMode() string {
+	if o.Agent != nil {
+		return "agent"
+	}
+	return "remote-attest"
+}
+
 // enclaveID resolves the journal name for rt: the host-assigned session id
 // when set, else the enclave's image name.
 func (o *Options) enclaveID(rt *enclave.Runtime) string {
@@ -281,9 +290,16 @@ func awaitQuiescence(src *enclave.Runtime, opts *Options) error {
 // window while the enclave is still sealing it. A worker that entered after
 // the quiescent point makes the enclave refuse the dump before its final
 // record (DESIGN.md §3); the caller cancels, as after any failed dump.
-func Dump(src *enclave.Runtime, opts *Options) (_ []byte, _ time.Duration, err error) {
+func Dump(src *enclave.Runtime, opts *Options) ([]byte, time.Duration, error) {
+	return dumpBytes(src, enclave.SelCtlMigrateDump, opts)
+}
+
+// dumpBytes runs dump selector sel on a prepared src and collects the
+// checkpoint from the shared window into one slice while the enclave is
+// still sealing it.
+func dumpBytes(src *enclave.Runtime, sel uint64, opts *Options) ([]byte, time.Duration, error) {
 	var blob []byte
-	_, took, err := dump(src, src.Shared(), opts, func(total int) error {
+	_, took, err := dump(src, src.Shared(), sel, opts, func(total int) error {
 		blob = make([]byte, total)
 		return nil
 	}, func(off, end int) error {
@@ -309,22 +325,23 @@ func dumpTo(src *enclave.Runtime, t Transport, opts *Options) (n int, took time.
 	}()
 	win := newFrameWindow(src.Shared(), enclave.MaxCheckpointSize(src.Layout()))
 	defer win.release()
-	return dump(src, win, opts, func(total int) error {
+	return dump(src, win, enclave.SelCtlMigrateDump, opts, func(total int) error {
 		return t.Send(Message{Kind: MsgCheckpoint, Frames: bulkFrames(total)})
 	}, func(off, end int) error {
 		return win.send(t, off, end)
 	})
 }
 
-// dump runs the migration dump into mem under a core.dump span, passing the
-// checkpoint on as streamDump does, and counts its bytes.
-func dump(src *enclave.Runtime, mem sgx.OutsideMemory, opts *Options, begin func(total int) error, chunk func(off, end int) error) (n int, _ time.Duration, err error) {
+// dump runs dump selector sel (the migration's or the owner's) into mem
+// under a core.dump span, passing the checkpoint on as streamDump does, and
+// counts its bytes.
+func dump(src *enclave.Runtime, mem sgx.OutsideMemory, sel uint64, opts *Options, begin func(total int) error, chunk func(off, end int) error) (n int, _ time.Duration, err error) {
 	sp := opts.span().Child("core.dump", telemetry.String("enclave", src.App().Name))
 	defer func() { sp.Fail(err) }()
 	start := time.Now()
-	n, err = streamDump(src, mem, enclave.SelCtlMigrateDump, begin, chunk)
+	n, err = streamDump(src, mem, sel, begin, chunk)
 	if err != nil {
-		return 0, 0, fmt.Errorf("core: migrate dump: %w", err)
+		return 0, 0, fmt.Errorf("core: dump: %w", err)
 	}
 	sp.Annotate(telemetry.Int("checkpoint_bytes", n))
 	opts.metrics().Counter("core.checkpoint.bytes").Add(int64(n))
@@ -509,10 +526,7 @@ func MigrateOutChannel(src *enclave.Runtime, blob []byte, t Transport, opts *Opt
 // the image and the held checkpoint (MigrateOut streams its checkpoint from
 // the dump instead).
 func migrateOutChannel(src *enclave.Runtime, t Transport, opts *Options, rep SourceReport, start time.Time, ship func(*telemetry.Span) error) (_ *PreparedSource, err error) {
-	mode := "remote-attest"
-	if opts.Agent != nil {
-		mode = "agent"
-	}
+	mode := opts.channelMode()
 	sp := opts.span().Child("core.channel",
 		telemetry.String("enclave", src.App().Name), telemetry.String("mode", mode))
 	defer func() { sp.Fail(err) }()
@@ -585,50 +599,39 @@ func (ps *PreparedSource) Release() (_ SourceReport, err error) {
 	}()
 	src, t, opts := ps.src, ps.t, ps.opts
 
-	var sealedKey []byte
 	if opts.Agent != nil {
-		// Release the key to the agent on the target machine.
-		sealedKey, err = opts.Agent.ReleaseFromSource(src, opts)
-		if err != nil {
+		// The key goes to the agent on the target machine, over the
+		// channel built ahead of time unless it has not been.
+		if err = opts.Agent.PreEstablish(src, opts); err != nil {
 			return ps.rep, err
 		}
-		released = true
-		src.MarkDead()
+	}
+	// Self-destroy, then release Kmigrate (strictly last, Sec. V-B).
+	var sealedKey []byte
+	sealedKey, released, err = ReleaseKey(src)
+	if released {
 		opts.journal().Append(telemetry.EventSelfDestroy, opts.enclaveID(src), sp.Context(),
-			telemetry.String("mode", "agent"))
+			telemetry.String("mode", opts.channelMode()))
+	}
+	if err != nil {
+		return ps.rep, err
+	}
+	keyMsg := Message{Kind: MsgKey, Blob: sealedKey}
+	if opts.Agent != nil {
+		sealedKey = append(append([]byte{}, opts.Agent.channelOut...), sealedKey...)
 		if err = opts.Agent.InstallKey(sealedKey); err != nil {
 			return ps.rep, fmt.Errorf("core: agent install key: %w", err)
 		}
 		// The target fetches the key locally; MsgKey only signals that it
 		// is in place.
-		if err = t.Send(Message{Kind: MsgKey, Blob: nil}); err != nil {
-			return ps.rep, err
-		}
-	} else {
-		// Self-destroy, then release Kmigrate (strictly last, Sec. V-B).
-		var res [sgx.NumRegs]uint64
-		res, err = src.CtlCall(enclave.SelCtlSrcRelease, enclave.SharedReqOff)
-		if err != nil {
-			return ps.rep, fmt.Errorf("core: key release: %w", err)
-		}
-		released = true
-		// The enclave destroyed itself inside the release call (destroy
-		// strictly before key-out); record it now so the host's failure
-		// handling sees the instance as gone even though the call that
-		// killed it returned normally.
-		src.MarkDead()
-		opts.journal().Append(telemetry.EventSelfDestroy, opts.enclaveID(src), sp.Context(),
-			telemetry.String("mode", "remote-attest"))
-		if sealedKey, err = src.ReadShared(enclave.SharedReqOff, res[0]); err != nil {
-			return ps.rep, err
-		}
-		if err = t.Send(Message{Kind: MsgKey, Blob: sealedKey}); err != nil {
-			return ps.rep, err
-		}
+		keyMsg.Blob = nil
 	}
-	// Both branches have sent MsgKey: the key is out, the commit is
-	// irrevocable. This is the audit record the fleet matches one-to-one
-	// against completed migrations.
+	if err = t.Send(keyMsg); err != nil {
+		return ps.rep, err
+	}
+	// MsgKey is sent: the key is out, the commit is irrevocable. This is
+	// the audit record the fleet matches one-to-one against completed
+	// migrations.
 	opts.journal().Append(telemetry.EventKeyRelease, opts.enclaveID(src), sp.Context(),
 		telemetry.Int("sealed_bytes", len(sealedKey)))
 	ps.rep.ChannelTime = time.Since(ps.chanStart)
@@ -815,7 +818,7 @@ func MigrateInPrepare(host *enclave.Host, reg *Registry, t Transport, opts *Opti
 
 	win, hdr, n, err := recvCheckpoint(t, rt, wantMR)
 	if err != nil {
-		destroyQuietly(rt)
+		_ = rt.Destroy()
 		return nil, err
 	}
 
@@ -824,7 +827,7 @@ func MigrateInPrepare(host *enclave.Host, reg *Registry, t Transport, opts *Opti
 		if err := targetChannel(rt, t); err != nil {
 			abort(t, "channel failed")
 			win.release()
-			destroyQuietly(rt)
+			_ = rt.Destroy()
 			return nil, err
 		}
 	}
@@ -880,7 +883,7 @@ func (pt *PreparedTarget) Finish() (_ *Incoming, err error) {
 	fail := func(err error) (*Incoming, error) {
 		// Destroying also unblocks any ResumeWorker goroutines parked in the
 		// spin region; their results land in the buffered channel.
-		destroyQuietly(pt.rt)
+		_ = pt.rt.Destroy()
 		return nil, err
 	}
 	if pt.opts.Agent != nil {
@@ -923,42 +926,16 @@ func (pt *PreparedTarget) Finish() (_ *Incoming, err error) {
 func (pt *PreparedTarget) Abort(reason string) {
 	abort(pt.t, reason)
 	pt.win.release()
-	destroyQuietly(pt.rt)
+	_ = pt.rt.Destroy()
 }
 
-// destroyQuietly frees an enclave's EPC on a failure path, retrying briefly:
-// worker threads that are mid-exit (observing self-destruction or a failed
-// verify) can hold the enclave busy for a moment.
-func destroyQuietly(rt *enclave.Runtime) {
-	for i := 0; i < 100; i++ {
-		if err := rt.Destroy(); err == nil {
-			return
-		}
-		time.Sleep(time.Millisecond)
-	}
-	_ = rt.Destroy()
-}
-
-// targetChannel runs ctlTgtBegin, quotes the report, sends the hello and
-// installs the source's channel response.
+// targetChannel sends the target's hello and installs the source's channel
+// response.
 func targetChannel(rt *enclave.Runtime, t Transport) error {
-	res, err := rt.CtlCall(enclave.SelCtlTgtBegin, enclave.SharedReqOff)
-	if err != nil {
-		return fmt.Errorf("core: target begin: %w", err)
-	}
-	out, err := rt.ReadShared(enclave.SharedReqOff, res[0])
+	hello, err := TargetHello(rt)
 	if err != nil {
 		return err
 	}
-	report, err := enclave.UnmarshalReport(out[:enclave.ReportWireSize])
-	if err != nil {
-		return err
-	}
-	quote, err := rt.Machine().QuoteReport(report)
-	if err != nil {
-		return fmt.Errorf("core: quoting enclave: %w", err)
-	}
-	hello := append(enclave.MarshalQuote(quote), out[enclave.ReportWireSize:]...)
 	if err := t.Send(Message{Kind: MsgHello, Blob: hello}); err != nil {
 		return err
 	}

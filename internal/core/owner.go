@@ -124,34 +124,23 @@ func (o *Owner) attestQuote(q sgx.Quote, wantMR [32]byte) error {
 	return nil
 }
 
-// exchange runs one owner→enclave attested DH exchange: the enclave emits a
-// QE report binding a fresh DH key and nonce; the owner attests it and
-// seals a 32-byte secret to the exchange.
+// exchange runs one owner→enclave attested DH exchange: the enclave's
+// initSel call emits a QE report binding a fresh DH key and nonce
+// (ctlProvisionInit on a running enclave, ctlTgtBegin on a virgin one); the
+// owner attests it and seals a 32-byte secret to the exchange for doneSel.
 func (o *Owner) exchange(rt *enclave.Runtime, initSel uint64, doneSel uint64, secret [32]byte, aadLabel string) error {
 	res, err := rt.CtlCall(initSel, enclave.SharedReqOff)
 	if err != nil {
 		return fmt.Errorf("core: exchange init: %w", err)
 	}
-	blob, err := rt.ReadShared(enclave.SharedReqOff, res[0])
-	if err != nil {
-		return err
-	}
-	if len(blob) < enclave.ReportWireSize+64 {
-		return fmt.Errorf("core: short exchange blob")
-	}
-	report, err := enclave.UnmarshalReport(blob[:enclave.ReportWireSize])
+	quote, dhNonce, err := QuoteExchange(rt, res[0])
 	if err != nil {
 		return err
 	}
 	var enclaveDH tcb.DHPublic
 	var nonce [32]byte
-	copy(enclaveDH[:], blob[enclave.ReportWireSize:])
-	copy(nonce[:], blob[enclave.ReportWireSize+32:])
-
-	quote, err := rt.Machine().QuoteReport(report)
-	if err != nil {
-		return fmt.Errorf("core: quoting enclave: %w", err)
-	}
+	copy(enclaveDH[:], dhNonce)
+	copy(nonce[:], dhNonce[32:])
 	if err := o.attestQuote(quote, rt.Measurement()); err != nil {
 		return err
 	}
@@ -191,37 +180,7 @@ func (o *Owner) Provision(rt *enclave.Runtime) error {
 }
 
 // DeliverKencrypt installs the owner's checkpoint key for Sec. V-C
-// owner-keyed checkpoint/resume. The operation is logged.
+// owner-keyed checkpoint/resume into a running enclave.
 func (o *Owner) DeliverKencrypt(rt *enclave.Runtime) error {
-	if err := o.exchange(rt, enclave.SelCtlProvisionInit, enclave.SelCtlOwnerKey, [32]byte(o.kencrypt), "kencrypt"); err != nil {
-		return err
-	}
-	return nil
-}
-
-// deliverKencryptRestoring delivers Kencrypt to an enclave already in the
-// restoring state (resume path); the DH exchange was started by
-// SelCtlTgtBegin.
-func (o *Owner) deliverKencryptForResume(rt *enclave.Runtime, enclaveDH tcb.DHPublic, nonce [32]byte) error {
-	kp, err := tcb.NewDHKeyPair()
-	if err != nil {
-		return err
-	}
-	shared, err := kp.Shared(enclaveDH, "provision")
-	if err != nil {
-		return err
-	}
-	sealed, err := tcb.Seal(shared, o.kencrypt[:], append([]byte("kencrypt"), nonce[:]...))
-	if err != nil {
-		return err
-	}
-	pub := kp.Public()
-	msg := append(pub[:], sealed...)
-	if err := rt.WriteShared(enclave.SharedReqOff, msg); err != nil {
-		return err
-	}
-	if _, err := rt.CtlCall(enclave.SelCtlOwnerKey, enclave.SharedReqOff, uint64(len(msg))); err != nil {
-		return fmt.Errorf("core: deliver kencrypt: %w", err)
-	}
-	return nil
+	return o.exchange(rt, enclave.SelCtlProvisionInit, enclave.SelCtlOwnerKey, [32]byte(o.kencrypt), "kencrypt")
 }

@@ -31,7 +31,7 @@ const (
 //
 // Frames, when nonzero, announces that the message's bulk payload follows
 // as that many FrameBlob frames instead of riding inline in Blob
-// (sendBulk/recvStaged). On the wire a Message is one FrameCtl frame, so
+// (sendBulk/recvWindow). On the wire a Message is one FrameCtl frame, so
 // Blob is bounded by maxCtlBlob and arrives nil when empty.
 type Message struct {
 	Kind   MsgKind

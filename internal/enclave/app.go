@@ -193,9 +193,6 @@ func (c *Call) DataBase() uint64 { return sgx.Address(c.layout.DataBase(), 0) }
 // HeapBase returns the byte address of the heap region.
 func (c *Call) HeapBase() uint64 { return sgx.Address(c.layout.HeapBase(), 0) }
 
-// DataSize returns the data region size in bytes.
-func (c *Call) DataSize() uint64 { return uint64(c.layout.DataPages) * sgx.PageSize }
-
 // HeapSize returns the heap size in bytes.
 func (c *Call) HeapSize() uint64 { return uint64(c.layout.HeapPages) * sgx.PageSize }
 

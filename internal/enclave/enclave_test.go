@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"runtime"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -539,6 +541,72 @@ func TestDestroyReturnsFrames(t *testing.T) {
 	}
 	if _, err := rt.ECall(0, 0); !errors.Is(err, ErrDestroyed) {
 		t.Fatalf("ecall after destroy: %v", err)
+	}
+}
+
+// TestDestroyWaitsOutThreadInside: Destroy called while a worker is inside a
+// step does not return until that step ends; it then frees the enclave —
+// nil error, every frame back in the host's pool — and the held call
+// returns ErrDestroyed at the next step boundary instead of running on.
+func TestDestroyWaitsOutThreadInside(t *testing.T) {
+	host, signer := testHost(t)
+	entered, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	defer once.Do(func() { close(release) })
+	app := simpleApp("held", func(c *Call) AppStatus {
+		if c.PC == 1 {
+			return AppDone
+		}
+		close(entered)
+		<-release
+		c.PC = 1
+		return AppRunning
+	})
+	// The manager takes a frame for its version array on the first build;
+	// count the pool after it.
+	warm, err := Build(host, app, signer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := warm.Destroy(); err != nil {
+		t.Fatal(err)
+	}
+	before := host.Mgr.FreeFrames()
+	rt, err := Build(host, app, signer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	call := make(chan error, 1)
+	go func() {
+		_, err := rt.ECall(0, 0)
+		call <- err
+	}()
+	<-entered
+
+	destroyed := make(chan error, 1)
+	go func() { destroyed <- rt.Destroy() }()
+	for !rt.Dead() {
+		select {
+		case err := <-destroyed:
+			t.Fatalf("Destroy with a worker inside a step = %v before the step ended", err)
+		default:
+			runtime.Gosched()
+		}
+	}
+	select {
+	case err := <-destroyed:
+		t.Fatalf("Destroy returned %v while the worker was still inside a step", err)
+	case <-time.After(5 * time.Millisecond):
+	}
+	once.Do(func() { close(release) })
+	if err := <-destroyed; err != nil {
+		t.Fatalf("Destroy after the step ended: %v", err)
+	}
+	if after := host.Mgr.FreeFrames(); after != before {
+		t.Fatalf("free frames after Destroy = %d, want %d", after, before)
+	}
+	if err := <-call; !errors.Is(err, ErrDestroyed) {
+		t.Fatalf("held call = %v, want ErrDestroyed", err)
 	}
 }
 

@@ -182,8 +182,11 @@ type Runtime struct {
 	measurement [32]byte
 	shared      sgx.OutsideMemory
 
+	// ctlMu serialises control calls. ctlLP is immutable after
+	// construction; Interrupt is internally synchronized, so Destroy may
+	// kick it while a control call holds ctlMu.
 	ctlMu sync.Mutex
-	ctlLP *sgx.LP // guarded by ctlMu
+	ctlLP *sgx.LP
 
 	// workers is immutable after construction (written only by
 	// BuildSigned/Adopt before the Runtime escapes); the per-worker
@@ -651,6 +654,12 @@ func (rt *Runtime) driveLocked(ws *workerState, tcsLin sgx.PageNum, res sgx.Ente
 		}
 		switch res.Kind {
 		case sgx.ExitAEX:
+			if rt.dead.Load() {
+				// Destroy interrupted the thread to tear the enclave
+				// down: leave instead of re-entering.
+				ws.inHandler = false
+				return zero, ErrDestroyed
+			}
 			if rt.paused.Load() && !ws.inHandler {
 				// The host wants the thread context left in the SSA (the
 				// hardware-extension freeze path): abandon the drive loop.
@@ -733,6 +742,9 @@ func (rt *Runtime) CtlCallOn(mem sgx.OutsideMemory, sel uint64, args ...uint64) 
 		}
 		switch res.Kind {
 		case sgx.ExitAEX:
+			if rt.dead.Load() {
+				return zero, ErrDestroyed
+			}
 			res, err = rt.m.ERESUME(rt.ctlLP, rt.eid, tcsLin, mem)
 		case sgx.ExitEExit:
 			switch res.Regs[7] {
@@ -761,10 +773,6 @@ func (rt *Runtime) PauseWorkers() {
 		ws.lp.Interrupt()
 	}
 }
-
-// UnpauseWorkers re-enables normal AEX handling (cancel path); parked
-// contexts are resumed with ResumeInterruptedWorker.
-func (rt *Runtime) UnpauseWorkers() { rt.paused.Store(false) }
 
 // RequestMigration flips the runtime into migration mode and interrupts all
 // workers so they reach the in-enclave spin region (the guest OS's
@@ -815,16 +823,43 @@ func (rt *Runtime) RebuildCSSA(migK []uint32) error {
 	return nil
 }
 
-// Destroy tears the enclave down and returns its EPC frames.
+// Destroy tears the enclave down and returns its EPC frames. It marks the
+// runtime dead, so no ECall enters again, and interrupts its logical
+// processors: a thread of the runtime still inside the enclave leaves at its
+// next AEX with ErrDestroyed instead of re-entering. While the machine
+// reports a TCS still active, Destroy waits for the runtime's calls to
+// return and tries again, so it does not return while one of its threads is
+// inside.
 func (rt *Runtime) Destroy() error {
-	if err := rt.m.DestroyEnclave(rt.eid); err != nil {
-		return err
+	rt.dead.Store(true)
+	for {
+		rt.InterruptWorkers()
+		rt.ctlLP.Interrupt()
+		err := rt.m.DestroyEnclave(rt.eid)
+		if err == nil {
+			break
+		}
+		if !errors.Is(err, sgx.ErrTCSActive) {
+			return err
+		}
+		rt.waitOutCalls()
 	}
 	rt.host.Disp.Unregister(rt.eid)
 	rt.host.Mgr.ForgetEnclave(rt.eid)
 	for _, f := range rt.extraFrames {
 		rt.host.Mgr.ReturnFrame(f)
 	}
-	rt.dead.Store(true)
 	return nil
+}
+
+// waitOutCalls returns once every call the runtime was driving when it was
+// called has returned: each holds its worker's lock, or the control
+// thread's, until it does.
+func (rt *Runtime) waitOutCalls() {
+	for _, ws := range rt.workers {
+		ws.mu.Lock()
+		ws.mu.Unlock()
+	}
+	rt.ctlMu.Lock()
+	rt.ctlMu.Unlock()
 }

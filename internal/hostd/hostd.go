@@ -456,18 +456,13 @@ func (s *Server) migrateOutOn(st *stream, rt *enclave.Runtime, cmd hostproto.Com
 }
 
 // reap removes a migrated-away session and frees its EPC. The runtime has
-// already self-destroyed; Destroy only fails while a worker thread is
-// still inside the enclave observing the destruction, so retry briefly.
+// already self-destroyed; Destroy waits for worker threads still inside
+// the enclave to leave.
 func (s *Server) reap(id string, rt *enclave.Runtime) {
 	s.sessions.Remove(id)
-	var err error
-	for i := 0; i < 100; i++ {
-		if err = rt.Destroy(); err == nil {
-			return
-		}
-		time.Sleep(time.Millisecond)
+	if err := rt.Destroy(); err != nil {
+		log.Printf("sgxhost %s: reap %s: %v", s.name, id, err)
 	}
-	log.Printf("sgxhost %s: reap %s: %v", s.name, id, err)
 }
 
 // recvTraceShipment reads the target's trailer — its span buffer for the

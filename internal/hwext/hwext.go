@@ -194,15 +194,7 @@ func ctrlHello(p *Platform, service *attest.Service) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	out, err := p.Ctrl.ReadShared(enclave.SharedReqOff, res[0])
-	if err != nil {
-		return nil, err
-	}
-	report, err := enclave.UnmarshalReport(out[:enclave.ReportWireSize])
-	if err != nil {
-		return nil, err
-	}
-	quote, err := p.Ctrl.Machine().QuoteReport(report)
+	quote, dhNonce, err := core.QuoteExchange(p.Ctrl, res[0])
 	if err != nil {
 		return nil, err
 	}
@@ -212,7 +204,7 @@ func ctrlHello(p *Platform, service *attest.Service) ([]byte, error) {
 	}
 	hello := enclave.MarshalQuote(quote)
 	hello = append(hello, enclave.MarshalVerdict(verdict)...)
-	hello = append(hello, out[enclave.ReportWireSize:]...) // dhpub || nonce
+	hello = append(hello, dhNonce...)
 	return hello, nil
 }
 

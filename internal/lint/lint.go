@@ -134,7 +134,8 @@ type Resource struct {
 	// Releases are function identities that release the resource when it
 	// appears as the receiver or any argument. Releases performed deeper in
 	// the call tree need no entry here: the bottom-up summary propagates
-	// them (destroyQuietly is credited because it calls Runtime.Destroy).
+	// them (a helper that calls Runtime.Destroy is credited with the
+	// release).
 	Releases []string
 }
 
@@ -290,8 +291,8 @@ func DefaultConfig(modPath string) *Config {
 					modPath + "/internal/enclave.Build",
 					modPath + "/internal/enclave.BuildSigned",
 				},
-				// destroyQuietly needs no entry: the summary solver credits
-				// it because it calls Runtime.Destroy.
+				// Helpers that call Runtime.Destroy need no entry: the
+				// summary solver credits them.
 				Releases: []string{"(*" + modPath + "/internal/enclave.Runtime).Destroy"},
 			},
 			{

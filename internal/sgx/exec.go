@@ -262,9 +262,6 @@ func (m *Machine) handleFault(eid EnclaveID, lin PageNum) error {
 
 // --- Env: the trusted-side hardware interface ---
 
-// PageCount returns the enclave's ELRANGE size in pages.
-func (env *Env) PageCount() int { return env.e.sizePages }
-
 // Load copies enclave memory at addr into buf, enforcing EPCM permissions.
 // Non-resident pages are transparently faulted in via the OS handler.
 func (env *Env) Load(addr uint64, buf []byte) error {

@@ -306,17 +306,6 @@ func (m *Machine) EnclaveMeasurement(eid EnclaveID) ([32]byte, error) {
 	return e.mrenclave, nil
 }
 
-// EnclaveSize returns the ELRANGE size in pages.
-func (m *Machine) EnclaveSize(eid EnclaveID) (int, error) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	e, ok := m.enclaves[eid]
-	if !ok {
-		return 0, ErrNoSuchEnclave
-	}
-	return e.sizePages, nil
-}
-
 // ResidentPages returns the linear pages of eid currently resident in EPC.
 func (m *Machine) ResidentPages(eid EnclaveID) ([]PageNum, error) {
 	m.mu.RLock()

@@ -28,7 +28,7 @@ const PageStreamName = "vmm.pagestream"
 // LiveMigrationConfig parameterises a live VM migration.
 type LiveMigrationConfig struct {
 	// BandwidthBps is the simulated migration-link bandwidth in bytes per
-	// second (default 125 MB/s ≈ 1 Gbps). 0 disables shaping.
+	// second; 0 selects the default, 125 MB/s ≈ 1 Gbps.
 	BandwidthBps float64
 	// PaperSchedule restores the paper's serial Fig. 8 schedule: the
 	// enclave dump completes before the bulk round starts, and the
@@ -876,25 +876,14 @@ func LiveMigrate(vm *VM, dst *Node, cfg *LiveMigrationConfig) (*VM, *LiveMigrati
 
 	// The source VM is gone; its enclaves have self-destroyed, so their
 	// parked host loops exit with ErrDestroyed and the EPC can be freed.
+	// The migration has committed either way: a teardown error changes
+	// nothing the caller can act on.
 	vm.dead.Store(true)
 	for _, p := range procs {
 		p.Stop()
-		_ = destroyWithRetry(p)
+		_ = p.RT.Destroy()
 	}
 	return tvm, stats, nil
-}
-
-// destroyWithRetry frees the source enclave's EPC after its worker threads
-// have observed self-destruction.
-func destroyWithRetry(p *Process) error {
-	var err error
-	for i := 0; i < 100; i++ {
-		if err = p.RT.Destroy(); err == nil {
-			return nil
-		}
-		time.Sleep(time.Millisecond)
-	}
-	return err
 }
 
 // IncomingProcess is a target-side enclave process whose build and attested

@@ -230,7 +230,6 @@ func TestLiveMigrateVMWithoutEnclaves(t *testing.T) {
 	if _, err := vm.OS.LaunchPlainProcess("app", 256, 100*time.Microsecond); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(2 * time.Millisecond)
 	tvm, stats, err := LiveMigrate(vm, dst, &LiveMigrationConfig{BandwidthBps: 1e9})
 	if err != nil {
 		t.Fatal(err)

@@ -65,9 +65,6 @@ func (k *Kernel) heapPages() int {
 	return (k.HeapBytes + sgx.PageSize - 1) / sgx.PageSize
 }
 
-// NumChunks exposes the chunk count (for tests).
-func (k *Kernel) NumChunks() int { return k.chunks() }
-
 // Native runs the kernel on plain memory: the Fig. 9(a) "native" series.
 func (k *Kernel) Native(passes int) uint64 {
 	buf := make([]byte, k.HeapBytes)
