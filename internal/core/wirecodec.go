@@ -179,20 +179,61 @@ func NewRawFrame(pages []int) *PageFrame {
 // the mostly-zero pages of the bulk round compress too.
 type DeltaCache map[int][]byte
 
-// EncodeChunk turns one chunk of captured pages into wire frames: pages
-// whose XOR+RLE delta against the cache baseline is smaller than the raw
-// page go into a FrameDelta, the rest into a FrameRaw (either may be nil
-// when empty). data holds len(pages)×PageSize captured bytes in page
-// order; EncodeChunk takes ownership and returns it to the pool. The
-// cache is updated to the captured content, so it always mirrors what the
-// peer holds after applying the frames in FIFO order; a page that is still
-// all zero gets no entry (absence already says so), and once a page has an
-// entry it is updated in place, back to zeros included. saved is the
-// logical-minus-wire payload byte reduction the deltas achieved.
+// EncodeChunk is EncodePages with the baselines kept in cache: each page's
+// baseline is its entry, and the cache is then updated to the captured
+// content by applying the frames to it as the peer will, so it always
+// mirrors what the peer holds after applying them in FIFO order. A page
+// that is still all zero gets no entry (absence already says so), and once
+// a page has an entry it is updated in place, back to zeros included.
 func EncodeChunk(pages []int, data []byte, cache DeltaCache) (raw, delta *PageFrame, saved int64) {
+	base := make([][]byte, len(pages))
+	for i, p := range pages {
+		base[i] = cache[p]
+	}
+	raw, delta, saved = EncodePages(pages, data, base)
+	if raw != nil {
+		for i, p := range raw.Pages {
+			page := raw.Data[i*PageSize : (i+1)*PageSize]
+			if old := cache[p]; old != nil {
+				copy(old, page)
+			} else {
+				cache[p] = append([]byte(nil), page...)
+			}
+		}
+	}
+	if delta != nil {
+		off := 0
+		for i, p := range delta.Pages {
+			d := delta.Data[off : off+delta.Sizes[i]]
+			off += len(d)
+			old := cache[p]
+			if old == nil {
+				if len(d) == 0 {
+					continue // still zero
+				}
+				old = make([]byte, PageSize)
+				cache[p] = old
+			}
+			// The encoder's own output: it cannot overrun the page.
+			_ = ApplyXORDelta(old, d)
+		}
+	}
+	return raw, delta, saved
+}
+
+// EncodePages turns one chunk of captured pages into wire frames against
+// explicit baselines: base[i] is what the peer holds for pages[i], nil for
+// the zero page, and may alias the page's own captured bytes (a page
+// unchanged since it was shipped: an empty delta). Pages whose XOR+RLE
+// delta is smaller than the raw page go into a FrameDelta, the rest into a
+// FrameRaw (either may be nil when empty). data holds len(pages)×PageSize
+// captured bytes in page order; EncodePages takes ownership: the raw pages
+// are compacted to its front in place and it becomes the FrameRaw's buffer,
+// or goes back to the pool. saved is the logical-minus-wire payload byte
+// reduction the deltas achieved.
+func EncodePages(pages []int, data []byte, base [][]byte) (raw, delta *PageFrame, saved int64) {
 	n := len(pages)
 	rawPages := make([]int, 0, n)
-	rawData := GetBuf(n * PageSize)
 	rawLen := 0
 	deltaPages := make([]int, 0, n)
 	deltaSizes := make([]int, 0, n)
@@ -202,31 +243,26 @@ func EncodeChunk(pages []int, data []byte, cache DeltaCache) (raw, delta *PageFr
 	deltaLen := 0
 	for i, p := range pages {
 		cur := data[i*PageSize : (i+1)*PageSize]
-		old := cache[p] // nil = zero baseline
-		stillZero := false
-		if out := XORDeltaEncode(deltaData[:deltaLen], old, cur); out != nil {
+		if out := XORDeltaEncode(deltaData[:deltaLen], base[i], cur); out != nil {
 			sz := len(out) - deltaLen
-			stillZero = old == nil && sz == 0 // empty delta against zeros
 			deltaLen = len(out)
 			deltaPages = append(deltaPages, p)
 			deltaSizes = append(deltaSizes, sz)
 			saved += int64(PageSize - sz)
-		} else {
-			copy(rawData[rawLen:], cur)
-			rawLen += PageSize
-			rawPages = append(rawPages, p)
+			continue
 		}
-		if old != nil {
-			copy(old, cur)
-		} else if !stillZero {
-			cache[p] = append([]byte(nil), cur...)
+		// rawLen ≤ i×PageSize: the move only overwrites pages already
+		// encoded, never a later page or its baseline.
+		if rawLen < i*PageSize {
+			copy(data[rawLen:], cur)
 		}
+		rawLen += PageSize
+		rawPages = append(rawPages, p)
 	}
-	PutBuf(data)
 	if len(rawPages) > 0 {
-		raw = &PageFrame{Kind: FrameRaw, Pages: rawPages, Data: rawData[:rawLen], buf: rawData}
+		raw = &PageFrame{Kind: FrameRaw, Pages: rawPages, Data: data[:rawLen], buf: data}
 	} else {
-		PutBuf(rawData)
+		PutBuf(data)
 	}
 	if len(deltaPages) > 0 {
 		delta = &PageFrame{Kind: FrameDelta, Pages: deltaPages, Sizes: deltaSizes, Data: deltaData[:deltaLen], buf: deltaData}

@@ -113,6 +113,15 @@ func TestSealerAllocatesNothing(t *testing.T) {
 func TestCheckpointInPlaceEquivalence(t *testing.T) {
 	key, _ := RandomKey()
 	other, _ := RandomKey()
+	// A sealed record that equals its plaintext is a cipher that did
+	// nothing, but under a random key a record of a few bytes matches by
+	// chance: a 1-byte one in one run of 256 per cipher. From 8 bytes on the
+	// chance is 2^-64; shorter records are checked sealed under fixedKey,
+	// whose output for them is known to differ.
+	var fixedKey Key
+	for i := range fixedKey {
+		fixedKey[i] = byte(i + 1)
+	}
 	salt := bytes.Repeat([]byte{7}, SaltSize)
 	hdr := []byte("marshalled-header")
 	for _, c := range []CheckpointCipher{CipherAESGCM, CipherRC4, CipherDES} {
@@ -134,8 +143,22 @@ func TestCheckpointInPlaceEquivalence(t *testing.T) {
 			if err := s.Seal(env, n, hdr, 2, 5); err != nil {
 				t.Fatalf("%v/%d: Seal: %v", c, n, err)
 			}
-			if n > 0 && bytes.Equal(env[:n], pt) {
+			if n >= 8 && bytes.Equal(env[:n], pt) {
 				t.Fatalf("%v/%d: the sealed record still holds the plaintext", c, n)
+			}
+			if n > 0 && n < 8 {
+				fixed, err := NewLeafSealer(c, fixedKey, salt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				e := make([]byte, size)
+				copy(e, pt)
+				if err := fixed.Seal(e, n, hdr, 2, 5); err != nil {
+					t.Fatalf("%v/%d: Seal under the fixed key: %v", c, n, err)
+				}
+				if bytes.Equal(e[:n], pt) {
+					t.Fatalf("%v/%d: sealed under the fixed key, the record still holds the plaintext", c, n)
+				}
 			}
 			wrongSalt, _ := NewLeafSealer(c, key, bytes.Repeat([]byte{8}, SaltSize))
 			wrongKey, _ := NewLeafSealer(c, other, salt)

@@ -3,6 +3,7 @@ package vmm
 import (
 	"errors"
 	"fmt"
+	"runtime/metrics"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -160,11 +161,13 @@ type sendItem struct {
 // and transmission overlaps application. FIFO order end to end guarantees
 // that a page re-sent in a later round overwrites its earlier copy on the
 // target — and that the target-side page content always matches the delta
-// baseline the collector recorded in cache when it encoded the frame.
+// baseline the source memory gave the collector when it captured the page
+// (GuestMemory.Capture): the memory itself while nothing has rewritten the
+// page since it was shipped, the bytes saved by the first store after.
 type chunkSender struct {
-	ft    core.Transport   // source half of the shaped page stream
-	bc    core.ByteCounter // the pipe under ft; wire bytes actually enqueued
-	cache core.DeltaCache  // last-sent page content, collector-only
+	src *GuestMemory     // the memory shipped; tracks baselines until drain
+	ft  core.Transport   // source half of the shaped page stream
+	bc  core.ByteCounter // the pipe under ft; wire bytes actually enqueued
 
 	ch      chan sendItem
 	wg      sync.WaitGroup // sender goroutine
@@ -195,16 +198,16 @@ type chunkSender struct {
 	hitRatio *telemetry.Ratio     // delta-frame pages / all pages sent
 }
 
-func newChunkSender(dst *GuestMemory, cfg *LiveMigrationConfig, met *telemetry.Metrics) *chunkSender {
-	src, rt := core.NewShapedPipe(0, cfg.bandwidth())
-	bc := src.(core.ByteCounter)
+func newChunkSender(src, dst *GuestMemory, cfg *LiveMigrationConfig, met *telemetry.Metrics) *chunkSender {
+	ft, rt := core.NewShapedPipe(0, cfg.bandwidth())
+	bc := ft.(core.ByteCounter)
 	if cfg.TransportFactory != nil {
-		src, rt = cfg.TransportFactory(PageStreamName, src, rt)
+		ft, rt = cfg.TransportFactory(PageStreamName, ft, rt)
 	}
 	s := &chunkSender{
-		ft:      src,
+		src:     src,
+		ft:      ft,
 		bc:      bc,
-		cache:   make(core.DeltaCache),
 		ch:      make(chan sendItem, sendQueueChunks),
 		applied: make(chan struct{}),
 	}
@@ -308,12 +311,18 @@ var roundBytesBounds = telemetry.LogBounds(1<<16, 1<<28) // 64KiB .. 256MiB
 // bottleneck). ctx is the sending phase's trace context: each copy latency
 // is recorded with it as a bucket exemplar, so a surprising p99 in
 // vmm.pagecopy.ns points at a concrete bulk/pre-copy/stop-copy span to open.
-func (s *chunkSender) send(src *GuestMemory, pages []int, chunk int, logCtr, wireCtr *int64, ctx telemetry.Context) {
+func (s *chunkSender) send(pages []int, chunk int, logCtr, wireCtr *int64, ctx telemetry.Context) {
+	base := make([][]byte, min(chunk, len(pages)))
+	var held [][]byte
 	for off := 0; off < len(pages); off += chunk {
 		part := pages[off:min(off+chunk, len(pages))]
 		data := core.GetBuf(len(part) * PageSize)
-		s.capture(src, part, data, ctx)
-		raw, delta, saved := core.EncodeChunk(part, data, s.cache)
+		pb := base[:len(part)]
+		held = s.capture(part, data, pb, held[:0], ctx)
+		raw, delta, saved := core.EncodePages(part, data, pb)
+		for _, b := range held {
+			core.PutBuf(b)
+		}
 		s.deltaSaved += saved
 		if raw != nil {
 			s.rawFrames++
@@ -328,16 +337,16 @@ func (s *chunkSender) send(src *GuestMemory, pages []int, chunk int, logCtr, wir
 	}
 }
 
-// capture copies the chunk's pages out of source memory, timing the copy
-// when instrumented.
-func (s *chunkSender) capture(src *GuestMemory, part []int, dst []byte, ctx telemetry.Context) {
+// capture copies the chunk's pages and their baselines out of source memory
+// (GuestMemory.Capture), timing the copy when instrumented.
+func (s *chunkSender) capture(part []int, dst []byte, base, held [][]byte, ctx telemetry.Context) [][]byte {
 	if s.copyHist != nil {
 		t0 := time.Now()
-		src.CopyPages(part, dst)
+		held = s.src.Capture(part, dst, base, held)
 		s.copyHist.ObserveExemplar(time.Since(t0).Nanoseconds(), ctx)
-		return
+		return held
 	}
-	src.CopyPages(part, dst)
+	return s.src.Capture(part, dst, base, held)
 }
 
 func (s *chunkSender) enqueue(f *core.PageFrame, logical int64, logCtr, wireCtr *int64) {
@@ -370,10 +379,12 @@ func (s *chunkSender) flush() {
 
 // drain closes the queue, terminates the stream with a FrameEnd, and waits
 // until every in-flight frame has crossed the link and landed in target
-// memory. Idempotent: the failure path may drain after the stop-and-copy
+// memory. Nothing is captured after it, so the source memory drops its
+// baselines. Idempotent: the failure path may drain after the stop-and-copy
 // phase already has. Returns the first transmit or apply error.
 func (s *chunkSender) drain() error {
 	s.once.Do(func() {
+		s.src.DropBaselines()
 		close(s.ch)
 		s.wg.Wait()
 		if s.sendErr == nil {
@@ -568,7 +579,7 @@ func LiveMigrate(vm *VM, dst *Node, cfg *LiveMigrationConfig) (*VM, *LiveMigrati
 	stats.EnclaveCount = len(procs)
 	root.Annotate(telemetry.Int("enclaves", len(procs)))
 
-	snd := newChunkSender(tvm.Mem, cfg, met)
+	snd := newChunkSender(vm.Mem, tvm.Mem, cfg, met)
 	dumpCh := make(chan dumpResult, 1)
 	dumpPending := false
 	var blobs map[string][]byte
@@ -671,7 +682,7 @@ func LiveMigrate(vm *VM, dst *Node, cfg *LiveMigrationConfig) (*VM, *LiveMigrati
 	bulkAttrs := []telemetry.Attr{telemetry.Int("round", 0), telemetry.Int("pages", len(round0)),
 		telemetry.Int("resident", len(round0)), telemetry.Int("guest_pages", vm.Mem.Pages())}
 	bulkSp := root.Child("vmm.bulk", bulkAttrs...)
-	snd.send(vm.Mem, round0, chunkPages, &stats.BulkBytes, &stats.BulkWireBytes, bulkSp.Context())
+	snd.send(round0, chunkPages, &stats.BulkBytes, &stats.BulkWireBytes, bulkSp.Context())
 	bulkSp.End()
 	opts.Journal.Append(telemetry.EventPrecopyRound, vm.Name, bulkSp.Context(), bulkAttrs...)
 	roundHist.Observe(int64(len(round0)) * PageSize)
@@ -697,7 +708,7 @@ func LiveMigrate(vm *VM, dst *Node, cfg *LiveMigrationConfig) (*VM, *LiveMigrati
 		converged := len(dirty) <= dirtyThresholdPages || round >= maxRounds
 		roundSp := root.Child("vmm.precopy.round",
 			telemetry.Int("round", round), telemetry.Int("pages", len(dirty)))
-		snd.send(vm.Mem, dirty, chunkPages, &stats.PreCopyBytes, &stats.PreCopyWireBytes, roundSp.Context())
+		snd.send(dirty, chunkPages, &stats.PreCopyBytes, &stats.PreCopyWireBytes, roundSp.Context())
 		roundSp.End()
 		opts.Journal.Append(telemetry.EventPrecopyRound, vm.Name, roundSp.Context(),
 			telemetry.Int("round", round), telemetry.Int("pages", len(dirty)))
@@ -751,11 +762,12 @@ func LiveMigrate(vm *VM, dst *Node, cfg *LiveMigrationConfig) (*VM, *LiveMigrati
 	// until the target resumes; the deferred End covers the fail paths.
 	downSp := root.Child("vmm.downtime")
 	defer downSp.End()
+	gcAtPause := gcCycles()
 	vm.OS.StopPlain()
 	final := vm.Mem.CollectDirty()
 	stats.RoundDirtyPages = append(stats.RoundDirtyPages, len(final))
 	scSp := downSp.Child("vmm.stopcopy", telemetry.Int("pages", len(final)))
-	snd.send(vm.Mem, final, chunkPages, &stats.StopCopyBytes, &stats.StopCopyWireBytes, scSp.Context())
+	snd.send(final, chunkPages, &stats.StopCopyBytes, &stats.StopCopyWireBytes, scSp.Context())
 	snd.sendBlob(64*1024, &stats.StopCopyBytes, &stats.StopCopyWireBytes) // device state
 	if err := snd.drain(); err != nil {
 		err = fmt.Errorf("vmm: page stream: %w", err)
@@ -845,6 +857,9 @@ func LiveMigrate(vm *VM, dst *Node, cfg *LiveMigrationConfig) (*VM, *LiveMigrati
 	for _, tp := range tvm.OS.Processes() {
 		tp.start()
 	}
+	// A window of a millisecond or two moves with whether a collection
+	// lands in it; the count says which windows one did.
+	downSp.Annotate(telemetry.Int64("gc_cycles", int64(gcCycles()-gcAtPause)))
 	downSp.End()
 	root.End()
 	// Stats are read back off the spans: the tracer is the single source
@@ -884,6 +899,14 @@ func LiveMigrate(vm *VM, dst *Node, cfg *LiveMigrationConfig) (*VM, *LiveMigrati
 		_ = p.RT.Destroy()
 	}
 	return tvm, stats, nil
+}
+
+// gcCycles reads how many garbage-collection cycles this process has
+// completed.
+func gcCycles() uint64 {
+	s := [1]metrics.Sample{{Name: "/gc/cycles/total:gc-cycles"}}
+	metrics.Read(s[:])
+	return s[0].Value.Uint64()
 }
 
 // IncomingProcess is a target-side enclave process whose build and attested

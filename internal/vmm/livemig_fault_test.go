@@ -2,6 +2,7 @@ package vmm
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -369,6 +370,59 @@ func TestLiveMigratePageStreamFaultUnwinds(t *testing.T) {
 			}
 			awaitGoroutines(t, maxGoroutines)
 		})
+	}
+}
+
+// afterBulk is a page stream that carries the bulk round's pages and fails
+// every frame after them, closing the link.
+type afterBulk struct {
+	core.Transport
+	bulk int // pages of the bulk round
+	sent int // pages carried so far; the sender goroutine's only
+}
+
+func (a *afterBulk) SendFrame(f *core.PageFrame) error {
+	if a.sent >= a.bulk {
+		_ = a.Transport.Close()
+		return core.ErrInjectedFault
+	}
+	a.sent += len(f.Pages)
+	return a.Transport.SendFrame(f)
+}
+
+// TestLiveMigrateFailureDropsBaselines: the page stream dies right after
+// the bulk round, with the guest rewriting shipped pages. The failed
+// migration leaves the source holding no baseline and its stores untracked,
+// and a second migration, to a target that holds nothing, arrives page for
+// page: no page is still armed against the first one's peer.
+func TestLiveMigrateFailureDropsBaselines(t *testing.T) {
+	_, _, src, dst := newCloud(t)
+	vm := rewritingVM(t, src, "vm-drop")
+	_, _, err := LiveMigrate(vm, dst, &LiveMigrationConfig{
+		BandwidthBps: 250e6,
+		TransportFactory: func(name string, s, d core.Transport) (core.Transport, core.Transport) {
+			return &afterBulk{Transport: s, bulk: residentPages(vm.Mem)}, d
+		},
+	})
+	if !errors.Is(err, core.ErrInjectedFault) {
+		t.Fatalf("migration over a stream cut after the bulk round: %v", err)
+	}
+	if n, tracking := heldBaselines(vm.Mem); n != 0 || tracking {
+		t.Fatalf("after the failure the source holds %d baselines, tracking %v", n, tracking)
+	}
+	if err := vm.Mem.Write(uint64(vm.Mem.Bytes()-PageSize), []byte("shipped once")); err != nil {
+		t.Fatal(err)
+	}
+	if n, _ := heldBaselines(vm.Mem); n != 0 {
+		t.Fatalf("a store after the failure saved %d baselines", n)
+	}
+	tvm, _, err := LiveMigrate(vm, dst, &LiveMigrationConfig{BandwidthBps: 250e6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	samePages(t, vm.Mem, tvm.Mem)
+	if err := tvm.Shutdown(); err != nil {
+		t.Fatal(err)
 	}
 }
 

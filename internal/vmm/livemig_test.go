@@ -264,7 +264,7 @@ func (l *lateWrite) SendFrame(f *core.PageFrame) error {
 // the ones never sent because nobody wrote them, and one in an extent that
 // was unbacked when the bulk round was collected and is first written while
 // that round is on the wire: the write backs the extent and dirties the
-// page, so it rides a later round against the delta cache's zero baseline.
+// page, so it rides a later round against a nil (zero) baseline.
 func TestLiveMigrateEveryPage(t *testing.T) {
 	_, _, src, dst := newCloud(t)
 	vm, err := src.CreateVM(VMConfig{Name: "vm-every", MemPages: 2048})
@@ -308,25 +308,92 @@ func TestLiveMigrateEveryPage(t *testing.T) {
 		t.Fatalf("bulk round of %d pages, %d resident before it, guest of %d with extent 0 unwritten",
 			stats.RoundDirtyPages[0], resident, vm.Config.MemPages)
 	}
-	want := make([]byte, vm.Mem.Bytes())
-	if err := vm.Mem.Read(0, want); err != nil {
+	samePages(t, vm.Mem, tvm.Mem)
+	got := make([]byte, PageSize)
+	if err := tvm.Mem.Read(latePage*PageSize, got); err != nil {
 		t.Fatal(err)
 	}
-	got := make([]byte, tvm.Mem.Bytes())
-	if err := tvm.Mem.Read(0, got); err != nil {
-		t.Fatal(err)
-	}
-	for p := 0; p < vm.Config.MemPages; p++ {
-		if !bytes.Equal(want[p*PageSize:(p+1)*PageSize], got[p*PageSize:(p+1)*PageSize]) {
-			t.Fatalf("page %d differs after migration", p)
-		}
-	}
-	if !bytes.Equal(got[latePage*PageSize:(latePage+1)*PageSize], late) {
+	if !bytes.Equal(got, late) {
 		t.Fatal("the page first written during the bulk round did not arrive")
 	}
 	// What nobody wrote was not sent, and did not cost the target memory.
 	if n := residentPages(tvm.Mem); n != residentPages(vm.Mem) {
 		t.Fatalf("target backs %d pages, source %d", n, residentPages(vm.Mem))
+	}
+	if err := tvm.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// samePages fails the test at the first page on which the two memories
+// differ.
+func samePages(t *testing.T, want, got *GuestMemory) {
+	t.Helper()
+	a, b := make([]byte, want.Bytes()), make([]byte, got.Bytes())
+	if err := want.Read(0, a); err != nil {
+		t.Fatal(err)
+	}
+	if err := got.Read(0, b); err != nil {
+		t.Fatal(err)
+	}
+	for p := 0; p < want.Pages(); p++ {
+		if !bytes.Equal(a[p*PageSize:(p+1)*PageSize], b[p*PageSize:(p+1)*PageSize]) {
+			t.Fatalf("page %d differs after migration", p)
+		}
+	}
+}
+
+// rewritingVM is a guest whose upper half is random and two plain
+// processes rewrite pages of windows that were random before the migration:
+// the bulk round ships those pages, and the processes keep storing into
+// them from their own goroutines while pre-copy captures them again.
+func rewritingVM(t *testing.T, src *Node, name string) *VM {
+	t.Helper()
+	vm, err := src.CreateVM(VMConfig{Name: name, MemPages: 2048})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(47))
+	fill := make([]byte, vm.Mem.Bytes()/2)
+	rng.Read(fill)
+	if err := vm.Mem.Write(uint64(len(fill)), fill); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		app, err := vm.OS.LaunchPlainProcess(fmt.Sprintf("app-%d", i), 128, 20*time.Microsecond)
+		if err != nil {
+			t.Fatal(err)
+		}
+		win := make([]byte, app.pages*PageSize)
+		rng.Read(win)
+		if err := vm.Mem.Write(app.base, win); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return vm
+}
+
+// TestLiveMigrateRewritesShippedPages: every pre-copy round re-sends pages
+// against baselines that the guest's own stores saved, racing the captures
+// that arm them; the target must still equal the source page by page, and
+// the source must hold no baseline once the migration is done.
+func TestLiveMigrateRewritesShippedPages(t *testing.T) {
+	_, _, src, dst := newCloud(t)
+	vm := rewritingVM(t, src, "vm-rewrite")
+	tvm, stats, err := LiveMigrate(vm, dst, &LiveMigrationConfig{BandwidthBps: 250e6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	samePages(t, vm.Mem, tvm.Mem)
+	// A rewrite stores 64 bytes into a random page: against the baseline
+	// saved for it the re-send is a short delta, against anything else a
+	// raw page.
+	if stats.PreCopyBytes == 0 || stats.PreCopyWireBytes*4 >= stats.PreCopyBytes {
+		t.Fatalf("pre-copy put %d bytes on the wire for %d bytes of rewritten pages: not deltas against their baselines",
+			stats.PreCopyWireBytes, stats.PreCopyBytes)
+	}
+	if n, tracking := heldBaselines(vm.Mem); n != 0 || tracking {
+		t.Fatalf("after the migration the source holds %d baselines, tracking %v", n, tracking)
 	}
 	if err := tvm.Shutdown(); err != nil {
 		t.Fatal(err)
@@ -424,9 +491,9 @@ func BenchmarkChunkSenderBulk(b *testing.B) {
 	b.SetBytes(pages * PageSize)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		snd := newChunkSender(NewGuestMemory(pages), cfg, nil)
+		snd := newChunkSender(srcMem, NewGuestMemory(pages), cfg, nil)
 		srcMem.MarkResidentDirty()
-		snd.send(srcMem, srcMem.CollectDirty(), chunkPages, &logical, &wire, telemetry.Context{})
+		snd.send(srcMem.CollectDirty(), chunkPages, &logical, &wire, telemetry.Context{})
 		if err := snd.drain(); err != nil {
 			b.Fatal(err)
 		}

@@ -3,6 +3,7 @@ package vmm
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -155,6 +156,9 @@ func TestLiveMigrateTraceShape(t *testing.T) {
 	down := tr.ByName("vmm.downtime")[0]
 	if stats.Downtime < down.Dur {
 		t.Fatalf("Downtime %v below the downtime span %v", stats.Downtime, down.Dur)
+	}
+	if !slices.ContainsFunc(down.Attrs, func(a telemetry.Attr) bool { return a.Key == "gc_cycles" }) {
+		t.Fatalf("vmm.downtime carries no gc_cycles count: %v", down.Attrs)
 	}
 
 	// The guest is paused on an idle link: the flush sits on the root's own

@@ -42,6 +42,17 @@ type GuestMemory struct {
 	// memory. What the guest and the enclave write there wins: ApplyPages
 	// and ApplyPageDeltas drop migrated content for these pages.
 	owned []bool // guarded by mu
+
+	// Delta baselines of the migration this memory is the source of, from
+	// its first Capture to DropBaselines. A page is armed while the peer
+	// holds exactly its current bytes — shipped, not written since — so the
+	// memory itself is its baseline. The first store to an armed page saves
+	// the bytes it is about to overwrite in base, a pooled page buffer, and
+	// disarms the page. tracking is the one look a store pays outside a
+	// migration.
+	tracking bool           // guarded by mu
+	armed    []bool         // guarded by mu; allocated by the first Capture
+	base     map[int][]byte // guarded by mu
 }
 
 // NewGuestMemory returns guest memory of the given page count, all of it
@@ -94,7 +105,8 @@ func (g *GuestMemory) loadPageLocked(p int, dst []byte) {
 
 // Write stores guest memory and marks the touched pages dirty, backing the
 // extents it touches under the same lock: a page is never dirty in an
-// unbacked extent.
+// unbacked extent. While a migration tracks baselines (Capture), the first
+// store to a page shipped since saves the bytes the peer holds.
 func (g *GuestMemory) Write(addr uint64, b []byte) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -102,6 +114,11 @@ func (g *GuestMemory) Write(addr uint64, b []byte) error {
 		return fmt.Errorf("vmm: guest write out of range")
 	}
 	markRange(g.dirty, addr, uint64(len(b)))
+	if g.tracking && len(b) > 0 {
+		for p := int(addr / PageSize); p <= int((addr+uint64(len(b))-1)/PageSize); p++ {
+			g.keepBaselineLocked(p)
+		}
+	}
 	for len(b) > 0 {
 		n := copy(g.backLocked(int(addr / extentBytes))[addr%extentBytes:], b)
 		b, addr = b[n:], addr+uint64(n)
@@ -151,6 +168,7 @@ func (g *GuestMemory) CopyPage(p int, dst []byte) {
 func (g *GuestMemory) ApplyPage(p int, src []byte) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
+	g.keepBaselineLocked(p)
 	copy(g.pageLocked(p), src)
 }
 
@@ -163,6 +181,70 @@ func (g *GuestMemory) CopyPages(pages []int, dst []byte) {
 	for i, p := range pages {
 		g.loadPageLocked(p, dst[i*PageSize:])
 	}
+}
+
+// Capture is CopyPages for a migration source: it copies the given pages
+// into dst under one lock acquisition and sets base[i] to page i's delta
+// baseline, the bytes the peer holds for it:
+//   - the bytes the guest's first store since the page was last shipped
+//     overwrote — a pooled buffer, appended to held: the caller returns it
+//     with core.PutBuf once the chunk is encoded;
+//   - the captured bytes themselves, when nothing has written the page
+//     since it was shipped (an empty delta);
+//   - nil when the page has never been shipped: the peer's fresh memory
+//     still holds zeros there.
+//
+// Every captured page is armed, since the capture is what the peer will
+// hold; the memory tracks its baselines until DropBaselines.
+func (g *GuestMemory) Capture(pages []int, dst []byte, base, held [][]byte) [][]byte {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.armed == nil {
+		g.armed = make([]bool, g.pages)
+		g.base = make(map[int][]byte)
+	}
+	g.tracking = true
+	for i, p := range pages {
+		cur := dst[i*PageSize : (i+1)*PageSize]
+		g.loadPageLocked(p, cur)
+		if b, ok := g.base[p]; ok {
+			delete(g.base, p)
+			base[i] = b
+			held = append(held, b)
+		} else if g.armed[p] {
+			base[i] = cur
+		} else {
+			base[i] = nil
+		}
+		g.armed[p] = true
+	}
+	return held
+}
+
+// keepBaselineLocked saves armed page p's bytes as its baseline before a
+// store overwrites them, and disarms it.
+func (g *GuestMemory) keepBaselineLocked(p int) {
+	if !g.tracking || !g.armed[p] {
+		return
+	}
+	b := core.GetBuf(PageSize)
+	g.loadPageLocked(p, b)
+	g.base[p] = b
+	g.armed[p] = false
+}
+
+// DropBaselines ends the tracking Capture started: every page is disarmed
+// and every saved baseline goes back to the pool, so stores are untracked
+// again and the next migration starts from a peer that holds nothing.
+func (g *GuestMemory) DropBaselines() {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	for p, b := range g.base {
+		core.PutBuf(b)
+		delete(g.base, p)
+	}
+	clear(g.armed)
+	g.tracking = false
 }
 
 // ClaimWindow hands [base, base+size) to the local guest for the rest of the
@@ -199,6 +281,7 @@ func (g *GuestMemory) ApplyPages(pages []int, src []byte) {
 		if g.owned[p] {
 			continue
 		}
+		g.keepBaselineLocked(p)
 		copy(g.pageLocked(p), src[i*PageSize:(i+1)*PageSize])
 	}
 }
@@ -209,7 +292,7 @@ func (g *GuestMemory) ApplyPages(pages []int, src []byte) {
 // without marking it dirty. Correct only when this memory holds exactly
 // the content the sender's delta baseline assumed — FIFO application of
 // the migration stream guarantees that, and a page the stream has not
-// carried yet is zero here as it is in the sender's cache. A claimed
+// carried yet is zero here, as its nil baseline on the sender says. A claimed
 // window's pages are skipped (their delta bytes still consumed): they no
 // longer hold the baseline, and every later frame for them is dropped the
 // same way.
@@ -226,6 +309,7 @@ func (g *GuestMemory) ApplyPageDeltas(pages, sizes []int, src []byte) error {
 			off += sz
 			continue
 		}
+		g.keepBaselineLocked(p)
 		if err := core.ApplyXORDelta(g.pageLocked(p), src[off:off+sz]); err != nil {
 			return fmt.Errorf("vmm: apply delta to page %d: %w", p, err)
 		}

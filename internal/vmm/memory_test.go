@@ -149,8 +149,8 @@ func TestGuestMemoryShortLastExtent(t *testing.T) {
 	}
 }
 
-// TestApplyPageDeltasUnbacked: the delta cache's absent entry means "the
-// peer still holds zeros", so a delta against the nil baseline must land on
+// TestApplyPageDeltasUnbacked: a nil delta baseline means "the peer still
+// holds zeros", so a delta against the nil baseline must land on
 // an extent nobody has written yet — and landing does not dirty it.
 func TestApplyPageDeltasUnbacked(t *testing.T) {
 	g := NewGuestMemory(2 * chunkPages)
