@@ -288,6 +288,37 @@ func TestSmallBuffersDoNotStarveSegments(t *testing.T) {
 	}
 }
 
+// TestCaptureBufferServesEncodedFrame: a 64-page capture buffer and the
+// encoding of the raw frame made from it share the bulk pool, and the
+// encoding is a few hundred bytes longer. With capacities rounded to whole
+// pages, the encoding's request dropped a pooled capture buffer and
+// allocated; with one capacity for the pool, the buffer serves it.
+func TestCaptureBufferServesEncodedFrame(t *testing.T) {
+	pages := make([]int, 64)
+	for i := range pages {
+		pages[i] = i
+	}
+	f := NewRawFrame(pages)
+	capture, encoded := len(f.Data), encodedFrameSize(f)
+	f.Release()
+	if encoded <= capture || poolFor(capture) != poolFor(encoded) {
+		t.Fatalf("a %d-byte capture and its %d-byte encoding do not share a pool", capture, encoded)
+	}
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts at random under the race detector")
+	}
+	// Two collections empty the pool (the second its victim cache), so the
+	// capture buffer is a new one, sized as a capture request sizes it.
+	runtime.GC()
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection empties the pool
+	PutBuf(GetBuf(capture))
+	got := allocatedBy(func() { PutBuf(GetBuf(encoded)) })
+	if got >= PageSize {
+		t.Errorf("a %d-byte request over a pooled %d-byte capture buffer allocated %d bytes", encoded, capture, got)
+	}
+}
+
 // TestRecvHostileLength: the length prefix and kind byte come from an
 // unauthenticated peer. A receiver waiting for a message refuses a length
 // no message can have — and a bulk frame, whatever its length — from the

@@ -149,11 +149,24 @@ func GetBuf(n int) []byte {
 	return make([]byte, n, bufClass(n))
 }
 
-// bufClass is the capacity a new n-byte buffer gets: n rounded up to whole
-// pages. The few bytes between a frame's body (what readFrameBody asks for)
-// and the bound on its encoding (what WriteFrame and the pipe ask for) then
-// do not decide whether a pooled segment buffer fits the next request.
-func bufClass(n int) int { return (n + PageSize - 1) &^ (PageSize - 1) }
+// bulkClass is the one capacity of every buffer the bulk pool hands out
+// for a request up to it: a bulk segment plus one page. It fits a 64-page
+// capture buffer (256 KiB), the encoding of the frame made from it (a few
+// hundred bytes more) and a blob segment's body and encoding bound, so
+// none of those requests drops a buffer another of them returned.
+const bulkClass = bulkSegment + PageSize
+
+// bufClass is the capacity a new n-byte buffer gets: bulkClass for a
+// request the bulk pool serves and bulkClass fits, otherwise n rounded up
+// to whole pages. The few bytes between a frame's body (what readFrameBody
+// asks for) and the bound on its encoding (what WriteFrame and the pipe ask
+// for) then do not decide whether a pooled buffer fits the next request.
+func bufClass(n int) int {
+	if poolFor(n) == &bufPools[1] && n <= bulkClass {
+		return bulkClass
+	}
+	return (n + PageSize - 1) &^ (PageSize - 1)
+}
 
 // PutBuf returns a buffer obtained from GetBuf to the pool.
 func PutBuf(b []byte) {

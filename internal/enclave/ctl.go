@@ -453,7 +453,9 @@ func (p *program) ctlSrcChannel(env *sgx.Env, ctx *sgx.Context) sgx.Status {
 		return p.exit(env, ctx, codeErr, errMemory)
 	}
 	ourPub := kp.Public()
-	id := tcb.NewSigningIdentityFromSeed(ldSeed(env, offPrivSeed))
+	// ctlProvisionDone installed only a seed whose public key is the
+	// image's EnclavePublic, so the pair needs no re-derivation.
+	id := tcb.NewSigningIdentityFromPair(ldSeed(env, offPrivSeed), p.app.EnclavePublic)
 	msg := channelSigMessage(ourPub, peerDH, nonce)
 	sig := id.Sign(msg)
 

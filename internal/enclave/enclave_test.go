@@ -641,11 +641,11 @@ func TestStublessEnclaveCannotMigrate(t *testing.T) {
 	}
 }
 
-// TestSharedRegionReadsZerosBeforeFirstStore: a shared region holds its
-// request area from the start and allocates its checkpoint window only when
-// a store first reaches it. Until then the window reads as zeros; afterwards
-// it reads what was stored, and the request area keeps its bytes across the
-// allocation.
+// TestSharedRegionReadsZerosBeforeFirstStore: a shared region holds no
+// bytes until a store, grows its request area by whole pages as stores
+// reach further into it, and allocates its checkpoint window only when a
+// store first reaches it. Loads past what is held read zeros; afterwards
+// they read what was stored, and earlier bytes survive every growth.
 func TestSharedRegionReadsZerosBeforeFirstStore(t *testing.T) {
 	const window = 1 << 20
 	s := NewSharedRegion(SharedCkptOff + window)
@@ -654,11 +654,24 @@ func TestSharedRegionReadsZerosBeforeFirstStore(t *testing.T) {
 		defer s.mu.RUnlock()
 		return cap(s.buf)
 	}
-	if got := held(); got > SharedCkptOff {
-		t.Fatalf("a new region holds %d bytes, want at most its %d-byte request area", got, SharedCkptOff)
+	if got := held(); got != 0 {
+		t.Fatalf("a new region holds %d bytes, want 0", got)
 	}
 	if err := s.Store(SharedReqOff, []byte("request")); err != nil {
 		t.Fatal(err)
+	}
+	if got := held(); got != sgx.PageSize {
+		t.Fatalf("a 7-byte request store left %d bytes held, want one page", got)
+	}
+	if err := s.Store(sgx.PageSize-2, []byte{9, 9}); err != nil {
+		t.Fatal(err)
+	}
+	edge := make([]byte, 8)
+	if err := s.Load(sgx.PageSize-4, edge); err != nil || !bytes.Equal(edge, []byte{0, 0, 9, 9, 0, 0, 0, 0}) {
+		t.Fatalf("a load across the held page's end reads %x, %v", edge, err)
+	}
+	if got := held(); got != sgx.PageSize {
+		t.Fatalf("a store ending on the held page's end grew it to %d bytes", got)
 	}
 	// A read straddling the two areas, and one of the window alone.
 	got := make([]byte, 16)
@@ -669,8 +682,21 @@ func TestSharedRegionReadsZerosBeforeFirstStore(t *testing.T) {
 	if !bytes.Equal(got, make([]byte, 16)) {
 		t.Fatalf("the unstored window reads %x, want zeros", got)
 	}
-	if held() > SharedCkptOff {
-		t.Fatal("a load allocated the checkpoint window")
+	if held() != sgx.PageSize {
+		t.Fatal("a load grew the region")
+	}
+	if err := s.Store(SharedCkptOff-1, []byte{0x5a}); err != nil {
+		t.Fatal(err)
+	}
+	if got := held(); got != SharedCkptOff {
+		t.Fatalf("a store at the request area's last byte left %d bytes held, want %d", got, SharedCkptOff)
+	}
+	last := make([]byte, 2)
+	if err := s.Load(SharedCkptOff-1, last); err != nil || !bytes.Equal(last, []byte{0x5a, 0}) {
+		t.Fatalf("the request area's last byte and the window's first read %x, %v", last, err)
+	}
+	if err := s.Load(sgx.PageSize-4, edge); err != nil || !bytes.Equal(edge, []byte{0, 0, 9, 9, 0, 0, 0, 0}) {
+		t.Fatalf("after the request area grew, its first page's end reads %x, %v", edge, err)
 	}
 	if err := s.Store(SharedCkptOff+window-4, []byte{1, 2, 3, 4}); err != nil {
 		t.Fatal(err)

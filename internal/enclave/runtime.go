@@ -72,21 +72,24 @@ const (
 )
 
 // SharedRegion is untrusted host memory shared with one enclave. It holds
-// its request area [0, SharedCkptOff) from the start; the checkpoint window
-// after it is allocated by the first store that reaches it and reads as
-// zeros until then. A runtime whose checkpoints cross the host in frames
-// instead (core's frameWindow) never stores there, so never pays for it.
+// no bytes until the first store: a store into the request area
+// [0, SharedCkptOff) grows what is held to the whole pages it reaches, and
+// the checkpoint window after it is allocated whole by the first store
+// that reaches it. Loads past what is held read zeros. Protocol messages
+// take a few KiB of the request area, and a runtime whose checkpoints
+// cross the host in frames instead (core's frameWindow) never stores in
+// the window, so never pays for it.
 type SharedRegion struct {
 	mu   sync.RWMutex
 	size uint64
-	buf  []byte // guarded by mu; the request area, or all size bytes once a store went past it
+	buf  []byte // guarded by mu; the leading bytes stored so far, whole pages of the request area or all size bytes
 }
 
 var _ sgx.OutsideMemory = (*SharedRegion)(nil)
 
 // NewSharedRegion returns an n-byte shared region.
 func NewSharedRegion(n int) *SharedRegion {
-	return &SharedRegion{size: uint64(n), buf: make([]byte, min(n, SharedCkptOff))}
+	return &SharedRegion{size: uint64(n)}
 }
 
 // inRange reports whether [off, off+n) lies inside the region.
@@ -116,10 +119,14 @@ func (s *SharedRegion) Store(off uint64, b []byte) error {
 	if !s.inRange(off, len(b)) {
 		return fmt.Errorf("enclave: shared write out of range")
 	}
-	if off+uint64(len(b)) > uint64(len(s.buf)) {
-		all := make([]byte, s.size)
-		copy(all, s.buf)
-		s.buf = all
+	if end := off + uint64(len(b)); end > uint64(len(s.buf)) {
+		n := s.size
+		if end <= SharedCkptOff {
+			n = min(n, (end+sgx.PageSize-1)&^(sgx.PageSize-1))
+		}
+		grown := make([]byte, n)
+		copy(grown, s.buf)
+		s.buf = grown
 	}
 	copy(s.buf[off:], b)
 	return nil

@@ -204,6 +204,14 @@ type Machine struct {
 	// handed to the AEAD would escape and cost one allocation per page.
 	evictAAD [14]byte // guarded by mu
 
+	// verifiedSigs holds the SIGSTRUCTs whose signature EINIT verified on
+	// this machine, keyed by all their bytes, so rebuilding an image checks
+	// its signature once. Only successes are kept, and the set is emptied
+	// when it would pass maxVerifiedSigs, so self-signed SIGSTRUCTs fed by a
+	// host cannot grow it.
+	sigMu        sync.Mutex
+	verifiedSigs map[SigStruct]struct{} // guarded by sigMu
+
 	// faultHandler is installed by the OS/driver to page evicted pages
 	// back in when enclave execution touches them. It is called without
 	// the machine lock held.
@@ -252,6 +260,7 @@ func NewMachine(cfg Config) (*Machine, error) {
 		pageSealer:   pageSealer,
 		frames:       make([]frame, cfg.EPCFrames),
 		enclaves:     make(map[EnclaveID]*enclaveControl),
+		verifiedSigs: make(map[SigStruct]struct{}),
 		nextEID:      1,
 		nextVer:      1,
 		quantum:      cfg.Quantum,
@@ -487,9 +496,36 @@ func (m *Machine) EPA(f FrameIndex) error {
 	return nil
 }
 
+// maxVerifiedSigs bounds a machine's set of verified SIGSTRUCTs.
+const maxVerifiedSigs = 64
+
+// verifySigStruct checks ss's signature over its measurement, once per
+// machine for a SIGSTRUCT that verified. It takes no machine lock.
+func (m *Machine) verifySigStruct(ss SigStruct) error {
+	m.sigMu.Lock()
+	_, ok := m.verifiedSigs[ss]
+	m.sigMu.Unlock()
+	if ok {
+		return nil
+	}
+	if err := tcb.Verify(ss.Signer, ss.Measurement[:], ss.Sig); err != nil {
+		return err
+	}
+	m.sigMu.Lock()
+	if len(m.verifiedSigs) >= maxVerifiedSigs {
+		clear(m.verifiedSigs)
+	}
+	m.verifiedSigs[ss] = struct{}{}
+	m.sigMu.Unlock()
+	return nil
+}
+
 // EINIT finalises the enclave measurement, verifies the SIGSTRUCT and makes
-// the enclave executable.
+// the enclave executable. The signature is checked before the machine lock
+// is taken, so other enclaves' memory accesses do not wait on it; its
+// verdict is reported after the checks made under the lock.
 func (m *Machine) EINIT(eid EnclaveID, ss SigStruct) error {
+	sigErr := m.verifySigStruct(ss)
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	e, ok := m.enclaves[eid]
@@ -504,8 +540,8 @@ func (m *Machine) EINIT(eid EnclaveID, ss SigStruct) error {
 	if mr != ss.Measurement {
 		return fmt.Errorf("%w: measurement mismatch", ErrSigstruct)
 	}
-	if err := tcb.Verify(ss.Signer, ss.Measurement[:], ss.Sig); err != nil {
-		return fmt.Errorf("%w: %v", ErrSigstruct, err)
+	if sigErr != nil {
+		return fmt.Errorf("%w: %v", ErrSigstruct, sigErr)
 	}
 	e.mrenclave = mr
 	e.mrsigner = sha256.Sum256(ss.Signer[:])

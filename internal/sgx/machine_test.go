@@ -583,6 +583,110 @@ func TestEINITRejectsBadSignature(t *testing.T) {
 	}
 }
 
+// TestEINITSigStructSet: a machine verifies a SIGSTRUCT's signature once
+// and remembers only SIGSTRUCTs that verified, keyed by all their bytes. A
+// refused SIGSTRUCT does not keep the good one out; once the good one
+// verified, the same signer and measurement with one signature bit flipped
+// is still refused; and filling the set past its bound keeps every verdict
+// right. Last, enclaves of one image initialise concurrently against the
+// set, which is checked outside the machine lock.
+func TestEINITSigStructSet(t *testing.T) {
+	m := newTestMachine(t, Config{})
+	prog := &testProgram{hash: 1}
+	next := FrameIndex(0)
+	create := func() (EnclaveID, [32]byte) {
+		t.Helper()
+		eid, err := m.ECREATE(next, prog, 8, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		next++
+		return eid, mustMeasurement(t, m, eid)
+	}
+	held := func() int {
+		m.sigMu.Lock()
+		defer m.sigMu.Unlock()
+		return len(m.verifiedSigs)
+	}
+	signer, err := tcb.NewSigningIdentity()
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, mr := create()
+	good := SignEnclave(signer, mr)
+	flipped := func(bit int) SigStruct {
+		ss := good
+		ss.Sig[bit/8] ^= 1 << (bit % 8)
+		return ss
+	}
+
+	if err := m.EINIT(first, flipped(0)); !errors.Is(err, ErrSigstruct) {
+		t.Fatalf("EINIT with a flipped signature bit on a fresh machine: %v", err)
+	}
+	if n := held(); n != 0 {
+		t.Fatalf("a refused SIGSTRUCT left %d entries in the set", n)
+	}
+	if err := m.EINIT(first, good); err != nil {
+		t.Fatalf("EINIT with the good SIGSTRUCT after a bad one: %v", err)
+	}
+
+	second, mr2 := create()
+	if mr2 != mr {
+		t.Fatal("two enclaves of one image measure differently")
+	}
+	for _, bit := range []int{0, 255, 511} {
+		if err := m.EINIT(second, flipped(bit)); !errors.Is(err, ErrSigstruct) {
+			t.Fatalf("EINIT with signature bit %d flipped after the good SIGSTRUCT verified: %v", bit, err)
+		}
+	}
+	if err := m.EINIT(second, good); err != nil {
+		t.Fatalf("EINIT of a second enclave of the image: %v", err)
+	}
+
+	// SIGSTRUCTs that verify but name other measurements fill the set;
+	// each is refused for its measurement.
+	third, _ := create()
+	for i := 0; i < 2*maxVerifiedSigs+1; i++ {
+		other := SignEnclave(signer, [32]byte{byte(i), byte(i >> 8), 0xaa})
+		if err := m.EINIT(third, other); !errors.Is(err, ErrSigstruct) {
+			t.Fatalf("EINIT with SIGSTRUCT %d of another measurement: %v", i, err)
+		}
+		if n := held(); n > maxVerifiedSigs {
+			t.Fatalf("the set holds %d SIGSTRUCTs, bound %d", n, maxVerifiedSigs)
+		}
+	}
+	if err := m.EINIT(third, flipped(100)); !errors.Is(err, ErrSigstruct) {
+		t.Fatalf("EINIT with a flipped signature bit after the set overflowed: %v", err)
+	}
+	if err := m.EINIT(third, good); err != nil {
+		t.Fatalf("EINIT with the good SIGSTRUCT after the set overflowed: %v", err)
+	}
+
+	eids := make([]EnclaveID, 8)
+	for i := range eids {
+		eids[i], _ = create()
+	}
+	errs := make(chan error, len(eids))
+	for i, eid := range eids {
+		ss := good
+		if i%2 == 1 {
+			ss = flipped(i)
+		}
+		go func() { errs <- m.EINIT(eid, ss) }()
+	}
+	refused := 0
+	for range eids {
+		if err := <-errs; errors.Is(err, ErrSigstruct) {
+			refused++
+		} else if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if refused != len(eids)/2 {
+		t.Fatalf("concurrent EINITs refused %d of %d SIGSTRUCTs, want the %d flipped ones", refused, len(eids), len(eids)/2)
+	}
+}
+
 func TestSealKeyIsMachineBound(t *testing.T) {
 	m1 := newTestMachine(t, Config{Name: "m1"})
 	m2 := newTestMachine(t, Config{Name: "m2"})

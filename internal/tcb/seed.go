@@ -21,6 +21,19 @@ func NewSigningIdentityFromSeed(seed [SeedSize]byte) *SigningIdentity {
 	return &SigningIdentity{pub: pub, priv: priv}
 }
 
+// NewSigningIdentityFromPair rebuilds an Ed25519 identity from a seed and
+// its public key without deriving the key again (a fixed-base scalar
+// multiplication and a SHA-512). The pair is not checked here: the caller
+// must already know that pub is seed's public key, e.g. because it checked
+// the pair when the seed was installed. Ed25519 signing is deterministic,
+// so the signatures are byte-identical to NewSigningIdentityFromSeed's.
+func NewSigningIdentityFromPair(seed [SeedSize]byte, pub PublicKey) *SigningIdentity {
+	priv := make(ed25519.PrivateKey, ed25519.PrivateKeySize)
+	copy(priv, seed[:])
+	copy(priv[SeedSize:], pub[:])
+	return &SigningIdentity{pub: ed25519.PublicKey(priv[SeedSize:]), priv: priv}
+}
+
 // RandomSeed returns a fresh random seed.
 func RandomSeed() ([SeedSize]byte, error) {
 	var s [SeedSize]byte

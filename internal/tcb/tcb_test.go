@@ -118,6 +118,33 @@ func TestSigningIdentityFromSeedDeterministic(t *testing.T) {
 	}
 }
 
+// TestSigningIdentityFromPair: an identity built from a seed and its
+// public key signs byte for byte as the one derived from the seed alone,
+// and its signatures verify under that public key.
+func TestSigningIdentityFromPair(t *testing.T) {
+	msgs := [][]byte{nil, []byte("x"), bytes.Repeat([]byte("sgxmig-channel-sig/v1"), 9)}
+	for i := 0; i < 4; i++ {
+		seed, err := RandomSeed()
+		if err != nil {
+			t.Fatal(err)
+		}
+		derived := NewSigningIdentityFromSeed(seed)
+		pair := NewSigningIdentityFromPair(seed, derived.Public())
+		if pair.Public() != derived.Public() {
+			t.Fatalf("seed %d: the pair's public key %x, want %x", i, pair.Public(), derived.Public())
+		}
+		for _, msg := range msgs {
+			sig := pair.Sign(msg)
+			if want := derived.Sign(msg); sig != want {
+				t.Fatalf("seed %d, %d-byte message: the pair signs %x, the seed %x", i, len(msg), sig, want)
+			}
+			if err := Verify(pair.Public(), msg, sig); err != nil {
+				t.Fatalf("seed %d, %d-byte message: %v", i, len(msg), err)
+			}
+		}
+	}
+}
+
 func TestDHAgreement(t *testing.T) {
 	a, err := NewDHKeyPair()
 	if err != nil {
