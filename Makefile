@@ -59,7 +59,7 @@ test:
 # frames concurrently, so the one-worker path is otherwise only exercised
 # on a one-CPU machine.
 test-cpus:
-	$(GO) test -cpu 1,2 -run 'Checkpoint|Leaf|Leaves|Nonce|Tamper|BigState|GOMAXPROCS|Bounce|Recycl|Migrating|Quiesc|FrameWindow|SendRecvBulk|LongRun|ResumedCall|Destroy|TestEINIT' ./internal/enclave ./internal/core ./internal/attack ./internal/tcb ./internal/sgx
+	$(GO) test -cpu 1,2 -run 'Checkpoint|Leaf|Leaves|Nonce|Tamper|BigState|GOMAXPROCS|Bounce|Recycl|Migrating|Quiesc|FrameWindow|SendRecvBulk|LongRun|ResumedCall|Destroy|TestEINIT|Half|TestDHMemo' ./internal/enclave ./internal/core ./internal/attack ./internal/tcb ./internal/sgx
 
 # benchmark/ is a Go module of its own (replace repro => ../), so none of
 # the ./... targets above compile it: a change that deletes exported API can

@@ -601,24 +601,58 @@ func TestOwnerCheckpointsNeverReuseNonce(t *testing.T) {
 }
 
 // holdCheckpoint is a source-side transport that does not let the
-// checkpoint announcement out until release is closed.
+// checkpoint announcement out until release is closed and then the peer's
+// first message is in, or a few seconds have passed. It reports that
+// message's kind on first, and hands the message to the source's next
+// Recv.
 type holdCheckpoint struct {
 	Transport
 	release <-chan struct{}
+	first   chan MsgKind
+	early   chan received
 }
 
-func (h holdCheckpoint) Send(m Message) error {
+type received struct {
+	m   Message
+	err error
+}
+
+func (h *holdCheckpoint) Send(m Message) error {
 	if m.Kind == MsgCheckpoint {
 		<-h.release
+		early := make(chan received, 1)
+		h.early = early
+		go func() {
+			m, err := h.Transport.Recv()
+			early <- received{m, err}
+		}()
+		select {
+		case r := <-early:
+			h.first <- r.m.Kind
+			early <- r
+		case <-time.After(5 * time.Second):
+			h.first <- 0
+		}
 	}
 	return h.Transport.Send(m)
 }
 
+func (h *holdCheckpoint) Recv() (Message, error) {
+	if early := h.early; early != nil {
+		h.early = nil
+		r := <-early
+		return r.m, r.err
+	}
+	return h.Transport.Recv()
+}
+
 // TestTargetBuildsBeforeCheckpointArrives: the image announcement leaves
-// before the source quiesces, and restore Step-1 needs nothing else, so the
-// target builds its virgin enclave while the source is still dumping. Here
-// the checkpoint is held back until the target's build span has ended: a
-// target that only builds once the checkpoint is in would wait for ever.
+// before the source quiesces, and restore Step-1 and the target's hello
+// need nothing else, so the target builds its virgin enclave and sends its
+// hello while the source is still dumping. Here the checkpoint is held back
+// until the target's build span has ended and then until the hello is in:
+// a target that only builds, or only says hello, once the checkpoint is in
+// would wait for ever.
 func TestTargetBuildsBeforeCheckpointArrives(t *testing.T) {
 	w := newWorld(t)
 	app := testapps.CounterApp(1)
@@ -650,10 +684,14 @@ func TestTargetBuildsBeforeCheckpointArrives(t *testing.T) {
 		}
 		inErr <- err
 	}()
-	if _, err := MigrateOut(src, holdCheckpoint{t1, built}, opts); err != nil {
+	hold := &holdCheckpoint{Transport: t1, release: built, first: make(chan MsgKind, 1)}
+	if _, err := MigrateOut(src, hold, opts); err != nil {
 		t.Fatalf("MigrateOut: %v", err)
 	}
 	if err := <-inErr; err != nil {
 		t.Fatalf("MigrateIn: %v", err)
+	}
+	if k := <-hold.first; k != MsgHello {
+		t.Fatalf("with the checkpoint held the source received message %d, want the hello (%d)", k, MsgHello)
 	}
 }

@@ -389,19 +389,20 @@ func TestMigrateInFailureFreesEPC(t *testing.T) {
 		opts := w.opts()
 		opts.Trace = root
 		t1, t2 := NewPipe()
-		reply := make(chan Message, 1)
+		reply := make(chan [2]MsgKind, 1)
 		go func() {
 			_ = t1.Send(Message{Kind: MsgImage, Blob: imageBlob(app.Name, src.Measurement(), src.Layout().Threads)})
 			tc.send(t1)
+			hello, _ := t1.Recv()
 			m, _ := t1.Recv()
-			reply <- m
+			reply <- [2]MsgKind{hello.Kind, m.Kind}
 		}()
 		_, err := MigrateIn(w.hostB, reg, t2, opts)
 		if err == nil || (tc.want != nil && !errors.Is(err, tc.want)) {
 			t.Fatalf("%s: MigrateIn = %v, want %v", tc.name, err, tc.want)
 		}
-		if m := <-reply; m.Kind != MsgAbort {
-			t.Fatalf("%s: the peer got message %d, want an abort", tc.name, m.Kind)
+		if got := <-reply; got != [2]MsgKind{MsgHello, MsgAbort} {
+			t.Fatalf("%s: the peer got messages %v, want the hello and then an abort", tc.name, got)
 		}
 		root.End()
 		if built := tr.ByName("core.target.build"); len(built) != 1 {

@@ -100,9 +100,9 @@ func TestFrameWindowStoreLoad(t *testing.T) {
 }
 
 // refusedSegments plays a peer that announces bigCounter's image and then
-// sends ckpt, and returns MigrateIn's error and the message the peer got
-// back.
-func refusedSegments(t *testing.T, ckpt func(Transport)) (error, MsgKind) {
+// sends ckpt, and returns MigrateIn's error and the first two messages the
+// peer got back.
+func refusedSegments(t *testing.T, ckpt func(Transport)) (error, [2]MsgKind) {
 	t.Helper()
 	w := newWorld(t)
 	app := bigCounter()
@@ -111,12 +111,13 @@ func refusedSegments(t *testing.T, ckpt func(Transport)) (error, MsgKind) {
 	warmHosts(t, w, dep)
 	frames := w.hostB.Mgr.FreeFrames()
 	t1, t2 := NewPipe()
-	reply := make(chan MsgKind, 1)
+	reply := make(chan [2]MsgKind, 1)
 	go func() {
 		_ = t1.Send(Message{Kind: MsgImage, Blob: imageBlob(app.Name, dep.Sig.Measurement, app.Workers+1)})
 		ckpt(t1)
+		hello, _ := t1.Recv()
 		m, _ := t1.Recv()
-		reply <- m.Kind
+		reply <- [2]MsgKind{hello.Kind, m.Kind}
 	}()
 	_, err := MigrateIn(w.hostB, reg, t2, w.opts())
 	kind := <-reply
@@ -153,8 +154,8 @@ func TestFrameWindowSegmentRefusals(t *testing.T) {
 			if !errors.Is(err, ErrProtocol) || !strings.Contains(err.Error(), tc.reason) {
 				t.Fatalf("MigrateIn = %v, want ErrProtocol naming %q", err, tc.reason)
 			}
-			if reply != MsgAbort {
-				t.Fatalf("the peer got message %d, want an abort", reply)
+			if reply != [2]MsgKind{MsgHello, MsgAbort} {
+				t.Fatalf("the peer got messages %v, want the hello and then an abort", reply)
 			}
 		})
 	}

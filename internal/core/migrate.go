@@ -777,9 +777,10 @@ func (pt *PreparedTarget) Runtime() *enclave.Runtime { return pt.rt }
 
 // MigrateInPrepare runs the target side of a migration up to (but excluding)
 // the key delivery and restore: receive the image announcement, build the
-// virgin enclave — the source may still be quiescing and dumping, which this
-// overlaps — receive and check the checkpoint, and run the attested channel.
-// Every error path after the build tells the peer and destroys the enclave.
+// virgin enclave and send its hello — the source may still be quiescing and
+// dumping, which both overlap —, then receive and check the checkpoint and
+// finish the attested channel. Every error path after the build tells the
+// peer and destroys the enclave.
 func MigrateInPrepare(host *enclave.Host, reg *Registry, t Transport, opts *Options) (_ *PreparedTarget, err error) {
 	sp := opts.span().Child("core.target.prepare")
 	defer func() { sp.Fail(err) }()
@@ -816,6 +817,16 @@ func MigrateInPrepare(host *enclave.Host, reg *Registry, t Transport, opts *Opti
 		return nil, err
 	}
 
+	if opts.Agent == nil {
+		// Step-2 starts now: the hello needs only the virgin enclave, and
+		// the source reads it once its checkpoint is out.
+		if err := sendHello(rt, t); err != nil {
+			abort(t, "channel failed")
+			_ = rt.Destroy()
+			return nil, err
+		}
+	}
+
 	win, hdr, n, err := recvCheckpoint(t, rt, wantMR)
 	if err != nil {
 		_ = rt.Destroy()
@@ -823,7 +834,7 @@ func MigrateInPrepare(host *enclave.Host, reg *Registry, t Transport, opts *Opti
 	}
 
 	if opts.Agent == nil {
-		// Step-2: be attested by the source (the key arrives in Finish).
+		// Step-2 ends: be attested by the source (the key arrives in Finish).
 		if err := targetChannel(rt, t); err != nil {
 			abort(t, "channel failed")
 			win.release()
@@ -929,16 +940,17 @@ func (pt *PreparedTarget) Abort(reason string) {
 	_ = pt.rt.Destroy()
 }
 
-// targetChannel sends the target's hello and installs the source's channel
-// response.
-func targetChannel(rt *enclave.Runtime, t Transport) error {
+// sendHello sends the target's hello: its attested DH half and nonce.
+func sendHello(rt *enclave.Runtime, t Transport) error {
 	hello, err := TargetHello(rt)
 	if err != nil {
 		return err
 	}
-	if err := t.Send(Message{Kind: MsgHello, Blob: hello}); err != nil {
-		return err
-	}
+	return t.Send(Message{Kind: MsgHello, Blob: hello})
+}
+
+// targetChannel installs the source's answer to the target's hello.
+func targetChannel(rt *enclave.Runtime, t Transport) error {
 	chanMsg, err := recvKind(t, MsgChannel)
 	if err != nil {
 		return err

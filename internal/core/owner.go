@@ -39,16 +39,17 @@ type AuditRecord struct {
 type Owner struct {
 	mu sync.Mutex
 
-	signer      *tcb.SigningIdentity
-	enclaveSeed [tcb.SeedSize]byte
-	service     *attest.Service
-	kencrypt    tcb.Key
-	audit       []AuditRecord // guarded by mu
+	signer        *tcb.SigningIdentity
+	enclaveSeed   [tcb.SeedSize]byte
+	enclavePublic tcb.PublicKey // enclaveSeed's public key
+	service       *attest.Service
+	kencrypt      tcb.Key
+	audit         []AuditRecord // guarded by mu
 }
 
 // NewOwner creates an owner registered against the attestation service.
 func NewOwner(service *attest.Service) (*Owner, error) {
-	signer, err := tcb.NewSigningIdentity()
+	signerSeed, err := tcb.RandomSeed()
 	if err != nil {
 		return nil, err
 	}
@@ -60,7 +61,7 @@ func NewOwner(service *attest.Service) (*Owner, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Owner{signer: signer, enclaveSeed: seed, service: service, kencrypt: kenc}, nil
+	return NewOwnerFromSeeds(service, signerSeed, seed, kenc), nil
 }
 
 // NewOwnerFromSeeds creates an owner with deterministic identities — used
@@ -68,10 +69,11 @@ func NewOwner(service *attest.Service) (*Owner, error) {
 // owner's keys via a shared deployment secret.
 func NewOwnerFromSeeds(service *attest.Service, signerSeed, enclaveSeed [tcb.SeedSize]byte, kencrypt tcb.Key) *Owner {
 	return &Owner{
-		signer:      tcb.NewSigningIdentityFromSeed(signerSeed),
-		enclaveSeed: enclaveSeed,
-		service:     service,
-		kencrypt:    kencrypt,
+		signer:        tcb.NewSigningIdentityFromSeed(signerSeed),
+		enclaveSeed:   enclaveSeed,
+		enclavePublic: tcb.NewSigningIdentityFromSeed(enclaveSeed).Public(),
+		service:       service,
+		kencrypt:      kencrypt,
 	}
 }
 
@@ -79,9 +81,7 @@ func NewOwnerFromSeeds(service *attest.Service, signerSeed, enclaveSeed [tcb.See
 func (o *Owner) Signer() *tcb.SigningIdentity { return o.signer }
 
 // EnclavePublic returns the identity public key embedded in images.
-func (o *Owner) EnclavePublic() tcb.PublicKey {
-	return tcb.NewSigningIdentityFromSeed(o.enclaveSeed).Public()
-}
+func (o *Owner) EnclavePublic() tcb.PublicKey { return o.enclavePublic }
 
 // Service returns the attestation service the owner uses.
 func (o *Owner) Service() *attest.Service { return o.service }

@@ -65,6 +65,11 @@ func (f *PageFrame) message() Message {
 // implementation, stream; it is an interface so that fault injectors and
 // recorders can wrap a transport.
 //
+// The two directions are independent: the target sends its hello while
+// the source is still streaming the checkpoint and reads nothing, so each
+// direction must accept one control message that nobody reads yet. A TCP
+// socket's buffer and the pipe's 16-frame channels both do.
+//
 // SendFrame takes ownership of the frame: the implementation releases its
 // pooled buffer and the caller must not touch the frame (or anything
 // aliasing its Data) afterwards. RecvFrame returns a frame the caller

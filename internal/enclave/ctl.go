@@ -353,14 +353,25 @@ func (p *program) ctlDump(env *sgx.Env, ctx *sgx.Context, mode dumpMode) sgx.Sta
 	case err != nil:
 		return p.exit(env, ctx, codeErr, errMemory)
 	}
+	// The source's DH half for the channel that follows (ctlSrcChannel) is
+	// drawn now, while the host sends the last leaves: it needs no peer, and
+	// drawn after the final record is sealed, it is in no checkpoint.
+	var seed [tcb.SeedSize]byte
+	if err := env.ReadRandom(seed[:]); err != nil {
+		return p.exit(env, ctx, codeErr, errMemory)
+	}
+	if _, err := p.dh.build(seed); err != nil {
+		return p.exit(env, ctx, codeErr, errMemory)
+	}
+	stSeed(env, offDHSeed, seed)
 	ctx.R[0] = uint64(g.size())
 	st64(env, offDumpDone, 1)
 	return p.exit(env, ctx, codeDone, 0)
 }
 
 // ctlSrcCancel aborts a migration: delete Kmigrate immediately (the emitted
-// checkpoint becomes useless), tear down channel state and release the
-// workers (paper Sec. V-B).
+// checkpoint becomes useless), tear down channel state and the dump's DH
+// half, and release the workers (paper Sec. V-B).
 func (p *program) ctlSrcCancel(env *sgx.Env, ctx *sgx.Context) sgx.Status {
 	if ld64(env, offState) != stMigrating {
 		return p.exit(env, ctx, codeErr, errBadState)
@@ -369,6 +380,8 @@ func (p *program) ctlSrcCancel(env *sgx.Env, ctx *sgx.Context) sgx.Status {
 	st64(env, offKmigrateOK, 0)
 	stKey(env, offSession, tcb.Key{})
 	st64(env, offSessionOK, 0)
+	stSeed(env, offDHSeed, [tcb.SeedSize]byte{})
+	p.dh.forget()
 	st64(env, offChanState, chIdle)
 	st64(env, offDumpDone, 0)
 	st64(env, offGlobalFlag, 0)
@@ -435,11 +448,9 @@ func (p *program) ctlSrcChannel(env *sgx.Env, ctx *sgx.Context) sgx.Status {
 	}
 
 	// Our DH half, session key, and signature with the enclave identity key.
-	var seed [tcb.SeedSize]byte
-	if err := env.ReadRandom(seed[:]); err != nil {
-		return p.exit(env, ctx, codeErr, errMemory)
-	}
-	kp, err := tcb.NewDHKeyPairFromSeed(seed)
+	// A dumped enclave's half is the one its dump drew; an enclave that
+	// pre-establishes an agent channel before migrating draws one here.
+	kp, err := p.srcDHKeyPair(env)
 	if err != nil {
 		return p.exit(env, ctx, codeErr, errMemory)
 	}
@@ -467,6 +478,19 @@ func (p *program) ctlSrcChannel(env *sgx.Env, ctx *sgx.Context) sgx.Status {
 		return p.exit(env, ctx, codeErr, errMemory)
 	}
 	return p.exit(env, ctx, codeDone, 0)
+}
+
+// srcDHKeyPair is the source's DH half for ctlSrcChannel: the one the dump
+// stored at offDHSeed once a dump has run, a fresh one otherwise.
+func (p *program) srcDHKeyPair(env *sgx.Env) (*tcb.DHKeyPair, error) {
+	if ld64(env, offState) == stMigrating && ld64(env, offDumpDone) == 1 {
+		return p.dh.take(ldSeed(env, offDHSeed))
+	}
+	var seed [tcb.SeedSize]byte
+	if err := env.ReadRandom(seed[:]); err != nil {
+		return nil, err
+	}
+	return tcb.NewDHKeyPairFromSeed(seed)
 }
 
 // ChannelSigMessage is the canonical byte string the source enclave signs
@@ -553,7 +577,7 @@ func (p *program) beginExchange(env *sgx.Env, ctx *sgx.Context) sgx.Status {
 	if err := env.ReadRandom(nonce[:]); err != nil {
 		return p.exit(env, ctx, codeErr, errMemory)
 	}
-	kp, err := tcb.NewDHKeyPairFromSeed(seed)
+	kp, err := p.dh.build(seed)
 	if err != nil {
 		return p.exit(env, ctx, codeErr, errMemory)
 	}
@@ -595,7 +619,7 @@ func (p *program) ctlTgtChannel(env *sgx.Env, ctx *sgx.Context) sgx.Status {
 	var sig tcb.Signature
 	copy(srcPub[:], in[:32])
 	copy(sig[:], in[32:96])
-	kp, err := tcb.NewDHKeyPairFromSeed(ldSeed(env, offDHSeed))
+	kp, err := p.dh.take(ldSeed(env, offDHSeed))
 	if err != nil {
 		return p.exit(env, ctx, codeErr, errMemory)
 	}
@@ -673,7 +697,7 @@ func (p *program) ctlTgtKeyLocal(env *sgx.Env, ctx *sgx.Context) sgx.Status {
 	if report.Data != sgx.HashToReportData(tcb.HashConcat(agentDH[:], nonce[:])) {
 		return p.exit(env, ctx, codeErr, errAttestFailed)
 	}
-	kp, err := tcb.NewDHKeyPairFromSeed(ldSeed(env, offDHSeed))
+	kp, err := p.dh.take(ldSeed(env, offDHSeed))
 	if err != nil {
 		return p.exit(env, ctx, codeErr, errMemory)
 	}
@@ -857,7 +881,7 @@ func (p *program) openOwnerBlob(env *sgx.Env, ctx *sgx.Context, label, aad strin
 	var ownerPub tcb.DHPublic
 	copy(ownerPub[:], in[:32])
 	sealed := in[32:]
-	kp, err := tcb.NewDHKeyPairFromSeed(ldSeed(env, offDHSeed))
+	kp, err := p.dh.take(ldSeed(env, offDHSeed))
 	if err != nil {
 		return zero, false
 	}

@@ -15,3 +15,6 @@ func SetECallGateHook(t testing.TB, f func()) {
 	ecallGatePassed = f
 	t.Cleanup(func() { ecallGatePassed = nil })
 }
+
+// OffDHSeed is the enclave address of the control page's DH seed.
+const OffDHSeed = offDHSeed

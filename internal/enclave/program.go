@@ -1,9 +1,12 @@
 package enclave
 
 import (
+	"crypto/subtle"
+	"sync"
 	"time"
 
 	"repro/internal/sgx"
+	"repro/internal/tcb"
 )
 
 // program is the sgx.Program the SDK builds around an App: it owns the entry
@@ -14,12 +17,58 @@ type program struct {
 	app      *App
 	layout   Layout
 	codeHash [32]byte
+	dh       dhMemo
 }
 
 var _ sgx.Program = (*program)(nil)
 
 func newProgram(app *App) *program {
 	return &program{app: app, layout: app.Layout(), codeHash: app.codeHash()}
+}
+
+// dhMemo is a one-slot memo of the X25519 key pair last built from a seed.
+// The seed itself lives in the control page (offDHSeed); the memo only
+// spares the call that next loads it there a second scalar multiplication
+// for the key pair the call that stored it had just built (DESIGN.md §1).
+type dhMemo struct {
+	mu   sync.Mutex
+	seed [tcb.SeedSize]byte // guarded by mu
+	kp   *tcb.DHKeyPair     // guarded by mu
+}
+
+// build builds seed's key pair and remembers it.
+func (m *dhMemo) build(seed [tcb.SeedSize]byte) (*tcb.DHKeyPair, error) {
+	kp, err := tcb.NewDHKeyPairFromSeed(seed)
+	if err != nil {
+		return nil, err
+	}
+	m.mu.Lock()
+	m.seed, m.kp = seed, kp
+	m.mu.Unlock()
+	return kp, nil
+}
+
+// take returns seed's key pair: the remembered one, dropped from the memo,
+// if the memo holds exactly this seed; one built afresh otherwise.
+func (m *dhMemo) take(seed [tcb.SeedSize]byte) (*tcb.DHKeyPair, error) {
+	m.mu.Lock()
+	kp := m.kp
+	hit := kp != nil && subtle.ConstantTimeCompare(m.seed[:], seed[:]) == 1
+	if hit {
+		m.seed, m.kp = [tcb.SeedSize]byte{}, nil
+	}
+	m.mu.Unlock()
+	if hit {
+		return kp, nil
+	}
+	return tcb.NewDHKeyPairFromSeed(seed)
+}
+
+// forget empties the memo.
+func (m *dhMemo) forget() {
+	m.mu.Lock()
+	m.seed, m.kp = [tcb.SeedSize]byte{}, nil
+	m.mu.Unlock()
 }
 
 // CodeHash implements sgx.Program.

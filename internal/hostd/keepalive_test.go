@@ -215,10 +215,11 @@ func TestMigrateOutDropsTargetThatStopsReading(t *testing.T) {
 }
 
 // TestMigrateInDropsSourceThatStopsReading: a source that sends the image
-// and the whole checkpoint and then stops reading blocks the target's
-// hello. Every write of an inbound stream is on the migrateIdle clock, so
-// the migration fails, the goroutine returns, and the enclave the target
-// built on the image gives its EPC back.
+// and then stops reading blocks the target's hello, which leaves as soon as
+// the enclave is built: a net.Pipe has no buffer to take it, and the
+// source's checkpoint then blocks behind it. Every write of an inbound
+// stream is on the migrateIdle clock, so the migration fails, the goroutine
+// returns, and the enclave the target built on the image gives its EPC back.
 func TestMigrateInDropsSourceThatStopsReading(t *testing.T) {
 	src, err := New("alpha", "test-secret", 256)
 	if err != nil {

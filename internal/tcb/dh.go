@@ -15,12 +15,32 @@ type DHKeyPair struct {
 // DHPublic is a serialisable X25519 public key.
 type DHPublic [32]byte
 
+// DHOp names one X25519 scalar multiplication: building a key pair computes
+// its public half, and a shared secret is the other.
+type DHOp int
+
+const (
+	DHKeyPairBuilt DHOp = iota + 1
+	DHSharedSecret
+)
+
+// DHHook, if set, sees every X25519 scalar multiplication this package makes.
+// Tests use it to count a protocol's public-key work; it is nil otherwise.
+var DHHook func(op DHOp)
+
+func dhDone(op DHOp) {
+	if DHHook != nil {
+		DHHook(op)
+	}
+}
+
 // NewDHKeyPair generates a fresh X25519 key pair.
 func NewDHKeyPair() (*DHKeyPair, error) {
 	priv, err := ecdh.X25519().GenerateKey(rand.Reader)
 	if err != nil {
 		return nil, fmt.Errorf("tcb: generate DH key: %w", err)
 	}
+	dhDone(DHKeyPairBuilt)
 	return &DHKeyPair{priv: priv}, nil
 }
 
@@ -43,6 +63,7 @@ func (kp *DHKeyPair) Shared(peer DHPublic, label string) (Key, error) {
 	if err != nil {
 		return Key{}, fmt.Errorf("tcb: ECDH: %w", err)
 	}
+	dhDone(DHSharedSecret)
 	var root Key
 	copy(root[:], secret)
 	return DeriveKey(root, label), nil

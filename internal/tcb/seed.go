@@ -52,5 +52,6 @@ func NewDHKeyPairFromSeed(seed [SeedSize]byte) (*DHKeyPair, error) {
 	if err != nil {
 		return nil, fmt.Errorf("tcb: DH key from seed: %w", err)
 	}
+	dhDone(DHKeyPairBuilt)
 	return &DHKeyPair{priv: priv}, nil
 }
