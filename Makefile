@@ -1,11 +1,12 @@
-# The same gate CI runs (.github/workflows/ci.yml); `make check` before
-# sending a PR reproduces it locally.
+# The same gate CI runs (.github/workflows/ci.yml: the gate job, then the
+# race job's full -race sweep); `make check` before sending a PR reproduces
+# it locally.
 
 GO ?= go
 
 .PHONY: check build fmt vet lint lint-budget lint-fixtures test test-cpus bench-build race bench bench-layers fuzz-smoke loc
 
-check: build fmt vet lint test test-cpus bench-build race
+check: build fmt vet lint-budget test test-cpus bench-build fuzz-smoke race
 
 build:
 	$(GO) build ./...

@@ -133,6 +133,9 @@ func defendedMigration() error {
 	errCh := make(chan error, 1)
 	go func() {
 		inc, err := core.MigrateIn(w.Hosts[1], reg, t2, w.Opts())
+		if err != nil {
+			_ = t2.Close() // the source must not stream into a target that gave up
+		}
 		incCh <- inc
 		errCh <- err
 	}()
@@ -173,6 +176,9 @@ func completeMigration(w *sim.World, src *enclave.Runtime, dep *core.Deployment,
 	errCh := make(chan error, 1)
 	go func() {
 		inc, err := core.MigrateIn(w.Hosts[1], reg, t2, w.Opts())
+		if err != nil {
+			_ = t2.Close() // the source must not stream into a target that gave up
+		}
 		incCh <- inc
 		errCh <- err
 	}()

@@ -125,6 +125,9 @@ func run() error {
 	errCh := make(chan error, 1)
 	go func() {
 		inc, err := core.MigrateIn(w.Hosts[1], reg, t2, w.Opts())
+		if err != nil {
+			_ = t2.Close() // the source must not stream into a target that gave up
+		}
 		incCh <- inc
 		errCh <- err
 	}()

@@ -32,6 +32,9 @@ func migrateOverPipe(w *sim.World, src *enclave.Runtime, blob []byte, opts *core
 	in := make(chan result, 1)
 	go func() {
 		inc, err := core.MigrateIn(w.Hosts[1], w.Registry, t2, opts)
+		if err != nil {
+			_ = t2.Close() // the source must not stream into a target that gave up
+		}
 		in <- result{inc, err}
 	}()
 	start := time.Now()

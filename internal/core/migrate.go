@@ -748,7 +748,10 @@ type Incoming struct {
 // MigrateIn runs the complete target side of an enclave migration over t,
 // building the virgin enclave from the local registry. On any failure the
 // partially built target enclave is destroyed, so an aborted migration never
-// leaks EPC.
+// leaks EPC. A failed MigrateIn leaves t open, and the source may still be
+// streaming its checkpoint into it: the caller closes t then, or a source
+// whose checkpoint outgrows the transport's buffer blocks on it for good,
+// its enclave still quiesced.
 func MigrateIn(host *enclave.Host, reg *Registry, t Transport, opts *Options) (*Incoming, error) {
 	pt, err := MigrateInPrepare(host, reg, t, opts)
 	if err != nil {

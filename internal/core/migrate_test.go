@@ -96,6 +96,9 @@ func runMigration(t testing.TB, src *enclave.Runtime, hostB *enclave.Host, reg *
 	go func() {
 		defer wg.Done()
 		inc, inErr = MigrateIn(hostB, reg, t2, opts)
+		if inErr != nil {
+			_ = t2.Close() // the source must not stream into a target that gave up
+		}
 	}()
 	rep, outErr := MigrateOut(src, t1, opts)
 	wg.Wait()

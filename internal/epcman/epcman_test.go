@@ -1,9 +1,12 @@
 package epcman
 
 import (
+	"strconv"
 	"testing"
+	"time"
 
 	"repro/internal/sgx"
+	"repro/internal/telemetry"
 )
 
 // progStub is a do-nothing measured program for building raw enclaves.
@@ -82,6 +85,72 @@ func TestEvictionUnderPressure(t *testing.T) {
 	_, rl := mgr.Stats()
 	if rl == 0 {
 		t.Fatal("no reloads recorded")
+	}
+}
+
+// TestPressureEventsCoalesce: an eviction burst appends exactly one
+// EventEPCPressure record per pressureWindow, and the record carries the
+// evictions counted since the previous one and the frames then free. The
+// first eviction reports at once; the rest of its burst waits for the
+// first eviction after the window and arrives in that record.
+func TestPressureEventsCoalesce(t *testing.T) {
+	m := newMachine(t, 64)
+	mgr := NewRange(m, 0, 20) // SECS + VA + 18 frames for 30 pages
+	j := telemetry.NewJournal(0)
+	mgr.SetJournal(j)
+	buildEnclave(t, m, mgr, 30)
+	burst, _ := mgr.Stats()
+	if burst < 2 {
+		t.Fatalf("%d evictions building 30 pages in 18 frames, want a burst", burst)
+	}
+	pressure := func() []telemetry.Record {
+		recs, _ := j.Since(0)
+		var out []telemetry.Record
+		for _, r := range recs {
+			if r.Kind == telemetry.EventEPCPressure {
+				out = append(out, r)
+			}
+		}
+		return out
+	}
+	attr := func(r telemetry.Record, key string) int {
+		for _, a := range r.Attrs {
+			if a.Key == key {
+				n, err := strconv.Atoi(a.Val)
+				if err != nil {
+					t.Fatalf("attr %s = %q: %v", key, a.Val, err)
+				}
+				return n
+			}
+		}
+		t.Fatalf("pressure record %+v has no %s attr", r, key)
+		return 0
+	}
+	recs := pressure()
+	if len(recs) != 1 {
+		t.Fatalf("%d pressure records for one burst, want 1", len(recs))
+	}
+	if n := attr(recs[0], "evictions"); n != 1 {
+		t.Fatalf("first record reports %d evictions, want 1", n)
+	}
+	if n := attr(recs[0], "free"); n < 0 || n > 20 {
+		t.Fatalf("first record reports %d free frames of 20", n)
+	}
+
+	// A second burst after the window: one more record, carrying every
+	// eviction since the first record, this burst's first included.
+	time.Sleep(pressureWindow)
+	buildEnclave(t, m, mgr, 8) // every frame it takes is an eviction
+	recs = pressure()
+	if len(recs) != 2 {
+		t.Fatalf("%d pressure records after a second burst, want 2", len(recs))
+	}
+	if n := attr(recs[1], "evictions"); n != burst {
+		t.Fatalf("second record reports %d evictions, want the %d since the first", n, burst)
+	}
+	attr(recs[1], "free")
+	if ev, _ := mgr.Stats(); ev <= burst+1 {
+		t.Fatalf("second burst evicted %d pages, want more than one", ev-burst)
 	}
 }
 

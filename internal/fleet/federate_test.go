@@ -47,7 +47,7 @@ func TestDrainJournalAudit(t *testing.T) {
 		return ts
 	}
 
-	hosts, err := testhost.StartN(2, testhost.Options{MigrationHook: hook, Sample: 1, JournalCap: 4096})
+	hosts, err := testhost.StartN(2, testhost.Options{MigrationHook: hook, Sample: 1})
 	if err != nil {
 		t.Fatalf("start fleet: %v", err)
 	}

@@ -9,9 +9,7 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Op selects one daemon operation. Typing it (rather than using bare
-// strings) lets sgxlint's wireproto rule check that every op is both
-// produced by a client and dispatched by the daemon.
+// Op selects one daemon operation.
 type Op string
 
 // Ops.

@@ -15,9 +15,6 @@
 //     functions are plaintext and must be re-encrypted before they reach an
 //     untrusted sink (transport sends, shared/outside memory, logging,
 //     error construction), through wrappers of any depth.
-//   - wireproto: every wire-enum constant must be produced and consumed,
-//     defaultless switches over wire enums must be exhaustive, and every
-//     wire struct needs a codec round-trip test.
 //   - lockorder: mutex nesting — a lock taken, directly or anywhere in a
 //     possible callee, while another is held in lockdiscipline's sense —
 //     must form an acyclic acquisition order, and every "guarded by"
@@ -100,20 +97,6 @@ type Config struct {
 	// (seal/encrypt/hash); their results are clean regardless of inputs.
 	TaintSanitizers []string
 
-	// WireEnums are named constant types ("importpath.TypeName") that label
-	// protocol messages. Every constant of such a type must be both
-	// produced (built into a message) and consumed (matched on receive),
-	// and switches over the type without a default must be exhaustive.
-	WireEnums []string
-	// WireRecvFns are function names (simple names, like ApprovedNonceFns)
-	// whose wire-enum arguments count as consumed — the "expected kind"
-	// helpers such as recvKind.
-	WireRecvFns []string
-	// WireStructs are protocol structs that must each have a codec
-	// round-trip test: some in-package Test/Fuzz function that mentions the
-	// type and calls both codec functions.
-	WireStructs []WireStruct
-
 	// Resources are the acquire/release pairs the leakcheck rule enforces
 	// module-wide. An empty list disables the rule (fixture configs opt in
 	// explicitly).
@@ -137,15 +120,6 @@ type Resource struct {
 	// them (a helper that calls Runtime.Destroy is credited with the
 	// release).
 	Releases []string
-}
-
-// WireStruct names one wire-format struct and its codec functions for the
-// wireproto round-trip-test requirement. Type is "importpath.TypeName";
-// Encode and Decode are function identities in types.Func.FullName form.
-type WireStruct struct {
-	Type   string
-	Encode string
-	Decode string
 }
 
 // DefaultConfig returns the rule configuration for this repository's module
@@ -209,70 +183,6 @@ func DefaultConfig(modPath string) *Config {
 			modPath + "/internal/tcb.HashConcat",
 			modPath + "/internal/tcb.MAC",
 			modPath + "/internal/tcb.DeriveKey",
-		},
-		WireEnums: []string{
-			modPath + "/internal/core.MsgKind",
-			modPath + "/internal/core.FrameKind",
-			modPath + "/internal/hostproto.Op",
-			modPath + "/internal/telemetry.EventKind",
-		},
-		WireRecvFns: []string{"recvKind"},
-		WireStructs: []WireStruct{
-			{
-				Type:   modPath + "/internal/core.Message",
-				Encode: modPath + "/internal/core.AppendFrame",
-				Decode: modPath + "/internal/core.DecodeFrame",
-			},
-			{
-				Type:   modPath + "/internal/telemetry.Record",
-				Encode: modPath + "/internal/hostproto.Write",
-				Decode: modPath + "/internal/hostproto.Read",
-			},
-			{
-				Type:   modPath + "/internal/core.PageFrame",
-				Encode: modPath + "/internal/core.AppendFrame",
-				Decode: modPath + "/internal/core.DecodeFrame",
-			},
-			{
-				Type:   modPath + "/internal/hostproto.Command",
-				Encode: modPath + "/internal/hostproto.Write",
-				Decode: modPath + "/internal/hostproto.Read",
-			},
-			{
-				Type:   modPath + "/internal/hostproto.Response",
-				Encode: modPath + "/internal/hostproto.Write",
-				Decode: modPath + "/internal/hostproto.Read",
-			},
-			{
-				Type:   modPath + "/internal/hostproto.TraceShipment",
-				Encode: modPath + "/internal/hostproto.Write",
-				Decode: modPath + "/internal/hostproto.Read",
-			},
-			{
-				Type:   modPath + "/internal/hostproto.HostStats",
-				Encode: modPath + "/internal/hostproto.Write",
-				Decode: modPath + "/internal/hostproto.Read",
-			},
-			{
-				Type:   modPath + "/internal/sgx.Report",
-				Encode: modPath + "/internal/enclave.MarshalReport",
-				Decode: modPath + "/internal/enclave.UnmarshalReport",
-			},
-			{
-				Type:   modPath + "/internal/sgx.Quote",
-				Encode: modPath + "/internal/enclave.MarshalQuote",
-				Decode: modPath + "/internal/enclave.UnmarshalQuote",
-			},
-			{
-				Type:   modPath + "/internal/attest.Verdict",
-				Encode: modPath + "/internal/enclave.MarshalVerdict",
-				Decode: modPath + "/internal/enclave.UnmarshalVerdict",
-			},
-			{
-				Type:   modPath + "/internal/enclave.CheckpointHeader",
-				Encode: modPath + "/internal/enclave.MarshalHeader",
-				Decode: modPath + "/internal/enclave.UnmarshalHeader",
-			},
 		},
 		Resources: []Resource{
 			{
@@ -400,7 +310,6 @@ func Checkers(cfg *Config) []Checker {
 		&determinism{cfg: cfg},
 		&lockDiscipline{},
 		&plainFlow{cfg: cfg},
-		&wireProto{cfg: cfg},
 		&lockOrder{},
 		&immutable{},
 		&leakCheck{cfg: cfg},

@@ -65,3 +65,14 @@ func (b *Box) Renumber(id uint64) {
 	//lint:ignore immutable fixture demonstrates a justified suppression
 	b.ID = id
 }
+
+// Shelf holds boxes built elsewhere.
+type Shelf struct{ boxes []*Box }
+
+// Relabel rewrites a shelved box's field from a method of another type,
+// reached through a slice element: no constructor of Box, and the box was
+// published when it was shelved.
+func (s *Shelf) Relabel(i int, id uint64) {
+	b := s.boxes[i]
+	b.ID = id
+}

@@ -302,3 +302,17 @@ func BadWindow(frames [][]byte, ok bool) (*prepared, error) {
 	}
 	return &prepared{w: w}, nil
 }
+
+// BadGoBuf drops the pooled buffer on the failure path of a goroutine it
+// starts, as a producer that reports its error and returns would.
+func BadGoBuf(n int, errs chan<- error) {
+	go func() {
+		buf := mgr.GetBuf(n) // want: the failure path drops the buffer
+		if !checkBuf(buf) {
+			errs <- errors.New("app: refused")
+			return
+		}
+		mgr.PutBuf(buf)
+		errs <- nil
+	}()
+}

@@ -186,3 +186,10 @@ func PutInt(t *Table[int], k string) {
 	defer t.mu.Unlock()
 	t.m[k]++
 }
+
+// Number bumps n without the lock, as a handler that numbers what it
+// serves would: a read-modify-write that a test running one request at a
+// time never races.
+func (c *Counter) Number() {
+	c.n++
+}

@@ -65,3 +65,12 @@ func SuppressedFixed(pt, aad []byte) []byte {
 	//lint:ignore cryptononce the key is single-use in this construction, so the fixed nonce cannot repeat
 	return g.Seal(nil, nonce, pt, aad)
 }
+
+// BadEnvelope seals in place under the envelope's own nonce field, zeroed
+// where it should have been drawn: every envelope repeats one nonce.
+func BadEnvelope(env, pt, aad []byte) {
+	g := gcm()
+	nonce := env[:g.NonceSize()]
+	clear(nonce)
+	g.Seal(env[:g.NonceSize()], nonce, pt, aad)
+}

@@ -31,3 +31,13 @@ type Frame struct {
 type Wire interface {
 	SendFrame(f *Frame) error
 }
+
+// Env is the fixture enclave environment.
+type Env struct{ outside []byte }
+
+// OutsideStore writes untrusted memory: a sink on a pointer receiver whose
+// plaintext argument is not the first.
+func (e *Env) OutsideStore(off int, b []byte) error {
+	copy(e.outside[off:], b)
+	return nil
+}

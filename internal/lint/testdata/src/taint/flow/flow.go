@@ -59,3 +59,11 @@ func SuppressedOK(sealed []byte) {
 	//lint:ignore plainflow fixture demonstrates a justified suppression
 	crypt.SendOut(p)
 }
+
+// LeakStore installs the plaintext where it belongs and also copies it to
+// untrusted memory, as a key-install step that echoes the key would.
+func LeakStore(env *crypt.Env, key *[32]byte, sealed []byte) {
+	p, _ := crypt.Decrypt(sealed)
+	copy(key[:], p)
+	_ = env.OutsideStore(0, p)
+}

@@ -24,3 +24,16 @@ func Suppressed() *sgx.EvictedPage {
 	//lint:ignore trustboundary fixture adversary forges state to prove the target rejects it
 	return &sgx.EvictedPage{Version: 9}
 }
+
+// Bundle is an untrusted structure that carries a sealed page by value, as
+// a host's image registry carries an image's SIGSTRUCT.
+type Bundle struct {
+	Page sgx.EvictedPage
+}
+
+// Rebrand writes a field of the sealed page through the bundle that carries
+// it: the shape of a target overwriting its registry's SIGSTRUCT in place,
+// which spoils the entry for every later migration of the image.
+func Rebrand(b *Bundle, v uint64) {
+	b.Page.Version = v
+}

@@ -13,8 +13,7 @@ import (
 // with its surrounding self-destroy, the target-side key receipt and
 // restore, plus the performance-relevant VMM round boundaries and EPC
 // pressure bursts. It crosses the wire inside hostproto's OpEvents
-// response, so it is wireproto-lint covered: every kind must be produced
-// by an emitter and consumed exhaustively.
+// response.
 type EventKind uint8
 
 const (
@@ -49,9 +48,7 @@ const (
 	EventEPCPressure
 )
 
-// String names the kind for exposition (JSON /events, audit lines). The
-// switch is defaultless on purpose: the wireproto lint checks it stays
-// exhaustive when kinds are added.
+// String names the kind for exposition (JSON /events, audit lines).
 func (k EventKind) String() string {
 	switch k {
 	case EventQuiesce:

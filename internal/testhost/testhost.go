@@ -31,11 +31,6 @@ type Options struct {
 	// write race-free; dynamic per-migration behaviour belongs inside the
 	// hook, keyed by the migrating session's id.
 	MigrationHook func(id string, ts core.Transport) core.Transport
-	// JournalCap overrides the protocol-event journal ring size (default
-	// telemetry.DefaultJournalCap). Fault sweeps that replay many
-	// migrations between scrapes raise it so early records survive
-	// eviction until the fleet federates them.
-	JournalCap int
 }
 
 func (o Options) secret() string {
@@ -95,9 +90,6 @@ func (h *Host) serve(addr string) error {
 	tr := telemetry.NewSeeded(seed)
 	tr.SetSampling(opt.Sample)
 	s.SetTelemetry(tr, telemetry.NewMetrics())
-	if opt.JournalCap > 0 {
-		s.SetJournal(telemetry.NewJournal(opt.JournalCap))
-	}
 	if opt.MigrationHook != nil {
 		s.SetMigrationTransportHook(opt.MigrationHook)
 	}

@@ -182,6 +182,9 @@ func Migrate(src *Runtime, dstHost *Host, reg *Registry, opts *MigrationOptions)
 	ch := make(chan result, 1)
 	go func() {
 		inc, err := core.MigrateIn(dstHost, reg, t2, opts)
+		if err != nil {
+			_ = t2.Close() // the source must not stream into a target that gave up
+		}
 		ch <- result{inc, err}
 	}()
 	if _, err := core.MigrateOut(src, t1, opts); err != nil {

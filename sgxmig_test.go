@@ -3,10 +3,12 @@ package sgxmig
 import (
 	"errors"
 	"testing"
+	"time"
 
 	"repro/internal/enclave"
 	"repro/internal/hostproto"
 	"repro/internal/testapps"
+	"repro/internal/workload"
 )
 
 // world assembles the public-API objects the README quickstart uses.
@@ -60,6 +62,47 @@ func TestFacadeMigrate(t *testing.T) {
 	}
 	if _, err := rt.ECall(0, testapps.CounterGet); !errors.Is(err, enclave.ErrDestroyed) {
 		t.Fatalf("facade source alive: %v", err)
+	}
+}
+
+// TestMigrateRefusedByTargetReturns (regression): a target that refuses
+// the migration — its registry lacks the image — stops reading, and a
+// source whose checkpoint is larger than the in-process pipe holds (8 MiB
+// against 16 frames of 256 KiB) used to block on the pipe for good, its
+// enclave still quiesced. Migrate must return, and the source enclave must
+// answer an ecall afterwards.
+func TestMigrateRefusedByTargetReturns(t *testing.T) {
+	service, owner, hostA, hostB, _, _ := facadeWorld(t)
+	const kvBytes = 8 << 20
+	app := workload.KVApp(kvBytes, 1)
+	rt, err := BuildEnclave(hostA, app, owner)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = rt.Destroy() })
+	if _, err := rt.ECall(0, workload.KVFill, kvBytes); err != nil {
+		t.Fatal(err)
+	}
+	before, err := rt.ECall(0, workload.KVLen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := Migrate(rt, hostB, NewRegistry(), &MigrationOptions{Service: service})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("a target without the image accepted the migration")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Migrate still blocked 10s after the target refused")
+	}
+	after, err := rt.ECall(0, workload.KVLen)
+	if err != nil || after[0] != before[0] {
+		t.Fatalf("source after the refused migration: KVLen = %d, %v; want %d", after[0], err, before[0])
 	}
 }
 
