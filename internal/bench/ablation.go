@@ -337,7 +337,9 @@ type ScheduleStats struct {
 	Dump            time.Duration // EnclaveDumpTime
 	Overlap         time.Duration // DumpPrecopyOverlap: the dump hidden behind pre-copy
 	ChannelWait     time.Duration // what the window spent on channel legs
-	Commit          time.Duration // EnclaveRestoreTime: the serial commit
+	KeyRelease      time.Duration // KeyReleaseTime: the serial commit inside the window
+	Restore         time.Duration // EnclaveRestoreTime: the serial rebuild after it
+	Unavailable     time.Duration // MaxEnclaveUnavailable
 }
 
 // PipelineRuns is how many migrations A4 makes of each schedule.
@@ -386,6 +388,8 @@ func medianSchedule(runs []vmm.LiveMigrationStats) ScheduleStats {
 		Dump:        med(func(r *s) time.Duration { return r.EnclaveDumpTime }),
 		Overlap:     med(func(r *s) time.Duration { return r.DumpPrecopyOverlap }),
 		ChannelWait: med(func(r *s) time.Duration { return r.ChannelWait }),
-		Commit:      med(func(r *s) time.Duration { return r.EnclaveRestoreTime }),
+		KeyRelease:  med(func(r *s) time.Duration { return r.KeyReleaseTime }),
+		Restore:     med(func(r *s) time.Duration { return r.EnclaveRestoreTime }),
+		Unavailable: med(func(r *s) time.Duration { return r.MaxEnclaveUnavailable() }),
 	}
 }

@@ -103,7 +103,8 @@ type Options struct {
 	Journal *telemetry.Journal
 	// EnclaveID names the enclave in journal records. The host daemon sets
 	// it to the session id (e.g. "counter-1") so journal lines match the
-	// fleet's migration ids; empty falls back to the image name.
+	// fleet's migration ids, and vmm.LiveMigrate to the guest process name;
+	// empty falls back to the image name.
 	EnclaveID string
 }
 
@@ -495,8 +496,10 @@ func MigrateOutPrepared(src *enclave.Runtime, blob []byte, t Transport, opts *Op
 // commit point: image and checkpoint shipped, attested channel established,
 // but Kmigrate NOT yet released — the enclave is alive and the migration
 // still fully cancellable. The VM live-migration engine runs many channel
-// setups concurrently and then commits one enclave at a time with Release
-// while the target rebuilds it.
+// setups concurrently, commits one enclave at a time with Commit inside its
+// downtime window, and collects each target's acknowledgement with
+// AwaitDone once that enclave has been rebuilt after the VM resumed; a
+// single migration calls Release, which runs the two back to back.
 type PreparedSource struct {
 	src       *enclave.Runtime
 	t         Transport
@@ -570,40 +573,43 @@ func migrateOutChannel(src *enclave.Runtime, t Transport, opts *Options, rep Sou
 	return ps, nil
 }
 
-// Release is the migration's commit point: the source enclave self-destroys
-// and Kmigrate goes out (strictly in that order, Sec. V-B), then the source
-// waits for the target's MsgDone. Failures before the in-enclave release
-// cancel the migration and the enclave resumes; afterwards the instance is
-// gone either way (the paper accepts the loss, never a fork).
-func (ps *PreparedSource) Release() (_ SourceReport, err error) {
-	sp := ps.opts.span().Child("core.keyrelease",
-		telemetry.String("enclave", ps.src.App().Name))
-	defer func() {
-		sp.Fail(err)
-		journalAbort(ps.opts, ps.opts.enclaveID(ps.src), "release", sp.Context(), err)
-		m := ps.opts.metrics()
-		if err != nil {
-			m.Counter("core.migrations.aborted").Inc()
-		} else {
-			m.Counter("core.migrations.committed").Inc()
-		}
-	}()
+// Release is Commit followed by AwaitDone: the whole source side from the
+// commit point to the target's acknowledgement.
+func (ps *PreparedSource) Release() (SourceReport, error) {
+	if err := ps.Commit(); err != nil {
+		return ps.rep, err
+	}
+	return ps.AwaitDone()
+}
+
+// Commit is the migration's commit point: the source enclave self-destroys
+// and Kmigrate goes out (strictly in that order, Sec. V-B). A failure before
+// the in-enclave release cancels the migration and the enclave resumes;
+// afterwards the instance is gone either way (the paper accepts the loss,
+// never a fork). After a successful Commit, AwaitDone hears the outcome.
+func (ps *PreparedSource) Commit() (err error) {
+	src, t, opts := ps.src, ps.t, ps.opts
+	sp := opts.span().Child("core.keyrelease", telemetry.String("enclave", src.App().Name))
 	released := false
 	defer func() {
-		if err != nil && !released {
-			if cErr := Cancel(ps.src); cErr != nil {
+		if err == nil {
+			sp.End()
+			return
+		}
+		if !released {
+			if cErr := Cancel(src); cErr != nil {
 				err = errors.Join(err, cErr)
 			}
 		}
 		ps.rep.TotalTime = time.Since(ps.start)
+		ps.settle(sp, err)
 	}()
-	src, t, opts := ps.src, ps.t, ps.opts
 
 	if opts.Agent != nil {
 		// The key goes to the agent on the target machine, over the
 		// channel built ahead of time unless it has not been.
 		if err = opts.Agent.PreEstablish(src, opts); err != nil {
-			return ps.rep, err
+			return err
 		}
 	}
 	// Self-destroy, then release Kmigrate (strictly last, Sec. V-B).
@@ -614,20 +620,20 @@ func (ps *PreparedSource) Release() (_ SourceReport, err error) {
 			telemetry.String("mode", opts.channelMode()))
 	}
 	if err != nil {
-		return ps.rep, err
+		return err
 	}
 	keyMsg := Message{Kind: MsgKey, Blob: sealedKey}
 	if opts.Agent != nil {
 		sealedKey = append(append([]byte{}, opts.Agent.channelOut...), sealedKey...)
 		if err = opts.Agent.InstallKey(sealedKey); err != nil {
-			return ps.rep, fmt.Errorf("core: agent install key: %w", err)
+			return fmt.Errorf("core: agent install key: %w", err)
 		}
 		// The target fetches the key locally; MsgKey only signals that it
 		// is in place.
 		keyMsg.Blob = nil
 	}
 	if err = t.Send(keyMsg); err != nil {
-		return ps.rep, err
+		return err
 	}
 	// MsgKey is sent: the key is out, the commit is irrevocable. This is
 	// the audit record the fleet matches one-to-one against completed
@@ -635,12 +641,36 @@ func (ps *PreparedSource) Release() (_ SourceReport, err error) {
 	opts.journal().Append(telemetry.EventKeyRelease, opts.enclaveID(src), sp.Context(),
 		telemetry.Int("sealed_bytes", len(sealedKey)))
 	ps.rep.ChannelTime = time.Since(ps.chanStart)
+	return nil
+}
 
-	if _, err = recvKind(t, MsgDone); err != nil {
+// AwaitDone waits, after a successful Commit, for the target's MsgDone: the
+// enclave has been restored and verified there. A failure means the
+// instance is lost; the source has self-destroyed either way.
+func (ps *PreparedSource) AwaitDone() (_ SourceReport, err error) {
+	sp := ps.opts.span().Child("core.awaitdone", telemetry.String("enclave", ps.src.App().Name))
+	defer func() {
+		ps.rep.TotalTime = time.Since(ps.start)
+		ps.settle(sp, err)
+	}()
+	if _, err = recvKind(ps.t, MsgDone); err != nil {
 		return ps.rep, err
 	}
-	src.EndMigration()
+	ps.src.EndMigration()
 	return ps.rep, nil
+}
+
+// settle ends sp and files the migration's outcome: the abort record on
+// failure and the committed or aborted count.
+func (ps *PreparedSource) settle(sp *telemetry.Span, err error) {
+	sp.Fail(err)
+	journalAbort(ps.opts, ps.opts.enclaveID(ps.src), "release", sp.Context(), err)
+	m := ps.opts.metrics()
+	if err != nil {
+		m.Counter("core.migrations.aborted").Inc()
+	} else {
+		m.Counter("core.migrations.committed").Inc()
+	}
 }
 
 // Cancel aborts a prepared source migration before its commit point: the
@@ -764,8 +794,10 @@ func MigrateIn(host *enclave.Host, reg *Registry, t Transport, opts *Options) (*
 // attested-channel phases of MigrateIn but not the key delivery or the
 // serial restore (mirror of PreparedSource). The VM live-migration engine
 // prepares many enclaves concurrently, during pre-copy (the Fig. 8 channel
-// setups are independent), and then calls Finish on each in turn, keeping
-// the rebuild serial as in the paper.
+// setups are independent), calls InstallKey on each in turn inside its
+// downtime window, and Rebuild on each in turn after the VM resumed,
+// keeping the rebuild serial as in the paper; a single migration calls
+// Finish, which runs the two back to back.
 type PreparedTarget struct {
 	rt   *enclave.Runtime
 	win  *frameWindow // the received checkpoint's frames, released by Finish or Abort
@@ -884,11 +916,61 @@ func recvCheckpoint(t Transport, rt *enclave.Runtime, wantMR [32]byte) (win *fra
 	return win, hdr, n, nil
 }
 
-// Finish receives and installs Kmigrate, performs restore Steps 3-4 (CSSA
-// rebuild, memory restore, re-entry, in-enclave verification), and
+// Finish is InstallKey followed by Rebuild: the whole target side from the
+// key delivery to the acknowledgement.
+func (pt *PreparedTarget) Finish() (*Incoming, error) {
+	if err := pt.InstallKey(); err != nil {
+		return nil, err
+	}
+	return pt.Rebuild()
+}
+
+// InstallKey receives Kmigrate and installs it in the target enclave. On
+// failure the target enclave is destroyed; on success Rebuild (or Abort)
+// must follow.
+func (pt *PreparedTarget) InstallKey() (err error) {
+	sp := pt.opts.span().Child("core.target.key",
+		telemetry.String("enclave", pt.rt.App().Name))
+	defer func() { sp.Fail(err) }()
+	defer func() {
+		if err != nil {
+			journalAbort(pt.opts, pt.opts.enclaveID(pt.rt), "target-finish", sp.Context(), err)
+			pt.win.release()
+			_ = pt.rt.Destroy()
+		}
+	}()
+	if pt.opts.Agent != nil {
+		// MsgKey signals that the source released Kmigrate to the agent;
+		// fetch it by local attestation.
+		if _, err := recvKind(pt.t, MsgKey); err != nil {
+			return err
+		}
+		if err := targetKeyFromAgent(pt.rt, pt.opts.Agent); err != nil {
+			abort(pt.t, "agent key fetch failed")
+			return err
+		}
+	} else {
+		keyMsg, err := recvKind(pt.t, MsgKey)
+		if err != nil {
+			return err
+		}
+		if err := writeAndCall(pt.rt, enclave.SelCtlTgtKey, keyMsg.Blob); err != nil {
+			abort(pt.t, "key install failed")
+			return err
+		}
+	}
+	// Kmigrate is installed on the target — the receive-side twin of the
+	// source's key-release audit record.
+	pt.opts.journal().Append(telemetry.EventKeyReceive, pt.opts.enclaveID(pt.rt), sp.Context())
+	return nil
+}
+
+// Rebuild performs restore Steps 3-4 on a target holding Kmigrate (CSSA
+// rebuild, memory restore, re-entry, in-enclave verification) and
 // acknowledges the source with MsgDone. On failure the target enclave is
-// destroyed.
-func (pt *PreparedTarget) Finish() (_ *Incoming, err error) {
+// destroyed: past InstallKey the source has self-destroyed, so the instance
+// is lost.
+func (pt *PreparedTarget) Rebuild() (_ *Incoming, err error) {
 	sp := pt.opts.span().Child("core.target.finish",
 		telemetry.String("enclave", pt.rt.App().Name))
 	defer func() { sp.Fail(err) }()
@@ -900,29 +982,6 @@ func (pt *PreparedTarget) Finish() (_ *Incoming, err error) {
 		_ = pt.rt.Destroy()
 		return nil, err
 	}
-	if pt.opts.Agent != nil {
-		// MsgKey signals that the source released Kmigrate to the agent;
-		// fetch it by local attestation.
-		if _, err := recvKind(pt.t, MsgKey); err != nil {
-			return fail(err)
-		}
-		if err := targetKeyFromAgent(pt.rt, pt.opts.Agent); err != nil {
-			abort(pt.t, "agent key fetch failed")
-			return fail(err)
-		}
-	} else {
-		keyMsg, err := recvKind(pt.t, MsgKey)
-		if err != nil {
-			return fail(err)
-		}
-		if err := writeAndCall(pt.rt, enclave.SelCtlTgtKey, keyMsg.Blob); err != nil {
-			abort(pt.t, "key install failed")
-			return fail(err)
-		}
-	}
-	// Kmigrate is installed on the target — the receive-side twin of the
-	// source's key-release audit record.
-	pt.opts.journal().Append(telemetry.EventKeyReceive, pt.opts.enclaveID(pt.rt), sp.Context())
 	inc, err := restore(pt.rt, pt.win, pt.hdr, pt.n, false, pt.opts)
 	if err != nil {
 		abort(pt.t, "restore failed")

@@ -9,8 +9,8 @@ import (
 
 // leakCheck pairs acquire/release resources across the whole module: EPC
 // frames (epcman.AllocFrame → ReturnFrame/NotePage), prepared migration
-// sessions (core.MigrateOutChannel → PreparedSource.Release|Cancel,
-// core.MigrateInPrepare → PreparedTarget.Finish|Abort, enclave.BuildSigned
+// sessions (core.MigrateOutChannel → PreparedSource.Release|Commit|Cancel,
+// core.MigrateInPrepare → PreparedTarget.Finish|Rebuild|Abort, enclave.BuildSigned
 // → Runtime.Destroy), quiesced sources (core.Prepare → core.Cancel), and
 // telemetry spans (Begin/Child/Fork → End/Fail). It flags any CFG path —
 // error returns and panic edges included — on which an acquired resource

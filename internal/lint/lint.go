@@ -213,6 +213,7 @@ func DefaultConfig(modPath string) *Config {
 				},
 				Releases: []string{
 					"(*" + modPath + "/internal/core.PreparedSource).Release",
+					"(*" + modPath + "/internal/core.PreparedSource).Commit",
 					"(*" + modPath + "/internal/core.PreparedSource).Cancel",
 				},
 			},
@@ -221,6 +222,7 @@ func DefaultConfig(modPath string) *Config {
 				Acquires: []string{modPath + "/internal/core.MigrateInPrepare"},
 				Releases: []string{
 					"(*" + modPath + "/internal/core.PreparedTarget).Finish",
+					"(*" + modPath + "/internal/core.PreparedTarget).Rebuild",
 					"(*" + modPath + "/internal/core.PreparedTarget).Abort",
 				},
 			},

@@ -37,6 +37,11 @@ type Process struct {
 	// completed; nil for a process that was launched, not migrated in.
 	// Until then those calls own their workers and TCSs.
 	resumed chan struct{}
+
+	// quiesced is when PrepareAllEnclaves last saw the enclave reach its
+	// quiescent point: from then on it serves no call until its restore
+	// elsewhere (LiveMigrationStats.EnclaveUnavailable).
+	quiesced time.Time
 }
 
 // PlainProcess is a guest process without an enclave: it just dirties guest
@@ -325,11 +330,14 @@ func (o *OS) PrepareAllEnclaves(opts *core.Options) (map[string][]byte, time.Dur
 			var blob []byte
 			err := func() error {
 				o.RunOnVCPU(func() {}) // scheduling slot for the signal
-				if _, err := core.Prepare(p.RT, opts); err != nil {
+				encOpts := *opts
+				encOpts.EnclaveID = p.Name
+				if _, err := core.Prepare(p.RT, &encOpts); err != nil {
 					return err
 				}
+				p.quiesced = time.Now()
 				var err error
-				blob, _, err = core.Dump(p.RT, opts)
+				blob, _, err = core.Dump(p.RT, &encOpts)
 				return err
 			}()
 			mu.Lock()

@@ -250,9 +250,10 @@ func TestLiveMigrateEnclaveFaultUnwinds(t *testing.T) {
 // stalledStream is a page stream that carries its first frames and then
 // stalls, the collector parked mid-bulk behind it, until ready reports
 // true; with cut set the link is then severed under the sender. It waits
-// at most stallBound: a ready that never comes (a leg that failed before
-// the point the test waits for) sets gaveUp and lets the migration run
-// on, so the test fails instead of hanging.
+// at most stallBound, once: a ready that never comes (a leg that failed
+// before the point the test waits for) sets gaveUp, and from then on every
+// frame passes unheld, so the migration runs on and the test fails instead
+// of hanging.
 type stalledStream struct {
 	core.Transport
 	frames atomic.Int32
@@ -265,7 +266,7 @@ type stalledStream struct {
 const stallBound = 10 * time.Second
 
 func (s *stalledStream) SendFrame(f *core.PageFrame) error {
-	if s.frames.Add(1) > 4 {
+	if s.frames.Add(1) > 4 && !s.gaveUp.Load() {
 		for deadline := time.Now().Add(stallBound); !s.ready(); time.Sleep(100 * time.Microsecond) {
 			if time.Now().After(deadline) {
 				s.gaveUp.Store(true)

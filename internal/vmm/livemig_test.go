@@ -504,17 +504,18 @@ func BenchmarkChunkSenderBulk(b *testing.B) {
 // BenchmarkLiveMigrateDowntime is the vm_live shape without the benchmark
 // spine — 16 counter enclaves in a 32 MiB guest, upper half incompressible,
 // a dirtying plain process, a 250 MB/s link — and reports what the downtime
-// window is made of: the whole window, the serial commit inside it, and the
-// wait for channel legs pre-copy did not hide (0 on a healthy pipeline), and
-// stop-and-copy — the final dirty set and the device state, on a link the
-// flush left idle. The enclaves carry state but run no workers, so the dump is not exposed
-// to the dump-vs-entering-worker race (benchmark/README.md defect 5).
+// window is made of: the whole window, the serial key release inside it,
+// the wait for channel legs pre-copy did not hide (0 on a healthy pipeline),
+// and stop-and-copy — the final dirty set and the device state, on a link
+// the flush left idle — and, beside it, the serial rebuild that follows the
+// window. The enclaves carry state but run no workers, so the dump is not
+// exposed to the dump-vs-entering-worker race (benchmark/README.md defect 5).
 func BenchmarkLiveMigrateDowntime(b *testing.B) {
 	const pages = 8192
 	const enclaves = 16
 	fill := make([]byte, pages/2*PageSize)
 	rand.New(rand.NewSource(17)).Read(fill)
-	var downtime, commit, channelWait, stopCopy time.Duration
+	var downtime, keyRelease, restore, channelWait, stopCopy time.Duration
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		_, owner, src, dst := newCloud(b)
@@ -547,7 +548,8 @@ func BenchmarkLiveMigrateDowntime(b *testing.B) {
 		}
 		stopCopy += tr.ByName("vmm.stopcopy")[0].Dur
 		downtime += stats.Downtime
-		commit += stats.EnclaveRestoreTime
+		keyRelease += stats.KeyReleaseTime
+		restore += stats.EnclaveRestoreTime
 		channelWait += stats.ChannelWait
 		if err := tvm.Shutdown(); err != nil {
 			b.Fatal(err)
@@ -556,7 +558,8 @@ func BenchmarkLiveMigrateDowntime(b *testing.B) {
 	}
 	perOp := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) / float64(b.N) }
 	b.ReportMetric(perOp(downtime), "downtime-ms/op")
-	b.ReportMetric(perOp(commit), "commit-ms/op")
+	b.ReportMetric(perOp(keyRelease), "keyrelease-ms/op")
+	b.ReportMetric(perOp(restore), "restore-ms/op")
 	b.ReportMetric(perOp(stopCopy), "stopcopy-ms/op")
 	b.ReportMetric(perOp(channelWait), "channelwait-ms/op")
 }

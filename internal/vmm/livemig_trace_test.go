@@ -101,8 +101,8 @@ func interval(t *testing.T, tr *telemetry.Tracer, name string) (time.Duration, t
 // TestLiveMigrateTraceShape checks that the pipelined engine's trace tells
 // the pipelining story: the enclave dump span runs on its own track and
 // overlaps the memory transfer, every channel leg has ended before the
-// guest is paused, every expected phase span is present, and no span leaks
-// open.
+// guest is paused, only key release is inside the window and the rebuild
+// follows it, every expected phase span is present, and no span leaks open.
 func TestLiveMigrateTraceShape(t *testing.T) {
 	tr, stats, link := traceVM(t, false)
 
@@ -115,9 +115,9 @@ func TestLiveMigrateTraceShape(t *testing.T) {
 	for _, name := range []string{
 		"vmm.livemigrate", "vmm.dump", "vmm.bulk", "vmm.precopy.round",
 		"vmm.flush", "vmm.downtime", "vmm.stopcopy", "vmm.commit",
-		"vmm.enclave.channel", "vmm.enclave.commit",
+		"vmm.enclave.channel", "vmm.enclave.commit", "vmm.restore", "vmm.enclave.restore",
 		"core.prepare", "core.dump", "core.channel", "core.keyrelease",
-		"core.restore", "core.target.prepare", "core.target.finish",
+		"core.restore", "core.target.prepare", "core.target.key", "core.target.finish",
 	} {
 		if len(tr.ByName(name)) == 0 {
 			t.Errorf("trace is missing span %q", name)
@@ -212,9 +212,45 @@ func TestLiveMigrateTraceShape(t *testing.T) {
 	if n := len(tr.ByName("vmm.channelwait")); n != 0 || stats.ChannelWait != 0 {
 		t.Fatalf("legs were hidden, yet %d vmm.channelwait spans and ChannelWait = %v", n, stats.ChannelWait)
 	}
-	commitStart, _ := interval(t, tr, "vmm.commit")
-	if commitStart < down.Start || stats.EnclaveRestoreTime <= 0 {
-		t.Fatalf("vmm.commit starts at %v, outside the window opened at %v", commitStart, down.Start)
+	checkRestoreAfterWindow(t, tr, stats)
+}
+
+// checkRestoreAfterWindow pins where the commit and the rebuild sit: key
+// release (vmm.commit) inside the downtime window, the rebuild
+// (vmm.restore) after it, on the root's track, its per-enclave spans one
+// after the other, and each phase's stat read off its span.
+func checkRestoreAfterWindow(t *testing.T, tr *telemetry.Tracer, stats *LiveMigrationStats) {
+	t.Helper()
+	downStart, downEnd := interval(t, tr, "vmm.downtime")
+	commitStart, commitEnd := interval(t, tr, "vmm.commit")
+	if commitStart < downStart || commitEnd > downEnd {
+		t.Fatalf("vmm.commit [%v,%v] outside the window [%v,%v]", commitStart, commitEnd, downStart, downEnd)
+	}
+	if stats.KeyReleaseTime != commitEnd-commitStart {
+		t.Fatalf("KeyReleaseTime %v is not derived from the vmm.commit span (%v)", stats.KeyReleaseTime, commitEnd-commitStart)
+	}
+	restoreStart, restoreEnd := interval(t, tr, "vmm.restore")
+	if restoreStart < downEnd {
+		t.Fatalf("vmm.restore starts at %v, inside the window that closes at %v", restoreStart, downEnd)
+	}
+	if stats.EnclaveRestoreTime != restoreEnd-restoreStart {
+		t.Fatalf("EnclaveRestoreTime %v is not derived from the vmm.restore span (%v)", stats.EnclaveRestoreTime, restoreEnd-restoreStart)
+	}
+	root := tr.ByName("vmm.livemigrate")[0]
+	if r := tr.ByName("vmm.restore")[0]; r.Parent != root.ID || r.Track != root.Track {
+		t.Fatalf("vmm.restore should be a child of the root on its track: parent=%d track=%d", r.Parent, r.Track)
+	}
+	prevEnd := downEnd
+	for _, r := range tr.ByName("vmm.enclave.restore") {
+		if r.Start < prevEnd || r.Start+r.Dur > restoreEnd {
+			t.Fatalf("vmm.enclave.restore [%v,%v] overlaps its predecessor (ends %v) or leaves vmm.restore (ends %v)",
+				r.Start, r.Start+r.Dur, prevEnd, restoreEnd)
+		}
+		prevEnd = r.Start + r.Dur
+	}
+	if n := len(tr.ByName("vmm.enclave.restore")); n != stats.EnclaveCount || len(stats.EnclaveUnavailable) != n {
+		t.Fatalf("%d vmm.enclave.restore spans and %d unavailability entries for %d enclaves",
+			n, len(stats.EnclaveUnavailable), stats.EnclaveCount)
 	}
 }
 
@@ -257,4 +293,7 @@ func TestLiveMigrateTraceSerial(t *testing.T) {
 		}
 		prevEnd = end
 	}
+	// Key release stays inside the window and the rebuild follows it, as
+	// on the pipelined schedule.
+	checkRestoreAfterWindow(t, tr, stats)
 }
