@@ -180,6 +180,9 @@ func TestLiveMigrateClaimedWindows(t *testing.T) {
 		if err != nil {
 			t.Fatalf("migration %d: %v", i, err)
 		}
+		if got := len(tvm.OS.Processes()); got != enclaves {
+			t.Fatalf("migration %d: %d enclave processes on the target, want %d", i, got, enclaves)
+		}
 		for _, p := range tvm.OS.Processes() {
 			res, err := p.RT.ECall(0, testapps.CounterGet)
 			if err != nil || res[0] != want[p.Name] {

@@ -218,7 +218,16 @@ func NewNode(cfg NodeConfig, service *AttestationService) (*Node, error) {
 	return vmm.NewNode(cfg, service)
 }
 
-// LiveMigrate live-migrates a VM (with its enclaves) to another node.
+// ErrEnclavesLost is wrapped by LiveMigrate's error when the VM migrated but
+// some enclave's restore failed after the VM resumed.
+var ErrEnclavesLost = vmm.ErrEnclavesLost
+
+// LiveMigrate live-migrates a VM (with its enclaves) to another node. A nil
+// error means every enclave runs on the target. An error wrapping
+// ErrEnclavesLost comes with the running target VM and its stats: the
+// enclaves in LostEnclaves failed their restore after the VM resumed and
+// are gone on both sides (never forked). Any other error returns no target
+// VM; the source VM runs on.
 func LiveMigrate(vm *VM, dst *Node, cfg *LiveMigrationConfig) (*VM, *LiveMigrationStats, error) {
 	return vmm.LiveMigrate(vm, dst, cfg)
 }
