@@ -46,10 +46,7 @@ func TestDataConsistencyAttackOnNaiveCheckpoint(t *testing.T) {
 	const initBalance = 1_000_000
 	violated := false
 	for attempt := 0; attempt < 12 && !violated; attempt++ {
-		w, err := sim.NewWorld(2)
-		if err != nil {
-			t.Fatal(err)
-		}
+		w := sim.NewTestWorld(t, sim.Config{Machines: 2})
 		dep, rt := launchBank(t, w)
 		done := startTransfers(rt, 40_000_000)
 
@@ -96,17 +93,14 @@ func TestDataConsistencyAttackOnNaiveCheckpoint(t *testing.T) {
 // dump while any worker is outside the safe states, no matter what the OS
 // claims (defence for P-3).
 func TestTwoPhaseRefusesNonQuiescentDump(t *testing.T) {
-	w, err := sim.NewWorld(1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := sim.NewTestWorld(t, sim.Config{Machines: 1})
 	_, rt := launchBank(t, w)
 	done := startTransfers(rt, 3_000_000)
 	if err := testapps.AwaitDebit(rt, 1_000_000); err != nil {
 		t.Fatal(err)
 	}
 
-	err = TwoPhaseDumpWithoutQuiescence(rt)
+	err := TwoPhaseDumpWithoutQuiescence(rt)
 	var ee *enclave.EnclaveError
 	if !errors.As(err, &ee) {
 		t.Fatalf("dump while running: err = %v, want in-enclave refusal", err)
@@ -124,17 +118,14 @@ func TestTwoPhaseRefusesNonQuiescentDump(t *testing.T) {
 func TestTwoPhaseMigrationPreservesInvariant(t *testing.T) {
 	const initBalance = 1_000_000
 	const rounds = 300_000
-	w, err := sim.NewWorld(2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := sim.NewTestWorld(t, sim.Config{Machines: 2})
 	_, rt := launchBank(t, w)
 	done := startTransfers(rt, rounds)
 	if err := testapps.AwaitDebit(rt, initBalance); err != nil {
 		t.Fatal(err)
 	}
 
-	t1, t2 := core.NewPipe()
+	t1, t2 := pipePair(t)
 	inc, outErr, inErr := migrateOver(w, rt, t1, t2)
 	if outErr != nil || inErr != nil {
 		t.Fatalf("migration: out %v, in %v", outErr, inErr)
@@ -164,7 +155,7 @@ func migrateBlob(t *testing.T, w *sim.World, src *enclave.Runtime, dep *core.Dep
 	t.Helper()
 	reg := core.NewRegistry()
 	reg.Add(dep)
-	t1, t2 := core.NewPipe()
+	t1, t2 := pipePair(t)
 	var inc *core.Incoming
 	var inErr error
 	var wg sync.WaitGroup
@@ -180,16 +171,14 @@ func migrateBlob(t *testing.T, w *sim.World, src *enclave.Runtime, dep *core.Dep
 	if inErr != nil {
 		t.Fatalf("MigrateIn: %v", inErr)
 	}
+	w.Own(inc.Runtime)
 	return inc
 }
 
 // TestForkAttackSingleChannel: the source enclave builds exactly one secure
 // channel; a second target's hello is refused in-enclave (P-5).
 func TestForkAttackSingleChannel(t *testing.T) {
-	w, err := sim.NewWorld(3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := sim.NewTestWorld(t, sim.Config{Machines: 3})
 	dep := w.Deploy(testapps.CounterApp(1))
 	src, err := w.Launch(dep, 0)
 	if err != nil {
@@ -209,6 +198,7 @@ func TestForkAttackSingleChannel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		w.Own(rt)
 		res, err := rt.CtlCall(enclave.SelCtlTgtBegin, enclave.SharedReqOff)
 		if err != nil {
 			t.Fatal(err)
@@ -240,11 +230,22 @@ func TestForkAttackSingleChannel(t *testing.T) {
 
 // wires are the transports the adversary tests run over: the in-process
 // pipe and a loopback TCP connection, the two production carries.
+// pipePair is an in-process pipe whose ends close when t ends, so no frame
+// stays queued in a pipe no one reads.
+func pipePair(t *testing.T) (core.Transport, core.Transport) {
+	a, b := core.NewPipe()
+	t.Cleanup(func() {
+		_ = a.Close()
+		_ = b.Close()
+	})
+	return a, b
+}
+
 var wires = []struct {
 	name string
 	pair func(t *testing.T) (core.Transport, core.Transport)
 }{
-	{"pipe", func(*testing.T) (core.Transport, core.Transport) { return core.NewPipe() }},
+	{"pipe", pipePair},
 	{"tcp", tcpPair},
 }
 
@@ -284,6 +285,9 @@ func migrateOver(w *sim.World, rt *enclave.Runtime, src, dst core.Transport) (in
 	}()
 	_, outErr = core.MigrateOut(rt, src, w.Opts())
 	wg.Wait()
+	if inc != nil {
+		w.Own(inc.Runtime)
+	}
 	return inc, outErr, inErr
 }
 
@@ -296,10 +300,7 @@ func migrateOver(w *sim.World, rt *enclave.Runtime, src, dst core.Transport) (in
 func TestReplayAttackBlocked(t *testing.T) {
 	for _, wire := range wires {
 		t.Run(wire.name, func(t *testing.T) {
-			w, err := sim.NewWorld(3)
-			if err != nil {
-				t.Fatal(err)
-			}
+			w := sim.NewTestWorld(t, sim.Config{Machines: 3})
 			dep := w.Deploy(testapps.CounterApp(1))
 			src, err := w.Launch(dep, 0)
 			if err != nil {
@@ -382,10 +383,7 @@ func TestTamperedCheckpointRejected(t *testing.T) {
 	} {
 		for _, wire := range wires {
 			t.Run(tc.name+"/"+wire.name, func(t *testing.T) {
-				w, err := sim.NewWorld(2)
-				if err != nil {
-					t.Fatal(err)
-				}
+				w := sim.NewTestWorld(t, sim.Config{Machines: 2})
 				dep := w.Deploy(tc.app())
 				free := freeFramesWarm(t, w, dep, 1)
 				src, err := w.Launch(dep, 0)
@@ -425,10 +423,7 @@ func TestTamperedCheckpointRejected(t *testing.T) {
 // TestCSSAForgeryRefused: the host rebuilds the wrong CSSA values; the
 // in-enclave Step-4 verification refuses to resume (P-6, Sec. IV-C).
 func TestCSSAForgeryRefused(t *testing.T) {
-	w, err := sim.NewWorld(2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := sim.NewTestWorld(t, sim.Config{Machines: 2})
 	dep := w.Deploy(testapps.CounterApp(2))
 	src, err := w.Launch(dep, 0)
 	if err != nil {
@@ -468,6 +463,7 @@ func TestCSSAForgeryRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	w.Own(tgt)
 	// Give the target the key through a legitimate channel first.
 	if err := core.EstablishChannel(src, tgt, w.Service); err != nil {
 		t.Fatal(err)
@@ -500,10 +496,7 @@ func TestCSSAForgeryRefused(t *testing.T) {
 func TestSnoopSeesNoSecrets(t *testing.T) {
 	for _, wire := range wires {
 		t.Run(wire.name, func(t *testing.T) {
-			w, err := sim.NewWorld(2)
-			if err != nil {
-				t.Fatal(err)
-			}
+			w := sim.NewTestWorld(t, sim.Config{Machines: 2})
 			dep := w.Deploy(testapps.CounterApp(1))
 			src, err := w.Launch(dep, 0)
 			if err != nil {
@@ -552,7 +545,7 @@ func TestSnoopSeesNoSecrets(t *testing.T) {
 // a needle split over two frames of the capture is still found, and one
 // that never crossed is not.
 func TestRecorderFindsPlaintextAcrossSegments(t *testing.T) {
-	t1, t2 := core.NewPipe()
+	t1, t2 := pipePair(t)
 	rec := &Recorder{Transport: t1}
 	go func() {
 		for {

@@ -56,10 +56,7 @@ func join(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
 // as the target's own (restoring, never restored) — and the same target
 // then restores the untouched checkpoint.
 func TestLeafTamperRefusedBeforeWriteBack(t *testing.T) {
-	w, err := sim.NewWorld(2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := sim.NewTestWorld(t, sim.Config{Machines: 2})
 	dep := w.Deploy(bigCounter())
 	src, err := w.Launch(dep, 0)
 	if err != nil {
@@ -85,6 +82,7 @@ func TestLeafTamperRefusedBeforeWriteBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	w.Own(tgt)
 	if err := core.EstablishChannel(src, tgt, w.Service); err != nil {
 		t.Fatal(err)
 	}
@@ -187,17 +185,14 @@ func (r *leafRewriter) SendFrame(f *core.PageFrame) error {
 // The instance is lost, never forked: the source is dead and the target's
 // EPC is back at its baseline.
 func TestSwappedLeavesOnWireLoseNeverFork(t *testing.T) {
-	w, err := sim.NewWorld(2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := sim.NewTestWorld(t, sim.Config{Machines: 2})
 	dep := w.Deploy(bigCounter())
 	free := freeFramesWarm(t, w, dep, 1)
 	src, err := w.Launch(dep, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t1, t2 := core.NewPipe()
+	t1, t2 := w.Pipe()
 	rw := &leafRewriter{Transport: t1, rewrite: func(blob []byte) []byte {
 		head, leaves, final := splitLeaves(t, blob, dep.App.Workers+1)
 		return join(head, leaves[1], leaves[0], leaves[2], final)
@@ -223,10 +218,7 @@ func TestSwappedLeavesOnWireLoseNeverFork(t *testing.T) {
 // in from the other, or the other's header put on its records, is refused,
 // and the target's EPC is back at its baseline every time.
 func TestLeavesSwappedBetweenCheckpointsRefused(t *testing.T) {
-	w, err := sim.NewWorld(2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := sim.NewTestWorld(t, sim.Config{Machines: 2})
 	dep := w.Deploy(bigCounter())
 	src, err := w.Launch(dep, 0)
 	if err != nil {
@@ -263,6 +255,7 @@ func TestLeavesSwappedBetweenCheckpointsRefused(t *testing.T) {
 	if err != nil {
 		t.Fatalf("the untouched first checkpoint: %v", err)
 	}
+	w.Own(inc.Runtime)
 	if res, err := inc.Runtime.ECall(0, testapps.CounterGet); err != nil || res[0] != 1 {
 		t.Fatalf("resumed counter = %d, %v; want 1", res[0], err)
 	}

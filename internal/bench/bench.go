@@ -216,7 +216,6 @@ func Fig9c(counts []int, cipher tcb.CheckpointCipher) ([]Fig9cRow, error) {
 			go func(rt *enclave.Runtime) {
 				defer wg.Done()
 				start := time.Now()
-				//lint:ignore leakcheck the launcher cancels and destroys every runtime after wg.Wait
 				_, err := core.Prepare(rt, opts)
 				if err == nil {
 					_, _, err = core.Dump(rt, opts)

@@ -129,7 +129,7 @@ func TestRecvBulkBoundedByLayout(t *testing.T) {
 
 	// run plays a peer that announces the image and then sends ckpt.
 	run := func(ckpt func(Transport)) (error, uint64) {
-		t1, t2 := NewPipe()
+		t1, t2 := testPipe(t)
 		go func() {
 			_ = t1.Send(Message{Kind: MsgImage, Blob: imageBlob(app.Name, dep.Sig.Measurement, app.Workers+1)})
 			ckpt(t1)
@@ -248,6 +248,7 @@ func TestTamperedCheckpointRefused(t *testing.T) {
 	if err != nil {
 		t.Fatalf("pristine checkpoint: %v", err)
 	}
+	own(t, inc.Runtime)
 	if res, err := inc.Runtime.ECall(0, testapps.CounterGet); err != nil || res[0] != 9 {
 		t.Fatalf("resumed counter = %d, %v", res[0], err)
 	}
@@ -263,7 +264,7 @@ func TestTamperedCheckpointRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	frames = w.hostB.Mgr.FreeFrames()
-	t1, t2 := NewPipe()
+	t1, t2 := testPipe(t)
 	inErr := make(chan error, 1)
 	go func() {
 		_, err := MigrateIn(w.hostB, reg, t2, opts)
@@ -440,6 +441,7 @@ func TestCheckpointFormatUnchanged(t *testing.T) {
 			if err != nil {
 				t.Fatalf("resume: %v", err)
 			}
+			own(t, inc.Runtime)
 			res, err := inc.Runtime.ECall(0, testapps.CounterGet)
 			if err != nil || res[0] != 1234 {
 				t.Fatalf("resumed counter = %d, %v", res[0], err)
@@ -473,6 +475,7 @@ func TestCheckpointIndependentOfGOMAXPROCS(t *testing.T) {
 		if err != nil {
 			t.Fatalf("dump with GOMAXPROCS %d, restore with %d: %v", procs[0], procs[1], err)
 		}
+		own(t, inc.Runtime)
 		if res, err := inc.Runtime.ECall(0, testapps.CounterGet); err != nil || res[0] != 77 {
 			t.Fatalf("dump with GOMAXPROCS %d, restore with %d: counter = %d, %v", procs[0], procs[1], res[0], err)
 		}
@@ -660,10 +663,11 @@ func TestTargetBuildsBeforeCheckpointArrives(t *testing.T) {
 	_, reg := w.deploy(app)
 	tr := telemetry.New()
 	root := tr.Begin("hop")
+	defer root.End()
 	opts := w.opts()
 	opts.Trace = root
 
-	t1, t2 := NewPipe()
+	t1, t2 := testPipe(t)
 	built := make(chan struct{})
 	go func() {
 		defer close(built)

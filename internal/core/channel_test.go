@@ -78,7 +78,7 @@ func TestCancelDrawsNewSourceHalf(t *testing.T) {
 	opts := w.opts()
 
 	hop := func(refuse bool) (*Incoming, *channelTap, error, error) {
-		t1, t2 := NewPipe()
+		t1, t2 := testPipe(t)
 		tap := &channelTap{Transport: t1}
 		var tgt Transport = t2
 		if refuse {

@@ -21,6 +21,7 @@ func TestOwnerProvisioningBindsIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	own(t, rt)
 	if err := w.owner.Provision(rt); err != nil {
 		t.Fatal(err)
 	}
@@ -40,6 +41,7 @@ func TestRogueOwnerCannotProvision(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	own(t, rt)
 	rogue, err := NewOwner(w.service)
 	if err != nil {
 		t.Fatal(err)
@@ -69,6 +71,7 @@ func TestMigrationWithAgentEnclave(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	own(t, agent.Runtime())
 	if agent.Measurement() != agentMR {
 		t.Fatal("agent measurement drifted from MeasureApp")
 	}
@@ -90,7 +93,7 @@ func TestMigrationWithAgentEnclave(t *testing.T) {
 
 	// The critical-path migration: key flows source→agent→target locally,
 	// with zero additional attestation-service round trips.
-	t1, t2 := NewPipe()
+	t1, t2 := testPipe(t)
 	var inc *Incoming
 	var inErr error
 	var wg sync.WaitGroup
@@ -106,6 +109,7 @@ func TestMigrationWithAgentEnclave(t *testing.T) {
 	if inErr != nil {
 		t.Fatal(inErr)
 	}
+	own(t, inc.Runtime)
 	if got := w.service.Requests(); got != attestsBefore {
 		t.Fatalf("agent path still hit the attestation service (%d -> %d)", attestsBefore, got)
 	}
@@ -121,6 +125,7 @@ func TestMigrationWithAgentEnclave(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	own(t, tgt2)
 	if err := targetKeyFromAgent(tgt2, agent); err == nil {
 		t.Fatal("agent delivered Kmigrate twice — fork enabled")
 	}
@@ -148,6 +153,7 @@ func TestOwnerCheckpointResumeAudited(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	own(t, inc.Runtime)
 	res, err := inc.Runtime.ECall(0, testapps.CounterGet)
 	if err != nil {
 		t.Fatal(err)
@@ -159,9 +165,11 @@ func TestOwnerCheckpointResumeAudited(t *testing.T) {
 	// A second resume from the same checkpoint is technically possible
 	// (that's the rollback the paper discusses) but every operation lands
 	// in the owner's audit log, which is how it is detected.
-	if _, err := OwnerResume(w.owner, w.hostA, dep, blob); err != nil {
+	again, err := OwnerResume(w.owner, w.hostA, dep, blob)
+	if err != nil {
 		t.Fatal(err)
 	}
+	own(t, again.Runtime)
 	audit := w.owner.Audit()
 	var checkpoints, resumes int
 	for _, rec := range audit {
@@ -241,6 +249,7 @@ func TestMigrationOverTCP(t *testing.T) {
 	if inErr != nil {
 		t.Fatal(inErr)
 	}
+	own(t, inc.Runtime)
 	res, err := inc.Runtime.ECall(0, testapps.CounterGet)
 	if err != nil {
 		t.Fatal(err)

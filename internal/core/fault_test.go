@@ -130,7 +130,7 @@ func measureMigrationOps(t *testing.T) (srcOps, tgtOps int) {
 	app := testapps.CounterApp(1)
 	src := w.launch(t, app)
 	_, reg := w.deploy(app)
-	t1, t2 := NewPipe()
+	t1, t2 := testPipe(t)
 	fs := NewFaultyTransport(t1, 0, false)
 	ft := NewFaultyTransport(t2, 0, false)
 	var (
@@ -190,7 +190,7 @@ func sweepMigrationFaults(t *testing.T, sourceSide bool) {
 				t.Fatal(err)
 			}
 
-			t1, t2 := NewPipe()
+			t1, t2 := testPipe(t)
 			var ts, td Transport = t1, t2
 			if sourceSide {
 				ts = NewFaultyTransport(t1, k, true)
@@ -279,7 +279,7 @@ func prepareFailure(t *testing.T, liveTarget bool) {
 	done := countInside(t, src, iterations)
 	held := hold(src)
 
-	t1, t2 := NewPipe()
+	t1, t2 := testPipe(t)
 	inErr := make(chan error, 1)
 	if liveTarget {
 		go func() {
@@ -341,7 +341,7 @@ func TestMigrateInFailureFreesEPC(t *testing.T) {
 
 	// A "source" that delivers image + checkpoint — enough for the target to
 	// build the enclave — then vanishes mid-channel.
-	t1, t2 := NewPipe()
+	t1, t2 := testPipe(t)
 	go func() {
 		mr := src.Measurement()
 		_ = t1.Send(Message{Kind: MsgImage, Blob: imageBlob(app.Name, mr, src.Layout().Threads)})
@@ -388,7 +388,7 @@ func TestMigrateInFailureFreesEPC(t *testing.T) {
 		root := tr.Begin("test")
 		opts := w.opts()
 		opts.Trace = root
-		t1, t2 := NewPipe()
+		t1, t2 := testPipe(t)
 		reply := make(chan [2]MsgKind, 1)
 		go func() {
 			_ = t1.Send(Message{Kind: MsgImage, Blob: imageBlob(app.Name, src.Measurement(), src.Layout().Threads)})

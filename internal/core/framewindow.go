@@ -5,9 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/enclave"
+	"repro/internal/ledger"
 	"repro/internal/sgx"
 )
 
@@ -38,9 +38,8 @@ type frameWindow struct {
 var _ sgx.OutsideMemory = (*frameWindow)(nil)
 
 // heldFrames counts the frames held by every frame window in the process.
-// It is zero whenever no migration is moving a checkpoint; tests read it to
-// see that every path releases its window.
-var heldFrames atomic.Int64
+// It is zero whenever no migration is moving a checkpoint.
+var heldFrames = ledger.New("frame-window")
 
 // errWindowRange refuses an access a checkpoint window cannot serve.
 var errWindowRange = errors.New("core: checkpoint window access out of range")

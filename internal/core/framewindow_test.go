@@ -62,7 +62,7 @@ func TestFrameWindowStoreLoad(t *testing.T) {
 		t.Fatalf("store past the window = %v, want errWindowRange", err)
 	}
 
-	a, b := NewPipe()
+	a, b := testPipe(t)
 	sent := make(chan error, 1)
 	go func() {
 		for off := 0; off < total; off += bulkSegment {
@@ -110,7 +110,7 @@ func refusedSegments(t *testing.T, ckpt func(Transport)) (error, [2]MsgKind) {
 	dep, reg := w.deploy(app)
 	warmHosts(t, w, dep)
 	frames := w.hostB.Mgr.FreeFrames()
-	t1, t2 := NewPipe()
+	t1, t2 := testPipe(t)
 	reply := make(chan [2]MsgKind, 1)
 	go func() {
 		_ = t1.Send(Message{Kind: MsgImage, Blob: imageBlob(app.Name, dep.Sig.Measurement, app.Workers+1)})
@@ -166,7 +166,7 @@ func TestFrameWindowSegmentRefusals(t *testing.T) {
 // is wrapped by wrap, if set.
 func prepareHop(t *testing.T, w *world, src *enclave.Runtime, reg *Registry, wrap func(Transport) Transport) (*PreparedTarget, <-chan error) {
 	t.Helper()
-	t1, t2 := NewPipe()
+	t1, t2 := testPipe(t)
 	if wrap != nil {
 		t1 = wrap(t1)
 	}
@@ -261,7 +261,7 @@ func TestFrameWindowReleasedOnEveryPath(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer func() { _ = Cancel(src) }()
-		t1, t2 := NewPipe()
+		t1, t2 := testPipe(t)
 		go func() {
 			_ = sendImage(src, t1)
 			_ = sendBulk(t1, Message{Kind: MsgCheckpoint, Blob: blob})
@@ -298,7 +298,7 @@ func TestFrameWindowReleasedOnEveryPath(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		t1, t2 := NewPipe()
+		t1, t2 := testPipe(t)
 		prepared := make(chan *PreparedSource, 1)
 		go func() {
 			ps, err := MigrateOutChannel(src, blob, t1, opts)
@@ -331,7 +331,7 @@ func TestFrameWindowReleasedOnEveryPath(t *testing.T) {
 		src := w.launch(t, app)
 		// Image, checkpoint announcement, first segment; the second fails.
 		// The pipe's queue takes the first three without a reader.
-		t1, _ := NewPipe()
+		t1, _ := testPipe(t)
 		ft := NewFaultyTransport(t1, 4, true)
 		if _, err := MigrateOut(src, ft, w.opts()); !errors.Is(err, ErrInjectedFault) {
 			t.Fatalf("MigrateOut = %v, want ErrInjectedFault", err)

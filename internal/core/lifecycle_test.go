@@ -34,7 +34,7 @@ func TestTargetRefusesSecondRestore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t1, t2 := NewPipe()
+	t1, t2 := testPipe(t)
 	var inc *Incoming
 	var inErr error
 	var wg sync.WaitGroup
@@ -50,6 +50,7 @@ func TestTargetRefusesSecondRestore(t *testing.T) {
 	if inErr != nil {
 		t.Fatal(inErr)
 	}
+	own(t, inc.Runtime)
 	_ = reg
 
 	// Roll the live instance back to the checkpoint: every control step of
@@ -99,6 +100,7 @@ func TestCheckpointForWrongImageRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	own(t, tgt)
 	if err := EstablishChannel(src, tgt, w.service); err == nil {
 		t.Fatal("source built a channel to a different image")
 	}
@@ -167,6 +169,7 @@ func TestVMConsistencyAcrossEnclaves(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		own(t, rt)
 		if err := w.owner.Provision(rt); err != nil {
 			t.Fatal(err)
 		}
@@ -198,7 +201,7 @@ func TestVMConsistencyAcrossEnclaves(t *testing.T) {
 		wg.Add(1)
 		go func(i int, src *enclave.Runtime) {
 			defer wg.Done()
-			t1, t2 := NewPipe()
+			t1, t2 := testPipe(t)
 			inDone := make(chan struct{})
 			go func() {
 				defer close(inDone)
@@ -226,6 +229,7 @@ func TestVMConsistencyAcrossEnclaves(t *testing.T) {
 		if inc == nil {
 			t.Fatal("missing incoming")
 		}
+		own(t, inc.Runtime)
 		for r := range inc.Results {
 			if r.Err != nil {
 				t.Fatalf("enclave %d resumed transfer: %v", i, r.Err)
@@ -251,7 +255,7 @@ func TestTransportFailureBeforeKeyRelease(t *testing.T) {
 	if _, err := src.ECall(0, testapps.CounterAdd, 55); err != nil {
 		t.Fatal(err)
 	}
-	t1, t2 := NewPipe()
+	t1, t2 := testPipe(t)
 	// The "target" accepts the image and checkpoint, then vanishes.
 	go func() {
 		_, _ = t2.Recv()
@@ -301,6 +305,7 @@ func TestSelfDestroyOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	own(t, tgt)
 	hello, err := TargetHello(tgt)
 	if err != nil {
 		t.Fatal(err)

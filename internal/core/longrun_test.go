@@ -129,7 +129,7 @@ func TestLongRunMigrationsUnderHammering(t *testing.T) {
 	refused := 0
 	for hop := 0; hop < *longRunHops && !failed(); {
 		src := cur.Load()
-		t1, t2 := NewPipe()
+		t1, t2 := testPipe(t)
 		var (
 			inc   *Incoming
 			inErr error

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/attest"
 	"repro/internal/enclave"
+	"repro/internal/ledger"
 	"repro/internal/sgx"
 	"repro/internal/tcb"
 	"repro/internal/telemetry"
@@ -507,7 +508,15 @@ type PreparedSource struct {
 	rep       SourceReport
 	start     time.Time
 	chanStart time.Time
+	open      atomic.Bool // counted in preparedSources until settled or cancelled
 }
+
+// preparedSources and preparedTargets count the prepared halves no one has
+// settled, cancelled, rebuilt or aborted yet.
+var (
+	preparedSources = ledger.New("prepared-source")
+	preparedTargets = ledger.New("prepared-target")
+)
 
 // MigrateOutChannel runs the source side for a prepared/dumped enclave up to
 // (but excluding) key release. On failure the migration is cancelled and the
@@ -570,6 +579,7 @@ func migrateOutChannel(src *enclave.Runtime, t Transport, opts *Options, rep Sou
 	// built ahead of time; there is nothing to set up here.
 	opts.journal().Append(telemetry.EventChannelUp, opts.enclaveID(src), sp.Context(),
 		telemetry.String("mode", mode))
+	preparedSources.Take(&ps.open)
 	return ps, nil
 }
 
@@ -663,6 +673,7 @@ func (ps *PreparedSource) AwaitDone() (_ SourceReport, err error) {
 // settle ends sp and files the migration's outcome: the abort record on
 // failure and the committed or aborted count.
 func (ps *PreparedSource) settle(sp *telemetry.Span, err error) {
+	preparedSources.Give(&ps.open)
 	sp.Fail(err)
 	journalAbort(ps.opts, ps.opts.enclaveID(ps.src), "release", sp.Context(), err)
 	m := ps.opts.metrics()
@@ -677,6 +688,7 @@ func (ps *PreparedSource) settle(sp *telemetry.Span, err error) {
 // peer is notified, the in-enclave migration state is wiped and the workers
 // resume.
 func (ps *PreparedSource) Cancel(reason string) error {
+	preparedSources.Give(&ps.open)
 	abort(ps.t, reason)
 	return Cancel(ps.src)
 }
@@ -805,6 +817,7 @@ type PreparedTarget struct {
 	n    int // checkpoint bytes in win
 	t    Transport
 	opts *Options
+	open atomic.Bool // counted in preparedTargets until rebuilt or aborted
 }
 
 // Runtime exposes the built (not yet restored) target enclave.
@@ -879,7 +892,9 @@ func MigrateInPrepare(host *enclave.Host, reg *Registry, t Transport, opts *Opti
 	}
 	opts.journal().Append(telemetry.EventChannelUp, opts.enclaveID(rt), sp.Context(),
 		telemetry.String("side", "target"))
-	return &PreparedTarget{rt: rt, win: win, hdr: hdr, n: n, t: t, opts: opts}, nil
+	pt := &PreparedTarget{rt: rt, win: win, hdr: hdr, n: n, t: t, opts: opts}
+	preparedTargets.Take(&pt.open)
+	return pt, nil
 }
 
 // recvCheckpoint receives the checkpoint for rt, the virgin enclave built
@@ -937,6 +952,7 @@ func (pt *PreparedTarget) InstallKey() (err error) {
 			journalAbort(pt.opts, pt.opts.enclaveID(pt.rt), "target-finish", sp.Context(), err)
 			pt.win.release()
 			_ = pt.rt.Destroy()
+			preparedTargets.Give(&pt.open)
 		}
 	}()
 	if pt.opts.Agent != nil {
@@ -974,6 +990,7 @@ func (pt *PreparedTarget) Rebuild() (_ *Incoming, err error) {
 	sp := pt.opts.span().Child("core.target.finish",
 		telemetry.String("enclave", pt.rt.App().Name))
 	defer func() { sp.Fail(err) }()
+	defer preparedTargets.Give(&pt.open)
 	defer pt.win.release()
 	defer func() { journalAbort(pt.opts, pt.opts.enclaveID(pt.rt), "target-finish", sp.Context(), err) }()
 	fail := func(err error) (*Incoming, error) {
@@ -1000,6 +1017,7 @@ func (pt *PreparedTarget) Abort(reason string) {
 	abort(pt.t, reason)
 	pt.win.release()
 	_ = pt.rt.Destroy()
+	preparedTargets.Give(&pt.open)
 }
 
 // sendHello sends the target's hello: its attested DH half and nonce.

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/attest"
 	"repro/internal/enclave"
+	"repro/internal/ledger"
 	"repro/internal/sgx"
 	"repro/internal/testapps"
 )
@@ -42,7 +43,7 @@ func newWorld(t testing.TB) *world {
 	}
 	service.RegisterMachine(mA.AttestationPublic())
 	service.RegisterMachine(mB.AttestationPublic())
-	return &world{
+	w := &world{
 		service: service,
 		owner:   owner,
 		mA:      mA,
@@ -50,6 +51,12 @@ func newWorld(t testing.TB) *world {
 		hostA:   enclave.NewBareHost(mA),
 		hostB:   enclave.NewBareHost(mB),
 	}
+	ledger.Check(t,
+		ledger.Holding{Kind: "enclaves on source", Excess: mA.LiveEnclaves},
+		ledger.Holding{Kind: "enclaves on target", Excess: mB.LiveEnclaves},
+		ledger.Holding{Kind: "stray EPC frames on source", Excess: w.hostA.Mgr.StrayFrames},
+		ledger.Holding{Kind: "stray EPC frames on target", Excess: w.hostB.Mgr.StrayFrames})
+	return w
 }
 
 // launch builds + provisions an app instance on host A.
@@ -69,6 +76,13 @@ func (w *world) launchOn(t testing.TB, host *enclave.Host, app *enclave.App) *en
 	if err := w.owner.Provision(rt); err != nil {
 		t.Fatal(err)
 	}
+	return own(t, rt)
+}
+
+// own destroys rt when t ends, before the world's ledger check runs: the
+// check counts every enclave still alive on a machine as leaked.
+func own(t testing.TB, rt *enclave.Runtime) *enclave.Runtime {
+	t.Cleanup(func() { _ = rt.Destroy() })
 	return rt
 }
 
@@ -83,10 +97,21 @@ func (w *world) opts() *Options {
 	return &Options{Service: w.service}
 }
 
+// testPipe is NewPipe for a test: both ends close when t ends, so no frame
+// stays queued in a pipe no one reads.
+func testPipe(t testing.TB) (Transport, Transport) {
+	a, b := NewPipe()
+	t.Cleanup(func() {
+		_ = a.Close()
+		_ = b.Close()
+	})
+	return a, b
+}
+
 // runMigration wires a pipe between MigrateOut and MigrateIn.
 func runMigration(t testing.TB, src *enclave.Runtime, hostB *enclave.Host, reg *Registry, opts *Options) (SourceReport, *Incoming) {
 	t.Helper()
-	t1, t2 := NewPipe()
+	t1, t2 := testPipe(t)
 	var (
 		inc   *Incoming
 		inErr error
@@ -101,6 +126,9 @@ func runMigration(t testing.TB, src *enclave.Runtime, hostB *enclave.Host, reg *
 		}
 	}()
 	rep, outErr := MigrateOut(src, t1, opts)
+	if outErr != nil {
+		_ = t1.Close() // the target must not wait on a source that gave up
+	}
 	wg.Wait()
 	if outErr != nil {
 		t.Fatalf("MigrateOut: %v", outErr)
@@ -108,6 +136,7 @@ func runMigration(t testing.TB, src *enclave.Runtime, hostB *enclave.Host, reg *
 	if inErr != nil {
 		t.Fatalf("MigrateIn: %v", inErr)
 	}
+	own(t, inc.Runtime)
 	return rep, inc
 }
 

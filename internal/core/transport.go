@@ -167,8 +167,8 @@ func wrongClass(kind FrameKind, ctl bool) error {
 // its pooled buffer and the receiver decodes it in place, so nothing is
 // copied on the way.
 type pipe struct {
-	out chan<- []byte
-	in  <-chan []byte
+	out chan []byte
+	in  chan []byte
 
 	closeOnce *sync.Once
 	closed    chan struct{}
@@ -273,6 +273,13 @@ func (p *pipe) writeFrame(f *PageFrame) error {
 	select {
 	case p.out <- buf:
 		p.sent.Add(int64(len(buf)))
+		select {
+		case <-p.closed:
+			// The send raced Close, which may have drained the queue
+			// already: no one reads it any more.
+			drainQueue(p.out)
+		default:
+		}
 		return nil
 	case <-p.closed:
 		PutBuf(buf)
@@ -302,7 +309,21 @@ func (p *pipe) readFrame(ctl bool) (*PageFrame, error) {
 
 func (p *pipe) Close() error {
 	p.closeOnce.Do(func() { close(p.closed) })
+	drainQueue(p.out)
+	drainQueue(p.in)
 	return nil
+}
+
+// drainQueue hands every buffer still queued in q back to the pool.
+func drainQueue(q chan []byte) {
+	for {
+		select {
+		case buf := <-q:
+			PutBuf(buf)
+		default:
+			return
+		}
+	}
 }
 
 func (p *pipe) BytesSent() int64 { return p.sent.Load() }

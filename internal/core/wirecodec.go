@@ -8,6 +8,8 @@ import (
 	"io"
 	"math/bits"
 	"sync"
+
+	"repro/internal/ledger"
 )
 
 // Binary wire codec of the migration stream. Everything a Transport
@@ -143,11 +145,19 @@ func poolFor(n int) *sync.Pool {
 // with a PutBuf (directly or via PageFrame.Release) once the buffer is no
 // longer referenced.
 func GetBuf(n int) []byte {
-	if b, _ := poolFor(n).Get().([]byte); cap(b) >= n {
-		return b[:n]
+	b, _ := poolFor(n).Get().([]byte)
+	if cap(b) < n {
+		b = make([]byte, n, bufClass(n))
 	}
-	return make([]byte, n, bufClass(n))
+	if cap(b) > 0 {
+		pooledBufs.Add(1)
+	}
+	return b[:n]
 }
+
+// pooledBufs counts the buffers GetBuf handed out that PutBuf has not had
+// back.
+var pooledBufs = ledger.New("pooled-buf")
 
 // bulkClass is the one capacity of every buffer the bulk pool hands out
 // for a request up to it: a bulk segment plus one page. It fits a 64-page
@@ -173,6 +183,7 @@ func PutBuf(b []byte) {
 	if cap(b) == 0 {
 		return
 	}
+	pooledBufs.Add(-1)
 	poolFor(cap(b)).Put(b[:0:cap(b)]) //nolint:staticcheck // []byte in an any-pool allocates a header; acceptable vs 256 KiB payloads
 }
 

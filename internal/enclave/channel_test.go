@@ -30,10 +30,7 @@ func (s *sentChannel) Send(m core.Message) error {
 // checkpoint — which the target's restore writes back — holds an older
 // seed, never the one behind the half the source sent in MsgChannel.
 func TestCheckpointCarriesNoChannelHalf(t *testing.T) {
-	w, err := sim.NewWorld(2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := sim.NewTestWorld(t, sim.Config{Machines: 2})
 	app := testapps.CounterApp(1)
 	readSeed := uint64(len(app.ECalls))
 	app.ECalls = append(app.ECalls, func(c *enclave.Call) enclave.AppStatus {
@@ -51,7 +48,7 @@ func TestCheckpointCarriesNoChannelHalf(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	t1, t2 := core.NewPipe()
+	t1, t2 := w.Pipe()
 	tap := &sentChannel{Transport: t1}
 	type result struct {
 		inc *core.Incoming
@@ -69,7 +66,7 @@ func TestCheckpointCarriesNoChannelHalf(t *testing.T) {
 	if r.err != nil {
 		t.Fatalf("MigrateIn: %v", r.err)
 	}
-	defer r.inc.Runtime.Destroy()
+	w.Own(r.inc.Runtime)
 
 	regs, err := r.inc.Runtime.ECall(0, readSeed)
 	if err != nil {

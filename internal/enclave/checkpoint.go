@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/ledger"
 	"repro/internal/sgx"
 	"repro/internal/tcb"
 )
@@ -124,6 +125,7 @@ func ckptClass(n int) (class, size int) {
 // getCkptBuf returns an all-zero n-byte buffer. Pair every getCkptBuf with
 // a putCkptBuf once nothing refers to the buffer any more.
 func getCkptBuf(n int) []byte {
+	ckptBufsHeld.Add(1)
 	class, size := ckptClass(n)
 	if b, ok := ckptBufs[class].Get().([]byte); ok {
 		return b[:n]
@@ -131,8 +133,13 @@ func getCkptBuf(n int) []byte {
 	return make([]byte, n, size)
 }
 
+// ckptBufsHeld counts the buffers getCkptBuf handed out that putCkptBuf has
+// not had back.
+var ckptBufsHeld = ledger.New("ckpt-buf")
+
 // putCkptBuf wipes a buffer from getCkptBuf and returns it to its pool.
 func putCkptBuf(b []byte) {
+	ckptBufsHeld.Add(-1)
 	b = b[:cap(b)]
 	clear(b)
 	if ckptBufPut != nil {

@@ -11,6 +11,8 @@ import (
 	"time"
 
 	"repro/internal/attest"
+	"repro/internal/epcman"
+	"repro/internal/ledger"
 	"repro/internal/sgx"
 	"repro/internal/tcb"
 )
@@ -717,5 +719,44 @@ func TestSharedRegionReadsZerosBeforeFirstStore(t *testing.T) {
 	}
 	if err := s.Load(1<<63, make([]byte, 1)); err == nil {
 		t.Fatal("a load far past the region's end was accepted")
+	}
+}
+
+// TestBuildFailureReturnsFrames: a build the machine refuses part-way —
+// its driver was granted a frame the machine does not have, for the SECS
+// (ECREATE), the control page (EADD) or the first TCS (EADDTCS) — gives
+// back every frame it took and leaves no enclave behind.
+func TestBuildFailureReturnsFrames(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		bad  int // the grant that goes past the EPC, from 1
+	}{{"ECREATE", 1}, {"EADD", 2}, {"EADDTCS", 3}} {
+		t.Run(tc.name, func(t *testing.T) {
+			m, err := sgx.NewMachine(sgx.Config{Name: "grant", Quantum: 2000})
+			if err != nil {
+				t.Fatal(err)
+			}
+			signer, err := tcb.NewSigningIdentity()
+			if err != nil {
+				t.Fatal(err)
+			}
+			mgr := epcman.New(m, nil)
+			n, next := 0, m.NumFrames()
+			mgr.SetFrameSource(func() (sgx.FrameIndex, error) {
+				if n++; n == tc.bad {
+					return sgx.FrameIndex(m.NumFrames()), nil
+				}
+				next--
+				return sgx.FrameIndex(next), nil
+			})
+			ledger.Check(t,
+				ledger.Holding{Kind: "enclaves", Excess: m.LiveEnclaves},
+				ledger.Holding{Kind: "stray EPC frames", Excess: mgr.StrayFrames})
+			host := &Host{Mgr: mgr, Disp: epcman.NewDispatcher(m)}
+			if rt, err := Build(host, simpleApp("grant", func(*Call) AppStatus { return AppDone }), signer); err == nil {
+				_ = rt.Destroy()
+				t.Fatal("build on a frame past the EPC succeeded")
+			}
+		})
 	}
 }

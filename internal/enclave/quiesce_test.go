@@ -29,10 +29,7 @@ func newQuiesceWorld(t *testing.T) *quiesceWorld {
 	t.Helper()
 	// A short quantum brings an entered worker back out of the spin
 	// region by AEX, as a timer interrupt would.
-	w, err := sim.NewWorldConfig(sim.Config{Machines: 2, Quantum: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := sim.NewTestWorld(t, sim.Config{Machines: 2, Quantum: 64})
 	dep := w.Deploy(testapps.CounterApp(2))
 	warm, err := enclave.BuildSigned(w.Hosts[1], dep.App, dep.Sig)
 	if err != nil {
@@ -71,7 +68,7 @@ func (q *quiesceWorld) enterOnce(t *testing.T) {
 // migrate runs a migration of the source to the second machine; out is the
 // source's side, run with the transport's source end.
 func (q *quiesceWorld) migrate(out func(core.Transport) error) (*core.Incoming, error, error) {
-	src, tgt := core.NewPipe()
+	src, tgt := q.Pipe()
 	type result struct {
 		inc *core.Incoming
 		err error
@@ -83,6 +80,9 @@ func (q *quiesceWorld) migrate(out func(core.Transport) error) (*core.Incoming, 
 	}()
 	outErr := out(src)
 	r := <-in
+	if r.inc != nil {
+		q.Own(r.inc.Runtime)
+	}
 	return r.inc, outErr, r.err
 }
 
@@ -182,6 +182,24 @@ func TestCoreDumpRefusedWhenWorkerEntersAfterQuiescence(t *testing.T) {
 	if res, err := inc.Runtime.ECall(0, testapps.CounterGet); err != nil || res[0] != 7 {
 		t.Fatalf("migrated counter = %d, %v; want 7", res[0], err)
 	}
+}
+
+// TestOwnerCheckpointRefusedWhenWorkerEntersAfterQuiescence: the same
+// entry during an owner's snapshot (core.OwnerCheckpoint) fails it with the
+// same refusal, and the snapshot cancels: the enclave serves calls again
+// and the entered call completes there.
+func TestOwnerCheckpointRefusedWhenWorkerEntersAfterQuiescence(t *testing.T) {
+	q := newQuiesceWorld(t)
+	q.enterOnce(t)
+	blob, err := core.OwnerCheckpoint(q.Owner, q.src)
+	var ee *enclave.EnclaveError
+	if !errors.As(err, &ee) || !strings.Contains(ee.Error(), "workers not quiescent") || blob != nil {
+		t.Fatalf("OwnerCheckpoint = %d bytes, %v; want the dump's not-quiescent refusal", len(blob), err)
+	}
+	if res, err := q.src.ECall(0, testapps.CounterGet); err != nil || res[0] != 7 {
+		t.Fatalf("source after the refused snapshot: counter %d, %v; want 7", res[0], err)
+	}
+	q.finishEntered(t)
 }
 
 // TestQuiescenceWaitsForEntryPastGate: an ecall that passed the entry gate

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/epcman"
+	"repro/internal/ledger"
 	"repro/internal/sgx"
 	"repro/internal/tcb"
 )
@@ -266,6 +267,7 @@ func BuildSigned(host *Host, app *App, ss sgx.SigStruct, opts ...BuildOption) (*
 			return err
 		}
 		if err := m.EADD(f, eid, lin, sgx.PermR|sgx.PermW, content); err != nil {
+			host.Mgr.ReturnFrame(f)
 			return err
 		}
 		host.Mgr.NotePage(eid, lin, f)
@@ -322,6 +324,7 @@ func (rt *Runtime) addAllPages(addReg func(sgx.PageNum, *sgx.Page, bool) error) 
 		}
 		params := sgx.TCSParams{Entry: uint32(tid), NSSA: uint32(layout.NSSA), OSSA: layout.SSABase(tid)}
 		if err := m.EADDTCS(f, eid, layout.TCSPage(tid), params); err != nil {
+			rt.host.Mgr.ReturnFrame(f)
 			return err
 		}
 		rt.extraFrames = append(rt.extraFrames, f)
@@ -787,7 +790,7 @@ func (rt *Runtime) PauseWorkers() {
 // interrupts: from here on ECall refuses new entries, and one that passed
 // its check just before takes the interrupt at its first step.
 func (rt *Runtime) RequestMigration() {
-	rt.migrating.Store(true)
+	quiesced.Take(&rt.migrating)
 	for _, ws := range rt.workers {
 		ws.lp.Interrupt()
 	}
@@ -795,7 +798,11 @@ func (rt *Runtime) RequestMigration() {
 
 // EndMigration clears migration mode (after completion or cancel) and lets
 // ECall enter again.
-func (rt *Runtime) EndMigration() { rt.migrating.Store(false) }
+func (rt *Runtime) EndMigration() { quiesced.Give(&rt.migrating) }
+
+// quiesced counts the runtimes in migration mode that are not destroyed: a
+// migration that ends in neither commit nor cancel leaves its source here.
+var quiesced = ledger.New("quiesced-runtime")
 
 // InterruptWorkers re-kicks workers that have not yet parked.
 func (rt *Runtime) InterruptWorkers() {
@@ -856,6 +863,9 @@ func (rt *Runtime) Destroy() error {
 	for _, f := range rt.extraFrames {
 		rt.host.Mgr.ReturnFrame(f)
 	}
+	// No thread is inside any more, and every drive loop checks dead
+	// before the migration flag.
+	rt.EndMigration()
 	return nil
 }
 

@@ -217,6 +217,28 @@ func (g *Manager) FreeFrames() int {
 	return len(g.free)
 }
 
+// StrayFrames reports how many of the manager's frames are neither on its
+// free list nor in use on the machine: frames AllocFrame handed out that no
+// page took and ReturnFrame did not take back. A frame the machine does not
+// have (a grant past its EPC) is never in use. It is 0 whenever no build,
+// page-in or swap is under way.
+func (g *Manager) StrayFrames() int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	free := make(map[sgx.FrameIndex]bool, len(g.free))
+	for _, f := range g.free {
+		free[f] = true
+	}
+	n := 0
+	for _, f := range g.frames {
+		inUse := int(f) < g.m.NumFrames() && !g.m.FrameFree(f)
+		if !free[f] && !inUse {
+			n++
+		}
+	}
+	return n
+}
+
 // AllocFrame returns a free frame, evicting a resident page if necessary.
 func (g *Manager) AllocFrame() (sgx.FrameIndex, error) {
 	g.mu.Lock()

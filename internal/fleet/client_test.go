@@ -59,6 +59,7 @@ func TestRequestRedialsAfterDaemonRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	testhost.Check(t, h)
 	t.Cleanup(h.Close)
 	ids := launchOn(t, h.Addr, 1)
 	if err := h.Restart(); err != nil {

@@ -22,9 +22,9 @@ import (
 // enclave ends live on exactly one host or is tallied Lost (the
 // protocol's accepted loss window between the source's key-release
 // commit point and the target's restore), the drained host holds no
-// sessions and no EPC frames beyond the manager's VA page, the targets'
-// EPC usage is exactly accounted by their live enclaves, the inflight
-// gauges are back at 0, and no goroutine outlives the sweep. The same fleet
+// sessions, no host holds an enclave without a session or a stray EPC
+// frame (the fleet's ledger check), the inflight gauges are back at 0,
+// and no goroutine outlives the sweep. The same fleet
 // also drains clean at one and at four migrations per host, where every
 // enclave must move.
 func TestDrainConvergesUnderFaults(t *testing.T) {
@@ -70,6 +70,7 @@ func drainConverges(t *testing.T, inflight int, faulted bool) {
 	if err != nil {
 		t.Fatalf("start fleet: %v", err)
 	}
+	testhost.Check(t, hosts...)
 	defer testhost.CloseAll(hosts)
 	met := telemetry.NewMetrics()
 	f, err := fleet.New(fleet.Config{
@@ -105,14 +106,6 @@ func drainConverges(t *testing.T, inflight int, faulted bool) {
 	mu.Unlock()
 	if ops < 6 {
 		t.Fatalf("probe counted %d transport ops, too few to sweep", ops)
-	}
-
-	// Target-side EPC cost of one restored enclave, measured from the
-	// probe: everything h1 uses beyond the manager's one VA page.
-	h1Stats := pollStats(t, hosts[1].Addr)
-	perEnclave := h1Stats.TotalEPC - h1Stats.FreeEPC - 1
-	if perEnclave < 1 {
-		t.Fatalf("probe enclave consumed no EPC on target: %+v", h1Stats)
 	}
 
 	ids := launchOn(t, hosts[0].Addr, enclaves)
@@ -162,9 +155,6 @@ func drainConverges(t *testing.T, inflight int, faulted bool) {
 	if len(src.Stats.Live) != 0 || len(src.Stats.Dead) != 0 {
 		t.Fatalf("drained host still holds sessions: %+v", src.Stats)
 	}
-	if used := src.Stats.TotalEPC - src.Stats.FreeEPC; used > 1 {
-		t.Fatalf("drained host leaked EPC: %d frames still used (1 VA page allowed)", used)
-	}
 
 	// The single-instance guarantee, checked by machine over the merged
 	// journal, the hosts' listings and the drain's results: never two live
@@ -181,19 +171,9 @@ func drainConverges(t *testing.T, inflight int, faulted bool) {
 		}
 	}
 
-	// Target EPC is exactly accounted: live enclaves times the measured
-	// per-enclave cost, plus at most the one VA page per manager — aborted
-	// half-restores from Lost migrations must have returned their frames.
+	// Aborted half-restores from Lost migrations returned their enclaves
+	// and frames: the ledger check sees that at teardown.
 	for _, st := range snap {
-		if st.Addr == hosts[0].Addr {
-			continue
-		}
-		used := st.Stats.TotalEPC - st.Stats.FreeEPC
-		slack := used - perEnclave*len(st.Stats.Live)
-		if slack < 0 || slack > 1 {
-			t.Fatalf("host %s EPC unaccounted: %d used, %d live enclaves × %d frames (slack %d)",
-				st.Addr, used, len(st.Stats.Live), perEnclave, slack)
-		}
 		if len(st.Stats.Dead) != 0 {
 			t.Fatalf("host %s holds dead sessions: %v", st.Addr, st.Stats.Dead)
 		}
@@ -224,15 +204,6 @@ func drainConverges(t *testing.T, inflight int, faulted bool) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-}
-
-func pollStats(t *testing.T, addr string) hostproto.HostStats {
-	t.Helper()
-	resp, err := fleet.Request(addr, hostproto.Command{Op: hostproto.OpStats}, 10*time.Second)
-	if err != nil {
-		t.Fatalf("stats %s: %v", addr, err)
-	}
-	return resp.Stats
 }
 
 // TestDrainUnknownHost pins the error paths that need no fleet I/O.

@@ -51,6 +51,7 @@ func TestDrainJournalAudit(t *testing.T) {
 	if err != nil {
 		t.Fatalf("start fleet: %v", err)
 	}
+	testhost.Check(t, hosts...)
 	defer testhost.CloseAll(hosts)
 	met := telemetry.NewMetrics()
 	f, err := fleet.New(fleet.Config{

@@ -20,6 +20,7 @@ func startFleet(t testing.TB, n int, opt testhost.Options) ([]*testhost.Host, *f
 	if err != nil {
 		t.Fatalf("start fleet: %v", err)
 	}
+	testhost.Check(t, hosts...)
 	t.Cleanup(func() { testhost.CloseAll(hosts) })
 	met := telemetry.NewMetrics()
 	f, err := fleet.New(fleet.Config{

@@ -354,6 +354,13 @@ func (s *Server) Stats() hostproto.HostStats {
 	return st
 }
 
+// Unowned reports what the daemon holds that none of its sessions needs:
+// live enclaves beyond its sessions, and EPC frames that are neither free
+// nor an enclave's. Both are 0 on a daemon that leaks nothing.
+func (s *Server) Unowned() (enclaves, frames int) {
+	return s.machine.LiveEnclaves() - s.sessions.Len(), s.host.Mgr.StrayFrames()
+}
+
 // events answers OpEvents: the journal tail after the request's cursor
 // plus a counter snapshot, from which the fleet federator builds the
 // merged event stream and per-host rate series.

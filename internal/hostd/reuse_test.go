@@ -77,6 +77,7 @@ func TestFaultedHopNeverReturnsItsConnection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	testhost.Check(t, src)
 	t.Cleanup(src.Close)
 	dst := startHost(t, "beta", 22, 0)
 

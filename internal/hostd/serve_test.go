@@ -8,10 +8,48 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/attest"
 	"repro/internal/core"
 	"repro/internal/hostproto"
+	"repro/internal/ledger"
 	"repro/internal/testapps"
 )
+
+// newDaemon is New for a test, with a 256-frame EPC: when t ends, every
+// ledger count must have come back and the daemon must hold no enclave
+// without a session and no stray EPC frame (ledger.Check).
+func newDaemon(t *testing.T, name string) *Server {
+	t.Helper()
+	s, err := New(name, "test-secret", 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ledger.Check(t,
+		ledger.Holding{Kind: "enclaves without a session on " + name, Excess: func() int {
+			n, _ := s.Unowned()
+			return n
+		}},
+		ledger.Holding{Kind: "stray EPC frames on " + name, Excess: func() int {
+			_, n := s.Unowned()
+			return n
+		}})
+	return s
+}
+
+// TestLaunchProvisionFailure: a launch whose owner cannot attest the new
+// instance — its attestation service knows no machine — fails, and the
+// instance is destroyed rather than left running without a session.
+func TestLaunchProvisionFailure(t *testing.T) {
+	s := newDaemon(t, "alpha")
+	ids := hostproto.DeriveIdentities("test-secret")
+	s.owner = core.NewOwnerFromSeeds(attest.NewServiceFromSeed(ids.ServiceSeed), ids.SignerSeed, ids.EnclaveSeed, ids.Kencrypt)
+	if resp := s.launch("counter"); resp.Err == "" {
+		t.Fatalf("launch provisioned by an owner that cannot attest this machine: %+v", resp)
+	}
+	if n := s.sessions.Len(); n != 0 {
+		t.Fatalf("%d sessions after the failed launch", n)
+	}
+}
 
 // clockedConn stands in for a daemon's socket. It records the read and
 // write deadlines set on it and shrinks each real one to tick from now, so a
@@ -86,10 +124,7 @@ func servePipe(s *Server, tick time.Duration) (peer net.Conn, conn *clockedConn,
 // When it runs out the connection is closed and serve, the goroutine the
 // peer was holding, returns.
 func TestServeDropsSilentPeer(t *testing.T) {
-	s, err := New("alpha", "test-secret", 256)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newDaemon(t, "alpha")
 	for name, opening := range map[string][]byte{
 		"nothing":                nil,
 		"a 16 MiB length prefix": binary.LittleEndian.AppendUint32(nil, hostproto.MaxMessage),
@@ -121,10 +156,7 @@ func TestServeDropsSilentPeer(t *testing.T) {
 // (A migrate-in keeps a clock per message instead:
 // TestMigrateInDropsPeerSilentAfterImage.)
 func TestServeClearsDeadlineAfterCommand(t *testing.T) {
-	s, err := New("alpha", "test-secret", 256)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newDaemon(t, "alpha")
 	peer, conn, served := servePipe(s, 200*time.Millisecond)
 	defer peer.Close()
 	const commands = 3
@@ -160,10 +192,7 @@ func TestServeClearsDeadlineAfterCommand(t *testing.T) {
 // write fails when it runs out, the connection is closed and the goroutine
 // returns.
 func TestServeDropsPeerThatStopsReading(t *testing.T) {
-	s, err := New("alpha", "test-secret", 256)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newDaemon(t, "alpha")
 	peer, conn, served := servePipe(s, 250*time.Millisecond)
 	defer peer.Close()
 	if err := hostproto.Write(peer, hostproto.Command{Op: hostproto.OpEvents}); err != nil {
@@ -192,17 +221,8 @@ func TestServeDropsPeerThatStopsReading(t *testing.T) {
 // once the checkpoint was in; what it did hold, for good, was the goroutine
 // and the socket, because only the first message of a connection was timed.)
 func TestMigrateInDropsPeerSilentAfterImage(t *testing.T) {
-	s, err := New("alpha", "test-secret", 256)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newDaemon(t, "alpha")
 	s.EnableTelemetry(1)
-	// A resident enclave first, so the pool's one-time VA page is in place
-	// when the baseline is taken.
-	if resp := s.launch("counter"); resp.Err != "" {
-		t.Fatal(resp.Err)
-	}
-	baseline := s.host.Mgr.FreeFrames()
 	dep, _ := s.registry.Lookup("counter")
 
 	// The honest part of the exchange has to fit the shrunken clock.
@@ -241,13 +261,6 @@ func TestMigrateInDropsPeerSilentAfterImage(t *testing.T) {
 	if st := s.Stats(); st.InflightIn != 0 {
 		t.Fatalf("InflightIn = %d after the stream ended", st.InflightIn)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for s.host.Mgr.FreeFrames() != baseline {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d free frames, %d before the peer connected", s.host.Mgr.FreeFrames(), baseline)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
 	// First message, key exchange, image, checkpoint: each on a clock,
 	// none of them lifted; the failed migration ends the connection, so
 	// there is no wait for a next command.
@@ -270,10 +283,7 @@ func TestMigrateInDropsPeerSilentAfterImage(t *testing.T) {
 // clock too, so the silence fails the migration, the source cancels, and
 // the enclave resumes — still listed, still serving calls.
 func TestMigrateOutDropsSilentTarget(t *testing.T) {
-	s, err := New("alpha", "test-secret", 256)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newDaemon(t, "alpha")
 	launched := s.launch("counter")
 	if launched.Err != "" {
 		t.Fatal(launched.Err)

@@ -17,6 +17,7 @@ import (
 	"repro/internal/attest"
 	"repro/internal/core"
 	"repro/internal/enclave"
+	"repro/internal/ledger"
 	"repro/internal/sgx"
 	"repro/internal/tcb"
 	"repro/internal/telemetry"
@@ -241,12 +242,18 @@ var swapBatchPool = sync.Pool{
 // getSwapBatch hands out an empty batch with swapChunkPages capacity. Pair
 // with putSwapBatch once the batch's pages are installed (or dropped).
 func getSwapBatch() []*sgx.MigratedPage {
+	swapBatches.Add(1)
 	return swapBatchPool.Get().([]*sgx.MigratedPage)[:0]
 }
+
+// swapBatches counts the batches getSwapBatch handed out that putSwapBatch
+// has not had back.
+var swapBatches = ledger.New("swap-batch")
 
 // putSwapBatch returns a drained batch to the pool, dropping the page
 // pointers first so the pool does not pin sealed page content.
 func putSwapBatch(b []*sgx.MigratedPage) {
+	swapBatches.Add(-1)
 	for i := range b {
 		b[i] = nil
 	}

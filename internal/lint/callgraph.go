@@ -7,8 +7,8 @@ import (
 )
 
 // This file builds the module-wide call graph the interprocedural analyses
-// (summary.go's bottom-up solver and its clients: leakcheck, immutable,
-// lockorder, plainflow) run over.
+// (summary.go's bottom-up solver and its clients: immutable, lockorder,
+// plainflow) run over.
 //
 // Nodes are the module's declared functions and methods (*types.Func with a
 // body in the loaded program). Edges are:
@@ -258,4 +258,25 @@ func (g *CallGraph) condense(order []*types.Func) {
 			visit(fn)
 		}
 	}
+}
+
+// paramsOf lists a function's parameter objects, receiver first.
+func paramsOf(fn *types.Func) []*types.Var {
+	sig := fn.Type().(*types.Signature)
+	var out []*types.Var
+	if r := sig.Recv(); r != nil {
+		out = append(out, r)
+	}
+	for i := 0; i < sig.Params().Len(); i++ {
+		out = append(out, sig.Params().At(i))
+	}
+	return out
+}
+
+// identObj is the object an identifier uses or defines.
+func identObj(pkg *Package, id *ast.Ident) types.Object {
+	if obj := pkg.Info.Uses[id]; obj != nil {
+		return obj
+	}
+	return pkg.Info.Defs[id]
 }

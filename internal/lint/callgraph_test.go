@@ -5,10 +5,11 @@ import (
 	"testing"
 )
 
-// loadLeakFixture loads the leakcheck fixture module and its call graph.
-func loadLeakFixture(t *testing.T) *CallGraph {
+// loadImmutFixture loads the immutable rule's fixture module and its call
+// graph.
+func loadImmutFixture(t *testing.T) *CallGraph {
 	t.Helper()
-	root, err := filepath.Abs(filepath.Join("testdata", "src", "leak"))
+	root, err := filepath.Abs(filepath.Join("testdata", "src", "immut"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,7 +24,7 @@ func loadLeakFixture(t *testing.T) *CallGraph {
 // relies on: SCCs come out in bottom-up order, so every edge lands in a
 // component at or before its caller's.
 func TestCallGraphBottomUp(t *testing.T) {
-	g := loadLeakFixture(t)
+	g := loadImmutFixture(t)
 	if len(g.SCCs()) == 0 {
 		t.Fatal("empty condensation")
 	}
@@ -40,21 +41,22 @@ func TestCallGraphBottomUp(t *testing.T) {
 }
 
 // TestCallGraphEdges spot-checks resolved edges and recursion detection on
-// the fixture: GoodViaHelper statically calls its helpers, and releaseRec
-// is self-recursive (its own one-function SCC with a self-edge).
+// the fixture: NewRegisteredVia calls registerVia, which calls register,
+// and noteDeep is self-recursive (its own one-function SCC with a
+// self-edge).
 func TestCallGraphEdges(t *testing.T) {
-	g := loadLeakFixture(t)
+	g := loadImmutFixture(t)
 	byName := make(map[string]int) // function name -> SCC index
-	var releaseRecEdges []string
+	var recEdges []string
 	for _, comp := range g.SCCs() {
 		for _, fn := range comp {
 			byName[fn.Name()] = g.sccIndex[fn]
-			if fn.Name() == "releaseRec" {
+			if fn.Name() == "noteDeep" {
 				for _, c := range g.callees[fn] {
-					releaseRecEdges = append(releaseRecEdges, c.Name())
+					recEdges = append(recEdges, c.Name())
 				}
 				if !g.selfRecursive(fn) {
-					t.Error("releaseRec should be self-recursive")
+					t.Error("noteDeep should be self-recursive")
 				}
 				if !g.SameSCC(fn, fn) {
 					t.Error("SameSCC should hold reflexively for graph members")
@@ -62,23 +64,23 @@ func TestCallGraphEdges(t *testing.T) {
 			}
 		}
 	}
-	for _, name := range []string{"GoodViaHelper", "cleanup", "build", "releaseRec", "AllocFrame"} {
+	for _, name := range []string{"NewRegisteredVia", "registerVia", "register", "noteDeep", "NewNotedDeep"} {
 		if _, ok := byName[name]; !ok {
 			t.Fatalf("%s missing from call graph", name)
 		}
 	}
 	// Callees sit in earlier (or equal, for recursion) components.
-	if byName["cleanup"] >= byName["GoodViaHelper"] || byName["build"] >= byName["GoodViaHelper"] {
-		t.Errorf("helpers should condense before GoodViaHelper: cleanup=%d build=%d caller=%d",
-			byName["cleanup"], byName["build"], byName["GoodViaHelper"])
+	if byName["register"] >= byName["registerVia"] || byName["registerVia"] >= byName["NewRegisteredVia"] {
+		t.Errorf("helpers should condense before their callers: register=%d registerVia=%d caller=%d",
+			byName["register"], byName["registerVia"], byName["NewRegisteredVia"])
 	}
 	found := false
-	for _, e := range releaseRecEdges {
-		if e == "releaseRec" {
+	for _, e := range recEdges {
+		if e == "noteDeep" {
 			found = true
 		}
 	}
 	if !found {
-		t.Errorf("releaseRec should have a self-edge, has %v", releaseRecEdges)
+		t.Errorf("noteDeep should have a self-edge, has %v", recEdges)
 	}
 }

@@ -1,8 +1,6 @@
 // Package lint implements sgxlint, a repo-specific static-analysis suite
 // that encodes the paper's security argument as compile-time invariants:
 //
-//   - trustboundary: untrusted packages may not forge hardware-sealed SGX
-//     state (the EPCM ownership checks, mirrored in the type system).
 //   - cryptononce: every AES-GCM Seal call must derive its nonce from an
 //     approved source, and sealing paths must bind non-empty AAD.
 //   - determinism: trusted packages may not read nondeterministic inputs
@@ -22,14 +20,9 @@
 //   - immutable: fields annotated "// immutable after construction" may
 //     only be written by the declaring package's constructors (or composite
 //     literals), before the new value escapes the constructing frame.
-//   - leakcheck: acquire/release resource pairing over the module-wide call
-//     graph — every EPC frame, prepared migration session, quiesced source,
-//     and telemetry span must reach a release or escape to a live owner on
-//     every CFG path, with interprocedural credit for callees whose
-//     bottom-up summary performs the release.
 //
-// The five flow rules (lockdiscipline, lockorder, plainflow, immutable,
-// leakcheck) are clients of one engine: per-function CFGs and a forward
+// The four flow rules (lockdiscipline, lockorder, plainflow, immutable)
+// are clients of one engine: per-function CFGs and a forward
 // dataflow solver (cfg.go, dataflow.go), the module call graph with
 // interface dispatch (callgraph.go), and a bottom-up SCC summary solver
 // (summary.go). The two lock rules are two reports over one lock model
@@ -77,10 +70,6 @@ type Config struct {
 	// boundary: they may touch enclave-private state and are held to the
 	// determinism rule.
 	TrustedPackages []string
-	// RestrictedTypes ("importpath.TypeName") are hardware-sealed or
-	// hardware-produced structures that only trusted packages may construct
-	// or mutate field-by-field.
-	RestrictedTypes []string
 	// ApprovedNonceFns are function names whose results are acceptable
 	// AES-GCM nonces.
 	ApprovedNonceFns []string
@@ -96,30 +85,6 @@ type Config struct {
 	// TaintSanitizers are function identities that re-protect plaintext
 	// (seal/encrypt/hash); their results are clean regardless of inputs.
 	TaintSanitizers []string
-
-	// Resources are the acquire/release pairs the leakcheck rule enforces
-	// module-wide. An empty list disables the rule (fixture configs opt in
-	// explicitly).
-	Resources []Resource
-}
-
-// Resource describes one resource lifecycle for the leakcheck rule.
-type Resource struct {
-	// Kind labels the resource in diagnostics ("epc-frame", "span", ...).
-	Kind string
-	// Acquires are acquiring function identities in types.Func.FullName
-	// form. Plain "FullName" means the call's first result holds the
-	// resource (conventionally paired with a trailing error result);
-	// "FullName@argN" means calling it places argument N into the acquired
-	// state — used for core.Prepare, which quiesces the enclave passed to
-	// it.
-	Acquires []string
-	// Releases are function identities that release the resource when it
-	// appears as the receiver or any argument. Releases performed deeper in
-	// the call tree need no entry here: the bottom-up summary propagates
-	// them (a helper that calls Runtime.Destroy is credited with the
-	// release).
-	Releases []string
 }
 
 // DefaultConfig returns the rule configuration for this repository's module
@@ -131,13 +96,6 @@ func DefaultConfig(modPath string) *Config {
 			modPath + "/internal/sgx",
 			modPath + "/internal/tcb",
 			modPath + "/internal/hwext",
-		},
-		RestrictedTypes: []string{
-			modPath + "/internal/sgx.EvictedPage",
-			modPath + "/internal/sgx.MigratedPage",
-			modPath + "/internal/sgx.MigratedSECS",
-			modPath + "/internal/sgx.SigStruct",
-			modPath + "/internal/sgx.Context",
 		},
 		ApprovedNonceFns: []string{
 			"RandomBytes",
@@ -184,114 +142,6 @@ func DefaultConfig(modPath string) *Config {
 			modPath + "/internal/tcb.MAC",
 			modPath + "/internal/tcb.DeriveKey",
 		},
-		Resources: []Resource{
-			{
-				Kind:     "epc-frame",
-				Acquires: []string{"(*" + modPath + "/internal/epcman.Manager).AllocFrame"},
-				Releases: []string{
-					"(*" + modPath + "/internal/epcman.Manager).ReturnFrame",
-					// NotePage hands the frame to the manager's page table:
-					// from then on eviction/teardown owns it.
-					"(*" + modPath + "/internal/epcman.Manager).NotePage",
-				},
-			},
-			{
-				Kind: "built-enclave",
-				Acquires: []string{
-					modPath + "/internal/enclave.Build",
-					modPath + "/internal/enclave.BuildSigned",
-				},
-				// Helpers that call Runtime.Destroy need no entry: the
-				// summary solver credits them.
-				Releases: []string{"(*" + modPath + "/internal/enclave.Runtime).Destroy"},
-			},
-			{
-				Kind: "prepared-source",
-				Acquires: []string{
-					modPath + "/internal/core.MigrateOutChannel",
-					modPath + "/internal/core.migrateOutChannel",
-				},
-				Releases: []string{
-					"(*" + modPath + "/internal/core.PreparedSource).Release",
-					"(*" + modPath + "/internal/core.PreparedSource).Commit",
-					"(*" + modPath + "/internal/core.PreparedSource).Cancel",
-				},
-			},
-			{
-				Kind:     "prepared-target",
-				Acquires: []string{modPath + "/internal/core.MigrateInPrepare"},
-				Releases: []string{
-					"(*" + modPath + "/internal/core.PreparedTarget).Finish",
-					"(*" + modPath + "/internal/core.PreparedTarget).Rebuild",
-					"(*" + modPath + "/internal/core.PreparedTarget).Abort",
-				},
-			},
-			{
-				Kind: "quiesced-source",
-				// Prepare quiesces the runtime passed as its first argument;
-				// on error it self-cancels, which the err-pairing encodes.
-				Acquires: []string{modPath + "/internal/core.Prepare@arg0"},
-				Releases: []string{
-					modPath + "/internal/core.Cancel",
-					"(*" + modPath + "/internal/enclave.Runtime).EndMigration",
-					// Destroying the runtime ends its quiescence with it.
-					"(*" + modPath + "/internal/enclave.Runtime).Destroy",
-				},
-			},
-			{
-				Kind: "pooled-buf",
-				// The wire codec's page/frame buffers come from a sync.Pool;
-				// a Get that can return without a Put (directly or via
-				// PageFrame.Release / a callee that puts on every path)
-				// leaks the buffer back to the allocator and defeats the
-				// pool.
-				Acquires: []string{modPath + "/internal/core.GetBuf"},
-				Releases: []string{modPath + "/internal/core.PutBuf"},
-			},
-			{
-				Kind: "ckpt-buf",
-				// The enclave's checkpoint buffers hold plaintext and are
-				// wiped on the way back to their pool; one that is dropped
-				// instead keeps its contents until the collector reuses
-				// the memory.
-				Acquires: []string{modPath + "/internal/enclave.getCkptBuf"},
-				Releases: []string{modPath + "/internal/enclave.putCkptBuf"},
-			},
-			{
-				Kind: "frame-window",
-				// A migration's checkpoint window holds pooled frames —
-				// the checkpoint itself, up to ~8 MiB — until it is
-				// released; a path that drops the window leaks them to
-				// the collector instead of the next hop.
-				// A function that returns a window it acquired is listed
-				// too: its callers hold what it returns.
-				Acquires: []string{
-					modPath + "/internal/core.newFrameWindow",
-					modPath + "/internal/core.recvWindow",
-					modPath + "/internal/core.recvCheckpoint",
-				},
-				Releases: []string{"(*" + modPath + "/internal/core.frameWindow).release"},
-			},
-			{
-				Kind: "swap-batch",
-				// hwext's ESWPOUT→ESWPIN stream recycles page-batch slices.
-				Acquires: []string{modPath + "/internal/hwext.getSwapBatch"},
-				Releases: []string{modPath + "/internal/hwext.putSwapBatch"},
-			},
-			{
-				Kind: "span",
-				Acquires: []string{
-					"(*" + modPath + "/internal/telemetry.Tracer).Begin",
-					"(*" + modPath + "/internal/telemetry.Tracer).BeginRemote",
-					"(*" + modPath + "/internal/telemetry.Span).Child",
-					"(*" + modPath + "/internal/telemetry.Span).Fork",
-				},
-				Releases: []string{
-					"(*" + modPath + "/internal/telemetry.Span).End",
-					"(*" + modPath + "/internal/telemetry.Span).Fail",
-				},
-			},
-		},
 	}
 }
 
@@ -307,14 +157,12 @@ func (c *Config) trusted(importPath string) bool {
 // Checkers returns every rule, configured.
 func Checkers(cfg *Config) []Checker {
 	return []Checker{
-		&trustBoundary{cfg: cfg},
 		&cryptoNonce{cfg: cfg},
 		&determinism{cfg: cfg},
 		&lockDiscipline{},
 		&plainFlow{cfg: cfg},
 		&lockOrder{},
 		&immutable{},
-		&leakCheck{cfg: cfg},
 	}
 }
 

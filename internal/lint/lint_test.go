@@ -26,21 +26,6 @@ func runFixture(t *testing.T, fixture string, cfg *Config) []string {
 	return got
 }
 
-func TestTrustBoundaryFixture(t *testing.T) {
-	got := runFixture(t, "trust", &Config{
-		TrustedPackages: []string{"fxtrust/sgx"},
-		RestrictedTypes: []string{"fxtrust/sgx.EvictedPage"},
-	})
-	want := []string{
-		"host.go:9: trustboundary",  // composite literal in Forge
-		"host.go:10: trustboundary", // field write in Forge
-		"host.go:38: trustboundary", // Rebrand: field write through a carrying struct
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("got %v, want %v", got, want)
-	}
-}
-
 func TestCryptoNonceFixture(t *testing.T) {
 	got := runFixture(t, "nonce", &Config{
 		ApprovedNonceFns: []string{"RandomBytes", "counterNonce"},
@@ -153,33 +138,6 @@ func TestImmutableFixture(t *testing.T) {
 	}
 }
 
-// TestSpanPairFixture: leakcheck's span resource does the job of the
-// retired spanpair rule — the same four leaks on the same fixture, none of
-// the eight Good* functions (defer, all-paths, Fail, return/channel/
-// goroutine/field escapes), and the justified suppression honoured.
-func TestSpanPairFixture(t *testing.T) {
-	got := runFixture(t, "spans", &Config{
-		Resources: []Resource{{
-			Kind: "span",
-			Acquires: []string{
-				"(*fxspan/tel.Tracer).Begin",
-				"(*fxspan/tel.Span).Child",
-				"(*fxspan/tel.Span).Fork",
-			},
-			Releases: []string{"(*fxspan/tel.Span).End", "(*fxspan/tel.Span).Fail"},
-		}},
-	})
-	want := []string{
-		"app.go:71: leakcheck", // BadNeverEnded forgets the span entirely
-		"app.go:78: leakcheck", // BadEarlyReturn leaks on the error return
-		"app.go:90: leakcheck", // BadChild ends root but not the child
-		"app.go:98: leakcheck", // BadFork leaks the forked span
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("got %v, want %v", got, want)
-	}
-}
-
 // TestLockOrderFixture pins the order rule's exact findings. The cases after
 // line 98 are the shared-lock-model contract: Backoff's failed TryLock holds
 // nothing (a linear walk reports a false u/t cycle), Evict's second lock is
@@ -195,58 +153,6 @@ func TestLockOrderFixture(t *testing.T) {
 		"locks.go:41: lockorder",  // Add re-enters mu through bump
 		"locks.go:154: lockorder", // Evict holds cm across Flusher.Flush, which takes dm ...
 		"locks.go:161: lockorder", // ... while Sync takes cm after dm
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("got %v, want %v", got, want)
-	}
-}
-
-// TestLeakCheckFixture pins the leak rule's exact findings. The
-// interprocedural contract: GoodViaHelper/GoodRecursive release through
-// callees and must stay clean (a purely local analysis flags both),
-// while BadThroughCallee passes the resource to a callee that does not
-// release it and must still report.
-func TestLeakCheckFixture(t *testing.T) {
-	got := runFixture(t, "leak", &Config{
-		Resources: []Resource{
-			{
-				Kind:     "frame",
-				Acquires: []string{"(*fxleak/mgr.Mgr).AllocFrame"},
-				Releases: []string{"(*fxleak/mgr.Mgr).ReturnFrame", "(*fxleak/mgr.Mgr).Note"},
-			},
-			{
-				Kind:     "session",
-				Acquires: []string{"fxleak/mgr.Open"},
-				Releases: []string{"(*fxleak/mgr.Session).Close"},
-			},
-			{
-				Kind:     "quiesced",
-				Acquires: []string{"fxleak/mgr.Quiesce@arg0"},
-				Releases: []string{"fxleak/mgr.Unquiesce"},
-			},
-			{
-				Kind:     "buf",
-				Acquires: []string{"fxleak/mgr.GetBuf"},
-				Releases: []string{"fxleak/mgr.PutBuf"},
-			},
-			{
-				Kind:     "window",
-				Acquires: []string{"fxleak/mgr.NewWindow", "fxleak/app.recvWindow"},
-				Releases: []string{"(*fxleak/mgr.Window).Release"},
-			},
-		},
-	})
-	want := []string{
-		"app.go:39: leakcheck",  // BuildImage: pre-PR3-style post-build error leak
-		"app.go:77: leakcheck",  // BadThroughCallee: peek gives no release credit
-		"app.go:158: leakcheck", // BadDiscard: result dropped on the floor
-		"app.go:164: leakcheck", // BadOverwrite: re-acquire over a held frame
-		"app.go:180: leakcheck", // BadSession: early return skips Close
-		"app.go:202: leakcheck", // BadQuiesce: busy path skips Unquiesce
-		"app.go:227: leakcheck", // BadInLit: leak inside a function literal
-		"app.go:252: leakcheck", // BadBuf: refusal path drops the pooled buffer
-		"app.go:296: leakcheck", // BadWindow: channel failure drops the received window
-		"app.go:310: leakcheck", // BadGoBuf: a goroutine's failure path drops the buffer
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("got %v, want %v", got, want)

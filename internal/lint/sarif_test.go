@@ -15,8 +15,8 @@ func TestWriteSARIF(t *testing.T) {
 	diags := []Diagnostic{
 		{
 			Pos:     token.Position{Filename: "internal/vmm/livemig.go", Line: 42, Column: 7},
-			Rule:    "leakcheck",
-			Message: "epc-frame acquired here may not be released on the error path",
+			Rule:    "plainflow",
+			Message: "decrypted plaintext reaches an untrusted sink",
 		},
 		{
 			Pos:     token.Position{Filename: "internal/core/migrate.go", Line: 9},
@@ -86,7 +86,7 @@ func TestWriteSARIF(t *testing.T) {
 		t.Fatalf("rule catalogue has %d entries, want %d (every checker, found or not)",
 			len(run.Tool.Driver.Rules), len(checkers))
 	}
-	leakIdx := -1
+	flowIdx := -1
 	for i, r := range run.Tool.Driver.Rules {
 		if r.ID != checkers[i].Name() {
 			t.Errorf("rules[%d].id = %q, want %q", i, r.ID, checkers[i].Name())
@@ -94,21 +94,21 @@ func TestWriteSARIF(t *testing.T) {
 		if r.ShortDescription.Text == "" {
 			t.Errorf("rules[%d] (%s) has an empty shortDescription", i, r.ID)
 		}
-		if r.ID == "leakcheck" {
-			leakIdx = i
+		if r.ID == "plainflow" {
+			flowIdx = i
 		}
 	}
-	if leakIdx < 0 {
-		t.Fatal("leakcheck missing from the rule catalogue")
+	if flowIdx < 0 {
+		t.Fatal("plainflow missing from the rule catalogue")
 	}
 
 	if len(run.Results) != 2 {
 		t.Fatalf("want 2 results, got %d", len(run.Results))
 	}
 	r0 := run.Results[0]
-	if r0.RuleID != "leakcheck" || r0.RuleIndex != leakIdx || r0.Level != "error" {
-		t.Errorf("results[0] = ruleId %q index %d level %q, want leakcheck/%d/error",
-			r0.RuleID, r0.RuleIndex, r0.Level, leakIdx)
+	if r0.RuleID != "plainflow" || r0.RuleIndex != flowIdx || r0.Level != "error" {
+		t.Errorf("results[0] = ruleId %q index %d level %q, want plainflow/%d/error",
+			r0.RuleID, r0.RuleIndex, r0.Level, flowIdx)
 	}
 	if len(r0.Locations) != 1 {
 		t.Fatalf("results[0] has %d locations", len(r0.Locations))

@@ -13,14 +13,13 @@ import "go/types"
 // repeats until no member's summary changes. Summaries must therefore be
 // monotone in their callees' summaries and the summary domain must have
 // finite height for termination — true for the set/bitmask domains the
-// rules here use (released-resource, written-field and mutex sets, taint
-// masks).
+// rules here use (written-field and mutex sets, taint masks).
 //
-// The solver is deliberately generic over the summary type S: leakcheck
-// instantiates it with release/retain effect records, the immutable rule
-// with field-write records, lockorder with acquired-mutex sets, plainflow
-// with result-taint and sink-parameter records (Bottom = "no summary
-// yet"). The summary layer only sequences their Compute passes correctly.
+// The solver is deliberately generic over the summary type S: the
+// immutable rule instantiates it with field-write records, lockorder with
+// acquired-mutex sets, plainflow with result-taint and sink-parameter
+// records (Bottom = "no summary yet"). The summary layer only sequences
+// their Compute passes correctly.
 
 // SummaryAnalysis computes one function's summary given its syntax and a
 // getter for (current) callee summaries.

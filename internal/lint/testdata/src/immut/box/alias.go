@@ -95,3 +95,22 @@ func NewSelfPublished(id uint64) *Box {
 	b.ID = id // finding: Publish published its receiver
 	return b
 }
+
+// noteDeep keeps its argument in-frame through a self-recursive call: the
+// summary solver has to settle the recursive component to "does not
+// publish".
+func noteDeep(b *Box, n int) {
+	if n > 0 {
+		noteDeep(b, n-1)
+	}
+	_ = b.hits
+}
+
+// NewNotedDeep calls the recursive non-publishing helper and keeps
+// writing: allowed.
+func NewNotedDeep(id uint64) *Box {
+	b := &Box{}
+	noteDeep(b, 3)
+	b.ID = id
+	return b
+}

@@ -276,6 +276,14 @@ func (m *Machine) Name() string { return m.name }
 //lint:ignore lockdiscipline the frames slice header is immutable after NewMachine; only its elements need mu
 func (m *Machine) NumFrames() int { return len(m.frames) }
 
+// LiveEnclaves reports how many enclaves the machine holds: created and
+// not yet destroyed.
+func (m *Machine) LiveEnclaves() int {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	return len(m.enclaves)
+}
+
 // FrameFree reports whether an EPC frame is unused.
 func (m *Machine) FrameFree(f FrameIndex) bool {
 	m.mu.RLock()

@@ -8,6 +8,7 @@ import (
 	"repro/internal/attest"
 	"repro/internal/core"
 	"repro/internal/enclave"
+	"repro/internal/ledger"
 	"repro/internal/sgx"
 )
 
@@ -19,6 +20,8 @@ type World struct {
 	Machines []*sgx.Machine
 	Hosts    []*enclave.Host
 	Registry *core.Registry
+
+	tb TB // set by NewTestWorld: Launch and Own destroy at its end
 }
 
 // Config tunes world construction.
@@ -66,6 +69,34 @@ func NewWorldConfig(cfg Config) (*World, error) {
 	return w, nil
 }
 
+// TB is the part of testing.TB NewTestWorld uses.
+type TB interface {
+	ledger.TB
+	Fatal(args ...any)
+}
+
+// NewTestWorld boots a world for a test, failing t if it cannot, and
+// checks when t ends that every ledger count came back to where it stood
+// and that no machine holds an enclave or a stray EPC frame
+// (ledger.Check). The enclaves Launch builds are destroyed before the
+// check; the test hands every other enclave it was given to Own.
+func NewTestWorld(t TB, cfg Config) *World {
+	t.Helper()
+	w, err := NewWorldConfig(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.tb = t
+	var hs []ledger.Holding
+	for i, m := range w.Machines {
+		hs = append(hs,
+			ledger.Holding{Kind: "enclaves on " + m.Name(), Excess: m.LiveEnclaves},
+			ledger.Holding{Kind: "stray EPC frames on " + m.Name(), Excess: w.Hosts[i].Mgr.StrayFrames})
+	}
+	ledger.Check(t, hs...)
+	return w
+}
+
 // Deploy owner-configures an app, signs it and registers the deployment.
 func (w *World) Deploy(app *enclave.App) *core.Deployment {
 	w.Owner.ConfigureApp(app)
@@ -85,7 +116,29 @@ func (w *World) Launch(dep *core.Deployment, host int) (*enclave.Runtime, error)
 		_ = rt.Destroy()
 		return nil, err
 	}
-	return rt, nil
+	return w.Own(rt), nil
+}
+
+// Own destroys rt when the test of a NewTestWorld world ends, before the
+// world's ledger check. It returns rt, and does nothing in another world.
+func (w *World) Own(rt *enclave.Runtime) *enclave.Runtime {
+	if w.tb != nil {
+		w.tb.Cleanup(func() { _ = rt.Destroy() })
+	}
+	return rt
+}
+
+// Pipe is core.NewPipe, with both ends closed when the test of a
+// NewTestWorld world ends, so no frame stays queued in a pipe no one reads.
+func (w *World) Pipe() (core.Transport, core.Transport) {
+	a, b := core.NewPipe()
+	if w.tb != nil {
+		w.tb.Cleanup(func() {
+			_ = a.Close()
+			_ = b.Close()
+		})
+	}
+	return a, b
 }
 
 // Opts returns default migration options for this world.

@@ -313,3 +313,37 @@ func BenchmarkCheckpointOpenInPlace1M(b *testing.B) {
 		}
 	}
 }
+
+// TestLeavesNeverShareAKeystream: the same plaintext sealed as leaves 0..3
+// of one checkpoint gives four different ciphertext bodies under every
+// cipher. Each leaf's AAD binds its index, so a repeated GCM nonce would
+// still fail to open a moved leaf; only the bodies show the nonce reuse,
+// which hands an observer the XOR of two leaves' plaintexts.
+func TestLeavesNeverShareAKeystream(t *testing.T) {
+	key, _ := RandomKey()
+	salt := bytes.Repeat([]byte{7}, SaltSize)
+	hdr := []byte("marshalled-header")
+	const n, count = 4096, 4
+	pt := bytes.Repeat([]byte{0x5a}, n)
+	for _, c := range []CheckpointCipher{CipherAESGCM, CipherRC4, CipherDES} {
+		s, err := NewLeafSealer(c, key, salt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		size, _ := LeafSize(c, n)
+		bodies := make([][]byte, count)
+		for i := range bodies {
+			env := make([]byte, size)
+			copy(env, pt)
+			if err := s.Seal(env, n, hdr, uint32(i), count); err != nil {
+				t.Fatal(err)
+			}
+			bodies[i] = env[:n]
+			for j := range i {
+				if bytes.Equal(bodies[i], bodies[j]) {
+					t.Fatalf("cipher %d: leaves %d and %d sealed the same plaintext to the same body", c, j, i)
+				}
+			}
+		}
+	}
+}

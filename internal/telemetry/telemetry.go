@@ -17,8 +17,9 @@
 // and the metric instruments is a safe no-op on a nil receiver, so
 // instrumented code threads a possibly-nil handle through hot paths
 // without branching, and the disabled cost is a couple of nil checks
-// (see BenchmarkNopTracer). There is no global state; each migration,
-// benchmark run or daemon owns its own Tracer/Metrics pair.
+// (see BenchmarkNopTracer). Each migration, benchmark run or daemon owns
+// its own Tracer/Metrics pair; the one process-wide state is the ledger
+// count of open spans.
 //
 // Span taxonomy, metric names and how to open a trace in Perfetto are
 // documented in docs/TELEMETRY.md.
@@ -30,6 +31,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/ledger"
 )
 
 // Attr is one key/value annotation on a span. Values are strings so the
@@ -220,6 +223,7 @@ func (t *Tracer) beginRoot(name string, ctx Context, attrs []Attr) *Span {
 		s.traceID = ctx.TraceID
 		s.sampled = ctx.Sampled
 	}
+	openSpans.Add(1)
 	t.mu.Lock()
 	t.live[s.id] = s
 	if !s.sampled {
@@ -247,6 +251,7 @@ func (t *Tracer) newChild(parent *Span, name string, track uint64, attrs []Attr)
 		sampled:    parent.sampled,
 		attrs:      append([]Attr(nil), attrs...),
 	}
+	openSpans.Add(1)
 	t.mu.Lock()
 	t.live[s.id] = s
 	if !s.sampled {
@@ -259,6 +264,7 @@ func (t *Tracer) newChild(parent *Span, name string, track uint64, attrs []Attr)
 // record files a finished span. Called by Span.End without Span.mu held,
 // so the only lock nesting in the package is none at all.
 func (t *Tracer) record(s *Span, rec SpanRecord) {
+	openSpans.Add(-1)
 	t.mu.Lock()
 	delete(t.live, rec.ID)
 	if s.sampled {
@@ -294,6 +300,10 @@ func (t *Tracer) ByName(name string) []SpanRecord {
 	}
 	return out
 }
+
+// openSpans counts the spans of every tracer in the process that have
+// begun but not ended.
+var openSpans = ledger.New("span")
 
 // ActiveCount returns how many spans have begun but not ended — useful for
 // leak checks in tests and for the /debug/trace status line. Unsampled

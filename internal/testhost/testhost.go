@@ -2,7 +2,8 @@
 // localhost listeners, so tests and benchmarks can drive real TCP
 // migrations across N daemons without forking processes or copy-pasting
 // the harness. It deliberately does not depend on package testing:
-// internal/bench uses it for the drain ablation too.
+// internal/bench uses it for the drain ablation too, and Check takes the
+// part of testing.TB it needs.
 package testhost
 
 import (
@@ -11,6 +12,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/hostd"
+	"repro/internal/ledger"
 	"repro/internal/telemetry"
 )
 
@@ -137,6 +139,28 @@ func CloseAll(hs []*Host) {
 			h.Close()
 		}
 	}
+}
+
+// Check is ledger.Check for a fleet: when t ends, every ledger count must
+// have come back to where it stood, and the daemon each host serves then
+// (the last one, after a Restart) must hold no enclave without a session
+// and no stray EPC frame. Call it before registering the cleanup that
+// closes the hosts, so that it runs after it.
+func Check(t ledger.TB, hs ...*Host) {
+	t.Helper()
+	var holdings []ledger.Holding
+	for _, h := range hs {
+		holdings = append(holdings,
+			ledger.Holding{Kind: "enclaves without a session on " + h.name, Excess: func() int {
+				n, _ := h.S.Unowned()
+				return n
+			}},
+			ledger.Holding{Kind: "stray EPC frames on " + h.name, Excess: func() int {
+				_, n := h.S.Unowned()
+				return n
+			}})
+	}
+	ledger.Check(t, holdings...)
 }
 
 // Addrs returns the listen addresses of hs in order.

@@ -523,7 +523,8 @@ func (l *channelLeg) err() error {
 
 // unwind awaits the leg and releases whatever half of it came up: the
 // target's built enclave is destroyed, the source's migration cancelled. A
-// half that failed has already cleaned up after itself.
+// half that failed has already cleaned up after itself. The link closes
+// last, taking the abort messages neither half will read with it.
 func (l *channelLeg) unwind(reason string) {
 	<-l.done
 	if l.tgtErr == nil {
@@ -532,6 +533,7 @@ func (l *channelLeg) unwind(reason string) {
 	if l.srcErr == nil {
 		_ = l.ps.Cancel(reason)
 	}
+	_ = l.ts.Close()
 }
 
 // pollLegs looks at the legs without blocking: whether any is still running

@@ -12,6 +12,7 @@ import (
 	"repro/internal/attest"
 	"repro/internal/core"
 	"repro/internal/enclave"
+	"repro/internal/ledger"
 	"repro/internal/telemetry"
 	"repro/internal/testapps"
 )
@@ -61,7 +62,41 @@ func newCloud(t testing.TB) (*attest.Service, *core.Owner, *Node, *Node) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ledger.Check(t, append(nodeHoldings(src), nodeHoldings(dst)...)...)
 	return service, owner, src, dst
+}
+
+// nodeHoldings names what a node should hold no more of than its running
+// VMs need, for ledger.Check: enclaves beyond their processes, and EPC
+// frames stray from their guest drivers.
+func nodeHoldings(n *Node) []ledger.Holding {
+	running := func() []*VM {
+		n.mu.Lock()
+		defer n.mu.Unlock()
+		var vms []*VM
+		for _, vm := range n.vms {
+			if !vm.Dead() {
+				vms = append(vms, vm)
+			}
+		}
+		return vms
+	}
+	return []ledger.Holding{
+		{Kind: "enclaves without a process on " + n.Name, Excess: func() int {
+			want := 0
+			for _, vm := range running() {
+				want += len(vm.OS.Processes())
+			}
+			return n.Machine.LiveEnclaves() - want
+		}},
+		{Kind: "stray EPC frames on " + n.Name, Excess: func() int {
+			stray := 0
+			for _, vm := range running() {
+				stray += vm.OS.Host().Mgr.StrayFrames()
+			}
+			return stray
+		}},
+	}
 }
 
 // awaitCounting waits until every enclave of vm has counted: one of its

@@ -102,13 +102,11 @@ func interval(t *testing.T, tr *telemetry.Tracer, name string) (time.Duration, t
 // the pipelining story: the enclave dump span runs on its own track and
 // overlaps the memory transfer, every channel leg has ended before the
 // guest is paused, only key release is inside the window and the rebuild
-// follows it, every expected phase span is present, and no span leaks open.
+// follows it, and every expected phase span is present. No span is left
+// open: the world's ledger check sees that at teardown.
 func TestLiveMigrateTraceShape(t *testing.T) {
 	tr, stats, link := traceVM(t, false)
 
-	if n := tr.ActiveCount(); n != 0 {
-		t.Fatalf("%d spans still open after migration", n)
-	}
 	// vmm.dumpwait and vmm.channelwait are deliberately absent: they only
 	// appear when the dump or a channel leg outlasts pre-copy convergence,
 	// which a healthy pipeline avoids.
@@ -259,9 +257,6 @@ func checkRestoreAfterWindow(t *testing.T, tr *telemetry.Tracer, stats *LiveMigr
 func TestLiveMigrateTraceSerial(t *testing.T) {
 	tr, stats, _ := traceVM(t, true)
 
-	if n := tr.ActiveCount(); n != 0 {
-		t.Fatalf("%d spans still open after migration", n)
-	}
 	root := tr.ByName("vmm.livemigrate")[0]
 	dump := tr.ByName("vmm.dump")[0]
 	if dump.Track != root.Track {
