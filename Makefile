@@ -97,9 +97,10 @@ bench:
 
 # One iteration of every layer benchmark under the migration hot path
 # (sealer, EWB/ELDU, enclave teardown on a daemon-sized EPC, FaultIn on a
-# full pool, 8 MiB build and dump/restore, XOR-delta and chunk encoding, the
-# shaped pipe, a control message over loopback, the vmm page stream, a
-# fleet.Request round trip against a daemon), with
+# full pool, 8 MiB build and dump/restore, XOR-delta, page and chunk
+# encoding, the shaped pipe, a control message over loopback, the vmm page
+# stream and guest-memory stores, reads and page applies, a fleet.Request
+# round trip against a daemon), with
 # allocation counts: a smoke run that they still build and run, and the
 # quick look at a layer before reaching for benchmark/. Raise -benchtime for
 # numbers worth comparing.

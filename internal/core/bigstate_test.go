@@ -124,8 +124,6 @@ func TestRecvBulkBoundedByLayout(t *testing.T) {
 	app := testapps.CounterApp(1)
 	w.owner.ConfigureApp(app)
 	dep, reg := w.deploy(app)
-	warmHosts(t, w, dep)
-	frames := w.hostB.Mgr.FreeFrames()
 
 	// run plays a peer that announces the image and then sends ckpt.
 	run := func(ckpt func(Transport)) (error, uint64) {
@@ -159,7 +157,6 @@ func TestRecvBulkBoundedByLayout(t *testing.T) {
 		if allocated >= 1<<20 {
 			t.Fatalf("announcing %d frames made the receiver allocate %d bytes", n, allocated)
 		}
-		waitFrames(t, w.hostB.Mgr, frames, "target")
 	}
 
 	for _, tc := range []struct {
@@ -188,7 +185,6 @@ func TestRecvBulkBoundedByLayout(t *testing.T) {
 		if err, _ := run(tc.ckpt); !errors.Is(err, ErrProtocol) {
 			t.Fatalf("%s: %v, want ErrProtocol", tc.name, err)
 		}
-		waitFrames(t, w.hostB.Mgr, frames, "target after "+tc.name)
 	}
 }
 
@@ -204,8 +200,6 @@ func TestTamperedCheckpointRefused(t *testing.T) {
 	app := testapps.CounterApp(1)
 	w.owner.ConfigureApp(app)
 	dep, reg := w.deploy(app)
-	warmHosts(t, w, dep)
-	frames := w.hostB.Mgr.FreeFrames()
 	hdrLen := enclave.HeaderWireSize(app.Workers + 1)
 
 	src := w.launch(t, app)
@@ -234,12 +228,10 @@ func TestTamperedCheckpointRefused(t *testing.T) {
 		if _, err := OwnerResume(w.owner, w.hostB, dep, bad); err == nil {
 			t.Fatalf("%s: target resumed from a tampered checkpoint", tc.name)
 		}
-		waitFrames(t, w.hostB.Mgr, frames, "target after "+tc.name)
 	}
 	if _, err := OwnerResume(w.owner, w.hostB, dep, blob[:len(blob)-1]); err == nil {
 		t.Fatal("target resumed from a truncated checkpoint")
 	}
-	waitFrames(t, w.hostB.Mgr, frames, "target after truncation")
 
 	if res, err := src.ECall(0, testapps.CounterGet); err != nil || res[0] != 9 {
 		t.Fatalf("source after the refused resumes: %d, %v", res[0], err)
@@ -263,7 +255,6 @@ func TestTamperedCheckpointRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	frames = w.hostB.Mgr.FreeFrames()
 	t1, t2 := testPipe(t)
 	inErr := make(chan error, 1)
 	go func() {
@@ -276,7 +267,6 @@ func TestTamperedCheckpointRefused(t *testing.T) {
 	if err := <-inErr; err == nil {
 		t.Fatal("target accepted a truncated checkpoint")
 	}
-	waitFrames(t, w.hostB.Mgr, frames, "target")
 	if res, err := src.ECall(0, testapps.CounterGet); err != nil || res[0] != 9 {
 		t.Fatalf("source after the cancelled migration: %d, %v", res[0], err)
 	}

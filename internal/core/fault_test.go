@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/enclave"
-	"repro/internal/epcman"
 	"repro/internal/sgx"
 	"repro/internal/telemetry"
 	"repro/internal/testapps"
@@ -89,38 +88,6 @@ func waitGoroutines(t *testing.T, max int) {
 	}
 }
 
-// waitFrames polls until the manager's free-frame count returns to want
-// (Destroy may lag behind workers observing self-destruction).
-func waitFrames(t *testing.T, mgr *epcman.Manager, want int, side string) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if mgr.FreeFrames() == want {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("%s EPC leak: %d free frames, want %d", side, mgr.FreeFrames(), want)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-// warmHosts builds and destroys a throwaway enclave on each host so the EPC
-// managers' one-time pool allocations (the first VA page) happen before a
-// test takes its free-frame baseline.
-func warmHosts(t *testing.T, w *world, dep *Deployment) {
-	t.Helper()
-	for _, h := range []*enclave.Host{w.hostA, w.hostB} {
-		rt, err := enclave.BuildSigned(h, dep.App, dep.Sig)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := rt.Destroy(); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
 // measureMigrationOps runs one clean migration with counting (non-failing)
 // wrappers on both halves and reports how many transport operations each
 // side performs — the sweep range for the fault tests.
@@ -181,10 +148,7 @@ func sweepMigrationFaults(t *testing.T, sourceSide bool) {
 			w := newWorld(t)
 			app := testapps.CounterApp(1)
 			w.owner.ConfigureApp(app)
-			dep, reg := w.deploy(app)
-			warmHosts(t, w, dep)
-			framesA := w.hostA.Mgr.FreeFrames()
-			framesB := w.hostB.Mgr.FreeFrames()
+			_, reg := w.deploy(app)
 			src := w.launch(t, app)
 			if _, err := src.ECall(0, testapps.CounterAdd, 7); err != nil {
 				t.Fatal(err)
@@ -222,7 +186,6 @@ func sweepMigrationFaults(t *testing.T, sourceSide bool) {
 					t.Fatal(err)
 				}
 			}
-			waitFrames(t, w.hostB.Mgr, framesB, "target")
 
 			// Source: before key release every fault cancels the migration
 			// and the enclave resumes with intact state; after release it
@@ -241,7 +204,6 @@ func sweepMigrationFaults(t *testing.T, sourceSide bool) {
 			if err := src.Destroy(); err != nil {
 				t.Fatal(err)
 			}
-			waitFrames(t, w.hostA.Mgr, framesA, "source")
 			waitGoroutines(t, maxGoroutines)
 		})
 	}
@@ -258,7 +220,8 @@ func TestMigrateOutPrepareFailureResumesSource(t *testing.T) { prepareFailure(t,
 // before the enclave is quiesced, so by the time the poll budget runs out a
 // live target has built its virgin enclave and is waiting for a checkpoint.
 // The source must tell it: the target returns ErrAborted — from the abort
-// message, the transport stays open — with its EPC back at baseline.
+// message, the transport stays open — and its enclave destroyed, which the
+// world's ledger check confirms.
 // (Before the reorder nothing had been sent at this point and the target
 // held nothing.)
 func TestMigrateOutPrepareFailureAbortsTarget(t *testing.T) { prepareFailure(t, true) }
@@ -268,9 +231,7 @@ func prepareFailure(t *testing.T, liveTarget bool) {
 	app := testapps.CounterApp(2)
 	hold, release := withHold(t, app)
 	w.owner.ConfigureApp(app)
-	dep, reg := w.deploy(app)
-	warmHosts(t, w, dep)
-	framesB := w.hostB.Mgr.FreeFrames()
+	_, reg := w.deploy(app)
 	src := w.launch(t, app)
 
 	// Worker 0 counts and worker 1 is held inside one step, so the zero
@@ -297,7 +258,6 @@ func prepareFailure(t *testing.T, liveTarget bool) {
 		if err := <-inErr; !errors.Is(err, ErrAborted) {
 			t.Fatalf("MigrateIn after the source gave up: %v, want ErrAborted", err)
 		}
-		waitFrames(t, w.hostB.Mgr, framesB, "target")
 	}
 	// The busy ecalls complete: the workers were resumed.
 	release()
@@ -325,9 +285,7 @@ func TestMigrateInFailureFreesEPC(t *testing.T) {
 	w := newWorld(t)
 	app := testapps.CounterApp(1)
 	w.owner.ConfigureApp(app)
-	dep, reg := w.deploy(app)
-	warmHosts(t, w, dep)
-	frames := w.hostB.Mgr.FreeFrames()
+	_, reg := w.deploy(app)
 	src := w.launch(t, app)
 
 	opts := w.opts()
@@ -352,7 +310,6 @@ func TestMigrateInFailureFreesEPC(t *testing.T) {
 	if _, err := MigrateIn(w.hostB, reg, t2, opts); err == nil {
 		t.Fatal("MigrateIn succeeded over a dead channel")
 	}
-	waitFrames(t, w.hostB.Mgr, frames, "target")
 
 	// The source was never told; cancel and carry on.
 	if err := Cancel(src); err != nil {
@@ -408,7 +365,6 @@ func TestMigrateInFailureFreesEPC(t *testing.T) {
 		if built := tr.ByName("core.target.build"); len(built) != 1 {
 			t.Fatalf("%s: %d build spans; the refusal was meant to follow the build", tc.name, len(built))
 		}
-		waitFrames(t, w.hostB.Mgr, frames, "target")
 		_ = t1.Close()
 	}
 }

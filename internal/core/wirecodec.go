@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"crypto/subtle"
 	"encoding/binary"
 	"errors"
@@ -584,6 +585,13 @@ const (
 	lanesHi = 0x8080808080808080
 )
 
+// scanBlock is the stride at which equalRun compares whole blocks with the
+// runtime's vector memequal before it looks at single words.
+const scanBlock = 64
+
+// zeroBlock is the nil baseline's block for equalRun.
+var zeroBlock [scanBlock]byte
+
 // deltaWord loads the eight bytes of new^old at k (old == nil: the zero
 // page, so new itself).
 func deltaWord(old, new []byte, k int) uint64 {
@@ -603,9 +611,20 @@ func differs(old, new []byte, k int) bool {
 }
 
 // equalRun returns how many bytes of new, from k on, equal the baseline:
-// the position of the first non-zero byte of new^old, eight bytes a step.
+// the position of the first non-zero byte of new^old. Whole 64-byte blocks
+// are skipped with bytes.Equal, the block that differs is searched eight
+// bytes a step.
 func equalRun(old, new []byte, k int) int {
 	i := k
+	for ; i+scanBlock <= len(new); i += scanBlock {
+		base := zeroBlock[:]
+		if old != nil {
+			base = old[i : i+scanBlock]
+		}
+		if !bytes.Equal(new[i:i+scanBlock], base) {
+			break
+		}
+	}
 	for ; i+8 <= len(new); i += 8 {
 		if x := deltaWord(old, new, i); x != 0 {
 			return i + bits.TrailingZeros64(x)/8 - k
@@ -618,10 +637,19 @@ func equalRun(old, new []byte, k int) int {
 }
 
 // diffRun returns how many bytes of new, from k on, differ from the
-// baseline: the position of the first zero byte of new^old. (x-lanesLo)&^x
-// sets the high bit of every zero lane of x; a borrow can also flag a 0x01
-// lane, but only above a zero one, so the lowest flag is exact.
+// baseline: the position of the first zero byte of new^old. Against the
+// zero page that is the first zero byte of new itself, which
+// bytes.IndexByte finds at vector speed. Against a real baseline the scan
+// goes eight bytes a step: (x-lanesLo)&^x sets the high bit of every zero
+// lane of x; a borrow can also flag a 0x01 lane, but only above a zero one,
+// so the lowest flag is exact.
 func diffRun(old, new []byte, k int) int {
+	if old == nil {
+		if j := bytes.IndexByte(new[k:], 0); j >= 0 {
+			return j
+		}
+		return len(new) - k
+	}
 	i := k
 	for ; i+8 <= len(new); i += 8 {
 		x := deltaWord(old, new, i)

@@ -583,9 +583,9 @@ func refXORDeltaEncode(dst, old, new []byte) []byte {
 }
 
 // deltaCase builds one differential-test input: a page length (whole
-// pages, arbitrary lengths including non-multiples of 8, and tiny ones),
-// a baseline (nil every third case) and a new page derived from it by one
-// of five mutation shapes.
+// pages, arbitrary lengths, tiny ones, and whole 64-byte scan blocks plus a
+// tail that is no multiple of 8), a baseline (nil every third case) and a
+// new page derived from it by one of the deltaShape mutations.
 func deltaCase(rng *rand.Rand, iter int) (old, cur []byte) {
 	n := PageSize
 	switch iter % 4 {
@@ -593,9 +593,28 @@ func deltaCase(rng *rand.Rand, iter int) (old, cur []byte) {
 		n = rng.Intn(PageSize + 1)
 	case 2:
 		n = rng.Intn(65)
+	case 3:
+		tail := 1 + rng.Intn(scanBlock-1)
+		if tail%8 == 0 {
+			tail--
+		}
+		n = scanBlock*rng.Intn(PageSize/scanBlock) + tail
 	}
+	return deltaShape(rng, n, iter%3 != 0, rng.Intn(deltaShapes))
+}
+
+// deltaShapes is the number of mutation shapes deltaShape knows.
+const deltaShapes = 9
+
+// deltaShape builds an n-byte baseline (random bytes when withBase, the nil
+// zero page otherwise) and a new page derived from it by the given shape.
+// Shapes 5 to 8 sit on the edges of the encoder's scans: its equal-run scan
+// compares whole 64-byte blocks before it looks at words, and both scans
+// finish a page's last bytes one at a time. Shape 8 makes zero blocks of new
+// that lie beside zero blocks of the baseline but not on them.
+func deltaShape(rng *rand.Rand, n int, withBase bool, shape int) (old, cur []byte) {
 	base := make([]byte, n) // what the baseline reads as; zeros when old is nil
-	if iter%3 != 0 {
+	if withBase {
 		rng.Read(base)
 		old = base
 	}
@@ -605,7 +624,12 @@ func deltaCase(rng *rand.Rand, iter int) (old, cur []byte) {
 	}
 	// differ makes cur[k] differ from the baseline.
 	differ := func(k int) { cur[k] = base[k] ^ byte(1+rng.Intn(255)) }
-	switch rng.Intn(5) {
+	differAll := func() {
+		for k := range cur {
+			differ(k)
+		}
+	}
+	switch shape {
 	case 0: // random: unrelated content
 		rng.Read(cur)
 	case 1: // sparse flips
@@ -615,9 +639,7 @@ func deltaCase(rng *rand.Rand, iter int) (old, cur []byte) {
 	case 2: // block overwrites
 		cur = randomDeltaPage(rng, base)
 	case 3: // differing everywhere but for equal runs of 1 to 5 bytes
-		for k := range cur {
-			differ(k)
-		}
+		differAll()
 		for k := rng.Intn(24); k < n; k += 1 + rng.Intn(24) {
 			for e := 1 + rng.Intn(5); e > 0 && k < n; e-- {
 				cur[k] = base[k]
@@ -628,6 +650,35 @@ func deltaCase(rng *rand.Rand, iter int) (old, cur []byte) {
 		for k := n - rng.Intn(min(n, 12)+1) - 1; k >= 0; k-- {
 			if rng.Intn(8) != 0 {
 				differ(k)
+			}
+		}
+	case 5: // differing everywhere but for single equal bytes on 64-byte boundaries
+		differAll()
+		for k := 0; k < n; k += scanBlock {
+			if rng.Intn(2) == 0 {
+				cur[k] = base[k]
+			}
+		}
+	case 6: // differing everywhere but for equal runs across a block's length
+		differAll()
+		runs := [...]int{3, 4, 7, 8, 9, scanBlock - 1, scanBlock, scanBlock + 1, 2*scanBlock - 1, 2 * scanBlock, 2*scanBlock + 1}
+		for k := rng.Intn(scanBlock); k < n; k += 1 + rng.Intn(2*scanBlock) {
+			e := k + runs[rng.Intn(len(runs))]
+			for ; k < min(e, n); k++ {
+				cur[k] = base[k]
+			}
+		}
+	case 7: // equal but for one byte in the last 1 to 7
+		differ(n - 1 - rng.Intn(min(n, 7)))
+	case 8: // a mostly-zero baseline cleared back to zero but for some of its bytes
+		clear(base)
+		for f := 1 + rng.Intn(8); f > 0; f-- {
+			base[rng.Intn(n)] = byte(1 + rng.Intn(255))
+		}
+		clear(cur)
+		for k, b := range base {
+			if b != 0 && rng.Intn(2) == 0 {
+				cur[k] = b
 			}
 		}
 	}
@@ -676,6 +727,14 @@ func FuzzXORDelta(f *testing.F) {
 	}
 	f.Add([]byte{}, []byte{})
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9}, []byte{1, 2, 3, 4, 0, 6, 7, 8, 9})
+	// One seed per edge of the scans, and a length with a partial block and
+	// a partial word at its end.
+	for shape := 5; shape < deltaShapes; shape++ {
+		old, cur := deltaShape(rng, PageSize, shape%2 == 0, shape)
+		f.Add(old, cur)
+	}
+	old, cur := deltaShape(rng, 5*scanBlock+13, true, 3)
+	f.Add(old, cur)
 	f.Fuzz(func(t *testing.T, old, cur []byte) {
 		if len(cur) > PageSize {
 			cur = cur[:PageSize]
@@ -793,9 +852,48 @@ func BenchmarkApplyXORDelta(b *testing.B) {
 	}
 }
 
+// BenchmarkEncodePages encodes 64-page chunks with the production encoder,
+// against the baselines a pre-copy source hands it: first-touch random and
+// all-zero pages against the nil (zero-page) baseline, a resend with 64
+// bytes changed per page against the shipped content, and an unchanged
+// resend against the captured bytes themselves.
+func BenchmarkEncodePages(b *testing.B) {
+	random, resend := benchPages()
+	pages := make([]int, benchChunk)
+	for i := range pages {
+		pages[i] = i
+	}
+	fill := func(page []byte) []byte { return bytes.Repeat(page, benchChunk) }
+	of := func(page []byte) [][]byte {
+		base := make([][]byte, benchChunk)
+		for i := range base {
+			base[i] = page
+		}
+		return base
+	}
+	run := func(b *testing.B, src []byte, base [][]byte) {
+		b.ReportAllocs()
+		b.SetBytes(benchChunk * PageSize)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			data := GetBuf(len(src))
+			copy(data, src)
+			raw, delta, _ := EncodePages(pages, data, base)
+			raw.Release()
+			delta.Release()
+		}
+	}
+	b.Run("random", func(b *testing.B) { run(b, fill(random), of(nil)) })
+	b.Run("zero", func(b *testing.B) { run(b, make([]byte, benchChunk*PageSize), of(nil)) })
+	b.Run("sparse", func(b *testing.B) { run(b, fill(resend), of(random)) })
+	b.Run("identical", func(b *testing.B) { run(b, fill(random), of(random)) })
+}
+
 // BenchmarkEncodeChunk encodes 64-page chunks the three ways a pre-copy
 // stream meets them: first-touch random, all zero (both against an empty
-// cache), and a resend with 64 bytes changed per page.
+// cache), and a resend with 64 bytes changed per page. It measures
+// EncodeChunk's DeltaCache path, the one the benchmark's wirecodec probe
+// takes; BenchmarkEncodePages measures the encoder the page stream runs.
 func BenchmarkEncodeChunk(b *testing.B) {
 	random, resend := benchPages()
 	pages := make([]int, benchChunk)

@@ -8,6 +8,7 @@
 package vmm
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 
@@ -273,17 +274,45 @@ func (g *GuestMemory) ReleaseWindows() {
 
 // ApplyPages installs a batch of migrated pages (the chunk layout CopyPages
 // produces) without marking them dirty. Pages of a claimed window keep
-// their local content.
+// their local content. An unbacked extent whose pages the batch carries
+// whole (wholeExtentLocked) is backed with one copy of them; every other
+// page is copied into its extent, backing it zeroed first if need be.
 func (g *GuestMemory) ApplyPages(pages []int, src []byte) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	for i, p := range pages {
-		if g.owned[p] {
+	for i := 0; i < len(pages); {
+		if n := g.wholeExtentLocked(pages[i:]); n > 0 {
+			g.data[pages[i]/chunkPages] = bytes.Clone(src[i*PageSize : (i+n)*PageSize])
+			i += n
 			continue
 		}
-		g.keepBaselineLocked(p)
-		copy(g.pageLocked(p), src[i*PageSize:(i+1)*PageSize])
+		if p := pages[i]; !g.owned[p] {
+			g.keepBaselineLocked(p)
+			copy(g.pageLocked(p), src[i*PageSize:(i+1)*PageSize])
+		}
+		i++
 	}
+}
+
+// wholeExtentLocked returns the page count of the extent pages[0] opens when
+// that extent is unbacked and pages starts with all of its pages in order,
+// none of them claimed or armed: the batch then writes every byte of it, so
+// it need not be zeroed first. It returns 0 otherwise.
+func (g *GuestMemory) wholeExtentLocked(pages []int) int {
+	p := pages[0]
+	if p%chunkPages != 0 || g.data[p/chunkPages] != nil {
+		return 0
+	}
+	n := min(chunkPages, g.pages-p)
+	if len(pages) < n {
+		return 0
+	}
+	for j, q := range pages[:n] {
+		if q != p+j || g.owned[q] || g.tracking && g.armed[q] {
+			return 0
+		}
+	}
+	return n
 }
 
 // ApplyPageDeltas installs a batch of migrated XOR+RLE page deltas (the

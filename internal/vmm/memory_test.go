@@ -293,6 +293,113 @@ func TestWindowBoundsDoNotWrap(t *testing.T) {
 	}
 }
 
+// TestApplyPagesWholeExtent: a raw batch applied whole — where ApplyPages
+// backs an unbacked extent with one copy of the batch's pages — leaves the
+// same bytes, dirty bits and delta baselines as the same batch applied one
+// page at a time, which zero-backs the extent and copies each page in.
+// wantWhole lists the extents each case expects to take the one-copy path.
+func TestApplyPagesWholeExtent(t *testing.T) {
+	const pages = 2*chunkPages + 37 // the third extent is short
+	seq := func(from, to int) []int {
+		var out []int
+		for p := from; p < to; p++ {
+			out = append(out, p)
+		}
+		return out
+	}
+	for _, c := range []struct {
+		name      string
+		setup     func(t *testing.T, g *GuestMemory)
+		pages     []int
+		wantWhole []int
+		baselines int // delta baselines the apply must save
+	}{
+		{"every extent, short last", nil, seq(0, pages), []int{0, 1, 2}, 0},
+		{"short last extent alone", nil, seq(2*chunkPages, pages), []int{2}, 0},
+		{"extent cut short", nil, seq(0, chunkPages-1), nil, 0},
+		{"mid-extent start", nil, seq(1, chunkPages+1), nil, 0},
+		{"one extent and scattered pages", nil, append(seq(chunkPages, 2*chunkPages), 2*chunkPages+3, 2*chunkPages+9), []int{1}, 0},
+		{"claimed page", func(t *testing.T, g *GuestMemory) {
+			if err := g.ClaimWindow((chunkPages+10)*PageSize, PageSize); err != nil {
+				t.Fatal(err)
+			}
+		}, seq(0, 2*chunkPages), []int{0}, 0},
+		{"already backed", func(t *testing.T, g *GuestMemory) {
+			if err := g.Write((chunkPages+3)*PageSize+17, []byte("local")); err != nil {
+				t.Fatal(err)
+			}
+		}, seq(0, 2*chunkPages), []int{0}, 0},
+		{"armed pages", func(t *testing.T, g *GuestMemory) {
+			armed := []int{chunkPages + 1, chunkPages + 40}
+			held := g.Capture(armed, make([]byte, len(armed)*PageSize), make([][]byte, len(armed)), nil)
+			if len(held) != 0 {
+				t.Fatalf("first capture held %d baselines", len(held))
+			}
+		}, seq(0, 2*chunkPages), []int{0}, 2},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			src := make([]byte, len(c.pages)*PageSize)
+			rand.New(rand.NewSource(int64(len(c.pages)))).Read(src)
+			whole, single := NewGuestMemory(pages), NewGuestMemory(pages)
+			for _, g := range []*GuestMemory{whole, single} {
+				if c.setup != nil {
+					c.setup(t, g)
+				}
+				t.Cleanup(g.DropBaselines)
+			}
+
+			var took []int
+			whole.mu.Lock()
+			for i := 0; i < len(c.pages); i++ {
+				if n := whole.wholeExtentLocked(c.pages[i:]); n > 0 {
+					took = append(took, c.pages[i]/chunkPages)
+					i += n - 1
+				}
+			}
+			whole.mu.Unlock()
+			if !slices.Equal(took, c.wantWhole) {
+				t.Fatalf("one-copy extents = %v, want %v", took, c.wantWhole)
+			}
+
+			whole.ApplyPages(c.pages, src)
+			for i, p := range c.pages {
+				// A one-page batch covers a whole extent of none of
+				// these guests: this is the per-page path.
+				single.ApplyPages([]int{p}, src[i*PageSize:(i+1)*PageSize])
+			}
+
+			got, want := make([]byte, whole.Bytes()), make([]byte, single.Bytes())
+			if err := whole.Read(0, got); err != nil {
+				t.Fatal(err)
+			}
+			if err := single.Read(0, want); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatal("whole-extent apply left different bytes than page-by-page")
+			}
+			if g, w := residentPages(whole), residentPages(single); g != w {
+				t.Fatalf("%d pages resident, page-by-page %d", g, w)
+			}
+			if g, w := whole.CollectDirty(), single.CollectDirty(); !slices.Equal(g, w) {
+				t.Fatalf("dirty set = %v, page-by-page %v", g, w)
+			}
+			whole.mu.Lock()
+			single.mu.Lock()
+			for p, b := range single.base {
+				if !bytes.Equal(whole.base[p], b) {
+					t.Errorf("page %d: baseline not saved as page-by-page saves it", p)
+				}
+			}
+			if len(whole.base) != c.baselines || len(single.base) != c.baselines {
+				t.Errorf("%d baselines saved, page-by-page %d, want %d", len(whole.base), len(single.base), c.baselines)
+			}
+			single.mu.Unlock()
+			whole.mu.Unlock()
+		})
+	}
+}
+
 // benchFill is one chunk-aligned megabyte of incompressible bytes.
 func benchFill() []byte {
 	fill := make([]byte, 4*extentBytes)
@@ -339,4 +446,33 @@ func BenchmarkGuestMemoryCopyPages(b *testing.B) {
 			g.CopyPages(pages[off:off+chunkPages], buf)
 		}
 	}
+}
+
+// BenchmarkApplyPages lands a megabyte of raw pages on a fresh target the
+// way the page stream's applier does, a chunk at a time: whole extents,
+// which back each extent with one copy, and chunks that each miss one page,
+// which back it zeroed and copy page by page.
+func BenchmarkApplyPages(b *testing.B) {
+	fill := benchFill()
+	pages := make([]int, len(fill)/PageSize)
+	for i := range pages {
+		pages[i] = i
+	}
+	run := func(b *testing.B, chunk func(off int) []int) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(fill)))
+		for i := 0; i < b.N; i++ {
+			g := NewGuestMemory(len(pages))
+			for off := 0; off < len(pages); off += chunkPages {
+				ps := chunk(off)
+				g.ApplyPages(ps, fill[off*PageSize:])
+			}
+		}
+	}
+	b.Run("whole", func(b *testing.B) {
+		run(b, func(off int) []int { return pages[off : off+chunkPages] })
+	})
+	b.Run("mixed", func(b *testing.B) {
+		run(b, func(off int) []int { return pages[off : off+chunkPages-1] })
+	})
 }
