@@ -57,13 +57,15 @@ test:
 # (made outside the machine lock, concurrently in its test), and the
 # failure paths the ledger checks cover (a refused build, swap-in, owner
 # resume or launch, a failed wire or corrupt frame, the transparent
-# migration's swap stream), again under GOMAXPROCS 1 and 2. A checkpoint's
+# migration's swap stream), the migration keys' nonces over three
+# transparent migrations and the worker table a migrated enclave keeps,
+# again under GOMAXPROCS 1 and 2. A checkpoint's
 # leaves are sealed, and opened, on GOMAXPROCS goroutines, which write and
 # read the window's frames and take and return checkpoint buffers
 # concurrently, and the swap stream's batches move between two goroutines,
 # so the one-worker path is otherwise only exercised on a one-CPU machine.
 test-cpus:
-	$(GO) test -cpu 1,2 -run 'Checkpoint|Leaf|Leaves|Nonce|Tamper|BigState|GOMAXPROCS|Bounce|Recycl|Migrating|Quiesc|FrameWindow|SendRecvBulk|LongRun|ResumedCall|Destroy|TestEINIT|Half|TestDHMemo|BuildFailure|Unattested|PreEstablished|EndsItsSpan|ReturnsItsBuffer|ReturnsQueuedBuffers|HostileImage|TestTransparentMigration|LaunchProvision' ./internal/enclave ./internal/core ./internal/attack ./internal/tcb ./internal/sgx ./internal/hwext ./internal/hostd
+	$(GO) test -cpu 1,2 -run 'Checkpoint|Leaf|Leaves|Nonce|Tamper|BigState|GOMAXPROCS|Bounce|Recycl|Migrating|Quiesc|FrameWindow|SendRecvBulk|LongRun|ResumedCall|Destroy|TestEINIT|Half|TestDHMemo|BuildFailure|Unattested|PreEstablished|EndsItsSpan|ReturnsItsBuffer|ReturnsQueuedBuffers|HostileImage|TestTransparentMigration|TestMigrationKeysNeverRepeatANonce|TestWorkerTableFixedAfterBuild|LaunchProvision' ./internal/enclave ./internal/core ./internal/attack ./internal/tcb ./internal/sgx ./internal/hwext ./internal/hostd
 
 # benchmark/ is a Go module of its own (replace repro => ../), so none of
 # the ./... targets above compile it: a change that deletes exported API can

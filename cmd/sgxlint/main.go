@@ -8,7 +8,7 @@
 //	go run ./cmd/sgxlint ./...
 //	go run ./cmd/sgxlint -json ./...
 //	go run ./cmd/sgxlint -sarif report.sarif ./...
-//	go run ./cmd/sgxlint -rule lockdiscipline,immutable ./...
+//	go run ./cmd/sgxlint -rule lockdiscipline,lockorder ./...
 //	go run ./cmd/sgxlint -rules
 package main
 

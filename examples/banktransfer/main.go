@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"log"
 
+	"repro"
 	"repro/internal/attack"
 	"repro/internal/core"
 	"repro/internal/enclave"
@@ -38,16 +39,15 @@ func run() error {
 	return defendedMigration()
 }
 
-func launchBank(w *sim.World) (*core.Deployment, *enclave.Runtime, error) {
-	dep := w.Deploy(testapps.BankApp(2))
-	rt, err := w.Launch(dep, 0)
+func launchBank(w *sim.World) (*enclave.Runtime, error) {
+	rt, err := w.Launch(w.Deploy(testapps.BankApp(2)), 0)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if _, err := rt.ECall(0, testapps.BankInit, initBalance); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return dep, rt, nil
+	return rt, nil
 }
 
 func naiveAttack() error {
@@ -56,7 +56,7 @@ func naiveAttack() error {
 		if err != nil {
 			return err
 		}
-		dep, rt, err := launchBank(w)
+		rt, err := launchBank(w)
 		if err != nil {
 			return err
 		}
@@ -74,7 +74,7 @@ func naiveAttack() error {
 		if err != nil {
 			return err
 		}
-		inc, err := completeMigration(w, rt, dep, blob)
+		inc, err := completeMigration(w, rt, blob)
 		if err != nil {
 			return err
 		}
@@ -99,7 +99,7 @@ func defendedMigration() error {
 	if err != nil {
 		return err
 	}
-	dep, rt, err := launchBank(w)
+	rt, err := launchBank(w)
 	if err != nil {
 		return err
 	}
@@ -126,24 +126,8 @@ func defendedMigration() error {
 	}
 
 	// Then a full, defended migration mid-transfer.
-	reg := core.NewRegistry()
-	reg.Add(dep)
-	t1, t2 := core.NewPipe()
-	incCh := make(chan *core.Incoming, 1)
-	errCh := make(chan error, 1)
-	go func() {
-		inc, err := core.MigrateIn(w.Hosts[1], reg, t2, w.Opts())
-		if err != nil {
-			_ = t2.Close() // the source must not stream into a target that gave up
-		}
-		incCh <- inc
-		errCh <- err
-	}()
-	if _, err := core.MigrateOut(rt, t1, w.Opts()); err != nil {
-		return err
-	}
-	inc := <-incCh
-	if err := <-errCh; err != nil {
+	inc, err := sgxmig.Migrate(rt, w.Hosts[1], w.Registry, w.Opts())
+	if err != nil {
 		return err
 	}
 	<-done // the source-side caller lost its (self-destroyed) enclave
@@ -168,23 +152,25 @@ func defendedMigration() error {
 	return nil
 }
 
-func completeMigration(w *sim.World, src *enclave.Runtime, dep *core.Deployment, blob []byte) (*core.Incoming, error) {
-	reg := core.NewRegistry()
-	reg.Add(dep)
+func completeMigration(w *sim.World, src *enclave.Runtime, blob []byte) (*core.Incoming, error) {
 	t1, t2 := core.NewPipe()
-	incCh := make(chan *core.Incoming, 1)
-	errCh := make(chan error, 1)
+	type result struct {
+		inc *core.Incoming
+		err error
+	}
+	in := make(chan result, 1)
 	go func() {
-		inc, err := core.MigrateIn(w.Hosts[1], reg, t2, w.Opts())
+		inc, err := core.MigrateIn(w.Hosts[1], w.Registry, t2, w.Opts())
 		if err != nil {
 			_ = t2.Close() // the source must not stream into a target that gave up
 		}
-		incCh <- inc
-		errCh <- err
+		in <- result{inc, err}
 	}()
 	if _, err := core.MigrateOutPrepared(src, blob, t1, w.Opts()); err != nil {
+		_ = t1.Close() // nor may the target wait for a source that gave up
+		<-in
 		return nil, err
 	}
-	inc := <-incCh
-	return inc, <-errCh
+	r := <-in
+	return r.inc, r.err
 }

@@ -16,7 +16,7 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/core"
+	"repro"
 	"repro/internal/enclave"
 	"repro/internal/sim"
 )
@@ -110,9 +110,6 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	reg := core.NewRegistry()
-	reg.Add(dep)
-
 	// Op-1: the client drafts the mail.
 	if _, err := src.ECall(0, selCreate, alice|bob|eve); err != nil {
 		return err
@@ -120,22 +117,8 @@ func run() error {
 	fmt.Printf("op-1 on source: draft created, recipients = %s\n", names(alice|bob|eve))
 
 	// The malicious operator migrates the enclave NOW, planning to fork.
-	t1, t2 := core.NewPipe()
-	incCh := make(chan *core.Incoming, 1)
-	errCh := make(chan error, 1)
-	go func() {
-		inc, err := core.MigrateIn(w.Hosts[1], reg, t2, w.Opts())
-		if err != nil {
-			_ = t2.Close() // the source must not stream into a target that gave up
-		}
-		incCh <- inc
-		errCh <- err
-	}()
-	if _, err := core.MigrateOut(src, t1, w.Opts()); err != nil {
-		return err
-	}
-	inc := <-incCh
-	if err := <-errCh; err != nil {
+	inc, err := sgxmig.Migrate(src, w.Hosts[1], w.Registry, w.Opts())
+	if err != nil {
 		return err
 	}
 	fmt.Println("operator migrated the enclave to the target machine")

@@ -232,6 +232,7 @@ func (c *Call) VerifyReport(r sgx.Report) bool { return c.env.VerifyReport(r) }
 func (c *Call) SealKey() tcb.Key { return c.env.EGetKey(sgx.KeySealMRENCLAVE) }
 
 // EPutKey executes the proposed EPUTKEY instruction (paper Sec. VII-B),
-// installing a shared migration key into the CPU. The hardware only accepts
-// it from the platform's registered control enclave.
-func (c *Call) EPutKey(key tcb.Key) error { return c.env.EPutKey(key) }
+// installing the shared migration keys into the CPU: out for what this
+// machine migrates out, in for what it migrates in. The hardware only
+// accepts them from the platform's registered control enclave.
+func (c *Call) EPutKey(out, in tcb.Key) error { return c.env.EPutKey(out, in) }

@@ -1,6 +1,10 @@
 package enclave
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/sgx"
+)
 
 // SetDumpQuiescentHook makes f the hook a dump runs at its quiescent point
 // (dumpQuiescent) until t ends.
@@ -18,3 +22,13 @@ func SetECallGateHook(t testing.TB, f func()) {
 
 // OffDHSeed is the enclave address of the control page's DH seed.
 const OffDHSeed = offDHSeed
+
+// Workers returns the address of the first entry of rt's worker table and
+// each worker's logical processor, so a test can check that neither is
+// replaced once the runtime is built.
+func Workers(rt *Runtime) (table any, lps []*sgx.LP) {
+	for _, ws := range rt.workers {
+		lps = append(lps, ws.lp)
+	}
+	return &rt.workers[0], lps
+}

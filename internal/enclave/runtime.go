@@ -168,8 +168,9 @@ func NewConstrainedHost(m *sgx.Machine, frames int) *Host {
 
 type workerState struct {
 	mu sync.Mutex
-	// lp is immutable after construction; Interrupt is internally
-	// synchronized, so the pause/migrate paths may kick it lock-free.
+	// lp is immutable after construction (TestWorkerTableFixedAfterBuild
+	// checks it); Interrupt is internally synchronized, so the
+	// pause/migrate paths may kick it lock-free.
 	lp        *sgx.LP
 	inHandler bool // guarded by mu
 	// entering is set while an ECall that passed the entry gate has not
@@ -197,7 +198,9 @@ type Runtime struct {
 	ctlLP *sgx.LP
 
 	// workers is immutable after construction (written only by
-	// BuildSigned/Adopt before the Runtime escapes); the per-worker
+	// BuildSigned/Adopt before the Runtime escapes;
+	// TestWorkerTableFixedAfterBuild checks it, and -race in
+	// TestLongRunMigrationsUnderHammering sees a write); the per-worker
 	// mutable state lives behind each workerState's own mu.
 	workers []*workerState
 

@@ -84,8 +84,17 @@ func ctrlBegin(c *enclave.Call) enclave.AppStatus {
 }
 
 // ctrlFinish (trusted): verify the peer control enclave's quote + service
-// verdict, derive the shared migration key and EPUTKEY it.
+// verdict, derive the shared migration keys and EPUTKEY them.
 // Input: quote(224) || verdict(64) || peerDH(32) || peerNonce(32).
+//
+// The DH secret yields one key per direction, named by the sender's and
+// the receiver's DH publics in that order: the machine seals with the key
+// from its own public to the peer's and opens with the other. Both CPUs
+// number what they seal from their own version counters, which know
+// nothing of each other; with one key for both directions an enclave
+// migrated each way would reuse every nonce the two counters share.
+// Ordering by the publics needs no side to be told which one it is, and the
+// hardware's nonce stays a plain counter.
 func ctrlFinish(c *enclave.Call) enclave.AppStatus {
 	in := make([]byte, c.Regs[2])
 	if len(in) < enclave.QuoteWireSize+enclave.VerdictWire+64 || c.OutsideLoad(c.Regs[1], in) != nil {
@@ -123,11 +132,14 @@ func ctrlFinish(c *enclave.Call) enclave.AppStatus {
 	if err != nil {
 		return ctrlFail(c, 8)
 	}
-	key, err := kp.Shared(peerDH, "hwext-migration-key")
+	shared, err := kp.Shared(peerDH, "hwext-migration-key")
 	if err != nil {
 		return ctrlFail(c, 9)
 	}
-	if err := c.EPutKey(key); err != nil {
+	pub := kp.Public()
+	outKey := tcb.DeriveKey(shared, "hwext-migration-direction", pub[:], peerDH[:])
+	inKey := tcb.DeriveKey(shared, "hwext-migration-direction", peerDH[:], pub[:])
+	if err := c.EPutKey(outKey, inKey); err != nil {
 		return ctrlFail(c, 10)
 	}
 	c.Regs[0] = 1
@@ -260,6 +272,11 @@ func putSwapBatch(b []*sgx.MigratedPage) {
 	swapBatchPool.Put(b[:0])
 }
 
+// sealedOut, if set, is handed every blob MigrateTransparent seals on the
+// source — the SECS and each page — as it is sealed, possibly from two
+// goroutines at once.
+var sealedOut func(cipher []byte)
+
 // MigrateTransparent migrates an enclave from src to dst entirely in system
 // software using the extension instructions: freeze (EMIGRATE), re-seal
 // every page under the shared migration key (ESWPOUT), install on the
@@ -268,6 +285,10 @@ func putSwapBatch(b []*sgx.MigratedPage) {
 // sealing page k overlaps installing page k-1. The enclave's threads —
 // including ones interrupted mid-ecall — resume from their SSA contexts on
 // the target with plain ERESUME. Returns the adopted target runtime.
+//
+// A migration that fails before the target's EMIGRATEDONE leaves the source
+// as it was — ESWPOUT copies its pages out and leaves them in place — and
+// unfreezes it there with EMIGRATEDONE, so its enclave runs on.
 func MigrateTransparent(src *enclave.Runtime, dstP *Platform, dep *core.Deployment) (_ *enclave.Runtime, err error) {
 	srcM := src.Machine()
 	dstM := dstP.Host.Mgr.Machine()
@@ -288,9 +309,22 @@ func MigrateTransparent(src *enclave.Runtime, dstP *Platform, dep *core.Deployme
 	if err := srcM.EMIGRATE(eid); err != nil {
 		return nil, fmt.Errorf("hwext: EMIGRATE: %w", err)
 	}
+	// Until the target's EMIGRATEDONE the source is unchanged, so every
+	// failure from here on unfreezes it.
+	migrated := false
+	defer func() {
+		if !migrated {
+			if uErr := srcM.EMIGRATEDONE(eid); uErr != nil {
+				err = errors.Join(err, fmt.Errorf("hwext: unfreeze source: %w", uErr))
+			}
+		}
+	}()
 	secs, err := srcM.ESWPOUTSECS(eid)
 	if err != nil {
 		return nil, fmt.Errorf("hwext: ESWPOUTSECS: %w", err)
+	}
+	if sealedOut != nil {
+		sealedOut(secs.Cipher)
 	}
 	lins, err := srcM.ResidentPages(eid)
 	if err != nil {
@@ -315,6 +349,9 @@ func MigrateTransparent(src *enclave.Runtime, dstP *Platform, dep *core.Deployme
 				putSwapBatch(batch)
 				prodErr <- e
 				return
+			}
+			if sealedOut != nil {
+				sealedOut(mp.Cipher)
 			}
 			batch = append(batch, mp)
 			if len(batch) == swapChunkPages {
@@ -401,6 +438,7 @@ func MigrateTransparent(src *enclave.Runtime, dstP *Platform, dep *core.Deployme
 		cleanupTarget()
 		return nil, fmt.Errorf("hwext: EMIGRATEDONE: %w", err)
 	}
+	migrated = true
 
 	// The source instance stays frozen forever (single-instance property at
 	// the hardware level) and its EPC is reclaimed — Destroy also returns

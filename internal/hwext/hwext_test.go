@@ -2,6 +2,7 @@ package hwext
 
 import (
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
@@ -11,6 +12,7 @@ import (
 	"repro/internal/epcman"
 	"repro/internal/ledger"
 	"repro/internal/sgx"
+	"repro/internal/tcb"
 	"repro/internal/testapps"
 	"repro/internal/workload"
 )
@@ -117,7 +119,7 @@ func TestExtensionRequiresControlEnclave(t *testing.T) {
 		Workers:     1,
 		HeapPages:   1,
 		ECalls: []enclave.ECallFn{func(c *enclave.Call) enclave.AppStatus {
-			if err := c.EPutKey([32]byte{1}); err != nil {
+			if err := c.EPutKey([32]byte{1}, [32]byte{2}); err != nil {
 				c.Regs[0] = 1 // refused, as expected
 			}
 			return enclave.AppDone
@@ -212,10 +214,10 @@ func pastEPC(g *grant) (sgx.FrameIndex, error) { return sgx.FrameIndex(g.m.NumFr
 var errQuota = errors.New("EPC quota reached")
 
 // swapFault migrates a freshly built enclave of app from pa to pb, with pb's
-// driver granted its frames one at a time (grant), and returns the
-// migration's error; the migration must fail. The world's ledger check
-// then sees whether the failure path gave back every frame and batch.
-func swapFault(t *testing.T, app *enclave.App, at int, fault func(src *enclave.Runtime) func(*grant) (sgx.FrameIndex, error)) error {
+// driver granted its frames one at a time (grant), and returns the source
+// and the migration's error; the migration must fail. The world's ledger
+// check then sees whether the failure path gave back every frame and batch.
+func swapFault(t *testing.T, app *enclave.App, at int, fault func(src *enclave.Runtime) func(*grant) (sgx.FrameIndex, error)) (*enclave.Runtime, error) {
 	t.Helper()
 	service, owner, pa, pb := newExtWorld(t)
 	if err := EstablishMigrationKeys(pa, pb, service); err != nil {
@@ -238,14 +240,14 @@ func swapFault(t *testing.T, app *enclave.App, at int, fault func(src *enclave.R
 		own(t, tgt)
 		t.Fatal("migration succeeded despite the fault")
 	}
-	return err
+	return src, err
 }
 
 // TestTransparentMigrationInstallFailures: the target refuses the SECS
 // (ESWPINSECS) or a page (ESWPIN) of a swap-in, or its driver runs out of
 // frames (AllocFrame) part-way. Each failure returns the frame it was
-// installing and the batch it was draining, and tears the half-built
-// target down.
+// installing and the batch it was draining, tears the half-built target
+// down, and unfreezes the source, which answers an ecall afterwards.
 func TestTransparentMigrationInstallFailures(t *testing.T) {
 	same := func(f func(*grant) (sgx.FrameIndex, error)) func(*enclave.Runtime) func(*grant) (sgx.FrameIndex, error) {
 		return func(*enclave.Runtime) func(*grant) (sgx.FrameIndex, error) { return f }
@@ -262,8 +264,12 @@ func TestTransparentMigrationInstallFailures(t *testing.T) {
 		{"AllocFrame", 3, same(quota), epcman.ErrNoFrames},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			if err := swapFault(t, testapps.CounterApp(1), tc.at, tc.fault); !errors.Is(err, tc.want) {
+			src, err := swapFault(t, testapps.CounterApp(1), tc.at, tc.fault)
+			if !errors.Is(err, tc.want) {
 				t.Fatalf("migration: %v, want %v", err, tc.want)
+			}
+			if _, err := src.ECall(0, testapps.CounterAdd, 1); err != nil {
+				t.Fatalf("source after the failed migration: %v", err)
 			}
 		})
 	}
@@ -277,7 +283,7 @@ func TestTransparentMigrationSealFailure(t *testing.T) {
 	// More pages than the stream holds between producer and consumer, so
 	// the producer is still sealing when the first page is installed.
 	app := workload.KVApp(4<<20, 1)
-	err := swapFault(t, app, 2, func(src *enclave.Runtime) func(*grant) (sgx.FrameIndex, error) {
+	_, err := swapFault(t, app, 2, func(src *enclave.Runtime) func(*grant) (sgx.FrameIndex, error) {
 		return func(g *grant) (sgx.FrameIndex, error) {
 			_ = src.Destroy()
 			return g.free()
@@ -285,5 +291,76 @@ func TestTransparentMigrationSealFailure(t *testing.T) {
 	})
 	if !errors.Is(err, sgx.ErrNoSuchEnclave) {
 		t.Fatalf("migration: %v, want ESWPOUT's ErrNoSuchEnclave", err)
+	}
+}
+
+// sharesKeystream reports whether two blobs sealed by the extension were
+// sealed under one key and nonce. AES-GCM encrypts by XOR with a keystream
+// fixed by the two, so such blobs XOR to the XOR of their plaintexts, which
+// for two images of one enclave's page (or two SECS of one image) is mostly
+// zero bytes. Under different keystreams about one byte in 256 is.
+func sharesKeystream(a, b []byte) bool {
+	n := min(len(a), len(b)) - tcb.SealOverhead // the tag is no keystream
+	same := 0
+	for i := 0; i < n; i++ {
+		if a[i] == b[i] {
+			same++
+		}
+	}
+	return n >= 32 && 2*same > n
+}
+
+// TestMigrationKeysNeverRepeatANonce: under one EstablishMigrationKeys, a
+// counter enclave migrates A→B twice and one migrates back B→A. No two of
+// the blobs the sources seal may share a keystream: not two SECS (each used
+// to be sealed under counter 0), and not a page A seals and one B seals
+// (the two machines used to hold one key and count from 1 each).
+func TestMigrationKeysNeverRepeatANonce(t *testing.T) {
+	service, owner, pa, pb := newExtWorld(t)
+	if err := EstablishMigrationKeys(pa, pb, service); err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var blobs [][]byte
+	sealedOut = func(c []byte) {
+		mu.Lock()
+		blobs = append(blobs, append([]byte(nil), c...))
+		mu.Unlock()
+	}
+	t.Cleanup(func() { sealedOut = nil })
+
+	app := testapps.CounterApp(1)
+	owner.ConfigureApp(app)
+	dep := core.NewDeployment(app, owner)
+	launch := func(p *Platform) *enclave.Runtime {
+		rt, err := enclave.BuildSigned(p.Host, dep.App, dep.Sig)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := own(t, rt).ECall(0, testapps.CounterAdd, 7); err != nil {
+			t.Fatal(err)
+		}
+		return rt
+	}
+	migrate := func(src *enclave.Runtime, dst *Platform) *enclave.Runtime {
+		tgt, err := MigrateTransparent(src, dst, dep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return own(t, tgt)
+	}
+	first := migrate(launch(pa), pb)
+	migrate(launch(pa), pb)
+	migrate(first, pa)
+
+	if len(blobs) < 6 {
+		t.Fatalf("the three migrations sealed %d blobs", len(blobs))
+	}
+	for i := range blobs {
+		for j := i + 1; j < len(blobs); j++ {
+			if sharesKeystream(blobs[i], blobs[j]) {
+				t.Errorf("sealed blobs %d and %d (of %d) share a key and nonce", i, j, len(blobs))
+			}
+		}
 	}
 }

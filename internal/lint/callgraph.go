@@ -7,8 +7,8 @@ import (
 )
 
 // This file builds the module-wide call graph the interprocedural analyses
-// (summary.go's bottom-up solver and its clients: immutable, lockorder,
-// plainflow) run over.
+// (summary.go's bottom-up solver and its clients: lockorder, plainflow) run
+// over.
 //
 // Nodes are the module's declared functions and methods (*types.Func with a
 // body in the loaded program). Edges are:

@@ -5,11 +5,11 @@ import (
 	"testing"
 )
 
-// loadImmutFixture loads the immutable rule's fixture module and its call
+// loadTaintFixture loads the plainflow rule's fixture module and its call
 // graph.
-func loadImmutFixture(t *testing.T) *CallGraph {
+func loadTaintFixture(t *testing.T) *CallGraph {
 	t.Helper()
-	root, err := filepath.Abs(filepath.Join("testdata", "src", "immut"))
+	root, err := filepath.Abs(filepath.Join("testdata", "src", "taint"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,7 +24,7 @@ func loadImmutFixture(t *testing.T) *CallGraph {
 // relies on: SCCs come out in bottom-up order, so every edge lands in a
 // component at or before its caller's.
 func TestCallGraphBottomUp(t *testing.T) {
-	g := loadImmutFixture(t)
+	g := loadTaintFixture(t)
 	if len(g.SCCs()) == 0 {
 		t.Fatal("empty condensation")
 	}
@@ -41,22 +41,21 @@ func TestCallGraphBottomUp(t *testing.T) {
 }
 
 // TestCallGraphEdges spot-checks resolved edges and recursion detection on
-// the fixture: NewRegisteredVia calls registerVia, which calls register,
-// and noteDeep is self-recursive (its own one-function SCC with a
-// self-edge).
+// the fixture: LeakDeep reaches fetch through deep01…deep20, and swapRec is
+// self-recursive (its own one-function SCC with a self-edge).
 func TestCallGraphEdges(t *testing.T) {
-	g := loadImmutFixture(t)
+	g := loadTaintFixture(t)
 	byName := make(map[string]int) // function name -> SCC index
 	var recEdges []string
 	for _, comp := range g.SCCs() {
 		for _, fn := range comp {
 			byName[fn.Name()] = g.sccIndex[fn]
-			if fn.Name() == "noteDeep" {
+			if fn.Name() == "swapRec" {
 				for _, c := range g.callees[fn] {
 					recEdges = append(recEdges, c.Name())
 				}
 				if !g.selfRecursive(fn) {
-					t.Error("noteDeep should be self-recursive")
+					t.Error("swapRec should be self-recursive")
 				}
 				if !g.SameSCC(fn, fn) {
 					t.Error("SameSCC should hold reflexively for graph members")
@@ -64,23 +63,26 @@ func TestCallGraphEdges(t *testing.T) {
 			}
 		}
 	}
-	for _, name := range []string{"NewRegisteredVia", "registerVia", "register", "noteDeep", "NewNotedDeep"} {
+	for _, name := range []string{"LeakDeep", "deep01", "deep20", "fetch", "swapRec", "LeakRecursive"} {
 		if _, ok := byName[name]; !ok {
 			t.Fatalf("%s missing from call graph", name)
 		}
 	}
 	// Callees sit in earlier (or equal, for recursion) components.
-	if byName["register"] >= byName["registerVia"] || byName["registerVia"] >= byName["NewRegisteredVia"] {
-		t.Errorf("helpers should condense before their callers: register=%d registerVia=%d caller=%d",
-			byName["register"], byName["registerVia"], byName["NewRegisteredVia"])
+	if byName["fetch"] >= byName["deep20"] || byName["deep20"] >= byName["deep01"] || byName["deep01"] >= byName["LeakDeep"] {
+		t.Errorf("helpers should condense before their callers: fetch=%d deep20=%d deep01=%d caller=%d",
+			byName["fetch"], byName["deep20"], byName["deep01"], byName["LeakDeep"])
+	}
+	if byName["swapRec"] >= byName["LeakRecursive"] {
+		t.Errorf("swapRec (%d) should condense before LeakRecursive (%d)", byName["swapRec"], byName["LeakRecursive"])
 	}
 	found := false
 	for _, e := range recEdges {
-		if e == "noteDeep" {
+		if e == "swapRec" {
 			found = true
 		}
 	}
 	if !found {
-		t.Errorf("noteDeep should have a self-edge, has %v", recEdges)
+		t.Errorf("swapRec should have a self-edge, has %v", recEdges)
 	}
 }

@@ -11,12 +11,9 @@ import (
 // replays Transfer over the blocks' nodes to recover facts at interior
 // points (see Replay).
 //
-// The same machinery serves both meet flavors:
-//
-//   - must-analyses (the lock model's held-mutex sets) use intersection, so a
-//     fact survives a join only when every reaching path establishes it;
-//   - may-analyses (immutable's escaped-value sets) use union, so a fact
-//     survives when any path establishes it.
+// The meet is the analysis's own: a must-analysis (the lock model's
+// held-mutex sets) intersects, so a fact survives a join only when every
+// reaching path establishes it; a may-analysis would take the union.
 //
 // Branch refinement: when a block ends in a conditional branch, the fact
 // leaving along the true and false edges is refined through TransferCond —

@@ -1,8 +1,6 @@
 // Package lint implements sgxlint, a repo-specific static-analysis suite
 // that encodes the paper's security argument as compile-time invariants:
 //
-//   - cryptononce: every AES-GCM Seal call must derive its nonce from an
-//     approved source, and sealing paths must bind non-empty AAD.
 //   - determinism: trusted packages may not read nondeterministic inputs
 //     (wall clock, math/rand, runtime introspection) because enclave step
 //     functions must replay identically across AEX/ERESUME.
@@ -17,16 +15,14 @@
 //     possible callee, while another is held in lockdiscipline's sense —
 //     must form an acyclic acquisition order, and every "guarded by"
 //     annotation must name a real sibling mutex.
-//   - immutable: fields annotated "// immutable after construction" may
-//     only be written by the declaring package's constructors (or composite
-//     literals), before the new value escapes the constructing frame.
 //
-// The four flow rules (lockdiscipline, lockorder, plainflow, immutable)
-// are clients of one engine: per-function CFGs and a forward
-// dataflow solver (cfg.go, dataflow.go), the module call graph with
-// interface dispatch (callgraph.go), and a bottom-up SCC summary solver
-// (summary.go). The two lock rules are two reports over one lock model
-// (lockmodel.go).
+// Each rule catches a defect no test catches (docs/LINT.md, "The mutation
+// audit"); what the tests catch needs no rule. The three flow rules
+// (lockdiscipline, lockorder, plainflow) are clients of one engine:
+// per-function CFGs and a forward dataflow solver (cfg.go, dataflow.go),
+// the module call graph with interface dispatch (callgraph.go), and a
+// bottom-up SCC summary solver (summary.go). The two lock rules are two
+// reports over one lock model (lockmodel.go).
 //
 // The driver is stdlib-only (go/parser + go/types with a recursive source
 // importer) so go.mod stays dependency-free. Individual findings are
@@ -70,9 +66,6 @@ type Config struct {
 	// boundary: they may touch enclave-private state and are held to the
 	// determinism rule.
 	TrustedPackages []string
-	// ApprovedNonceFns are function names whose results are acceptable
-	// AES-GCM nonces.
-	ApprovedNonceFns []string
 
 	// TaintSources are function identities (types.Func.FullName form, e.g.
 	// "repro/internal/tcb.Open" or "(crypto/cipher.AEAD).Open") whose
@@ -96,12 +89,6 @@ func DefaultConfig(modPath string) *Config {
 			modPath + "/internal/sgx",
 			modPath + "/internal/tcb",
 			modPath + "/internal/hwext",
-		},
-		ApprovedNonceFns: []string{
-			"RandomBytes",
-			"RandomNonce",
-			"counterNonce",
-			"NonceFromCounter",
 		},
 		TaintSources: []string{
 			modPath + "/internal/tcb.Open",
@@ -157,12 +144,10 @@ func (c *Config) trusted(importPath string) bool {
 // Checkers returns every rule, configured.
 func Checkers(cfg *Config) []Checker {
 	return []Checker{
-		&cryptoNonce{cfg: cfg},
 		&determinism{cfg: cfg},
 		&lockDiscipline{},
 		&plainFlow{cfg: cfg},
 		&lockOrder{},
-		&immutable{},
 	}
 }
 

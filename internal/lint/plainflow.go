@@ -284,6 +284,34 @@ func (fa *flowFunc) taintLHS(lhs ast.Expr, mark taintMark) {
 	}
 }
 
+// baseVar unwraps an expression to its leftmost identifier's variable, or
+// nil when the base is not a simple variable.
+func baseVar(pkg *Package, e ast.Expr) types.Object {
+	for {
+		switch x := e.(type) {
+		case *ast.Ident:
+			if v, ok := identObj(pkg, x).(*types.Var); ok {
+				return v
+			}
+			return nil
+		case *ast.SelectorExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.SliceExpr:
+			e = x.X
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.ParenExpr:
+			e = x.X
+		case *ast.KeyValueExpr:
+			e = x.Value
+		default:
+			return nil
+		}
+	}
+}
+
 // exprTaint computes the mark of an expression.
 func (fa *flowFunc) exprTaint(e ast.Expr) taintMark {
 	switch x := e.(type) {

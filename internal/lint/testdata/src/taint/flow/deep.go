@@ -30,3 +30,18 @@ func deep17(s []byte) []byte { return deep18(s) }
 func deep18(s []byte) []byte { return deep19(s) }
 func deep19(s []byte) []byte { return deep20(s) }
 func deep20(s []byte) []byte { return fetch(s) }
+
+// LeakRecursive sends a Decrypt result through a self-recursive wrapper
+// that swaps its arguments: the second reaches the result only through the
+// recursive call, so the taint arrives only if the solver iterates the
+// wrapper's component to a fixpoint.
+func LeakRecursive(sealed []byte) {
+	crypt.SendOut(swapRec(nil, fetch(sealed), 3))
+}
+
+func swapRec(a, b []byte, n int) []byte {
+	if n == 0 {
+		return a
+	}
+	return swapRec(b, a, n-1)
+}

@@ -55,10 +55,14 @@ func (m *Machine) RegisterControlEnclave(mr [32]byte) error {
 	return nil
 }
 
-// EPutKey installs the migration key into the CPU. Only the registered
-// control enclave may execute it (paper: "a new instruction EPUTKEY, which
-// can only be executed by the control enclave").
-func (env *Env) EPutKey(key tcb.Key) error {
+// EPutKey installs the migration keys into the CPU: out seals what this
+// machine migrates out, in opens what its peer migrated in. Only the
+// registered control enclave may execute it (paper: "a new instruction
+// EPUTKEY, which can only be executed by the control enclave"). Each key is
+// sealed under by one CPU alone, with the machine's version counter as the
+// nonce, so no nonce repeats under a key however many enclaves migrate
+// either way.
+func (env *Env) EPutKey(out, in tcb.Key) error {
 	m := env.m
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -68,21 +72,18 @@ func (env *Env) EPutKey(key tcb.Key) error {
 	if !m.ctrlEnclaveSet || env.e.mrenclave != m.ctrlEnclave {
 		return ErrNotControl
 	}
-	sealer, err := tcb.NewSealer(key)
+	seal, err := tcb.NewSealer(out)
 	if err != nil {
 		return err
 	}
-	// A later EPUTKEY replaces the instance: nothing sealed from here on
-	// uses the previous key.
-	m.migSealer = sealer
+	open, err := tcb.NewSealer(in)
+	if err != nil {
+		return err
+	}
+	// A later EPUTKEY replaces the instances: nothing sealed from here on
+	// uses the previous keys.
+	m.migSeal, m.migOpen = seal, open
 	return nil
-}
-
-// ClearMigrationKey wipes the installed migration key (end of a migration).
-func (m *Machine) ClearMigrationKey() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.migSealer = nil
 }
 
 // EMIGRATE freezes the enclave: all EENTER/ERESUME are refused, so its state
@@ -95,7 +96,7 @@ func (m *Machine) EMIGRATE(eid EnclaveID) error {
 	if !m.migExtension {
 		return ErrNotMigratable
 	}
-	if m.migSealer == nil {
+	if m.migSeal == nil {
 		return ErrNoMigrationKey
 	}
 	e, ok := m.enclaves[eid]
@@ -166,6 +167,7 @@ type MigratedPage struct {
 // MigratedSECS carries the enclave control structure across machines, sealed
 // under the migration key.
 type MigratedSECS struct {
+	Seq    uint64 // the AEAD nonce, drawn from the same counter as the pages'
 	Cipher []byte
 }
 
@@ -190,7 +192,9 @@ func (m *Machine) ESWPOUTSECS(eid EnclaveID) (*MigratedSECS, error) {
 	binary.LittleEndian.PutUint64(buf[8:], uint64(e.nssa))
 	copy(buf[16:48], e.mrenclave[:])
 	copy(buf[48:80], e.migDigest[:])
-	return &MigratedSECS{Cipher: m.migSealer.Seal(nil, 0, buf, []byte("SECS"))}, nil
+	seq := m.nextVer
+	m.nextVer++
+	return &MigratedSECS{Seq: seq, Cipher: m.migSeal.Seal(nil, seq, buf, []byte("SECS"))}, nil
 }
 
 // ESWPOUT re-seals one resident page of a frozen enclave under the migration
@@ -218,7 +222,7 @@ func (m *Machine) ESWPOUT(eid EnclaveID, lin PageNum) (*MigratedPage, error) {
 	}
 	seq := m.nextVer
 	m.nextVer++
-	cipher := m.migSealer.Seal(nil, seq, plaintext, migAAD(lin, fr.ptype, fr.perm))
+	cipher := m.migSeal.Seal(nil, seq, plaintext, migAAD(lin, fr.ptype, fr.perm))
 	return &MigratedPage{Lin: lin, Type: fr.ptype, Perm: fr.perm, Seq: seq, Cipher: cipher}, nil
 }
 
@@ -230,7 +234,7 @@ func (m *Machine) ECHANGEOUT(ev *EvictedPage, vaFrame FrameIndex, slot int) (*Mi
 	if !m.migExtension {
 		return nil, ErrNotMigratable
 	}
-	if m.migSealer == nil {
+	if m.migSeal == nil {
 		return nil, ErrNoMigrationKey
 	}
 	e, ok := m.enclaves[ev.Enclave]
@@ -253,7 +257,7 @@ func (m *Machine) ECHANGEOUT(ev *EvictedPage, vaFrame FrameIndex, slot int) (*Mi
 	}
 	seq := m.nextVer
 	m.nextVer++
-	cipher := m.migSealer.Seal(nil, seq, plaintext, migAAD(ev.Lin, ev.Type, ev.Perm))
+	cipher := m.migSeal.Seal(nil, seq, plaintext, migAAD(ev.Lin, ev.Type, ev.Perm))
 	va.slots[slot] = 0
 	return &MigratedPage{Lin: ev.Lin, Type: ev.Type, Perm: ev.Perm, Seq: seq, Cipher: cipher}, nil
 }
@@ -262,7 +266,7 @@ func (m *Machine) frozenLocked(eid EnclaveID) (*enclaveControl, error) {
 	if !m.migExtension {
 		return nil, ErrNotMigratable
 	}
-	if m.migSealer == nil {
+	if m.migSeal == nil {
 		return nil, ErrNoMigrationKey
 	}
 	e, ok := m.enclaves[eid]
@@ -285,7 +289,7 @@ func (m *Machine) ESWPINSECS(f FrameIndex, ms *MigratedSECS, prog Program) (Encl
 	if !m.migExtension {
 		return 0, ErrNotMigratable
 	}
-	if m.migSealer == nil {
+	if m.migSeal == nil {
 		return 0, ErrNoMigrationKey
 	}
 	if ms == nil || prog == nil {
@@ -294,7 +298,7 @@ func (m *Machine) ESWPINSECS(f FrameIndex, ms *MigratedSECS, prog Program) (Encl
 	if !m.frameFreeLocked(f) {
 		return 0, ErrFrameInUse
 	}
-	buf, err := m.migSealer.Open(nil, 0, ms.Cipher, []byte("SECS"))
+	buf, err := m.migOpen.Open(nil, ms.Seq, ms.Cipher, []byte("SECS"))
 	if err != nil || len(buf) != 80 {
 		return 0, ErrSealBroken
 	}
@@ -335,7 +339,7 @@ func (m *Machine) ESWPIN(f FrameIndex, eid EnclaveID, mp *MigratedPage) error {
 	if _, dup := e.pageTable[mp.Lin]; dup {
 		return ErrPageConflict
 	}
-	if err := openFrame(&m.frames[f], m.migSealer, mp.Seq, mp.Cipher, migAAD(mp.Lin, mp.Type, mp.Perm), eid, mp.Lin, mp.Type, mp.Perm); err != nil {
+	if err := openFrame(&m.frames[f], m.migOpen, mp.Seq, mp.Cipher, migAAD(mp.Lin, mp.Type, mp.Perm), eid, mp.Lin, mp.Type, mp.Perm); err != nil {
 		return err
 	}
 	e.pageTable[mp.Lin] = f
@@ -365,7 +369,7 @@ func (m *Machine) ECHANGEIN(eid EnclaveID, mp *MigratedPage, vaFrame FrameIndex,
 	if va.slots[slot] != 0 {
 		return nil, ErrVASlot
 	}
-	plaintext, err := m.migSealer.Open(nil, mp.Seq, mp.Cipher, migAAD(mp.Lin, mp.Type, mp.Perm))
+	plaintext, err := m.migOpen.Open(nil, mp.Seq, mp.Cipher, migAAD(mp.Lin, mp.Type, mp.Perm))
 	if err != nil {
 		return nil, ErrSealBroken
 	}

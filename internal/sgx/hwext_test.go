@@ -21,7 +21,7 @@ func extPair(t *testing.T) (*Machine, *Machine) {
 }
 
 // extMachine boots an extension-enabled machine with key installed as its
-// migration key.
+// migration key both ways.
 func extMachine(t *testing.T, name string, key tcb.Key) *Machine {
 	t.Helper()
 	m := newTestMachine(t, Config{Name: name, MigrationExtension: true})
@@ -30,7 +30,7 @@ func extMachine(t *testing.T, name string, key tcb.Key) *Machine {
 		t.Fatal(err)
 	}
 	m.mu.Lock()
-	m.migSealer = sealer
+	m.migSeal, m.migOpen = sealer, sealer
 	m.mu.Unlock()
 	return m
 }

@@ -195,8 +195,12 @@ type Machine struct {
 	// it consumed, for EWB to seal into.
 	spareBlobs [][]byte // guarded by mu
 
-	migExtension   bool
-	migSealer      *tcb.Sealer // migration key installed by EPUTKEY (hwext), nil otherwise; guarded by mu
+	migExtension bool
+	// migSeal and migOpen are the migration keys EPUTKEY installs (hwext),
+	// nil otherwise: one per direction, so only this CPU seals under
+	// migSeal and only the peer's under migOpen.
+	migSeal        *tcb.Sealer // guarded by mu
+	migOpen        *tcb.Sealer // guarded by mu
 	ctrlEnclave    [32]byte    // measurement allowed to execute EPUTKEY
 	ctrlEnclaveSet bool
 

@@ -115,7 +115,7 @@ func TestEPUTKEYReplacesSealer(t *testing.T) {
 	env := &Env{m: m, e: m.enclaves[eid]}
 	m.mu.RUnlock()
 
-	if err := env.EPutKey(k1); err != nil {
+	if err := env.EPutKey(k1, k1); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.EMIGRATE(eid); err != nil {
@@ -125,7 +125,7 @@ func TestEPUTKEYReplacesSealer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := env.EPutKey(k2); err != nil {
+	if err := env.EPutKey(k2, k2); err != nil {
 		t.Fatal(err)
 	}
 	under2, err := m.ESWPOUTSECS(eid)
@@ -141,10 +141,6 @@ func TestEPUTKEYReplacesSealer(t *testing.T) {
 	}
 	if _, err := has2.ESWPINSECS(0, under2, prog); err != nil {
 		t.Fatalf("blob sealed under the second key: %v", err)
-	}
-	m.ClearMigrationKey()
-	if _, err := m.ESWPOUTSECS(eid); !errors.Is(err, ErrNoMigrationKey) {
-		t.Fatalf("seal after ClearMigrationKey: %v", err)
 	}
 }
 

@@ -25,8 +25,9 @@ func TestSealerMatchesPlainGCM(t *testing.T) {
 	aad := []byte("enclave-lin-type-perm")
 	for _, counter := range []uint64{0, 1, 0x0102030405060708, 1<<64 - 1} {
 		var nonce [12]byte
+		// The reference encodes the counter independently of
+		// counterNonce, which it checks.
 		binary.BigEndian.PutUint64(nonce[4:], counter)
-		//lint:ignore cryptononce the reference encodes the counter independently of counterNonce, which it checks
 		want := ref.Seal(nil, nonce[:], pt, aad)
 		if got := s.Seal(nil, counter, pt, aad); !bytes.Equal(got, want) {
 			t.Fatalf("counter %#x: Sealer.Seal differs from plain GCM", counter)

@@ -28,6 +28,32 @@ func TestSealOpenRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSealNeverRepeatsANonce: Seal's envelope carries a fresh random nonce,
+// so one plaintext sealed twice under one key comes out under two nonces and
+// as two ciphertexts. A fixed nonce would make the second seal's keystream
+// the first's.
+func TestSealNeverRepeatsANonce(t *testing.T) {
+	key, err := RandomKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	plaintext := bytes.Repeat([]byte("kmigrate"), 8)
+	a, err := Seal(key, plaintext, []byte("ctx"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Seal(key, plaintext, []byte("ctx"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(a[:nonceSize], b[:nonceSize]) {
+		t.Fatalf("two seals under one key share the nonce %x", a[:nonceSize])
+	}
+	if bytes.Equal(a[nonceSize:], b[nonceSize:]) {
+		t.Fatal("one plaintext sealed twice gave one ciphertext")
+	}
+}
+
 func TestOpenRejectsWrongKeyAndAAD(t *testing.T) {
 	k1, _ := RandomKey()
 	k2, _ := RandomKey()

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http/httptest"
+	"sync"
 	"testing"
+	"time"
 )
 
 // twoHostTrace simulates the client→source→target shipment chain in one
@@ -251,5 +253,65 @@ func TestHTTPHandlerPprof(t *testing.T) {
 	}
 	if !bytes.Contains(rec.Body.Bytes(), []byte("goroutine")) {
 		t.Fatalf("pprof index missing profile listing:\n%s", rec.Body.String())
+	}
+}
+
+// TestAdoptKeepsTheLocalEpoch: adopting a trace from a tracer created
+// earlier rebases the adopted spans onto this tracer's epoch and leaves the
+// epoch alone, so a span begun after the adopt starts no later than the
+// wall time since its own tracer was created.
+func TestAdoptKeepsTheLocalEpoch(t *testing.T) {
+	older := NewSeeded(300)
+	sp := older.Begin("host.migratein")
+	sp.End()
+	time.Sleep(20 * time.Millisecond)
+
+	created := time.Now()
+	tr := NewSeeded(301)
+	tr.Adopt(older.ExportTrace(sp.Context().TraceID))
+	after := tr.Begin("client.after")
+	after.End()
+	bound := time.Since(created)
+	recs := tr.ByName("client.after")
+	if len(recs) != 1 {
+		t.Fatalf("%d client.after records", len(recs))
+	}
+	if recs[0].Start > bound {
+		t.Fatalf("span begun after the adopt starts at %v, but the tracer is only %v old", recs[0].Start, bound)
+	}
+	if adopted := tr.ByName("host.migratein"); len(adopted) != 1 || adopted[0].Start >= 0 {
+		t.Fatalf("adopted span %+v: want one, starting before this tracer's epoch", adopted)
+	}
+}
+
+// TestAdoptConcurrentWithBegin adopts peer traces while spans begin and end
+// on the same tracer, for the race detector: Adopt writes only under the
+// tracer's lock, and what spans read lock-free is set at construction.
+func TestAdoptConcurrentWithBegin(t *testing.T) {
+	peer := NewSeeded(400)
+	var ids []TraceID
+	for i := 0; i < 8; i++ {
+		sp := peer.Begin("peer.span")
+		sp.End()
+		ids = append(ids, sp.Context().TraceID)
+	}
+	tr := NewSeeded(401)
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for _, id := range ids {
+			tr.Adopt(peer.ExportTrace(id))
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 64; i++ {
+			tr.Begin("local.span").End()
+		}
+	}()
+	wg.Wait()
+	if got := len(tr.ByName("local.span")) + len(tr.ByName("peer.span")); got != 64+len(ids) {
+		t.Fatalf("%d spans after the concurrent adopts, want %d", got, 64+len(ids))
 	}
 }

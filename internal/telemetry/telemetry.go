@@ -85,8 +85,12 @@ type SpanRecord struct {
 // Tracer collects spans. A nil *Tracer is the no-op tracer: Begin returns
 // a nil *Span and the whole span API degenerates to nil checks.
 type Tracer struct {
-	epoch   time.Time // span-timestamp origin; immutable after construction
-	seed    uint64    // ID-derivation seed; immutable after construction
+	// epoch and seed are immutable after construction, so spans read them
+	// without the lock: TestAdoptKeepsTheLocalEpoch and
+	// TestSeededIDsDeterministic check them, and -race in
+	// TestAdoptConcurrentWithBegin sees a write.
+	epoch   time.Time // span-timestamp origin
+	seed    uint64    // ID-derivation seed
 	ids     atomic.Uint64
 	tracks  atomic.Uint64
 	sampleP atomic.Uint64 // math.Float64bits of the sampling probability

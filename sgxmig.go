@@ -172,7 +172,8 @@ func MigrateIn(host *Host, reg *Registry, t Transport, opts *MigrationOptions) (
 }
 
 // Migrate runs a complete in-process migration between two hosts and
-// returns the live target runtime.
+// returns the live target runtime. It returns once both halves have, so a
+// failed migration leaves no enclave built on the target.
 func Migrate(src *Runtime, dstHost *Host, reg *Registry, opts *MigrationOptions) (*Incoming, error) {
 	t1, t2 := core.NewPipe()
 	type result struct {
@@ -188,6 +189,8 @@ func Migrate(src *Runtime, dstHost *Host, reg *Registry, opts *MigrationOptions)
 		ch <- result{inc, err}
 	}()
 	if _, err := core.MigrateOut(src, t1, opts); err != nil {
+		_ = t1.Close() // nor may the target wait for a source that gave up
+		<-ch
 		return nil, err
 	}
 	r := <-ch

@@ -106,6 +106,37 @@ func TestMigrateRefusedByTargetReturns(t *testing.T) {
 	}
 }
 
+// TestMigrateRefusedBySourceFreesTarget (regression): the source refuses a
+// target machine the attestation service does not know, after the target
+// has built its enclave on the image announcement. Migrate used to return
+// with the target half still waiting for the source's channel message and
+// its enclave still built; it must return only once the target has given
+// up and freed it, and the source must answer an ecall afterwards.
+func TestMigrateRefusedBySourceFreesTarget(t *testing.T) {
+	service, owner, hostA, _, _, _ := facadeWorld(t)
+	unknown, err := NewMachine(MachineConfig{Name: "unregistered", Quantum: 2000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	app := testapps.CounterApp(1)
+	rt, err := BuildEnclave(hostA, app, owner)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = rt.Destroy() })
+	reg := NewRegistry()
+	reg.Add(NewDeployment(app, owner))
+	if _, err := Migrate(rt, NewHost(unknown), reg, &MigrationOptions{Service: service}); err == nil {
+		t.Fatal("the source accepted a target machine the service does not know")
+	}
+	if n := unknown.LiveEnclaves(); n != 0 {
+		t.Fatalf("%d enclave(s) still built on the refused target after Migrate returned", n)
+	}
+	if _, err := rt.ECall(0, testapps.CounterGet); err != nil {
+		t.Fatalf("source after the refused migration: %v", err)
+	}
+}
+
 // TestFacadeOwnerSnapshot exercises OwnerCheckpoint/OwnerResume through the
 // facade.
 func TestFacadeOwnerSnapshot(t *testing.T) {
